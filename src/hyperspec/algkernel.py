@@ -23,7 +23,6 @@ from .linalg import (
     preimage,
     reduce_rows,
     rref,
-    solve,
     span_contains,
 )
 
@@ -317,17 +316,22 @@ def quotient_algebra(alg: SCAlgebra, ideal: IdealSubspace) -> tuple[SCAlgebra, L
     return quo, LinMap(pi, src=alg, dst=quo, section=section)
 
 
+def _frobenius_matrix(alg: SCAlgebra) -> np.ndarray:
+    """Matrix of the F_p-linear map x -> x^p; column i is e_i^p."""
+    frob = np.zeros((alg.dim, alg.dim), dtype=np.int64)
+    for i, e in enumerate(np.eye(alg.dim, dtype=np.int64)):
+        frob[:, i] = alg.power(e, alg.field.p)
+    return frob
+
+
 def nilradical(alg: SCAlgebra) -> IdealSubspace:
     """Kernel of the F_p-linear map x -> x^(p^m) with p^m >= dim."""
     p = alg.field.p
     m = 1
     while p**m < alg.dim:
         m += 1
-    frob = np.zeros((alg.dim, alg.dim), dtype=np.int64)
-    eye = np.eye(alg.dim, dtype=np.int64)
-    for i in range(alg.dim):
-        frob[:, i] = alg.power(eye[i], p)
-    total = eye
+    frob = _frobenius_matrix(alg)
+    total = np.eye(alg.dim, dtype=np.int64)
     for _ in range(m):
         total = matmul(frob, total, p)
     return IdealSubspace(alg, nullspace(total, p))
@@ -348,20 +352,6 @@ class PrimePoint:
         return f"PrimePoint({self.label}, deg={self.degree})"
 
 
-def _split_minpoly(alg: SCAlgebra, elem: np.ndarray, unit: np.ndarray) -> FpPoly:
-    """Minimal polynomial of elem within the unital subalgebra unit*A."""
-    p = alg.field.p
-    powers = [unit.copy()]
-    for _ in range(alg.dim):
-        powers.append(alg.mul_vec(powers[-1], elem))
-    rows = np.array(powers, dtype=np.int64)
-    for d in range(1, alg.dim + 1):
-        sol = solve(rows[:d].T, rows[d], p)
-        if sol is not None:
-            return FpPoly.make(alg.field, [(-int(c)) % p for c in sol] + [1])
-    raise RuntimeError("unreachable")
-
-
 def maximal_spectrum(alg: SCAlgebra) -> list[PrimePoint]:
     """All maximal ideals with residue data, ordered by
     (residue degree, lexicographic echelon basis)."""
@@ -370,18 +360,14 @@ def maximal_spectrum(alg: SCAlgebra) -> list[PrimePoint]:
     p = alg.field.p
     nil = nilradical(alg)
     red, pi_red = quotient_algebra(alg, nil)
-    eye = np.eye(red.dim, dtype=np.int64)
-    frob = np.zeros((red.dim, red.dim), dtype=np.int64)
-    for i in range(red.dim):
-        frob[:, i] = red.power(eye[i], p)
-    fixed = nullspace(npmod(frob - eye, p), p)
+    fixed = nullspace(npmod(_frobenius_matrix(red) - np.eye(red.dim, dtype=np.int64), p), p)
 
     idems = [red.unit.copy()]
     for u in fixed:
         refined = []
         for e in idems:
             ue = red.mul_vec(u, e)
-            m = _split_minpoly(red, ue, e)
+            m = minimal_polynomial(ue, red, unit=e)
             roots = [a for a in range(p) if m.eval(a) == 0]
             if len(roots) != m.degree:
                 raise RuntimeError("Frobenius-fixed element has a non-split minimal polynomial")
@@ -442,8 +428,4 @@ def ideal_is_prime(alg: SCAlgebra, ideal: IdealSubspace) -> bool:
         return True
     if nilradical(quo).dim != 0:
         return False
-    eye = np.eye(quo.dim, dtype=np.int64)
-    frob = np.zeros((quo.dim, quo.dim), dtype=np.int64)
-    for i in range(quo.dim):
-        frob[:, i] = quo.power(eye[i], p)
-    return nullspace(npmod(frob - eye, p), p).shape[0] == 1
+    return nullspace(npmod(_frobenius_matrix(quo) - np.eye(quo.dim, dtype=np.int64), p), p).shape[0] == 1

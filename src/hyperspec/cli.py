@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import galoisline, specops as ops
-from .gfarith import is_prime
+from .gfarith import PrimeField
 from .hyperkernel import (
     HyperRingTable,
     HyperTable,
@@ -135,8 +135,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_line(args) -> int:
-    if not is_prime(args.p) or args.p < 3:
-        print(f"input error: p must be an odd prime, got {args.p}", file=sys.stderr)
+    try:
+        PrimeField(args.p).require_odd()
+    except ValueError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if args.max_degree < 1:
         print("input error: max-degree must be >= 1", file=sys.stderr)
@@ -172,7 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_hop = sub.add_parser("hyperop", help="hyperoperation table of an algebra's spectrum")
     p_hop.add_argument("algebra", help="builtin spec like mu:5:4 / addetale:3:2, or a JSON file")
     p_hop.add_argument("--pair", nargs=2, metavar=("F", "G"), help="two point labels, e.g. '(T^2+1)' '(T^2+1)'")
-    p_hop.add_argument("--json", action="store_true", help="JSON output (the default)")
     p_hop.add_argument("--plain", action="store_true", help="text output instead of JSON")
     p_hop.set_defaults(func=cmd_hyperop)
 

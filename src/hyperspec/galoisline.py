@@ -26,10 +26,10 @@ from .gfarith import (
     PrimeField,
     factor,
     find_irreducible,
-    fq_elements,
     irreducibles_up_to,
     minimal_polynomial,
     minpoly_over_fp,
+    poly_roots_in_fq,
 )
 from .linalg import batch_tensor_rank_class, enumerate_vectors, npmod
 
@@ -70,6 +70,7 @@ class LinePoint:
 
 
 def line_points(p: int, law: str, max_degree: int) -> list[LinePoint]:
+    PrimeField(p).require_odd()
     pts = []
     for q in irreducibles_up_to(p, max_degree):
         if law == MULTIPLICATIVE and q.coeffs[0] == 0:
@@ -98,14 +99,10 @@ def line_antipode(pt: LinePoint) -> LinePoint:
 def _root_of(poly: FpPoly, ext_degree: int) -> FqElem:
     """First root of an irreducible poly inside F_{p^ext_degree} (its degree
     must divide ext_degree), by deterministic scan."""
-    modulus = find_irreducible(poly.field.p, ext_degree)
-    for x in fq_elements(modulus):
-        acc = FqElem.from_coeffs(modulus, ())
-        for c in reversed(poly.coeffs):
-            acc = acc * x + FqElem.from_coeffs(modulus, (c,))
-        if acc.is_zero():
-            return x
-    raise ValueError(f"{poly} has no root in degree-{ext_degree} extension")
+    root = next(poly_roots_in_fq(poly, find_irreducible(poly.field.p, ext_degree)), None)
+    if root is None:
+        raise ValueError(f"{poly} has no root in degree-{ext_degree} extension")
+    return root
 
 
 @lru_cache(maxsize=None)
@@ -137,7 +134,7 @@ def definitional_hyperop(p: int, law: str, f: LinePoint, g: LinePoint) -> tuple[
     the forced-zero ideal is (minimal polynomial of the coproduct-generator
     image s); an irreducible divisor pi survives iff no element of
     (pi)/(g_P) has a rank-one image."""
-    field = PrimeField(p)
+    field = PrimeField(p).require_odd()
     kf = monogenic_algebra(field, f.poly)
     kg = monogenic_algebra(field, g.poly)
     ten = tensor_algebra(kf, kg)

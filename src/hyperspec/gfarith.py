@@ -1,4 +1,4 @@
-"""Exact arithmetic over F_p (p an odd prime >= 3) and F_{p^k}.
+"""Exact arithmetic over F_p (p any prime) and F_{p^k}.
 
 Univariate polynomials are coefficient tuples, lowest degree first, always
 normalized (no trailing zeros); the zero polynomial is the empty tuple.
@@ -29,16 +29,23 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class PrimeField:
-    """The scalar field F_p. Only odd primes are accepted: the forced-value
-    analysis divides by 2 and every hyperfield realization needs |k| >= 3."""
+    """The scalar field F_p for any prime p. Characteristic 2 is accepted
+    here and by the table layer (field_ring builds F_4 and F_8), but the
+    spectrum hyperoperation needs p odd: its forced-value analysis splits a
+    rank-one term into halves. Hopf data and the line engines therefore
+    call require_odd."""
 
     p: int
 
     def __post_init__(self) -> None:
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
-        if self.p < 3:
-            raise ValueError("characteristic 2 is rejected: the base field must have at least 3 elements")
+
+    def require_odd(self) -> "PrimeField":
+        """This field, or ValueError in characteristic 2."""
+        if self.p == 2:
+            raise ValueError("p must be an odd prime, got 2")
+        return self
 
     def inv(self, a: int) -> int:
         a %= self.p
@@ -174,11 +181,6 @@ class FpPoly:
         for c in reversed(self.coeffs):
             acc = acc * other + FpPoly.make(self.field, (c,))
         return acc
-
-    def shift(self, k: int) -> "FpPoly":
-        if self.is_zero():
-            return self
-        return FpPoly(self.field, (0,) * k + self.coeffs)
 
     def to_list(self) -> list[int]:
         return list(self.coeffs)
@@ -362,52 +364,49 @@ def fq_elements(modulus: FpPoly) -> Iterator[FqElem]:
         yield FqElem(modulus, FpPoly.make(modulus.field, coeffs))
 
 
-def poly_roots_in_fq(poly: FpPoly, modulus: FpPoly) -> list[FqElem]:
-    """All roots of poly in F_{p^k}, by exhaustive scan (desk scale)."""
+def poly_roots_in_fq(poly: FpPoly, modulus: FpPoly) -> Iterator[FqElem]:
+    """The roots of poly in F_{p^k}, in fq_elements order, by exhaustive
+    scan (desk scale)."""
     zero = FqElem.make(modulus, FpPoly.zero(modulus.field))
-    roots = []
     for x in fq_elements(modulus):
         acc = zero
         for c in reversed(poly.coeffs):
             acc = acc * x + FqElem.from_coeffs(modulus, (c,))
         if acc.is_zero():
-            roots.append(x)
-    return roots
+            yield x
+
+
+def _first_monic_relation(powers: np.ndarray, field: PrimeField) -> FpPoly:
+    """The monic polynomial of least degree d with
+    powers[d] = -(c_0 powers[0] + ... + c_{d-1} powers[d-1]), by exact
+    kernel computation. Given the coordinate rows of 1, x, x^2, ..., this
+    is the minimal polynomial of x."""
+    p = field.p
+    for d in range(1, len(powers)):
+        sol = solve(powers[:d].T, powers[d], p)
+        if sol is not None:
+            return FpPoly.make(field, [(-int(c)) % p for c in sol] + [1])
+    raise RuntimeError("unreachable: elements of a finite-dimensional algebra are algebraic")
 
 
 def minpoly_over_fp(elem: FqElem) -> FpPoly:
     """Minimal polynomial of an F_{p^k} element over F_p."""
-    field = elem.field
-    k = elem.modulus.degree
     powers = [FqElem.from_coeffs(elem.modulus, (1,))]
-    for _ in range(k):
+    for _ in range(elem.modulus.degree):
         powers.append(powers[-1] * elem)
-    rows = np.array([e.coeff_vector() for e in powers], dtype=np.int64)
-    for d in range(1, k + 1):
-        # monic dependence T^d = -(c_0 + ... + c_{d-1} T^{d-1})
-        sol = solve(rows[:d].T, rows[d], field.p)
-        if sol is not None:
-            coeffs = [(-int(c)) % field.p for c in sol] + [1]
-            return FpPoly.make(field, coeffs)
-    raise RuntimeError("unreachable: element of F_{p^k} is algebraic of degree <= k")
+    return _first_monic_relation(np.array([e.coeff_vector() for e in powers], dtype=np.int64), elem.field)
 
 
-def minimal_polynomial(elem, algebra) -> FpPoly:
+def minimal_polynomial(elem, algebra, unit=None) -> FpPoly:
     """Minimal polynomial of an element of a finite-dimensional commutative
     F_p-algebra, by exact kernel computation on its powers.
 
     `algebra` provides dim, field, unit, and mul_vec; `elem` is a coordinate
-    vector in the algebra basis.
+    vector in the algebra basis. An idempotent `unit` in place of
+    algebra.unit gives the minimal polynomial within the subalgebra unit*A.
     """
-    field = algebra.field
-    v = np.asarray(elem, dtype=np.int64) % field.p
-    powers = [np.asarray(algebra.unit, dtype=np.int64).copy()]
+    v = np.asarray(elem, dtype=np.int64) % algebra.field.p
+    powers = [np.asarray(algebra.unit if unit is None else unit, dtype=np.int64)]
     for _ in range(algebra.dim):
         powers.append(algebra.mul_vec(powers[-1], v))
-    rows = np.array(powers, dtype=np.int64)
-    for d in range(1, algebra.dim + 1):
-        sol = solve(rows[:d].T, rows[d], field.p)
-        if sol is not None:
-            coeffs = [(-int(c)) % field.p for c in sol] + [1]
-            return FpPoly.make(field, coeffs)
-    raise RuntimeError("unreachable: finite-dimensional algebra elements are algebraic")
+    return _first_monic_relation(np.array(powers, dtype=np.int64), algebra.field)

@@ -9,11 +9,12 @@ guarantees and the reversibility check exploits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .algkernel import IdealSubspace, LinMap, SCAlgebra, monogenic_algebra, quotient_algebra, tensor_square_mul
-from .gfarith import FpPoly, PrimeField, is_prime
+from .gfarith import FpPoly, PrimeField
 from .hyperkernel import CheckResult, LawReport
 from .linalg import matmul, npmod, rref, span_contains, span_sum
 
@@ -32,7 +33,7 @@ class HopfData:
 
     def __init__(self, algebra: SCAlgebra, delta, counit, antipode, name: str | None = None,
                  descent_ideal_poly: FpPoly | None = None):
-        p = algebra.field.p
+        p = algebra.field.require_odd().p
         n = algebra.dim
         self.algebra = algebra
         self.delta = npmod(np.asarray(delta, dtype=np.int64), p)
@@ -44,17 +45,19 @@ class HopfData:
             raise ValueError("coproduct/antipode dimensions are inconsistent with the algebra")
         for m in (self.delta, self.counit, self.antipode):
             m.setflags(write=False)
-        self._verified: bool | None = None
         self._cache: dict = {}
 
     @property
     def dim(self) -> int:
         return self.algebra.dim
 
+    @cached_property
+    def hopf_report(self) -> LawReport:
+        """The verify_hopf verdict, computed once per object."""
+        return verify_hopf(self)
+
     def ensure_verified(self) -> None:
-        if self._verified is None:
-            self._verified = verify_hopf(self).ok
-        if not self._verified:
+        if not self.hopf_report.ok:
             raise ValueError("Hopf axioms fail; run verify_hopf for the witness")
 
     def to_json(self) -> dict:
@@ -201,10 +204,8 @@ def hopf_quotient(h: HopfData, ideal: IdealSubspace) -> tuple[HopfData, LinMap]:
     out = HopfData(quo, delta_q, counit_q, antipode_q, name=f"{h.name}/I" if h.name else None)
     if not (matmul(delta_q, pi.mat, p) == matmul(pp, h.delta, p)).all():
         raise RuntimeError("quotient coproduct does not commute with the projection")
-    rep = verify_hopf(out)
-    if not rep.ok:
-        raise RuntimeError(f"quotient of a Hopf ideal failed verification: {rep.failures()}")
-    out._verified = True
+    if not out.hopf_report.ok:
+        raise RuntimeError(f"quotient of a Hopf ideal failed verification: {out.hopf_report.failures()}")
     return out, pi
 
 
@@ -233,7 +234,7 @@ def mu_hopf(p: int, n: int) -> HopfData:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    field = PrimeField(p)
+    field = PrimeField(p).require_odd()
     modulus = FpPoly.make(field, [-1] + [0] * (n - 1) + [1]) if n > 1 else FpPoly.make(field, [-1, 1])
     alg = monogenic_algebra(field, modulus)
     d = alg.dim
@@ -257,7 +258,7 @@ def additive_etale_hopf(p: int, k: int) -> HopfData:
     """The etale additive family: F_p[T]/(T^(p^k) - T) with primitive T."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    field = PrimeField(p)
+    field = PrimeField(p).require_odd()
     n = p**k
     modulus = FpPoly.make(field, [0, -1] + [0] * (n - 2) + [1])
     alg = monogenic_algebra(field, modulus)
@@ -289,8 +290,6 @@ def parse_builtin(spec: str) -> HopfData:
         p, n = int(ps), int(ns)
     except ValueError:
         raise ValueError(f"cannot parse algebra spec {spec!r}: p and n must be integers")
-    if not is_prime(p) or p < 3:
-        raise ValueError(f"p must be an odd prime, got {p}")
     if kind == "mu":
         return mu_hopf(p, n)
     if kind == "addetale":

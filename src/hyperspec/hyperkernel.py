@@ -14,6 +14,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from .gfarith import find_irreducible, is_prime
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -93,12 +95,17 @@ class HyperTable:
 
     @staticmethod
     def from_json(doc: dict) -> "HyperTable":
-        carrier = doc["carrier"]
-        op = {}
-        for key, vals in doc["op"].items():
-            a, _, b = key.partition(",")
-            op[(a, b)] = vals
-        return HyperTable(carrier, op)
+        carrier = [str(c) for c in doc["carrier"]]
+        for c in carrier:
+            if "," in c:
+                raise ValueError(f"carrier label {c!r} contains ',', which separates the two labels of a table key")
+        return HyperTable(carrier, {_pair_key(k): v for k, v in doc["op"].items()})
+
+
+def _pair_key(key: str) -> tuple[str, str]:
+    """The pair (a, b) of a table JSON key "a,b"."""
+    a, _, b = key.partition(",")
+    return a, b
 
 
 def extend_to_subsets(t: HyperTable, a_set: Iterable[str], b_set: Iterable[str]) -> frozenset[str]:
@@ -256,9 +263,8 @@ class HyperRingTable:
 
     @staticmethod
     def from_json(doc: dict) -> "HyperRingTable":
-        add = HyperTable(doc["carrier"], {tuple(k.split(",")): v for k, v in doc["op"].items()})
-        mul = {tuple(k.split(",")): v for k, v in doc["mul"].items()}
-        return HyperRingTable(add, mul, doc["zero"], doc["one"])
+        mul = {_pair_key(k): v for k, v in doc["mul"].items()}
+        return HyperRingTable(HyperTable.from_json(doc), mul, doc["zero"], doc["one"])
 
 
 def check_hyperring(r: HyperRingTable) -> LawReport:
@@ -419,41 +425,6 @@ def zmod_ring(n: int) -> FiniteRing:
     return FiniteRing([str(i) for i in range(n)], add, mul, 0, 1)
 
 
-def _small_irreducible(p: int, e: int) -> tuple[int, ...]:
-    """First monic irreducible of degree e over Z_p, as a coefficient tuple
-    (lowest first, length e+1). Plain int arithmetic: works for p = 2 too."""
-
-    def poly_mod(num: list[int], den: tuple[int, ...]) -> list[int]:
-        num = [c % p for c in num]
-        dd = len(den) - 1
-        inv = pow(den[-1], -1, p)
-        while len(num) - 1 >= dd and any(num):
-            while num and num[-1] == 0:
-                num.pop()
-            if len(num) - 1 < dd:
-                break
-            f = num[-1] * inv % p
-            k = len(num) - 1 - dd
-            for i, c in enumerate(den):
-                num[k + i] = (num[k + i] - f * c) % p
-        return num
-
-    def irreducible(cand: tuple[int, ...]) -> bool:
-        deg = len(cand) - 1
-        for d in range(1, deg // 2 + 1):
-            for lower in product(range(p), repeat=d):
-                den = tuple(lower) + (1,)
-                if not any(poly_mod(list(cand), den)):
-                    return False
-        return True
-
-    for lower in product(range(p), repeat=e):
-        cand = tuple(lower) + (1,)
-        if irreducible(cand):
-            return cand
-    raise RuntimeError("unreachable")
-
-
 def field_ring(q: int) -> FiniteRing:
     """The finite field F_q as explicit tables, q = p^e any prime power >= 2."""
     p = None
@@ -461,7 +432,7 @@ def field_ring(q: int) -> FiniteRing:
         if q % cand == 0:
             p = cand
             break
-    if p is None or not is_prime_int(p):
+    if p is None or not is_prime(p):
         raise ValueError(f"{q} is not a prime power")
     e = 0
     qq = q
@@ -475,7 +446,7 @@ def field_ring(q: int) -> FiniteRing:
         r = zmod_ring(p)
         return FiniteRing([str(i) for i in range(p)], r.addt, r.mult, 0, 1)
 
-    modulus = _small_irreducible(p, e)
+    modulus = find_irreducible(p, e).coeffs
     digits = list(product(range(p), repeat=e))  # tuple (c_{e-1},...,c_0) varies last fastest
     elems = [tuple(reversed(d)) for d in digits]  # lowest-first coefficient tuples
     index = {el: i for i, el in enumerate(elems)}
@@ -508,17 +479,6 @@ def field_ring(q: int) -> FiniteRing:
     zero = index[tuple([0] * e)]
     one = index[tuple([1] + [0] * (e - 1))]
     return FiniteRing(names, add, mul, zero, one)
-
-
-def is_prime_int(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def cyclic_unit_subgroups(ring: FiniteRing) -> list[list[int]]:

@@ -223,11 +223,6 @@ def _cached_preimage(h: HopfData, f: KPoint, g: KPoint) -> tuple[IdealSubspace, 
     return cache[key]
 
 
-def hyperop_table(h: HopfData) -> dict[tuple[int, int], HyperopResult]:
-    pts = kpoints(h)
-    return {(f.index, g.index): hyperop(h, f, g) for f in pts for g in pts}
-
-
 def _member_indices(res: HyperopResult) -> frozenset[int]:
     return frozenset(m.index for m in res.members)
 

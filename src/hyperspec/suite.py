@@ -1,7 +1,7 @@
 """Per-algebra traceability suite: one named check per verified statement,
 with a fixed list so every report has the same shape.
 
-MUST-PASS checks decide the exit code; the preimage-primality check is
+A failing check fails the algebra, except preimage_primality, which is
 report-only by design: the engine records the computed verdict per pair and
 nothing downstream assumes it.
 """
@@ -11,28 +11,13 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 from pathlib import Path
 
 from . import specops as ops
-from .hopfkernel import HopfData, descent_ideal, parse_builtin, verify_hopf
+from .hopfkernel import HopfData, descent_ideal, parse_builtin
+from .hyperkernel import LawReport
 from .linalg import npmod
-
-TRACE_CHECKS = (
-    "hopf_axioms",
-    "identity_law",
-    "inverse_law",
-    "reversibility",
-    "weak_associativity",
-    "nonempty",
-    "classical_comparison",
-    "descent_compatibility",
-    "kernel_containment",
-    "preimage_primality",
-)
-
-MUST_PASS = tuple(c for c in TRACE_CHECKS if c != "preimage_primality")
 
 DEFAULT_SUITE = ("mu:3:2", "mu:5:4", "addetale:3:1", "addetale:3:2")
 
@@ -45,12 +30,6 @@ def load_algebra(spec: str) -> HopfData:
     if not path.exists():
         raise ValueError(f"algebra spec {spec!r} is neither a builtin nor a file")
     return HopfData.from_json(json.loads(path.read_text()))
-
-
-def _status(ok: bool, report_only: bool = False) -> str:
-    if report_only:
-        return "report-only"
-    return "pass" if ok else "fail"
 
 
 def _kernel_containment(h: HopfData) -> tuple[bool, dict]:
@@ -75,7 +54,7 @@ def _kernel_containment(h: HopfData) -> tuple[bool, dict]:
     return bad is None, bad or {"pairs": pairs}
 
 
-def _preimage_primality(h: HopfData) -> dict:
+def _preimage_primality(h: HopfData) -> tuple[None, dict]:
     entries = []
     for f, g in product(ops.kpoints(h), repeat=2):
         ideal, verdict = ops.delta_preimage_ideal(h, f, g)
@@ -88,7 +67,57 @@ def _preimage_primality(h: HopfData) -> dict:
                 "prime": bool(verdict),
             }
         )
-    return {"pairs": entries}
+    return None, {"pairs": entries}
+
+
+def _verdict(rep: LawReport, detail: dict | None = None) -> tuple[bool, dict]:
+    """A LawReport as (ok, detail): `detail`, followed by the report on failure."""
+    detail = detail or {}
+    return rep.ok, detail if rep.ok else {**detail, **rep.to_json()}
+
+
+def _hopf_axioms(h: HopfData) -> tuple[bool, dict]:
+    rep = h.hopf_report
+    return rep.ok, {} if rep.ok else {"failures": rep.failures()}
+
+
+def _identity_law(h: HopfData) -> tuple[bool, dict]:
+    rep = ops.identity_law_check(h)
+    return _verdict(rep) if not rep.ok else (True, {"identity": ops.identity_point(h).label})
+
+
+def _weak_associativity(h: HopfData) -> tuple[bool, dict]:
+    rep = ops.weak_assoc_all(h)
+    return _verdict(rep, {"fully_associative": rep.checks["fully_associative"].passed})
+
+
+def _classical_comparison(h: HopfData) -> tuple[bool, dict]:
+    rep = ops.classical_comparison(h, h.algebra.field.p)
+    return _verdict(rep, {"points": list(rep.checks["classical_point_count"].witness)})
+
+
+def _descent_compatibility(h: HopfData) -> tuple[bool, dict]:
+    ideal = descent_ideal(h)
+    gen = ideal.generator_poly()
+    return _verdict(ops.descend_and_compare(h, ideal), {"ideal": f"({gen})" if gen is not None else "0"})
+
+
+# name -> check(h) -> (ok, detail), in report order. ok is None for the
+# report-only check, which decides nothing.
+CHECKS = {
+    "hopf_axioms": _hopf_axioms,
+    "identity_law": _identity_law,
+    "inverse_law": lambda h: _verdict(ops.inverse_law_check(h)),
+    "reversibility": lambda h: _verdict(ops.reversibility_check(h)),
+    "weak_associativity": _weak_associativity,
+    "nonempty": lambda h: _verdict(ops.nonempty_check(h)),
+    "classical_comparison": _classical_comparison,
+    "descent_compatibility": _descent_compatibility,
+    "kernel_containment": _kernel_containment,
+    "preimage_primality": _preimage_primality,
+}
+
+TRACE_CHECKS = tuple(CHECKS)
 
 
 def run_algebra_suite(h: HopfData, checks=None, timings: bool = False) -> dict:
@@ -96,80 +125,24 @@ def run_algebra_suite(h: HopfData, checks=None, timings: bool = False) -> dict:
     exactly once (selected-out checks are reported as skipped)."""
     selected = set(checks or TRACE_CHECKS)
     out: dict = {"algebra": h.name or "unnamed", "checks": {}}
-    must_ok = True
-    for name in TRACE_CHECKS:
+    for name, check in CHECKS.items():
         if name not in selected:
             out["checks"][name] = {"status": "skipped"}
             continue
         t0 = time.monotonic()
-        detail: dict = {}
-        report_only = name == "preimage_primality"
-        if name == "hopf_axioms":
-            rep = verify_hopf(h)
-            ok = rep.ok
-            detail = {"failures": rep.failures()} if not ok else {}
-        elif name == "identity_law":
-            rep = ops.identity_law_check(h)
-            ok = rep.ok
-            detail = rep.to_json() if not ok else {"identity": ops.identity_point(h).label}
-        elif name == "inverse_law":
-            rep = ops.inverse_law_check(h)
-            ok = rep.ok
-            detail = rep.to_json() if not ok else {}
-        elif name == "reversibility":
-            rep = ops.reversibility_check(h)
-            ok = rep.ok
-            detail = rep.to_json() if not ok else {}
-        elif name == "weak_associativity":
-            rep = ops.weak_assoc_all(h)
-            ok = rep.ok
-            detail = {"fully_associative": rep.checks["fully_associative"].passed}
-            if not ok:
-                detail.update(rep.to_json())
-        elif name == "nonempty":
-            rep = ops.nonempty_check(h)
-            ok = rep.ok
-            detail = rep.to_json() if not ok else {}
-        elif name == "classical_comparison":
-            rep = ops.classical_comparison(h, h.algebra.field.p)
-            ok = rep.ok
-            detail = {"points": list(rep.checks["classical_point_count"].witness)}
-            if not ok:
-                detail.update(rep.to_json())
-        elif name == "descent_compatibility":
-            ideal = descent_ideal(h)
-            gen = ideal.generator_poly()
-            rep = ops.descend_and_compare(h, ideal)
-            ok = rep.ok
-            detail = {"ideal": f"({gen})" if gen is not None else "0"}
-            if not ok:
-                detail.update(rep.to_json())
-        elif name == "kernel_containment":
-            ok, detail = _kernel_containment(h)
-        elif name == "preimage_primality":
-            ok = True
-            detail = _preimage_primality(h)
-        entry: dict = {"status": _status(ok, report_only)}
+        ok, detail = check(h)
+        entry: dict = {"status": "report-only" if ok is None else ("pass" if ok else "fail")}
         if detail:
             entry["detail"] = detail
         if timings:
             entry["runtime_ms"] = round(1000 * (time.monotonic() - t0), 1)
         out["checks"][name] = entry
-        if not report_only and not ok:
-            must_ok = False
-    out["ok"] = must_ok
+    out["ok"] = all(entry["status"] != "fail" for entry in out["checks"].values())
     return out
 
 
 def run_suite(specs, checks=None, timings: bool = False) -> dict:
-    """Run the traceability suite over several algebras; thread count is
-    capped by HYPERSPEC_THREADS (default 1). Reports merge in input order."""
-    specs = list(specs)
+    """Run the traceability suite over several algebras; reports keep input order."""
     algebras = [load_algebra(s) for s in specs]
-    threads = max(1, int(os.environ.get("HYPERSPEC_THREADS", "1")))
-    if threads > 1 and len(algebras) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(lambda h: run_algebra_suite(h, checks, timings), algebras))
-    else:
-        reports = [run_algebra_suite(h, checks, timings) for h in algebras]
+    reports = [run_algebra_suite(h, checks, timings) for h in algebras]
     return {"suite": reports, "ok": all(r["ok"] for r in reports)}

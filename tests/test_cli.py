@@ -56,6 +56,57 @@ class TestLaws:
         assert rep["inverses_unique"]["pass"] is False
         assert rep["inverses_unique"]["witness"]
 
+    @pytest.mark.parametrize("with_mul", [False, True], ids=["hypergroup", "hyperring"])
+    def test_comma_in_carrier_label_exits_2(self, tmp_path, capsys, with_mul):
+        from hyperspec.hyperkernel import krasner_hyperfield
+
+        doc = krasner_hyperfield().to_json()
+        doc["carrier"] = ["0", "a,b"]
+        doc["op"] = {k.replace("1", "a,b"): [v.replace("1", "a,b") for v in vs] for k, vs in doc["op"].items()}
+        doc["mul"] = {k.replace("1", "a,b"): v.replace("1", "a,b") for k, v in doc["mul"].items()}
+        doc["one"] = "a,b"
+        if not with_mul:
+            doc = {"carrier": doc["carrier"], "op": doc["op"]}
+        path = tmp_path / "comma.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "laws", str(path))
+        assert code == 2
+        assert out == ""
+        assert "carrier label 'a,b' contains ','" in err
+
+
+def _p2_algebra_file(tmp_path):
+    """mu:3:2's Hopf data with the base field changed to F_2."""
+    from hyperspec.hopfkernel import parse_builtin
+
+    doc = parse_builtin("mu:3:2").to_json()
+    doc["p"] = 2
+    doc["mul"] = [[[c % 2 for c in row] for row in plane] for plane in doc["mul"]]
+    doc["delta"] = [[c % 2 for c in row] for row in doc["delta"]]
+    doc["antipode"] = [[c % 2 for c in row] for row in doc["antipode"]]
+    doc.pop("name", None)
+    path = tmp_path / "p2.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestCharacteristicTwo:
+    def test_load_algebra_rejects_p2(self, tmp_path):
+        with pytest.raises(ValueError, match="odd prime"):
+            load_algebra(str(_p2_algebra_file(tmp_path)))
+
+    def test_hyperop_exits_2(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "hyperop", str(_p2_algebra_file(tmp_path)))
+        assert code == 2
+        assert "odd prime" in err
+
+    def test_verify_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(json.dumps({"algebras": [str(_p2_algebra_file(tmp_path))]}))
+        code, out, err = run_cli(capsys, "verify", "--suite", str(cfg))
+        assert code == 2
+        assert "odd prime" in err
+
 
 class TestHyperop:
     def test_mu54_table_matches_group(self, capsys):
@@ -218,10 +269,26 @@ class TestEntryPoint:
         assert runs[0] == runs[1]
         assert runs[0]  # nonempty JSON
 
-    def test_threads_env_var(self, monkeypatch):
-        monkeypatch.setenv("HYPERSPEC_THREADS", "2")
-        result = run_suite(["mu:3:2", "addetale:3:1"])
+
+class TestRecordOnce:
+    def test_verify_hopf_runs_once_per_object(self, monkeypatch):
+        from hyperspec import hopfkernel
+
+        calls = []
+        original = hopfkernel.verify_hopf
+
+        def counted(h):
+            calls.append(h)
+            return original(h)
+
+        # every binding, so a call through suite or any other module is counted
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "hyperspec" and getattr(module, "verify_hopf", None) is original:
+                monkeypatch.setattr(module, "verify_hopf", counted)
+        result = run_suite(["mu:3:2", "addetale:3:2"])
         assert result["ok"] is True
+        assert sorted(h.name for h in calls) == ["addetale:3:2", "addetale:3:2/I", "mu:3:2", "mu:3:2/I"]
+        assert len({id(h) for h in calls}) == len(calls)
 
 
 class TestLoadAlgebra:

@@ -157,6 +157,16 @@ class TestCrosscheck:
         with pytest.raises(ValueError):
             crosscheck(3, ADDITIVE, 0)
 
+    @pytest.mark.parametrize("law", [ADDITIVE, MULTIPLICATIVE])
+    def test_characteristic_two_rejected(self, law):
+        with pytest.raises(ValueError, match="odd prime"):
+            crosscheck(2, law, 2)
+        with pytest.raises(ValueError, match="odd prime"):
+            line_points(2, law, 2)
+        f2_line = LinePoint(law, parse_poly("T+1", PrimeField(2)))
+        with pytest.raises(ValueError, match="odd prime"):
+            definitional_hyperop(2, law, f2_line, f2_line)
+
 
 class TestAgreementWithFiniteTruncations:
     def test_additive_identity_matches_spectrum_identity(self):

@@ -17,6 +17,7 @@ from hyperspec.gfarith import (
     minpoly_over_fp,
     monic_polys,
     parse_poly,
+    poly_roots_in_fq,
 )
 from hyperspec.linalg import charpoly
 
@@ -29,9 +30,12 @@ def P(text, field=F3):
 
 
 class TestPrimeField:
-    def test_rejects_two(self):
-        with pytest.raises(ValueError):
-            PrimeField(2)
+    def test_accepts_two(self):
+        f2 = PrimeField(2)
+        assert f2.inv(1) == 1
+        with pytest.raises(ValueError, match="odd prime"):
+            f2.require_odd()
+        assert F3.require_odd() is F3
 
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
@@ -216,3 +220,39 @@ class TestFq:
         i = FqElem.from_coeffs(mod, (0, 1))
         assert minpoly_over_fp(i) == P("T^2+1")
         assert minpoly_over_fp(i + FqElem.from_coeffs(mod, (1,))) == P("T^2+T+2")
+
+    def test_find_irreducible_over_f2(self):
+        expected = {2: (1, 1, 1), 3: (1, 0, 1, 1), 4: (1, 0, 0, 1, 1), 5: (1, 0, 0, 1, 0, 1)}
+        for e, coeffs in expected.items():
+            assert find_irreducible(2, e).coeffs == coeffs
+
+
+class TestPolyRootsInFq:
+    @staticmethod
+    def scan(poly, mod):
+        """Every element of F_q, in fq_elements order, at which sum c_k x^k vanishes."""
+        one = FqElem.from_coeffs(mod, (1,))
+        out = []
+        for x in fq_elements(mod):
+            val = FqElem.from_coeffs(mod, ())
+            for k, c in enumerate(poly.coeffs):
+                val = val + FqElem.from_coeffs(mod, (c,)) * (x**k if k else one)
+            if val.is_zero():
+                out.append(x)
+        return out
+
+    def test_scan_order(self):
+        mod = find_irreducible(3, 2)  # T^2+1, so t is a root of T^2+1
+        roots = list(poly_roots_in_fq(P("T^2+1"), mod))
+        assert [r.coeff_vector() for r in roots] == [[0, 1], [0, 2]]
+
+    @pytest.mark.parametrize("text", ["T^2+1", "T^9-T", "T^3-T", "T^4+T+2", "T+1", "T^2+T+2"])
+    def test_matches_exhaustive_evaluation(self, text):
+        mod = find_irreducible(3, 2)
+        poly = P(text)
+        assert list(poly_roots_in_fq(poly, mod)) == self.scan(poly, mod)
+
+    def test_is_lazy(self):
+        mod = find_irreducible(3, 3)
+        roots = poly_roots_in_fq(P("T^27-T"), mod)
+        assert next(roots) == FqElem.from_coeffs(mod, ())

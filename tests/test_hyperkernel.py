@@ -161,6 +161,25 @@ class TestQuotientHyperring:
             sums = {rep[int(ring.addt[ring.mult[ra, x], ring.mult[rb, y]])] for x in g for y in g}
             assert q.add.op(rep[ra], rep[rb]) == frozenset(sums)
 
+    def test_f4_and_f8_tables(self):
+        f4 = field_ring(4)
+        assert f4.names == ("0", "1", "1t^1", "1+1t^1")
+        assert f4.addt.tolist() == [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
+        assert f4.mult.tolist() == [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]]
+        f8 = field_ring(8)
+        assert f8.names == ("0", "1", "1t^1", "1+1t^1", "1t^2", "1+1t^2", "1t^1+1t^2", "1+1t^1+1t^2")
+        assert f8.addt.tolist() == [[i ^ j for j in range(8)] for i in range(8)]
+        assert f8.mult.tolist() == [
+            [0, 0, 0, 0, 0, 0, 0, 0],
+            [0, 1, 2, 3, 4, 5, 6, 7],
+            [0, 2, 4, 6, 5, 7, 1, 3],
+            [0, 3, 6, 5, 1, 2, 7, 4],
+            [0, 4, 5, 1, 7, 3, 2, 6],
+            [0, 5, 7, 2, 3, 6, 4, 1],
+            [0, 6, 1, 7, 2, 4, 3, 5],
+            [0, 7, 3, 4, 6, 1, 5, 2],
+        ]
+
     def test_trivial_subgroup_reproduces_ring_addition(self):
         ring = field_ring(5)
         q = quotient_hyperring(ring, [ring.one])
@@ -226,3 +245,13 @@ class TestSerialization:
         assert doc["mul"]["1,1"] == "1"
         assert doc["zero"] == "0" and doc["one"] == "1"
         json.dumps(doc)  # serializable
+
+    def test_hyperring_keys_parse_like_hypertable_keys(self):
+        doc = S.to_json()
+        assert HyperRingTable.from_json(doc).add.cube.tolist() == HyperTable.from_json(doc).cube.tolist()
+
+    @pytest.mark.parametrize("table", [K.add, K], ids=["hypergroup", "hyperring"])
+    def test_comma_in_carrier_label_rejected(self, table):
+        doc = json.loads(json.dumps(table.to_json()).replace('"1"', '"a,b"'))
+        with pytest.raises(ValueError, match="'a,b'"):
+            (HyperRingTable if "mul" in doc else HyperTable).from_json(doc)
