@@ -14,6 +14,7 @@ import numpy as np
 
 from .gfarith import FpPoly, PrimeField, minimal_polynomial
 from .linalg import (
+    einsum_mod,
     enumerate_vectors,
     in_span,
     matmul,
@@ -181,7 +182,7 @@ class LinMap:
         if not (self.apply(self.src.unit) == self.dst.unit).all():
             return False
         lhs = npmod(np.einsum("kx,ijx->kij", self.mat, self.src.mul), p)
-        rhs = npmod(np.einsum("ai,bj,abk->kij", self.mat, self.mat, self.dst.mul), p)
+        rhs = einsum_mod("ai,bj,abk->kij", self.mat, self.mat, self.dst.mul, p=p)
         return bool((lhs == rhs).all())
 
 
@@ -280,11 +281,9 @@ def tensor_algebra(a: SCAlgebra, b: SCAlgebra) -> SCAlgebra:
 def tensor_square_mul(alg: SCAlgebra, u, v) -> np.ndarray:
     """Product of two elements of A (x) A without materializing its tensor."""
     n = alg.dim
-    p = alg.field.p
-    uu = npmod(u, p).reshape(n, n)
-    vv = npmod(v, p).reshape(n, n)
-    out = np.einsum("ij,kl,ikr,jls->rs", uu, vv, alg.mul, alg.mul)
-    return npmod(out, p).reshape(n * n)
+    uu = np.reshape(u, (n, n))
+    vv = np.reshape(v, (n, n))
+    return einsum_mod("ij,kl,ikr,jls->rs", uu, vv, alg.mul, alg.mul, p=alg.field.p).reshape(n * n)
 
 
 def quotient_algebra(alg: SCAlgebra, ideal: IdealSubspace) -> tuple[SCAlgebra, LinMap]:

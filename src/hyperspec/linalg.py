@@ -25,6 +25,29 @@ def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return npmod(np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64), p)
 
 
+def einsum_mod(subscripts: str, *operands, p: int) -> np.ndarray:
+    """np.einsum of int64 operands mod p, contracted pairwise in numpy's
+    greedy order rather than in one loop over every index at once.
+
+    Nothing is reduced mod p between the pairwise steps, so every entry of
+    every intermediate is bounded by the full sum: the product of the summed
+    index sizes times (p-1)^k for k operands, which must stay below 2^63.
+    The operands are reduced into [0, p) first so that the bound holds.
+    """
+    inputs, output = subscripts.split("->")
+    ops = [npmod(op, p) for op in operands]
+    sizes: dict[str, int] = {}
+    for labels, op in zip(inputs.split(","), ops):
+        sizes.update(zip(labels, op.shape))
+    terms = 1
+    for label, size in sizes.items():
+        if label not in output:
+            terms *= size
+    if terms * (p - 1) ** len(ops) >= 2**63:
+        raise ValueError(f"einsum {subscripts!r} mod {p} may overflow int64: {terms} terms of {len(ops)} factors")
+    return npmod(np.einsum(subscripts, *ops, optimize="greedy"), p)
+
+
 def rref(mat, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form.
 

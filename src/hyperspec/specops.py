@@ -19,16 +19,26 @@ rule; nothing downstream assumes the primality claim for the rank-0 ideal.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from itertools import product
 
 import numpy as np
 
-from .algkernel import IdealSubspace, PrimePoint, ideal_is_prime, maximal_spectrum
+from .algkernel import IdealSubspace, PrimePoint, SCAlgebra, ideal_is_prime, maximal_spectrum
 from .gfarith import FqElem, find_irreducible, minimal_polynomial, poly_roots_in_fq
-from .hopfkernel import HopfData, hopf_quotient, is_hopf_ideal, iterated_coproduct
+from .hopfkernel import HopfData, hopf_quotient, is_hopf_ideal
 from .hyperkernel import LawReport
-from .linalg import batch_tensor_rank_class, enumerate_vectors, matmul, npmod, nullspace, preimage, rref
+from .linalg import (
+    batch_tensor_rank_class,
+    enumerate_vectors,
+    matmul,
+    npmod,
+    nullspace,
+    preimage,
+    reduce_rows,
+    rref,
+)
 
 ONE_SCAN_BOUND = 3**10
 ORACLE_STATE_BOUND = 200_000
@@ -134,9 +144,38 @@ def antipode_permutation(h: HopfData) -> list[int]:
 
 
 def _pair_quotient_matrix(h: HopfData, f: KPoint, g: KPoint) -> np.ndarray:
-    """(pi_f ⊗ pi_g) ∘ Delta as a (deg f * deg g) x dim matrix."""
-    p = h.algebra.field.p
-    return matmul(np.kron(f.point.resmap.mat, g.point.resmap.mat), h.delta, p)
+    """Q_fg = (pi_f ⊗ pi_g) ∘ Delta as a (deg f * deg g) x dim matrix,
+    computed once per ordered pair."""
+    cache = h._cache.setdefault("pair_quotient", {})
+    key = (f.index, g.index)
+    if key not in cache:
+        q = matmul(np.kron(f.point.resmap.mat, g.point.resmap.mat), h.delta, h.algebra.field.p)
+        q.setflags(write=False)
+        cache[key] = q
+    return cache[key]
+
+
+def _right_leg_matrix(h: HopfData, k: KPoint) -> np.ndarray:
+    """(id ⊗ pi_k) ∘ Delta as a dim x (deg k * dim) matrix: entry [a, w*dim + x]
+    is the coefficient of e_a ⊗ (pi_k)_w in Delta(e_x). Computed once per point."""
+    cache = h._cache.setdefault("right_leg", {})
+    if k.index not in cache:
+        n = h.dim
+        leg = matmul(k.point.resmap.mat, h.delta.reshape(n, n, n), h.algebra.field.p).reshape(n, k.degree * n)
+        leg.setflags(write=False)
+        cache[k.index] = leg
+    return cache[k.index]
+
+
+def _residue_stack(h: HopfData) -> tuple[np.ndarray, np.ndarray]:
+    """Every point's residue map stacked as rows, in point order, and the
+    index of each point's first row."""
+    if "residue_stack" not in h._cache:
+        pts = kpoints(h)
+        stack = np.vstack([kp.point.resmap.mat for kp in pts])
+        starts = np.cumsum([0] + [kp.degree for kp in pts[:-1]])
+        h._cache["residue_stack"] = (stack, starts)
+    return h._cache["residue_stack"]
 
 
 def forced_value(h: HopfData, f: KPoint, g: KPoint, x) -> ForcedValue:
@@ -298,18 +337,30 @@ class WeakAssocResult:
     left: tuple[KPoint, ...]  # (f*g)*k
     right: tuple[KPoint, ...]  # f*(g*k)
     intersection: tuple[KPoint, ...]
-    triple_ideal: IdealSubspace
     triple_ideal_points: tuple[KPoint, ...]
     triple_point_in_intersection: bool
+    # (pi_f ⊗ pi_g ⊗ pi_k) ∘ (Delta⊗id) ∘ Delta, a (deg f * deg g * deg k) x dim matrix
+    triple_map: np.ndarray = dc_field(repr=False, compare=False)
+    algebra: SCAlgebra = dc_field(repr=False, compare=False)
 
     @property
     def nonempty(self) -> bool:
         return bool(self.intersection)
 
+    @cached_property
+    def triple_ideal(self) -> IdealSubspace:
+        """The triple forced-zero ideal Ker(triple_map)."""
+        return IdealSubspace(self.algebra, nullspace(self.triple_map, self.algebra.field.p))
+
 
 def weak_assoc_check(h: HopfData, f: KPoint, g: KPoint, k: KPoint) -> WeakAssocResult:
-    """Compute (f*g)*k and f*(g*k) by subset extension, plus the triple
-    forced-zero ideal from the iterated coproduct."""
+    """Compute (f*g)*k and f*(g*k) by subset extension, plus the points
+    killing the triple forced-zero ideal.
+
+    The triple map is T = (Q_fg ⊗ pi_k) ∘ Delta, which equals
+    (pi_f ⊗ pi_g ⊗ pi_k) ∘ (Delta⊗id) ∘ Delta. A point phi kills Ker T iff
+    the rows of pi_phi lie in the row space of T, so one echelon form of T
+    decides every point; no kernel is computed unless triple_ideal is read."""
     h.ensure_verified()
     pts = kpoints(h)
     left_ids = frozenset(
@@ -320,23 +371,14 @@ def weak_assoc_check(h: HopfData, f: KPoint, g: KPoint, k: KPoint) -> WeakAssocR
     )
     inter = left_ids & right_ids
     p = h.algebra.field.p
-    big = np.kron(np.kron(f.point.resmap.mat, g.point.resmap.mat), k.point.resmap.mat)
-    hmat = _cached_iterated(h)
-    triple_ideal = IdealSubspace(h.algebra, nullspace(matmul(big, hmat, p), p))
-    triple_points = tuple(
-        kp
-        for kp in pts
-        if not (npmod(kp.point.resmap.mat @ triple_ideal.basis.T, p).any() if triple_ideal.dim else False)
-    )
+    t = matmul(_pair_quotient_matrix(h, f, g), _right_leg_matrix(h, k), p).reshape(-1, h.dim)
+    basis, pivots = rref(t, p)
+    stack, starts = _residue_stack(h)
+    outside = np.logical_or.reduceat(reduce_rows(stack, basis, pivots, p).any(axis=1), starts)
+    triple_points = tuple(kp for kp, out in zip(pts, outside) if not out)
     hit = any(kp.index in inter for kp in triple_points)
     tup = lambda ids: tuple(pts[i] for i in sorted(ids))
-    return WeakAssocResult(tup(left_ids), tup(right_ids), tup(inter), triple_ideal, triple_points, hit)
-
-
-def _cached_iterated(h: HopfData) -> np.ndarray:
-    if "iterated" not in h._cache:
-        h._cache["iterated"] = iterated_coproduct(h)
-    return h._cache["iterated"]
+    return WeakAssocResult(tup(left_ids), tup(right_ids), tup(inter), triple_points, hit, t, h.algebra)
 
 
 def weak_assoc_all(h: HopfData) -> LawReport:

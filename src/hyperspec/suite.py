@@ -3,7 +3,9 @@ with a fixed list so every report has the same shape.
 
 A failing check fails the algebra, except preimage_primality, which is
 report-only by design: the engine records the computed verdict per pair and
-nothing downstream assumes it.
+nothing downstream assumes it. Every check after hopf_axioms reads the
+verified Hopf structure, so when the axioms fail those checks are reported
+skipped, with the reason, and not run.
 """
 
 from __future__ import annotations
@@ -120,14 +122,29 @@ CHECKS = {
 TRACE_CHECKS = tuple(CHECKS)
 
 
+def _selection(checks) -> set[str]:
+    """The selected check names; an unknown name is an input error."""
+    selected = set(checks or TRACE_CHECKS)
+    unknown = sorted(str(name) for name in selected - set(CHECKS))
+    if unknown:
+        raise ValueError(f"unknown check(s) {', '.join(unknown)}; valid checks: {', '.join(TRACE_CHECKS)}")
+    return selected
+
+
 def run_algebra_suite(h: HopfData, checks=None, timings: bool = False) -> dict:
     """TraceReport for one algebra: every identifier in the fixed list appears
     exactly once (selected-out checks are reported as skipped)."""
-    selected = set(checks or TRACE_CHECKS)
+    selected = _selection(checks)
     out: dict = {"algebra": h.name or "unnamed", "checks": {}}
+    blocked = False
     for name, check in CHECKS.items():
         if name not in selected:
             out["checks"][name] = {"status": "skipped"}
+            continue
+        if name != "hopf_axioms" and not h.hopf_report.ok:
+            reason = f"Hopf axioms fail: {', '.join(h.hopf_report.failures())}"
+            out["checks"][name] = {"status": "skipped", "reason": reason}
+            blocked = True
             continue
         t0 = time.monotonic()
         ok, detail = check(h)
@@ -137,12 +154,13 @@ def run_algebra_suite(h: HopfData, checks=None, timings: bool = False) -> dict:
         if timings:
             entry["runtime_ms"] = round(1000 * (time.monotonic() - t0), 1)
         out["checks"][name] = entry
-    out["ok"] = all(entry["status"] != "fail" for entry in out["checks"].values())
+    out["ok"] = not blocked and all(entry["status"] != "fail" for entry in out["checks"].values())
     return out
 
 
 def run_suite(specs, checks=None, timings: bool = False) -> dict:
     """Run the traceability suite over several algebras; reports keep input order."""
+    _selection(checks)
     algebras = [load_algebra(s) for s in specs]
     reports = [run_algebra_suite(h, checks, timings) for h in algebras]
     return {"suite": reports, "ok": all(r["ok"] for r in reports)}

@@ -1,6 +1,11 @@
+from itertools import permutations
+
+import numpy as np
 import pytest
 
-from hyperspec.hopfkernel import parse_builtin
+from hyperspec.algkernel import SCAlgebra
+from hyperspec.gfarith import PrimeField
+from hyperspec.hopfkernel import HopfData, parse_builtin
 
 
 @pytest.fixture(scope="session")
@@ -26,3 +31,25 @@ def ae32():
 @pytest.fixture(scope="session")
 def suite_algebras(mu32, mu54, ae31, ae32):
     return [mu32, mu54, ae31, ae32]
+
+
+@pytest.fixture(scope="session")
+def fs3():
+    """F_3^{S_3}, the functions on the symmetric group S_3: commutative but
+    not cocommutative, Delta(d_g) = sum over ab = g of d_a ⊗ d_b on the
+    basis of point indicators d_g."""
+    group = list(permutations(range(3)))
+    n = len(group)
+    index = {g: i for i, g in enumerate(group)}
+    compose = lambda a, b: tuple(a[b[x]] for x in range(3))
+    mul = np.zeros((n, n, n), dtype=np.int64)
+    delta = np.zeros((n * n, n), dtype=np.int64)
+    antipode = np.zeros((n, n), dtype=np.int64)
+    for a, g in enumerate(group):
+        mul[a, a, a] = 1
+        antipode[index[tuple(sorted(range(3), key=g.__getitem__))], a] = 1  # d_g -> d_(g^-1)
+        for b, h in enumerate(group):
+            delta[a * n + b, index[compose(g, h)]] = 1
+    counit = [1 if g == (0, 1, 2) else 0 for g in group]
+    alg = SCAlgebra(PrimeField(3), [f"d{i}" for i in range(n)], mul, np.ones(n, dtype=np.int64))
+    return HopfData(alg, delta, counit, antipode, name="F3^S3")

@@ -90,6 +90,20 @@ def _p2_algebra_file(tmp_path):
     return path
 
 
+def _broken_antipode_suite(tmp_path, checks):
+    """A suite config over mu:5:4 with its antipode replaced by the identity,
+    which breaks the antipode law."""
+    from hyperspec.hopfkernel import parse_builtin
+
+    doc = parse_builtin("mu:5:4").to_json()
+    doc["antipode"] = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    cfg = tmp_path / "suite.json"
+    cfg.write_text(json.dumps({"algebras": [str(path)], "checks": checks}))
+    return cfg
+
+
 class TestCharacteristicTwo:
     def test_load_algebra_rejects_p2(self, tmp_path):
         with pytest.raises(ValueError, match="odd prime"):
@@ -184,18 +198,33 @@ class TestVerify:
         assert json.loads(outp.read_text())["ok"] is True
 
     def test_corrupted_algebra_fails_checks(self, tmp_path, capsys):
-        from hyperspec.hopfkernel import parse_builtin
-
-        doc = parse_builtin("mu:5:4").to_json()
-        doc["antipode"] = [[1 if i == j else 0 for j in range(4)] for i in range(4)]  # S = id breaks mu_4
-        path = tmp_path / "broken.json"
-        path.write_text(json.dumps(doc))
-        cfg = tmp_path / "suite.json"
-        cfg.write_text(json.dumps({"algebras": [str(path)], "checks": ["hopf_axioms"]}))
+        cfg = _broken_antipode_suite(tmp_path, ["hopf_axioms"])
         code, out, _ = run_cli(capsys, "verify", "--suite", str(cfg))
         assert code == 1
         rep = json.loads(out)["suite"][0]
         assert rep["checks"]["hopf_axioms"]["status"] == "fail"
+
+    def test_failing_axioms_skip_later_checks(self, tmp_path, capsys):
+        cfg = _broken_antipode_suite(tmp_path, ["hopf_axioms", "preimage_primality"])
+        code, out, err = run_cli(capsys, "verify", "--suite", str(cfg))
+        assert (code, err) == (1, "")
+        rep = json.loads(out)["suite"][0]
+        assert rep["ok"] is False
+        assert rep["checks"]["hopf_axioms"]["status"] == "fail"
+        assert "antipode_law" in rep["checks"]["hopf_axioms"]["detail"]["failures"]
+        skipped = rep["checks"]["preimage_primality"]
+        assert skipped["status"] == "skipped"
+        assert skipped["reason"].startswith("Hopf axioms fail: ") and "antipode_law" in skipped["reason"]
+        assert rep["checks"]["identity_law"] == {"status": "skipped"}  # not selected
+
+    def test_unknown_check_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(json.dumps({"algebras": ["mu:3:2"], "checks": ["identity_law", "nonempty", "bogus"]}))
+        code, out, err = run_cli(capsys, "verify", "--suite", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("input error: unknown check(s) bogus;")
+        assert all(name in err for name in TRACE_CHECKS)
 
     def test_missing_suite_file_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--suite", "/nonexistent/suite.json")

@@ -1,10 +1,13 @@
+from math import isqrt
+
 import numpy as np
 import pytest
 
-from hyperspec.algkernel import IdealSubspace
+from hyperspec.algkernel import IdealSubspace, maximal_spectrum, tensor_square_mul
 from hyperspec.gfarith import parse_poly
 from hyperspec.hopfkernel import (
     HopfData,
+    _compare,
     additive_etale_hopf,
     descent_ideal,
     hopf_quotient,
@@ -14,7 +17,81 @@ from hyperspec.hopfkernel import (
     parse_builtin,
     verify_hopf,
 )
-from hyperspec.linalg import nullspace
+from hyperspec.hyperkernel import LawReport
+from hyperspec.linalg import einsum_mod, matmul, npmod, nullspace
+
+
+def _kronecker_iterated(h):
+    """(Delta⊗id)∘Delta and (id⊗Delta)∘Delta through the n^3 x n^2 Kronecker
+    matrices, as first written."""
+    p = h.algebra.field.p
+    eye = np.eye(h.dim, dtype=np.int64)
+    return matmul(np.kron(h.delta, eye), h.delta, p), matmul(np.kron(eye, h.delta), h.delta, p)
+
+
+def _reference_report(h):
+    """The verify_hopf checks whose contraction changed, as first written:
+    unoptimized einsums and Kronecker-matrix iterated coproducts."""
+    alg = h.algebra
+    p = alg.field.p
+    n = alg.dim
+    rep = LawReport()
+    d3 = h.delta.reshape(n, n, n)
+    lhs = npmod(np.einsum("Kx,ijx->Kij", h.delta, alg.mul), p)
+    rhs = npmod(np.einsum("abi,cdj,acr,bds->rsij", d3, d3, alg.mul, alg.mul), p).reshape(n * n, n, n)
+    unit_ok = (matmul(h.delta, alg.unit, p) == np.kron(alg.unit, alg.unit) % p).all()
+    _compare(rep, "coproduct_algebra_hom", lhs, rhs, extra_ok=bool(unit_ok))
+    lhs = npmod(np.einsum("Kx,ijx->Kij", h.antipode, alg.mul), p)
+    rhs = npmod(np.einsum("ai,bj,abK->Kij", h.antipode, h.antipode, alg.mul), p)
+    s_unit = (matmul(h.antipode, alg.unit, p) == alg.unit).all()
+    _compare(rep, "antipode_algebra_hom", lhs, rhs, extra_ok=bool(s_unit))
+    _compare(rep, "coassociativity", *_kronecker_iterated(h))
+    return rep
+
+
+ORACLE_SPECS = ("mu:3:2", "mu:5:4", "addetale:3:2")
+
+
+class TestEinsumMod:
+    @pytest.mark.parametrize("spec", ORACLE_SPECS)
+    def test_equals_unoptimized_einsum(self, spec):
+        h = parse_builtin(spec)
+        alg = h.algebra
+        p = alg.field.p
+        n = alg.dim
+        d3 = h.delta.reshape(n, n, n)
+        rng = np.random.default_rng(0)
+        u, v = rng.integers(0, p, size=(2, n, n))
+        resmap = maximal_spectrum(alg)[-1].resmap
+        cases = [
+            ("abi,cdj,acr,bds->rsij", d3, d3, alg.mul, alg.mul),  # verify_hopf: coproduct is a hom
+            ("ai,bj,abK->Kij", h.antipode, h.antipode, alg.mul),  # verify_hopf: antipode is a hom
+            ("ij,kl,ikr,jls->rs", u, v, alg.mul, alg.mul),  # tensor_square_mul
+            ("ai,bj,abk->kij", resmap.mat, resmap.mat, resmap.dst.mul),  # LinMap.is_algebra_hom
+        ]
+        for sub, *ops in cases:
+            want = npmod(np.einsum(sub, *ops), p)
+            assert (einsum_mod(sub, *ops, p=p) == want).all(), sub
+        want = npmod(np.einsum("ij,kl,ikr,jls->rs", u, v, alg.mul, alg.mul), p).reshape(-1)
+        assert (tensor_square_mul(alg, u.reshape(-1), v.reshape(-1)) == want).all()
+        assert resmap.is_algebra_hom()
+
+    @pytest.mark.parametrize(
+        "sub, shape, terms",
+        [("i,i,i,i->", (1,), 1), ("abi,cdj,acr,bds->rsij", (2, 2, 2), 2**4)],
+        ids=["one_term", "coproduct_hom_n2"],
+    )
+    def test_overflow_bound(self, sub, shape, terms):
+        """Exact at the largest p - 1 whose full sum of `terms` products of
+        four factors stays below 2^63; ValueError one step above it."""
+        top = isqrt(isqrt((2**63 - 1) // terms))  # largest m with terms * m^4 < 2^63
+        assert terms * top**4 < 2**63 <= terms * (top + 1) ** 4
+        ops = [np.full(shape, top, dtype=np.int64)] * 4
+        got = einsum_mod(sub, *ops, p=top + 1)
+        assert (got == terms * top**4 % (top + 1)).all()
+        with pytest.raises(ValueError, match="overflow"):
+            einsum_mod(sub, *ops, p=top + 2)
+
 
 
 class TestVerifyHopf:
@@ -44,6 +121,21 @@ class TestVerifyHopf:
         delta[0, 1] = (delta[0, 1] + 1) % 3
         rep = verify_hopf(HopfData(mu32.algebra, delta, mu32.counit, mu32.antipode))
         assert not rep.ok
+
+    @pytest.mark.parametrize("spec", ORACLE_SPECS)
+    def test_corrupted_coproduct_witness_matches_reference(self, spec):
+        h = parse_builtin(spec)
+        p = h.algebra.field.p
+        rng = np.random.default_rng(1)
+        for _ in range(6):
+            delta = h.delta.copy()
+            row, col = rng.integers(0, delta.shape[0]), rng.integers(0, delta.shape[1])
+            delta[row, col] = (delta[row, col] + rng.integers(1, p)) % p
+            bad = HopfData(h.algebra, delta, h.counit, h.antipode)
+            got = verify_hopf(bad)
+            assert not got.ok
+            for name, want in _reference_report(bad).checks.items():
+                assert got.checks[name] == want, (row, col, name)
 
     def test_dimension_mismatch_rejected(self, mu32):
         with pytest.raises(ValueError):
@@ -128,6 +220,18 @@ class TestIteratedCoproduct:
         h3 = iterated_coproduct(mu32)
         col = h3[:, 0]
         assert col[0] == 1 and col.sum() == 1
+
+    def test_matches_kronecker_definition(self, suite_algebras, fs3):
+        for h in suite_algebras + [fs3]:
+            left, right = _kronecker_iterated(h)
+            assert (iterated_coproduct(h) == left).all() and (left == right).all()
+
+    def test_coassociativity_violation_rejected(self, mu32):
+        delta = mu32.delta.copy()
+        delta[0, 1] = (delta[0, 1] + 1) % 3
+        bad = HopfData(mu32.algebra, delta, mu32.counit, mu32.antipode)
+        with pytest.raises(ValueError, match="coassociativity"):
+            iterated_coproduct(bad)
 
 
 class TestBuiltins:

@@ -6,8 +6,8 @@ import pytest
 from hyperspec import specops as ops
 from hyperspec.algkernel import IdealSubspace
 from hyperspec.gfarith import parse_poly
-from hyperspec.hopfkernel import descent_ideal
-from hyperspec.linalg import enumerate_vectors
+from hyperspec.hopfkernel import descent_ideal, iterated_coproduct
+from hyperspec.linalg import enumerate_vectors, matmul, npmod, nullspace
 from hyperspec.specops import ForcedValue
 
 
@@ -226,6 +226,27 @@ class TestLemmaChecks:
         assert set(m.label for m in res.left) == fg
         assert set(m.label for m in res.right) == fg
         assert set(m.label for m in res.intersection) == fg
+
+    @pytest.mark.parametrize("name", ["mu54", "ae32", "fs3"])
+    def test_triple_ideal_matches_kronecker_definition(self, name, request):
+        """Every triple against the definition the row-space test replaced:
+        Ker(kron(pi_f, pi_g, pi_k) @ iterated coproduct) and the points whose
+        residue map kills it. addetale:3:2 has the degree-2 point (T^2+1);
+        F_3^{S_3} is not cocommutative, so the order of the legs shows."""
+        h = request.getfixturevalue(name)
+        p = h.algebra.field.p
+        hmat = iterated_coproduct(h)
+        pts = ops.kpoints(h)
+        for f, g, k in product(pts, repeat=3):
+            big = np.kron(np.kron(f.point.resmap.mat, g.point.resmap.mat), k.point.resmap.mat)
+            ideal = IdealSubspace(h.algebra, nullspace(matmul(big, hmat, p), p))
+            want = tuple(
+                kp for kp in pts if not (ideal.dim and npmod(kp.point.resmap.mat @ ideal.basis.T, p).any())
+            )
+            res = ops.weak_assoc_check(h, f, g, k)
+            assert "triple_ideal" not in vars(res)  # computed on first access only
+            assert res.triple_ideal_points == want, (f.label, g.label, k.label)
+            assert res.triple_ideal == ideal, (f.label, g.label, k.label)
 
     def test_mu4_triples_match_group(self, mu54):
         for a, b, c in product(range(1, 5), repeat=3):
