@@ -12,7 +12,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .gfarith import FpPoly, PrimeField, minimal_polynomial
+from .gfarith import FpPoly, PrimeField, find_irreducible, minimal_polynomial, poly_roots_in_fq, power_basis_tensor
 from .linalg import (
     einsum_mod,
     enumerate_vectors,
@@ -129,23 +129,8 @@ class SCAlgebra:
 
 def monogenic_algebra(field: PrimeField, modulus: FpPoly) -> SCAlgebra:
     """F_p[T]/(modulus) on the power basis 1, t, ..., t^(d-1)."""
-    if not modulus.is_monic() or modulus.degree < 1:
-        raise ValueError("modulus must be monic of degree >= 1")
+    mul = power_basis_tensor(modulus)
     d = modulus.degree
-    powers = []
-    t = FpPoly.x(field)
-    acc = FpPoly.one(field)
-    for k in range(2 * d - 1):
-        powers.append(acc)
-        acc = (acc * t) % modulus
-    coords = np.zeros((2 * d - 1, d), dtype=np.int64)
-    for k, q in enumerate(powers):
-        for i, c in enumerate(q.coeffs):
-            coords[k, i] = c
-    mul = np.zeros((d, d, d), dtype=np.int64)
-    for i in range(d):
-        for j in range(d):
-            mul[i, j] = coords[i + j]
     unit = np.zeros(d, dtype=np.int64)
     unit[0] = 1
     gen = np.zeros(d, dtype=np.int64)
@@ -367,7 +352,7 @@ def maximal_spectrum(alg: SCAlgebra) -> list[PrimePoint]:
         for e in idems:
             ue = red.mul_vec(u, e)
             m = minimal_polynomial(ue, red, unit=e)
-            roots = [a for a in range(p) if m.eval(a) == 0]
+            roots = [r.coeff_vector()[0] for r in poly_roots_in_fq(m, find_irreducible(p, 1))]
             if len(roots) != m.degree:
                 raise RuntimeError("Frobenius-fixed element has a non-split minimal polynomial")
             if len(roots) <= 1:

@@ -19,19 +19,17 @@ from math import lcm
 
 import numpy as np
 
-from .algkernel import monogenic_algebra, tensor_algebra
+from .algkernel import SCAlgebra, _frobenius_matrix, monogenic_algebra, tensor_algebra
 from .gfarith import (
     FpPoly,
-    FqElem,
     PrimeField,
     factor,
     find_irreducible,
     irreducibles_up_to,
     minimal_polynomial,
-    minpoly_over_fp,
     poly_roots_in_fq,
 )
-from .linalg import batch_tensor_rank_class, enumerate_vectors, npmod
+from .linalg import batch_tensor_rank_class, enumerate_vectors, matmul, npmod
 
 ADDITIVE = "additive"
 MULTIPLICATIVE = "multiplicative"
@@ -53,6 +51,11 @@ class LinePoint:
             raise ValueError("line points are monic irreducible polynomials")
         if self.law == MULTIPLICATIVE and self.poly.coeffs[0] == 0:
             raise ValueError("(T) is invertible on the torus and is not a point there")
+        # points key the engines' caches; equal points have equal law and coefficients
+        object.__setattr__(self, "_hash", hash((self.law, self.poly.coeffs)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def degree(self) -> int:
@@ -96,13 +99,23 @@ def line_antipode(pt: LinePoint) -> LinePoint:
 
 
 @lru_cache(maxsize=None)
-def _root_of(poly: FpPoly, ext_degree: int) -> FqElem:
-    """First root of an irreducible poly inside F_{p^ext_degree} (its degree
-    must divide ext_degree), by deterministic scan."""
+def _field_algebra(p: int, m: int) -> tuple[SCAlgebra, np.ndarray]:
+    """F_{p^m} = F_p[T]/(find_irreducible(p, m)) on its power basis, with
+    the matrix of its Frobenius x -> x^p."""
+    fq = monogenic_algebra(PrimeField(p), find_irreducible(p, m))
+    return fq, _frobenius_matrix(fq)
+
+
+@lru_cache(maxsize=None)
+def _root_of(poly: FpPoly, ext_degree: int) -> np.ndarray:
+    """Coordinates in _field_algebra(p, ext_degree) of the first root of an
+    irreducible poly (its degree must divide ext_degree), by deterministic scan."""
     root = next(poly_roots_in_fq(poly, find_irreducible(poly.field.p, ext_degree)), None)
     if root is None:
         raise ValueError(f"{poly} has no root in degree-{ext_degree} extension")
-    return root
+    vec = np.array(root.coeff_vector(), dtype=np.int64)
+    vec.setflags(write=False)
+    return vec
 
 
 @lru_cache(maxsize=None)
@@ -111,14 +124,14 @@ def galois_hyperop(p: int, law: str, f: LinePoint, g: LinePoint) -> tuple[LinePo
     conjugates of a root of g, and collect minimal polynomials of the sums
     (additive) or products (multiplicative)."""
     m = lcm(f.degree, g.degree)
+    fq, frob = _field_algebra(p, m)
     alpha = _root_of(f.poly, m)
-    beta = _root_of(g.poly, m)
+    conj = _root_of(g.poly, m)
     out = set()
-    conj = beta
     for _ in range(g.degree):
-        val = alpha + conj if law == ADDITIVE else alpha * conj
-        out.add(minpoly_over_fp(val))
-        conj = conj.frobenius()
+        val = npmod(alpha + conj, p) if law == ADDITIVE else fq.mul_vec(alpha, conj)
+        out.add(minimal_polynomial(val, fq))
+        conj = matmul(frob, conj, p)
     pts = []
     for q in out:
         if law == MULTIPLICATIVE and q.coeffs[0] == 0:
@@ -129,14 +142,20 @@ def galois_hyperop(p: int, law: str, f: LinePoint, g: LinePoint) -> tuple[LinePo
 
 
 @lru_cache(maxsize=None)
+def _residue_algebra(poly: FpPoly) -> SCAlgebra:
+    """F_p[T]/(poly), the residue field of a line point, built once per polynomial."""
+    return monogenic_algebra(poly.field, poly)
+
+
+@lru_cache(maxsize=None)
 def definitional_hyperop(p: int, law: str, f: LinePoint, g: LinePoint) -> tuple[LinePoint, ...]:
     """Membership-condition hyperoperation, computed in the residue tensor:
     the forced-zero ideal is (minimal polynomial of the coproduct-generator
     image s); an irreducible divisor pi survives iff no element of
     (pi)/(g_P) has a rank-one image."""
-    field = PrimeField(p).require_odd()
-    kf = monogenic_algebra(field, f.poly)
-    kg = monogenic_algebra(field, g.poly)
+    PrimeField(p).require_odd()
+    kf = _residue_algebra(f.poly)
+    kg = _residue_algebra(g.poly)
     ten = tensor_algebra(kf, kg)
     tf = np.kron(kf.generator, kg.unit) % p
     tg = np.kron(kf.unit, kg.generator) % p

@@ -13,7 +13,10 @@ from typing import Iterator
 
 import numpy as np
 
-from .linalg import solve
+from .linalg import enumerate_vectors, npmod, rref
+
+# Field elements evaluated per numpy batch in poly_roots_in_fq.
+ROOT_SCAN_BLOCK = 1024
 
 
 def is_prime(n: int) -> bool:
@@ -168,13 +171,6 @@ class FpPoly:
             base = (base * base) % modulus
             e >>= 1
         return result
-
-    def eval(self, a: int) -> int:
-        p = self.field.p
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * a + c) % p
-        return acc
 
     def compose(self, other: "FpPoly") -> "FpPoly":
         acc = FpPoly.zero(self.field)
@@ -364,29 +360,60 @@ def fq_elements(modulus: FpPoly) -> Iterator[FqElem]:
         yield FqElem(modulus, FpPoly.make(modulus.field, coeffs))
 
 
+def power_basis_tensor(modulus: FpPoly) -> np.ndarray:
+    """Structure tensor of F_p[T]/(modulus) on the power basis 1, t, ...,
+    t^(d-1): mul[i, j] holds the coordinates of t^(i+j) mod modulus."""
+    if not modulus.is_monic() or modulus.degree < 1:
+        raise ValueError("modulus must be monic of degree >= 1")
+    p, d = modulus.field.p, modulus.degree
+    coords = np.zeros((2 * d - 1, d), dtype=np.int64)
+    row = [1] + [0] * (d - 1)
+    for k in range(2 * d - 1):
+        coords[k] = row
+        # t * row, with t^d replaced by -(c_0 + ... + c_(d-1) t^(d-1))
+        top = row[-1]
+        row = [(lo - top * c) % p for lo, c in zip([0] + row[:-1], modulus.coeffs)]
+    return coords[np.add.outer(np.arange(d), np.arange(d))]
+
+
 def poly_roots_in_fq(poly: FpPoly, modulus: FpPoly) -> Iterator[FqElem]:
-    """The roots of poly in F_{p^k}, in fq_elements order, by exhaustive
-    scan (desk scale)."""
-    zero = FqElem.make(modulus, FpPoly.zero(modulus.field))
-    for x in fq_elements(modulus):
-        acc = zero
+    """The roots of poly in F_{p^k} = F_p[T]/(modulus), in fq_elements order,
+    by exhaustive scan (desk scale). The scan evaluates poly by Horner's rule
+    on about ROOT_SCAN_BLOCK elements at once, so it stops after the block
+    holding the first root when only that one is taken, and holds one block
+    of k x k multiplication matrices whatever the field size."""
+    field = modulus.field
+    p, k = field.p, modulus.degree
+    mul = power_basis_tensor(modulus).reshape(k, k * k)
+    fast = 1
+    while fast < k and p ** (fast + 1) <= ROOT_SCAN_BLOCK:
+        fast += 1
+    # fq_elements varies the last coordinate fastest: reversed enumerate_vectors
+    tail = enumerate_vectors(p, fast)[:, ::-1]
+    for head in product(range(p), repeat=k - fast):
+        xs = np.hstack([np.tile(np.array(head, dtype=np.int64), (tail.shape[0], 1)), tail])
+        by_x = npmod(xs @ mul, p).reshape(-1, k, k)  # row j of by_x[b]: x_b * t^j
+        acc = np.zeros_like(xs)
         for c in reversed(poly.coeffs):
-            acc = acc * x + FqElem.from_coeffs(modulus, (c,))
-        if acc.is_zero():
-            yield x
+            acc = npmod((acc[:, None, :] @ by_x)[:, 0], p)
+            acc[:, 0] = (acc[:, 0] + c) % p
+        for row in xs[~acc.any(axis=1)]:
+            yield FqElem(modulus, FpPoly.make(field, row.tolist()))
 
 
 def _first_monic_relation(powers: np.ndarray, field: PrimeField) -> FpPoly:
     """The monic polynomial of least degree d with
-    powers[d] = -(c_0 powers[0] + ... + c_{d-1} powers[d-1]), by exact
-    kernel computation. Given the coordinate rows of 1, x, x^2, ..., this
-    is the minimal polynomial of x."""
+    powers[d] = -(c_0 powers[0] + ... + c_{d-1} powers[d-1]), from one echelon
+    form of the matrix with columns powers[0], powers[1], ...: the first
+    non-pivot column is d, and its reduced column holds the coordinates of
+    powers[d] on the pivot columns 0, ..., d-1. Given the coordinate rows of
+    1, x, x^2, ..., this is the minimal polynomial of x."""
     p = field.p
-    for d in range(1, len(powers)):
-        sol = solve(powers[:d].T, powers[d], p)
-        if sol is not None:
-            return FpPoly.make(field, [(-int(c)) % p for c in sol] + [1])
-    raise RuntimeError("unreachable: elements of a finite-dimensional algebra are algebraic")
+    red, pivots = rref(np.asarray(powers, dtype=np.int64).T, p)
+    d = next((i for i, c in enumerate(pivots) if c != i), len(pivots))
+    if d == 0 or d == len(powers):
+        raise RuntimeError("powers[0] must be nonzero and the powers linearly dependent")
+    return FpPoly.make(field, [(-int(c)) % p for c in red[:d, d]] + [1])
 
 
 def minpoly_over_fp(elem: FqElem) -> FpPoly:

@@ -14,7 +14,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .gfarith import find_irreducible, is_prime
+from .gfarith import find_irreducible, is_prime, power_basis_tensor
+from .linalg import einsum_mod, enumerate_vectors, npmod
 
 
 @dataclass(frozen=True)
@@ -446,39 +447,14 @@ def field_ring(q: int) -> FiniteRing:
         r = zmod_ring(p)
         return FiniteRing([str(i) for i in range(p)], r.addt, r.mult, 0, 1)
 
-    modulus = find_irreducible(p, e).coeffs
-    digits = list(product(range(p), repeat=e))  # tuple (c_{e-1},...,c_0) varies last fastest
-    elems = [tuple(reversed(d)) for d in digits]  # lowest-first coefficient tuples
-    index = {el: i for i, el in enumerate(elems)}
-
-    def addf(x, y):
-        return tuple((a + b) % p for a, b in zip(x, y))
-
-    def mulf(x, y):
-        out = [0] * (2 * e - 1)
-        for i, a in enumerate(x):
-            for j, b in enumerate(y):
-                out[i + j] = (out[i + j] + a * b) % p
-        # reduce modulo the modulus polynomial
-        for k in range(len(out) - 1, e - 1, -1):
-            c = out[k]
-            if c:
-                out[k] = 0
-                for i in range(e):
-                    out[k - e + i] = (out[k - e + i] - c * modulus[i]) % p
-        return tuple(out[:e])
-
-    n = len(elems)
-    add = np.zeros((n, n), dtype=np.int64)
-    mul = np.zeros((n, n), dtype=np.int64)
-    for i, x in enumerate(elems):
-        for j, y in enumerate(elems):
-            add[i, j] = index[addf(x, y)]
-            mul[i, j] = index[mulf(x, y)]
-    names = ["+".join(f"{c}t^{k}" if k else f"{c}" for k, c in enumerate(el) if c) or "0" for el in elems]
-    zero = index[tuple([0] * e)]
-    one = index[tuple([1] + [0] * (e - 1))]
-    return FiniteRing(names, add, mul, zero, one)
+    # elements are coordinate vectors on the power basis of F_p[T]/(modulus),
+    # lowest coordinate fastest, so vector v has index v @ place
+    elems = enumerate_vectors(p, e)
+    place = p ** np.arange(e, dtype=np.int64)
+    add = npmod(elems[:, None, :] + elems[None, :, :], p) @ place
+    mul = einsum_mod("ai,bj,ijk->abk", elems, elems, power_basis_tensor(find_irreducible(p, e)), p=p) @ place
+    names = ["+".join(f"{c}t^{k}" if k else f"{c}" for k, c in enumerate(el) if c) or "0" for el in elems.tolist()]
+    return FiniteRing(names, add, mul, 0, 1)
 
 
 def cyclic_unit_subgroups(ring: FiniteRing) -> list[list[int]]:

@@ -188,13 +188,22 @@ def forced_value(h: HopfData, f: KPoint, g: KPoint, x) -> ForcedValue:
     return (ForcedValue.ZERO, ForcedValue.ONE, ForcedValue.FREE)[cls]
 
 
+def _preimage(h: HopfData, f: KPoint, g: KPoint) -> IdealSubspace:
+    """Ker Q_fg, computed once per ordered pair."""
+    cache = h._cache.setdefault("preimage", {})
+    key = (f.index, g.index)
+    if key not in cache:
+        cache[key] = IdealSubspace(h.algebra, nullspace(_pair_quotient_matrix(h, f, g), h.algebra.field.p))
+    return cache[key]
+
+
 def delta_preimage_ideal(h: HopfData, f: KPoint, g: KPoint) -> tuple[IdealSubspace, bool]:
     """The ideal {x : Delta(x) in Ker f ⊗ A + A ⊗ Ker g} = Ker((pi_f⊗pi_g)∘Delta),
-    with a REPORT-ONLY primality verdict from the independent zero-divisor test."""
+    with a REPORT-ONLY primality verdict from the independent zero-divisor test.
+    The ideal comes from the per-pair cache the hyperoperation fills; the
+    verdict, which the hyperoperation never reads, is computed here only."""
     h.ensure_verified()
-    p = h.algebra.field.p
-    q = _pair_quotient_matrix(h, f, g)
-    ideal = IdealSubspace(h.algebra, nullspace(q, p))
+    ideal = _preimage(h, f, g)
     return ideal, ideal_is_prime(h.algebra, ideal)
 
 
@@ -234,7 +243,7 @@ def hyperop(h: HopfData, f: KPoint, g: KPoint) -> HyperopResult:
         return cache[key]
     h.ensure_verified()
     p = h.algebra.field.p
-    zero_ideal, _ = _cached_preimage(h, f, g)
+    zero_ideal = _preimage(h, f, g)
     ones = _forced_one_matrix(h, f, g, zero_ideal)
     members = []
     rejections = []
@@ -252,14 +261,6 @@ def hyperop(h: HopfData, f: KPoint, g: KPoint) -> HyperopResult:
     result = HyperopResult(f, g, tuple(members), zero_ideal, tuple(rejections))
     cache[key] = result
     return result
-
-
-def _cached_preimage(h: HopfData, f: KPoint, g: KPoint) -> tuple[IdealSubspace, bool]:
-    cache = h._cache.setdefault("preimage", {})
-    key = (f.index, g.index)
-    if key not in cache:
-        cache[key] = delta_preimage_ideal(h, f, g)
-    return cache[key]
 
 
 def _member_indices(res: HyperopResult) -> frozenset[int]:

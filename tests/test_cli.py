@@ -1,6 +1,8 @@
+import hashlib
 import json
 import subprocess
 import sys
+from itertools import product
 
 import pytest
 
@@ -318,6 +320,62 @@ class TestRecordOnce:
         assert result["ok"] is True
         assert sorted(h.name for h in calls) == ["addetale:3:2", "addetale:3:2/I", "mu:3:2", "mu:3:2/I"]
         assert len({id(h) for h in calls}) == len(calls)
+
+    def test_preimage_once_per_pair(self, monkeypatch):
+        from hyperspec import algkernel, linalg, specops, suite
+
+        kernels, verdicts, loaded = [], [], []
+        originals = {"nullspace": linalg.nullspace, "ideal_is_prime": algkernel.ideal_is_prime}
+
+        def nullspace(mat, p):
+            kernels.append(mat)
+            return originals["nullspace"](mat, p)
+
+        def ideal_is_prime(alg, ideal):
+            verdicts.append(alg)
+            return originals["ideal_is_prime"](alg, ideal)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] != "hyperspec":
+                continue
+            for attr, wrapper in (("nullspace", nullspace), ("ideal_is_prime", ideal_is_prime)):
+                if getattr(module, attr, None) is originals[attr]:
+                    monkeypatch.setattr(module, attr, wrapper)
+        load = suite.load_algebra
+        monkeypatch.setattr(suite, "load_algebra", lambda spec: loaded.append(load(spec)) or loaded[-1])
+
+        # the hyperoperation alone needs the forced-zero ideal, not its primality
+        h = load("mu:5:4")
+        for f, g in product(specops.kpoints(h), repeat=2):
+            specops.hyperop(h, f, g)
+        assert verdicts == []
+
+        result = run_suite(["mu:3:2", "addetale:3:2"])
+        assert result["ok"] is True
+        for h in loaded:
+            pairs = h._cache["pair_quotient"]
+            assert len(pairs) == len(specops.kpoints(h)) ** 2
+            for q in pairs.values():
+                assert sum(mat is q for mat in kernels) == 1
+        # one report-only verdict per ordered pair, in the preimage_primality check
+        assert [alg.dim for alg in verdicts] == [h.algebra.dim for h in loaded for _ in h._cache["pair_quotient"]]
+
+
+class TestLineGolden:
+    # The `line` runs of the benchmark workload of the same name, with the
+    # SHA-256 of each stdout, so any change to either engine's output fails here.
+    RUNS = {
+        ("3", "add", "3"): "0b54b636e49e58a02510be2cd5a1d2e35ec967315e4dfa055f2e895e20c5f0df",
+        ("3", "mul", "3"): "1b11278504df10ed72757e23a9510132db72ff09bc026022bf06d528ac38e94a",
+        ("7", "add", "2"): "69ce245868d4dceca46808b9769c8cfc648afbc938eab1228aa6ae34be36ad5b",
+        ("7", "mul", "2"): "1954ac74ded17a7a7efebd59b42a55b469224cbf42496e781e114ad5a4e773f6",
+    }
+
+    @pytest.mark.parametrize("p, law, degree", list(RUNS))
+    def test_stdout_digest(self, capsys, p, law, degree):
+        code, out, _ = run_cli(capsys, "line", "--p", p, "--law", law, "--max-degree", degree)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.RUNS[(p, law, degree)]
 
 
 class TestLoadAlgebra:

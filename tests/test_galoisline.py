@@ -14,7 +14,14 @@ from hyperspec.galoisline import (
     line_identity,
     line_points,
 )
-from hyperspec.gfarith import PrimeField, find_irreducible, fq_elements, minpoly_over_fp, parse_poly
+from hyperspec.gfarith import (
+    PrimeField,
+    find_irreducible,
+    fq_elements,
+    minpoly_over_fp,
+    parse_poly,
+    poly_roots_in_fq,
+)
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -32,6 +39,15 @@ class TestLinePoint:
     def test_nonmonic_rejected(self):
         with pytest.raises(ValueError):
             LinePoint(ADDITIVE, parse_poly("2T+1", F3))
+
+    def test_equal_points_from_different_routes_hash_equal(self):
+        for law, text, mirror in [(ADDITIVE, "T^2+T+2", "T^2+2T+2"), (MULTIPLICATIVE, "T-2", "T-2")]:
+            parsed = pt(text, law)
+            via_antipode = line_antipode(pt(mirror, law))
+            assert parsed is not via_antipode and parsed.poly is not via_antipode.poly
+            assert parsed == via_antipode
+            assert hash(parsed) == hash(via_antipode)
+            assert len({parsed, via_antipode}) == 1
 
     def test_point_counts_degree_3(self):
         pts = line_points(3, ADDITIVE, 3)
@@ -81,6 +97,29 @@ class TestGaloisEngine:
                 vals.add(minpoly_over_fp(alpha + c))
                 c = c.frobenius()
             assert {LinePoint(ADDITIVE, q) for q in vals} == base
+
+
+def orbit_model(p, law, f, g):
+    """The Galois engine on FqElem arithmetic: the first root of each
+    polynomial in the common field, the Frobenius conjugates of g's root by
+    x -> x^p, and minimal polynomials from minpoly_over_fp."""
+    mod = find_irreducible(p, lcm(f.degree, g.degree))
+    alpha = next(poly_roots_in_fq(f.poly, mod))
+    conj = next(poly_roots_in_fq(g.poly, mod))
+    out = set()
+    for _ in range(g.degree):
+        out.add(minpoly_over_fp(alpha + conj if law == ADDITIVE else alpha * conj))
+        conj = conj.frobenius()
+    return tuple(sorted((LinePoint(law, q) for q in out), key=LinePoint.sort_key))
+
+
+class TestGaloisEngineAgainstOrbitModel:
+    @pytest.mark.parametrize("law", [ADDITIVE, MULTIPLICATIVE])
+    @pytest.mark.parametrize("p, max_degree", [(3, 3), (5, 2)])
+    def test_every_pair(self, p, max_degree, law):
+        pts = line_points(p, law, max_degree)
+        for f, g in product(pts, repeat=2):
+            assert galois_hyperop(p, law, f, g) == orbit_model(p, law, f, g), (f, g)
 
 
 class TestDefinitionalEngine:

@@ -1,9 +1,12 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperspec.algkernel import monogenic_algebra, tensor_algebra
+from hyperspec import gfarith
 from hyperspec.gfarith import (
     FpPoly,
     FqElem,
@@ -19,7 +22,7 @@ from hyperspec.gfarith import (
     parse_poly,
     poly_roots_in_fq,
 )
-from hyperspec.linalg import charpoly
+from hyperspec.linalg import charpoly, solve
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -191,6 +194,61 @@ class TestMinimalPolynomial:
             assert (cp % m).is_zero()
 
 
+def solve_loop_relation(powers, field):
+    """Reference for gfarith._first_monic_relation: one linear solve for each
+    candidate degree d = 1, 2, ... until powers[d] lies in the span of the
+    lower powers."""
+    p = field.p
+    for d in range(1, len(powers)):
+        sol = solve(powers[:d].T, powers[d], p)
+        if sol is not None:
+            return FpPoly.make(field, [(-int(c)) % p for c in sol] + [1])
+    raise AssertionError("no relation among the powers")
+
+
+def power_rows(alg, elem, unit):
+    rows = [np.asarray(unit, dtype=np.int64)]
+    for _ in range(alg.dim):
+        rows.append(alg.mul_vec(rows[-1], elem))
+    return np.array(rows)
+
+
+MODULI = {3: ["T-1", "T^2+1", "T^3-T", "T^3", "T^4+T+2", "T^2"], 5: ["T^2+2", "T^4-1", "T^3+T+1"]}
+
+
+class TestFirstMonicRelation:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_solve_loop(self, data):
+        p = data.draw(st.sampled_from([3, 5]))
+        field = PrimeField(p)
+        algs = [monogenic_algebra(field, P(text, field)) for text in MODULI[p]]
+        alg = data.draw(st.sampled_from(algs))
+        if data.draw(st.booleans()):
+            small = [a for a in algs if a.dim <= 2]
+            alg = tensor_algebra(alg if alg.dim <= 3 else small[0], data.draw(st.sampled_from(small)))
+        elem = np.array(data.draw(st.lists(st.integers(0, p - 1), min_size=alg.dim, max_size=alg.dim)))
+        powers = power_rows(alg, elem, alg.unit)
+        want = solve_loop_relation(powers, field)
+        assert gfarith._first_monic_relation(powers, field) == want
+        assert minimal_polynomial(elem, alg) == want
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_idempotent_unit_matches_solve_loop(self, data):
+        # F_3[T]/(T^9-T) is a product of copies of F_3 and F_9, so x^8 is an
+        # idempotent for every x; maximal_spectrum passes such a unit
+        alg = monogenic_algebra(F3, P("T^9-T"))
+        draw_vec = st.lists(st.integers(0, 2), min_size=9, max_size=9).filter(any)
+        unit = alg.power(np.array(data.draw(draw_vec)), 8)
+        assert (alg.mul_vec(unit, unit) == unit).all()
+        elem = alg.mul_vec(unit, np.array(data.draw(draw_vec)))
+        powers = power_rows(alg, elem, unit)
+        want = solve_loop_relation(powers, F3)
+        assert gfarith._first_monic_relation(powers, F3) == want
+        assert minimal_polynomial(elem, alg, unit=unit) == want
+
+
 class TestFq:
     def test_frobenius_additivity_exhaustive(self):
         # (a+b)^p = a^p + b^p for every pair, all fields with p^k <= 81
@@ -241,16 +299,71 @@ class TestPolyRootsInFq:
                 out.append(x)
         return out
 
+    @staticmethod
+    def batch_scan(poly, mod):
+        """Every element of F_q at which poly vanishes, in fq_elements order,
+        as coefficient lists: each power x^k by schoolbook product with x and
+        long division by the modulus, all elements at once."""
+        p, k = mod.field.p, mod.degree
+        xs = np.array(list(product(range(p), repeat=k)), dtype=np.int64)
+        power = np.zeros_like(xs)
+        power[:, 0] = 1
+        value = np.zeros_like(xs)
+        for c in poly.coeffs:
+            value = (value + c * power) % p
+            prod = np.zeros((xs.shape[0], 2 * k - 1), dtype=np.int64)
+            for i in range(k):
+                prod[:, i : i + k] += power[:, i : i + 1] * xs
+            for top in range(2 * k - 2, k - 1, -1):
+                lead = prod[:, top] % p
+                for i, m in enumerate(mod.coeffs):
+                    prod[:, top - k + i] -= lead * m
+            power = prod[:, :k] % p
+        return xs[~value.any(axis=1)].tolist()
+
     def test_scan_order(self):
         mod = find_irreducible(3, 2)  # T^2+1, so t is a root of T^2+1
         roots = list(poly_roots_in_fq(P("T^2+1"), mod))
         assert [r.coeff_vector() for r in roots] == [[0, 1], [0, 2]]
 
-    @pytest.mark.parametrize("text", ["T^2+1", "T^9-T", "T^3-T", "T^4+T+2", "T+1", "T^2+T+2"])
-    def test_matches_exhaustive_evaluation(self, text):
-        mod = find_irreducible(3, 2)
+    @pytest.mark.parametrize(
+        "text, k",
+        [
+            ("T^2+1", 2),
+            ("T^9-T", 2),
+            ("T^3-T", 2),
+            ("T^4+T+2", 2),
+            ("T+1", 2),
+            ("T^2+T+2", 2),
+            ("T^3-T^2", 3),  # repeated root 0
+            ("T^3+2T+1", 3),
+        ],
+    )
+    def test_matches_exhaustive_evaluation(self, text, k):
+        mod = find_irreducible(3, k)
         poly = P(text)
-        assert list(poly_roots_in_fq(poly, mod)) == self.scan(poly, mod)
+        roots = list(poly_roots_in_fq(poly, mod))
+        assert roots == self.scan(poly, mod)
+        assert [r.coeff_vector() for r in roots] == self.batch_scan(poly, mod)
+
+    # F_{3^9} meets F_9 in F_3, so only the linear factors and cubics split
+    @pytest.mark.parametrize("text, count", [("T^9-T", 3), ("T^3+2T+1", 3), ("T^3-T^2", 2), ("T^6+T^4+2T^2+2", 2)])
+    def test_field_larger_than_one_block(self, text, count):
+        mod = find_irreducible(3, 9)
+        assert 3**9 > gfarith.ROOT_SCAN_BLOCK
+        poly = P(text)
+        roots = [r.coeff_vector() for r in poly_roots_in_fq(poly, mod)]
+        assert roots == self.batch_scan(poly, mod)
+        assert len(roots) == count
+
+    @pytest.mark.parametrize("block", [1, 3, 10, 100])
+    def test_block_size_changes_nothing(self, block, monkeypatch):
+        mod = find_irreducible(5, 3)
+        poly = P("T^3+T+1", F5)
+        want = list(poly_roots_in_fq(poly, mod))
+        monkeypatch.setattr(gfarith, "ROOT_SCAN_BLOCK", block)
+        assert list(poly_roots_in_fq(poly, mod)) == want
+        assert len(want) == 3
 
     def test_is_lazy(self):
         mod = find_irreducible(3, 3)
