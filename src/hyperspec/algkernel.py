@@ -12,7 +12,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .gfarith import FpPoly, PrimeField, find_irreducible, minimal_polynomial, poly_roots_in_fq, power_basis_tensor
+from .gfarith import FpPoly, PrimeField, minimal_polynomial, power_basis_tensor
 from .linalg import (
     einsum_mod,
     enumerate_vectors,
@@ -352,7 +352,7 @@ def maximal_spectrum(alg: SCAlgebra) -> list[PrimePoint]:
         for e in idems:
             ue = red.mul_vec(u, e)
             m = minimal_polynomial(ue, red, unit=e)
-            roots = [r.coeff_vector()[0] for r in poly_roots_in_fq(m, find_irreducible(p, 1))]
+            roots = [a for a in range(p) if m.eval(a) == 0]
             if len(roots) != m.degree:
                 raise RuntimeError("Frobenius-fixed element has a non-split minimal polynomial")
             if len(roots) <= 1:

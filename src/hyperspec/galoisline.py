@@ -99,10 +99,16 @@ def line_antipode(pt: LinePoint) -> LinePoint:
 
 
 @lru_cache(maxsize=None)
+def _residue_algebra(poly: FpPoly) -> SCAlgebra:
+    """F_p[T]/(poly) on its power basis, built once per polynomial."""
+    return monogenic_algebra(poly.field, poly)
+
+
+@lru_cache(maxsize=None)
 def _field_algebra(p: int, m: int) -> tuple[SCAlgebra, np.ndarray]:
-    """F_{p^m} = F_p[T]/(find_irreducible(p, m)) on its power basis, with
-    the matrix of its Frobenius x -> x^p."""
-    fq = monogenic_algebra(PrimeField(p), find_irreducible(p, m))
+    """F_{p^m} = F_p[T]/(find_irreducible(p, m)), with the matrix of its
+    Frobenius x -> x^p."""
+    fq = _residue_algebra(find_irreducible(p, m))
     return fq, _frobenius_matrix(fq)
 
 
@@ -139,12 +145,6 @@ def galois_hyperop(p: int, law: str, f: LinePoint, g: LinePoint) -> tuple[LinePo
             continue
         pts.append(LinePoint(law, q))
     return tuple(sorted(pts, key=LinePoint.sort_key))
-
-
-@lru_cache(maxsize=None)
-def _residue_algebra(poly: FpPoly) -> SCAlgebra:
-    """F_p[T]/(poly), the residue field of a line point, built once per polynomial."""
-    return monogenic_algebra(poly.field, poly)
 
 
 @lru_cache(maxsize=None)

@@ -172,6 +172,13 @@ class FpPoly:
             e >>= 1
         return result
 
+    def eval(self, a: int) -> int:
+        p = self.field.p
+        acc = 0
+        for c in reversed(self.coeffs):
+            acc = (acc * a + c) % p
+        return acc
+
     def compose(self, other: "FpPoly") -> "FpPoly":
         acc = FpPoly.zero(self.field)
         for c in reversed(self.coeffs):

@@ -342,7 +342,12 @@ class TestRecordOnce:
                 if getattr(module, attr, None) is originals[attr]:
                     monkeypatch.setattr(module, attr, wrapper)
         load = suite.load_algebra
-        monkeypatch.setattr(suite, "load_algebra", lambda spec: loaded.append(load(spec)) or loaded[-1])
+
+        def load_and_keep(spec):
+            loaded.append(load(spec))
+            return loaded[-1]
+
+        monkeypatch.setattr(suite, "load_algebra", load_and_keep)
 
         # the hyperoperation alone needs the forced-zero ideal, not its primality
         h = load("mu:5:4")
