@@ -15,7 +15,7 @@ import numpy as np
 
 from .linalg import enumerate_vectors, npmod, rref
 
-# Field elements evaluated per numpy batch in poly_roots_in_fq.
+# Upper bound on the field elements evaluated per numpy batch in poly_roots_in_fq.
 ROOT_SCAN_BLOCK = 1024
 
 
@@ -386,9 +386,10 @@ def power_basis_tensor(modulus: FpPoly) -> np.ndarray:
 def poly_roots_in_fq(poly: FpPoly, modulus: FpPoly) -> Iterator[FqElem]:
     """The roots of poly in F_{p^k} = F_p[T]/(modulus), in fq_elements order,
     by exhaustive scan (desk scale). The scan evaluates poly by Horner's rule
-    on about ROOT_SCAN_BLOCK elements at once, so it stops after the block
-    holding the first root when only that one is taken, and holds one block
-    of k x k multiplication matrices whatever the field size."""
+    on a block of p^j elements at once, the largest power of p up to
+    ROOT_SCAN_BLOCK (at least p), so it stops after the block holding the
+    first root when only that one is taken, and holds one block of k x k
+    multiplication matrices whatever the field size."""
     field = modulus.field
     p, k = field.p, modulus.degree
     mul = power_basis_tensor(modulus).reshape(k, k * k)

@@ -328,16 +328,8 @@ class TestPolyRootsInFq:
 
     @pytest.mark.parametrize(
         "text, k",
-        [
-            ("T^2+1", 2),
-            ("T^9-T", 2),
-            ("T^3-T", 2),
-            ("T^4+T+2", 2),
-            ("T+1", 2),
-            ("T^2+T+2", 2),
-            ("T^3-T^2", 3),  # repeated root 0
-            ("T^3+2T+1", 3),
-        ],
+        [pytest.param(text, 2, id=text) for text in ["T^2+1", "T^9-T", "T^3-T", "T^4+T+2", "T+1", "T^2+T+2"]]
+        + [pytest.param("T^3-T^2", 3, id="T^3-T^2 in F_27"), pytest.param("T^3+2T+1", 3, id="T^3+2T+1 in F_27")],
     )
     def test_matches_exhaustive_evaluation(self, text, k):
         mod = find_irreducible(3, k)
