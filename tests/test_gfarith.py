@@ -348,7 +348,8 @@ class TestPolyRootsInFq:
         assert roots == self.batch_scan(poly, mod)
         assert len(roots) == count
 
-    @pytest.mark.parametrize("block", [1, 3, 10, 100])
+    # blocks of 5 and 25 elements, against the whole field of 125 in one block
+    @pytest.mark.parametrize("block", [1, 25])
     def test_block_size_changes_nothing(self, block, monkeypatch):
         mod = find_irreducible(5, 3)
         poly = P("T^3+T+1", F5)
