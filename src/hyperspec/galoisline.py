@@ -29,7 +29,7 @@ from .gfarith import (
     minimal_polynomial,
     poly_roots_in_fq,
 )
-from .linalg import batch_tensor_rank_class, enumerate_vectors, matmul, npmod
+from .linalg import matmul, npmod, span_rank_classes
 
 ADDITIVE = "additive"
 MULTIPLICATIVE = "multiplicative"
@@ -51,8 +51,15 @@ class LinePoint:
             raise ValueError("line points are monic irreducible polynomials")
         if self.law == MULTIPLICATIVE and self.poly.coeffs[0] == 0:
             raise ValueError("(T) is invertible on the torus and is not a point there")
-        # points key the engines' caches; equal points have equal law and coefficients
-        object.__setattr__(self, "_hash", hash((self.law, self.poly.coeffs)))
+        # points key the engines' caches: one key decides equality, and its
+        # hash is kept because the caches hash points far more often than
+        # points are made
+        key = (self.law, self.poly.field.p, self.poly.coeffs)
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, LinePoint) and self._key == other._key
 
     def __hash__(self) -> int:
         return self._hash
@@ -175,19 +182,11 @@ def definitional_hyperop(p: int, law: str, f: LinePoint, g: LinePoint) -> tuple[
     for pi, _mult in factor(g_p):
         if law == MULTIPLICATIVE and pi.coeffs[0] == 0:
             continue
-        free = dgp - pi.degree
-        if free == 0:
-            # (pi)/(g_P) = {0}: nothing can be forced to one
-            accepted.append(LinePoint(law, pi))
-            continue
-        conv = np.zeros((dgp, free), dtype=np.int64)
-        for j in range(free):
-            for i, c in enumerate(pi.coeffs):
-                conv[i + j, j] = c
-        u = enumerate_vectors(p, free)
-        xs = npmod(u @ conv.T, p)
-        images = npmod(xs @ s_pows, p).reshape(-1, kf.dim, kg.dim)
-        cls = batch_tensor_rank_class(images, p)
+        # (pi)/(g_P) is spanned by pi(s) * s^j for j < deg g_P - deg pi
+        conv = np.zeros((dgp - pi.degree, dgp), dtype=np.int64)
+        for j in range(conv.shape[0]):
+            conv[j, j : j + pi.degree + 1] = pi.coeffs
+        _, cls = span_rank_classes(matmul(conv, s_pows, p), kf.dim, kg.dim, p)
         if not (cls == 1).any():
             accepted.append(LinePoint(law, pi))
     return tuple(sorted(accepted, key=LinePoint.sort_key))
@@ -290,18 +289,15 @@ def crosscheck(p: int, law: str, max_degree: int) -> CrosscheckReport:
         galois_hyperop(p, law, e, f) == (f,) and galois_hyperop(p, law, f, e) == (f,) for f in pts
     )
 
-    antipode_ok = True
-    for f in pts:
-        ft = line_antipode(f)
-        if e not in galois_hyperop(p, law, f, ft) or e not in galois_hyperop(p, law, ft, f):
-            antipode_ok = False
-            break
+    anti = {x: line_antipode(x) for x in {*pts, *(x for r in pairs for x in r.galois)}}
+    antipode_ok = all(
+        e in galois_hyperop(p, law, f, anti[f]) and e in galois_hyperop(p, law, anti[f], f) for f in pts
+    )
 
     reversibility_ok = True
-    for f, g in product(pts, repeat=2):
-        fwd = galois_hyperop(p, law, f, g)
-        rev = galois_hyperop(p, law, line_antipode(g), line_antipode(f))
-        if tuple(sorted((line_antipode(x) for x in fwd), key=LinePoint.sort_key)) != rev:
+    for r in pairs:
+        rev = galois_hyperop(p, law, anti[r.g], anti[r.f])
+        if tuple(sorted((anti[x] for x in r.galois), key=LinePoint.sort_key)) != rev:
             reversibility_ok = False
             break
 

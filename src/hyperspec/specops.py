@@ -38,9 +38,9 @@ from .linalg import (
     preimage,
     reduce_rows,
     rref,
+    span_rank_classes,
 )
 
-ONE_SCAN_BOUND = 3**10
 ORACLE_STATE_BOUND = 200_000
 
 
@@ -77,6 +77,11 @@ class KPoint:
 
 @dataclass
 class HyperopResult:
+    """f*g with the forced-zero ideal Ker((pi_f ⊗ pi_g)∘Delta). A point that
+    kills that ideal but is not a member is a rejection; its witness is the
+    first forced-one representative (zero on the ideal's pivot coordinates,
+    in enumerate_vectors order of the rest) in the kernel of that point."""
+
     f: KPoint
     g: KPoint
     members: tuple[KPoint, ...]
@@ -199,7 +204,7 @@ def _preimage(h: HopfData, f: KPoint, g: KPoint) -> IdealSubspace:
 
 def delta_preimage_ideal(h: HopfData, f: KPoint, g: KPoint) -> tuple[IdealSubspace, bool]:
     """The ideal {x : Delta(x) in Ker f ⊗ A + A ⊗ Ker g} = Ker((pi_f⊗pi_g)∘Delta),
-    with a REPORT-ONLY primality verdict from the independent zero-divisor test.
+    with a REPORT-ONLY primality verdict from ideal_is_prime's kernel analysis.
     The ideal comes from the per-pair cache the hyperoperation fills; the
     verdict, which the hyperoperation never reads, is computed here only."""
     h.ensure_verified()
@@ -208,31 +213,17 @@ def delta_preimage_ideal(h: HopfData, f: KPoint, g: KPoint) -> tuple[IdealSubspa
 
 
 def _forced_one_matrix(h: HopfData, f: KPoint, g: KPoint, zero_ideal: IdealSubspace) -> np.ndarray:
-    """All elements with forced value One, as rows.
-
-    Exhaustive over A when |A| <= 3^10, else over representatives modulo the
-    forced-zero ideal (the rank of the image depends only on that residue).
-    """
-    alg = h.algebra
-    p = alg.field.p
-    n = alg.dim
+    """The representatives modulo the forced-zero ideal (the vectors with zero
+    pivot coordinates) whose forced value is One, as rows in scan order. The
+    rank of the image depends only on that residue."""
+    n = h.dim
+    free = [c for c in range(n) if c not in zero_ideal.pivots]
     q = _pair_quotient_matrix(h, f, g)
-    if p**n <= ONE_SCAN_BOUND:
-        if "allvecs" not in h._cache:
-            h._cache["allvecs"] = enumerate_vectors(p, n)
-        xs = h._cache["allvecs"]
-    else:
-        free = [c for c in range(n) if c not in zero_ideal.pivots]
-        reps = enumerate_vectors(p, len(free))
-        xs = np.zeros((reps.shape[0], n), dtype=np.int64)
-        xs[:, free] = reps
-    images = npmod(xs @ q.T, p).reshape(xs.shape[0], f.degree, g.degree)
-    cls = batch_tensor_rank_class(images, p)
-    if p**n <= ONE_SCAN_BOUND:
-        # sanity: the rank-0 locus is exactly the forced-zero ideal
-        if int((cls == 0).sum()) != p**zero_ideal.dim:
-            raise RuntimeError("rank-0 locus does not match the forced-zero ideal")
-    return xs[cls == 1]
+    coeffs, cls = span_rank_classes(q[:, free].T, f.degree, g.degree, h.algebra.field.p)
+    reps = coeffs[cls == 1]
+    ones = np.zeros((reps.shape[0], n), dtype=np.int64)
+    ones[:, free] = reps
+    return ones
 
 
 def hyperop(h: HopfData, f: KPoint, g: KPoint) -> HyperopResult:

@@ -1,6 +1,9 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
+from hyperspec import specops as ops
 from hyperspec.algkernel import (
     IdealSubspace,
     SCAlgebra,
@@ -11,8 +14,8 @@ from hyperspec.algkernel import (
     quotient_algebra,
     tensor_algebra,
 )
-from hyperspec.gfarith import PrimeField, FpPoly, minimal_polynomial, parse_poly
-from hyperspec.linalg import span_sum
+from hyperspec.gfarith import PrimeField, FpPoly, factor, minimal_polynomial, parse_poly
+from hyperspec.linalg import enumerate_vectors, matmul, span_sum
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -178,7 +181,53 @@ class TestSpectrum:
         assert sorted(pt.label for pt in pts) == ["(T)", "(T-1)"]
 
 
+def zero_divisor_free(alg, ideal):
+    """The primality oracle: A/I is nonzero and no two nonzero elements of it
+    multiply to zero, by a scan of every product."""
+    if ideal.is_unit_ideal():
+        return False
+    quo, _ = quotient_algebra(alg, ideal)
+    p = alg.field.p
+    vecs = enumerate_vectors(p, quo.dim)[1:]  # skip zero
+    for u in vecs:
+        prods = matmul(quo.left_mul_matrix(u), vecs.T, p)
+        if (~prods.any(axis=0)).any():
+            return False
+    return True
+
+
+def monic_divisors(poly):
+    """Every monic divisor of poly, from its factorization."""
+    divisors = [FpPoly.one(poly.field)]
+    for q, mult in factor(poly):
+        powers = [FpPoly.one(poly.field)]
+        for _ in range(mult):
+            powers.append(powers[-1] * q)
+        divisors = [d * e for d in divisors for e in powers]
+    return divisors
+
+
 class TestIdealIsPrime:
+    @pytest.mark.parametrize(
+        "field, text, count",
+        [(F3, "T^9-T", 64), (F3, "T^3", 4), (F3, "T^6+T^4+2T^2+2", 12), (F5, "T^4-1", 16)],
+        ids=["F3-T^9-T", "F3-T^3", "F3-T^6+T^4+2T^2+2", "F5-T^4-1"],
+    )
+    def test_agrees_with_zero_divisor_scan_on_every_divisor(self, field, text, count):
+        modulus = P(text, field)
+        alg = monogenic_algebra(field, modulus)
+        divisors = monic_divisors(modulus)
+        assert len(divisors) == count
+        for d in divisors:
+            ideal = IdealSubspace.from_poly(alg, d)
+            assert ideal_is_prime(alg, ideal) == zero_divisor_free(alg, ideal), str(d)
+
+    def test_agrees_with_zero_divisor_scan_on_preimage_ideals(self, suite_algebras):
+        for h in suite_algebras:
+            for f, g in product(ops.kpoints(h), repeat=2):
+                ideal, prime = ops.delta_preimage_ideal(h, f, g)
+                assert prime == zero_divisor_free(h.algebra, ideal), (h.name, f.label, g.label)
+
     def test_t_in_t3_minus_t(self):
         alg = monogenic_algebra(F3, P("T^3-T"))
         assert ideal_is_prime(alg, IdealSubspace.from_poly(alg, P("T")))

@@ -48,6 +48,12 @@ class TestLinePoint:
             assert parsed == via_antipode
             assert hash(parsed) == hash(via_antipode)
             assert len({parsed, via_antipode}) == 1
+        # same coefficients, different law or different p: distinct points
+        add, mul = pt("T-2", ADDITIVE), pt("T-2", MULTIPLICATIVE)
+        over_f3, over_f5 = pt("T^2+1", field=F3), pt("T^2+1", field=F5)
+        assert add.poly == mul.poly and add != mul and len({add, mul}) == 2
+        assert over_f3.poly.coeffs == over_f5.poly.coeffs and over_f3 != over_f5 and len({over_f3, over_f5}) == 2
+        assert add != add.poly
 
     def test_point_counts_degree_3(self):
         pts = line_points(3, ADDITIVE, 3)

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import numpy as np
@@ -154,6 +155,42 @@ class TestFactor:
         for q in chosen:
             want[q] = want.get(q, 0) + 1
         assert dict(got) == want
+
+
+def sympy_factors(poly):
+    """factor's result computed by sympy over GF(p): (monic factor, multiplicity)
+    pairs with coefficients in [0, p), sorted as factor sorts them."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    p = poly.field.p
+    _, pairs = sympy.Poly(list(reversed(poly.coeffs)), x, modulus=p).factor_list()
+    out = [(FpPoly.make(poly.field, [int(c) % p for c in reversed(q.all_coeffs())]), m) for q, m in pairs]
+    return sorted(out, key=lambda fm: (fm[0].degree, fm[0].coeffs))
+
+
+class TestAgainstSympy:
+    def test_every_monic_polynomial_up_to_degree_4_over_f3(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        for d in range(1, 5):
+            for poly in monic_polys(F3, d):
+                want = sympy_factors(poly)
+                assert factor(poly) == want, str(poly)
+                assert is_irreducible(poly) == sympy.Poly(list(reversed(poly.coeffs)), x, modulus=3).is_irreducible
+                assert is_irreducible(poly) == (want == [(poly, 1)])
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_seeded_polynomials(self, p):
+        pytest.importorskip("sympy")
+        rng = random.Random(p)
+        field = PrimeField(p)
+        for _ in range(40):
+            degree = rng.randint(1, 6)
+            coeffs = [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]
+            poly = FpPoly.make(field, coeffs)
+            want = sympy_factors(poly)
+            assert factor(poly) == want, str(poly)
+            assert is_irreducible(poly) == (want == [(poly.monic(), 1)])
 
 
 class TestMinimalPolynomial:

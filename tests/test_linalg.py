@@ -98,3 +98,19 @@ def test_batch_rank_class_matches_gauss(p, a, b, data):
     cls = int(linalg.batch_tensor_rank_class(m, p)[0])
     true_rank = linalg.rank(m[0], p)
     assert cls == min(true_rank, 2)
+
+
+@given(st.sampled_from(PRIMES), st.integers(0, 3), st.integers(1, 3), st.integers(1, 3), st.data())
+@settings(max_examples=40, deadline=None)
+def test_span_rank_classes_matches_gauss(p, k, a, b, data):
+    flat = data.draw(st.lists(st.integers(0, p - 1), min_size=k * a * b, max_size=k * a * b))
+    span = np.array(flat, dtype=np.int64).reshape(k, a * b)
+    if linalg.rank(span, p) < k:
+        with pytest.raises(RuntimeError, match="dependent"):
+            linalg.span_rank_classes(span, a, b, p)
+        return
+    coeffs, cls = linalg.span_rank_classes(span, a, b, p)
+    assert (coeffs == linalg.enumerate_vectors(p, k)).all()
+    for c, got in zip(coeffs, cls):
+        combo = sum((int(ci) * row for ci, row in zip(c, span)), np.zeros(a * b, dtype=np.int64)) % p
+        assert got == min(linalg.rank(combo.reshape(a, b), p), 2)

@@ -7,7 +7,7 @@ from hyperspec import specops as ops
 from hyperspec.algkernel import IdealSubspace
 from hyperspec.gfarith import parse_poly
 from hyperspec.hopfkernel import descent_ideal, iterated_coproduct
-from hyperspec.linalg import enumerate_vectors, matmul, npmod, nullspace
+from hyperspec.linalg import batch_tensor_rank_class, enumerate_vectors, matmul, npmod, nullspace, reduce_rows
 from hyperspec.specops import ForcedValue
 
 
@@ -183,11 +183,15 @@ class TestHyperop:
         res = ops.hyperop(ae32, d, e)
         got = set(res.labels())
         assert got == ae32_oracle(d.label, e.label)
-        for label, witness in res.rejections:
-            x = np.array(witness, dtype=np.int64)
+        # no point is rejected here, so assert on the rows a witness is taken from
+        assert res.rejections == ()
+        ones = ops._forced_one_matrix(ae32, d, e, res.forced_zero)
+        assert ones.shape[0] > 0
+        assert not ones[:, res.forced_zero.pivots].any()
+        for x in ones:
             assert ops.forced_value(ae32, d, e, x) is ForcedValue.ONE
-            rejected = ops.point_by_label(ae32, label)
-            assert rejected.k_value(x) == 0
+            for m in res.members:
+                assert m.k_value(x) == 1
 
 
 class TestLemmaChecks:
@@ -365,22 +369,38 @@ class TestPresentationOracle:
                 ops.presentation_oracle(ae31, f, g, x, 10)
 
 
+def whole_algebra_forced_ones(h, f, g, zero_ideal):
+    """The forced-one elements of the whole algebra, by a scan of all p^n
+    elements; the rank-0 locus it finds must be the forced-zero ideal."""
+    p = h.algebra.field.p
+    xs = enumerate_vectors(p, h.dim)
+    images = matmul(xs, ops._pair_quotient_matrix(h, f, g).T, p).reshape(-1, f.degree, g.degree)
+    cls = batch_tensor_rank_class(images, p)
+    assert int((cls == 0).sum()) == p**zero_ideal.dim
+    assert not reduce_rows(xs[cls == 0], zero_ideal.basis, zero_ideal.pivots, p).any()
+    return xs[cls == 1]
+
+
 class TestOneScanPaths:
-    def test_residue_scan_matches_exhaustive_scan(self):
-        # force the representatives-modulo-ideal branch and compare tables
-        import hyperspec.specops as specops_mod
-        from hyperspec.hopfkernel import parse_builtin
-
-        baseline = {}
-        h1 = parse_builtin("addetale:3:2")
-        for f, g in product(ops.kpoints(h1), repeat=2):
-            baseline[(f.label, g.label)] = ops.hyperop(h1, f, g).labels()
-
-        old = specops_mod.ONE_SCAN_BOUND
-        specops_mod.ONE_SCAN_BOUND = 1
-        try:
-            h2 = parse_builtin("addetale:3:2")
-            for f, g in product(ops.kpoints(h2), repeat=2):
-                assert ops.hyperop(h2, f, g).labels() == baseline[(f.label, g.label)]
-        finally:
-            specops_mod.ONE_SCAN_BOUND = old
+    def test_residue_scan_matches_exhaustive_scan(self, request):
+        # the representatives scan against a scan of every element of A
+        for name in ("mu54", "ae32", "fs3"):
+            h = request.getfixturevalue(name)
+            p = h.algebra.field.p
+            pts = ops.kpoints(h)
+            for f, g in product(pts, repeat=2):
+                res = ops.hyperop(h, f, g)
+                zero = res.forced_zero
+                full = whole_algebra_forced_ones(h, f, g, zero)
+                reps = ops._forced_one_matrix(h, f, g, zero)
+                assert full.shape[0] == reps.shape[0] * p**zero.dim
+                assert not reps[:, zero.pivots].any()
+                rep_rows = {tuple(r) for r in reps}
+                assert {tuple(r) for r in reduce_rows(full, zero.basis, zero.pivots, p)} == rep_rows
+                members = [
+                    kp
+                    for kp in pts
+                    if not matmul(zero.basis, kp.point.resmap.mat.T, p).any()
+                    and matmul(full, kp.point.resmap.mat.T, p).any(axis=1).all()
+                ]
+                assert res.members == tuple(members), (name, f.label, g.label)
