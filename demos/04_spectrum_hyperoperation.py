@@ -2,8 +2,9 @@
 """The coproduct-induced hyperoperation on the spectrum.
 
 Points of the spectrum are K-valued points; f*g collects every point whose
-kernel contains the forced-zero ideal and avoids the forced-one locus, both
-computed exactly from the rank of the coproduct image in the residue tensor.
+kernel contains the forced-zero ideal, the elements whose coproduct image in
+the residue tensor has rank 0. Such a kernel never holds a rank-one
+(forced-one) element, since rank-one tensors are units of that tensor.
 On split roots of unity this reproduces the group of units; on the additive
 family genuine multi-valued entries appear.
 """

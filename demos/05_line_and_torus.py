@@ -4,8 +4,8 @@
 The orbit engine adds or multiplies roots in a splitting field and takes
 minimal polynomials. The definitional engine never sees a root: it works
 with the coproduct image in the residue tensor, computes the forced-zero
-ideal, and filters divisors by the rank criterion. Their agreement on every
-pair is checked degree by degree.
+ideal, and returns every irreducible factor of its generator. Their
+agreement on every pair is checked degree by degree.
 """
 
 from hyperspec.galoisline import (

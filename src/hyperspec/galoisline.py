@@ -3,11 +3,14 @@ spectrum hyperoperation computed two independent ways.
 
 The Galois-orbit engine adds (or multiplies) roots in a common splitting
 field and collects minimal polynomials of the results. The definitional
-engine works with the image of the coproduct generator in the residue-field
-tensor product: its minimal polynomial generates the forced-zero ideal, and
-candidate divisors are accepted unless their residues contain a rank-one
-element. Agreement of the two engines on every pair is the checkable content
-of the orbit description of these spectra.
+engine works with the image s of the coproduct generator in the residue-field
+tensor product: its minimal polynomial g_P generates the forced-zero ideal,
+and f*g is every irreducible factor of g_P. No factor has to be filtered
+out by the forced-one (rank-one) rule: (pi)/(g_P) is a proper ideal of the
+subalgebra F_p[s] of K_f ⊗ K_g, and a rank-one tensor u⊗v = (u⊗1)(1⊗v) is a
+unit there, so no element of it has a rank-one image. Agreement of the two
+engines on every pair is the checkable content of the orbit description of
+these spectra.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .gfarith import (
     minimal_polynomial,
     poly_roots_in_fq,
 )
-from .linalg import matmul, npmod, span_rank_classes
+from .linalg import matmul, npmod
 
 ADDITIVE = "additive"
 MULTIPLICATIVE = "multiplicative"
@@ -143,23 +146,18 @@ def galois_hyperop(p: int, law: str, f: LinePoint, g: LinePoint) -> tuple[LinePo
     out = set()
     for _ in range(g.degree):
         val = npmod(alpha + conj, p) if law == ADDITIVE else fq.mul_vec(alpha, conj)
-        out.add(minimal_polynomial(val, fq))
+        out.add(LinePoint(law, minimal_polynomial(val, fq)))
         conj = matmul(frob, conj, p)
-    pts = []
-    for q in out:
-        if law == MULTIPLICATIVE and q.coeffs[0] == 0:
-            # alpha * conj = 0 is impossible for torus points; kept as a guard
-            continue
-        pts.append(LinePoint(law, q))
-    return tuple(sorted(pts, key=LinePoint.sort_key))
+    return tuple(sorted(out, key=LinePoint.sort_key))
 
 
 @lru_cache(maxsize=None)
 def definitional_hyperop(p: int, law: str, f: LinePoint, g: LinePoint) -> tuple[LinePoint, ...]:
     """Membership-condition hyperoperation, computed in the residue tensor:
-    the forced-zero ideal is (minimal polynomial of the coproduct-generator
-    image s); an irreducible divisor pi survives iff no element of
-    (pi)/(g_P) has a rank-one image."""
+    the forced-zero ideal is generated by the minimal polynomial g_P of the
+    coproduct-generator image s, and f*g is every irreducible factor of g_P
+    (no element of (pi)/(g_P) has a rank-one image; see the module
+    docstring). On the torus s = tf*tg is a unit, so T never divides g_P."""
     PrimeField(p).require_odd()
     kf = _residue_algebra(f.poly)
     kg = _residue_algebra(g.poly)
@@ -170,26 +168,7 @@ def definitional_hyperop(p: int, law: str, f: LinePoint, g: LinePoint) -> tuple[
     g_p = minimal_polynomial(s, ten)
     if g_p.degree > f.degree * g.degree:
         raise RuntimeError("forced-zero generator exceeds the degree bound")
-    dgp = g_p.degree
-
-    s_pows = np.zeros((dgp, kf.dim * kg.dim), dtype=np.int64)
-    acc = ten.unit.copy()
-    for k in range(dgp):
-        s_pows[k] = acc
-        acc = ten.mul_vec(acc, s)
-
-    accepted = []
-    for pi, _mult in factor(g_p):
-        if law == MULTIPLICATIVE and pi.coeffs[0] == 0:
-            continue
-        # (pi)/(g_P) is spanned by pi(s) * s^j for j < deg g_P - deg pi
-        conv = np.zeros((dgp - pi.degree, dgp), dtype=np.int64)
-        for j in range(conv.shape[0]):
-            conv[j, j : j + pi.degree + 1] = pi.coeffs
-        _, cls = span_rank_classes(matmul(conv, s_pows, p), kf.dim, kg.dim, p)
-        if not (cls == 1).any():
-            accepted.append(LinePoint(law, pi))
-    return tuple(sorted(accepted, key=LinePoint.sort_key))
+    return tuple(sorted((LinePoint(law, pi) for pi, _mult in factor(g_p)), key=LinePoint.sort_key))
 
 
 @dataclass

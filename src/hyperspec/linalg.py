@@ -176,22 +176,6 @@ def batch_tensor_rank_class(t: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def span_rank_classes(span: np.ndarray, a: int, b: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every combination c·span of k independent rows of F_p^(a*b), each read
-    as an a x b matrix.
-
-    Returns (coeffs, cls): all c in F_p^k in enumerate_vectors order, and the
-    rank class of c·span as batch_tensor_rank_class gives it. Raises
-    RuntimeError unless c = 0 is the only combination of rank 0, which is
-    the independence the callers' spans must have.
-    """
-    coeffs = enumerate_vectors(p, span.shape[0])
-    cls = batch_tensor_rank_class(matmul(coeffs, span, p).reshape(-1, a, b), p)
-    if int((cls == 0).sum()) != 1:
-        raise RuntimeError("rank-0 combinations beyond c = 0: the spanning rows are dependent")
-    return coeffs, cls
-
-
 def charpoly(mat, p: int) -> list[int]:
     """Characteristic polynomial of a square matrix over F_p, lowest degree first.
 

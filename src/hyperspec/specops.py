@@ -10,10 +10,15 @@ image tensor t = (pi_f ⊗ pi_g)(Delta x):
               the standing restriction to odd p),
     rank >= 2 -> free in {0,1}.
 
-So phi lies in f*g iff Ker(phi) contains the rank-0 locus (an ideal: the
-kernel of the ring map (pi_f ⊗ pi_g)∘Delta) and avoids the rank-1 locus.
-presentation_oracle is the independent brute-force court of appeal for this
-rule; nothing downstream assumes the primality claim for the rank-0 ideal.
+So phi lies in f*g iff Ker(phi) contains the rank-0 locus and avoids the
+rank-1 locus. The rank-0 locus is the ideal Ker Q_fg of the algebra map
+Q_fg = (pi_f ⊗ pi_g)∘Delta, and the second condition follows from the
+first: a rank-one tensor u⊗v = (u⊗1)(1⊗v) is a unit of K_f ⊗ K_g, hence a
+unit of the subalgebra Q_fg(A), and if Ker(phi) contains Ker Q_fg then
+Q_fg(Ker phi) is a proper ideal of Q_fg(A), which holds no unit. Hence
+f*g = V(Ker Q_fg), the points whose kernel contains the forced-zero ideal.
+presentation_oracle is the independent brute-force court of appeal for the
+rank rule; nothing downstream assumes the primality claim for the rank-0 ideal.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ from .linalg import (
     preimage,
     reduce_rows,
     rref,
-    span_rank_classes,
 )
 
 ORACLE_STATE_BOUND = 200_000
@@ -77,16 +81,15 @@ class KPoint:
 
 @dataclass
 class HyperopResult:
-    """f*g with the forced-zero ideal Ker((pi_f ⊗ pi_g)∘Delta). A point that
-    kills that ideal but is not a member is a rejection; its witness is the
-    first forced-one representative (zero on the ideal's pivot coordinates,
-    in enumerate_vectors order of the rest) in the kernel of that point."""
+    """f*g with the forced-zero ideal Ker((pi_f ⊗ pi_g)∘Delta): the members
+    are exactly the points whose kernel contains that ideal, because no such
+    kernel holds a forced-one element (see the module docstring). The JSON
+    keeps an always-empty "rejections" list for format compatibility."""
 
     f: KPoint
     g: KPoint
     members: tuple[KPoint, ...]
     forced_zero: IdealSubspace
-    rejections: tuple[tuple[str, list[int]], ...]  # (point label, forced-one witness)
 
     def labels(self) -> list[str]:
         return [m.label for m in self.members]
@@ -97,7 +100,7 @@ class HyperopResult:
             "g": self.g.label,
             "result": self.labels(),
             "forced_zero_ideal": self.forced_zero.to_json(),
-            "rejections": [{"point": lbl, "witness": w} for lbl, w in self.rejections],
+            "rejections": [],
         }
 
 
@@ -212,44 +215,24 @@ def delta_preimage_ideal(h: HopfData, f: KPoint, g: KPoint) -> tuple[IdealSubspa
     return ideal, ideal_is_prime(h.algebra, ideal)
 
 
-def _forced_one_matrix(h: HopfData, f: KPoint, g: KPoint, zero_ideal: IdealSubspace) -> np.ndarray:
-    """The representatives modulo the forced-zero ideal (the vectors with zero
-    pivot coordinates) whose forced value is One, as rows in scan order. The
-    rank of the image depends only on that residue."""
-    n = h.dim
-    free = [c for c in range(n) if c not in zero_ideal.pivots]
-    q = _pair_quotient_matrix(h, f, g)
-    coeffs, cls = span_rank_classes(q[:, free].T, f.degree, g.degree, h.algebra.field.p)
-    reps = coeffs[cls == 1]
-    ones = np.zeros((reps.shape[0], n), dtype=np.int64)
-    ones[:, free] = reps
-    return ones
+def _points_killing(h: HopfData, ideal: IdealSubspace) -> list[KPoint]:
+    """The points whose kernel contains the ideal, in point order, from one
+    product of every residue map with the ideal's basis; the zero ideal
+    (no basis rows) is killed by every point."""
+    stack, starts = _residue_stack(h)
+    outside = np.logical_or.reduceat(npmod(stack @ ideal.basis.T, h.algebra.field.p).any(axis=1), starts)
+    return [kp for kp, out in zip(kpoints(h), outside) if not out]
 
 
 def hyperop(h: HopfData, f: KPoint, g: KPoint) -> HyperopResult:
-    """f*g = {phi : forced-zero ideal in Ker phi, no forced-one in Ker phi}."""
+    """f*g = {phi : forced-zero ideal in Ker phi}."""
     cache = h._cache.setdefault("hyperop", {})
     key = (f.index, g.index)
     if key in cache:
         return cache[key]
     h.ensure_verified()
-    p = h.algebra.field.p
     zero_ideal = _preimage(h, f, g)
-    ones = _forced_one_matrix(h, f, g, zero_ideal)
-    members = []
-    rejections = []
-    for kp in kpoints(h):
-        if zero_ideal.dim and npmod(kp.point.resmap.mat @ zero_ideal.basis.T, p).any():
-            continue
-        if ones.shape[0]:
-            vals = npmod(ones @ kp.point.resmap.mat.T, p)
-            in_kernel = ~vals.any(axis=1)
-            if in_kernel.any():
-                witness = ones[int(np.nonzero(in_kernel)[0][0])]
-                rejections.append((kp.label, [int(c) for c in witness]))
-                continue
-        members.append(kp)
-    result = HyperopResult(f, g, tuple(members), zero_ideal, tuple(rejections))
+    result = HyperopResult(f, g, tuple(_points_killing(h, zero_ideal)), zero_ideal)
     cache[key] = result
     return result
 
@@ -400,14 +383,9 @@ def descend_and_compare(h: HopfData, ideal: IdealSubspace) -> LawReport:
         raise ValueError("descent requires a verified Hopf ideal")
     hq, pi = hopf_quotient(h, ideal)
     p = h.algebra.field.p
-    pts_a = kpoints(h)
     pts_b = kpoints(hq)
 
-    fixed = [
-        kp
-        for kp in pts_a
-        if not (npmod(kp.point.resmap.mat @ ideal.basis.T, p).any() if ideal.dim else False)
-    ]
+    fixed = _points_killing(h, ideal)
     fixed_ids = frozenset(kp.index for kp in fixed)
 
     tilde: dict[int, KPoint] = {}

@@ -6,6 +6,24 @@ import pytest
 from hyperspec.algkernel import SCAlgebra
 from hyperspec.gfarith import PrimeField
 from hyperspec.hopfkernel import HopfData, parse_builtin
+from hyperspec.linalg import batch_tensor_rank_class, enumerate_vectors, matmul
+
+
+def span_rank_classes(span, a, b, p):
+    """Every combination c·span of k independent rows of F_p^(a*b), each read
+    as an a x b matrix: the rank scan the lemma f*g = V(Ker Q_fg) makes
+    unnecessary in the library, kept as its oracle.
+
+    Returns (coeffs, cls): all c in F_p^k in enumerate_vectors order, and the
+    rank class of c·span as batch_tensor_rank_class gives it. Raises
+    RuntimeError unless c = 0 is the only combination of rank 0, which is
+    the independence the callers' spans must have.
+    """
+    coeffs = enumerate_vectors(p, span.shape[0])
+    cls = batch_tensor_rank_class(matmul(coeffs, span, p).reshape(-1, a, b), p)
+    if int((cls == 0).sum()) != 1:
+        raise RuntimeError("rank-0 combinations beyond c = 0: the spanning rows are dependent")
+    return coeffs, cls
 
 
 @pytest.fixture(scope="session")

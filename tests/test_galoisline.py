@@ -1,8 +1,11 @@
 from itertools import product
 from math import lcm
 
+import numpy as np
 import pytest
+from conftest import span_rank_classes
 
+from hyperspec.algkernel import monogenic_algebra, tensor_algebra
 from hyperspec.galoisline import (
     ADDITIVE,
     MULTIPLICATIVE,
@@ -16,12 +19,15 @@ from hyperspec.galoisline import (
 )
 from hyperspec.gfarith import (
     PrimeField,
+    factor,
     find_irreducible,
     fq_elements,
     minpoly_over_fp,
+    minimal_polynomial,
     parse_poly,
     poly_roots_in_fq,
 )
+from hyperspec.linalg import matmul
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -128,6 +134,37 @@ class TestGaloisEngineAgainstOrbitModel:
             assert galois_hyperop(p, law, f, g) == orbit_model(p, law, f, g), (f, g)
 
 
+def rank_filtered_definitional(p, law, f, g):
+    """The definitional engine with the forced-one filter the lemma makes
+    unnecessary: an irreducible factor pi of g_P is kept only if no element
+    of (pi)/(g_P), spanned by pi(s)·s^j for j < deg g_P - deg pi, has a
+    rank-one image in K_f ⊗ K_g, and T is skipped on the torus."""
+    field = PrimeField(p)
+    kf, kg = monogenic_algebra(field, f.poly), monogenic_algebra(field, g.poly)
+    ten = tensor_algebra(kf, kg)
+    tf = np.kron(kf.generator, kg.unit) % p
+    tg = np.kron(kf.unit, kg.generator) % p
+    s = (tf + tg) % p if law == ADDITIVE else ten.mul_vec(tf, tg)
+    g_p = minimal_polynomial(s, ten)
+    dgp = g_p.degree
+    s_pows = np.zeros((dgp, ten.dim), dtype=np.int64)
+    acc = ten.unit.copy()
+    for k in range(dgp):
+        s_pows[k] = acc
+        acc = ten.mul_vec(acc, s)
+    kept = []
+    for pi, _mult in factor(g_p):
+        if law == MULTIPLICATIVE and pi.coeffs[0] == 0:
+            continue
+        conv = np.zeros((dgp - pi.degree, dgp), dtype=np.int64)
+        for j in range(conv.shape[0]):
+            conv[j, j : j + pi.degree + 1] = pi.coeffs
+        _, cls = span_rank_classes(matmul(conv, s_pows, p), kf.dim, kg.dim, p)
+        if not (cls == 1).any():
+            kept.append(LinePoint(law, pi))
+    return tuple(sorted(kept, key=LinePoint.sort_key))
+
+
 class TestDefinitionalEngine:
     def test_additive_quadratic_square(self):
         p = pt("T^2+1")
@@ -146,6 +183,12 @@ class TestDefinitionalEngine:
     def test_engines_agree_on_mixed_degrees(self):
         f, g = pt("T-1"), pt("T^2+1")
         assert definitional_hyperop(3, ADDITIVE, f, g) == galois_hyperop(3, ADDITIVE, f, g)
+
+    @pytest.mark.parametrize("law", [ADDITIVE, MULTIPLICATIVE])
+    def test_no_factor_is_rank_filtered(self, law):
+        # every irreducible factor of g_P is a member: the rank filter drops none
+        for f, g in product(line_points(3, law, 3), repeat=2):
+            assert definitional_hyperop(3, law, f, g) == rank_filtered_definitional(3, law, f, g), (f, g)
 
     def test_forced_zero_degree_bound(self):
         for f, g in product(line_points(3, ADDITIVE, 2), repeat=2):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from hyperspec.algkernel import monogenic_algebra, tensor_algebra
 from hyperspec import gfarith
+from hyperspec.galoisline import ADDITIVE, MULTIPLICATIVE, line_points
 from hyperspec.gfarith import (
     FpPoly,
     FqElem,
@@ -23,6 +24,7 @@ from hyperspec.gfarith import (
     parse_poly,
     poly_roots_in_fq,
 )
+from hyperspec.hopfkernel import parse_builtin
 from hyperspec.linalg import charpoly, solve
 
 F3 = PrimeField(3)
@@ -191,6 +193,58 @@ class TestAgainstSympy:
             want = sympy_factors(poly)
             assert factor(poly) == want, str(poly)
             assert is_irreducible(poly) == (want == [(poly.monic(), 1)])
+
+
+def assert_minimal_by_sympy(v, alg):
+    """minimal_polynomial(v, alg) checked in sympy's arithmetic mod p against
+    the multiplication matrix L_v built from the structure constants: m is
+    monic, m(L_v) = 0, m divides the characteristic polynomial of L_v, and
+    (m/q)(L_v) != 0 for every irreducible factor q of m. Matrix products run
+    over the integers and are reduced into GF(p) only for the zero test."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    p, n = alg.field.p, alg.dim
+    zz, dom = sympy.ZZ, sympy.GF(p)
+    x = sympy.Symbol("x")
+    lv = [[zz(sum(int(v[i]) * int(alg.mul[i, j, k]) for i in range(n))) for j in range(n)] for k in range(n)]
+    mat = DomainMatrix(lv, (n, n), zz)
+    m = minimal_polynomial(v, alg)
+    powers = [DomainMatrix.eye(n, zz)]
+    for _ in range(m.degree):
+        powers.append(powers[-1] * mat)
+
+    def vanishes_at_mat(poly):
+        acc = DomainMatrix.zeros((n, n), zz)
+        for k, c in enumerate(reversed(poly.all_coeffs())):
+            acc = acc + powers[k] * zz(int(c))
+        return acc.convert_to(dom).is_zero_matrix
+
+    assert m.is_monic()
+    mp = sympy.Poly(list(reversed(m.coeffs)), x, modulus=p)
+    assert vanishes_at_mat(mp)
+    assert sympy.Poly([int(c) for c in mat.charpoly()], x, modulus=p).rem(mp).is_zero
+    for q, _mult in mp.factor_list()[1]:
+        assert not vanishes_at_mat(mp.quo(q)), (str(m), str(q))
+
+
+class TestMinimalPolynomialAgainstSympy:
+    @pytest.mark.parametrize("law", [ADDITIVE, MULTIPLICATIVE])
+    def test_coproduct_generator_images_of_line_pairs(self, law):
+        # the element s whose minimal polynomial the definitional line engine factors
+        for f, g in product(line_points(3, law, 2), repeat=2):
+            kf, kg = monogenic_algebra(F3, f.poly), monogenic_algebra(F3, g.poly)
+            ten = tensor_algebra(kf, kg)
+            tf = np.kron(kf.generator, kg.unit) % 3
+            tg = np.kron(kf.unit, kg.generator) % 3
+            assert_minimal_by_sympy((tf + tg) % 3 if law == ADDITIVE else ten.mul_vec(tf, tg), ten)
+
+    @pytest.mark.parametrize("spec", ["addetale:3:2", "mu:5:4"])
+    def test_seeded_elements(self, spec):
+        alg = parse_builtin(spec).algebra
+        rng = random.Random(spec)
+        for _ in range(50):
+            assert_minimal_by_sympy(np.array([rng.randrange(alg.field.p) for _ in range(alg.dim)]), alg)
 
 
 class TestMinimalPolynomial:

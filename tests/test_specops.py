@@ -2,11 +2,12 @@ from itertools import product
 
 import numpy as np
 import pytest
+from conftest import span_rank_classes
 
 from hyperspec import specops as ops
 from hyperspec.algkernel import IdealSubspace
 from hyperspec.gfarith import parse_poly
-from hyperspec.hopfkernel import descent_ideal, iterated_coproduct
+from hyperspec.hopfkernel import descent_ideal, iterated_coproduct, parse_builtin
 from hyperspec.linalg import batch_tensor_rank_class, enumerate_vectors, matmul, npmod, nullspace, reduce_rows
 from hyperspec.specops import ForcedValue
 
@@ -176,22 +177,6 @@ class TestHyperop:
         for m in res.members:
             if res.forced_zero.dim:
                 assert not (m.point.resmap.mat @ res.forced_zero.basis.T % p).any()
-
-    def test_rejections_carry_witnesses(self, ae32):
-        d = ops.point_by_label(ae32, "(T^2+1)")
-        e = ops.point_by_label(ae32, "(T^2+T+2)")
-        res = ops.hyperop(ae32, d, e)
-        got = set(res.labels())
-        assert got == ae32_oracle(d.label, e.label)
-        # no point is rejected here, so assert on the rows a witness is taken from
-        assert res.rejections == ()
-        ones = ops._forced_one_matrix(ae32, d, e, res.forced_zero)
-        assert ones.shape[0] > 0
-        assert not ones[:, res.forced_zero.pivots].any()
-        for x in ones:
-            assert ops.forced_value(ae32, d, e, x) is ForcedValue.ONE
-            for m in res.members:
-                assert m.k_value(x) == 1
 
 
 class TestLemmaChecks:
@@ -369,38 +354,73 @@ class TestPresentationOracle:
                 ops.presentation_oracle(ae31, f, g, x, 10)
 
 
+def pair_matrix(h, f, g):
+    """Q_fg = (pi_f ⊗ pi_g) ∘ Delta, straight from the definition."""
+    return matmul(np.kron(f.point.resmap.mat, g.point.resmap.mat), h.delta, h.algebra.field.p)
+
+
 def whole_algebra_forced_ones(h, f, g, zero_ideal):
     """The forced-one elements of the whole algebra, by a scan of all p^n
     elements; the rank-0 locus it finds must be the forced-zero ideal."""
     p = h.algebra.field.p
     xs = enumerate_vectors(p, h.dim)
-    images = matmul(xs, ops._pair_quotient_matrix(h, f, g).T, p).reshape(-1, f.degree, g.degree)
+    images = matmul(xs, pair_matrix(h, f, g).T, p).reshape(-1, f.degree, g.degree)
     cls = batch_tensor_rank_class(images, p)
     assert int((cls == 0).sum()) == p**zero_ideal.dim
     assert not reduce_rows(xs[cls == 0], zero_ideal.basis, zero_ideal.pivots, p).any()
     return xs[cls == 1]
 
 
-class TestOneScanPaths:
-    def test_residue_scan_matches_exhaustive_scan(self, request):
+def forced_one_representatives(h, f, g, zero_ideal):
+    """The forced-one representatives modulo the forced-zero ideal: the
+    vectors with zero pivot coordinates whose image under Q_fg has rank one,
+    as rows in enumerate_vectors order of the remaining coordinates. The rank
+    of the image depends only on that residue."""
+    n = h.dim
+    free = [c for c in range(n) if c not in zero_ideal.pivots]
+    coeffs, cls = span_rank_classes(pair_matrix(h, f, g)[:, free].T, f.degree, g.degree, h.algebra.field.p)
+    ones = np.zeros((int((cls == 1).sum()), n), dtype=np.int64)
+    ones[:, free] = coeffs[cls == 1]
+    return ones
+
+
+# the default verify suite, F_3^{S_3}, and the hyperop algebras of the
+# benchmark's small-queries workload
+LEMMA_ALGEBRAS = ["mu:3:2", "mu:5:4", "addetale:3:1", "addetale:3:2", "fs3", "mu:7:6", "mu:3:8", "mu:5:8", "mu:3:10"]
+
+
+class TestForcedZeroLemma:
+    """f*g = V(Ker Q_fg): no point whose kernel contains the forced-zero
+    ideal has a forced-one element in its kernel, so hyperop needs no
+    rank scan. The scan lives here as the oracle."""
+
+    @pytest.mark.parametrize("name", LEMMA_ALGEBRAS)
+    def test_members_kill_no_forced_one(self, name, request):
+        h = request.getfixturevalue("fs3") if name == "fs3" else parse_builtin(name)
+        p = h.algebra.field.p
+        pts = ops.kpoints(h)
+        for f, g in product(pts, repeat=2):
+            res = ops.hyperop(h, f, g)
+            zero = res.forced_zero
+            assert zero == IdealSubspace(h.algebra, nullspace(pair_matrix(h, f, g), p))
+            killing = tuple(kp for kp in pts if not matmul(zero.basis, kp.point.resmap.mat.T, p).any())
+            assert res.members == killing, (name, f.label, g.label)
+            ones = forced_one_representatives(h, f, g, zero)
+            assert ones.shape[0] > 0  # the residue of the unit, 1⊗1, has rank one
+            for m in res.members:
+                assert matmul(ones, m.point.resmap.mat.T, p).any(axis=1).all(), (name, f.label, g.label, m.label)
+            assert res.to_json()["rejections"] == []
+
+    def test_representatives_match_whole_algebra_scan(self, request):
         # the representatives scan against a scan of every element of A
         for name in ("mu54", "ae32", "fs3"):
             h = request.getfixturevalue(name)
             p = h.algebra.field.p
-            pts = ops.kpoints(h)
-            for f, g in product(pts, repeat=2):
-                res = ops.hyperop(h, f, g)
-                zero = res.forced_zero
+            for f, g in product(ops.kpoints(h), repeat=2):
+                zero = ops.hyperop(h, f, g).forced_zero
                 full = whole_algebra_forced_ones(h, f, g, zero)
-                reps = ops._forced_one_matrix(h, f, g, zero)
+                reps = forced_one_representatives(h, f, g, zero)
                 assert full.shape[0] == reps.shape[0] * p**zero.dim
                 assert not reps[:, zero.pivots].any()
-                rep_rows = {tuple(r) for r in reps}
-                assert {tuple(r) for r in reduce_rows(full, zero.basis, zero.pivots, p)} == rep_rows
-                members = [
-                    kp
-                    for kp in pts
-                    if not matmul(zero.basis, kp.point.resmap.mat.T, p).any()
-                    and matmul(full, kp.point.resmap.mat.T, p).any(axis=1).all()
-                ]
-                assert res.members == tuple(members), (name, f.label, g.label)
+                assert {tuple(r) for r in reduce_rows(full, zero.basis, zero.pivots, p)} == {tuple(r) for r in reps}
+                assert ops.forced_value(h, f, g, reps[-1]) is ForcedValue.ONE
