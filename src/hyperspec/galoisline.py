@@ -284,24 +284,31 @@ def crosscheck(p: int, law: str, max_degree: int) -> CrosscheckReport:
         galois_hyperop(p, law, f, g) == galois_hyperop(p, law, g, f) for f, g in product(pts, repeat=2)
     )
 
+    # A triple needs s*k for s in f*g and f*s for s in g*k. Both unions depend
+    # on a member tuple and one point only, so they are formed once per
+    # (tuple, point); the triples then cost lookups. lcm is symmetric, so one
+    # table of the largest degree a tuple needs against a point serves both.
     bound = max_degree * max_degree
+    n = len(pts)
+    tuple_ids: dict[tuple[LinePoint, ...], int] = {}
+    pair_ids = [tuple_ids.setdefault(r.galois, len(tuple_ids)) for r in pairs]  # (f, g) at f * n + g
+    members = list(tuple_ids)
+    needed = [[max(lcm(s.degree, x.degree) for s in m) for x in pts] for m in members]
+    left: dict[tuple[int, int], frozenset[LinePoint]] = {}
+    right: dict[tuple[int, int], frozenset[LinePoint]] = {}
     checked = skipped = 0
     associativity_ok = True
-    for f, g, k in product(pts, repeat=3):
-        fg = galois_hyperop(p, law, f, g)
-        gk = galois_hyperop(p, law, g, k)
-        needed = [lcm(s.degree, k.degree) for s in fg] + [lcm(f.degree, s.degree) for s in gk]
-        if any(d > bound for d in needed):
+    for i, j, l in product(range(n), repeat=3):
+        fg, gk = pair_ids[i * n + j], pair_ids[j * n + l]
+        if needed[fg][l] > bound or needed[gk][i] > bound:
             skipped += 1
             continue
-        left = set()
-        for s in fg:
-            left.update(galois_hyperop(p, law, s, k))
-        right = set()
-        for s in gk:
-            right.update(galois_hyperop(p, law, f, s))
+        if (fg, l) not in left:
+            left[fg, l] = frozenset(x for s in members[fg] for x in galois_hyperop(p, law, s, pts[l]))
+        if (i, gk) not in right:
+            right[i, gk] = frozenset(x for s in members[gk] for x in galois_hyperop(p, law, pts[i], s))
         checked += 1
-        if left != right:
+        if left[fg, l] != right[i, gk]:
             associativity_ok = False
             break
 

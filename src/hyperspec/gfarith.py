@@ -300,11 +300,16 @@ def irreducibles_up_to(p: int, max_degree: int) -> tuple[FpPoly, ...]:
 
 @lru_cache(maxsize=None)
 def find_irreducible(p: int, degree: int) -> FpPoly:
-    """Deterministic modulus for F_{p^degree}: first monic irreducible in lex order."""
+    """Deterministic modulus for F_{p^degree}: first monic irreducible in lex
+    order. In degree >= 2 every candidate with constant term 0 is a multiple
+    of T, so the scan starts at constant term 1; the constant term is the
+    slowest coordinate of the order, so no earlier candidate is skipped."""
     field = PrimeField(p)
-    for q in monic_polys(field, degree):
-        if is_irreducible(q):
-            return q
+    for c0 in range(0 if degree == 1 else 1, p):
+        for rest in product(range(p), repeat=degree - 1):
+            q = FpPoly(field, (c0, *rest, 1))
+            if is_irreducible(q):
+                return q
     raise RuntimeError("unreachable: irreducibles exist in every degree")
 
 

@@ -19,6 +19,13 @@ Q_fg(Ker phi) is a proper ideal of Q_fg(A), which holds no unit. Hence
 f*g = V(Ker Q_fg), the points whose kernel contains the forced-zero ideal.
 presentation_oracle is the independent brute-force court of appeal for the
 rank rule; nothing downstream assumes the primality claim for the rank-0 ideal.
+
+The oracle is exact integer arithmetic. Its reachability DP convolves sets of
+tensor states over (F_p)^(n^2) through a transform over a prime field F_q
+with q > 2 * p^(n^2): a step counts at most 2 * p^(n^2) ways to reach a
+state, so count < q and a state is reached iff its count is nonzero mod q.
+The zero tensor is itself a term, so the reached sets only grow with the
+number of terms, and the DP stops at the first step that changes nothing.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from itertools import product
 import numpy as np
 
 from .algkernel import IdealSubspace, PrimePoint, SCAlgebra, ideal_is_prime, maximal_spectrum
-from .gfarith import FqElem, find_irreducible, minimal_polynomial, poly_roots_in_fq
+from .gfarith import FqElem, find_irreducible, is_prime, minimal_polynomial, poly_roots_in_fq
 from .hopfkernel import HopfData, hopf_quotient, is_hopf_ideal
 from .hyperkernel import LawReport
 from .linalg import (
@@ -580,31 +587,52 @@ def presentation_value_sets_naive(h: HopfData, f: KPoint, g: KPoint, x, r: int) 
     return found
 
 
-def _group_transform(vec: np.ndarray, w: np.ndarray, p: int, k: int) -> np.ndarray:
-    """Multidimensional p-point DFT over the group (F_p)^k."""
-    x = vec.reshape((p,) * k).astype(np.complex128)
-    for ax in range(k):
-        x = np.moveaxis(np.tensordot(w, x, axes=(1, ax)), 0, ax)
-    return x.reshape(-1)
+def _transform_field(p: int, nstates: int) -> tuple[int, int]:
+    """The field of the presentation DP's transform: the smallest prime
+    q ≡ 1 (mod p) above 2 * nstates, and an element omega of order p in F_q.
+
+    A transform pass sums p products of two residues mod q and a DP step
+    sums two, so it raises unless p * (q - 1)^2 < 2^63: no int64 product or
+    sum can then wrap."""
+    q = 2 * nstates + 1 + (-2 * nstates) % p
+    while not is_prime(q):
+        q += p
+    if p * (q - 1) ** 2 >= 2**63:
+        raise ValueError(f"transform field F_{q} for {nstates} states over F_{p} would overflow int64")
+    omega = next(w for w in (pow(g, (q - 1) // p, q) for g in range(2, q)) if w != 1)
+    return q, omega
 
 
-def _reach_convolve(r_hat: np.ndarray, t_hat: np.ndarray, w_inv: np.ndarray, p: int, k: int) -> np.ndarray:
-    """Boolean reachability R + T = {r + t} from transformed indicators.
-
-    Counts per convolution are bounded by the state count (both factors are
-    clamped booleans), so float64 round-off stays far below the 0.5 threshold
-    and the result is exact.
-    """
-    counts = _group_transform(r_hat * t_hat, w_inv, p, k).real / p**k
-    return counts > 0.5
+def _group_transform(rows: np.ndarray, w: np.ndarray, q: int, k: int) -> np.ndarray:
+    """The transform over the group (F_p)^k of each row, exactly in F_q: the
+    p-point transform w (entries in [0, q)) is applied along each of the k
+    axes of the state index in turn, one stacked product and one reduction
+    mod q per axis. The entries of rows must lie in [0, q)."""
+    batch, p = rows.shape[0], w.shape[0]
+    for axis in range(k):
+        rows = w @ rows.reshape(batch * p**axis, p, -1)
+        np.remainder(rows, q, out=rows)
+    return rows.reshape(batch, -1)
 
 
 def _pair_presentation_reach(h: HopfData, f: KPoint, g: KPoint, r_max: int) -> np.ndarray:
     """For every tensor state s and count class c in {0, 1, 2+}: is there a
     presentation with at most r_max terms summing to s whose number of terms
-    surviving (f, g) falls in class c? The DP over term count is advanced by
-    exact group convolutions; it does not depend on x, so one run answers all
-    oracle queries for the pair."""
+    surviving (f, g) falls in class c? The DP does not depend on x, so one run
+    answers all oracle queries for the pair.
+
+    Each step convolves the reached sets with the term sets T0 (u⊗v with
+    f(u) = 0 or g(v) = 0) and T1 (the surviving u⊗v) over (F_p)^(n^2),
+    through an exact transform over F_q with q > 2 * p^(n^2) (see
+    _transform_field). A clamped boolean convolution counts at most p^(n^2)
+    pairs per state, and class 1 and class 2 each sum two of them, so every
+    count is below q: a state is reached iff its count is nonzero mod q. The
+    inverse transform's factor p^-(n^2) is a unit and is left out.
+
+    The zero tensor is a T0 term (k_value(0) = 0), so every reached set
+    contains the one of the step before: the sets only grow, and once a step
+    changes nothing no later step does. The DP stops there, and the state it
+    holds is the union over all r_max steps."""
     key = (f.index, g.index, r_max)
     cache = h._cache.setdefault("presentation_reach", {})
     if key in cache:
@@ -614,44 +642,33 @@ def _pair_presentation_reach(h: HopfData, f: KPoint, g: KPoint, r_max: int) -> n
     n = alg.dim
     k = n * n
     nstates = p**k
-    weights = p ** np.arange(k, dtype=np.int64)
+    q, omega = _transform_field(p, nstates)
+    w_fwd = np.array([[pow(omega, i * j, q) for j in range(p)] for i in range(p)], dtype=np.int64)
+    w_inv = np.array([[pow(omega, -i * j, q) for j in range(p)] for i in range(p)], dtype=np.int64)
 
     elems = enumerate_vectors(p, n)
     fv = np.array([f.k_value(u) for u in elems], dtype=bool)
     gv = np.array([g.k_value(u) for u in elems], dtype=bool)
-    t0 = np.zeros(nstates, dtype=bool)
-    t1 = np.zeros(nstates, dtype=bool)
-    for i, u in enumerate(elems):
-        for j, v in enumerate(elems):
-            idx = int((np.kron(u, v) % p) @ weights)
-            if fv[i] and gv[j]:
-                t1[idx] = True
-            else:
-                t0[idx] = True
+    terms = np.einsum("ai,bj->abij", elems, elems).reshape(-1, k) % p @ (p ** np.arange(k, dtype=np.int64))
+    surviving = np.outer(fv, gv).reshape(-1)
+    t = np.zeros((3, nstates), dtype=np.int64)
+    t[0, terms[~surviving]] = 1
+    t[1, terms[surviving]] = 1
+    t[2] = t[0] | t[1]
+    t0_hat, t1_hat, t01_hat = _group_transform(t, w_fwd, q, k)
 
-    omega = np.exp(2j * np.pi / p)
-    w_fwd = omega ** (np.arange(p)[:, None] * np.arange(p)[None, :])
-    w_inv = np.conj(w_fwd)
-    t0_hat = _group_transform(t0, w_fwd, p, k)
-    t1_hat = _group_transform(t1, w_fwd, p, k)
-    t01_hat = _group_transform(t0 | t1, w_fwd, p, k)
-
-    r0 = np.zeros(nstates, dtype=bool)
-    r0[0] = True
-    r1 = np.zeros(nstates, dtype=bool)
-    r2 = np.zeros(nstates, dtype=bool)
-    ever = np.zeros((nstates, 3), dtype=bool)
+    reached = np.zeros((3, nstates), dtype=bool)
+    reached[0, 0] = True
     for _ in range(r_max):
-        r0_hat = _group_transform(r0, w_fwd, p, k)
-        r1_hat = _group_transform(r1, w_fwd, p, k)
-        r2_hat = _group_transform(r2, w_fwd, p, k)
-        new0 = _reach_convolve(r0_hat, t0_hat, w_inv, p, k)
-        new1 = _reach_convolve(r1_hat, t0_hat, w_inv, p, k) | _reach_convolve(r0_hat, t1_hat, w_inv, p, k)
-        new2 = _reach_convolve(r2_hat, t01_hat, w_inv, p, k) | _reach_convolve(r1_hat, t1_hat, w_inv, p, k)
-        r0, r1, r2 = new0, new1, new2
-        ever[:, 0] |= r0
-        ever[:, 1] |= r1
-        ever[:, 2] |= r2
+        r0_hat, r1_hat, r2_hat = _group_transform(reached.astype(np.int64), w_fwd, q, k)
+        counts_hat = np.stack(
+            [r0_hat * t0_hat, r1_hat * t0_hat + r0_hat * t1_hat, r2_hat * t01_hat + r1_hat * t1_hat]
+        )
+        step = _group_transform(counts_hat % q, w_inv, q, k) != 0
+        if np.array_equal(step, reached):
+            break
+        reached = step
+    ever = reached.T
     cache[key] = ever
     return ever
 

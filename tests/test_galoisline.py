@@ -212,6 +212,32 @@ class TestAntipode:
                 assert line_antipode(line_antipode(f)) == f
 
 
+def associativity_by_triple(p, law, max_degree):
+    """crosscheck's associativity loop before its unions were memoized:
+    both member sets of every triple are rebuilt from the cached products.
+    Returns (checked, skipped, ok)."""
+    pts = line_points(p, law, max_degree)
+    bound = max_degree * max_degree
+    checked = skipped = 0
+    for f, g, k in product(pts, repeat=3):
+        fg = galois_hyperop(p, law, f, g)
+        gk = galois_hyperop(p, law, g, k)
+        needed = [lcm(s.degree, k.degree) for s in fg] + [lcm(f.degree, s.degree) for s in gk]
+        if any(d > bound for d in needed):
+            skipped += 1
+            continue
+        left = set()
+        for s in fg:
+            left.update(galois_hyperop(p, law, s, k))
+        right = set()
+        for s in gk:
+            right.update(galois_hyperop(p, law, f, s))
+        checked += 1
+        if left != right:
+            return checked, skipped, False
+    return checked, skipped, True
+
+
 class TestCrosscheck:
     def test_p3_additive_d2(self):
         rep = crosscheck(3, ADDITIVE, 2)
@@ -240,6 +266,14 @@ class TestCrosscheck:
         assert entry and entry[0]["galois"] == [[0, 1], [1, 0, 1]]
         assert entry[0]["definitional"] == [[0, 1], [1, 0, 1]]
         assert entry[0]["agree"] is True
+
+    @pytest.mark.parametrize(
+        "p, law, max_degree", [(3, ADDITIVE, 3), (3, MULTIPLICATIVE, 3), (7, ADDITIVE, 2), (7, MULTIPLICATIVE, 2)]
+    )
+    def test_associativity_matches_per_triple_loop(self, p, law, max_degree):
+        rep = crosscheck(p, law, max_degree)
+        got = (rep.associativity_checked, rep.associativity_skipped, rep.associativity_ok)
+        assert got == associativity_by_triple(p, law, max_degree)
 
     def test_bad_args(self):
         with pytest.raises(ValueError):

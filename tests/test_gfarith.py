@@ -370,6 +370,14 @@ class TestFq:
         assert minpoly_over_fp(i) == P("T^2+1")
         assert minpoly_over_fp(i + FqElem.from_coeffs(mod, (1,))) == P("T^2+T+2")
 
+    def test_find_irreducible_is_the_lex_first_irreducible(self):
+        # find_irreducible skips the constant-term-0 candidates of degree >= 2;
+        # the lex-first search over every monic polynomial is the reference
+        for p, max_e in [(3, 7), (5, 4), (7, 3)]:
+            for e in range(1, max_e + 1):
+                lex_first = next(q for q in monic_polys(PrimeField(p), e) if is_irreducible(q))
+                assert find_irreducible(p, e) == lex_first, (p, e)
+
     def test_find_irreducible_over_f2(self):
         expected = {2: (1, 1, 1), 3: (1, 0, 1, 1), 4: (1, 0, 0, 1, 1), 5: (1, 0, 0, 1, 0, 1)}
         for e, coeffs in expected.items():

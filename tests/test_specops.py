@@ -1,4 +1,7 @@
+import hashlib
+import json
 from itertools import product
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -352,6 +355,129 @@ class TestPresentationOracle:
         for x in enumerate_vectors(3, 3):
             for f, g in product(pts, repeat=2):
                 ops.presentation_oracle(ae31, f, g, x, 10)
+
+
+def term_sets(h, f, g):
+    """T0, T1 and T0 ∪ T1 as rows of tensor coordinates: u⊗v for every u, v
+    in A, in T1 iff both factors survive (k_value 1) and in T0 otherwise."""
+    p = h.algebra.field.p
+    elems = enumerate_vectors(p, h.dim)
+    gv = [g.k_value(v) for v in elems]
+    sets = (set(), set())
+    for u in elems:
+        fu = f.k_value(u)
+        for v, gu in zip(elems, gv):
+            sets[fu and gu].add(tuple(np.outer(u, v).reshape(-1) % p))
+    return [np.array(sorted(s), dtype=np.int64) for s in (sets[0], sets[1], sets[0] | sets[1])]
+
+
+def sumset_reach_by_step(h, f, g, steps):
+    """The presentation DP with exact boolean sumsets and no transform: a
+    step shifts the reached states by every term, digit by digit mod p, and
+    every step runs. Returns the ever table after each step."""
+    p, k = h.algebra.field.p, h.dim**2
+    states = enumerate_vectors(p, k)  # row s holds the digits of state s
+    weights = p ** np.arange(k, dtype=np.int64)
+    t0, t1, t01 = term_sets(h, f, g)
+
+    def plus(reached, terms):
+        out = np.zeros(len(states), dtype=bool)
+        fewer, more = sorted((states[reached], terms), key=len)
+        for t in fewer:
+            out[(more + t) % p @ weights] = True
+        return out
+
+    r0, r1, r2 = np.arange(len(states)) == 0, np.zeros(len(states), dtype=bool), np.zeros(len(states), dtype=bool)
+    ever = np.zeros((len(states), 3), dtype=bool)
+    tables = []
+    for _ in range(steps):
+        r0, r1, r2 = plus(r0, t0), plus(r1, t0) | plus(r0, t1), plus(r2, t01) | plus(r1, t1)
+        ever = ever | np.stack([r0, r1, r2], axis=1)
+        tables.append(ever)
+    return tables
+
+
+def transform_reach_every_step(h, f, g, r_max):
+    """The presentation DP through specops' exact transform with all r_max
+    steps run, no fixed-point stop, and the ever table accumulated."""
+    p, k = h.algebra.field.p, h.dim**2
+    q, omega = ops._transform_field(p, p**k)
+    w_fwd = np.array([[pow(omega, i * j, q) for j in range(p)] for i in range(p)], dtype=np.int64)
+    w_inv = np.array([[pow(omega, -i * j, q) for j in range(p)] for i in range(p)], dtype=np.int64)
+    weights = p ** np.arange(k, dtype=np.int64)
+    indicators = np.zeros((3, p**k), dtype=np.int64)
+    for row, terms in zip(indicators, term_sets(h, f, g)):
+        row[terms @ weights] = 1
+    t0, t1, t01 = ops._group_transform(indicators, w_fwd, q, k)
+    reached = np.zeros((3, p**k), dtype=np.int64)
+    reached[0, 0] = 1
+    ever = np.zeros((p**k, 3), dtype=bool)
+    for _ in range(r_max):
+        r0, r1, r2 = ops._group_transform(reached, w_fwd, q, k)
+        counts = np.stack([r0 * t0 % q, (r1 * t0 + r0 * t1) % q, (r2 * t01 + r1 * t1) % q])
+        reached = (ops._group_transform(counts, w_inv, q, k) != 0).astype(np.int64)
+        ever |= reached.T.astype(bool)
+    return ever
+
+
+def is_prime_by_trial(n):
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+class TestExactOracle:
+    # mu:3:1 is F_3 itself, where the zero tensor is the only T0 term
+    @pytest.mark.parametrize("name", ["mu:3:1", "mu:3:2", "mu:5:2", "mu:7:2"])
+    def test_transform_matches_boolean_sumsets(self, name):
+        h = parse_builtin(name)
+        for f, g in product(ops.kpoints(h), repeat=2):
+            tables = sumset_reach_by_step(h, f, g, 5)
+            for r_max in range(1, 6):
+                got = ops._pair_presentation_reach(h, f, g, r_max)
+                want = tables[r_max - 1]
+                assert got.shape == want.shape and (got == want).all(), (name, f.label, g.label, r_max)
+
+    def test_fixed_point_stop_equals_every_step(self, ae31):
+        for f, g in product(ops.kpoints(ae31), repeat=2):
+            got = ops._pair_presentation_reach(ae31, f, g, 10)
+            assert (got == transform_reach_every_step(ae31, f, g, 10)).all(), (f.label, g.label)
+
+    @pytest.mark.parametrize("p, n", [(3, 2), (3, 3), (5, 2), (7, 2), (11, 2)])
+    def test_transform_field(self, p, n):
+        nstates = p ** (n * n)
+        q, omega = ops._transform_field(p, nstates)
+        assert is_prime_by_trial(q) and q % p == 1 and q > 2 * nstates
+        assert not any(is_prime_by_trial(c) for c in range(2 * nstates + 1, q) if c % p == 1)
+        assert omega != 1 and pow(omega, p, q) == 1  # order p, as p is prime
+
+    def test_overflow_guard_one_step_past_its_bound(self):
+        # q_max is the largest prime q ≡ 1 (mod p) with p (q - 1)^2 < 2^63.
+        # With 2N = q_max - 1 states doubled the field is F_q_max; one state
+        # more and the next admissible prime is past the bound.
+        p = 3
+        q_max = isqrt((2**63 - 1) // p) + 1
+        q_max -= (q_max - 1) % p
+        while not is_prime_by_trial(q_max):
+            q_max -= p
+        assert ops._transform_field(p, (q_max - 1) // 2)[0] == q_max
+        with pytest.raises(ValueError, match="overflow"):
+            ops._transform_field(p, (q_max + 1) // 2)
+
+
+class TestOracleGolden:
+    # The benchmark's `oracle` invocation, presentation_oracle over every
+    # (x, f, g) of addetale:3:1 at r_max 10, rebuilt in-process, with the
+    # SHA-256 of its stdout, so any change to an oracle verdict fails here.
+    DIGEST = "6afff63ebe8c0ebdb38619054700de7a5f5ce32fe62e297d550f19ea4a540225"
+
+    def test_stdout_digest(self, ae31):
+        pts = ops.kpoints(ae31)
+        values = [
+            sorted(ops.presentation_oracle(ae31, f, g, list(x), 10))
+            for x in product(range(3), repeat=3)
+            for f, g in product(pts, repeat=2)
+        ]
+        out = json.dumps({"algebra": "addetale:3:1", "r_max": 10, "cases": len(values), "values": values}) + "\n"
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGEST
 
 
 def pair_matrix(h, f, g):
