@@ -12,7 +12,7 @@ from .algkernel import (
     quotient_algebra,
     tensor_algebra,
 )
-from .gfarith import FpPoly, FqElem, PrimeField, factor, is_irreducible, minimal_polynomial, parse_poly
+from .gfarith import FpPoly, PrimeField, factor, is_irreducible, minimal_polynomial, parse_poly
 from .galoisline import LinePoint, crosscheck, definitional_hyperop, galois_hyperop
 from .hopfkernel import (
     HopfData,

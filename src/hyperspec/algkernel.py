@@ -9,12 +9,14 @@ Frobenius fixed space, which is exact in characteristic p.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 import numpy as np
 
-from .gfarith import FpPoly, PrimeField, minimal_polynomial, power_basis_tensor
+from .gfarith import FpPoly, PrimeField, find_irreducible, minimal_polynomial, power_basis_tensor
 from .linalg import (
     einsum_mod,
+    enumerate_vectors,
     in_span,
     matmul,
     modinv,
@@ -303,6 +305,60 @@ def _frobenius_matrix(alg: SCAlgebra) -> np.ndarray:
     for i, e in enumerate(np.eye(alg.dim, dtype=np.int64)):
         frob[:, i] = alg.power(e, alg.field.p)
     return frob
+
+
+@lru_cache(maxsize=None)
+def field_algebra(p: int, m: int) -> tuple[SCAlgebra, np.ndarray]:
+    """F_{p^m} = F_p[T]/(find_irreducible(p, m)) on its power basis, with the
+    matrix of its Frobenius x -> x^p. Elements of F_{p^m} are coordinate
+    vectors in this algebra."""
+    fq = monogenic_algebra(PrimeField(p), find_irreducible(p, m))
+    return fq, _frobenius_matrix(fq)
+
+
+@lru_cache(maxsize=None)
+def _subfield(p: int, m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The elements of Ker(Frob^d - 1) in field_algebra(p, m), F_{p^d} when d
+    divides m, one per row in lexicographic order of their coordinates, with
+    their multiplication matrices: row j of mats[b] is elems[b] * e_j."""
+    fq, frob = field_algebra(p, m)
+    frob_d = np.eye(m, dtype=np.int64)
+    for _ in range(d):
+        frob_d = matmul(frob, frob_d, p)
+    basis = nullspace(npmod(frob_d - np.eye(m, dtype=np.int64), p), p)
+    elems = matmul(enumerate_vectors(p, basis.shape[0]), basis, p)
+    elems = elems[np.lexsort(elems.T[::-1])]
+    mats = einsum_mod("bi,ijk->bjk", elems, fq.mul, p=p)
+    elems.setflags(write=False)
+    mats.setflags(write=False)
+    return elems, mats
+
+
+@lru_cache(maxsize=None)
+def field_roots(poly: FpPoly, m: int) -> np.ndarray:
+    """The d = deg(poly) roots of an irreducible poly in field_algebra(p, m),
+    one per row in lexicographic order of their coordinates. They lie in the
+    subfield F_{p^d}, so poly is evaluated by batched Horner on its p^d
+    elements only. ValueError unless d divides m and the roots are the d
+    Frobenius conjugates of one element, as they are for an irreducible poly."""
+    p, d = poly.field.p, poly.degree
+    if d < 1 or m % d:
+        raise ValueError(f"{poly} has no roots in F_{p ** m}: its degree must divide {m}")
+    fq, frob = field_algebra(p, m)
+    elems, mats = _subfield(p, m, d)
+    acc = np.zeros_like(elems)
+    for c in reversed(poly.coeffs):
+        acc = npmod(np.einsum("bj,bjk->bk", acc, mats) + c * fq.unit, p)
+    roots = elems[~acc.any(axis=1)]
+    if len(roots) != d:
+        raise ValueError(f"{poly} has {len(roots)} roots in F_{p ** d}, not {d}: it is not irreducible")
+    conj = roots[0]
+    for _ in range(d - 1):
+        conj = matmul(frob, conj, p)
+        if (conj == roots[0]).all():
+            raise ValueError(f"{poly} is not irreducible: its roots lie in a proper subfield of F_{p ** d}")
+    roots.setflags(write=False)
+    return roots
 
 
 def nilradical(alg: SCAlgebra) -> IdealSubspace:

@@ -102,6 +102,14 @@ def cmd_hyperop(args) -> int:
     return EXIT_OK
 
 
+def _config_list(cfg: dict, key: str, default):
+    """cfg[key], which must be a list of strings when present."""
+    value = cfg.get(key, default)
+    if value is not None and not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise ValueError(f"suite config {key!r} must be a list of strings, got {value!r}")
+    return value
+
+
 def cmd_verify(args) -> int:
     specs = list(DEFAULT_SUITE)
     checks = None
@@ -110,9 +118,11 @@ def cmd_verify(args) -> int:
     try:
         if args.suite:
             cfg = json.loads(Path(args.suite).read_text())
-            specs = cfg.get("algebras", specs)
-            checks = cfg.get("checks")
+            specs = _config_list(cfg, "algebras", specs)
+            checks = _config_list(cfg, "checks", None)
             out_path = cfg.get("output")
+            if out_path is not None and not isinstance(out_path, str):
+                raise ValueError(f"suite config 'output' must be a path string, got {out_path!r}")
             verbosity = int(cfg.get("verbosity", 0))
         result = run_suite(specs, checks, timings=args.timings)
     except Exception as exc:
@@ -120,7 +130,11 @@ def cmd_verify(args) -> int:
         return EXIT_INPUT
     text = json.dumps(result, indent=2)
     if out_path:
-        Path(out_path).write_text(text + "\n")
+        try:
+            Path(out_path).write_text(text + "\n")
+        except OSError as exc:
+            print(f"input error: cannot write output: {exc}", file=sys.stderr)
+            return EXIT_INPUT
     if verbosity >= 1:
         for rep in result["suite"]:
             print(f"{rep['algebra']}: {'PASS' if rep['ok'] else 'FAIL'}", file=sys.stderr)

@@ -22,16 +22,8 @@ from math import lcm
 
 import numpy as np
 
-from .algkernel import SCAlgebra, _frobenius_matrix, monogenic_algebra, tensor_algebra
-from .gfarith import (
-    FpPoly,
-    PrimeField,
-    factor,
-    find_irreducible,
-    irreducibles_up_to,
-    minimal_polynomial,
-    poly_roots_in_fq,
-)
+from .algkernel import SCAlgebra, field_algebra, field_roots, monogenic_algebra, tensor_algebra
+from .gfarith import FpPoly, PrimeField, factor, irreducibles_up_to, minimal_polynomial
 from .linalg import matmul, npmod
 
 ADDITIVE = "additive"
@@ -115,34 +107,14 @@ def _residue_algebra(poly: FpPoly) -> SCAlgebra:
 
 
 @lru_cache(maxsize=None)
-def _field_algebra(p: int, m: int) -> tuple[SCAlgebra, np.ndarray]:
-    """F_{p^m} = F_p[T]/(find_irreducible(p, m)), with the matrix of its
-    Frobenius x -> x^p."""
-    fq = _residue_algebra(find_irreducible(p, m))
-    return fq, _frobenius_matrix(fq)
-
-
-@lru_cache(maxsize=None)
-def _root_of(poly: FpPoly, ext_degree: int) -> np.ndarray:
-    """Coordinates in _field_algebra(p, ext_degree) of the first root of an
-    irreducible poly (its degree must divide ext_degree), by deterministic scan."""
-    root = next(poly_roots_in_fq(poly, find_irreducible(poly.field.p, ext_degree)), None)
-    if root is None:
-        raise ValueError(f"{poly} has no root in degree-{ext_degree} extension")
-    vec = np.array(root.coeff_vector(), dtype=np.int64)
-    vec.setflags(write=False)
-    return vec
-
-
-@lru_cache(maxsize=None)
 def galois_hyperop(p: int, law: str, f: LinePoint, g: LinePoint) -> tuple[LinePoint, ...]:
     """Orbit-model hyperoperation: fix a root of f, run over the Frobenius
     conjugates of a root of g, and collect minimal polynomials of the sums
     (additive) or products (multiplicative)."""
     m = lcm(f.degree, g.degree)
-    fq, frob = _field_algebra(p, m)
-    alpha = _root_of(f.poly, m)
-    conj = _root_of(g.poly, m)
+    fq, frob = field_algebra(p, m)
+    alpha = field_roots(f.poly, m)[0]
+    conj = field_roots(g.poly, m)[0]
     out = set()
     for _ in range(g.degree):
         val = npmod(alpha + conj, p) if law == ADDITIVE else fq.mul_vec(alpha, conj)

@@ -1,4 +1,5 @@
-"""Exact arithmetic over F_p (p any prime) and F_{p^k}.
+"""Exact arithmetic over F_p (p any prime) and polynomials over it; F_{p^k}
+enters as the modulus find_irreducible(p, k) and its power-basis tensor.
 
 Univariate polynomials are coefficient tuples, lowest degree first, always
 normalized (no trailing zeros); the zero polynomial is the empty tuple.
@@ -9,14 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from math import isqrt
 from typing import Iterator
 
 import numpy as np
 
-from .linalg import enumerate_vectors, npmod, rref
-
-# Upper bound on the field elements evaluated per numpy batch in poly_roots_in_fq.
-ROOT_SCAN_BLOCK = 1024
+from .linalg import rref
 
 
 def is_prime(n: int) -> bool:
@@ -28,6 +27,19 @@ def is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def prime_power(q: int) -> tuple[int, int] | None:
+    """(p, e) with q = p^e, p prime and e >= 1, or None when q is no prime
+    power. The least divisor d > 1 of q is prime, and the only candidate."""
+    if q < 2:
+        return None
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+    e = 0
+    while q % p == 0:
+        q //= p
+        e += 1
+    return (p, e) if q == 1 else None
 
 
 @dataclass(frozen=True)
@@ -313,65 +325,6 @@ def find_irreducible(p: int, degree: int) -> FpPoly:
     raise RuntimeError("unreachable: irreducibles exist in every degree")
 
 
-@dataclass(frozen=True)
-class FqElem:
-    """Element of F_{p^k} = F_p[T]/(modulus), modulus monic irreducible."""
-
-    modulus: FpPoly
-    residue: FpPoly
-
-    @staticmethod
-    def make(modulus: FpPoly, residue: FpPoly) -> "FqElem":
-        return FqElem(modulus, residue % modulus)
-
-    @staticmethod
-    def from_coeffs(modulus: FpPoly, coeffs) -> "FqElem":
-        return FqElem.make(modulus, FpPoly.make(modulus.field, coeffs))
-
-    @property
-    def field(self) -> PrimeField:
-        return self.modulus.field
-
-    def __add__(self, other: "FqElem") -> "FqElem":
-        return FqElem(self.modulus, self.residue + other.residue)
-
-    def __sub__(self, other: "FqElem") -> "FqElem":
-        return FqElem(self.modulus, self.residue - other.residue)
-
-    def __neg__(self) -> "FqElem":
-        return FqElem(self.modulus, -self.residue)
-
-    def __mul__(self, other: "FqElem") -> "FqElem":
-        return FqElem(self.modulus, (self.residue * other.residue) % self.modulus)
-
-    def __pow__(self, e: int) -> "FqElem":
-        if e < 0:
-            return self.inv() ** (-e)
-        return FqElem(self.modulus, self.residue.pow_mod(e, self.modulus))
-
-    def inv(self) -> "FqElem":
-        if self.residue.is_zero():
-            raise ZeroDivisionError("division by zero in F_q")
-        q = self.field.p ** self.modulus.degree
-        return self ** (q - 2)
-
-    def frobenius(self) -> "FqElem":
-        return self ** self.field.p
-
-    def is_zero(self) -> bool:
-        return self.residue.is_zero()
-
-    def coeff_vector(self) -> list[int]:
-        k = self.modulus.degree
-        return list(self.residue.coeffs) + [0] * (k - len(self.residue.coeffs))
-
-
-def fq_elements(modulus: FpPoly) -> Iterator[FqElem]:
-    p = modulus.field.p
-    for coeffs in product(range(p), repeat=modulus.degree):
-        yield FqElem(modulus, FpPoly.make(modulus.field, coeffs))
-
-
 def power_basis_tensor(modulus: FpPoly) -> np.ndarray:
     """Structure tensor of F_p[T]/(modulus) on the power basis 1, t, ...,
     t^(d-1): mul[i, j] holds the coordinates of t^(i+j) mod modulus."""
@@ -388,32 +341,6 @@ def power_basis_tensor(modulus: FpPoly) -> np.ndarray:
     return coords[np.add.outer(np.arange(d), np.arange(d))]
 
 
-def poly_roots_in_fq(poly: FpPoly, modulus: FpPoly) -> Iterator[FqElem]:
-    """The roots of poly in F_{p^k} = F_p[T]/(modulus), in fq_elements order,
-    by exhaustive scan (desk scale). The scan evaluates poly by Horner's rule
-    on a block of p^j elements at once, the largest power of p up to
-    ROOT_SCAN_BLOCK (at least p), so it stops after the block holding the
-    first root when only that one is taken, and holds one block of k x k
-    multiplication matrices whatever the field size."""
-    field = modulus.field
-    p, k = field.p, modulus.degree
-    mul = power_basis_tensor(modulus).reshape(k, k * k)
-    fast = 1
-    while fast < k and p ** (fast + 1) <= ROOT_SCAN_BLOCK:
-        fast += 1
-    # fq_elements varies the last coordinate fastest: reversed enumerate_vectors
-    tail = enumerate_vectors(p, fast)[:, ::-1]
-    for head in product(range(p), repeat=k - fast):
-        xs = np.hstack([np.tile(np.array(head, dtype=np.int64), (tail.shape[0], 1)), tail])
-        by_x = npmod(xs @ mul, p).reshape(-1, k, k)  # row j of by_x[b]: x_b * t^j
-        acc = np.zeros_like(xs)
-        for c in reversed(poly.coeffs):
-            acc = npmod((acc[:, None, :] @ by_x)[:, 0], p)
-            acc[:, 0] = (acc[:, 0] + c) % p
-        for row in xs[~acc.any(axis=1)]:
-            yield FqElem(modulus, FpPoly.make(field, row.tolist()))
-
-
 def _first_monic_relation(powers: np.ndarray, field: PrimeField) -> FpPoly:
     """The monic polynomial of least degree d with
     powers[d] = -(c_0 powers[0] + ... + c_{d-1} powers[d-1]), from one echelon
@@ -427,14 +354,6 @@ def _first_monic_relation(powers: np.ndarray, field: PrimeField) -> FpPoly:
     if d == 0 or d == len(powers):
         raise RuntimeError("powers[0] must be nonzero and the powers linearly dependent")
     return FpPoly.make(field, [(-int(c)) % p for c in red[:d, d]] + [1])
-
-
-def minpoly_over_fp(elem: FqElem) -> FpPoly:
-    """Minimal polynomial of an F_{p^k} element over F_p."""
-    powers = [FqElem.from_coeffs(elem.modulus, (1,))]
-    for _ in range(elem.modulus.degree):
-        powers.append(powers[-1] * elem)
-    return _first_monic_relation(np.array([e.coeff_vector() for e in powers], dtype=np.int64), elem.field)
 
 
 def minimal_polynomial(elem, algebra, unit=None) -> FpPoly:

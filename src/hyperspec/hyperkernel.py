@@ -14,7 +14,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .gfarith import find_irreducible, is_prime, power_basis_tensor
+from .gfarith import find_irreducible, power_basis_tensor, prime_power
 from .linalg import einsum_mod, enumerate_vectors, npmod
 
 
@@ -428,20 +428,10 @@ def zmod_ring(n: int) -> FiniteRing:
 
 def field_ring(q: int) -> FiniteRing:
     """The finite field F_q as explicit tables, q = p^e any prime power >= 2."""
-    p = None
-    for cand in range(2, q + 1):
-        if q % cand == 0:
-            p = cand
-            break
-    if p is None or not is_prime(p):
+    power = prime_power(q)
+    if power is None:
         raise ValueError(f"{q} is not a prime power")
-    e = 0
-    qq = q
-    while qq % p == 0:
-        qq //= p
-        e += 1
-    if qq != 1:
-        raise ValueError(f"{q} is not a prime power")
+    p, e = power
 
     if e == 1:
         r = zmod_ring(p)

@@ -37,12 +37,21 @@ from itertools import product
 
 import numpy as np
 
-from .algkernel import IdealSubspace, PrimePoint, SCAlgebra, ideal_is_prime, maximal_spectrum
-from .gfarith import FqElem, find_irreducible, is_prime, minimal_polynomial, poly_roots_in_fq
+from .algkernel import (
+    IdealSubspace,
+    PrimePoint,
+    SCAlgebra,
+    field_algebra,
+    field_roots,
+    ideal_is_prime,
+    maximal_spectrum,
+)
+from .gfarith import is_prime, minimal_polynomial, prime_power
 from .hopfkernel import HopfData, hopf_quotient, is_hopf_ideal
 from .hyperkernel import LawReport
 from .linalg import (
     batch_tensor_rank_class,
+    einsum_mod,
     enumerate_vectors,
     matmul,
     npmod,
@@ -429,30 +438,20 @@ def descend_and_compare(h: HopfData, ideal: IdealSubspace) -> LawReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassicalPoint:
-    values: tuple[FqElem, ...]  # images of the algebra basis vectors
-
-    def kernel_matrix(self, p: int) -> np.ndarray:
-        rows = [v.coeff_vector() for v in self.values]
-        return np.asarray(rows, dtype=np.int64).T % p
-
-
-def classical_points(h: HopfData, q: int) -> list[ClassicalPoint]:
+def classical_points(h: HopfData, q: int) -> np.ndarray:
     """All algebra homomorphisms A -> F_q, enumerated via the spectrum:
     a point of residue degree d contributes one hom per embedding of its
-    residue field, i.e. per root of the residue generator's minimal polynomial."""
+    residue field, i.e. per root of the residue generator's minimal polynomial.
+    For q = p^e they form one (N, dim, e) array: homs[k, i] holds the
+    coordinates in field_algebra(p, e) of the image of basis vector i."""
     alg = h.algebra
     p = alg.field.p
-    e = 0
-    qq = q
-    while qq % p == 0:
-        qq //= p
-        e += 1
-    if qq != 1 or e < 1:
+    power = prime_power(q)
+    if power is None or power[0] != p:
         raise ValueError(f"{q} is not a power of the base characteristic {p}")
-    modulus = find_irreducible(p, e)
-    homs: list[ClassicalPoint] = []
+    e = power[1]
+    fq, _ = field_algebra(p, e)
+    homs = []
     for pt in maximal_spectrum(alg):
         d = pt.degree
         if e % d != 0:
@@ -464,22 +463,11 @@ def classical_points(h: HopfData, q: int) -> list[ClassicalPoint]:
         for j in range(d):
             gen_pows[:, j] = acc
             acc = res.mul_vec(acc, gen)
-        inv = _matrix_inverse(gen_pows, p)
-        coords = matmul(inv, pt.resmap.mat, p)  # x -> polynomial in gen
-        mp = minimal_polynomial(gen, res)
-        for rho in poly_roots_in_fq(mp, modulus):
-            vals = []
-            for i in range(alg.dim):
-                acc_val = FqElem.from_coeffs(modulus, ())
-                powr = FqElem.from_coeffs(modulus, (1,))
-                for j in range(d):
-                    c = int(coords[j, i])
-                    if c:
-                        acc_val = acc_val + FqElem.from_coeffs(modulus, (c,)) * powr
-                    powr = powr * rho
-                vals.append(acc_val)
-            homs.append(ClassicalPoint(tuple(vals)))
-    return homs
+        coords = matmul(_matrix_inverse(gen_pows, p), pt.resmap.mat, p)  # x -> polynomial in gen
+        for rho in field_roots(minimal_polynomial(gen, res), e):
+            rho_pows = np.array([fq.power(rho, j) for j in range(d)])
+            homs.append(matmul(coords.T, rho_pows, p))
+    return np.array(homs, dtype=np.int64).reshape(-1, alg.dim, e)
 
 
 def _field_generator(res) -> np.ndarray:
@@ -499,24 +487,14 @@ def _matrix_inverse(m: np.ndarray, p: int) -> np.ndarray:
     return aug[:, n:]
 
 
-def classical_convolution(h: HopfData, a: ClassicalPoint, b: ClassicalPoint) -> ClassicalPoint:
-    """The group law on F_q-points: (f*g)(x) = sum f(x_(1)) g(x_(2))."""
-    alg = h.algebra
-    n = alg.dim
-    modulus = a.values[0].modulus
-    zero = FqElem.from_coeffs(modulus, ())
-    vals = []
-    d3 = h.delta.reshape(n, n, n)
-    for i in range(n):
-        acc = zero
-        for r, s in zip(*np.nonzero(d3[:, :, i])):
-            c = int(d3[r, s, i])
-            term = a.values[int(r)] * b.values[int(s)]
-            if c != 1:
-                term = term * FqElem.from_coeffs(modulus, (c,))
-            acc = acc + term
-        vals.append(acc)
-    return ClassicalPoint(tuple(vals))
+def classical_convolution(h: HopfData, homs: np.ndarray) -> np.ndarray:
+    """The group law on F_q-points, (a*b)(x) = sum a(x_(1)) b(x_(2)), over
+    every ordered pair of the (N, dim, e) array homs at once: entry [a, b] of
+    the result is the convolution of homs[a] and homs[b]."""
+    p = h.algebra.field.p
+    _, n, e = homs.shape
+    fq, _ = field_algebra(p, e)
+    return einsum_mod("rsi,arj,bsk,jkl->abil", h.delta.reshape(n, n, n), homs, homs, fq.mul, p=p)
 
 
 def classical_comparison(h: HopfData, q: int) -> LawReport:
@@ -531,24 +509,23 @@ def classical_comparison(h: HopfData, q: int) -> LawReport:
     homs = classical_points(h, q)
     rep.add("classical_point_count", True, (len(homs),), report_only=True)
 
-    kernels = []
-    for hom in homs:
-        kernels.append(point_by_ideal(h, nullspace(hom.kernel_matrix(p), p)))
-    distinct = len({kp.index for kp in kernels}) == len(kernels)
-    rep.add("injective", distinct, (len(set(k.index for k in kernels)), len(kernels)), report_only=(q != p))
+    kernels = [point_by_ideal(h, nullspace(hom.T, p)) for hom in homs]
+    images = len({kp.index for kp in kernels})
+    rep.add("injective", images == len(kernels), (images, len(kernels)), report_only=(q != p))
 
+    index = {hom.tobytes(): k for k, hom in enumerate(homs)}
+    conv = classical_convolution(h, homs)
     bad = None
     closed = True
-    for (ia, a), (ib, b) in product(enumerate(homs), repeat=2):
-        conv = classical_convolution(h, a, b)
-        if conv not in homs:
+    for ia, ib in product(range(len(homs)), repeat=2):
+        ic = index.get(conv[ia, ib].tobytes())
+        if ic is None:
             closed = False
             bad = ("convolution escaped the point set", ia, ib)
             break
-        target = point_by_ideal(h, nullspace(conv.kernel_matrix(p), p))
         allowed = _member_indices(hyperop(h, kernels[ia], kernels[ib]))
-        if target.index not in allowed:
-            bad = (kernels[ia].label, kernels[ib].label, target.label)
+        if kernels[ic].index not in allowed:
+            bad = (kernels[ia].label, kernels[ib].label, kernels[ic].label)
             break
     rep.add("convolution_closed", closed, () if closed else (bad,))
     rep.add("containment", bad is None, bad or (f"{len(homs) ** 2} pairs",))

@@ -232,6 +232,33 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--suite", "/nonexistent/suite.json")
         assert code == 2
 
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(json.dumps({"algebras": ["mu:3:2"], "output": str(tmp_path / "missing" / "x.json")}))
+        code, out, err = run_cli(capsys, "verify", "--suite", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("input error: cannot write output:") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("algebras", "mu:3:2"), ("checks", "nonempty"), ("algebras", ["mu:3:2", 5]), ("checks", [["nonempty"]])],
+    )
+    def test_config_lists_must_hold_strings(self, tmp_path, capsys, field, value):
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(json.dumps({"algebras": ["mu:3:2"], field: value}))
+        code, out, err = run_cli(capsys, "verify", "--suite", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err == f"input error: suite config {field!r} must be a list of strings, got {value!r}\n"
+
+    def test_config_output_must_be_a_path(self, tmp_path, capsys):
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(json.dumps({"algebras": ["mu:3:2"], "output": 5}))
+        code, out, err = run_cli(capsys, "verify", "--suite", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: suite config 'output' must be a path string")
+
     def test_determinism(self, capsys):
         _, out1, _ = run_cli(capsys, "verify")
         _, out2, _ = run_cli(capsys, "verify")
@@ -381,6 +408,20 @@ class TestLineGolden:
         code, out, _ = run_cli(capsys, "line", "--p", p, "--law", law, "--max-degree", degree)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.RUNS[(p, law, degree)]
+
+
+class TestVerifyGolden:
+    # The benchmark's verify-mid run, `verify --suite` over mu:13:12 and
+    # addetale:11:1, with the SHA-256 of its stdout, so any change to a check's
+    # verdict or detail on these algebras fails here.
+    DIGEST = "a515b3ab89046785bd3045324f03b23f35f9a8a91e694de4f2ca018bd8e37a1c"
+
+    def test_stdout_digest(self, tmp_path, capsys):
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(json.dumps({"algebras": ["mu:13:12", "addetale:11:1"]}) + "\n")
+        code, out, _ = run_cli(capsys, "verify", "--suite", str(cfg))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGEST
 
 
 class TestLoadAlgebra:

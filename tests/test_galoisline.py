@@ -1,3 +1,4 @@
+from functools import lru_cache
 from itertools import product
 from math import lcm
 
@@ -8,6 +9,7 @@ from conftest import span_rank_classes
 from hyperspec.algkernel import monogenic_algebra, tensor_algebra
 from hyperspec.galoisline import (
     ADDITIVE,
+    LAWS,
     MULTIPLICATIVE,
     LinePoint,
     crosscheck,
@@ -18,14 +20,13 @@ from hyperspec.galoisline import (
     line_points,
 )
 from hyperspec.gfarith import (
+    FpPoly,
     PrimeField,
     factor,
     find_irreducible,
-    fq_elements,
-    minpoly_over_fp,
+    irreducibles_up_to,
     minimal_polynomial,
     parse_poly,
-    poly_roots_in_fq,
 )
 from hyperspec.linalg import matmul
 
@@ -90,38 +91,66 @@ class TestGaloisEngine:
             assert galois_hyperop(3, ADDITIVE, f, e) == (f,)
 
     def test_varying_the_fixed_root_changes_nothing(self):
-        # conjugate enumeration fixes one root; verify the orbit is insensitive
-        f, g = pt("T^2+1"), pt("T^2+T+2")
-        m = lcm(f.degree, g.degree)
-        mod = find_irreducible(3, m)
-        base = set(galois_hyperop(3, ADDITIVE, f, g))
-        for alpha in fq_elements(mod):
-            if minpoly_over_fp(alpha) != f.poly:
-                continue
-            conj = None
-            for beta in fq_elements(mod):
-                if minpoly_over_fp(beta) == g.poly:
-                    conj = beta
-                    break
-            vals = set()
-            c = conj
-            for _ in range(g.degree):
-                vals.add(minpoly_over_fp(alpha + c))
-                c = c.frobenius()
-            assert {LinePoint(ADDITIVE, q) for q in vals} == base
+        # galois_hyperop fixes the first root of f; every other root of f,
+        # against the conjugates of g's first root, gives the same set
+        pairs = [("T^2+1", "T^2+T+2"), ("T^2+1", "T^3+2T+1"), ("T^3+2T+1", "T^2+1")]
+        for law, (f_text, g_text) in product(LAWS, pairs):
+            f, g = pt(f_text, law), pt(g_text, law)
+            roots = residue_roots(f.poly, lcm(f.degree, g.degree))
+            assert len(roots) == f.degree
+            for alpha in roots:
+                assert orbit_model(3, law, f, g, alpha) == galois_hyperop(3, law, f, g), (law, f, g, alpha)
 
 
-def orbit_model(p, law, f, g):
-    """The Galois engine on FqElem arithmetic: the first root of each
-    polynomial in the common field, the Frobenius conjugates of g's root by
-    x -> x^p, and minimal polynomials from minpoly_over_fp."""
-    mod = find_irreducible(p, lcm(f.degree, g.degree))
-    alpha = next(poly_roots_in_fq(f.poly, mod))
-    conj = next(poly_roots_in_fq(g.poly, mod))
+def coords(poly, k):
+    """The first k coefficients of poly, padded with zeros."""
+    return list(poly.coeffs) + [0] * (k - len(poly.coeffs))
+
+
+@lru_cache(maxsize=None)
+def residue_roots(poly, m):
+    """The roots of poly among the residues mod find_irreducible(p, m), in
+    lexicographic order of their coordinates, each found by Horner's rule in
+    FpPoly arithmetic."""
+    field = poly.field
+    mod = find_irreducible(field.p, m)
+    out = []
+    for c in product(range(field.p), repeat=m):
+        x = FpPoly.make(field, c)
+        acc = FpPoly.zero(field)
+        for a in reversed(poly.coeffs):
+            acc = (acc * x + FpPoly.make(field, (a,))) % mod
+        if acc.is_zero():
+            out.append(x)
+    return tuple(out)
+
+
+def residue_minpoly(x, mod):
+    """Minimal polynomial of the residue x: the irreducible of degree <= m =
+    deg(mod) that vanishes at x, read off the residues of x^0, ..., x^m."""
+    p, m = mod.field.p, mod.degree
+    pows = [FpPoly.one(mod.field)]
+    for _ in range(m):
+        pows.append((pows[-1] * x) % mod)
+    irreducibles = irreducibles_up_to(p, m)
+    values = np.array([coords(q, m + 1) for q in irreducibles]) @ np.array([coords(y, m) for y in pows]) % p
+    return irreducibles[int(np.flatnonzero(~values.any(axis=1))[0])]
+
+
+def orbit_model(p, law, f, g, alpha=None):
+    """The Galois engine on FpPoly residues mod find_irreducible(p, m): a root
+    alpha of f (the first one by default), the Frobenius conjugates of g's
+    first root by x -> x^p, and minimal polynomials as the irreducibles that
+    vanish there. It shares no code with the structure tensors of
+    field_algebra."""
+    m = lcm(f.degree, g.degree)
+    mod = find_irreducible(p, m)
+    alpha = residue_roots(f.poly, m)[0] if alpha is None else alpha
+    conj = residue_roots(g.poly, m)[0]
     out = set()
     for _ in range(g.degree):
-        out.add(minpoly_over_fp(alpha + conj if law == ADDITIVE else alpha * conj))
-        conj = conj.frobenius()
+        out.add(residue_minpoly(alpha + conj if law == ADDITIVE else (alpha * conj) % mod, mod))
+        conj = conj.pow_mod(p, mod)
     return tuple(sorted((LinePoint(law, q) for q in out), key=LinePoint.sort_key))
 
 

@@ -1,31 +1,29 @@
 import random
 from itertools import product
+from math import gcd
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperspec.algkernel import monogenic_algebra, tensor_algebra
+from hyperspec.algkernel import field_algebra, field_roots, monogenic_algebra, tensor_algebra
 from hyperspec import gfarith
 from hyperspec.galoisline import ADDITIVE, MULTIPLICATIVE, line_points
 from hyperspec.gfarith import (
     FpPoly,
-    FqElem,
     PrimeField,
     factor,
     find_irreducible,
-    fq_elements,
     irreducibles_up_to,
     is_irreducible,
     minimal_polynomial,
-    minpoly_over_fp,
     monic_polys,
     parse_poly,
-    poly_roots_in_fq,
+    prime_power,
 )
 from hyperspec.hopfkernel import parse_builtin
-from hyperspec.linalg import charpoly, solve
+from hyperspec.linalg import charpoly, matmul, solve
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -340,35 +338,51 @@ class TestFirstMonicRelation:
         assert minimal_polynomial(elem, alg, unit=unit) == want
 
 
+def field_elements(p, m):
+    """Every element of field_algebra(p, m) as a coordinate row, in
+    lexicographic order of the coordinates."""
+    return np.array(list(product(range(p), repeat=m)), dtype=np.int64).reshape(-1, m)
+
+
+class TestPrimePower:
+    def test_split(self):
+        got = {q: prime_power(q) for q in (0, 1, 2, 12, 13, 2**5, 3**4, 7**3 * 2)}
+        assert got == {0: None, 1: None, 2: (2, 1), 12: None, 13: (13, 1), 32: (2, 5), 81: (3, 4), 686: None}
+
+
 class TestFq:
     def test_frobenius_additivity_exhaustive(self):
-        # (a+b)^p = a^p + b^p for every pair, all fields with p^k <= 81
+        # (a+b)^p = a^p + b^p for every pair, all fields with p^k <= 81, with
+        # x^p by repeated squaring; the Frobenius matrix is that same map
         for p, k in [(3, 1), (3, 2), (3, 3), (3, 4), (5, 2), (7, 2)]:
-            if p**k > 81:
-                continue
-            mod = find_irreducible(p, k)
-            elems = list(fq_elements(mod))
-            for a in elems:
-                for b in elems:
-                    assert (a + b) ** p == a**p + b**p
+            fq, frob = field_algebra(p, k)
+            elems = field_elements(p, k)
+            pows = np.array([fq.power(x, p) for x in elems])
+            assert (matmul(elems, frob.T, p) == pows).all()
+            place = p ** np.arange(k - 1, -1, -1)  # row index of a coordinate vector
+            sums = (elems[:, None, :] + elems[None, :, :]) % p @ place
+            assert (pows[sums] == (pows[:, None, :] + pows[None, :, :]) % p).all()
 
     def test_frobenius_fixes_exactly_fp(self):
-        mod = find_irreducible(3, 2)
-        fixed = [x for x in fq_elements(mod) if x.frobenius() == x]
-        assert len(fixed) == 3
+        _, frob = field_algebra(3, 2)
+        elems = field_elements(3, 2)
+        assert elems[(matmul(elems, frob.T, 3) == elems).all(axis=1)].tolist() == [[0, 0], [1, 0], [2, 0]]
 
-    def test_inverse(self):
-        mod = find_irreducible(3, 2)
-        one = FqElem.from_coeffs(mod, (1,))
-        for x in fq_elements(mod):
-            if not x.is_zero():
-                assert x * x.inv() == one
+    @pytest.mark.parametrize("p, m", [(3, 1), (3, 4), (3, 6), (5, 2), (5, 3), (7, 2)])
+    def test_frobenius_powers_fix_the_subfields(self, p, m):
+        # Frob^d fixes F_{p^m} ∩ F_{p^d} = F_{p^gcd(d, m)}, so exactly p^d
+        # elements when d | m; counted over the whole field
+        _, frob = field_algebra(p, m)
+        elems = field_elements(p, m)
+        images = elems
+        for d in range(1, m + 1):
+            images = matmul(images, frob.T, p)
+            assert int((images == elems).all(axis=1).sum()) == p ** gcd(d, m), d
 
     def test_minpoly_over_fp(self):
-        mod = find_irreducible(3, 2)
-        i = FqElem.from_coeffs(mod, (0, 1))
-        assert minpoly_over_fp(i) == P("T^2+1")
-        assert minpoly_over_fp(i + FqElem.from_coeffs(mod, (1,))) == P("T^2+T+2")
+        fq, _ = field_algebra(3, 2)  # F_3[T]/(T^2+1)
+        assert minimal_polynomial([0, 1], fq) == P("T^2+1")
+        assert minimal_polynomial([1, 1], fq) == P("T^2+T+2")
 
     def test_find_irreducible_is_the_lex_first_irreducible(self):
         # find_irreducible skips the constant-term-0 candidates of degree >= 2;
@@ -385,24 +399,13 @@ class TestFq:
 
 
 class TestPolyRootsInFq:
-    @staticmethod
-    def scan(poly, mod):
-        """Every element of F_q, in fq_elements order, at which sum c_k x^k vanishes."""
-        one = FqElem.from_coeffs(mod, (1,))
-        out = []
-        for x in fq_elements(mod):
-            val = FqElem.from_coeffs(mod, ())
-            for k, c in enumerate(poly.coeffs):
-                val = val + FqElem.from_coeffs(mod, (c,)) * (x**k if k else one)
-            if val.is_zero():
-                out.append(x)
-        return out
+    """field_roots, against a schoolbook evaluation over the whole field."""
 
     @staticmethod
     def batch_scan(poly, mod):
-        """Every element of F_q at which poly vanishes, in fq_elements order,
-        as coefficient lists: each power x^k by schoolbook product with x and
-        long division by the modulus, all elements at once."""
+        """Every element of F_q at which poly vanishes, in lexicographic order
+        of coordinates, as coefficient lists: each power x^k by schoolbook
+        product with x and long division by the modulus, all elements at once."""
         p, k = mod.field.p, mod.degree
         xs = np.array(list(product(range(p), repeat=k)), dtype=np.int64)
         power = np.zeros_like(xs)
@@ -420,10 +423,15 @@ class TestPolyRootsInFq:
             power = prod[:, :k] % p
         return xs[~value.any(axis=1)].tolist()
 
+    @staticmethod
+    def roots(poly, m):
+        """The roots of any nonzero poly in F_{p^m}, sorted: the roots of
+        each irreducible factor whose degree divides m."""
+        return sorted(r for q, _ in factor(poly) if m % q.degree == 0 for r in field_roots(q, m).tolist())
+
     def test_scan_order(self):
-        mod = find_irreducible(3, 2)  # T^2+1, so t is a root of T^2+1
-        roots = list(poly_roots_in_fq(P("T^2+1"), mod))
-        assert [r.coeff_vector() for r in roots] == [[0, 1], [0, 2]]
+        # find_irreducible(3, 2) is T^2+1, so t is a root of T^2+1
+        assert field_roots(P("T^2+1"), 2).tolist() == [[0, 1], [0, 2]]
 
     @pytest.mark.parametrize(
         "text, k",
@@ -431,33 +439,46 @@ class TestPolyRootsInFq:
         + [pytest.param("T^3-T^2", 3, id="T^3-T^2 in F_27"), pytest.param("T^3+2T+1", 3, id="T^3+2T+1 in F_27")],
     )
     def test_matches_exhaustive_evaluation(self, text, k):
-        mod = find_irreducible(3, k)
         poly = P(text)
-        roots = list(poly_roots_in_fq(poly, mod))
-        assert roots == self.scan(poly, mod)
-        assert [r.coeff_vector() for r in roots] == self.batch_scan(poly, mod)
+        assert self.roots(poly, k) == self.batch_scan(poly, find_irreducible(3, k))
+
+    # every irreducible of degree dividing m, so both d < m and d = m
+    @pytest.mark.parametrize("p, m", [(3, 1), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 1), (7, 2)])
+    def test_every_irreducible_matches_schoolbook_scan(self, p, m):
+        mod = find_irreducible(p, m)
+        for q in irreducibles_up_to(p, m):
+            if m % q.degree == 0:
+                assert field_roots(q, m).tolist() == self.batch_scan(q, mod), q
 
     # F_{3^9} meets F_9 in F_3, so only the linear factors and cubics split
     @pytest.mark.parametrize("text, count", [("T^9-T", 3), ("T^3+2T+1", 3), ("T^3-T^2", 2), ("T^6+T^4+2T^2+2", 2)])
     def test_field_larger_than_one_block(self, text, count):
-        mod = find_irreducible(3, 9)
-        assert 3**9 > gfarith.ROOT_SCAN_BLOCK
         poly = P(text)
-        roots = [r.coeff_vector() for r in poly_roots_in_fq(poly, mod)]
-        assert roots == self.batch_scan(poly, mod)
+        roots = self.roots(poly, 9)
+        assert roots == self.batch_scan(poly, find_irreducible(3, 9))
         assert len(roots) == count
 
-    # blocks of 5 and 25 elements, against the whole field of 125 in one block
-    @pytest.mark.parametrize("block", [1, 25])
-    def test_block_size_changes_nothing(self, block, monkeypatch):
-        mod = find_irreducible(5, 3)
-        poly = P("T^3+T+1", F5)
-        want = list(poly_roots_in_fq(poly, mod))
-        monkeypatch.setattr(gfarith, "ROOT_SCAN_BLOCK", block)
-        assert list(poly_roots_in_fq(poly, mod)) == want
-        assert len(want) == 3
+    def test_degree_nine_roots_in_f_3_9(self):
+        # d = m = 9: the subfield is the whole field of 19,683 elements
+        mod = find_irreducible(3, 9)
+        t = [0, 1] + [0] * 7
+        for q in (mod, P("T^9+T^4+2")):
+            roots = field_roots(q, 9).tolist()
+            assert roots == self.batch_scan(q, mod)
+            assert len(roots) == 9 and (t in roots) == (q == mod)
 
-    def test_is_lazy(self):
-        mod = find_irreducible(3, 3)
-        roots = poly_roots_in_fq(P("T^27-T"), mod)
-        assert next(roots) == FqElem.from_coeffs(mod, ())
+    def test_rejects_degree_not_dividing(self):
+        with pytest.raises(ValueError, match="degree must divide"):
+            field_roots(P("T^2+1"), 3)
+
+    @pytest.mark.parametrize(
+        "text, m",
+        [("T^2", 2), ("T^2+T", 2), ("T^3+T", 3), ("T^4+2T^2+1", 4), ("T^4+T^3+T+2", 4)],
+    )
+    def test_rejects_reducible(self, text, m):
+        # T^2+T and (T^2+1)(T^2+T+2) = T^4+T^3+T+2 have deg many roots, but
+        # not the Frobenius conjugates of one element
+        poly = P(text)
+        assert not is_irreducible(poly)
+        with pytest.raises(ValueError, match="not irreducible"):
+            field_roots(poly, m)

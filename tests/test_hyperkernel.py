@@ -180,6 +180,15 @@ class TestQuotientHyperring:
             [0, 7, 3, 4, 6, 1, 5, 2],
         ]
 
+    def test_prime_power_split(self):
+        for q in (0, 1, 12):
+            with pytest.raises(ValueError, match=f"^{q} is not a prime power$"):
+                field_ring(q)
+        for q in (2**5, 3**4):
+            ring = field_ring(q)
+            assert len(ring.names) == q
+            assert len(ring.units()) == q - 1
+
     def test_trivial_subgroup_reproduces_ring_addition(self):
         ring = field_ring(5)
         q = quotient_hyperring(ring, [ring.one])
