@@ -43,6 +43,8 @@ def cmd_laws(args) -> int:
             table, kind = krasner_hyperfield(), "hyperring"
         elif spec == "builtin:S":
             table, kind = sign_hyperfield(), "hyperring"
+        elif spec.startswith("builtin:"):
+            raise ValueError(f"unknown builtin table {spec!r}; expected builtin:K or builtin:S")
         else:
             doc = json.loads(Path(spec).read_text())
             if "mul" in doc:
@@ -119,10 +121,21 @@ def cmd_verify(args) -> int:
         if args.suite:
             cfg = json.loads(Path(args.suite).read_text())
             specs = _config_list(cfg, "algebras", specs)
+            if not specs:
+                raise ValueError(f"suite config 'algebras' must name at least one algebra, got {specs!r}")
             checks = _config_list(cfg, "checks", None)
             out_path = cfg.get("output")
             if out_path is not None and not isinstance(out_path, str):
                 raise ValueError(f"suite config 'output' must be a path string, got {out_path!r}")
+            if out_path:
+                # fail before any algebra is loaded, not after the whole run;
+                # append mode leaves an existing file as it is until the
+                # report replaces it
+                try:
+                    with open(out_path, "a"):
+                        pass
+                except OSError as exc:
+                    raise ValueError(f"cannot write output: {exc}") from exc
             verbosity = int(cfg.get("verbosity", 0))
         result = run_suite(specs, checks, timings=args.timings)
     except Exception as exc:

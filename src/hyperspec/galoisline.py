@@ -18,12 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
-from .algkernel import SCAlgebra, field_algebra, field_roots, monogenic_algebra, tensor_algebra
-from .gfarith import FpPoly, PrimeField, factor, irreducibles_up_to, minimal_polynomial
+from .algkernel import SCAlgebra, field_algebra, field_roots, monogenic_algebra
+from .gfarith import FpPoly, PrimeField, _first_monic_relation, factor, irreducibles_up_to, minimal_polynomial
 from .linalg import matmul, npmod
 
 ADDITIVE = "additive"
@@ -108,38 +108,58 @@ def _residue_algebra(poly: FpPoly) -> SCAlgebra:
 
 @lru_cache(maxsize=None)
 def galois_hyperop(p: int, law: str, f: LinePoint, g: LinePoint) -> tuple[LinePoint, ...]:
-    """Orbit-model hyperoperation: fix a root of f, run over the Frobenius
-    conjugates of a root of g, and collect minimal polynomials of the sums
-    (additive) or products (multiplicative)."""
+    """Orbit-model hyperoperation: fix a root alpha of f, run over Frobenius
+    conjugates beta_j = Frob^j(beta) of a root of g, and collect minimal
+    polynomials of the sums (additive) or products (multiplicative).
+
+    Only gcd(deg f, deg g) conjugates are needed. Frob^(deg f) fixes alpha and
+    sends beta_j to beta_(j + deg f), so the values at j and j + deg f are
+    conjugate and share a minimal polynomial: the minimal polynomials are
+    constant on the cosets of the subgroup generated by deg f in Z/(deg g),
+    which is generated by gcd(deg f, deg g) and has the representatives
+    0, ..., gcd - 1."""
     m = lcm(f.degree, g.degree)
     fq, frob = field_algebra(p, m)
     alpha = field_roots(f.poly, m)[0]
     conj = field_roots(g.poly, m)[0]
     out = set()
-    for _ in range(g.degree):
+    for _ in range(gcd(f.degree, g.degree)):
         val = npmod(alpha + conj, p) if law == ADDITIVE else fq.mul_vec(alpha, conj)
         out.add(LinePoint(law, minimal_polynomial(val, fq)))
         conj = matmul(frob, conj, p)
     return tuple(sorted(out, key=LinePoint.sort_key))
 
 
-@lru_cache(maxsize=None)
-def definitional_hyperop(p: int, law: str, f: LinePoint, g: LinePoint) -> tuple[LinePoint, ...]:
-    """Membership-condition hyperoperation, computed in the residue tensor:
-    the forced-zero ideal is generated by the minimal polynomial g_P of the
-    coproduct-generator image s, and f*g is every irreducible factor of g_P
-    (no element of (pi)/(g_P) has a rank-one image; see the module
-    docstring). On the torus s = tf*tg is a unit, so T never divides g_P."""
+def forced_zero_generator(p: int, law: str, f: LinePoint, g: LinePoint) -> FpPoly:
+    """g_P, the minimal polynomial of the coproduct-generator image s in
+    K_f ⊗ K_g: s = t_f⊗1 + 1⊗t_g (additive) or t_f⊗t_g (multiplicative).
+
+    An element of K_f ⊗ K_g is the deg f x deg g matrix V of its coordinates
+    on the power bases, and with the companion matrices L_f, L_g of
+    multiplication by t_f and t_g, multiplication by s is the Kronecker
+    operator V -> L_f V + V L_g^T or V -> L_f V L_g^T. The powers of s are the
+    Krylov sequence of 1⊗1 under it, and g_P is their first monic relation."""
     PrimeField(p).require_odd()
     kf = _residue_algebra(f.poly)
     kg = _residue_algebra(g.poly)
-    ten = tensor_algebra(kf, kg)
-    tf = np.kron(kf.generator, kg.unit) % p
-    tg = np.kron(kf.unit, kg.generator) % p
-    s = (tf + tg) % p if law == ADDITIVE else ten.mul_vec(tf, tg)
-    g_p = minimal_polynomial(s, ten)
-    if g_p.degree > f.degree * g.degree:
-        raise RuntimeError("forced-zero generator exceeds the degree bound")
+    lf = kf.left_mul_matrix(kf.generator)
+    lg_t = kg.left_mul_matrix(kg.generator).T
+    v = np.outer(kf.unit, kg.unit)
+    powers = [v]
+    for _ in range(v.size):
+        v = npmod(lf @ v + v @ lg_t, p) if law == ADDITIVE else matmul(matmul(lf, v, p), lg_t, p)
+        powers.append(v)
+    return _first_monic_relation(np.array(powers).reshape(len(powers), -1), kf.field)
+
+
+@lru_cache(maxsize=None)
+def definitional_hyperop(p: int, law: str, f: LinePoint, g: LinePoint) -> tuple[LinePoint, ...]:
+    """Membership-condition hyperoperation, computed in the residue tensor:
+    the forced-zero ideal is generated by g_P (forced_zero_generator), and
+    f*g is every irreducible factor of g_P (no element of (pi)/(g_P) has a
+    rank-one image; see the module docstring). On the torus s = t_f⊗t_g is a
+    unit, so T never divides g_P."""
+    g_p = forced_zero_generator(p, law, f, g)
     return tuple(sorted((LinePoint(law, pi) for pi, _mult in factor(g_p)), key=LinePoint.sort_key))
 
 

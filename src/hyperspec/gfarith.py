@@ -258,18 +258,56 @@ def monic_polys(field: PrimeField, degree: int) -> Iterator[FpPoly]:
         yield FpPoly(field, tuple(lower) + (1,))
 
 
+# Candidate rows per block of _first_monic_divisor. The division holds one
+# block of this many rows at a time, never the whole table of p^d candidates,
+# and the block cache keeps at most 64 blocks, so a large p^d cannot fill
+# memory.
+TRIAL_DIVISION_ROWS = 1 << 12
+
+
+@lru_cache(maxsize=64)
+def _monic_block(p: int, d: int, start: int, rows: int) -> np.ndarray:
+    """Lower coefficients (c_0, ..., c_{d-1}) of the monic polynomials of
+    degree d at positions start, start + 1, ... (at most `rows` of them) of
+    monic_polys order: position i has the base-p digits of i, c_0 the most
+    significant."""
+    idx = np.arange(start, min(start + rows, p**d), dtype=np.int64)
+    block = idx[:, None] // p ** np.arange(d - 1, -1, -1, dtype=np.int64) % p
+    block.setflags(write=False)
+    return block
+
+
+def _first_monic_divisor(poly: FpPoly, d: int) -> FpPoly | None:
+    """The first monic polynomial of degree d in monic_polys order that
+    divides poly, or None. Each block of candidates is one numpy long
+    division, a row per candidate, and the search stops at the first block
+    with a divisor. Every intermediate is below (p-1)^2 + p and every
+    candidate position below p^d; both bounds are checked against int64."""
+    p, n = poly.field.p, poly.degree
+    if (p - 1) ** 2 + p >= 2**63 or p**d >= 2**63:
+        raise ValueError(f"trial division by degree-{d} polynomials over F_{p} overflows int64")
+    coeffs = np.array(poly.coeffs, dtype=np.int64)
+    for start in range(0, p**d, TRIAL_DIVISION_ROWS):
+        lower = _monic_block(p, d, start, TRIAL_DIVISION_ROWS)
+        rem = np.empty((len(lower), n + 1), dtype=np.int64)
+        rem[:] = coeffs
+        for k in range(n, d - 1, -1):
+            # cancel the degree-k term of every row by its candidate times T^(k-d)
+            rem[:, k - d : k] = (rem[:, k - d : k] - rem[:, k : k + 1] * lower) % p
+        hits = np.flatnonzero(~rem[:, :d].any(axis=1))
+        if hits.size:
+            return FpPoly(poly.field, tuple(int(c) for c in lower[hits[0]]) + (1,))
+    return None
+
+
 def is_irreducible(poly: FpPoly) -> bool:
     """Trial division by every monic polynomial of degree in [1, deg/2]."""
     if poly.is_zero() or poly.degree < 1:
         raise ValueError("irreducibility is only defined for nonconstant polynomials")
-    for d in range(1, poly.degree // 2 + 1):
-        for q in monic_polys(poly.field, d):
-            if (poly % q).is_zero():
-                return False
-    return True
+    return all(_first_monic_divisor(poly, d) is None for d in range(1, poly.degree // 2 + 1))
 
 
-def factor(poly: FpPoly, field: PrimeField | None = None) -> list[tuple[FpPoly, int]]:
+def factor(poly: FpPoly) -> list[tuple[FpPoly, int]]:
     """Factor into monic irreducibles by exhaustive trial division.
 
     Returns (factor, multiplicity) pairs sorted by (degree, coefficients);
@@ -277,7 +315,6 @@ def factor(poly: FpPoly, field: PrimeField | None = None) -> list[tuple[FpPoly, 
     """
     if poly.is_zero():
         raise ValueError("cannot factor zero")
-    field = field or poly.field
     rem = poly.monic()
     out: list[tuple[FpPoly, int]] = []
     d = 1
@@ -285,11 +322,7 @@ def factor(poly: FpPoly, field: PrimeField | None = None) -> list[tuple[FpPoly, 
         if d > rem.degree // 2:
             out.append((rem, 1))
             break
-        found = None
-        for q in monic_polys(field, d):
-            if (rem % q).is_zero():
-                found = q
-                break
+        found = _first_monic_divisor(rem, d)
         if found is None:
             d += 1
             continue

@@ -29,6 +29,12 @@ class TestLaws:
         assert code == 0
         assert json.loads(out)["ok"] is True
 
+    @pytest.mark.parametrize("spec", ["builtin:Z", "builtin:k", "builtin:"])
+    def test_unknown_builtin_exits_2(self, capsys, spec):
+        code, out, err = run_cli(capsys, "laws", spec)
+        assert (code, out) == (2, "")
+        assert err == f"input error: unknown builtin table {spec!r}; expected builtin:K or builtin:S\n"
+
     def test_corrupted_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -232,13 +238,35 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--suite", "/nonexistent/suite.json")
         assert code == 2
 
-    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, monkeypatch):
+        from hyperspec import cli
+
+        runs = []
+        monkeypatch.setattr(cli, "run_suite", lambda *args, **kwargs: runs.append(args))
         cfg = tmp_path / "suite.json"
         cfg.write_text(json.dumps({"algebras": ["mu:3:2"], "output": str(tmp_path / "missing" / "x.json")}))
         code, out, err = run_cli(capsys, "verify", "--suite", str(cfg))
         assert code == 2
         assert out == ""
         assert err.startswith("input error: cannot write output:") and "Traceback" not in err
+        assert runs == []  # rejected before any algebra is loaded
+
+    def test_existing_output_is_replaced(self, tmp_path, capsys):
+        cfg = tmp_path / "suite.json"
+        outp = tmp_path / "report.json"
+        outp.write_text("stale report, longer than nothing\n" * 100)
+        cfg.write_text(json.dumps({"algebras": ["mu:3:2"], "output": str(outp)}))
+        code, out, _ = run_cli(capsys, "verify", "--suite", str(cfg))
+        assert code == 0
+        assert outp.read_text() == out
+
+    @pytest.mark.parametrize("algebras", [[], None])
+    def test_empty_algebra_list_exits_2(self, tmp_path, capsys, algebras):
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(json.dumps({"algebras": algebras}))
+        code, out, err = run_cli(capsys, "verify", "--suite", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == f"input error: suite config 'algebras' must name at least one algebra, got {algebras!r}\n"
 
     @pytest.mark.parametrize(
         "field, value",

@@ -1,11 +1,13 @@
+import sys
 from functools import lru_cache
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 import pytest
 from conftest import span_rank_classes
 
+from hyperspec import gfarith
 from hyperspec.algkernel import monogenic_algebra, tensor_algebra
 from hyperspec.galoisline import (
     ADDITIVE,
@@ -14,6 +16,7 @@ from hyperspec.galoisline import (
     LinePoint,
     crosscheck,
     definitional_hyperop,
+    forced_zero_generator,
     galois_hyperop,
     line_antipode,
     line_identity,
@@ -156,11 +159,44 @@ def orbit_model(p, law, f, g, alpha=None):
 
 class TestGaloisEngineAgainstOrbitModel:
     @pytest.mark.parametrize("law", [ADDITIVE, MULTIPLICATIVE])
-    @pytest.mark.parametrize("p, max_degree", [(3, 3), (5, 2)])
+    @pytest.mark.parametrize("p, max_degree", [(3, 3), (5, 2), (7, 2)])
     def test_every_pair(self, p, max_degree, law):
         pts = line_points(p, law, max_degree)
         for f, g in product(pts, repeat=2):
             assert galois_hyperop(p, law, f, g) == orbit_model(p, law, f, g), (f, g)
+
+    @pytest.mark.parametrize("law", [ADDITIVE, MULTIPLICATIVE])
+    def test_one_minimal_polynomial_per_orbit(self, monkeypatch, law):
+        # orbit_model takes all deg g conjugates; the engine needs one per coset
+        # of <deg f> in Z/(deg g), so a cache miss makes gcd(deg f, deg g) calls
+        calls = []
+        original = gfarith.minimal_polynomial
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "hyperspec" and getattr(module, "minimal_polynomial", None) is original:
+                monkeypatch.setattr(module, "minimal_polynomial", counted)
+        for f, g in product(line_points(3, law, 3), repeat=2):
+            calls.clear()
+            galois_hyperop.__wrapped__(3, law, f, g)  # the uncached body: a miss
+            assert len(calls) == gcd(f.degree, g.degree), (f, g)
+
+
+@lru_cache(maxsize=None)
+def tensor_forced_zero_generator(p, law, f, g):
+    """g_P computed as the definitional engine first did: the minimal
+    polynomial of s in the full structure-constant algebra K_f ⊗ K_g, built
+    and validated by tensor_algebra. Returns (g_P, the tensor algebra, s)."""
+    field = PrimeField(p)
+    kf, kg = monogenic_algebra(field, f.poly), monogenic_algebra(field, g.poly)
+    ten = tensor_algebra(kf, kg)
+    tf = np.kron(kf.generator, kg.unit) % p
+    tg = np.kron(kf.unit, kg.generator) % p
+    s = (tf + tg) % p if law == ADDITIVE else ten.mul_vec(tf, tg)
+    return minimal_polynomial(s, ten), ten, s
 
 
 def rank_filtered_definitional(p, law, f, g):
@@ -168,13 +204,7 @@ def rank_filtered_definitional(p, law, f, g):
     unnecessary: an irreducible factor pi of g_P is kept only if no element
     of (pi)/(g_P), spanned by pi(s)·s^j for j < deg g_P - deg pi, has a
     rank-one image in K_f ⊗ K_g, and T is skipped on the torus."""
-    field = PrimeField(p)
-    kf, kg = monogenic_algebra(field, f.poly), monogenic_algebra(field, g.poly)
-    ten = tensor_algebra(kf, kg)
-    tf = np.kron(kf.generator, kg.unit) % p
-    tg = np.kron(kf.unit, kg.generator) % p
-    s = (tf + tg) % p if law == ADDITIVE else ten.mul_vec(tf, tg)
-    g_p = minimal_polynomial(s, ten)
+    g_p, ten, s = tensor_forced_zero_generator(p, law, f, g)
     dgp = g_p.degree
     s_pows = np.zeros((dgp, ten.dim), dtype=np.int64)
     acc = ten.unit.copy()
@@ -188,7 +218,7 @@ def rank_filtered_definitional(p, law, f, g):
         conv = np.zeros((dgp - pi.degree, dgp), dtype=np.int64)
         for j in range(conv.shape[0]):
             conv[j, j : j + pi.degree + 1] = pi.coeffs
-        _, cls = span_rank_classes(matmul(conv, s_pows, p), kf.dim, kg.dim, p)
+        _, cls = span_rank_classes(matmul(conv, s_pows, p), f.degree, g.degree, p)
         if not (cls == 1).any():
             kept.append(LinePoint(law, pi))
     return tuple(sorted(kept, key=LinePoint.sort_key))
@@ -218,6 +248,17 @@ class TestDefinitionalEngine:
         # every irreducible factor of g_P is a member: the rank filter drops none
         for f, g in product(line_points(3, law, 3), repeat=2):
             assert definitional_hyperop(3, law, f, g) == rank_filtered_definitional(3, law, f, g), (f, g)
+
+    @pytest.mark.parametrize("law", [ADDITIVE, MULTIPLICATIVE])
+    @pytest.mark.parametrize("p, max_degree", [(3, 3), (5, 2), (7, 2)])
+    def test_kronecker_operator_matches_tensor_algebra(self, p, max_degree, law):
+        # g_P itself, not only its factors, equals the minimal polynomial of s
+        # in the validated structure-constant tensor algebra
+        for f, g in product(line_points(p, law, max_degree), repeat=2):
+            g_p = tensor_forced_zero_generator(p, law, f, g)[0]
+            assert forced_zero_generator(p, law, f, g) == g_p, (f, g)
+            want = tuple(sorted((LinePoint(law, pi) for pi, _ in factor(g_p)), key=LinePoint.sort_key))
+            assert definitional_hyperop(p, law, f, g) == want, (f, g)
 
     def test_forced_zero_degree_bound(self):
         for f, g in product(line_points(3, ADDITIVE, 2), repeat=2):

@@ -157,6 +157,95 @@ class TestFactor:
         assert dict(got) == want
 
 
+def trial_division_factor(poly):
+    """factor by the loop it replaced: the monic remainder is divided by each
+    monic candidate in monic_polys order, one FpPoly.divmod at a time."""
+    rem, out, d = poly.monic(), [], 1
+    while rem.degree >= 1:
+        if d > rem.degree // 2:
+            out.append((rem, 1))
+            break
+        found = next((q for q in monic_polys(rem.field, d) if (rem % q).is_zero()), None)
+        if found is None:
+            d += 1
+            continue
+        mult = 0
+        while (rem % found).is_zero():
+            rem, mult = rem // found, mult + 1
+        out.append((found, mult))
+    return sorted(out, key=lambda fm: (fm[0].degree, fm[0].coeffs))
+
+
+def trial_division_is_irreducible(poly):
+    degrees = range(1, poly.degree // 2 + 1)
+    return not any((poly % q).is_zero() for d in degrees for q in monic_polys(poly.field, d))
+
+
+def non_monic_products(p, seed, count=30):
+    """Seeded products c * q_1^e_1 * ... of irreducibles up to degree 3, with
+    repeated factors and a leading coefficient c != 1."""
+    rng = random.Random(seed)
+    field = PrimeField(p)
+    irr = irreducibles_up_to(p, 3)
+    out = []
+    for _ in range(count):
+        poly = FpPoly.make(field, [rng.randrange(2, p)])
+        for q in rng.sample(irr, rng.randint(1, 3)):
+            for _ in range(rng.randint(1, 3)):
+                poly = poly * q
+        out.append(poly)
+    return out
+
+
+class TestBatchedTrialDivision:
+    @pytest.mark.parametrize("p, max_degree", [(3, 7), (5, 4), (7, 3)])
+    def test_every_monic_polynomial(self, p, max_degree):
+        field = PrimeField(p)
+        for d in range(1, max_degree + 1):
+            for poly in monic_polys(field, d):
+                assert factor(poly) == trial_division_factor(poly), str(poly)
+                assert is_irreducible(poly) == trial_division_is_irreducible(poly), str(poly)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_non_monic_with_repeated_factors(self, p):
+        for poly in non_monic_products(p, seed=p):
+            assert not poly.is_monic()
+            got = factor(poly)
+            assert got == trial_division_factor(poly), str(poly)
+            prod = FpPoly.make(poly.field, [poly.coeffs[-1]])
+            for q, m in got:
+                for _ in range(m):
+                    prod = prod * q
+            assert prod == poly
+            assert is_irreducible(poly) == trial_division_is_irreducible(poly) == (len(got) == 1 and got[0][1] == 1)
+        for q in irreducibles_up_to(p, 3):
+            assert is_irreducible(q.scale(p - 1))
+
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_row_cap_changes_nothing(self, monkeypatch, rows):
+        # blocks of `rows` candidates, including a last partial block when
+        # rows does not divide p^d, give the same first divisor
+        monkeypatch.setattr(gfarith, "TRIAL_DIVISION_ROWS", rows)
+        polys = [q for p, k in [(3, 6), (5, 3)] for d in range(1, k + 1) for q in monic_polys(PrimeField(p), d)]
+        polys += non_monic_products(7, seed=rows, count=10)
+        for poly in polys:
+            assert factor(poly) == trial_division_factor(poly), str(poly)
+            assert is_irreducible(poly) == trial_division_is_irreducible(poly), str(poly)
+
+    def test_divisor_is_the_first_in_monic_polys_order(self):
+        # (T-1)(T-2)(T^2+1) over F_3: T-2 = T+1 precedes T-1 = T+2, and
+        # T^2+1 precedes (T-1)(T-2) = T^2+2
+        poly = P("T-1") * P("T-2") * P("T^2+1")
+        assert gfarith._first_monic_divisor(poly, 1) == P("T-2")
+        assert gfarith._first_monic_divisor(poly, 2) == P("T^2+1")
+        assert gfarith._first_monic_divisor(P("T^2+1"), 1) is None
+
+    def test_int64_bound_raises(self):
+        big = PrimeField(3037000507)  # the least prime p with (p-1)^2 + p >= 2^63
+        with pytest.raises(ValueError, match="overflows int64"):
+            is_irreducible(FpPoly.make(big, [1, 0, 1]))
+
+
 def sympy_factors(poly):
     """factor's result computed by sympy over GF(p): (monic factor, multiplicity)
     pairs with coefficients in [0, p), sorted as factor sorts them."""
