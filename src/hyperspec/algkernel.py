@@ -68,15 +68,26 @@ class SCAlgebra:
         p = self.field.p
         return npmod(np.einsum("i,j,ijk->k", npmod(u, p), npmod(v, p), self.mul), p)
 
+    def mul_rows(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Row-wise products u[b] * v[b] of two stacks of reduced elements,
+        by two plain products each reduced mod p, so that every int64 sum
+        stays below dim * (p-1)^2."""
+        p = self.field.p
+        left = npmod(u @ self.mul.reshape(self.dim, -1), p).reshape(len(u), self.dim, self.dim)
+        return npmod(np.einsum("bj,bjk->bk", v, left), p)
+
     def power(self, v, e: int) -> np.ndarray:
-        out = self.unit.copy()
-        base = npmod(v, self.field.p)
+        """v^e by square-and-multiply, for one element or row-wise for a
+        stack of elements, one per row."""
+        base = npmod(np.atleast_2d(v), self.field.p)
+        out = np.tile(self.unit, (len(base), 1))
         while e:
             if e & 1:
-                out = self.mul_vec(out, base)
-            base = self.mul_vec(base, base)
+                out = self.mul_rows(out, base)
             e >>= 1
-        return out
+            if e:
+                base = self.mul_rows(base, base)
+        return out if np.ndim(v) == 2 else out[0]
 
     def left_mul_matrix(self, v) -> np.ndarray:
         """Matrix of x -> v*x."""
@@ -232,8 +243,28 @@ class IdealSubspace:
     def sort_key(self) -> tuple:
         return (self.dim, tuple(int(x) for x in self.basis.flatten()))
 
+    def projection(self) -> tuple[np.ndarray, list[int]]:
+        """(pi, free): the projection A -> A/I onto the free (non-pivot)
+        coordinates of the RREF basis, as a (len(free), dim) matrix, and
+        those coordinates. pi(x) is the residual of x against the basis read
+        on the free positions, so Ker pi = I: e_j maps to e_j for a free j,
+        and e_pivots[i] to -basis[i] read on the free positions."""
+        p = self.algebra.field.p
+        free = [c for c in range(self.algebra.dim) if c not in self.pivots]
+        pi = np.zeros((len(free), self.algebra.dim), dtype=np.int64)
+        pi[:, free] = np.eye(len(free), dtype=np.int64)
+        pi[:, self.pivots] = npmod(-self.basis[:, free].T, p)
+        return pi, free
+
     def generator_poly(self) -> FpPoly | None:
-        """Monic polynomial generating this ideal, for power-basis algebras."""
+        """Monic polynomial generating this ideal, for power-basis algebras.
+
+        The generator g of an ideal (g) of F_p[T]/(m), g | m, is the gcd of m
+        and the basis rows, and (g) has dimension dim - deg g. Every partial
+        gcd is a multiple of g, so the cascade stops at the first one of
+        degree dim - self.dim. This holds for ideals only: a subspace that is
+        not absorbing may stop at a polynomial that generates something else.
+        """
         alg = self.algebra
         if not alg.is_power_basis():
             return None
@@ -244,6 +275,8 @@ class IdealSubspace:
         mod_coeffs += [0] * (alg.dim - len(mod_coeffs)) + [1]
         g = FpPoly.make(field, mod_coeffs)
         for row in self.basis:
+            if g.degree == alg.dim - self.dim:
+                break
             g = g.gcd(FpPoly.make(field, [int(c) for c in row]))
         return g.monic()
 
@@ -277,21 +310,11 @@ def quotient_algebra(alg: SCAlgebra, ideal: IdealSubspace) -> tuple[SCAlgebra, L
         raise ValueError("unit ideal: quotient would be the zero ring")
     if not ideal.is_absorbing():
         raise ValueError("subspace is not an ideal")
-    n = alg.dim
-    pivots = ideal.pivots
-    free = [c for c in range(n) if c not in pivots]
+    pi, free = ideal.projection()
+    section = np.eye(alg.dim, dtype=np.int64)[:, free]
     d = len(free)
-    # pi(x) = residual coordinates on the free positions
-    pi = np.zeros((d, n), dtype=np.int64)
-    eye = np.eye(n, dtype=np.int64)
-    resid = reduce_rows(eye, ideal.basis, pivots, p)
-    for k, c in enumerate(free):
-        pi[k] = resid[:, c]
-    section = eye[:, free]
-    mul = np.zeros((d, d, d), dtype=np.int64)
-    for i in range(d):
-        for j in range(d):
-            mul[i, j] = matmul(pi, alg.mul_vec(section[:, i], section[:, j]), p)
+    # e_free[i] * e_free[j], projected
+    mul = matmul(alg.mul[free][:, free].reshape(d * d, alg.dim), pi.T, p).reshape(d, d, d)
     unit = matmul(pi, alg.unit, p)
     gen = None if alg.generator is None else matmul(pi, alg.generator, p)
     names = [alg.basis[c] for c in free]
@@ -300,11 +323,9 @@ def quotient_algebra(alg: SCAlgebra, ideal: IdealSubspace) -> tuple[SCAlgebra, L
 
 
 def _frobenius_matrix(alg: SCAlgebra) -> np.ndarray:
-    """Matrix of the F_p-linear map x -> x^p; column i is e_i^p."""
-    frob = np.zeros((alg.dim, alg.dim), dtype=np.int64)
-    for i, e in enumerate(np.eye(alg.dim, dtype=np.int64)):
-        frob[:, i] = alg.power(e, alg.field.p)
-    return frob
+    """Matrix of the F_p-linear map x -> x^p; column i is e_i^p, from one
+    row-wise power of every basis vector at once."""
+    return alg.power(np.eye(alg.dim, dtype=np.int64), alg.field.p).T
 
 
 @lru_cache(maxsize=None)

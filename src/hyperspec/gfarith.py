@@ -48,11 +48,17 @@ class PrimeField:
     here and by the table layer (field_ring builds F_4 and F_8), but the
     spectrum hyperoperation needs p odd: its forced-value analysis splits a
     rank-one term into halves. Hopf data and the line engines therefore
-    call require_odd."""
+    call require_odd.
+
+    The numpy kernels multiply two reduced entries in int64, so p must have
+    (p-1)^2 < 2^63. That bound is checked first: it also keeps the trial
+    division of is_prime below about 55,000 divisors."""
 
     p: int
 
     def __post_init__(self) -> None:
+        if self.p > 1 and (self.p - 1) ** 2 >= 2**63:
+            raise ValueError(f"p = {self.p} is too large: int64 arithmetic needs (p-1)^2 < 2^63")
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
 

@@ -52,29 +52,38 @@ def rref(mat, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form.
 
     Returns (R, pivots) where R has no zero rows and R[i, pivots[i]] = 1 with
-    zeros elsewhere in each pivot column.
+    zeros elsewhere in each pivot column; R has shape (rank, cols).
+
+    The elimination runs on rows of Python ints: the inputs are small, so
+    per-call numpy overhead would dominate, and Python ints cannot overflow
+    whatever p is. Only the rows with a nonzero entry in the pivot column
+    are touched, and only from that column on, since every row is zero to
+    the left of it once the earlier pivot columns are cleared.
     """
-    a = npmod(np.atleast_2d(np.asarray(mat, dtype=np.int64)).copy(), p)
-    rows, cols = a.shape
+    a = npmod(np.atleast_2d(np.asarray(mat, dtype=np.int64)), p)
+    cols = a.shape[1]
+    rows = a.tolist()
     pivots: list[int] = []
     r = 0
     for c in range(cols):
-        if r == rows:
+        if r == len(rows):
             break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+        i = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if i is None:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        a[r] = npmod(a[r] * modinv(int(a[r, c]), p), p)
-        other = np.nonzero(a[:, c])[0]
-        for j in other:
-            if j != r:
-                a[j] = npmod(a[j] - a[j, c] * a[r], p)
+        rows[r], rows[i] = rows[i], rows[r]
+        x = rows[r][c]
+        if x != 1:
+            inv = pow(x, p - 2, p)
+            rows[r] = [v * inv % p for v in rows[r]]
+        head = rows[r][c:]
+        for j, row in enumerate(rows):
+            f = row[c]
+            if f and j != r:
+                row[c:] = [(u - f * v) % p for u, v in zip(row[c:], head)]
         pivots.append(c)
         r += 1
-    return a[:r].copy(), pivots
+    return np.array(rows[:r], dtype=np.int64).reshape(r, cols), pivots
 
 
 def rank(mat, p: int) -> int:
@@ -113,14 +122,6 @@ def span_contains(outer: np.ndarray, outer_pivots: list[int], inner: np.ndarray,
     if inner.shape[0] == 0:
         return True
     return not reduce_rows(inner, outer, outer_pivots, p).any()
-
-
-def span_sum(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    if a.shape[0] == 0:
-        return rref(b, p)[0]
-    if b.shape[0] == 0:
-        return rref(a, p)[0]
-    return rref(np.vstack([a, b]), p)[0]
 
 
 def solve(mat, rhs, p: int) -> np.ndarray | None:

@@ -6,7 +6,33 @@ import pytest
 from hyperspec.algkernel import SCAlgebra
 from hyperspec.gfarith import PrimeField
 from hyperspec.hopfkernel import HopfData, parse_builtin
-from hyperspec.linalg import batch_tensor_rank_class, enumerate_vectors, matmul
+from hyperspec.linalg import batch_tensor_rank_class, enumerate_vectors, matmul, modinv, npmod
+
+
+def rref_rowloop(mat, p):
+    """The numpy row-loop RREF that linalg.rref replaced, kept as its oracle:
+    two numpy calls per (pivot, nonzero row) pair, in int64."""
+    a = npmod(np.atleast_2d(np.asarray(mat, dtype=np.int64)).copy(), p)
+    rows, cols = a.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        a[r] = npmod(a[r] * modinv(int(a[r, c]), p), p)
+        other = np.nonzero(a[:, c])[0]
+        for j in other:
+            if j != r:
+                a[j] = npmod(a[j] - a[j, c] * a[r], p)
+        pivots.append(c)
+        r += 1
+    return a[:r].copy(), pivots
 
 
 def span_rank_classes(span, a, b, p):
@@ -44,6 +70,11 @@ def ae31():
 @pytest.fixture(scope="session")
 def ae32():
     return parse_builtin("addetale:3:2")
+
+
+@pytest.fixture(scope="session")
+def mu1312():
+    return parse_builtin("mu:13:12")
 
 
 @pytest.fixture(scope="session")

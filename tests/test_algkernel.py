@@ -7,6 +7,8 @@ from hyperspec import specops as ops
 from hyperspec.algkernel import (
     IdealSubspace,
     SCAlgebra,
+    _frobenius_matrix,
+    field_algebra,
     ideal_is_prime,
     maximal_spectrum,
     monogenic_algebra,
@@ -15,7 +17,8 @@ from hyperspec.algkernel import (
     tensor_algebra,
 )
 from hyperspec.gfarith import PrimeField, FpPoly, factor, minimal_polynomial, parse_poly
-from hyperspec.linalg import enumerate_vectors, matmul, span_sum
+from hyperspec.hopfkernel import descent_ideal
+from hyperspec.linalg import enumerate_vectors, matmul, reduce_rows, rref
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -149,7 +152,7 @@ class TestSpectrum:
         pts = maximal_spectrum(alg)
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
-                s = span_sum(pts[i].ideal.basis, pts[j].ideal.basis, 3)
+                s = rref(np.vstack([pts[i].ideal.basis, pts[j].ideal.basis]), 3)[0]
                 assert s.shape[0] == alg.dim  # sum is the unit ideal
 
     def test_degrees_plus_nilradical_fill_dimension(self):
@@ -266,6 +269,83 @@ class TestIdealSubspace:
         alg = t9_minus_t()
         ideal = IdealSubspace.from_poly(alg, P("T^3+T"))
         assert ideal.generator_poly() == P("T^3+T")
+
+
+def quotient_loop(alg, ideal):
+    """quotient_algebra's (pi, structure tensor) as first written, kept as its
+    oracle: pi from the residuals of the basis vectors, and one product and
+    one projection per pair of free basis vectors."""
+    p = alg.field.p
+    n = alg.dim
+    free = [c for c in range(n) if c not in ideal.pivots]
+    eye = np.eye(n, dtype=np.int64)
+    resid = reduce_rows(eye, ideal.basis, ideal.pivots, p)
+    pi = np.zeros((len(free), n), dtype=np.int64)
+    for k, c in enumerate(free):
+        pi[k] = resid[:, c]
+    mul = np.zeros((len(free),) * 3, dtype=np.int64)
+    for i, a in enumerate(free):
+        for j, b in enumerate(free):
+            mul[i, j] = matmul(pi, alg.mul_vec(eye[a], eye[b]), p)
+    return pi, mul
+
+
+def frobenius_loop(alg):
+    """The Frobenius matrix by p - 1 successive products per basis vector,
+    the oracle of the row-wise square-and-multiply."""
+    frob = np.zeros((alg.dim, alg.dim), dtype=np.int64)
+    for i, e in enumerate(np.eye(alg.dim, dtype=np.int64)):
+        x = e
+        for _ in range(alg.field.p - 1):
+            x = alg.mul_vec(x, e)
+        frob[:, i] = x
+    return frob
+
+
+def gcd_cascade(ideal):
+    """generator_poly without its early stop: the gcd of the modulus with
+    every basis row."""
+    alg = ideal.algebra
+    top = alg.mul_vec(np.eye(alg.dim, dtype=np.int64)[alg.dim - 1], alg.generator)
+    g = FpPoly.make(alg.field, [(-int(c)) % alg.field.p for c in top] + [1])
+    for row in ideal.basis:
+        g = g.gcd(FpPoly.make(alg.field, [int(c) for c in row]))
+    return g.monic()
+
+
+class TestBatchedKernelsAgainstLoops:
+    """quotient_algebra's single contraction, the batched Frobenius matrix and
+    the early-stopping generator_poly against the loops they replaced."""
+
+    @pytest.fixture(scope="class")
+    def ideals(self, suite_algebras, mu1312, mu54, ae32):
+        out = [(h.algebra, descent_ideal(h)) for h in suite_algebras + [mu1312]]
+        out += [(h.algebra, pt.ideal) for h in (mu54, ae32) for pt in maximal_spectrum(h.algebra)]
+        return out
+
+    def test_quotient_tensor_and_projection(self, ideals):
+        for alg, ideal in ideals:
+            quo, pi = quotient_algebra(alg, ideal)
+            want_pi, want_mul = quotient_loop(alg, ideal)
+            assert (pi.mat == want_pi).all() and (quo.mul == want_mul).all()
+            assert pi.mat.shape == (alg.dim - ideal.dim, alg.dim)
+            assert not matmul(pi.mat, ideal.basis.T, alg.field.p).any()
+
+    def test_frobenius_matrix(self, ideals):
+        algebras = [alg for alg, _ in ideals] + [quotient_algebra(alg, ideal)[0] for alg, ideal in ideals]
+        algebras += [field_algebra(p, m)[0] for p, m in ((2, 3), (3, 4), (7, 2), (13, 1))]
+        for alg in algebras:
+            assert (_frobenius_matrix(alg) == frobenius_loop(alg)).all()
+
+    def test_generator_poly_equals_full_cascade(self, suite_algebras, mu1312):
+        seen = 0
+        for h in suite_algebras + [mu1312]:
+            ideals = [pt.ideal for pt in maximal_spectrum(h.algebra)]
+            ideals += [ops.delta_preimage_ideal(h, f, g)[0] for f, g in product(ops.kpoints(h), repeat=2)]
+            for ideal in ideals:
+                assert ideal.generator_poly() == gcd_cascade(ideal)
+                seen += 1
+        assert seen == sum(len(ops.kpoints(h)) * (len(ops.kpoints(h)) + 1) for h in suite_algebras + [mu1312])
 
 
 class TestLinMap:

@@ -130,6 +130,30 @@ class TestCharacteristicTwo:
         assert "odd prime" in err
 
 
+class TestPrimeBeyondInt64:
+    """p = 2^61 - 1 is prime, but (p-1)^2 >= 2^63: every entry point rejects
+    it with the bound, before any trial division."""
+
+    P = 2**61 - 1
+    MESSAGE = f"input error: p = {P} is too large: int64 arithmetic needs (p-1)^2 < 2^63\n"
+
+    def test_line_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "line", "--p", str(self.P), "--law", "add", "--max-degree", "1")
+        assert (code, out, err) == (2, "", self.MESSAGE)
+
+    def test_algebra_json_exits_2(self, tmp_path, capsys):
+        from hyperspec.hopfkernel import parse_builtin
+
+        doc = parse_builtin("mu:3:2").to_json()
+        doc["p"] = self.P
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(capsys, "hyperop", str(path)) == (2, "", self.MESSAGE)
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(json.dumps({"algebras": [str(path)]}))
+        assert run_cli(capsys, "verify", "--suite", str(cfg)) == (2, "", self.MESSAGE)
+
+
 class TestHyperop:
     def test_mu54_table_matches_group(self, capsys):
         code, out, _ = run_cli(capsys, "hyperop", "mu:5:4")

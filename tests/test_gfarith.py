@@ -1,6 +1,7 @@
 import random
 from itertools import product
 from math import gcd
+import time
 
 import numpy as np
 import pytest
@@ -44,6 +45,17 @@ class TestPrimeField:
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
             PrimeField(9)
+
+    def test_rejects_p_beyond_int64_bound_at_once(self):
+        start = time.monotonic()
+        with pytest.raises(ValueError, match=r"\(p-1\)\^2 < 2\^63"):
+            PrimeField(2**61 - 1)  # a Mersenne prime; trial division to its root would not finish
+        assert time.monotonic() - start < 1.0
+
+    def test_bound_is_tight(self):
+        assert PrimeField(3037000493).p == 3037000493  # the largest prime with (p-1)^2 < 2^63
+        with pytest.raises(ValueError, match="2\\^63"):
+            PrimeField(3037000507)  # the next prime
 
     def test_inverse(self):
         assert F5.inv(2) == 3
@@ -241,9 +253,13 @@ class TestBatchedTrialDivision:
         assert gfarith._first_monic_divisor(P("T^2+1"), 1) is None
 
     def test_int64_bound_raises(self):
-        big = PrimeField(3037000507)  # the least prime p with (p-1)^2 + p >= 2^63
+        # a p with (p-1)^2 + p >= 2^63 never reaches trial division: PrimeField
+        # rejects it first, so the bound is met here through p^d
+        with pytest.raises(ValueError, match="2\\^63"):
+            PrimeField(3037000507)
+        big = PrimeField(3037000493)  # the largest prime PrimeField accepts; p^3 >= 2^63
         with pytest.raises(ValueError, match="overflows int64"):
-            is_irreducible(FpPoly.make(big, [1, 0, 1]))
+            gfarith._first_monic_divisor(FpPoly.make(big, [1, 0, 0, 0, 0, 0, 1]), 3)
 
 
 def sympy_factors(poly):

@@ -3,6 +3,8 @@ from math import isqrt
 import numpy as np
 import pytest
 
+from conftest import rref_rowloop
+from hyperspec import algkernel, linalg
 from hyperspec.algkernel import IdealSubspace, maximal_spectrum, tensor_square_mul
 from hyperspec.gfarith import parse_poly
 from hyperspec.hopfkernel import (
@@ -163,6 +165,64 @@ class TestHopfIdeals:
         sub = IdealSubspace(ae32.algebra, np.eye(9, dtype=np.int64)[1:2])
         with pytest.raises(ValueError):
             is_hopf_ideal(ae32, sub)
+
+
+def _membership_hopf_ideal(h, ideal):
+    """is_hopf_ideal as first written, kept as its oracle: Delta(v) is tested
+    for membership in the echelon form of I⊗A + A⊗I, the span of
+    kron(I, eye) and kron(eye, I) in the n^2-dimensional space."""
+    p = h.algebra.field.p
+    n = h.dim
+    eye = np.eye(n, dtype=np.int64)
+    mixed, mixed_piv = rref_rowloop(np.vstack([np.kron(ideal.basis, eye), np.kron(eye, ideal.basis)]), p)
+    cop_w = eps_w = s_w = None
+    for v in ideal.basis:
+        dv = matmul(h.delta, v, p)
+        if cop_w is None and npmod(dv - dv[mixed_piv] @ mixed, p).any():
+            cop_w = (v.tolist(),)
+        eps = int(matmul(h.counit, v, p)[0])
+        if eps_w is None and eps != 0:
+            eps_w = (v.tolist(), eps)
+        if s_w is None and not ideal.contains_vector(matmul(h.antipode, v, p)):
+            s_w = (v.tolist(),)
+    return {
+        name: {"pass": w is None, "witness": list(w or ())}
+        for name, w in (("coproduct_containment", cop_w), ("counit_vanishes", eps_w), ("antipode_stability", s_w))
+    }
+
+
+class TestHopfIdealOracle:
+    """is_hopf_ideal through Ker(pi⊗pi) against the n^2-column echelon
+    membership test, verdicts and witnesses both."""
+
+    @pytest.fixture(scope="class")
+    def cases(self, suite_algebras, mu1312, mu54, ae32):
+        out = [(h, descent_ideal(h)) for h in suite_algebras + [mu1312]]
+        out += [(h, pt.ideal) for h in (mu54, ae32) for pt in maximal_spectrum(h.algebra)]
+        out.append((mu54, IdealSubspace(mu54.algebra, np.eye(4, dtype=np.int64))))  # unit ideal
+        return out
+
+    def test_matches_membership_oracle(self, cases):
+        failures = 0
+        for h, ideal in cases:
+            got = is_hopf_ideal(h, ideal).to_json()
+            assert got == _membership_hopf_ideal(h, ideal), (h.name, ideal.basis.tolist())
+            failures += not got["coproduct_containment"]["pass"]
+        assert failures >= 5  # the witnesses of failing coproduct tests are compared too
+
+    def test_runs_no_elimination(self, mu1312, ae32, monkeypatch):
+        calls = []
+
+        def counting(mat, p):
+            calls.append(np.shape(mat))
+            return rref_rowloop(mat, p)
+
+        ideals = [(mu1312, descent_ideal(mu1312))] + [(ae32, pt.ideal) for pt in maximal_spectrum(ae32.algebra)]
+        for module in (linalg, algkernel):
+            monkeypatch.setattr(module, "rref", counting)
+        for h, ideal in ideals:
+            is_hopf_ideal(h, ideal)
+        assert calls == []
 
 
 class TestHopfQuotient:

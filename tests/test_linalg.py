@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import span_rank_classes
+from conftest import rref_rowloop, span_rank_classes
 from hyperspec import linalg
 
 PRIMES = [3, 5, 7]
@@ -32,6 +32,61 @@ def test_rref_is_idempotent_and_canonical(pm):
     for i, c in enumerate(piv1):
         col = r1[:, c]
         assert col[i] == 1 and (np.delete(col, i) == 0).all()
+
+
+ORACLE_PRIMES = [2, 3, 5, 7, 13, 65537, 2**31 - 1]
+
+
+@st.composite
+def elimination_inputs(draw):
+    """(p, matrix) with 0-14 rows and columns, built to hit the cases the
+    elimination branches on: random entries, zero columns, repeated rows,
+    and sparse Kronecker blocks kron(B, I) stacked on kron(I, B) as the
+    Hopf-ideal test once built them."""
+    p = draw(st.sampled_from(ORACLE_PRIMES))
+    entry = st.integers(0, p - 1) | st.sampled_from([0, 1, p - 1])
+    kind = draw(st.sampled_from(["random", "zero-columns", "repeated-rows", "kronecker"]))
+    if kind == "kronecker":
+        n = draw(st.integers(1, 3))
+        k = draw(st.integers(0, n))
+        b = np.array(draw(st.lists(entry, min_size=k * n, max_size=k * n)), dtype=np.int64).reshape(k, n)
+        eye = np.eye(n, dtype=np.int64)
+        m = np.vstack([np.kron(b, eye), np.kron(eye, b)])
+        return p, m[: draw(st.integers(0, 14))]
+    rows = draw(st.integers(0, 14))
+    cols = draw(st.integers(0, 14))
+    m = np.array(draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols)), dtype=np.int64)
+    m = m.reshape(rows, cols)
+    if kind == "zero-columns" and cols:
+        m[:, draw(st.lists(st.integers(0, cols - 1), max_size=cols))] = 0
+    if kind == "repeated-rows" and rows:
+        picks = draw(st.lists(st.integers(0, rows - 1), min_size=1, max_size=14))
+        m = m[picks]
+    return p, m
+
+
+@given(elimination_inputs())
+@settings(max_examples=400, deadline=None)
+def test_rref_matches_rowloop_oracle(pm):
+    p, m = pm
+    got, piv = linalg.rref(m, p)
+    want, want_piv = rref_rowloop(m, p)
+    assert got.dtype == np.int64
+    assert got.shape == (len(piv), m.shape[1])
+    assert piv == want_piv
+    assert got.shape == want.shape and (got == want).all()
+
+
+def test_rref_shapes_at_rank_zero():
+    for m in (np.zeros((0, 4), dtype=np.int64), np.zeros((3, 4), dtype=np.int64), np.zeros((2, 0), dtype=np.int64)):
+        r, piv = linalg.rref(m, 5)
+        assert (r.shape, r.dtype, piv) == ((0, m.shape[1]), np.int64, [])
+
+
+def test_rref_reduces_unreduced_entries():
+    m = np.array([[-1, 7, 10], [2**40, 3, -6]])  # [4, 2, 0], [1, 3, 4] mod 5
+    r, piv = linalg.rref(m, 5)
+    assert (r.tolist(), piv) == ([[1, 3, 0], [0, 0, 1]], [0, 2])
 
 
 @given(matrices())
