@@ -9,7 +9,7 @@ Frobenius fixed space, which is exact in characteristic p.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -23,7 +23,9 @@ from .linalg import (
     npmod,
     nullspace,
     preimage,
+    rank,
     reduce_rows,
+    require_int64_sum,
     rref,
     span_contains,
 )
@@ -34,6 +36,8 @@ class SCAlgebra:
     n x n x n structure tensor: e_i * e_j = sum_k mul[i,j,k] e_k.
 
     All three laws are verified on every basis triple at construction.
+    Products are formed as int64 sums of dim products of two residues, so
+    every product raises ValueError unless dim * (p-1)^2 < 2^63.
     """
 
     def __init__(self, field: PrimeField, basis: list[str], mul, unit, generator=None, validate: bool = True):
@@ -52,29 +56,37 @@ class SCAlgebra:
         self._spectrum: list[PrimePoint] | None = None
 
     def _validate(self) -> None:
-        p = self.field.p
+        """Commutativity, then associativity as (e_i e_j) e_k = (e_j e_k) e_i,
+        which with commutativity is e_i (e_j e_k): both sides are rows of the
+        multiplication matrices of every basis product e_a e_b."""
         if not (self.mul == self.mul.transpose(1, 0, 2)).all():
             raise ValueError("multiplication is not commutative")
-        left = npmod(np.einsum("ijm,mkl->ijkl", self.mul, self.mul), p)
-        right = npmod(np.einsum("jkm,iml->ijkl", self.mul, self.mul), p)
-        if not (left == right).all():
-            i, j, k = (int(v) for v in np.argwhere((left != right).any(axis=3))[0])
+        n = self.dim
+        triple = self.mul_matrices(self.mul.reshape(n * n, n)).reshape(n, n, n, n)
+        rotated = triple.transpose(2, 0, 1, 3)
+        if not (triple == rotated).all():
+            i, j, k = (int(v) for v in np.argwhere((triple != rotated).any(axis=3))[0])
             raise ValueError(f"multiplication is not associative at basis triple ({i},{j},{k})")
-        prods = npmod(np.einsum("i,ijk->jk", self.unit, self.mul), p)
-        if not (prods == np.eye(self.dim, dtype=np.int64)).all():
+        if not (self.left_mul_matrix(self.unit) == np.eye(n, dtype=np.int64)).all():
             raise ValueError("declared unit is not a multiplicative identity")
 
-    def mul_vec(self, u, v) -> np.ndarray:
+    def mul_matrices(self, u: np.ndarray) -> np.ndarray:
+        """The multiplication matrices of a stack of reduced elements, one per
+        row: entry [b, j, k] is the e_k coefficient of u[b] * e_j. Every
+        product in this class goes through here."""
         p = self.field.p
-        return npmod(np.einsum("i,j,ijk->k", npmod(u, p), npmod(v, p), self.mul), p)
+        require_int64_sum(self.dim, 2, p, "algebra product")
+        return npmod(u @ self.mul.reshape(self.dim, -1), p).reshape(len(u), self.dim, self.dim)
 
     def mul_rows(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Row-wise products u[b] * v[b] of two stacks of reduced elements,
         by two plain products each reduced mod p, so that every int64 sum
         stays below dim * (p-1)^2."""
+        return npmod(np.einsum("bj,bjk->bk", v, self.mul_matrices(u)), self.field.p)
+
+    def mul_vec(self, u, v) -> np.ndarray:
         p = self.field.p
-        left = npmod(u @ self.mul.reshape(self.dim, -1), p).reshape(len(u), self.dim, self.dim)
-        return npmod(np.einsum("bj,bjk->bk", v, left), p)
+        return self.mul_rows(npmod(u, p)[None], npmod(v, p)[None])[0]
 
     def power(self, v, e: int) -> np.ndarray:
         """v^e by square-and-multiply, for one element or row-wise for a
@@ -91,8 +103,27 @@ class SCAlgebra:
 
     def left_mul_matrix(self, v) -> np.ndarray:
         """Matrix of x -> v*x."""
+        return self.mul_matrices(npmod(v, self.field.p)[None])[0].T
+
+    @cached_property
+    def frobenius(self) -> np.ndarray:
+        """Matrix of the F_p-linear map x -> x^p; column i is e_i^p, from one
+        row-wise power of every basis vector at once."""
+        frob = self.power(np.eye(self.dim, dtype=np.int64), self.field.p).T
+        frob.setflags(write=False)
+        return frob
+
+    @cached_property
+    def nil_frobenius(self) -> np.ndarray:
+        """Matrix of x -> x^(p^m) for the least m >= 1 with p^m >= dim, whose
+        kernel is the nilradical: a nilpotent x has x^dim = 0."""
         p = self.field.p
-        return npmod(np.einsum("i,ijk->kj", npmod(v, p), self.mul), p)
+        total, m = self.frobenius, 1
+        while p**m < self.dim:
+            total = matmul(self.frobenius, total, p)
+            m += 1
+        total.setflags(write=False)
+        return total
 
     @property
     def mulmat(self) -> np.ndarray:
@@ -166,17 +197,13 @@ class LinMap:
         p = (self.src or self.dst).field.p
         return matmul(self.mat, np.asarray(v, dtype=np.int64), p)
 
-    def then(self, other: "LinMap") -> "LinMap":
-        p = (self.src or self.dst).field.p
-        return LinMap(matmul(other.mat, self.mat, p), src=self.src, dst=other.dst)
-
     def is_algebra_hom(self) -> bool:
         if self.src is None or self.dst is None:
             raise ValueError("algebra-hom check needs both source and target algebras")
         p = self.src.field.p
         if not (self.apply(self.src.unit) == self.dst.unit).all():
             return False
-        lhs = npmod(np.einsum("kx,ijx->kij", self.mat, self.src.mul), p)
+        lhs = einsum_mod("kx,ijx->kij", self.mat, self.src.mul, p=p)
         rhs = einsum_mod("ai,bj,abk->kij", self.mat, self.mat, self.dst.mul, p=p)
         return bool((lhs == rhs).all())
 
@@ -192,6 +219,7 @@ class IdealSubspace:
             vecs = np.zeros((0, algebra.dim), dtype=np.int64)
         self.basis, self.pivots = rref(vecs, algebra.field.p)
         self.basis.setflags(write=False)
+        self._absorbing: bool | None = None
         if check_absorbing and not self.is_absorbing():
             raise ValueError("subspace is not an ideal (not absorbing)")
 
@@ -218,11 +246,12 @@ class IdealSubspace:
         return self.contains_vector(self.algebra.unit)
 
     def is_absorbing(self) -> bool:
-        if self.dim == 0:
-            return True
-        prods = npmod(np.einsum("ri,ijk->rjk", self.basis, self.algebra.mul), self.algebra.field.p)
-        flat = prods.reshape(-1, self.algebra.dim)
-        return not reduce_rows(flat, self.basis, self.pivots, self.algebra.field.p).any()
+        """Whether basis * A lies in the span of the basis, decided once: the
+        basis is immutable."""
+        if self._absorbing is None:
+            prods = self.algebra.mul_matrices(self.basis).reshape(-1, self.algebra.dim)
+            self._absorbing = not reduce_rows(prods, self.basis, self.pivots, self.algebra.field.p).any()
+        return self._absorbing
 
     def contains_vector(self, v) -> bool:
         return in_span(self.basis, self.pivots, v, self.algebra.field.p)
@@ -322,19 +351,13 @@ def quotient_algebra(alg: SCAlgebra, ideal: IdealSubspace) -> tuple[SCAlgebra, L
     return quo, LinMap(pi, src=alg, dst=quo, section=section)
 
 
-def _frobenius_matrix(alg: SCAlgebra) -> np.ndarray:
-    """Matrix of the F_p-linear map x -> x^p; column i is e_i^p, from one
-    row-wise power of every basis vector at once."""
-    return alg.power(np.eye(alg.dim, dtype=np.int64), alg.field.p).T
-
-
 @lru_cache(maxsize=None)
 def field_algebra(p: int, m: int) -> tuple[SCAlgebra, np.ndarray]:
     """F_{p^m} = F_p[T]/(find_irreducible(p, m)) on its power basis, with the
     matrix of its Frobenius x -> x^p. Elements of F_{p^m} are coordinate
     vectors in this algebra."""
     fq = monogenic_algebra(PrimeField(p), find_irreducible(p, m))
-    return fq, _frobenius_matrix(fq)
+    return fq, fq.frobenius
 
 
 @lru_cache(maxsize=None)
@@ -384,15 +407,7 @@ def field_roots(poly: FpPoly, m: int) -> np.ndarray:
 
 def nilradical(alg: SCAlgebra) -> IdealSubspace:
     """Kernel of the F_p-linear map x -> x^(p^m) with p^m >= dim."""
-    p = alg.field.p
-    m = 1
-    while p**m < alg.dim:
-        m += 1
-    frob = _frobenius_matrix(alg)
-    total = np.eye(alg.dim, dtype=np.int64)
-    for _ in range(m):
-        total = matmul(frob, total, p)
-    return IdealSubspace(alg, nullspace(total, p))
+    return IdealSubspace(alg, nullspace(alg.nil_frobenius, alg.field.p))
 
 
 @dataclass
@@ -418,7 +433,7 @@ def maximal_spectrum(alg: SCAlgebra) -> list[PrimePoint]:
     p = alg.field.p
     nil = nilradical(alg)
     red, pi_red = quotient_algebra(alg, nil)
-    fixed = nullspace(npmod(_frobenius_matrix(red) - np.eye(red.dim, dtype=np.int64), p), p)
+    fixed = nullspace(npmod(red.frobenius - np.eye(red.dim, dtype=np.int64), p), p)
 
     idems = [red.unit.copy()]
     for u in fixed:
@@ -468,13 +483,18 @@ def _point_label(alg: SCAlgebra, residue: SCAlgebra, ideal: IdealSubspace) -> st
 
 
 def ideal_is_prime(alg: SCAlgebra, ideal: IdealSubspace) -> bool:
-    """Primality by kernel analysis: A/I is a field iff it is reduced (then
-    a product of fields, one per dimension of its Frobenius-fixed space) and
-    its Frobenius-fixed space is one-dimensional."""
-    if ideal.is_unit_ideal():
-        return False
-    quo, _ = quotient_algebra(alg, ideal)
-    if nilradical(quo).dim != 0:
-        return False
+    """Primality from two ranks, with pi the projection onto A/I, d = dim A/I
+    and F the Frobenius matrix of A. pi(F^m x) = pi(x)^(p^m) with p^m >=
+    dim A >= d, so pi·F^m has rank d iff x -> x^(p^m) is onto, hence
+    injective, on A/I, that is iff A/I is reduced. A reduced A/I is a product of fields, one
+    per dimension of its Frobenius-fixed space, which has dimension
+    d - rank(pi·(F - 1)) since pi is onto; I is prime iff that is 1.
+    Raises ValueError on a subspace that is not an ideal."""
+    if not ideal.is_absorbing():
+        raise ValueError("subspace is not an ideal")
     p = alg.field.p
-    return nullspace(npmod(_frobenius_matrix(quo) - np.eye(quo.dim, dtype=np.int64), p), p).shape[0] == 1
+    pi, free = ideal.projection()
+    d = len(free)
+    if d == 0 or rank(matmul(pi, alg.nil_frobenius, p), p) != d:
+        return False
+    return d - rank(matmul(pi, npmod(alg.frobenius - np.eye(alg.dim, dtype=np.int64), p), p), p) == 1

@@ -162,15 +162,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_line(args) -> int:
+    law = galoisline.ADDITIVE if args.law == "add" else galoisline.MULTIPLICATIVE
     try:
         PrimeField(args.p).require_odd()
+        galoisline.require_line_size(args.p, law, args.max_degree)
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    if args.max_degree < 1:
-        print("input error: max-degree must be >= 1", file=sys.stderr)
-        return EXIT_INPUT
-    law = galoisline.ADDITIVE if args.law == "add" else galoisline.MULTIPLICATIVE
     report = galoisline.crosscheck(args.p, law, args.max_degree)
     doc = report.to_json()
     lines = [

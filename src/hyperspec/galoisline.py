@@ -74,6 +74,47 @@ class LinePoint:
         return f"LinePoint{self.label}"
 
 
+MAX_LINE_POINTS = 500  # so at most 250,000 pairs per crosscheck
+
+
+def _mobius(n: int) -> int:
+    sign, q = 1, 2
+    while q * q <= n:
+        if n % q == 0:
+            n //= q
+            if n % q == 0:
+                return 0
+            sign = -sign
+        q += 1
+    return -sign if n > 1 else sign
+
+
+def line_point_count(p: int, law: str, max_degree: int) -> int:
+    """The number of points of degree <= max_degree, without listing them:
+    by the necklace formula F_p has (1/d) * sum over e | d of mu(e) p^(d/e)
+    monic irreducibles of degree d, and the torus leaves out (T). The count
+    stops at the first degree that takes it past MAX_LINE_POINTS, so it is
+    exact up to that bound and only known to exceed it beyond."""
+    total = -1 if law == MULTIPLICATIVE else 0
+    for d in range(1, max_degree + 1):
+        total += sum(_mobius(e) * p ** (d // e) for e in range(1, d + 1) if d % e == 0) // d
+        if total > MAX_LINE_POINTS:
+            break
+    return total
+
+
+def require_line_size(p: int, law: str, max_degree: int) -> None:
+    """Raise ValueError if the points of degree <= max_degree number more
+    than MAX_LINE_POINTS, before any of them is enumerated."""
+    if max_degree < 1:
+        raise ValueError("max_degree must be >= 1")
+    if line_point_count(p, law, max_degree) > MAX_LINE_POINTS:
+        raise ValueError(
+            f"the {law} line over F_{p} has more than {MAX_LINE_POINTS} points of degree <= {max_degree}"
+            f" (over {MAX_LINE_POINTS ** 2:,} pairs); use a smaller p or max-degree"
+        )
+
+
 def line_points(p: int, law: str, max_degree: int) -> list[LinePoint]:
     PrimeField(p).require_odd()
     pts = []
@@ -241,9 +282,9 @@ def crosscheck(p: int, law: str, max_degree: int) -> CrosscheckReport:
     """Run both engines on every pair of points of degree <= max_degree and
     check the hypergroup laws on the fragment. Associativity triples whose
     intermediate or final computations would need degrees beyond
-    max_degree^2 are skipped and counted, never silently dropped."""
-    if max_degree < 1:
-        raise ValueError("max_degree must be >= 1")
+    max_degree^2 are skipped and counted, never silently dropped. Raises
+    ValueError on more than MAX_LINE_POINTS points."""
+    require_line_size(p, law, max_degree)
     pts = line_points(p, law, max_degree)
     e = line_identity(p, law)
 

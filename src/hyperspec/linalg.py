@@ -21,13 +21,26 @@ def modinv(a: int, p: int) -> int:
     return pow(a, p - 2, p)
 
 
+def require_int64_sum(terms: int, factors: int, p: int, what: str) -> None:
+    """Raise ValueError unless a sum of `terms` products of `factors`
+    residues in [0, p) stays below 2^63, so that no int64 entry can wrap."""
+    if terms * (p - 1) ** factors >= 2**63:
+        raise ValueError(f"{what} mod {p} may overflow int64: {terms} terms of {factors} factors")
+
+
 def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    return npmod(np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64), p)
+    """a @ b mod p. The operands are reduced into [0, p) first, and the
+    product raises ValueError unless inner * (p-1)^2 < 2^63 for the length
+    `inner` of the contracted axis."""
+    a, b = npmod(a, p), npmod(b, p)
+    require_int64_sum(a.shape[-1], 2, p, "matrix product")
+    return npmod(a @ b, p)
 
 
 def einsum_mod(subscripts: str, *operands, p: int) -> np.ndarray:
     """np.einsum of int64 operands mod p, contracted pairwise in numpy's
-    greedy order rather than in one loop over every index at once.
+    greedy order rather than in one loop over every index at once. A
+    two-operand contraction has one order only, so it skips the path search.
 
     Nothing is reduced mod p between the pairwise steps, so every entry of
     every intermediate is bounded by the full sum: the product of the summed
@@ -43,9 +56,8 @@ def einsum_mod(subscripts: str, *operands, p: int) -> np.ndarray:
     for label, size in sizes.items():
         if label not in output:
             terms *= size
-    if terms * (p - 1) ** len(ops) >= 2**63:
-        raise ValueError(f"einsum {subscripts!r} mod {p} may overflow int64: {terms} terms of {len(ops)} factors")
-    return npmod(np.einsum(subscripts, *ops, optimize="greedy"), p)
+    require_int64_sum(terms, len(ops), p, f"einsum {subscripts!r}")
+    return npmod(np.einsum(subscripts, *ops, optimize="greedy" if len(ops) > 2 else False), p)
 
 
 def rref(mat, p: int) -> tuple[np.ndarray, list[int]]:
@@ -91,19 +103,23 @@ def rank(mat, p: int) -> int:
 
 
 def nullspace(mat, p: int) -> np.ndarray:
-    """RREF basis (rows) of {x : mat @ x = 0 mod p}."""
+    """RREF basis (rows) of {x : mat @ x = 0 mod p}, from one elimination.
+
+    Eliminate mat with its columns reversed. Each free column c of that
+    form gives the kernel vector with 1 at c, 0 at the other free columns,
+    and nonzero entries only at pivot columns left of c, since R[i, c] = 0
+    when pivots[i] > c. Read in the original column order, the vector of
+    each free column has its leading 1 there and is zero at every other
+    free column, so the vectors, ordered by that column, already form the
+    canonical RREF of the kernel."""
     a = np.atleast_2d(np.asarray(mat, dtype=np.int64))
     n = a.shape[1]
-    r, pivots = rref(a, p)
-    free = [c for c in range(n) if c not in pivots]
-    if not free:
-        return np.zeros((0, n), dtype=np.int64)
+    r, pivots = rref(a[:, ::-1], p)
+    free = [c for c in range(n) if c not in pivots][::-1]
     basis = np.zeros((len(free), n), dtype=np.int64)
-    for k, c in enumerate(free):
-        basis[k, c] = 1
-        for i, pc in enumerate(pivots):
-            basis[k, pc] = (-int(r[i, c])) % p
-    return rref(basis, p)[0]
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = npmod(-r[:, free].T, p)
+    return np.ascontiguousarray(basis[:, ::-1])
 
 
 def reduce_rows(vecs, basis: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
@@ -122,20 +138,6 @@ def span_contains(outer: np.ndarray, outer_pivots: list[int], inner: np.ndarray,
     if inner.shape[0] == 0:
         return True
     return not reduce_rows(inner, outer, outer_pivots, p).any()
-
-
-def solve(mat, rhs, p: int) -> np.ndarray | None:
-    """One solution of mat @ x = rhs, or None."""
-    a = np.atleast_2d(np.asarray(mat, dtype=np.int64))
-    b = npmod(np.asarray(rhs, dtype=np.int64).reshape(-1, 1), p)
-    aug, pivots = rref(np.hstack([npmod(a, p), b]), p)
-    n = a.shape[1]
-    if n in pivots:
-        return None
-    x = np.zeros(n, dtype=np.int64)
-    for i, c in enumerate(pivots):
-        x[c] = aug[i, -1]
-    return x
 
 
 def preimage(mat, sub_basis: np.ndarray, p: int) -> np.ndarray:
@@ -175,45 +177,3 @@ def batch_tensor_rank_class(t: np.ndarray, p: int) -> np.ndarray:
                         ge2 |= det != 0
         out[ge2 & nonzero] = 2
     return out
-
-
-def charpoly(mat, p: int) -> list[int]:
-    """Characteristic polynomial of a square matrix over F_p, lowest degree first.
-
-    Hessenberg reduction then the standard recurrence; exact over any prime field.
-    """
-    h = npmod(np.array(mat, dtype=np.int64, copy=True), p)
-    n = h.shape[0]
-    if n == 0:
-        return [1]
-    for c in range(n - 1):
-        piv = None
-        for r in range(c + 1, n):
-            if h[r, c] % p:
-                piv = r
-                break
-        if piv is None:
-            continue
-        if piv != c + 1:
-            h[[c + 1, piv]] = h[[piv, c + 1]]
-            h[:, [c + 1, piv]] = h[:, [piv, c + 1]]
-        inv = modinv(int(h[c + 1, c]), p)
-        for r in range(c + 2, n):
-            f = int(h[r, c]) * inv % p
-            if f:
-                h[r] = npmod(h[r] - f * h[c + 1], p)
-                h[:, c + 1] = npmod(h[:, c + 1] + f * h[:, r], p)
-    # charpoly of leading k x k Hessenberg block, coefficients lowest-first
-    polys: list[list[int]] = [[1]]
-    for k in range(1, n + 1):
-        term = [(-int(h[k - 1, k - 1])) % p * c % p for c in polys[k - 1]]
-        poly = [0] + polys[k - 1]
-        poly = [(poly[i] + (term[i] if i < len(term) else 0)) % p for i in range(len(poly))]
-        minor = 1
-        for i in range(k - 2, -1, -1):
-            minor = minor * int(h[i + 1, i]) % p
-            coeff = (-int(h[i, k - 1])) % p * minor % p
-            for j, c in enumerate(polys[i]):
-                poly[j] = (poly[j] + coeff * c) % p
-        polys.append(poly)
-    return polys[n]

@@ -40,7 +40,6 @@ import numpy as np
 from .algkernel import (
     IdealSubspace,
     PrimePoint,
-    SCAlgebra,
     field_algebra,
     field_roots,
     ideal_is_prime,
@@ -323,66 +322,109 @@ def reversibility_check(h: HopfData) -> LawReport:
     return rep
 
 
+def _union(ids, members: tuple[int, ...], point: int, left: bool) -> frozenset[int]:
+    """The union over s in members of s*point (left) or of point*s, with
+    ids(a, b) the member indices of the product of the points a and b."""
+    if left:
+        return frozenset(x for s in members for x in ids(s, point))
+    return frozenset(x for s in members for x in ids(point, s))
+
+
+def _triple_sides(ids, i: int, j: int, l: int, lefts: dict, rights: dict) -> tuple[frozenset[int], frozenset[int]]:
+    """(f*g)*k and f*(g*k) as member index sets, for the points of indices
+    (i, j, l). (f*g)*k is a union over the members of f*g, so it depends on
+    their tuple and on k only, and f*(g*k) on f and the tuple of g*k: the
+    unions are memoized in lefts and rights per (tuple, point), so a loop
+    over triples forms each once and otherwise costs lookups."""
+    fg, gk = ids(i, j), ids(j, l)
+    if (fg, l) not in lefts:
+        lefts[fg, l] = _union(ids, fg, l, left=True)
+    if (i, gk) not in rights:
+        rights[i, gk] = _union(ids, gk, i, left=False)
+    return lefts[fg, l], rights[i, gk]
+
+
 @dataclass
 class WeakAssocResult:
+    """(f*g)*k, f*(g*k) and their intersection. The triple forced-zero ideal
+    and the points killing it are computed on first access only."""
+
+    h: HopfData = dc_field(repr=False, compare=False)
+    f: KPoint
+    g: KPoint
+    k: KPoint
     left: tuple[KPoint, ...]  # (f*g)*k
     right: tuple[KPoint, ...]  # f*(g*k)
     intersection: tuple[KPoint, ...]
-    triple_ideal_points: tuple[KPoint, ...]
-    triple_point_in_intersection: bool
-    # (pi_f ⊗ pi_g ⊗ pi_k) ∘ (Delta⊗id) ∘ Delta, a (deg f * deg g * deg k) x dim matrix
-    triple_map: np.ndarray = dc_field(repr=False, compare=False)
-    algebra: SCAlgebra = dc_field(repr=False, compare=False)
 
     @property
     def nonempty(self) -> bool:
         return bool(self.intersection)
 
     @cached_property
+    def triple_map(self) -> np.ndarray:
+        """(pi_f ⊗ pi_g ⊗ pi_k) ∘ (Delta⊗id) ∘ Delta, a (deg f * deg g * deg k)
+        x dim matrix, as T = (Q_fg ⊗ pi_k) ∘ Delta."""
+        h = self.h
+        t = matmul(_pair_quotient_matrix(h, self.f, self.g), _right_leg_matrix(h, self.k), h.algebra.field.p)
+        return t.reshape(-1, h.dim)
+
+    @cached_property
+    def triple_ideal_points(self) -> tuple[KPoint, ...]:
+        """The points killing Ker T: phi does iff the rows of pi_phi lie in
+        the row space of T, so one echelon form of T decides every point."""
+        p = self.h.algebra.field.p
+        basis, pivots = rref(self.triple_map, p)
+        stack, starts = _residue_stack(self.h)
+        outside = np.logical_or.reduceat(reduce_rows(stack, basis, pivots, p).any(axis=1), starts)
+        return tuple(kp for kp, out in zip(kpoints(self.h), outside) if not out)
+
+    @cached_property
+    def triple_point_in_intersection(self) -> bool:
+        inter = {kp.index for kp in self.intersection}
+        return any(kp.index in inter for kp in self.triple_ideal_points)
+
+    @cached_property
     def triple_ideal(self) -> IdealSubspace:
         """The triple forced-zero ideal Ker(triple_map)."""
-        return IdealSubspace(self.algebra, nullspace(self.triple_map, self.algebra.field.p))
+        return IdealSubspace(self.h.algebra, nullspace(self.triple_map, self.h.algebra.field.p))
 
 
 def weak_assoc_check(h: HopfData, f: KPoint, g: KPoint, k: KPoint) -> WeakAssocResult:
-    """Compute (f*g)*k and f*(g*k) by subset extension, plus the points
-    killing the triple forced-zero ideal.
-
-    The triple map is T = (Q_fg ⊗ pi_k) ∘ Delta, which equals
-    (pi_f ⊗ pi_g ⊗ pi_k) ∘ (Delta⊗id) ∘ Delta. A point phi kills Ker T iff
-    the rows of pi_phi lie in the row space of T, so one echelon form of T
-    decides every point; no kernel is computed unless triple_ideal is read."""
+    """(f*g)*k and f*(g*k) by subset extension, by the unions weak_assoc_all
+    forms; the triple forced-zero ideal and its points are read lazily from
+    the result."""
     h.ensure_verified()
     pts = kpoints(h)
-    left_ids = frozenset(
-        m for s in hyperop(h, f, g).members for m in _member_indices(hyperop(h, s, k))
-    )
-    right_ids = frozenset(
-        m for s in hyperop(h, g, k).members for m in _member_indices(hyperop(h, f, s))
-    )
-    inter = left_ids & right_ids
-    p = h.algebra.field.p
-    t = matmul(_pair_quotient_matrix(h, f, g), _right_leg_matrix(h, k), p).reshape(-1, h.dim)
-    basis, pivots = rref(t, p)
-    stack, starts = _residue_stack(h)
-    outside = np.logical_or.reduceat(reduce_rows(stack, basis, pivots, p).any(axis=1), starts)
-    triple_points = tuple(kp for kp, out in zip(pts, outside) if not out)
-    hit = any(kp.index in inter for kp in triple_points)
-    tup = lambda ids: tuple(pts[i] for i in sorted(ids))
-    return WeakAssocResult(tup(left_ids), tup(right_ids), tup(inter), triple_points, hit, t, h.algebra)
+    ids = lambda a, b: tuple(m.index for m in hyperop(h, pts[a], pts[b]).members)
+    left, right = _triple_sides(ids, f.index, g.index, k.index, {}, {})
+    tup = lambda members: tuple(pts[i] for i in sorted(members))
+    return WeakAssocResult(h, f, g, k, tup(left), tup(right), tup(left & right))
 
 
 def weak_assoc_all(h: HopfData) -> LawReport:
+    """Weak associativity, (f*g)*k ∩ f*(g*k) nonempty for every triple, decided
+    from member sets alone: each side is a union of hyperoperation results,
+    memoized for this call per (member tuple, point), so no triple makes a
+    numpy call. The
+    triple forced-zero ideal is not formed; weak_assoc_check gives it for one
+    triple. fully_associative is report-only and covers the triples up to
+    the first failure."""
+    h.ensure_verified()
     rep = LawReport()
     pts = kpoints(h)
+    table = [[tuple(m.index for m in hyperop(h, f, g).members) for g in pts] for f in pts]
+    ids = lambda a, b: table[a][b]
+    lefts: dict = {}
+    rights: dict = {}
     bad = None
     fully_associative = True
-    for f, g, k in product(pts, repeat=3):
-        res = weak_assoc_check(h, f, g, k)
-        if not res.nonempty:
-            bad = (f.label, g.label, k.label)
+    for i, j, l in product(range(len(pts)), repeat=3):
+        left, right = _triple_sides(ids, i, j, l, lefts, rights)
+        if left.isdisjoint(right):
+            bad = (pts[i].label, pts[j].label, pts[l].label)
             break
-        if res.left != res.right:
+        if left != right:
             fully_associative = False
     rep.add("weak_associativity", bad is None, bad or (f"{len(pts) ** 3} triples",))
     rep.add("fully_associative", fully_associative, (), report_only=True)
@@ -535,33 +577,6 @@ def classical_comparison(h: HopfData, q: int) -> LawReport:
 # ---------------------------------------------------------------------------
 # Presentation oracle: brute-force ground truth for the rank rule
 # ---------------------------------------------------------------------------
-
-
-def presentation_value_sets_naive(h: HopfData, f: KPoint, g: KPoint, x, r: int) -> set[frozenset[int]]:
-    """Literal enumeration of all r-term presentations of Delta(x); returns the
-    set of per-presentation K-value sets. Only viable for tiny algebras."""
-    alg = h.algebra
-    p = alg.field.p
-    n = alg.dim
-    target = tuple(int(v) for v in matmul(h.delta, np.asarray(x, dtype=np.int64), p))
-    elems = enumerate_vectors(p, n)
-    fv = [f.k_value(u) for u in elems]
-    gv = [g.k_value(u) for u in elems]
-    tensors = [tuple(int(t) for t in np.kron(u, v) % p) for u in elems for v in elems]
-    bits = [fv[i] & gv[j] for i in range(len(elems)) for j in range(len(elems))]
-    found: set[frozenset[int]] = set()
-    m = len(elems) * len(elems)
-    for combo in product(range(m), repeat=r):
-        total = [0] * (n * n)
-        cnt = 0
-        for c in combo:
-            t = tensors[c]
-            for i in range(n * n):
-                total[i] = (total[i] + t[i]) % p
-            cnt += bits[c]
-        if tuple(total) == target:
-            found.add(frozenset({0} if cnt == 0 else ({1} if cnt == 1 else {0, 1})))
-    return found
 
 
 def _transform_field(p: int, nstates: int) -> tuple[int, int]:

@@ -1,12 +1,14 @@
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
 
-from hyperspec.algkernel import SCAlgebra
+from hyperspec import specops as ops
+from hyperspec.algkernel import SCAlgebra, nilradical, quotient_algebra
 from hyperspec.gfarith import PrimeField
 from hyperspec.hopfkernel import HopfData, parse_builtin
-from hyperspec.linalg import batch_tensor_rank_class, enumerate_vectors, matmul, modinv, npmod
+from hyperspec.hyperkernel import LawReport
+from hyperspec.linalg import batch_tensor_rank_class, enumerate_vectors, matmul, modinv, npmod, rref
 
 
 def rref_rowloop(mat, p):
@@ -50,6 +52,146 @@ def span_rank_classes(span, a, b, p):
     if int((cls == 0).sum()) != 1:
         raise RuntimeError("rank-0 combinations beyond c = 0: the spanning rows are dependent")
     return coeffs, cls
+
+
+def nullspace_twopass(mat, p):
+    """The two-elimination nullspace that linalg.nullspace replaced, kept as
+    its oracle: one basis vector per free column of rref(mat), then a second
+    rref to bring those vectors into canonical form."""
+    a = np.atleast_2d(np.asarray(mat, dtype=np.int64))
+    n = a.shape[1]
+    r, pivots = rref(a, p)
+    free = [c for c in range(n) if c not in pivots]
+    if not free:
+        return np.zeros((0, n), dtype=np.int64)
+    basis = np.zeros((len(free), n), dtype=np.int64)
+    for k, c in enumerate(free):
+        basis[k, c] = 1
+        for i, pc in enumerate(pivots):
+            basis[k, pc] = (-int(r[i, c])) % p
+    return rref(basis, p)[0]
+
+
+def ideal_is_prime_by_quotient(alg, ideal):
+    """The quotient-algebra primality test that algkernel.ideal_is_prime
+    replaced, kept as its oracle: build A/I, then I is prime iff A/I is
+    nonzero, its nilradical is zero and its Frobenius-fixed space is a line."""
+    if ideal.is_unit_ideal():
+        return False
+    quo, _ = quotient_algebra(alg, ideal)
+    if nilradical(quo).dim != 0:
+        return False
+    p = alg.field.p
+    return nullspace_twopass(npmod(quo.frobenius - np.eye(quo.dim, dtype=np.int64), p), p).shape[0] == 1
+
+
+def triple_sides(h, f, g, k):
+    """(f*g)*k and f*(g*k) as member index sets, straight from hyperop."""
+    left = frozenset(m.index for s in ops.hyperop(h, f, g).members for m in ops.hyperop(h, s, k).members)
+    right = frozenset(m.index for s in ops.hyperop(h, g, k).members for m in ops.hyperop(h, f, s).members)
+    return left, right
+
+
+def weak_assoc_by_triples(h):
+    """The per-triple loop that specops.weak_assoc_all replaced, kept as its
+    oracle: both sides of every triple from hyperop, with no memo."""
+    rep = LawReport()
+    pts = ops.kpoints(h)
+    bad = None
+    fully_associative = True
+    for f, g, k in product(pts, repeat=3):
+        left, right = triple_sides(h, f, g, k)
+        if not left & right:
+            bad = (f.label, g.label, k.label)
+            break
+        if left != right:
+            fully_associative = False
+    rep.add("weak_associativity", bad is None, bad or (f"{len(pts) ** 3} triples",))
+    rep.add("fully_associative", fully_associative, (), report_only=True)
+    return rep
+
+
+def solve(mat, rhs, p):
+    """One solution of mat @ x = rhs over F_p, or None."""
+    a = np.atleast_2d(np.asarray(mat, dtype=np.int64))
+    b = npmod(np.asarray(rhs, dtype=np.int64).reshape(-1, 1), p)
+    aug, pivots = rref(np.hstack([npmod(a, p), b]), p)
+    n = a.shape[1]
+    if n in pivots:
+        return None
+    x = np.zeros(n, dtype=np.int64)
+    for i, c in enumerate(pivots):
+        x[c] = aug[i, -1]
+    return x
+
+
+def charpoly(mat, p):
+    """Characteristic polynomial of a square matrix over F_p, lowest degree first.
+
+    Hessenberg reduction then the standard recurrence; exact over any prime field.
+    """
+    h = npmod(np.array(mat, dtype=np.int64, copy=True), p)
+    n = h.shape[0]
+    if n == 0:
+        return [1]
+    for c in range(n - 1):
+        piv = None
+        for r in range(c + 1, n):
+            if h[r, c] % p:
+                piv = r
+                break
+        if piv is None:
+            continue
+        if piv != c + 1:
+            h[[c + 1, piv]] = h[[piv, c + 1]]
+            h[:, [c + 1, piv]] = h[:, [piv, c + 1]]
+        inv = modinv(int(h[c + 1, c]), p)
+        for r in range(c + 2, n):
+            f = int(h[r, c]) * inv % p
+            if f:
+                h[r] = npmod(h[r] - f * h[c + 1], p)
+                h[:, c + 1] = npmod(h[:, c + 1] + f * h[:, r], p)
+    # charpoly of leading k x k Hessenberg block, coefficients lowest-first
+    polys: list[list[int]] = [[1]]
+    for k in range(1, n + 1):
+        term = [(-int(h[k - 1, k - 1])) % p * c % p for c in polys[k - 1]]
+        poly = [0] + polys[k - 1]
+        poly = [(poly[i] + (term[i] if i < len(term) else 0)) % p for i in range(len(poly))]
+        minor = 1
+        for i in range(k - 2, -1, -1):
+            minor = minor * int(h[i + 1, i]) % p
+            coeff = (-int(h[i, k - 1])) % p * minor % p
+            for j, c in enumerate(polys[i]):
+                poly[j] = (poly[j] + coeff * c) % p
+        polys.append(poly)
+    return polys[n]
+
+
+def presentation_value_sets_naive(h, f, g, x, r):
+    """Literal enumeration of all r-term presentations of Delta(x); returns the
+    set of per-presentation K-value sets. Only viable for tiny algebras."""
+    alg = h.algebra
+    p = alg.field.p
+    n = alg.dim
+    target = tuple(int(v) for v in matmul(h.delta, np.asarray(x, dtype=np.int64), p))
+    elems = enumerate_vectors(p, n)
+    fv = [f.k_value(u) for u in elems]
+    gv = [g.k_value(u) for u in elems]
+    tensors = [tuple(int(t) for t in np.kron(u, v) % p) for u in elems for v in elems]
+    bits = [fv[i] & gv[j] for i in range(len(elems)) for j in range(len(elems))]
+    found: set[frozenset[int]] = set()
+    m = len(elems) * len(elems)
+    for combo in product(range(m), repeat=r):
+        total = [0] * (n * n)
+        cnt = 0
+        for c in combo:
+            t = tensors[c]
+            for i in range(n * n):
+                total[i] = (total[i] + t[i]) % p
+            cnt += bits[c]
+        if tuple(total) == target:
+            found.add(frozenset({0} if cnt == 0 else ({1} if cnt == 1 else {0, 1})))
+    return found
 
 
 @pytest.fixture(scope="session")

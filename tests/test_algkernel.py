@@ -6,8 +6,8 @@ import pytest
 from hyperspec import specops as ops
 from hyperspec.algkernel import (
     IdealSubspace,
+    LinMap,
     SCAlgebra,
-    _frobenius_matrix,
     field_algebra,
     ideal_is_prime,
     maximal_spectrum,
@@ -17,7 +17,9 @@ from hyperspec.algkernel import (
     tensor_algebra,
 )
 from hyperspec.gfarith import PrimeField, FpPoly, factor, minimal_polynomial, parse_poly
-from hyperspec.hopfkernel import descent_ideal
+from conftest import ideal_is_prime_by_quotient
+from hyperspec import algkernel
+from hyperspec.hopfkernel import descent_ideal, parse_builtin
 from hyperspec.linalg import enumerate_vectors, matmul, reduce_rows, rref
 
 F3 = PrimeField(3)
@@ -247,8 +249,51 @@ class TestIdealIsPrime:
         alg = monogenic_algebra(F3, P("T^2+1"))
         assert not ideal_is_prime(alg, IdealSubspace.from_poly(alg, FpPoly.one(F3)))
 
+    def test_rejects_subspace_that_is_not_an_ideal(self):
+        alg = t9_minus_t()
+        with pytest.raises(ValueError, match="not an ideal"):
+            ideal_is_prime(alg, IdealSubspace(alg, np.eye(9, dtype=np.int64)[1:2]))
+
+    @pytest.mark.parametrize("spec", ["mu:3:6", "mu:3:9", "mu:5:8", "addetale:3:3"])
+    def test_frobenius_ranks_match_quotient_oracle(self, spec):
+        """Ideals from one or two random generators q(t)^k, q monic of degree
+        at most 3 and k <= 2, against the quotient-algebra test. In the
+        non-reduced mu:3:6 and mu:3:9 some quotients have nilpotents, so the
+        rank of pi·F^m decides those verdicts."""
+        alg = parse_builtin(spec).algebra
+        field = alg.field
+        p = field.p
+        rng = np.random.default_rng(sum(map(ord, spec)))
+        verdicts = {"prime": 0, "reduced, not prime": 0, "not reduced": 0}
+        for _ in range(40):
+            gens = []
+            for _ in range(int(rng.integers(1, 3))):
+                q = FpPoly.make(field, [int(c) for c in rng.integers(0, p, size=int(rng.integers(1, 4)))] + [1])
+                gens.append(alg.power(alg.element_from_poly(q), int(rng.integers(1, 3))))
+            ideal = IdealSubspace.from_generators(alg, gens)
+            prime = ideal_is_prime(alg, ideal)
+            assert prime == ideal_is_prime_by_quotient(alg, ideal), [g.tolist() for g in gens]
+            if ideal.is_unit_ideal():
+                continue
+            quo, _ = quotient_algebra(alg, ideal)
+            reduced = nilradical(quo).dim == 0
+            verdicts["prime" if prime else ("reduced, not prime" if reduced else "not reduced")] += 1
+        assert verdicts["prime"] and verdicts["reduced, not prime"] + verdicts["not reduced"], verdicts
+        if spec in ("mu:3:6", "mu:3:9"):
+            assert verdicts["not reduced"], verdicts
+
 
 class TestIdealSubspace:
+    def test_absorbing_is_decided_once(self, monkeypatch):
+        alg = t9_minus_t()
+        ideal = IdealSubspace.from_poly(alg, P("T^2+1"))
+        calls = []
+        reduce_rows_ = algkernel.reduce_rows
+        monkeypatch.setattr(algkernel, "reduce_rows", lambda *args: calls.append(1) or reduce_rows_(*args))
+        assert ideal.is_absorbing() and ideal.is_absorbing()
+        assert ideal_is_prime(alg, ideal)
+        assert len(calls) == 1
+
     def test_absorbing_check(self):
         alg = t9_minus_t()
         ideal = IdealSubspace.from_poly(alg, P("T^2+1"))
@@ -335,7 +380,7 @@ class TestBatchedKernelsAgainstLoops:
         algebras = [alg for alg, _ in ideals] + [quotient_algebra(alg, ideal)[0] for alg, ideal in ideals]
         algebras += [field_algebra(p, m)[0] for p, m in ((2, 3), (3, 4), (7, 2), (13, 1))]
         for alg in algebras:
-            assert (_frobenius_matrix(alg) == frobenius_loop(alg)).all()
+            assert (alg.frobenius == frobenius_loop(alg)).all()
 
     def test_generator_poly_equals_full_cascade(self, suite_algebras, mu1312):
         seen = 0
@@ -355,8 +400,59 @@ class TestLinMap:
         quo, pi = quotient_algebra(alg, ideal)
         ideal2 = IdealSubspace.from_poly(quo, P("T-1", F5))
         quo2, pi2 = quotient_algebra(quo, ideal2)
-        composed = pi.then(pi2)
+        composed = LinMap(matmul(pi2.mat, pi.mat, 5), src=alg, dst=quo2)
         assert (composed.mat == (pi2.mat @ pi.mat) % 5).all()
         assert composed.dst is quo2
         v = alg.element_from_poly(P("T^3+2T", F5))
         assert (composed.apply(v) == pi2.apply(pi.apply(v))).all()
+
+
+class TestInt64Bound:
+    """Every algebra product goes through SCAlgebra.mul_matrices, which raises
+    unless dim * (p-1)^2 < 2^63; below the bound it agrees with Python ints."""
+
+    @staticmethod
+    def exact_mul(u, v, modulus, p):
+        """u * v in F_p[T]/(modulus) with Python ints, coefficients lowest first."""
+        prod = [0] * (len(u) + len(v) - 1)
+        for i, a in enumerate(u):
+            for j, b in enumerate(v):
+                prod[i + j] += a * b
+        d = len(modulus) - 1
+        for k in range(len(prod) - 1, d - 1, -1):
+            top, prod[k] = prod[k], 0
+            for i in range(d):
+                prod[k - d + i] -= top * modulus[i]
+        return [c % p for c in prod[:d]]
+
+    def test_dim_2_at_p_2_31_minus_1_is_exact(self):
+        p = 2**31 - 1
+        modulus = [5, 7, 1]
+        alg = monogenic_algebra(PrimeField(p), FpPoly.make(PrimeField(p), modulus))
+        u, v = [p - 1, p - 2], [p - 3, p - 4]
+        want = self.exact_mul(u, v, modulus, p)
+        assert alg.mul_vec(u, v).tolist() == want
+        assert alg.mul_rows(np.array([u, v]), np.array([v, u])).tolist() == [want, want]
+        assert alg.element_from_poly(FpPoly.make(PrimeField(p), [p - 1, p - 2])).tolist() == [p - 1, p - 2]
+
+    def test_dim_3_at_p_2_31_minus_1_raises(self):
+        p = 2**31 - 1
+        modulus = FpPoly.make(PrimeField(p), [5, 7, 11, 1])
+        with pytest.raises(ValueError, match="overflow int64"):
+            monogenic_algebra(PrimeField(p), modulus)  # validation multiplies through the same bound
+        from hyperspec.gfarith import power_basis_tensor
+
+        alg = SCAlgebra(PrimeField(p), ["1", "t", "t2"], power_basis_tensor(modulus), [1, 0, 0], validate=False)
+        u, v = [p - 1, p - 2, p - 3], [p - 4, p - 5, p - 6]  # wrapped to [833, 1082, 1709], not [859, 1120, 1783]
+        with pytest.raises(ValueError, match="overflow int64"):
+            alg.mul_vec(u, v)
+        with pytest.raises(ValueError, match="overflow int64"):
+            alg.mul_rows(np.array([u]), np.array([v]))
+
+    def test_largest_accepted_prime(self):
+        p = 3_037_000_493
+        field = PrimeField(p)
+        line = monogenic_algebra(field, FpPoly.make(field, [p - 2, 1]))  # dim 1: (p-1)^2 < 2^63
+        assert line.mul_vec([p - 1], [p - 3]).tolist() == [3]
+        with pytest.raises(ValueError, match="overflow int64"):
+            monogenic_algebra(field, FpPoly.make(field, [1, 0, 1]))  # dim 2: 2 (p-1)^2 >= 2^63

@@ -351,6 +351,12 @@ class TestLine:
         code, _, _ = run_cli(capsys, "line", "--p", "3", "--law", "add", "--max-degree", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("p, degree", [("1000003", "1"), ("3", "7")])
+    def test_oversize_input_rejected_before_enumeration(self, capsys, p, degree):
+        code, out, err = run_cli(capsys, "line", "--p", p, "--law", "add", "--max-degree", degree)
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: ") and "more than 500 points" in err
+
 
 class TestEntryPoint:
     def test_module_invocation(self):

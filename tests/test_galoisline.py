@@ -12,6 +12,7 @@ from hyperspec.algkernel import monogenic_algebra, tensor_algebra
 from hyperspec.galoisline import (
     ADDITIVE,
     LAWS,
+    MAX_LINE_POINTS,
     MULTIPLICATIVE,
     LinePoint,
     crosscheck,
@@ -20,7 +21,9 @@ from hyperspec.galoisline import (
     galois_hyperop,
     line_antipode,
     line_identity,
+    line_point_count,
     line_points,
+    require_line_size,
 )
 from hyperspec.gfarith import (
     FpPoly,
@@ -306,6 +309,35 @@ def associativity_by_triple(p, law, max_degree):
         if left != right:
             return checked, skipped, False
     return checked, skipped, True
+
+
+class TestLineSize:
+    @pytest.mark.parametrize("p, max_degree", [(3, 5), (5, 3), (7, 2), (11, 2), (13, 1)])
+    @pytest.mark.parametrize("law", LAWS)
+    def test_necklace_count_matches_enumeration(self, p, max_degree, law):
+        assert line_point_count(p, law, max_degree) == len(line_points(p, law, max_degree))
+
+    def test_every_configuration_run_elsewhere_is_accepted(self):
+        for p, max_degree in ((3, 5), (5, 3), (7, 2)):
+            for law in LAWS:
+                require_line_size(p, law, max_degree)
+
+    def test_first_size_past_the_bound_is_rejected(self):
+        # 499 and 503 are consecutive primes; the torus leaves out (T)
+        require_line_size(499, ADDITIVE, 1)
+        require_line_size(499, MULTIPLICATIVE, 1)
+        with pytest.raises(ValueError, match="more than 500 points"):
+            require_line_size(503, ADDITIVE, 1)
+        with pytest.raises(ValueError, match="more than 500 points"):
+            require_line_size(503, MULTIPLICATIVE, 1)
+        # p = 3: 196 points up to degree 6, 508 up to degree 7
+        require_line_size(3, ADDITIVE, 6)
+        with pytest.raises(ValueError, match="more than 500 points"):
+            crosscheck(3, ADDITIVE, 7)
+
+    def test_count_stops_past_the_bound(self):
+        assert MAX_LINE_POINTS < line_point_count(3, ADDITIVE, 10**9) < 2 * MAX_LINE_POINTS
+        assert line_point_count(1_000_003, ADDITIVE, 1) == 1_000_003
 
 
 class TestCrosscheck:

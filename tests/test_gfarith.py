@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import charpoly, solve
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +25,7 @@ from hyperspec.gfarith import (
     prime_power,
 )
 from hyperspec.hopfkernel import parse_builtin
-from hyperspec.linalg import charpoly, matmul, solve
+from hyperspec.linalg import matmul
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)

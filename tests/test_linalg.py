@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rref_rowloop, span_rank_classes
+from conftest import charpoly, nullspace_twopass, rref_rowloop, solve, span_rank_classes
 from hyperspec import linalg
 
 PRIMES = [3, 5, 7]
@@ -103,7 +103,7 @@ def test_solve_consistency(pm):
     p, m = pm
     x = np.arange(m.shape[1]) % p
     b = m @ x % p
-    sol = linalg.solve(m, b, p)
+    sol = solve(m, b, p)
     assert sol is not None
     assert ((m @ sol - b) % p == 0).all()
 
@@ -130,11 +130,11 @@ def test_preimage_membership():
 def test_charpoly_of_companion_matrix():
     # companion of x^3 + 2x + 1 over F_5
     comp = np.array([[0, 0, -1], [1, 0, -2], [0, 1, 0]])
-    assert linalg.charpoly(comp, 5) == [1, 2, 0, 1]
+    assert charpoly(comp, 5) == [1, 2, 0, 1]
 
 
 def test_charpoly_diagonal():
-    assert linalg.charpoly(np.diag([1, 2]), 5) == [2, 2, 1]  # (x-1)(x-2) = x^2-3x+2
+    assert charpoly(np.diag([1, 2]), 5) == [2, 2, 1]  # (x-1)(x-2) = x^2-3x+2
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -170,3 +170,90 @@ def test_span_rank_classes_matches_gauss(p, k, a, b, data):
     for c, got in zip(coeffs, cls):
         combo = sum((int(ci) * row for ci, row in zip(c, span)), np.zeros(a * b, dtype=np.int64)) % p
         assert got == min(linalg.rank(combo.reshape(a, b), p), 2)
+
+
+def _kernel_test_matrices(p, rng, count):
+    """Random matrices over F_p with zero rows, zero columns and rows that
+    are combinations of other rows mixed in."""
+    for _ in range(count):
+        rows, cols = int(rng.integers(1, 8)), int(rng.integers(1, 9))
+        m = rng.integers(0, p, size=(rows, cols))
+        if rng.random() < 0.3:
+            m[int(rng.integers(rows))] = 0
+        if rng.random() < 0.3:
+            m[:, int(rng.integers(cols))] = 0
+        if rows >= 3 and rng.random() < 0.5:
+            c = rng.integers(0, p, size=2)
+            m[-1] = (c[0] * m[0] + c[1] * m[1]) % p
+        yield m
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+def test_nullspace_matches_two_pass_oracle(p):
+    rng = np.random.default_rng(p)
+    for m in _kernel_test_matrices(p, rng, 300):
+        got = linalg.nullspace(m, p)
+        want = nullspace_twopass(m, p)
+        assert got.shape == want.shape and (got == want).all(), m
+        assert got.flags.c_contiguous
+
+
+def test_nullspace_of_empty_and_full_rank():
+    assert linalg.nullspace(np.zeros((0, 3), dtype=np.int64), 5).tolist() == np.eye(3, dtype=int).tolist()
+    assert linalg.nullspace(np.eye(3, dtype=np.int64), 5).shape == (0, 3)
+
+
+class TestInt64Bound:
+    """matmul and einsum_mod raise unless a sum of products of residues in
+    [0, p) stays below 2^63; just below that bound they agree with Python
+    ints. The inputs are the ones that overflowed without the bound."""
+
+    P31 = 2**31 - 1  # 2 (p-1)^2 < 2^63 <= 3 (p-1)^2
+    PMAX = 3_037_000_493  # (p-1)^2 < 2^63 <= 2 (p-1)^2
+
+    @staticmethod
+    def exact(a, b, p):
+        return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+
+    def test_matmul_exact_below_bound(self):
+        p = self.P31
+        a, b = [[p - 1, p - 2]], [[p - 3], [p - 4]]
+        assert linalg.matmul(np.array(a), np.array(b), p).tolist() == self.exact(a, b, p)
+        p = self.PMAX
+        a, b = [[p - 1]], [[p - 2]]
+        assert linalg.matmul(np.array(a), np.array(b), p).tolist() == self.exact(a, b, p) == [[2]]
+
+    def test_matmul_reduces_operands_first(self):
+        p = self.P31
+        a, b = [[-1, 2 * p - 2]], [[p - 3], [-4]]
+        want = self.exact([[x % p for x in row] for row in a], [[x % p for x in row] for row in b], p)
+        assert linalg.matmul(np.array(a), np.array(b), p).tolist() == want
+
+    def test_matmul_raises_at_first_inner_length_past_bound(self):
+        p = self.P31
+        with pytest.raises(ValueError, match="overflow int64"):
+            linalg.matmul(np.full((1, 3), p - 1), np.full((3, 1), p - 1), p)  # wrapped to 2147483646, not 3
+        p = self.PMAX
+        with pytest.raises(ValueError, match="overflow int64"):
+            linalg.matmul(np.array([[p - 1, p - 2]]), np.array([[p - 3], [p - 4]]), p)  # wrapped, not 11
+
+    def test_einsum_mod_bound(self):
+        p = self.P31
+        a = np.full((1, 2), p - 1)
+        assert linalg.einsum_mod("ij,jk->ik", a, a.T, p=p).tolist() == [[2]]
+        with pytest.raises(ValueError, match="overflow int64"):
+            linalg.einsum_mod("ij,jk->ik", np.full((1, 3), p - 1), np.full((3, 1), p - 1), p=p)
+
+    def test_two_operand_einsum_skips_path_search(self, monkeypatch):
+        seen = []
+        einsum = np.einsum
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("optimize"))
+            return einsum(*args, **kwargs)
+
+        monkeypatch.setattr(linalg.np, "einsum", spy)
+        m = np.arange(8).reshape(2, 2, 2)
+        linalg.einsum_mod("ij,jkl->ikl", np.eye(2, dtype=np.int64), m, p=5)
+        linalg.einsum_mod("ij,jk,kl->il", np.eye(2, dtype=np.int64), m[0], m[1], p=5)
+        assert seen == [False, "greedy"]

@@ -5,7 +5,7 @@ from math import isqrt
 
 import numpy as np
 import pytest
-from conftest import span_rank_classes
+from conftest import presentation_value_sets_naive, span_rank_classes, triple_sides, weak_assoc_by_triples
 
 from hyperspec import specops as ops
 from hyperspec.algkernel import IdealSubspace, field_algebra
@@ -249,6 +249,67 @@ class TestLemmaChecks:
             assert set(m.label for m in res.right) == want
 
 
+@pytest.fixture(scope="module")
+def assoc_algebras(suite_algebras):
+    return suite_algebras + [parse_builtin("mu:3:8")]
+
+
+def side_disagreements(h):
+    """The triples whose weak_assoc_check sides differ from hyperop's."""
+    bad = []
+    for f, g, k in product(ops.kpoints(h), repeat=3):
+        res = ops.weak_assoc_check(h, f, g, k)
+        left, right = triple_sides(h, f, g, k)
+        got = tuple(frozenset(m.index for m in side) for side in (res.left, res.right, res.intersection))
+        if got != (left, right, left & right):
+            bad.append((f.label, g.label, k.label))
+    return bad
+
+
+class TestWeakAssocFromMemberSets:
+    def test_report_matches_per_triple_oracle(self, assoc_algebras):
+        for h in assoc_algebras:
+            assert ops.weak_assoc_all(h).to_json() == weak_assoc_by_triples(h).to_json(), h.name
+        # mu:3:8 has degree-2 points, whose products have several members
+        mu38 = assoc_algebras[-1]
+        assert any(len(ops.hyperop(mu38, f, g).members) > 1 for f, g in product(ops.kpoints(mu38), repeat=2))
+
+    def test_sides_match_per_triple_oracle(self, assoc_algebras):
+        for h in assoc_algebras:
+            assert side_disagreements(h) == [], h.name
+
+    def test_union_dropping_a_member_is_caught(self, monkeypatch):
+        """Mutation check: a union that loses one member of a result with
+        several members disagrees with the oracle."""
+        union = ops._union
+
+        def dropping(ids, members, point, left):
+            out = union(ids, members, point, left)
+            return frozenset(sorted(out)[1:]) if len(out) > 1 else out
+
+        monkeypatch.setattr(ops, "_union", dropping)
+        h = parse_builtin("mu:3:8")
+        assert side_disagreements(h)
+
+    def test_suite_check_makes_no_triple_call(self, monkeypatch):
+        h = parse_builtin("mu:5:4")
+
+        def forbidden(*args):
+            raise AssertionError("weak_assoc_all called weak_assoc_check")
+
+        monkeypatch.setattr(ops, "weak_assoc_check", forbidden)
+        assert ops.weak_assoc_all(h).ok
+
+    def test_triple_data_is_lazy(self, mu54):
+        pts = ops.kpoints(mu54)
+        res = ops.weak_assoc_check(mu54, pts[1], pts[2], pts[3])
+        lazy = ("triple_map", "triple_ideal_points", "triple_point_in_intersection", "triple_ideal")
+        assert not set(lazy) & set(vars(res))
+        assert res.triple_point_in_intersection
+        assert {"triple_map", "triple_ideal_points", "triple_point_in_intersection"} <= set(vars(res))
+        assert "triple_ideal" not in vars(res)
+
+
 class TestDescent:
     def test_mu4_descent(self, mu54):
         rep = ops.descend_and_compare(mu54, descent_ideal(mu54))
@@ -372,7 +433,7 @@ class TestPresentationOracle:
     def test_naive_enumeration_confirms_dp(self, mu32):
         # two-term presentations, literally enumerated
         f = ops.point_by_label(mu32, "(T-1)")
-        sets = ops.presentation_value_sets_naive(mu32, f, f, mu32.algebra.generator, 2)
+        sets = presentation_value_sets_naive(mu32, f, f, mu32.algebra.generator, 2)
         assert frozenset({1}) in sets
         assert frozenset({0}) not in sets
         inter = frozenset({0, 1})
