@@ -55,22 +55,28 @@ class HyperTable:
 
     def __init__(self, carrier: Iterable[str], op: Mapping[tuple[str, str], Iterable[str]]):
         self.carrier = tuple(str(c) for c in carrier)
+        if not self.carrier:
+            raise ValueError("carrier must not be empty")
         if len(set(self.carrier)) != len(self.carrier):
             raise ValueError("carrier labels must be distinct")
         n = len(self.carrier)
         self.index = {c: i for i, c in enumerate(self.carrier)}
-        cube = np.zeros((n, n, n), dtype=bool)
-        for a, b in product(self.carrier, repeat=2):
+        hits: list[int] = []  # flat indices (a * n + b) * n + x of the members x of a*b
+        for ab, (a, b) in enumerate(product(self.carrier, repeat=2)):
             try:
                 vals = op[(a, b)]
             except KeyError:
                 raise ValueError(f"hyperoperation is not total: missing ({a},{b})")
-            vals = list(vals)
-            if not vals:
+            try:
+                members = [ab * n + self.index[str(v)] for v in vals]
+            except KeyError as exc:
+                raise ValueError(f"value {exc.args[0]!r} of ({a},{b}) is not a carrier label") from None
+            if not members:
                 raise ValueError(f"empty value set at ({a},{b}): hyperoperations return nonempty subsets")
-            for v in vals:
-                cube[self.index[a], self.index[b], self.index[str(v)]] = True
-        self.cube = cube
+            hits += members
+        cube = np.zeros(n**3, dtype=bool)
+        cube[hits] = True
+        self.cube = cube.reshape(n, n, n)
         self.cube.setflags(write=False)
 
     @property
@@ -96,17 +102,39 @@ class HyperTable:
 
     @staticmethod
     def from_json(doc: dict) -> "HyperTable":
-        carrier = [str(c) for c in doc["carrier"]]
+        carrier = doc["carrier"]
+        if not isinstance(carrier, list) or not carrier:
+            raise ValueError(f"table 'carrier' must be a non-empty array of labels, got {type(carrier).__name__}")
+        carrier = [str(c) for c in carrier]
         for c in carrier:
             if "," in c:
                 raise ValueError(f"carrier label {c!r} contains ',', which separates the two labels of a table key")
-        return HyperTable(carrier, {_pair_key(k): v for k, v in doc["op"].items()})
+        op = _pair_entries(doc, "op", carrier)
+        for (a, b), vals in op.items():
+            if not isinstance(vals, list):
+                raise ValueError(f"table 'op' value at '{a},{b}' must be an array of labels, got {type(vals).__name__}")
+        return HyperTable(carrier, op)
 
 
-def _pair_key(key: str) -> tuple[str, str]:
-    """The pair (a, b) of a table JSON key "a,b"."""
-    a, _, b = key.partition(",")
-    return a, b
+def _pair_entries(doc: dict, name: str, carrier: list[str]) -> dict[tuple[str, str], object]:
+    """doc[name], an object keyed "a,b" by carrier labels a and b, keyed by
+    the pairs (a, b). A key outside the carrier is an input error rather
+    than an ignored entry; a missing key is left to the table's totality
+    check."""
+    entries = doc[name]
+    if not isinstance(entries, dict):
+        raise ValueError(f"table {name!r} must be an object keyed 'a,b', got {type(entries).__name__}")
+    pairs = {}
+    for a in carrier:
+        for b in carrier:
+            key = f"{a},{b}"
+            if key in entries:
+                pairs[(a, b)] = entries[key]
+    if len(pairs) != len(entries):
+        known = {f"{a},{b}" for a, b in pairs}
+        key = next(k for k in entries if k not in known)
+        raise ValueError(f"table {name!r} key {key!r} is not a pair 'a,b' of carrier labels")
+    return pairs
 
 
 def extend_to_subsets(t: HyperTable, a_set: Iterable[str], b_set: Iterable[str]) -> frozenset[str]:
@@ -120,11 +148,42 @@ def extend_to_subsets(t: HyperTable, a_set: Iterable[str], b_set: Iterable[str])
     return frozenset(t.carrier[i] for i in np.nonzero(mask)[0])
 
 
-def _assoc_sides(cube: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    u = cube.astype(np.uint16)
-    left = np.einsum("abx,xcd->abcd", u, u) > 0
-    right = np.einsum("bcx,axd->abcd", u, u) > 0
-    return left, right
+def _members(cube: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The member sets of a hyperoperation in two forms: the bitset rows
+    P = packbits(cube, axis=2), and M[a, b, r], the r-th member of a*b in
+    index order, or n past its last member, for r below the largest |a*b|."""
+    n = cube.shape[0]
+    counts = cube.sum(axis=2)
+    m = int(counts.max())
+    order = np.argsort(~cube, axis=2, kind="stable")[:, :, :m]
+    return np.packbits(cube, axis=2), np.where(np.arange(m) < counts[:, :, None], order, n)
+
+
+def _union_left(rows: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Entry [a, b, c] is the OR of the packed rows rows[x, c] over the
+    members x of a*b, one member slot of M per step. The index n past the
+    last member reads an appended all-zero row. Every temporary holds n^3
+    packed rows; none has n^4 entries."""
+    padded = np.concatenate([rows, np.zeros_like(rows[:1])])
+    out = padded[members[..., 0]]
+    for r in range(1, members.shape[-1]):
+        out |= padded[members[..., r]]
+    return out
+
+
+def _union_right(rows: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Entry [a, b, c] is the OR of the packed rows rows[a, y] over the
+    members y of b*c."""
+    return _union_left(rows.swapaxes(0, 1), members).transpose(2, 0, 1, 3)
+
+
+def _first_mismatch(left: np.ndarray, right: np.ndarray) -> tuple[int, int, int] | None:
+    """The first (a, b, c) in index order at which two [a, b, c] arrays of
+    packed member sets differ, or None when they are equal."""
+    if np.array_equal(left, right):
+        return None
+    a, b, c = (int(v) for v in np.argwhere((left != right).any(axis=3))[0])
+    return a, b, c
 
 
 def _identities(cube: np.ndarray) -> list[int]:
@@ -151,11 +210,13 @@ def check_hypergroup(t: HyperTable, mode: str = "strong") -> LawReport:
     n = t.size
     names = t.carrier
 
-    left, right = _assoc_sides(cube)
-    if (left == right).all():
+    packed, members = _members(cube)
+    left, right = _union_left(packed, members), _union_right(packed, members)
+    bad = _first_mismatch(left, right)
+    if bad is None:
         rep.add("associativity", True)
     else:
-        a, b, c = (int(v) for v in np.argwhere((left != right).any(axis=3))[0])
+        a, b, c = bad
         rep.add(
             "associativity",
             False,
@@ -163,8 +224,8 @@ def check_hypergroup(t: HyperTable, mode: str = "strong") -> LawReport:
                 names[a],
                 names[b],
                 names[c],
-                sorted(names[i] for i in np.nonzero(left[a, b, c])[0]),
-                sorted(names[i] for i in np.nonzero(right[a, b, c])[0]),
+                sorted(names[i] for i in np.nonzero(np.unpackbits(left[a, b, c], count=n))[0]),
+                sorted(names[i] for i in np.nonzero(np.unpackbits(right[a, b, c], count=n))[0]),
             ),
         )
 
@@ -242,10 +303,16 @@ class HyperRingTable:
         self.carrier = add.carrier
         self.index = add.index
         n = add.size
-        m = np.zeros((n, n), dtype=np.int64)
+        products: list[int] = []
         for a, b in product(self.carrier, repeat=2):
-            m[self.index[a], self.index[b]] = self.index[str(mul[(a, b)])]
-        self.mul = m
+            try:
+                v = str(mul[(a, b)])
+            except KeyError:
+                raise ValueError(f"multiplication is not total: missing ({a},{b})") from None
+            if v not in self.index:
+                raise ValueError(f"product {v!r} of ({a},{b}) is not a carrier label")
+            products.append(self.index[v])
+        self.mul = np.array(products, dtype=np.int64).reshape(n, n)
         self.mul.setflags(write=False)
         self.zero = str(zero)
         self.one = str(one)
@@ -264,8 +331,8 @@ class HyperRingTable:
 
     @staticmethod
     def from_json(doc: dict) -> "HyperRingTable":
-        mul = {_pair_key(k): v for k, v in doc["mul"].items()}
-        return HyperRingTable(HyperTable.from_json(doc), mul, doc["zero"], doc["one"])
+        add = HyperTable.from_json(doc)
+        return HyperRingTable(add, _pair_entries(doc, "mul", list(add.carrier)), doc["zero"], doc["one"])
 
 
 def check_hyperring(r: HyperRingTable) -> LawReport:
@@ -307,28 +374,19 @@ def check_hyperring(r: HyperRingTable) -> LawReport:
         )
         rep.add("multiplicative_monoid", False, ("identity", names[a]))
 
-    addc = r.add.cube
-    u = addc.astype(np.uint16)
-    monehot = np.zeros((n, n, n), dtype=np.uint16)
-    ar = np.arange(n)
-    for a in range(n):
-        monehot[a, ar, mu[a]] = 1
-    # a*(b+c) vs a*b + a*c
-    lhs_left = np.einsum("bcx,axd->abcd", u, monehot) > 0
-    rhs_left = addc[np.broadcast_to(mu[:, :, None], (n, n, n)), np.broadcast_to(mu[:, None, :], (n, n, n))]
-    # (a+b)*c vs a*c + b*c
-    lhs_right = np.einsum("abx,xcd->abcd", u, monehot) > 0
-    rhs_right = addc[np.broadcast_to(mu[:, None, :], (n, n, n)), np.broadcast_to(mu[None, :, :], (n, n, n))]
+    # a*(b+c) against a*b + a*c, then (a+b)*c against a*c + b*c: the sums
+    # are unions of the one-hot packed rows of the products over members
+    packed, members = _members(r.add.cube)
+    products = np.packbits(np.eye(n, dtype=bool), axis=1)[mu]
     witness: tuple = ()
-    dist_ok = bool((lhs_left == rhs_left).all())
-    if not dist_ok:
-        a, b, c = (int(v) for v in np.argwhere((lhs_left != rhs_left).any(axis=3))[0])
-        witness = (names[a], names[b], names[c], "left")
-    elif not (lhs_right == rhs_right).all():
-        dist_ok = False
-        a, b, c = (int(v) for v in np.argwhere((lhs_right != rhs_right).any(axis=3))[0])
-        witness = (names[a], names[b], names[c], "right")
-    rep.add("distributivity", dist_ok, witness)
+    bad = _first_mismatch(_union_right(products, members), packed[mu[:, :, None], mu[:, None, :]])
+    if bad is not None:
+        witness = (*(names[i] for i in bad), "left")
+    else:
+        bad = _first_mismatch(_union_left(products, members), packed[mu[:, None, :], mu[None, :, :]])
+        if bad is not None:
+            witness = (*(names[i] for i in bad), "right")
+    rep.add("distributivity", bad is None, witness)
 
     absorb = (mu[zero] == zero).all() and (mu[:, zero] == zero).all()
     rep.add("zero_absorbs", bool(absorb), () if absorb else (r.zero,))

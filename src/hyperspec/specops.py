@@ -57,6 +57,7 @@ from .linalg import (
     nullspace,
     preimage,
     reduce_rows,
+    require_int64_sum,
     rref,
 )
 
@@ -192,8 +193,11 @@ def _right_leg_matrix(h: HopfData, k: KPoint) -> np.ndarray:
 
 def _residue_stack(h: HopfData) -> tuple[np.ndarray, np.ndarray]:
     """Every point's residue map stacked as rows, in point order, and the
-    index of each point's first row."""
+    index of each point's first row. Filling the cache checks the int64
+    bound of the stack's product with an ideal basis (_points_killing),
+    whose inner length is the algebra's dimension."""
     if "residue_stack" not in h._cache:
+        require_int64_sum(h.dim, 2, h.algebra.field.p, "residue maps times an ideal basis")
         pts = kpoints(h)
         stack = np.vstack([kp.point.resmap.mat for kp in pts])
         starts = np.cumsum([0] + [kp.degree for kp in pts[:-1]])
@@ -579,17 +583,29 @@ def classical_comparison(h: HopfData, q: int) -> LawReport:
 # ---------------------------------------------------------------------------
 
 
+def _unreduced_axes(p: int, q: int) -> int:
+    """The most transform axes that can run between two reductions mod q.
+    One axis sums p products of a residue in [0, q) and an entry, so j axes
+    applied to entries in [0, q) leave entries below p^j * (q-1)^(j+1),
+    which must stay below 2^63."""
+    j = 0
+    while p ** (j + 1) * (q - 1) ** (j + 2) < 2**63:
+        j += 1
+    return j
+
+
 def _transform_field(p: int, nstates: int) -> tuple[int, int]:
     """The field of the presentation DP's transform: the smallest prime
     q ≡ 1 (mod p) above 2 * nstates, and an element omega of order p in F_q.
 
     A transform pass sums p products of two residues mod q and a DP step
-    sums two, so it raises unless p * (q - 1)^2 < 2^63: no int64 product or
-    sum can then wrap."""
+    sums two, so it raises unless p * (q - 1)^2 < 2^63, that is unless at
+    least one axis fits between reductions (_unreduced_axes): no int64
+    product or sum can then wrap."""
     q = 2 * nstates + 1 + (-2 * nstates) % p
     while not is_prime(q):
         q += p
-    if p * (q - 1) ** 2 >= 2**63:
+    if _unreduced_axes(p, q) < 1:
         raise ValueError(f"transform field F_{q} for {nstates} states over F_{p} would overflow int64")
     omega = next(w for w in (pow(g, (q - 1) // p, q) for g in range(2, q)) if w != 1)
     return q, omega
@@ -598,12 +614,17 @@ def _transform_field(p: int, nstates: int) -> tuple[int, int]:
 def _group_transform(rows: np.ndarray, w: np.ndarray, q: int, k: int) -> np.ndarray:
     """The transform over the group (F_p)^k of each row, exactly in F_q: the
     p-point transform w (entries in [0, q)) is applied along each of the k
-    axes of the state index in turn, one stacked product and one reduction
-    mod q per axis. The entries of rows must lie in [0, q)."""
+    axes of the state index in turn, one stacked product per axis. Entries
+    are reduced mod q only before an axis that could take them past 2^63
+    (_unreduced_axes), and once at the end. The entries of rows must lie
+    in [0, q)."""
     batch, p = rows.shape[0], w.shape[0]
+    run = _unreduced_axes(p, q)
     for axis in range(k):
+        if axis and axis % run == 0:
+            np.remainder(rows, q, out=rows)
         rows = w @ rows.reshape(batch * p**axis, p, -1)
-        np.remainder(rows, q, out=rows)
+    np.remainder(rows, q, out=rows)
     return rows.reshape(batch, -1)
 
 

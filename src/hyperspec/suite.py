@@ -19,7 +19,7 @@ from pathlib import Path
 from . import specops as ops
 from .hopfkernel import HopfData, descent_ideal, parse_builtin
 from .hyperkernel import LawReport
-from .linalg import npmod
+from .linalg import npmod, require_int64_sum
 
 DEFAULT_SUITE = ("mu:3:2", "mu:5:4", "addetale:3:1", "addetale:3:2")
 
@@ -38,6 +38,7 @@ def _kernel_containment(h: HopfData) -> tuple[bool, dict]:
     """The forced-zero ideal of every pair is an absorbing ideal and is
     contained in the kernel of every member of f*g."""
     p = h.algebra.field.p
+    require_int64_sum(h.dim, 2, p, "residue map times an ideal basis")
     bad = None
     pairs = 0
     for f, g in product(ops.kpoints(h), repeat=2):

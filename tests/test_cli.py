@@ -1,10 +1,16 @@
 import hashlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hyperspec.cli import main
 from hyperspec.suite import DEFAULT_SUITE, TRACE_CHECKS, load_algebra, run_suite
@@ -81,6 +87,127 @@ class TestLaws:
         assert code == 2
         assert out == ""
         assert "carrier label 'a,b' contains ','" in err
+
+
+def _k_doc(with_mul=True):
+    from hyperspec.hyperkernel import krasner_hyperfield
+
+    doc = krasner_hyperfield().to_json()
+    return doc if with_mul else {"carrier": doc["carrier"], "op": doc["op"]}
+
+
+class TestTableValidation:
+    """Malformed table JSON exits 2 with a message that names the key or
+    label at fault, where it was read loosely or ignored before."""
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d.update(carrier="01"), "table 'carrier' must be a non-empty array of labels, got str"),
+            (lambda d: d.update(carrier=[]), "table 'carrier' must be a non-empty array of labels, got list"),
+            (lambda d: d.update(op={}, carrier=[]), "table 'carrier' must be a non-empty array of labels, got list"),
+            (lambda d: d["op"].update({"1,1": "01"}), "table 'op' value at '1,1' must be an array of labels, got str"),
+            (lambda d: d.update(op=[]), "table 'op' must be an object keyed 'a,b', got list"),
+            (lambda d: d["op"].update({"2,2": ["0"]}), "table 'op' key '2,2' is not a pair 'a,b' of carrier labels"),
+            (lambda d: d["op"].update({"1,1,": ["0"]}), "table 'op' key '1,1,' is not a pair 'a,b' of carrier labels"),
+            (lambda d: d["op"].update({"1,1": ["0", "7"]}), "value '7' of (1,1) is not a carrier label"),
+        ],
+    )
+    @pytest.mark.parametrize("with_mul", [False, True], ids=["hypergroup", "hyperring"])
+    def test_exits_2_naming_the_fault(self, tmp_path, capsys, edit, message, with_mul):
+        doc = _k_doc(with_mul)
+        edit(doc)
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(doc))
+        for mode in ("canonical", "marty"):
+            assert run_cli(capsys, "laws", str(path), "--mode", mode) == (2, "", f"input error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda m: m.update({"2,2": "0"}), "table 'mul' key '2,2' is not a pair 'a,b' of carrier labels"),
+            (lambda m: m.update({"1,1": "7"}), "product '7' of (1,1) is not a carrier label"),
+            (lambda m: m.pop("0,1"), "multiplication is not total: missing (0,1)"),
+        ],
+    )
+    def test_bad_multiplication_exits_2(self, tmp_path, capsys, edit, message):
+        doc = _k_doc()
+        edit(doc["mul"])
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(capsys, "laws", str(path)) == (2, "", f"input error: {message}\n")
+
+    def test_empty_carrier_rejected_by_table(self):
+        from hyperspec.hyperkernel import HyperTable
+
+        with pytest.raises(ValueError, match="carrier must not be empty"):
+            HyperTable([], {})
+
+
+def _json_values():
+    scalars = st.none() | st.booleans() | st.integers(-3, 9) | st.sampled_from(["", "0", "1", "-1", "7", "0,1", "01"])
+    return st.recursive(scalars, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["0", "1", "0,0", "1,1", "0,1", "2,2", "carrier"]), inner, max_size=3), max_leaves=6)
+
+
+@st.composite
+def _mutated_table(draw):
+    """A K or S table document with one to three random edits: a top-level
+    key set or deleted, an entry of op or mul set or deleted, or a carrier
+    label replaced, added or dropped."""
+    from hyperspec.hyperkernel import krasner_hyperfield, sign_hyperfield
+
+    doc = draw(st.sampled_from([krasner_hyperfield, sign_hyperfield]))().to_json()
+    if draw(st.booleans()):
+        doc = {"carrier": doc["carrier"], "op": doc["op"]}
+    for _ in range(draw(st.integers(1, 3))):
+        target = draw(st.sampled_from(["top", "op", "mul", "op", "mul", "carrier"]))
+        own = [str(c) for c in doc["carrier"]] if isinstance(doc.get("carrier"), list) else []
+        labels = own * 4 + ["0", "1", "-1", "7"]
+        if target == "top":
+            key = draw(st.sampled_from(["carrier", "op", "mul", "zero", "one"]))
+            if draw(st.booleans()):
+                doc.pop(key, None)
+            else:
+                doc[key] = draw(_json_values() | st.sampled_from(labels))
+        elif target in ("op", "mul") and isinstance(doc.get(target), dict):
+            key = f"{draw(st.sampled_from(labels))},{draw(st.sampled_from(labels))}"
+            if draw(st.booleans()):
+                doc[target].pop(key, None)
+            else:
+                value = st.lists(st.sampled_from(labels), max_size=3) if target == "op" else st.sampled_from(labels)
+                doc[target][key] = draw(value | _json_values())
+        elif target == "carrier" and isinstance(doc.get("carrier"), list):
+            carrier = doc["carrier"]
+            action = draw(st.sampled_from(["replace", "add", "drop"]))
+            if action == "add":
+                carrier.append(draw(st.sampled_from(labels) | _json_values()))
+            elif carrier:
+                i = draw(st.integers(0, len(carrier) - 1))
+                if action == "drop":
+                    del carrier[i]
+                else:
+                    carrier[i] = draw(st.sampled_from(labels) | _json_values())
+    return doc
+
+
+class TestTableFuzz:
+    @given(_mutated_table(), st.sampled_from(["strong", "marty", "canonical"]))
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_exit_0_or_1_with_report_or_2_with_one_line(self, doc, mode):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.json"
+            path.write_text(json.dumps(doc))
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(["laws", str(path), "--mode", mode])
+        if code in (0, 1):
+            assert err.getvalue() == ""
+            report = json.loads(out.getvalue())
+            assert report["ok"] is (code == 0) and report["report"]
+        else:
+            assert code == 2 and out.getvalue() == ""
+            assert err.getvalue().startswith("input error: ") and err.getvalue().count("\n") == 1
 
 
 def _p2_algebra_file(tmp_path):

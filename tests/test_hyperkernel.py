@@ -1,10 +1,14 @@
 import json
+import random
 from itertools import product
 
+import numpy as np
 import pytest
+from conftest import hypergroup_report_by_einsum, hyperring_report_by_einsum
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperspec import hyperkernel
 from hyperspec.hyperkernel import (
     HyperRingTable,
     HyperTable,
@@ -23,6 +27,48 @@ from hyperspec.hyperkernel import (
 
 K = krasner_hyperfield()
 S = sign_hyperfield()
+MODES = ("strong", "marty", "canonical")
+
+
+def table_from_cube(names, cube) -> HyperTable:
+    n = len(names)
+    return HyperTable(names, {(names[a], names[b]): [names[x] for x in np.nonzero(cube[a, b])[0]]
+                              for a in range(n) for b in range(n)})
+
+
+def ring_with(r: HyperRingTable, cube, mul) -> HyperRingTable:
+    """r with its addition cube and multiplication table replaced."""
+    names = r.carrier
+    n = len(names)
+    return HyperRingTable(table_from_cube(names, cube),
+                          {(names[a], names[b]): names[mul[a, b]] for a in range(n) for b in range(n)},
+                          r.zero, r.one)
+
+
+def quotient_corpus() -> list[HyperRingTable]:
+    """K, S and F_q/G for every prime power q <= 27 and every subgroup G."""
+    out = [K, S]
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27):
+        ring = field_ring(q)
+        out.extend(quotient_hyperring(ring, g) for g in cyclic_unit_subgroups(ring))
+    return out
+
+
+def mutants(r: HyperRingTable, rng: random.Random) -> list[HyperRingTable]:
+    """Three mutated copies of r: one member of one sum toggled (kept
+    nonempty), the same plus one product changed, and one product changed."""
+    n = len(r.carrier)
+    cube = r.add.cube.copy()
+    a, b, x = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+    cube[a, b, x] ^= True
+    cube[a, b, x] |= not cube[a, b].any()
+    mul = r.mul.copy()
+    mul[rng.randrange(n), rng.randrange(n)] = rng.randrange(n)
+    return [ring_with(r, cube, r.mul), ring_with(r, cube, mul), ring_with(r, r.add.cube, mul)]
+
+
+CORPUS = quotient_corpus()
+MUTANTS = [m for i, r in enumerate(CORPUS) for m in mutants(r, random.Random(i))]
 
 
 class TestExtendToSubsets:
@@ -102,6 +148,51 @@ class TestHypergroupChecks:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             check_hypergroup(K.add, "weak")
+
+
+class TestPackedKernelsAgainstEinsum:
+    """The packed member-set unions against the einsum n^4 cubes they
+    replaced: whole reports, witnesses included."""
+
+    @pytest.mark.parametrize(
+        "r", CORPUS + MUTANTS, ids=[f"table{i}" for i in range(len(CORPUS))] + [f"mutant{i}" for i in range(len(MUTANTS))]
+    )
+    def test_corpus_and_mutants(self, r):
+        assert check_hyperring(r).to_json() == hyperring_report_by_einsum(r).to_json()
+        for mode in MODES:
+            assert check_hypergroup(r.add, mode).to_json() == hypergroup_report_by_einsum(r.add, mode).to_json()
+
+    def test_mutants_reach_witnesses(self):
+        # the comparison above compares witnesses only if mutants fail
+        reports = [check_hyperring(m) for m in MUTANTS]
+        assert sum(not rep.checks["distributivity"].passed for rep in reports) > len(MUTANTS) // 4
+        assert sum(not check_hypergroup(m.add).checks["associativity"].passed for m in MUTANTS) > len(MUTANTS) // 4
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.lists(st.booleans(), min_size=n, max_size=n).filter(any), min_size=n * n, max_size=n * n))))
+    @settings(max_examples=150, deadline=None)
+    def test_random_hypergroups(self, drawn):
+        n, rows = drawn
+        t = table_from_cube([str(i) for i in range(n)], np.array(rows, dtype=bool).reshape(n, n, n))
+        for mode in MODES:
+            assert check_hypergroup(t, mode).to_json() == hypergroup_report_by_einsum(t, mode).to_json()
+
+    def test_union_that_drops_a_member_is_caught(self, monkeypatch):
+        # a _members that loses the last member of the first a*b with two or
+        # more members: the unions then disagree with the einsum cubes
+        def dropping(cube):
+            packed, members = real(cube)
+            a, b = (int(v) for v in np.argwhere(cube.sum(axis=2) >= 2)[0])
+            last = int(np.count_nonzero(members[a, b] < cube.shape[0])) - 1
+            members = members.copy()
+            members[a, b, last] = cube.shape[0]
+            return packed, members
+
+        real = hyperkernel._members
+        multi = [r for r in CORPUS if not r.add.is_single_valued()]
+        monkeypatch.setattr(hyperkernel, "_members", dropping)
+        caught = [r for r in multi if check_hyperring(r).to_json() != hyperring_report_by_einsum(r).to_json()]
+        assert caught == multi
 
 
 class TestHyperringChecks:

@@ -553,6 +553,20 @@ class TestExactOracle:
         assert not any(is_prime_by_trial(c) for c in range(2 * nstates + 1, q) if c % p == 1)
         assert omega != 1 and pow(omega, p, q) == 1  # order p, as p is prime
 
+    @pytest.mark.parametrize("p, n", [(3, 2), (3, 3), (5, 2), (7, 2)])
+    def test_transform_equals_reduction_after_every_axis(self, p, n):
+        k = n * n
+        q, omega = ops._transform_field(p, p**k)
+        run = ops._unreduced_axes(p, q)
+        assert p**run * (q - 1) ** (run + 1) < 2**63 <= p ** (run + 1) * (q - 1) ** (run + 2)
+        w = np.array([[pow(omega, i * j, q) for j in range(p)] for i in range(p)], dtype=np.int64)
+        rows = np.random.default_rng(p * n).integers(0, q, size=(3, p**k))
+        rows[0] = q - 1  # the entries at the bound
+        want = rows.copy()
+        for axis in range(k):
+            want = w @ want.reshape(3 * p**axis, p, -1) % q
+        assert (ops._group_transform(rows.copy(), w, q, k) == want.reshape(3, -1)).all()
+
     def test_overflow_guard_one_step_past_its_bound(self):
         # q_max is the largest prime q ≡ 1 (mod p) with p (q - 1)^2 < 2^63.
         # With 2N = q_max - 1 states doubled the field is F_q_max; one state
@@ -654,3 +668,35 @@ class TestForcedZeroLemma:
                 assert not reps[:, zero.pivots].any()
                 assert {tuple(r) for r in reduce_rows(full, zero.basis, zero.pivots, p)} == {tuple(r) for r in reps}
                 assert ops.forced_value(h, f, g, reps[-1]) is ForcedValue.ONE
+
+
+class TestResidueProductBound:
+    """The int64 bound of the products of residue maps with an ideal basis,
+    at p = 2^31 - 1 and dimension 3, where 3 (p-1)^2 >= 2^63. Every algebra
+    product has the same bound, so the algebra is built unvalidated."""
+
+    @pytest.fixture
+    def big(self):
+        from hyperspec.algkernel import SCAlgebra
+        from hyperspec.gfarith import FpPoly, PrimeField, power_basis_tensor
+        from hyperspec.hopfkernel import HopfData
+
+        field = PrimeField(2**31 - 1)
+        tensor = power_basis_tensor(FpPoly.make(field, [5, 7, 11, 1]))
+        alg = SCAlgebra(field, ["1", "t", "t2"], tensor, [1, 0, 0], validate=False)
+        h = HopfData(alg, np.zeros((9, 3), dtype=np.int64), [1, 0, 0], np.eye(3, dtype=np.int64))
+        # no points, so that only the bound can raise: the Hopf axioms and
+        # the spectrum would otherwise overflow first
+        h._cache["kpoints"] = []
+        return h
+
+    def test_residue_stack(self, big):
+        with pytest.raises(ValueError, match="overflow int64"):
+            ops._residue_stack(big)
+        assert "residue_stack" not in big._cache
+
+    def test_kernel_containment(self, big):
+        from hyperspec.suite import _kernel_containment
+
+        with pytest.raises(ValueError, match="overflow int64"):
+            _kernel_containment(big)
