@@ -19,7 +19,6 @@ from .linalg import (
     enumerate_vectors,
     in_span,
     matmul,
-    modinv,
     npmod,
     nullspace,
     preimage,
@@ -453,7 +452,7 @@ def maximal_spectrum(alg: SCAlgebra) -> list[PrimePoint]:
                     if b == a:
                         continue
                     f = red.mul_vec(f, npmod(ue - b * e, p))
-                    f = npmod(f * modinv((a - b) % p, p), p)
+                    f = npmod(f * alg.field.inv(a - b), p)
                 refined.append(f)
         idems = refined
     if len(idems) != fixed.shape[0]:

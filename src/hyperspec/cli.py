@@ -47,10 +47,12 @@ def cmd_laws(args) -> int:
             raise ValueError(f"unknown builtin table {spec!r}; expected builtin:K or builtin:S")
         else:
             doc = json.loads(Path(spec).read_text())
-            if "mul" in doc:
+            if isinstance(doc, dict) and "mul" in doc:
                 table, kind = HyperRingTable.from_json(doc), "hyperring"
             else:
                 table, kind = HyperTable.from_json(doc), "hypergroup"
+        if kind == "hyperring" and args.mode != "canonical":
+            raise ValueError(f"hyperring tables are checked in canonical mode only, got --mode {args.mode}")
     except Exception as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -84,12 +86,7 @@ def cmd_hyperop(args) -> int:
         plain = f"{f.label} * {g.label} = {res.labels()}"
         _emit(doc, plain, args.plain)
         return EXIT_OK
-    table = []
-    for f in pts:
-        row = []
-        for g in pts:
-            row.append(ops.hyperop(h, f, g).labels())
-        table.append(row)
+    table = [[[kp.label for kp, member in zip(pts, cell) if member] for cell in row] for row in ops.hyperop_cube(h)]
     doc = {
         "algebra": h.name or args.algebra,
         "points": [kp.label for kp in pts],
@@ -120,10 +117,15 @@ def cmd_verify(args) -> int:
     try:
         if args.suite:
             cfg = json.loads(Path(args.suite).read_text())
+            if not isinstance(cfg, dict):
+                raise ValueError(f"suite config must be a JSON object, got {type(cfg).__name__}")
             specs = _config_list(cfg, "algebras", specs)
             if not specs:
                 raise ValueError(f"suite config 'algebras' must name at least one algebra, got {specs!r}")
             checks = _config_list(cfg, "checks", None)
+            verbosity = cfg.get("verbosity", 0)
+            if not isinstance(verbosity, int) or isinstance(verbosity, bool):
+                raise ValueError(f"suite config 'verbosity' must be an integer, got {verbosity!r}")
             out_path = cfg.get("output")
             if out_path is not None and not isinstance(out_path, str):
                 raise ValueError(f"suite config 'output' must be a path string, got {out_path!r}")
@@ -136,7 +138,6 @@ def cmd_verify(args) -> int:
                         pass
                 except OSError as exc:
                     raise ValueError(f"cannot write output: {exc}") from exc
-            verbosity = int(cfg.get("verbosity", 0))
         result = run_suite(specs, checks, timings=args.timings)
     except Exception as exc:
         print(f"input error: {exc}", file=sys.stderr)

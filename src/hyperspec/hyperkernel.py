@@ -102,7 +102,9 @@ class HyperTable:
 
     @staticmethod
     def from_json(doc: dict) -> "HyperTable":
-        carrier = doc["carrier"]
+        if not isinstance(doc, dict):
+            raise ValueError(f"table JSON must be an object with 'carrier' and 'op' keys, got {type(doc).__name__}")
+        carrier = _table_key(doc, "carrier")
         if not isinstance(carrier, list) or not carrier:
             raise ValueError(f"table 'carrier' must be a non-empty array of labels, got {type(carrier).__name__}")
         carrier = [str(c) for c in carrier]
@@ -116,12 +118,18 @@ class HyperTable:
         return HyperTable(carrier, op)
 
 
+def _table_key(doc: dict, name: str):
+    if name not in doc:
+        raise ValueError(f"table JSON has no {name!r} key")
+    return doc[name]
+
+
 def _pair_entries(doc: dict, name: str, carrier: list[str]) -> dict[tuple[str, str], object]:
     """doc[name], an object keyed "a,b" by carrier labels a and b, keyed by
     the pairs (a, b). A key outside the carrier is an input error rather
     than an ignored entry; a missing key is left to the table's totality
     check."""
-    entries = doc[name]
+    entries = _table_key(doc, name)
     if not isinstance(entries, dict):
         raise ValueError(f"table {name!r} must be an object keyed 'a,b', got {type(entries).__name__}")
     pairs = {}
@@ -332,7 +340,8 @@ class HyperRingTable:
     @staticmethod
     def from_json(doc: dict) -> "HyperRingTable":
         add = HyperTable.from_json(doc)
-        return HyperRingTable(add, _pair_entries(doc, "mul", list(add.carrier)), doc["zero"], doc["one"])
+        mul = _pair_entries(doc, "mul", list(add.carrier))
+        return HyperRingTable(add, mul, _table_key(doc, "zero"), _table_key(doc, "one"))
 
 
 def check_hyperring(r: HyperRingTable) -> LawReport:

@@ -14,13 +14,6 @@ def npmod(a, p: int) -> np.ndarray:
     return np.mod(np.asarray(a, dtype=np.int64), p)
 
 
-def modinv(a: int, p: int) -> int:
-    a %= p
-    if a == 0:
-        raise ZeroDivisionError(f"0 is not invertible mod {p}")
-    return pow(a, p - 2, p)
-
-
 def require_int64_sum(terms: int, factors: int, p: int, what: str) -> None:
     """Raise ValueError unless a sum of `terms` products of `factors`
     residues in [0, p) stays below 2^63, so that no int64 entry can wrap."""

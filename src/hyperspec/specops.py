@@ -47,7 +47,7 @@ from .algkernel import (
 )
 from .gfarith import is_prime, minimal_polynomial, prime_power
 from .hopfkernel import HopfData, hopf_quotient, is_hopf_ideal
-from .hyperkernel import LawReport
+from .hyperkernel import LawReport, _members, _union_left, _union_right
 from .linalg import (
     batch_tensor_rank_class,
     einsum_mod,
@@ -215,22 +215,12 @@ def forced_value(h: HopfData, f: KPoint, g: KPoint, x) -> ForcedValue:
     return (ForcedValue.ZERO, ForcedValue.ONE, ForcedValue.FREE)[cls]
 
 
-def _preimage(h: HopfData, f: KPoint, g: KPoint) -> IdealSubspace:
-    """Ker Q_fg, computed once per ordered pair."""
-    cache = h._cache.setdefault("preimage", {})
-    key = (f.index, g.index)
-    if key not in cache:
-        cache[key] = IdealSubspace(h.algebra, nullspace(_pair_quotient_matrix(h, f, g), h.algebra.field.p))
-    return cache[key]
-
-
 def delta_preimage_ideal(h: HopfData, f: KPoint, g: KPoint) -> tuple[IdealSubspace, bool]:
     """The ideal {x : Delta(x) in Ker f ⊗ A + A ⊗ Ker g} = Ker((pi_f⊗pi_g)∘Delta),
     with a REPORT-ONLY primality verdict from ideal_is_prime's kernel analysis.
-    The ideal comes from the per-pair cache the hyperoperation fills; the
-    verdict, which the hyperoperation never reads, is computed here only."""
-    h.ensure_verified()
-    ideal = _preimage(h, f, g)
+    The ideal is the hyperoperation's forced-zero ideal; the verdict, which
+    the hyperoperation never reads, is computed here only."""
+    ideal = hyperop(h, f, g).forced_zero
     return ideal, ideal_is_prime(h.algebra, ideal)
 
 
@@ -244,64 +234,79 @@ def _points_killing(h: HopfData, ideal: IdealSubspace) -> list[KPoint]:
 
 
 def hyperop(h: HopfData, f: KPoint, g: KPoint) -> HyperopResult:
-    """f*g = {phi : forced-zero ideal in Ker phi}."""
+    """f*g = {phi : forced-zero ideal in Ker phi}, computed once per ordered
+    pair with its forced-zero ideal Ker Q_fg."""
     cache = h._cache.setdefault("hyperop", {})
     key = (f.index, g.index)
     if key in cache:
         return cache[key]
     h.ensure_verified()
-    zero_ideal = _preimage(h, f, g)
+    zero_ideal = IdealSubspace(h.algebra, nullspace(_pair_quotient_matrix(h, f, g), h.algebra.field.p))
     result = HyperopResult(f, g, tuple(_points_killing(h, zero_ideal)), zero_ideal)
     cache[key] = result
     return result
 
 
-def _member_indices(res: HyperopResult) -> frozenset[int]:
-    return frozenset(m.index for m in res.members)
+def hyperop_cube(h: HopfData) -> np.ndarray:
+    """The hyperoperation as one read-only boolean cube C[f, g, phi], true
+    iff phi lies in f*g, filled once from hyperop over every ordered pair.
+    Every spectrum law reads it. It is not a HyperTable, which rejects the
+    empty f*g that nonempty_check must be able to report."""
+    if "cube" not in h._cache:
+        pts = kpoints(h)
+        cube = np.zeros((len(pts),) * 3, dtype=bool)
+        for f, g in product(pts, repeat=2):
+            cube[f.index, g.index, [m.index for m in hyperop(h, f, g).members]] = True
+        cube.setflags(write=False)
+        h._cache["cube"] = cube
+    return h._cache["cube"]
+
+
+def _first(mask: np.ndarray) -> tuple[int, ...] | None:
+    """The first index of mask, in index order, at which it is true."""
+    hits = np.argwhere(mask)
+    return tuple(int(v) for v in hits[0]) if len(hits) else None
+
+
+def _labels(pts: list[KPoint], mask: np.ndarray) -> list[str]:
+    return [kp.label for kp, member in zip(pts, mask) if member]
 
 
 def nonempty_check(h: HopfData) -> LawReport:
     """f*g is nonempty for every ordered pair of spectrum points."""
     rep = LawReport()
-    bad = None
-    count = 0
-    for f, g in product(kpoints(h), repeat=2):
-        count += 1
-        if not hyperop(h, f, g).members:
-            bad = (f.label, g.label)
-            break
-    rep.add("nonempty", bad is None, bad or (f"{count} pairs",))
+    pts = kpoints(h)
+    bad = _first(~hyperop_cube(h).any(axis=2))
+    rep.add("nonempty", bad is None, tuple(pts[i].label for i in bad) if bad else (f"{len(pts) ** 2} pairs",))
     return rep
 
 
 def identity_law_check(h: HopfData) -> LawReport:
     """e*f = f*e = {f} as set equality, e the augmentation point."""
     rep = LawReport()
-    e = identity_point(h)
-    bad = None
-    for f in kpoints(h):
-        left = hyperop(h, e, f)
-        right = hyperop(h, f, e)
-        if [m.index for m in left.members] != [f.index] or [m.index for m in right.members] != [f.index]:
-            bad = (f.label, left.labels(), right.labels())
-            break
-    rep.add("identity_law", bad is None, bad or ())
+    pts = kpoints(h)
+    cube = hyperop_cube(h)
+    e = identity_point(h).index
+    eye = np.eye(len(pts), dtype=bool)
+    bad = _first(((cube[e] != eye) | (cube[:, e] != eye)).any(axis=1))
+    witness = ()
+    if bad:
+        f = bad[0]
+        witness = (pts[f].label, _labels(pts, cube[e, f]), _labels(pts, cube[f, e]))
+    rep.add("identity_law", bad is None, witness)
     return rep
 
 
 def inverse_law_check(h: HopfData) -> LawReport:
     """e in (f * f~) ∩ (f~ * f) with f~ the antipode point."""
     rep = LawReport()
-    e = identity_point(h)
-    bad = None
-    for f in kpoints(h):
-        ft = antipode_point(h, f)
-        if e.index not in _member_indices(hyperop(h, f, ft)) or e.index not in _member_indices(
-            hyperop(h, ft, f)
-        ):
-            bad = (f.label, ft.label)
-            break
-    rep.add("inverse_law", bad is None, bad or ())
+    pts = kpoints(h)
+    cube = hyperop_cube(h)
+    e = identity_point(h).index
+    perm = antipode_permutation(h)
+    idx = np.arange(len(pts))
+    bad = _first(~(cube[idx, perm, e] & cube[perm, idx, e]))
+    rep.add("inverse_law", bad is None, (pts[bad[0]].label, pts[perm[bad[0]]].label) if bad else ())
     return rep
 
 
@@ -309,43 +314,22 @@ def reversibility_check(h: HopfData) -> LawReport:
     """phi in f*g iff phi~ in g~*f~, exhaustively over the spectrum cubed."""
     rep = LawReport()
     pts = kpoints(h)
+    cube = hyperop_cube(h)
     perm = antipode_permutation(h)
-    bad = None
-    checked = 0
-    for f, g in product(pts, repeat=2):
-        fwd = _member_indices(hyperop(h, f, g))
-        rev = _member_indices(hyperop(h, pts[perm[g.index]], pts[perm[f.index]]))
-        for phi in pts:
-            checked += 1
-            if (phi.index in fwd) != (perm[phi.index] in rev):
-                bad = (f.label, g.label, phi.label)
-                break
-        if bad:
-            break
-    rep.add("reversibility", bad is None, bad or (f"{checked} membership pairs",))
+    bad = _first(cube != cube[perm][:, perm][:, :, perm].transpose(1, 0, 2))
+    witness = tuple(pts[i].label for i in bad) if bad else (f"{len(pts) ** 3} membership pairs",)
+    rep.add("reversibility", bad is None, witness)
     return rep
 
 
-def _union(ids, members: tuple[int, ...], point: int, left: bool) -> frozenset[int]:
-    """The union over s in members of s*point (left) or of point*s, with
-    ids(a, b) the member indices of the product of the points a and b."""
-    if left:
-        return frozenset(x for s in members for x in ids(s, point))
-    return frozenset(x for s in members for x in ids(point, s))
-
-
-def _triple_sides(ids, i: int, j: int, l: int, lefts: dict, rights: dict) -> tuple[frozenset[int], frozenset[int]]:
-    """(f*g)*k and f*(g*k) as member index sets, for the points of indices
-    (i, j, l). (f*g)*k is a union over the members of f*g, so it depends on
-    their tuple and on k only, and f*(g*k) on f and the tuple of g*k: the
-    unions are memoized in lefts and rights per (tuple, point), so a loop
-    over triples forms each once and otherwise costs lookups."""
-    fg, gk = ids(i, j), ids(j, l)
-    if (fg, l) not in lefts:
-        lefts[fg, l] = _union(ids, fg, l, left=True)
-    if (i, gk) not in rights:
-        rights[i, gk] = _union(ids, gk, i, left=False)
-    return lefts[fg, l], rights[i, gk]
+def _assoc_sides(h: HopfData) -> tuple[np.ndarray, np.ndarray]:
+    """(f*g)*k and f*(g*k) as packed member sets [f, g, k] over every triple,
+    from the cube by the unions hyperkernel's associativity check forms;
+    computed once per algebra."""
+    if "assoc_sides" not in h._cache:
+        packed, members = _members(hyperop_cube(h))
+        h._cache["assoc_sides"] = (_union_left(packed, members), _union_right(packed, members))
+    return h._cache["assoc_sides"]
 
 
 @dataclass
@@ -395,43 +379,32 @@ class WeakAssocResult:
 
 
 def weak_assoc_check(h: HopfData, f: KPoint, g: KPoint, k: KPoint) -> WeakAssocResult:
-    """(f*g)*k and f*(g*k) by subset extension, by the unions weak_assoc_all
-    forms; the triple forced-zero ideal and its points are read lazily from
-    the result."""
+    """(f*g)*k and f*(g*k) by subset extension, read from the sides
+    weak_assoc_all decides; the triple forced-zero ideal and its points are
+    read lazily from the result."""
     h.ensure_verified()
     pts = kpoints(h)
-    ids = lambda a, b: tuple(m.index for m in hyperop(h, pts[a], pts[b]).members)
-    left, right = _triple_sides(ids, f.index, g.index, k.index, {}, {})
-    tup = lambda members: tuple(pts[i] for i in sorted(members))
+    left, right = (np.unpackbits(side[f.index, g.index, k.index], count=len(pts)) for side in _assoc_sides(h))
+    tup = lambda mask: tuple(kp for kp, member in zip(pts, mask) if member)
     return WeakAssocResult(h, f, g, k, tup(left), tup(right), tup(left & right))
 
 
 def weak_assoc_all(h: HopfData) -> LawReport:
     """Weak associativity, (f*g)*k ∩ f*(g*k) nonempty for every triple, decided
-    from member sets alone: each side is a union of hyperoperation results,
-    memoized for this call per (member tuple, point), so no triple makes a
-    numpy call. The
+    from the packed member sets of both sides of every triple at once. The
     triple forced-zero ideal is not formed; weak_assoc_check gives it for one
     triple. fully_associative is report-only and covers the triples up to
     the first failure."""
     h.ensure_verified()
     rep = LawReport()
     pts = kpoints(h)
-    table = [[tuple(m.index for m in hyperop(h, f, g).members) for g in pts] for f in pts]
-    ids = lambda a, b: table[a][b]
-    lefts: dict = {}
-    rights: dict = {}
-    bad = None
-    fully_associative = True
-    for i, j, l in product(range(len(pts)), repeat=3):
-        left, right = _triple_sides(ids, i, j, l, lefts, rights)
-        if left.isdisjoint(right):
-            bad = (pts[i].label, pts[j].label, pts[l].label)
-            break
-        if left != right:
-            fully_associative = False
-    rep.add("weak_associativity", bad is None, bad or (f"{len(pts) ** 3} triples",))
-    rep.add("fully_associative", fully_associative, (), report_only=True)
+    left, right = _assoc_sides(h)
+    bad = _first(~(left & right).any(axis=3))
+    differ = (left != right).any(axis=3).ravel()
+    stop = differ.size if bad is None else np.ravel_multi_index(bad, left.shape[:3])
+    witness = tuple(pts[i].label for i in bad) if bad else (f"{len(pts) ** 3} triples",)
+    rep.add("weak_associativity", bad is None, witness)
+    rep.add("fully_associative", not differ[:stop].any(), (), report_only=True)
     return rep
 
 
@@ -449,6 +422,7 @@ def descend_and_compare(h: HopfData, ideal: IdealSubspace) -> LawReport:
 
     fixed = _points_killing(h, ideal)
     fixed_ids = frozenset(kp.index for kp in fixed)
+    cube = hyperop_cube(h)
 
     tilde: dict[int, KPoint] = {}
     for psi in pts_b:
@@ -460,22 +434,19 @@ def descend_and_compare(h: HopfData, ideal: IdealSubspace) -> LawReport:
     rep.add("tilde_into_fixed_locus", set(images) <= fixed_ids, tuple(sorted(set(images) - fixed_ids)))
     rep.add("tilde_bijective_onto_fixed_locus", set(images) == fixed_ids, (len(images), len(fixed_ids)))
 
-    bad = None
-    for f, g in product(fixed, repeat=2):
-        if not _member_indices(hyperop(h, f, g)) <= fixed_ids:
-            bad = (f.label, g.label)
-            break
-    rep.add("fixed_locus_closed", bad is None, bad or ())
+    idx = [kp.index for kp in fixed]
+    bad = _first(np.delete(cube[np.ix_(idx, idx)], idx, axis=2).any(axis=2))
+    rep.add("fixed_locus_closed", bad is None, (fixed[bad[0]].label, fixed[bad[1]].label) if bad else ())
 
-    bad = None
-    for f, g in product(pts_b, repeat=2):
-        down = hyperop(hq, f, g)
-        lifted = frozenset(tilde[m.index].index for m in down.members)
-        up = _member_indices(hyperop(h, tilde[f.index], tilde[g.index]))
-        if lifted != up:
-            bad = (f.label, g.label, sorted(lifted), sorted(up))
-            break
-    rep.add("descent_equality", bad is None, bad or (f"{len(pts_b) ** 2} pairs",))
+    # lifted[f, g] is tilde(f ⋆ g) as a mask over the points of A
+    lifted = hyperop_cube(hq) @ (np.array(images)[:, None] == np.arange(len(kpoints(h))))
+    up = cube[np.ix_(images, images)]
+    bad = _first((lifted != up).any(axis=2))
+    witness = (f"{len(pts_b) ** 2} pairs",)
+    if bad:
+        f, g = bad
+        witness = (pts_b[f].label, pts_b[g].label, *(np.flatnonzero(side[f, g]).tolist() for side in (lifted, up)))
+    rep.add("descent_equality", bad is None, witness)
     return rep
 
 
@@ -561,6 +532,7 @@ def classical_comparison(h: HopfData, q: int) -> LawReport:
 
     index = {hom.tobytes(): k for k, hom in enumerate(homs)}
     conv = classical_convolution(h, homs)
+    cube = hyperop_cube(h)
     bad = None
     closed = True
     for ia, ib in product(range(len(homs)), repeat=2):
@@ -569,8 +541,7 @@ def classical_comparison(h: HopfData, q: int) -> LawReport:
             closed = False
             bad = ("convolution escaped the point set", ia, ib)
             break
-        allowed = _member_indices(hyperop(h, kernels[ia], kernels[ib]))
-        if kernels[ic].index not in allowed:
+        if not cube[kernels[ia].index, kernels[ib].index, kernels[ic].index]:
             bad = (kernels[ia].label, kernels[ib].label, kernels[ic].label)
             break
     rep.add("convolution_closed", closed, () if closed else (bad,))

@@ -6,9 +6,9 @@ import pytest
 from hyperspec import specops as ops
 from hyperspec.algkernel import SCAlgebra, nilradical, quotient_algebra
 from hyperspec.gfarith import PrimeField
-from hyperspec.hopfkernel import HopfData, parse_builtin
+from hyperspec.hopfkernel import HopfData, hopf_quotient, parse_builtin
 from hyperspec.hyperkernel import CheckResult, LawReport, check_hypergroup, check_hyperring
-from hyperspec.linalg import batch_tensor_rank_class, enumerate_vectors, matmul, modinv, npmod, rref
+from hyperspec.linalg import batch_tensor_rank_class, enumerate_vectors, matmul, npmod, preimage, rref
 
 
 def rref_rowloop(mat, p):
@@ -27,7 +27,7 @@ def rref_rowloop(mat, p):
         i = r + int(nz[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
-        a[r] = npmod(a[r] * modinv(int(a[r, c]), p), p)
+        a[r] = npmod(a[r] * pow(int(a[r, c]), p - 2, p), p)
         other = np.nonzero(a[:, c])[0]
         for j in other:
             if j != r:
@@ -178,6 +178,109 @@ def weak_assoc_by_triples(h):
     return rep
 
 
+def member_indices(h, f, g):
+    return frozenset(m.index for m in ops.hyperop(h, f, g).members)
+
+
+def nonempty_by_pairs(h):
+    """The per-pair loop that specops.nonempty_check replaced, kept as its
+    oracle, as are the three loops below: each reads hyperop directly."""
+    rep = LawReport()
+    bad = None
+    count = 0
+    for f, g in product(ops.kpoints(h), repeat=2):
+        count += 1
+        if not ops.hyperop(h, f, g).members:
+            bad = (f.label, g.label)
+            break
+    rep.add("nonempty", bad is None, bad or (f"{count} pairs",))
+    return rep
+
+
+def identity_law_by_points(h):
+    rep = LawReport()
+    e = ops.identity_point(h)
+    bad = None
+    for f in ops.kpoints(h):
+        left = ops.hyperop(h, e, f)
+        right = ops.hyperop(h, f, e)
+        if [m.index for m in left.members] != [f.index] or [m.index for m in right.members] != [f.index]:
+            bad = (f.label, left.labels(), right.labels())
+            break
+    rep.add("identity_law", bad is None, bad or ())
+    return rep
+
+
+def inverse_law_by_points(h):
+    rep = LawReport()
+    e = ops.identity_point(h)
+    bad = None
+    for f in ops.kpoints(h):
+        ft = ops.antipode_point(h, f)
+        if e.index not in member_indices(h, f, ft) or e.index not in member_indices(h, ft, f):
+            bad = (f.label, ft.label)
+            break
+    rep.add("inverse_law", bad is None, bad or ())
+    return rep
+
+
+def reversibility_by_triples(h):
+    rep = LawReport()
+    pts = ops.kpoints(h)
+    perm = ops.antipode_permutation(h)
+    bad = None
+    checked = 0
+    for f, g in product(pts, repeat=2):
+        fwd = member_indices(h, f, g)
+        rev = member_indices(h, pts[perm[g.index]], pts[perm[f.index]])
+        for phi in pts:
+            checked += 1
+            if (phi.index in fwd) != (perm[phi.index] in rev):
+                bad = (f.label, g.label, phi.label)
+                break
+        if bad:
+            break
+    rep.add("reversibility", bad is None, bad or (f"{checked} membership pairs",))
+    return rep
+
+
+def descent_by_pairs(h, ideal):
+    """descend_and_compare's fixed_locus_closed and descent_equality entries
+    from the per-pair loops over hyperop that its cube reads replaced."""
+    rep = LawReport()
+    hq, pi = hopf_quotient(h, ideal)
+    p = h.algebra.field.p
+    fixed = [kp for kp in ops.kpoints(h) if not (ideal.dim and npmod(kp.point.resmap.mat @ ideal.basis.T, p).any())]
+    fixed_ids = frozenset(kp.index for kp in fixed)
+    tilde = {psi.index: ops.point_by_ideal(h, preimage(pi.mat, psi.point.ideal.basis, p)) for psi in ops.kpoints(hq)}
+    bad = None
+    for f, g in product(fixed, repeat=2):
+        if not member_indices(h, f, g) <= fixed_ids:
+            bad = (f.label, g.label)
+            break
+    rep.add("fixed_locus_closed", bad is None, bad or ())
+    bad = None
+    pts_b = ops.kpoints(hq)
+    for f, g in product(pts_b, repeat=2):
+        lifted = frozenset(tilde[m.index].index for m in ops.hyperop(hq, f, g).members)
+        up = member_indices(h, tilde[f.index], tilde[g.index])
+        if lifted != up:
+            bad = (f.label, g.label, sorted(lifted), sorted(up))
+            break
+    rep.add("descent_equality", bad is None, bad or (f"{len(pts_b) ** 2} pairs",))
+    return rep
+
+
+# each spectrum law that reads the hyperoperation cube, with its oracle
+LAW_ORACLES = (
+    (ops.nonempty_check, nonempty_by_pairs),
+    (ops.identity_law_check, identity_law_by_points),
+    (ops.inverse_law_check, inverse_law_by_points),
+    (ops.reversibility_check, reversibility_by_triples),
+    (ops.weak_assoc_all, weak_assoc_by_triples),
+)
+
+
 def solve(mat, rhs, p):
     """One solution of mat @ x = rhs over F_p, or None."""
     a = np.atleast_2d(np.asarray(mat, dtype=np.int64))
@@ -212,7 +315,7 @@ def charpoly(mat, p):
         if piv != c + 1:
             h[[c + 1, piv]] = h[[piv, c + 1]]
             h[:, [c + 1, piv]] = h[:, [piv, c + 1]]
-        inv = modinv(int(h[c + 1, c]), p)
+        inv = pow(int(h[c + 1, c]), p - 2, p)
         for r in range(c + 2, n):
             f = int(h[r, c]) * inv % p
             if f:

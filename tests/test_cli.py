@@ -111,6 +111,8 @@ class TestTableValidation:
             (lambda d: d["op"].update({"2,2": ["0"]}), "table 'op' key '2,2' is not a pair 'a,b' of carrier labels"),
             (lambda d: d["op"].update({"1,1,": ["0"]}), "table 'op' key '1,1,' is not a pair 'a,b' of carrier labels"),
             (lambda d: d["op"].update({"1,1": ["0", "7"]}), "value '7' of (1,1) is not a carrier label"),
+            (lambda d: d.pop("carrier"), "table JSON has no 'carrier' key"),
+            (lambda d: d.pop("op"), "table JSON has no 'op' key"),
         ],
     )
     @pytest.mark.parametrize("with_mul", [False, True], ids=["hypergroup", "hyperring"])
@@ -136,6 +138,31 @@ class TestTableValidation:
         path = tmp_path / "t.json"
         path.write_text(json.dumps(doc))
         assert run_cli(capsys, "laws", str(path)) == (2, "", f"input error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({k: v for k, v in _k_doc().items() if k != "zero"}, "table JSON has no 'zero' key"),
+            ({k: v for k, v in _k_doc().items() if k != "one"}, "table JSON has no 'one' key"),
+            ([], "table JSON must be an object with 'carrier' and 'op' keys, got list"),
+            ("mul", "table JSON must be an object with 'carrier' and 'op' keys, got str"),
+            (5, "table JSON must be an object with 'carrier' and 'op' keys, got int"),
+        ],
+    )
+    def test_top_level_faults_exit_2(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(capsys, "laws", str(path)) == (2, "", f"input error: {message}\n")
+
+    @pytest.mark.parametrize("mode", ["strong", "marty"])
+    @pytest.mark.parametrize("spec", ["builtin:K", "builtin:S", "file"])
+    def test_hyperring_needs_canonical_mode(self, tmp_path, capsys, spec, mode):
+        if spec == "file":
+            spec = str(tmp_path / "k.json")
+            Path(spec).write_text(json.dumps(_k_doc()))
+        message = f"input error: hyperring tables are checked in canonical mode only, got --mode {mode}\n"
+        assert run_cli(capsys, "laws", spec, "--mode", mode) == (2, "", message)
+        assert run_cli(capsys, "laws", spec, "--mode", "canonical")[0] == 0
 
     def test_empty_carrier_rejected_by_table(self):
         from hyperspec.hyperkernel import HyperTable
@@ -205,6 +232,65 @@ class TestTableFuzz:
             assert err.getvalue() == ""
             report = json.loads(out.getvalue())
             assert report["ok"] is (code == 0) and report["report"]
+        else:
+            assert code == 2 and out.getvalue() == ""
+            assert err.getvalue().startswith("input error: ") and err.getvalue().count("\n") == 1
+
+
+@st.composite
+def _mutated_suite(draw):
+    """A suite config over mu:3:2 with one to three random edits: a top-level
+    key set or deleted, an entry of a list added, replaced or dropped, or the
+    whole document replaced. "OUT" stands for a file in a fresh directory;
+    no other string is drawn as an output path, so no run writes elsewhere."""
+    doc = {"algebras": ["mu:3:2"], "checks": ["identity_law", "nonempty"], "output": "OUT", "verbosity": 1}
+    algebras = st.sampled_from(["mu:3:2", "mu:3:x", "mu:2:2", "mu:4:2", "nope:3:2", "missing.json"])
+    names = st.sampled_from([*TRACE_CHECKS[:3], "bogus", ""])
+    outputs = st.sampled_from(["OUT", "OUT/no/x.json", ""]) | st.none() | st.integers(-1, 2) | st.lists(st.just("OUT"))
+    for _ in range(draw(st.integers(1, 3))):
+        target = draw(st.sampled_from(["top", "top", "algebras", "checks", "whole"]))
+        if target == "whole":
+            doc = draw(_json_values())
+        elif not isinstance(doc, dict):
+            continue
+        elif target == "top":
+            key = draw(st.sampled_from(["algebras", "checks", "output", "verbosity"]))
+            if draw(st.booleans()):
+                doc.pop(key, None)
+            elif key == "output":
+                doc[key] = draw(outputs)
+            else:
+                value = {"algebras": algebras, "checks": names}.get(key, st.integers(-1, 2))
+                doc[key] = draw(_json_values() | st.lists(value, max_size=2) | value)
+        elif isinstance(doc.get(target), list):
+            entries = doc[target]
+            action = draw(st.sampled_from(["replace", "add", "drop"]))
+            entry = draw((algebras if target == "algebras" else names) | _json_values())
+            if action == "add":
+                entries.append(entry)
+            elif entries:
+                i = draw(st.integers(0, len(entries) - 1))
+                if action == "drop":
+                    del entries[i]
+                else:
+                    entries[i] = entry
+    return doc
+
+
+class TestSuiteFuzz:
+    @given(_mutated_suite())
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_exit_0_or_1_with_report_or_2_with_one_line(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "suite.json"
+            path.write_text(json.dumps(doc).replace('"OUT', json.dumps(str(Path(tmp) / "out.json"))[:-1]))
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(["verify", "--suite", str(path)])
+        if code in (0, 1):
+            report = json.loads(out.getvalue())
+            assert report["ok"] is (code == 0) and report["suite"]
+            assert all(line.endswith((": PASS", ": FAIL")) for line in err.getvalue().splitlines())
         else:
             assert code == 2 and out.getvalue() == ""
             assert err.getvalue().startswith("input error: ") and err.getvalue().count("\n") == 1
@@ -430,6 +516,21 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err == f"input error: suite config {field!r} must be a list of strings, got {value!r}\n"
+
+    @pytest.mark.parametrize(
+        "cfg, message",
+        [
+            (["mu:3:2"], "suite config must be a JSON object, got list"),
+            ("mu:3:2", "suite config must be a JSON object, got str"),
+            ({"algebras": ["mu:3:2"], "verbosity": "1"}, "suite config 'verbosity' must be an integer, got '1'"),
+            ({"algebras": ["mu:3:2"], "verbosity": 1.5}, "suite config 'verbosity' must be an integer, got 1.5"),
+            ({"algebras": ["mu:3:2"], "verbosity": True}, "suite config 'verbosity' must be an integer, got True"),
+        ],
+    )
+    def test_malformed_config_exits_2_naming_the_fault(self, tmp_path, capsys, cfg, message):
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(capsys, "verify", "--suite", str(path)) == (2, "", f"input error: {message}\n")
 
     def test_config_output_must_be_a_path(self, tmp_path, capsys):
         cfg = tmp_path / "suite.json"

@@ -1,16 +1,25 @@
+import dataclasses
 import hashlib
 import json
+import random
 from itertools import product
 from math import isqrt
 
 import numpy as np
 import pytest
-from conftest import presentation_value_sets_naive, span_rank_classes, triple_sides, weak_assoc_by_triples
+from conftest import (
+    LAW_ORACLES,
+    descent_by_pairs,
+    presentation_value_sets_naive,
+    span_rank_classes,
+    triple_sides,
+    weak_assoc_by_triples,
+)
 
 from hyperspec import specops as ops
 from hyperspec.algkernel import IdealSubspace, field_algebra
 from hyperspec.gfarith import parse_poly, prime_power
-from hyperspec.hopfkernel import descent_ideal, iterated_coproduct, parse_builtin
+from hyperspec.hopfkernel import HopfData, descent_ideal, iterated_coproduct, parse_builtin
 from hyperspec.linalg import batch_tensor_rank_class, enumerate_vectors, matmul, npmod, nullspace, reduce_rows
 from hyperspec.specops import ForcedValue
 
@@ -250,8 +259,8 @@ class TestLemmaChecks:
 
 
 @pytest.fixture(scope="module")
-def assoc_algebras(suite_algebras):
-    return suite_algebras + [parse_builtin("mu:3:8")]
+def assoc_algebras(suite_algebras, fs3):
+    return suite_algebras + [parse_builtin("mu:3:8"), fs3]
 
 
 def side_disagreements(h):
@@ -271,7 +280,7 @@ class TestWeakAssocFromMemberSets:
         for h in assoc_algebras:
             assert ops.weak_assoc_all(h).to_json() == weak_assoc_by_triples(h).to_json(), h.name
         # mu:3:8 has degree-2 points, whose products have several members
-        mu38 = assoc_algebras[-1]
+        mu38 = assoc_algebras[-2]
         assert any(len(ops.hyperop(mu38, f, g).members) > 1 for f, g in product(ops.kpoints(mu38), repeat=2))
 
     def test_sides_match_per_triple_oracle(self, assoc_algebras):
@@ -279,15 +288,19 @@ class TestWeakAssocFromMemberSets:
             assert side_disagreements(h) == [], h.name
 
     def test_union_dropping_a_member_is_caught(self, monkeypatch):
-        """Mutation check: a union that loses one member of a result with
-        several members disagrees with the oracle."""
-        union = ops._union
+        """Mutation check: when the packed member sets that hyperkernel's
+        unions read lose the last member of the first f*g with several
+        members, the sides disagree with the oracle."""
+        real = ops._members
 
-        def dropping(ids, members, point, left):
-            out = union(ids, members, point, left)
-            return frozenset(sorted(out)[1:]) if len(out) > 1 else out
+        def dropping(cube):
+            packed, members = real(cube)
+            a, b = (int(v) for v in np.argwhere(cube.sum(axis=2) >= 2)[0])
+            members = members.copy()
+            members[a, b, int(np.count_nonzero(members[a, b] < cube.shape[0])) - 1] = cube.shape[0]
+            return packed, members
 
-        monkeypatch.setattr(ops, "_union", dropping)
+        monkeypatch.setattr(ops, "_members", dropping)
         h = parse_builtin("mu:3:8")
         assert side_disagreements(h)
 
@@ -308,6 +321,64 @@ class TestWeakAssocFromMemberSets:
         assert res.triple_point_in_intersection
         assert {"triple_map", "triple_ideal_points", "triple_point_in_intersection"} <= set(vars(res))
         assert "triple_ideal" not in vars(res)
+
+
+def mutated_caches(h, count, seed):
+    """Yield `count` times, each time with h's hyperop cache holding one to
+    three pairs whose members are replaced by a random subset of the points
+    (in point order, possibly empty), and with the cube read from it
+    dropped. The true cache is restored at the end."""
+    pts = ops.kpoints(h)
+    for f, g in product(pts, repeat=2):
+        ops.hyperop(h, f, g)
+    true = h._cache["hyperop"]
+    rng = random.Random(seed)
+    for _ in range(count):
+        cache = dict(true)
+        for _ in range(rng.randint(1, 3)):
+            key = rng.choice(sorted(cache))
+            cache[key] = dataclasses.replace(cache[key], members=tuple(kp for kp in pts if rng.random() < 0.4))
+        h._cache["hyperop"] = cache
+        h._cache.pop("cube", None)
+        h._cache.pop("assoc_sides", None)
+        yield
+    h._cache["hyperop"] = true
+    h._cache.pop("cube", None)
+    h._cache.pop("assoc_sides", None)
+
+
+class TestLawsFromCube:
+    """Each spectrum law reads one hyperoperation cube; its report, witness
+    included, equals the per-pair loop over hyperop it replaced."""
+
+    def test_reports_match_oracles(self, assoc_algebras):
+        for h in assoc_algebras:
+            for law, oracle in LAW_ORACLES:
+                assert law(h).to_json() == oracle(h).to_json(), (h.name, law.__name__)
+
+    @pytest.mark.parametrize("spec", ["mu:5:4", "mu:3:8", "fs3"])
+    def test_reports_match_oracles_on_mutated_caches(self, spec, request):
+        h = HopfData.from_json(request.getfixturevalue(spec).to_json()) if spec == "fs3" else parse_builtin(spec)
+        failed = set()
+        for _ in mutated_caches(h, 100, seed=len(spec)):
+            for law, oracle in LAW_ORACLES:
+                got = law(h).to_json()
+                assert got == oracle(h).to_json(), (spec, law.__name__)
+                failed |= {name for name, entry in got.items() if not entry["pass"]}
+            assert side_disagreements(h) == []
+        assert {"nonempty", "identity_law", "inverse_law", "reversibility", "weak_associativity"} <= failed
+
+    @pytest.mark.parametrize("spec", ["mu:5:4", "mu:3:8"])
+    def test_descent_matches_oracle_on_mutated_caches(self, spec):
+        h = parse_builtin(spec)
+        ideal = descent_ideal(h)
+        names = ("fixed_locus_closed", "descent_equality")
+        failed = set()
+        for _ in mutated_caches(h, 60, seed=1):
+            got = ops.descend_and_compare(h, ideal).to_json()
+            assert {name: got[name] for name in names} == descent_by_pairs(h, ideal).to_json(), spec
+            failed |= {name for name in names if not got[name]["pass"]}
+        assert failed == set(names)
 
 
 class TestDescent:
