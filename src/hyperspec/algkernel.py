@@ -158,13 +158,46 @@ class SCAlgebra:
 
     @staticmethod
     def from_json(doc: dict) -> "SCAlgebra":
+        """The algebra of a document as to_json writes it. Raises ValueError
+        naming the first fault: a document that is not an object, a missing
+        key, a p that is not an integer prime, a basis that is not a
+        nonempty list of strings, or a mul, unit or generator of the wrong
+        shape or with a non-integer entry."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"algebra JSON must be an object, got {type(doc).__name__}")
+        for key in ("p", "basis", "mul", "unit"):
+            if key not in doc:
+                raise ValueError(f"algebra JSON has no {key!r} key")
+        p, basis = doc["p"], doc["basis"]
+        if type(p) is not int:
+            raise ValueError(f"algebra JSON 'p' must be an integer, got {p!r}")
+        field = PrimeField(p)
+        if not (isinstance(basis, list) and basis and all(isinstance(b, str) for b in basis)):
+            raise ValueError(f"algebra JSON 'basis' must be a nonempty list of strings, got {basis!r}")
+        n = len(basis)
+        gen = None if doc.get("generator") is None else json_residues(doc, "generator", (n,), p)
         return SCAlgebra(
-            PrimeField(int(doc["p"])),
-            [str(b) for b in doc["basis"]],
-            doc["mul"],
-            doc["unit"],
-            generator=doc.get("generator"),
+            field, basis, json_residues(doc, "mul", (n, n, n), p), json_residues(doc, "unit", (n,), p), generator=gen
         )
+
+
+def json_residues(doc: dict, key: str, shape: tuple[int, ...], p: int) -> np.ndarray:
+    """doc[key], nested lists of integers of the given shape, reduced mod p
+    as Python ints before they become int64. Raises ValueError naming the
+    key when it is missing, has another shape or holds a non-integer (a
+    bool, float, string, list or object where an integer belongs)."""
+    if key not in doc:
+        raise ValueError(f"algebra JSON has no {key!r} key")
+    try:
+        arr = np.array(doc[key], dtype=object)
+    except ValueError:  # ragged lists, for some numpy versions
+        arr = None
+    if arr is None or arr.shape != shape:
+        raise ValueError(f"algebra JSON {key!r} must be a {' x '.join(map(str, shape))} array of integers")
+    for v in arr.flat:
+        if type(v) is not int:
+            raise ValueError(f"algebra JSON {key!r} entries must be integers, got {v!r}")
+    return np.array([v % p for v in arr.flat], dtype=np.int64).reshape(shape)
 
 
 def monogenic_algebra(field: PrimeField, modulus: FpPoly) -> SCAlgebra:

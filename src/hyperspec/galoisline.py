@@ -1,10 +1,11 @@
 """Closed points of the affine line and the torus over F_p, with the
 spectrum hyperoperation computed two independent ways.
 
-The Galois-orbit engine adds (or multiplies) roots in a common splitting
-field and collects minimal polynomials of the results. The definitional
-engine works with the image s of the coproduct generator in the residue-field
-tensor product: its minimal polynomial g_P generates the forced-zero ideal,
+The Galois-orbit engine adds (or multiplies) roots in one field F_{p^N} that
+holds them all and sorts the results into Galois orbits, one minimal
+polynomial per orbit (OrbitClassifier). The definitional engine works with
+the image s of the coproduct generator in the residue-field tensor
+product: its minimal polynomial g_P generates the forced-zero ideal,
 and f*g is every irreducible factor of g_P. No factor has to be filtered
 out by the forced-one (rank-one) rule: (pi)/(g_P) is a proper ideal of the
 subalgebra F_p[s] of K_f ⊗ K_g, and a rank-one tensor u⊗v = (u⊗1)(1⊗v) is a
@@ -24,6 +25,7 @@ import numpy as np
 
 from .algkernel import SCAlgebra, field_algebra, field_roots, monogenic_algebra
 from .gfarith import FpPoly, PrimeField, _first_monic_relation, factor, irreducibles_up_to, minimal_polynomial
+from .hyperkernel import _first_mismatch, _members, _union_left, _union_right
 from .linalg import matmul, npmod
 
 ADDITIVE = "additive"
@@ -147,28 +149,83 @@ def _residue_algebra(poly: FpPoly) -> SCAlgebra:
     return monogenic_algebra(poly.field, poly)
 
 
-@lru_cache(maxsize=None)
-def galois_hyperop(p: int, law: str, f: LinePoint, g: LinePoint) -> tuple[LinePoint, ...]:
-    """Orbit-model hyperoperation: fix a root alpha of f, run over Frobenius
-    conjugates beta_j = Frob^j(beta) of a root of g, and collect minimal
-    polynomials of the sums (additive) or products (multiplicative).
+class OrbitClassifier:
+    """The Galois-orbit engine of one law in one field F_{p^N}.
 
-    Only gcd(deg f, deg g) conjugates are needed. Frob^(deg f) fixes alpha and
-    sends beta_j to beta_(j + deg f), so the values at j and j + deg f are
-    conjugate and share a minimal polynomial: the minimal polynomials are
-    constant on the cosets of the subgroup generated by deg f in Z/(deg g),
-    which is generated by gcd(deg f, deg g) and has the representatives
-    0, ..., gcd - 1."""
-    m = lcm(f.degree, g.degree)
-    fq, frob = field_algebra(p, m)
-    alpha = field_roots(f.poly, m)[0]
-    conj = field_roots(g.poly, m)[0]
-    out = set()
-    for _ in range(gcd(f.degree, g.degree)):
-        val = npmod(alpha + conj, p) if law == ADDITIVE else fq.mul_vec(alpha, conj)
-        out.add(LinePoint(law, minimal_polynomial(val, fq)))
-        conj = matmul(frob, conj, p)
-    return tuple(sorted(out, key=LinePoint.sort_key))
+    It keeps the points seen so far, one carried root of each, and a dict
+    from the coordinate bytes of every conjugate of those roots to its
+    point. An input point gets its root from field_roots, a scan of its
+    subfield. A value whose bytes are not in the dict gets one minimal
+    polynomial; that is a new point, and the value is its carried root. So no
+    member root is ever scanned, and each orbit costs one minimal
+    polynomial. f*g is a Galois-invariant set, so which root a point carries
+    cannot change it."""
+
+    def __init__(self, p: int, law: str, n: int):
+        self.p, self.law, self.n = p, law, n
+        self.field, self.frob = field_algebra(p, n)
+        self.points: list[LinePoint] = []
+        self.roots: list[np.ndarray] = []
+        self.index: dict[LinePoint, int] = {}
+        self.by_root: dict[bytes, int] = {}
+        self._ops: dict[tuple[int, int], tuple[int, ...]] = {}
+
+    def _register(self, pt: LinePoint, root: np.ndarray) -> int:
+        if pt in self.index:
+            raise RuntimeError(f"{pt} is registered, but not at the conjugates of {root.tolist()}")
+        k = len(self.points)
+        self.points.append(pt)
+        self.roots.append(root)
+        self.index[pt] = k
+        for _ in range(pt.degree):
+            self.by_root[root.tobytes()] = k
+            root = matmul(self.frob, root, self.p)
+        return k
+
+    def point_index(self, pt: LinePoint) -> int:
+        k = self.index.get(pt)
+        return self._register(pt, field_roots(pt.poly, self.n)[0]) if k is None else k
+
+    def _classify(self, val: np.ndarray) -> int:
+        k = self.by_root.get(val.tobytes())
+        return self._register(LinePoint(self.law, minimal_polynomial(val, self.field)), val) if k is None else k
+
+    def op(self, i: int, j: int) -> tuple[int, ...]:
+        """f*g for the points f, g at indices i, j, as point indices in
+        LinePoint.sort_key order, memoized. Fix the root alpha of f, run
+        over Frobenius conjugates beta_j = Frob^j(beta) of the root of g,
+        and classify the sums (additive) or products (multiplicative).
+
+        Only gcd(deg f, deg g) conjugates are needed. Frob^(deg f) fixes
+        alpha and sends beta_j to beta_(j + deg f), so the values at j and
+        j + deg f are conjugate and lie in one orbit: the orbits are
+        constant on the cosets of the subgroup generated by deg f in
+        Z/(deg g), which is generated by gcd(deg f, deg g) and has the
+        representatives 0, ..., gcd - 1."""
+        out = self._ops.get((i, j))
+        if out is None:
+            p, alpha, conj = self.p, self.roots[i], self.roots[j]
+            found = set()
+            for _ in range(gcd(self.points[i].degree, self.points[j].degree)):
+                val = npmod(alpha + conj, p) if self.law == ADDITIVE else self.field.mul_vec(alpha, conj)
+                found.add(self._classify(val))
+                conj = matmul(self.frob, conj, p)
+            out = self._ops[i, j] = tuple(sorted(found, key=lambda k: self.points[k].sort_key()))
+        return out
+
+
+@lru_cache(maxsize=None)
+def orbit_classifier(p: int, law: str, n: int) -> OrbitClassifier:
+    """The Galois-orbit engine of a law in F_{p^n}, one per (p, law, n)."""
+    return OrbitClassifier(p, law, n)
+
+
+def galois_hyperop(p: int, law: str, f: LinePoint, g: LinePoint) -> tuple[LinePoint, ...]:
+    """Orbit-model hyperoperation in F_{p^m}, m = lcm(deg f, deg g), the
+    least field that holds a root of each: the minimal polynomials of the
+    sums (additive) or products (multiplicative) of their roots."""
+    orbits = orbit_classifier(p, law, lcm(f.degree, g.degree))
+    return tuple(orbits.points[k] for k in orbits.op(orbits.point_index(f), orbits.point_index(g)))
 
 
 def forced_zero_generator(p: int, law: str, f: LinePoint, g: LinePoint) -> FpPoly:
@@ -278,72 +335,82 @@ class CrosscheckReport:
         }
 
 
+def _member_cube(rows: list[list[list[int]]], width: int) -> np.ndarray:
+    """The bool cube C[a, b, k] = (k in rows[a][b])."""
+    cube = np.zeros((len(rows), len(rows[0]), width), dtype=bool)
+    for a, row in enumerate(rows):
+        for b, ks in enumerate(row):
+            cube[a, b, ks] = True
+    return cube
+
+
+UNION_BLOCK_BYTES = 1 << 25  # packed member sets per side of one associativity block
+
+
 def crosscheck(p: int, law: str, max_degree: int) -> CrosscheckReport:
     """Run both engines on every pair of points of degree <= max_degree and
-    check the hypergroup laws on the fragment. Associativity triples whose
-    intermediate or final computations would need degrees beyond
-    max_degree^2 are skipped and counted, never silently dropped. Raises
+    check the hypergroup laws on the fragment. The Galois engine runs in one
+    field F_{p^N}, N = lcm(1, ..., max_degree): each member of f*g has degree
+    dividing lcm(deg f, deg g), which divides N, so every root the checks
+    need lies there and no associativity triple is skipped. Raises
     ValueError on more than MAX_LINE_POINTS points."""
     require_line_size(p, law, max_degree)
     pts = line_points(p, law, max_degree)
-    e = line_identity(p, law)
+    orbits = orbit_classifier(p, law, lcm(*range(1, max_degree + 1)))
+    ids = [orbits.point_index(x) for x in pts]
+    n = len(pts)
+
+    # Local positions: the points first, then the members of their pairs
+    # (the sources s of the associativity blocks), then whatever the blocks
+    # add. Each member list stays in sort_key order.
+    pos = {k: i for i, k in enumerate(ids)}
+
+    def place(ks: tuple[int, ...]) -> list[int]:
+        return [pos.setdefault(k, len(pos)) for k in ks]
+
+    table = [[place(orbits.op(a, b)) for b in ids] for a in ids]
+    sources = list(pos)
+    left_block = [[place(orbits.op(s, x)) for x in ids] for s in sources]  # s*x
+    right_block = [[place(orbits.op(x, s)) for s in sources] for x in ids]  # x*s
+    local = [orbits.points[k] for k in pos]
 
     pairs = []
     degree_ok = True
-    for f, g in product(pts, repeat=2):
-        gal = galois_hyperop(p, law, f, g)
-        de = definitional_hyperop(p, law, f, g)
-        pairs.append(PairRecord(f, g, gal, de))
+    for (i, f), (j, g) in product(enumerate(pts), repeat=2):
+        gal = tuple(local[k] for k in table[i][j])
+        pairs.append(PairRecord(f, g, gal, definitional_hyperop(p, law, f, g)))
         if any(lcm(f.degree, g.degree) % q.degree for q in gal):
             degree_ok = False
 
-    identity_ok = all(
-        galois_hyperop(p, law, e, f) == (f,) and galois_hyperop(p, law, f, e) == (f,) for f in pts
-    )
+    e = pos[orbits.point_index(line_identity(p, law))]
+    identity_ok = all(table[e][i] == [i] and table[i][e] == [i] for i in range(n))
 
-    anti = {x: line_antipode(x) for x in {*pts, *(x for r in pairs for x in r.galois)}}
-    antipode_ok = all(
-        e in galois_hyperop(p, law, f, anti[f]) and e in galois_hyperop(p, law, anti[f], f) for f in pts
-    )
+    anti_of = {x: line_antipode(x) for x in {*pts, *(x for r in pairs for x in r.galois)}}
+    anti = [pos[orbits.index[anti_of[x]]] for x in pts]
+    antipode_ok = all(e in table[i][anti[i]] and e in table[anti[i]][i] for i in range(n))
 
-    reversibility_ok = True
-    for r in pairs:
-        rev = galois_hyperop(p, law, anti[r.g], anti[r.f])
-        if tuple(sorted((anti[x] for x in r.galois), key=LinePoint.sort_key)) != rev:
-            reversibility_ok = False
+    reversibility_ok = all(
+        tuple(sorted((anti_of[x] for x in pairs[i * n + j].galois), key=LinePoint.sort_key))
+        == tuple(local[k] for k in table[anti[j]][anti[i]])
+        for i, j in product(range(n), repeat=2)
+    )
+    commutativity_ok = all(table[i][j] == table[j][i] for i, j in product(range(n), repeat=2))
+
+    # (f*g)*k and f*(g*k) for every triple, as ORs of packed member sets
+    # over the members s of f*g and of g*k, in blocks of first points.
+    _, members = _members(_member_cube(table, len(sources)))
+    left_rows = np.packbits(_member_cube(left_block, len(local)), axis=2)
+    right_rows = np.packbits(_member_cube(right_block, len(local)), axis=2)
+    step = max(1, UNION_BLOCK_BYTES // (n * n * left_rows.shape[-1]))
+    bad = None
+    for lo in range(0, n, step):
+        bad = _first_mismatch(
+            _union_left(left_rows, members[lo : lo + step]), _union_right(right_rows[lo : lo + step], members)
+        )
+        if bad is not None:
+            bad = (lo + bad[0], bad[1], bad[2])
             break
-
-    commutativity_ok = all(
-        galois_hyperop(p, law, f, g) == galois_hyperop(p, law, g, f) for f, g in product(pts, repeat=2)
-    )
-
-    # A triple needs s*k for s in f*g and f*s for s in g*k. Both unions depend
-    # on a member tuple and one point only, so they are formed once per
-    # (tuple, point); the triples then cost lookups. lcm is symmetric, so one
-    # table of the largest degree a tuple needs against a point serves both.
-    bound = max_degree * max_degree
-    n = len(pts)
-    tuple_ids: dict[tuple[LinePoint, ...], int] = {}
-    pair_ids = [tuple_ids.setdefault(r.galois, len(tuple_ids)) for r in pairs]  # (f, g) at f * n + g
-    members = list(tuple_ids)
-    needed = [[max(lcm(s.degree, x.degree) for s in m) for x in pts] for m in members]
-    left: dict[tuple[int, int], frozenset[LinePoint]] = {}
-    right: dict[tuple[int, int], frozenset[LinePoint]] = {}
-    checked = skipped = 0
-    associativity_ok = True
-    for i, j, l in product(range(n), repeat=3):
-        fg, gk = pair_ids[i * n + j], pair_ids[j * n + l]
-        if needed[fg][l] > bound or needed[gk][i] > bound:
-            skipped += 1
-            continue
-        if (fg, l) not in left:
-            left[fg, l] = frozenset(x for s in members[fg] for x in galois_hyperop(p, law, s, pts[l]))
-        if (i, gk) not in right:
-            right[i, gk] = frozenset(x for s in members[gk] for x in galois_hyperop(p, law, pts[i], s))
-        checked += 1
-        if left[fg, l] != right[i, gk]:
-            associativity_ok = False
-            break
+    checked = n**3 if bad is None else (bad[0] * n + bad[1]) * n + bad[2] + 1
 
     return CrosscheckReport(
         p,
@@ -355,7 +422,7 @@ def crosscheck(p: int, law: str, max_degree: int) -> CrosscheckReport:
         reversibility_ok,
         commutativity_ok,
         checked,
-        skipped,
-        associativity_ok,
+        0,
+        bad is None,
         degree_ok,
     )

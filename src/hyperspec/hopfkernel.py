@@ -13,7 +13,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .algkernel import IdealSubspace, LinMap, SCAlgebra, monogenic_algebra, quotient_algebra, tensor_square_mul
+from .algkernel import (
+    IdealSubspace,
+    LinMap,
+    SCAlgebra,
+    json_residues,
+    monogenic_algebra,
+    quotient_algebra,
+    tensor_square_mul,
+)
 from .gfarith import FpPoly, PrimeField
 from .hyperkernel import CheckResult, LawReport
 from .linalg import einsum_mod, matmul, npmod
@@ -71,10 +79,18 @@ class HopfData:
 
     @staticmethod
     def from_json(doc: dict) -> "HopfData":
+        """The Hopf data of a document as to_json writes it: the algebra's
+        keys, then delta (n x n^2), counit (n) and antipode (n x n), and an
+        optional string name. Raises ValueError naming the first fault."""
         alg = SCAlgebra.from_json(doc)
-        delta = np.asarray(doc["delta"], dtype=np.int64).T
-        antipode = np.asarray(doc["antipode"], dtype=np.int64).T
-        return HopfData(alg, delta, doc["counit"], antipode, name=doc.get("name"))
+        n, p = alg.dim, alg.field.p
+        delta = json_residues(doc, "delta", (n, n * n), p).T
+        counit = json_residues(doc, "counit", (n,), p)
+        antipode = json_residues(doc, "antipode", (n, n), p).T
+        name = doc.get("name")
+        if name is not None and not isinstance(name, str):
+            raise ValueError(f"algebra JSON 'name' must be a string, got {name!r}")
+        return HopfData(alg, delta, counit, antipode, name=name)
 
     def __repr__(self) -> str:
         return f"HopfData({self.name or self.algebra.basis})"

@@ -159,8 +159,9 @@ def extend_to_subsets(t: HyperTable, a_set: Iterable[str], b_set: Iterable[str])
 def _members(cube: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The member sets of a hyperoperation in two forms: the bitset rows
     P = packbits(cube, axis=2), and M[a, b, r], the r-th member of a*b in
-    index order, or n past its last member, for r below the largest |a*b|."""
-    n = cube.shape[0]
+    index order, or n = cube.shape[2] past its last member, for r below the
+    largest |a*b|."""
+    n = cube.shape[2]
     counts = cube.sum(axis=2)
     m = int(counts.max())
     order = np.argsort(~cube, axis=2, kind="stable")[:, :, :m]

@@ -26,12 +26,20 @@ DEFAULT_SUITE = ("mu:3:2", "mu:5:4", "addetale:3:1", "addetale:3:2")
 
 def load_algebra(spec: str) -> HopfData:
     """A builtin descriptor ("mu:p:n", "addetale:p:k") or a JSON file path."""
+    if not spec.strip():
+        raise ValueError(f"algebra spec {spec!r} is empty")
     if ":" in spec and not os.path.exists(spec):
         return parse_builtin(spec)
     path = Path(spec)
     if not path.exists():
         raise ValueError(f"algebra spec {spec!r} is neither a builtin nor a file")
-    return HopfData.from_json(json.loads(path.read_text()))
+    if path.is_dir():
+        raise ValueError(f"algebra spec {spec!r} is a directory, not a JSON file")
+    try:
+        doc = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read algebra file {spec!r}: {exc}") from exc
+    return HopfData.from_json(doc)
 
 
 def _kernel_containment(h: HopfData) -> tuple[bool, dict]:

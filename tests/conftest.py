@@ -1,11 +1,24 @@
+from functools import lru_cache
 from itertools import permutations, product
+from math import gcd, lcm
 
 import numpy as np
 import pytest
 
 from hyperspec import specops as ops
-from hyperspec.algkernel import SCAlgebra, nilradical, quotient_algebra
-from hyperspec.gfarith import PrimeField
+from hyperspec.algkernel import SCAlgebra, field_algebra, field_roots, nilradical, quotient_algebra
+from hyperspec.galoisline import (
+    ADDITIVE,
+    CrosscheckReport,
+    LinePoint,
+    PairRecord,
+    definitional_hyperop,
+    line_antipode,
+    line_identity,
+    line_points,
+    require_line_size,
+)
+from hyperspec.gfarith import PrimeField, minimal_polynomial
 from hyperspec.hopfkernel import HopfData, hopf_quotient, parse_builtin
 from hyperspec.hyperkernel import CheckResult, LawReport, check_hypergroup, check_hyperring
 from hyperspec.linalg import batch_tensor_rank_class, enumerate_vectors, matmul, npmod, preimage, rref
@@ -362,6 +375,80 @@ def presentation_value_sets_naive(h, f, g, x, r):
         if tuple(total) == target:
             found.add(frozenset({0} if cnt == 0 else ({1} if cnt == 1 else {0, 1})))
     return found
+
+
+@lru_cache(maxsize=None)
+def galois_hyperop_scanned(p, law, f, g):
+    """The Galois engine that galoisline.OrbitClassifier replaced, kept as its
+    oracle: each pair works in its own field F_{p^m}, m = lcm(deg f, deg g),
+    scans that field's subfields for a root of f and of g, and takes one
+    minimal polynomial per value of gcd(deg f, deg g) conjugates."""
+    m = lcm(f.degree, g.degree)
+    fq, frob = field_algebra(p, m)
+    alpha = field_roots(f.poly, m)[0]
+    conj = field_roots(g.poly, m)[0]
+    out = set()
+    for _ in range(gcd(f.degree, g.degree)):
+        val = npmod(alpha + conj, p) if law == ADDITIVE else fq.mul_vec(alpha, conj)
+        out.add(LinePoint(law, minimal_polynomial(val, fq)))
+        conj = matmul(frob, conj, p)
+    return tuple(sorted(out, key=LinePoint.sort_key))
+
+
+def crosscheck_by_triples(p, law, max_degree):
+    """galoisline.crosscheck as it was before its ambient field, kept as its
+    oracle: galois_hyperop_scanned on every pair, the laws by per-pair calls,
+    and associativity by a loop over triples with frozenset unions memoized
+    per (member tuple, point), skipping and counting triples whose unions
+    would need a field beyond F_{p^(max_degree^2)}."""
+    require_line_size(p, law, max_degree)
+    pts = line_points(p, law, max_degree)
+    e = line_identity(p, law)
+    op = lambda f, g: galois_hyperop_scanned(p, law, f, g)
+
+    pairs = []
+    degree_ok = True
+    for f, g in product(pts, repeat=2):
+        gal = op(f, g)
+        pairs.append(PairRecord(f, g, gal, definitional_hyperop(p, law, f, g)))
+        if any(lcm(f.degree, g.degree) % q.degree for q in gal):
+            degree_ok = False
+
+    identity_ok = all(op(e, f) == (f,) and op(f, e) == (f,) for f in pts)
+    anti = {x: line_antipode(x) for x in {*pts, *(x for r in pairs for x in r.galois)}}
+    antipode_ok = all(e in op(f, anti[f]) and e in op(anti[f], f) for f in pts)
+    reversibility_ok = all(
+        tuple(sorted((anti[x] for x in r.galois), key=LinePoint.sort_key)) == op(anti[r.g], anti[r.f]) for r in pairs
+    )
+    commutativity_ok = all(op(f, g) == op(g, f) for f, g in product(pts, repeat=2))
+
+    bound = max_degree * max_degree
+    n = len(pts)
+    tuple_ids = {}
+    pair_ids = [tuple_ids.setdefault(r.galois, len(tuple_ids)) for r in pairs]  # (f, g) at f * n + g
+    members = list(tuple_ids)
+    needed = [[max(lcm(s.degree, x.degree) for s in m) for x in pts] for m in members]
+    left, right = {}, {}
+    checked = skipped = 0
+    associativity_ok = True
+    for i, j, l in product(range(n), repeat=3):
+        fg, gk = pair_ids[i * n + j], pair_ids[j * n + l]
+        if needed[fg][l] > bound or needed[gk][i] > bound:
+            skipped += 1
+            continue
+        if (fg, l) not in left:
+            left[fg, l] = frozenset(x for s in members[fg] for x in op(s, pts[l]))
+        if (i, gk) not in right:
+            right[i, gk] = frozenset(x for s in members[gk] for x in op(pts[i], s))
+        checked += 1
+        if left[fg, l] != right[i, gk]:
+            associativity_ok = False
+            break
+
+    return CrosscheckReport(
+        p, law, max_degree, pairs, identity_ok, antipode_ok, reversibility_ok, commutativity_ok,
+        checked, skipped, associativity_ok, degree_ok,
+    )
 
 
 @pytest.fixture(scope="session")

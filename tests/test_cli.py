@@ -296,6 +296,115 @@ class TestSuiteFuzz:
             assert err.getvalue().startswith("input error: ") and err.getvalue().count("\n") == 1
 
 
+def _mu32_doc():
+    from hyperspec.hopfkernel import parse_builtin
+
+    return parse_builtin("mu:3:2").to_json()
+
+
+class TestAlgebraJson:
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: [d], "algebra JSON must be an object, got list"),
+            (lambda d: "mu:3:2", "algebra JSON must be an object, got str"),
+            (lambda d: {"p": 3}, "algebra JSON has no 'basis' key"),
+            (lambda d: {k: v for k, v in d.items() if k != "antipode"}, "algebra JSON has no 'antipode' key"),
+            (lambda d: {**d, "p": "3"}, "algebra JSON 'p' must be an integer, got '3'"),
+            (lambda d: {**d, "p": 9}, "9 is not prime"),
+            (lambda d: {**d, "basis": "1t"}, "algebra JSON 'basis' must be a nonempty list of strings, got '1t'"),
+            (lambda d: {**d, "basis": []}, "algebra JSON 'basis' must be a nonempty list of strings, got []"),
+            (lambda d: {**d, "delta": "x"}, "algebra JSON 'delta' must be a 2 x 4 array of integers"),
+            (lambda d: {**d, "delta": d["delta"][:1]}, "algebra JSON 'delta' must be a 2 x 4 array of integers"),
+            (lambda d: {**d, "mul": [[[1, 0], [0, 1]], [[0, 1], [1]]]}, "algebra JSON 'mul' must be a 2 x 2 x 2 array of integers"),
+            (lambda d: {**d, "unit": [1, 0.0]}, "algebra JSON 'unit' entries must be integers, got 0.0"),
+            (lambda d: {**d, "counit": [1, True]}, "algebra JSON 'counit' entries must be integers, got True"),
+            (lambda d: {**d, "antipode": [[1, 0], [0, "1"]]}, "algebra JSON 'antipode' entries must be integers, got '1'"),
+            (lambda d: {**d, "generator": [0, None]}, "algebra JSON 'generator' entries must be integers, got None"),
+            (lambda d: {**d, "name": 5}, "algebra JSON 'name' must be a string, got 5"),
+        ],
+    )
+    def test_exits_2_naming_the_fault(self, tmp_path, capsys, edit, message):
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps(edit(_mu32_doc())))
+        assert run_cli(capsys, "hyperop", str(path)) == (2, "", f"input error: {message}\n")
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(json.dumps({"algebras": [str(path)]}))
+        assert run_cli(capsys, "verify", "--suite", str(cfg)) == (2, "", f"input error: {message}\n")
+
+    def test_entries_are_residues_of_any_integer(self, tmp_path, capsys):
+        # entries are reduced mod p as Python ints, so no entry overflows int64
+        doc = _mu32_doc()
+        want = run_cli(capsys, "hyperop", "mu:3:2")
+        doc["delta"] = [[c + 3 * 2**70 for c in row] for row in doc["delta"]]
+        doc["mul"][0][0][0] -= 3 * 2**80
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(capsys, "hyperop", str(path)) == want
+
+
+@st.composite
+def _mutated_algebra(draw):
+    """mu:3:2's Hopf data as JSON with one to three random edits: a top-level
+    key set or deleted, an entry of mul, unit, delta, counit or antipode
+    replaced, a row of one added or dropped at some depth, or the whole
+    document replaced."""
+    doc = _mu32_doc()
+    keys = ["mul", "unit", "delta", "counit", "antipode", "generator", "p", "basis", "name"]
+    entries = st.integers(-3, 9) | st.sampled_from([2**64, -(2**70)]) | _json_values()
+    tops = entries | st.sampled_from([2, 5, 4, 2**61 - 1]) | st.lists(st.sampled_from(["1", "t", ""]), max_size=3)
+    for _ in range(draw(st.integers(1, 3))):
+        target = draw(st.sampled_from(["top", "entry", "entry", "row", "whole"]))
+        if target == "whole":
+            doc = draw(_json_values())
+        elif not isinstance(doc, dict):
+            continue
+        elif target == "top":
+            key = draw(st.sampled_from(keys))
+            if draw(st.booleans()):
+                doc.pop(key, None)
+            else:
+                doc[key] = draw(tops)
+        else:
+            node = doc.get(draw(st.sampled_from(keys[:5])))
+            while isinstance(node, list) and node and isinstance(node[0], list) and (target == "entry" or draw(st.booleans())):
+                node = node[draw(st.integers(0, len(node) - 1))]
+            if not isinstance(node, list) or not node:
+                continue
+            i = draw(st.integers(0, len(node) - 1))
+            if target == "entry":
+                node[i] = draw(entries)
+            elif draw(st.booleans()):
+                del node[i]
+            else:
+                node.append(json.loads(json.dumps(node[i])))
+    return doc
+
+
+class TestAlgebraFuzz:
+    @given(_mutated_algebra(), st.sampled_from(["hyperop", "verify"]))
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_exit_0_or_1_with_report_or_2_with_one_line(self, doc, command):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "alg.json"
+            path.write_text(json.dumps(doc))
+            argv = ["hyperop", str(path)]
+            if command == "verify":
+                cfg = Path(tmp) / "suite.json"
+                cfg.write_text(json.dumps({"algebras": [str(path)]}))
+                argv = ["verify", "--suite", str(cfg)]
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+        if code in (0, 1):
+            assert err.getvalue() == ""
+            report = json.loads(out.getvalue())
+            assert report["table"] if command == "hyperop" else report["ok"] is (code == 0)
+        else:
+            assert code == 2 and out.getvalue() == ""
+            assert err.getvalue().startswith("input error: ") and err.getvalue().count("\n") == 1
+
+
 def _p2_algebra_file(tmp_path):
     """mu:3:2's Hopf data with the base field changed to F_2."""
     from hyperspec.hopfkernel import parse_builtin
@@ -531,6 +640,15 @@ class TestVerify:
         path = tmp_path / "suite.json"
         path.write_text(json.dumps(cfg))
         assert run_cli(capsys, "verify", "--suite", str(path)) == (2, "", f"input error: {message}\n")
+
+    @pytest.mark.parametrize("spec", ["", "  ", "DIR"])
+    def test_blank_or_directory_algebra_spec_exits_2(self, tmp_path, capsys, spec):
+        spec = str(tmp_path) if spec == "DIR" else spec
+        message = f"algebra spec {spec!r} is a directory, not a JSON file" if spec.strip() else f"algebra spec {spec!r} is empty"
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(json.dumps({"algebras": [spec]}))
+        assert run_cli(capsys, "verify", "--suite", str(cfg)) == (2, "", f"input error: {message}\n")
+        assert run_cli(capsys, "hyperop", spec) == (2, "", f"input error: {message}\n")
 
     def test_config_output_must_be_a_path(self, tmp_path, capsys):
         cfg = tmp_path / "suite.json"

@@ -5,9 +5,9 @@ from math import gcd, lcm
 
 import numpy as np
 import pytest
-from conftest import span_rank_classes
+from conftest import crosscheck_by_triples, span_rank_classes
 
-from hyperspec import gfarith
+from hyperspec import galoisline, gfarith
 from hyperspec.algkernel import monogenic_algebra, tensor_algebra
 from hyperspec.galoisline import (
     ADDITIVE,
@@ -23,6 +23,7 @@ from hyperspec.galoisline import (
     line_identity,
     line_point_count,
     line_points,
+    orbit_classifier,
     require_line_size,
 )
 from hyperspec.gfarith import (
@@ -170,22 +171,127 @@ class TestGaloisEngineAgainstOrbitModel:
 
     @pytest.mark.parametrize("law", [ADDITIVE, MULTIPLICATIVE])
     def test_one_minimal_polynomial_per_orbit(self, monkeypatch, law):
-        # orbit_model takes all deg g conjugates; the engine needs one per coset
-        # of <deg f> in Z/(deg g), so a cache miss makes gcd(deg f, deg g) calls
-        calls = []
+        # on a fresh classifier, one crosscheck scans a root of each input
+        # point and takes one minimal polynomial per point found past them:
+        # the value that found a point is its carried root, and every
+        # conjugate of a carried root is classified by lookup
+        polys, scans = [], []
         original = gfarith.minimal_polynomial
 
         def counted(*args, **kwargs):
-            calls.append(args)
+            polys.append(args)
             return original(*args, **kwargs)
 
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] == "hyperspec" and getattr(module, "minimal_polynomial", None) is original:
                 monkeypatch.setattr(module, "minimal_polynomial", counted)
-        for f, g in product(line_points(3, law, 3), repeat=2):
-            calls.clear()
-            galois_hyperop.__wrapped__(3, law, f, g)  # the uncached body: a miss
-            assert len(calls) == gcd(f.degree, g.degree), (f, g)
+        scan = galoisline.field_roots
+        monkeypatch.setattr(galoisline, "field_roots", lambda poly, m: scans.append(poly) or scan(poly, m))
+        orbit_classifier.cache_clear()
+        try:
+            crosscheck(3, law, 3)
+            orbits = orbit_classifier(3, law, 6)
+        finally:
+            orbit_classifier.cache_clear()
+        pts = line_points(3, law, 3)
+        assert orbits.points[: len(pts)] == pts
+        assert scans == [x.poly for x in pts]
+        assert len(polys) == len(orbits.points) - len(pts) > 0
+
+
+def residue_value(poly, x, mod):
+    """poly evaluated at the residue x mod `mod` by Horner's rule in FpPoly
+    arithmetic."""
+    acc = FpPoly.zero(poly.field)
+    for a in reversed(poly.coeffs):
+        acc = (acc * x + FpPoly.make(poly.field, (a,))) % mod
+    return acc
+
+
+class TestOrbitClassifier:
+    @pytest.mark.parametrize("law", LAWS)
+    @pytest.mark.parametrize("p, max_degree", [(3, 3), (5, 2), (7, 2)])
+    def test_every_carried_root_is_a_root(self, p, max_degree, law):
+        # each point carries a root, and the dict holds its deg distinct
+        # conjugates, each a root of the point's polynomial in F_{p^N}
+        crosscheck(p, law, max_degree)
+        n = lcm(*range(1, max_degree + 1))
+        orbits = orbit_classifier(p, law, n)
+        mod = find_irreducible(p, n)
+        as_residue = lambda v: FpPoly.make(PrimeField(p), v.tolist())
+        by_point = {}
+        for key, k in orbits.by_root.items():
+            by_point.setdefault(k, []).append(np.frombuffer(key, dtype=np.int64))
+        assert sorted(by_point) == list(range(len(orbits.points)))
+        for k, (pt, root) in enumerate(zip(orbits.points, orbits.roots)):
+            assert residue_value(pt.poly, as_residue(root), mod).is_zero(), pt
+            assert any((root == r).all() for r in by_point[k]) and len(by_point[k]) == pt.degree, pt
+            for r in by_point[k]:
+                assert residue_value(pt.poly, as_residue(r), mod).is_zero(), (pt, r)
+
+    @pytest.mark.parametrize("law", LAWS)
+    @pytest.mark.parametrize("p, max_degree", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (7, 2)])
+    def test_report_matches_scanned_oracle(self, p, max_degree, law):
+        assert crosscheck(p, law, max_degree).to_json() == crosscheck_by_triples(p, law, max_degree).to_json()
+
+    @pytest.mark.parametrize("law", LAWS)
+    def test_repointed_root_is_caught(self, law):
+        # the dict entry of one input point's carried root, re-pointed to the
+        # next point: the crosscheck fails and leaves the oracle's report
+        p, max_degree = 3, 2
+        want = crosscheck_by_triples(p, law, max_degree).to_json()
+        pts = line_points(p, law, max_degree)
+        try:
+            for victim in range(len(pts)):
+                orbit_classifier.cache_clear()
+                orbits = orbit_classifier(p, law, 2)
+                ids = [orbits.point_index(x) for x in pts]
+                orbits.by_root[orbits.roots[ids[victim]].tobytes()] = ids[(victim + 1) % len(pts)]
+                rep = crosscheck(p, law, max_degree)
+                assert not rep.ok and rep.to_json() != want, pts[victim]
+        finally:
+            orbit_classifier.cache_clear()
+
+    @pytest.mark.parametrize("block_bytes", [galoisline.UNION_BLOCK_BYTES, 1], ids=["one-block", "block-per-point"])
+    @pytest.mark.parametrize("law", LAWS)
+    def test_failing_associativity_stops_where_the_triple_loop_does(self, monkeypatch, law, block_bytes):
+        # corrupt one memoized product at a time: the packed unions report
+        # the same verdict and first failing triple as a loop over triples
+        # reading the same corrupted products, whether the triples are
+        # compared in one block or one block per first point
+        monkeypatch.setattr(galoisline, "UNION_BLOCK_BYTES", block_bytes)
+        p, max_degree = 3, 2
+        pts = line_points(p, law, max_degree)
+        try:
+            orbit_classifier.cache_clear()
+            crosscheck(p, law, max_degree)
+            keys = sorted(orbit_classifier(p, law, 2)._ops)
+            failures = set()
+            for key in keys[::5]:
+                orbit_classifier.cache_clear()
+                orbits = orbit_classifier(p, law, 2)
+                crosscheck(p, law, max_degree)
+                ids = [orbits.point_index(x) for x in pts]
+                orbits._ops[key] = (ids[0],) if orbits._ops[key] != (ids[0],) else (ids[1],)
+                rep = crosscheck(p, law, max_degree)
+                want = associativity_by_lookup(orbits, ids)
+                assert (rep.associativity_checked, rep.associativity_ok) == want, key
+                if not want[1]:
+                    failures.add(want[0])
+            assert len(failures) > 1  # the first failing triple moves with the corrupted product
+        finally:
+            orbit_classifier.cache_clear()
+
+
+def associativity_by_lookup(orbits, ids):
+    """(checked, ok) of associativity over the triples of ids, by a loop that
+    stops at the first triple whose two sides differ."""
+    for t, (i, j, l) in enumerate(product(ids, repeat=3)):
+        left = {x for s in orbits.op(i, j) for x in orbits.op(s, l)}
+        right = {x for s in orbits.op(j, l) for x in orbits.op(i, s)}
+        if left != right:
+            return t + 1, False
+    return len(ids) ** 3, True
 
 
 @lru_cache(maxsize=None)
@@ -285,32 +391,6 @@ class TestAntipode:
                 assert line_antipode(line_antipode(f)) == f
 
 
-def associativity_by_triple(p, law, max_degree):
-    """crosscheck's associativity loop before its unions were memoized:
-    both member sets of every triple are rebuilt from the cached products.
-    Returns (checked, skipped, ok)."""
-    pts = line_points(p, law, max_degree)
-    bound = max_degree * max_degree
-    checked = skipped = 0
-    for f, g, k in product(pts, repeat=3):
-        fg = galois_hyperop(p, law, f, g)
-        gk = galois_hyperop(p, law, g, k)
-        needed = [lcm(s.degree, k.degree) for s in fg] + [lcm(f.degree, s.degree) for s in gk]
-        if any(d > bound for d in needed):
-            skipped += 1
-            continue
-        left = set()
-        for s in fg:
-            left.update(galois_hyperop(p, law, s, k))
-        right = set()
-        for s in gk:
-            right.update(galois_hyperop(p, law, f, s))
-        checked += 1
-        if left != right:
-            return checked, skipped, False
-    return checked, skipped, True
-
-
 class TestLineSize:
     @pytest.mark.parametrize("p, max_degree", [(3, 5), (5, 3), (7, 2), (11, 2), (13, 1)])
     @pytest.mark.parametrize("law", LAWS)
@@ -373,9 +453,10 @@ class TestCrosscheck:
         "p, law, max_degree", [(3, ADDITIVE, 3), (3, MULTIPLICATIVE, 3), (7, ADDITIVE, 2), (7, MULTIPLICATIVE, 2)]
     )
     def test_associativity_matches_per_triple_loop(self, p, law, max_degree):
-        rep = crosscheck(p, law, max_degree)
+        rep, want = crosscheck(p, law, max_degree), crosscheck_by_triples(p, law, max_degree)
         got = (rep.associativity_checked, rep.associativity_skipped, rep.associativity_ok)
-        assert got == associativity_by_triple(p, law, max_degree)
+        assert got == (want.associativity_checked, want.associativity_skipped, want.associativity_ok) == (
+            len(line_points(p, law, max_degree)) ** 3, 0, True)
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
