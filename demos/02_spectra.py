@@ -3,12 +3,13 @@
 
 Every prime of such an algebra is maximal; the engine finds them all by
 splitting the reduced quotient along its Frobenius fixed space, and each
-point carries its residue field and quotient map.
+point carries its residue field and the matrix of its quotient map.
 """
 
 from hyperspec.algkernel import (
     IdealSubspace,
     ideal_is_prime,
+    is_algebra_hom,
     maximal_spectrum,
     monogenic_algebra,
     nilradical,
@@ -39,7 +40,7 @@ mu4 = monogenic_algebra(F5, parse_poly("T^4-1", F5))
 ideal = IdealSubspace.from_poly(mu4, parse_poly("T^2-1", F5))
 quo, pi = quotient_algebra(mu4, ideal)
 print(f"F_5[T]/(T^4-1) mod (T^2-1): dim {quo.dim}, projection is an algebra hom:",
-      pi.is_algebra_hom())
+      is_algebra_hom(pi, mu4, quo))
 
 print("\n== primality of ideals, decided by zero-divisor scan ==")
 big = monogenic_algebra(F3, parse_poly("T^9-T", F3))

@@ -44,7 +44,7 @@ for gen in ("T^2-1", "T-1"):
     print(f"({gen}) in {mu4.name}: Hopf ideal = {is_hopf_ideal(mu4, ideal).ok}")
 bad_ideal = IdealSubspace.from_poly(ae.algebra, parse_poly("T-1", ae.algebra.field))
 chk = is_hopf_ideal(ae, bad_ideal)
-print(f"(T-1) in {ae.name}: Hopf ideal = {chk.ok} (counit vanishes: {chk.counit.passed})")
+print(f"(T-1) in {ae.name}: Hopf ideal = {chk.ok} (counit vanishes: {chk.checks['counit_vanishes'].passed})")
 
 print("\n== quotients descend the whole structure ==")
 quo, _ = hopf_quotient(mu4, IdealSubspace.from_poly(mu4.algebra, parse_poly("T^2-1", f5)))

@@ -2,10 +2,10 @@
 
 from .algkernel import (
     IdealSubspace,
-    LinMap,
     PrimePoint,
     SCAlgebra,
     ideal_is_prime,
+    is_algebra_hom,
     maximal_spectrum,
     monogenic_algebra,
     nilradical,
@@ -16,7 +16,6 @@ from .gfarith import FpPoly, PrimeField, factor, is_irreducible, minimal_polynom
 from .galoisline import LinePoint, crosscheck, definitional_hyperop, galois_hyperop
 from .hopfkernel import (
     HopfData,
-    HopfIdealCheck,
     additive_etale_hopf,
     hopf_quotient,
     is_hopf_ideal,
@@ -40,7 +39,6 @@ from .hyperkernel import (
 from .specops import (
     ForcedValue,
     HyperopResult,
-    KPoint,
     antipode_point,
     classical_comparison,
     delta_preimage_ideal,

@@ -26,7 +26,6 @@ from .linalg import (
     reduce_rows,
     require_int64_sum,
     rref,
-    span_contains,
 )
 
 
@@ -215,36 +214,22 @@ def monogenic_algebra(field: PrimeField, modulus: FpPoly) -> SCAlgebra:
     return SCAlgebra(field, names, mul, unit, generator=gen)
 
 
-@dataclass
-class LinMap:
-    """Linear map between coordinate spaces of algebras; matrix shape
-    (dst dim, src dim), acting as mat @ v."""
-
-    mat: np.ndarray
-    src: SCAlgebra | None = None
-    dst: SCAlgebra | None = None
-    section: np.ndarray | None = None  # right inverse, when meaningful
-
-    def apply(self, v) -> np.ndarray:
-        p = (self.src or self.dst).field.p
-        return matmul(self.mat, np.asarray(v, dtype=np.int64), p)
-
-    def is_algebra_hom(self) -> bool:
-        if self.src is None or self.dst is None:
-            raise ValueError("algebra-hom check needs both source and target algebras")
-        p = self.src.field.p
-        if not (self.apply(self.src.unit) == self.dst.unit).all():
-            return False
-        lhs = einsum_mod("kx,ijx->kij", self.mat, self.src.mul, p=p)
-        rhs = einsum_mod("ai,bj,abk->kij", self.mat, self.mat, self.dst.mul, p=p)
-        return bool((lhs == rhs).all())
+def is_algebra_hom(mat: np.ndarray, src: SCAlgebra, dst: SCAlgebra) -> bool:
+    """Whether the (dst dim x src dim) matrix mat, acting as mat @ v, maps the
+    unit to the unit and every basis product to the product of the images."""
+    p = src.field.p
+    if not (matmul(mat, src.unit, p) == dst.unit).all():
+        return False
+    lhs = einsum_mod("kx,ijx->kij", mat, src.mul, p=p)
+    rhs = einsum_mod("ai,bj,abk->kij", mat, mat, dst.mul, p=p)
+    return bool((lhs == rhs).all())
 
 
 class IdealSubspace:
     """An ideal of an SCAlgebra stored as a reduced-row-echelon basis, so two
     equal ideals have identical stored bases."""
 
-    def __init__(self, algebra: SCAlgebra, vectors, check_absorbing: bool = False):
+    def __init__(self, algebra: SCAlgebra, vectors):
         self.algebra = algebra
         vecs = np.atleast_2d(np.asarray(vectors, dtype=np.int64))
         if vecs.size == 0:
@@ -252,8 +237,6 @@ class IdealSubspace:
         self.basis, self.pivots = rref(vecs, algebra.field.p)
         self.basis.setflags(write=False)
         self._absorbing: bool | None = None
-        if check_absorbing and not self.is_absorbing():
-            raise ValueError("subspace is not an ideal (not absorbing)")
 
     @staticmethod
     def from_generators(algebra: SCAlgebra, gens) -> "IdealSubspace":
@@ -289,7 +272,7 @@ class IdealSubspace:
         return in_span(self.basis, self.pivots, v, self.algebra.field.p)
 
     def contains(self, other: "IdealSubspace") -> bool:
-        return span_contains(self.basis, self.pivots, other.basis, self.algebra.field.p)
+        return in_span(self.basis, self.pivots, other.basis, self.algebra.field.p)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -364,15 +347,15 @@ def tensor_square_mul(alg: SCAlgebra, u, v) -> np.ndarray:
     return einsum_mod("ij,kl,ikr,jls->rs", uu, vv, alg.mul, alg.mul, p=alg.field.p).reshape(n * n)
 
 
-def quotient_algebra(alg: SCAlgebra, ideal: IdealSubspace) -> tuple[SCAlgebra, LinMap]:
-    """A/I with the surjection pi; pi.section lifts quotient basis vectors."""
+def quotient_algebra(alg: SCAlgebra, ideal: IdealSubspace) -> tuple[SCAlgebra, np.ndarray]:
+    """A/I with the surjection pi, the (dim A/I x dim A) matrix of
+    IdealSubspace.projection; the quotient basis is the free coordinates."""
     p = alg.field.p
     if ideal.is_unit_ideal():
         raise ValueError("unit ideal: quotient would be the zero ring")
     if not ideal.is_absorbing():
         raise ValueError("subspace is not an ideal")
     pi, free = ideal.projection()
-    section = np.eye(alg.dim, dtype=np.int64)[:, free]
     d = len(free)
     # e_free[i] * e_free[j], projected
     mul = matmul(alg.mul[free][:, free].reshape(d * d, alg.dim), pi.T, p).reshape(d, d, d)
@@ -380,7 +363,7 @@ def quotient_algebra(alg: SCAlgebra, ideal: IdealSubspace) -> tuple[SCAlgebra, L
     gen = None if alg.generator is None else matmul(pi, alg.generator, p)
     names = [alg.basis[c] for c in free]
     quo = SCAlgebra(alg.field, names, mul, unit, generator=gen)
-    return quo, LinMap(pi, src=alg, dst=quo, section=section)
+    return quo, pi
 
 
 @lru_cache(maxsize=None)
@@ -442,16 +425,26 @@ def nilradical(alg: SCAlgebra) -> IdealSubspace:
     return IdealSubspace(alg, nullspace(alg.nil_frobenius, alg.field.p))
 
 
-@dataclass
+@dataclass(eq=False)
 class PrimePoint:
-    """A maximal (= prime) ideal with its residue-field data."""
+    """A maximal (= prime) ideal with its residue-field data: the K-valued
+    point of the spectrum, with resmap the (degree x dim) matrix of the
+    residue map A -> A/ideal. Points compare by identity; the spectrum
+    holds one object per point."""
 
     ideal: IdealSubspace
     degree: int
     residue: SCAlgebra
-    resmap: LinMap
+    resmap: np.ndarray
     label: str
     index: int = dc_field(default=-1)
+
+    def k_value(self, x):
+        """The K-value at x, 0 iff x lies in the kernel, else 1; for a stack
+        of elements, one per row, the values as a bool array from one product
+        with the residue map."""
+        hit = matmul(np.atleast_2d(x), self.resmap.T, self.residue.field.p).any(axis=1)
+        return hit if np.ndim(x) == 2 else int(hit[0])
 
     def __repr__(self) -> str:
         return f"PrimePoint({self.label}, deg={self.degree})"
@@ -496,7 +489,7 @@ def maximal_spectrum(alg: SCAlgebra) -> list[PrimePoint]:
         complement = npmod(red.unit - e, p)
         mbar_rows = red.left_mul_matrix(complement).T
         mbar = rref(mbar_rows, p)[0]
-        m_ideal = IdealSubspace(alg, preimage(pi_red.mat, mbar, p))
+        m_ideal = IdealSubspace(alg, preimage(pi_red, mbar, p))
         residue, resmap = quotient_algebra(alg, m_ideal)
         label = _point_label(alg, residue, m_ideal)
         points.append(PrimePoint(m_ideal, residue.dim, residue, resmap, label))

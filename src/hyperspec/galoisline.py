@@ -106,14 +106,22 @@ def line_point_count(p: int, law: str, max_degree: int) -> int:
 
 
 def require_line_size(p: int, law: str, max_degree: int) -> None:
-    """Raise ValueError if the points of degree <= max_degree number more
-    than MAX_LINE_POINTS, before any of them is enumerated."""
+    """Raise ValueError, before any point is enumerated, if the points of
+    degree <= max_degree number more than MAX_LINE_POINTS, or if crosscheck's
+    field F_{p^N}, N = lcm(1..max_degree), has N > 12: building that field
+    takes find_irreducible(p, N), which does not finish at N = 60."""
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
     if line_point_count(p, law, max_degree) > MAX_LINE_POINTS:
         raise ValueError(
             f"the {law} line over F_{p} has more than {MAX_LINE_POINTS} points of degree <= {max_degree}"
             f" (over {MAX_LINE_POINTS ** 2:,} pairs); use a smaller p or max-degree"
+        )
+    n = lcm(*range(1, max_degree + 1))
+    if n > 12:
+        raise ValueError(
+            f"degree <= {max_degree} needs the field F_{{{p}^{n}}}, N = lcm(1..{max_degree}) = {n} > 12;"
+            " use max-degree 4 or less"
         )
 
 

@@ -517,34 +517,21 @@ def field_ring(q: int) -> FiniteRing:
 
 def cyclic_unit_subgroups(ring: FiniteRing) -> list[list[int]]:
     """All subgroups of the unit group, assuming it is cyclic (true for fields):
-    one per divisor of its order, smallest first."""
+    one per divisor of its order, smallest first. With pows the powers of a
+    generator, the subgroup of order d is every (order/d)-th power."""
     units = ring.units()
     order = len(units)
-    gen = None
     for u in units:
-        k, x = 1, u
+        pows = [ring.one]
+        x = u
         while x != ring.one:
+            pows.append(x)
             x = int(ring.mult[x, u])
-            k += 1
-        if k == order:
-            gen = u
+        if len(pows) == order:
             break
-    if gen is None:
+    else:
         raise ValueError("unit group is not cyclic")
-    subs = []
-    for d in sorted(k for k in range(1, order + 1) if order % k == 0):
-        step = order // d
-        g = ring.one
-        sub = {g}
-        x = g
-        for _ in range(d - 1):
-            y = x
-            for _ in range(step):
-                y = int(ring.mult[y, gen])
-            x = y
-            sub.add(x)
-        subs.append(sorted(sub))
-    return subs
+    return [sorted(pows[:: order // d]) for d in range(1, order + 1) if order % d == 0]
 
 
 def quotient_hyperring(ring: FiniteRing, subgroup: Iterable[int]) -> HyperRingTable:

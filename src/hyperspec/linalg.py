@@ -124,13 +124,9 @@ def reduce_rows(vecs, basis: np.ndarray, pivots: list[int], p: int) -> np.ndarra
 
 
 def in_span(basis: np.ndarray, pivots: list[int], vec, p: int) -> bool:
+    """Whether vec, or every row of a stack of vectors, lies in the span of
+    an RREF basis; an empty stack does."""
     return not reduce_rows(vec, basis, pivots, p).any()
-
-
-def span_contains(outer: np.ndarray, outer_pivots: list[int], inner: np.ndarray, p: int) -> bool:
-    if inner.shape[0] == 0:
-        return True
-    return not reduce_rows(inner, outer, outer_pivots, p).any()
 
 
 def preimage(mat, sub_basis: np.ndarray, p: int) -> np.ndarray:

@@ -56,7 +56,6 @@ from .linalg import (
     npmod,
     nullspace,
     preimage,
-    reduce_rows,
     require_int64_sum,
     rref,
 )
@@ -70,31 +69,6 @@ class ForcedValue(enum.Enum):
     FREE = "free"
 
 
-@dataclass(frozen=True)
-class KPoint:
-    """A prime ideal viewed as a K-valued point: k_value(x) = 0 iff x in Ker."""
-
-    point: PrimePoint
-
-    @property
-    def index(self) -> int:
-        return self.point.index
-
-    @property
-    def label(self) -> str:
-        return self.point.label
-
-    @property
-    def degree(self) -> int:
-        return self.point.degree
-
-    def k_value(self, x) -> int:
-        return 0 if not self.point.resmap.apply(x).any() else 1
-
-    def __repr__(self) -> str:
-        return f"KPoint({self.label})"
-
-
 @dataclass
 class HyperopResult:
     """f*g with the forced-zero ideal Ker((pi_f ⊗ pi_g)∘Delta): the members
@@ -102,9 +76,9 @@ class HyperopResult:
     kernel holds a forced-one element (see the module docstring). The JSON
     keeps an always-empty "rejections" list for format compatibility."""
 
-    f: KPoint
-    g: KPoint
-    members: tuple[KPoint, ...]
+    f: PrimePoint
+    g: PrimePoint
+    members: tuple[PrimePoint, ...]
     forced_zero: IdealSubspace
 
     def labels(self) -> list[str]:
@@ -120,22 +94,23 @@ class HyperopResult:
         }
 
 
-def kpoints(h: HopfData) -> list[KPoint]:
-    if "kpoints" not in h._cache:
-        h.ensure_verified()
-        h._cache["kpoints"] = [KPoint(pt) for pt in maximal_spectrum(h.algebra)]
-    return h._cache["kpoints"]
+def kpoints(h: HopfData) -> list[PrimePoint]:
+    """The K-valued points of the verified algebra: maximal_spectrum's list
+    itself, read from the algebra once it is computed."""
+    h.ensure_verified()
+    pts = h.algebra._spectrum
+    return maximal_spectrum(h.algebra) if pts is None else pts
 
 
-def point_by_ideal(h: HopfData, ideal_basis: np.ndarray) -> KPoint:
+def point_by_ideal(h: HopfData, ideal_basis: np.ndarray) -> PrimePoint:
     target = rref(ideal_basis, h.algebra.field.p)[0]
     for kp in kpoints(h):
-        if kp.point.ideal.basis.shape == target.shape and (kp.point.ideal.basis == target).all():
+        if kp.ideal.basis.shape == target.shape and (kp.ideal.basis == target).all():
             return kp
     raise ValueError("no spectrum point has the given kernel")
 
 
-def point_by_label(h: HopfData, label: str) -> KPoint:
+def point_by_label(h: HopfData, label: str) -> PrimePoint:
     want = label.strip()
     if not want.startswith("("):
         want = f"({want})"
@@ -146,7 +121,7 @@ def point_by_label(h: HopfData, label: str) -> KPoint:
     raise ValueError(f"no spectrum point labelled {label!r}; have {[k.label for k in kpoints(h)]}")
 
 
-def identity_point(h: HopfData) -> KPoint:
+def identity_point(h: HopfData) -> PrimePoint:
     """The point with kernel Ker(counit), the augmentation ideal."""
     if "identity" not in h._cache:
         aug = nullspace(h.counit, h.algebra.field.p)
@@ -154,10 +129,10 @@ def identity_point(h: HopfData) -> KPoint:
     return h._cache["identity"]
 
 
-def antipode_point(h: HopfData, f: KPoint) -> KPoint:
+def antipode_point(h: HopfData, f: PrimePoint) -> PrimePoint:
     """The point with kernel S(Ker f); an involution since S^2 = id."""
     p = h.algebra.field.p
-    image = matmul(f.point.ideal.basis, h.antipode.T, p)
+    image = matmul(f.ideal.basis, h.antipode.T, p)
     return point_by_ideal(h, image)
 
 
@@ -167,25 +142,25 @@ def antipode_permutation(h: HopfData) -> list[int]:
     return h._cache["antipode_perm"]
 
 
-def _pair_quotient_matrix(h: HopfData, f: KPoint, g: KPoint) -> np.ndarray:
+def _pair_quotient_matrix(h: HopfData, f: PrimePoint, g: PrimePoint) -> np.ndarray:
     """Q_fg = (pi_f ⊗ pi_g) ∘ Delta as a (deg f * deg g) x dim matrix,
     computed once per ordered pair."""
     cache = h._cache.setdefault("pair_quotient", {})
     key = (f.index, g.index)
     if key not in cache:
-        q = matmul(np.kron(f.point.resmap.mat, g.point.resmap.mat), h.delta, h.algebra.field.p)
+        q = matmul(np.kron(f.resmap, g.resmap), h.delta, h.algebra.field.p)
         q.setflags(write=False)
         cache[key] = q
     return cache[key]
 
 
-def _right_leg_matrix(h: HopfData, k: KPoint) -> np.ndarray:
+def _right_leg_matrix(h: HopfData, k: PrimePoint) -> np.ndarray:
     """(id ⊗ pi_k) ∘ Delta as a dim x (deg k * dim) matrix: entry [a, w*dim + x]
     is the coefficient of e_a ⊗ (pi_k)_w in Delta(e_x). Computed once per point."""
     cache = h._cache.setdefault("right_leg", {})
     if k.index not in cache:
         n = h.dim
-        leg = matmul(k.point.resmap.mat, h.delta.reshape(n, n, n), h.algebra.field.p).reshape(n, k.degree * n)
+        leg = matmul(k.resmap, h.delta.reshape(n, n, n), h.algebra.field.p).reshape(n, k.degree * n)
         leg.setflags(write=False)
         cache[k.index] = leg
     return cache[k.index]
@@ -199,13 +174,13 @@ def _residue_stack(h: HopfData) -> tuple[np.ndarray, np.ndarray]:
     if "residue_stack" not in h._cache:
         require_int64_sum(h.dim, 2, h.algebra.field.p, "residue maps times an ideal basis")
         pts = kpoints(h)
-        stack = np.vstack([kp.point.resmap.mat for kp in pts])
+        stack = np.vstack([kp.resmap for kp in pts])
         starts = np.cumsum([0] + [kp.degree for kp in pts[:-1]])
         h._cache["residue_stack"] = (stack, starts)
     return h._cache["residue_stack"]
 
 
-def forced_value(h: HopfData, f: KPoint, g: KPoint, x) -> ForcedValue:
+def forced_value(h: HopfData, f: PrimePoint, g: PrimePoint, x) -> ForcedValue:
     """Rank trichotomy of the image of Delta(x) in (A/Ker f) ⊗ (A/Ker g)."""
     h.ensure_verified()
     p = h.algebra.field.p
@@ -215,7 +190,7 @@ def forced_value(h: HopfData, f: KPoint, g: KPoint, x) -> ForcedValue:
     return (ForcedValue.ZERO, ForcedValue.ONE, ForcedValue.FREE)[cls]
 
 
-def delta_preimage_ideal(h: HopfData, f: KPoint, g: KPoint) -> tuple[IdealSubspace, bool]:
+def delta_preimage_ideal(h: HopfData, f: PrimePoint, g: PrimePoint) -> tuple[IdealSubspace, bool]:
     """The ideal {x : Delta(x) in Ker f ⊗ A + A ⊗ Ker g} = Ker((pi_f⊗pi_g)∘Delta),
     with a REPORT-ONLY primality verdict from ideal_is_prime's kernel analysis.
     The ideal is the hyperoperation's forced-zero ideal; the verdict, which
@@ -224,7 +199,7 @@ def delta_preimage_ideal(h: HopfData, f: KPoint, g: KPoint) -> tuple[IdealSubspa
     return ideal, ideal_is_prime(h.algebra, ideal)
 
 
-def _points_killing(h: HopfData, ideal: IdealSubspace) -> list[KPoint]:
+def _points_killing(h: HopfData, ideal: IdealSubspace) -> list[PrimePoint]:
     """The points whose kernel contains the ideal, in point order, from one
     product of every residue map with the ideal's basis; the zero ideal
     (no basis rows) is killed by every point."""
@@ -233,7 +208,7 @@ def _points_killing(h: HopfData, ideal: IdealSubspace) -> list[KPoint]:
     return [kp for kp, out in zip(kpoints(h), outside) if not out]
 
 
-def hyperop(h: HopfData, f: KPoint, g: KPoint) -> HyperopResult:
+def hyperop(h: HopfData, f: PrimePoint, g: PrimePoint) -> HyperopResult:
     """f*g = {phi : forced-zero ideal in Ker phi}, computed once per ordered
     pair with its forced-zero ideal Ker Q_fg."""
     cache = h._cache.setdefault("hyperop", {})
@@ -268,7 +243,7 @@ def _first(mask: np.ndarray) -> tuple[int, ...] | None:
     return tuple(int(v) for v in hits[0]) if len(hits) else None
 
 
-def _labels(pts: list[KPoint], mask: np.ndarray) -> list[str]:
+def _labels(pts: list[PrimePoint], mask: np.ndarray) -> list[str]:
     return [kp.label for kp, member in zip(pts, mask) if member]
 
 
@@ -338,12 +313,12 @@ class WeakAssocResult:
     and the points killing it are computed on first access only."""
 
     h: HopfData = dc_field(repr=False, compare=False)
-    f: KPoint
-    g: KPoint
-    k: KPoint
-    left: tuple[KPoint, ...]  # (f*g)*k
-    right: tuple[KPoint, ...]  # f*(g*k)
-    intersection: tuple[KPoint, ...]
+    f: PrimePoint
+    g: PrimePoint
+    k: PrimePoint
+    left: tuple[PrimePoint, ...]  # (f*g)*k
+    right: tuple[PrimePoint, ...]  # f*(g*k)
+    intersection: tuple[PrimePoint, ...]
 
     @property
     def nonempty(self) -> bool:
@@ -358,14 +333,9 @@ class WeakAssocResult:
         return t.reshape(-1, h.dim)
 
     @cached_property
-    def triple_ideal_points(self) -> tuple[KPoint, ...]:
-        """The points killing Ker T: phi does iff the rows of pi_phi lie in
-        the row space of T, so one echelon form of T decides every point."""
-        p = self.h.algebra.field.p
-        basis, pivots = rref(self.triple_map, p)
-        stack, starts = _residue_stack(self.h)
-        outside = np.logical_or.reduceat(reduce_rows(stack, basis, pivots, p).any(axis=1), starts)
-        return tuple(kp for kp, out in zip(kpoints(self.h), outside) if not out)
+    def triple_ideal_points(self) -> tuple[PrimePoint, ...]:
+        """The points killing the triple forced-zero ideal."""
+        return tuple(_points_killing(self.h, self.triple_ideal))
 
     @cached_property
     def triple_point_in_intersection(self) -> bool:
@@ -378,7 +348,7 @@ class WeakAssocResult:
         return IdealSubspace(self.h.algebra, nullspace(self.triple_map, self.h.algebra.field.p))
 
 
-def weak_assoc_check(h: HopfData, f: KPoint, g: KPoint, k: KPoint) -> WeakAssocResult:
+def weak_assoc_check(h: HopfData, f: PrimePoint, g: PrimePoint, k: PrimePoint) -> WeakAssocResult:
     """(f*g)*k and f*(g*k) by subset extension, read from the sides
     weak_assoc_all decides; the triple forced-zero ideal and its points are
     read lazily from the result."""
@@ -424,9 +394,9 @@ def descend_and_compare(h: HopfData, ideal: IdealSubspace) -> LawReport:
     fixed_ids = frozenset(kp.index for kp in fixed)
     cube = hyperop_cube(h)
 
-    tilde: dict[int, KPoint] = {}
+    tilde: dict[int, PrimePoint] = {}
     for psi in pts_b:
-        pre = preimage(pi.mat, psi.point.ideal.basis, p)
+        pre = preimage(pi, psi.ideal.basis, p)
         tilde[psi.index] = point_by_ideal(h, pre)
 
     images = [tilde[psi.index].index for psi in pts_b]
@@ -480,7 +450,7 @@ def classical_points(h: HopfData, q: int) -> np.ndarray:
         for j in range(d):
             gen_pows[:, j] = acc
             acc = res.mul_vec(acc, gen)
-        coords = matmul(_matrix_inverse(gen_pows, p), pt.resmap.mat, p)  # x -> polynomial in gen
+        coords = matmul(_matrix_inverse(gen_pows, p), pt.resmap, p)  # x -> polynomial in gen
         for rho in field_roots(minimal_polynomial(gen, res), e):
             rho_pows = np.array([fq.power(rho, j) for j in range(d)])
             homs.append(matmul(coords.T, rho_pows, p))
@@ -599,7 +569,7 @@ def _group_transform(rows: np.ndarray, w: np.ndarray, q: int, k: int) -> np.ndar
     return rows.reshape(batch, -1)
 
 
-def _pair_presentation_reach(h: HopfData, f: KPoint, g: KPoint, r_max: int) -> np.ndarray:
+def _pair_presentation_reach(h: HopfData, f: PrimePoint, g: PrimePoint, r_max: int) -> np.ndarray:
     """For every tensor state s and count class c in {0, 1, 2+}: is there a
     presentation with at most r_max terms summing to s whose number of terms
     surviving (f, g) falls in class c? The DP does not depend on x, so one run
@@ -631,8 +601,7 @@ def _pair_presentation_reach(h: HopfData, f: KPoint, g: KPoint, r_max: int) -> n
     w_inv = np.array([[pow(omega, -i * j, q) for j in range(p)] for i in range(p)], dtype=np.int64)
 
     elems = enumerate_vectors(p, n)
-    fv = np.array([f.k_value(u) for u in elems], dtype=bool)
-    gv = np.array([g.k_value(u) for u in elems], dtype=bool)
+    fv, gv = f.k_value(elems), g.k_value(elems)
     terms = np.einsum("ai,bj->abij", elems, elems).reshape(-1, k) % p @ (p ** np.arange(k, dtype=np.int64))
     surviving = np.outer(fv, gv).reshape(-1)
     t = np.zeros((3, nstates), dtype=np.int64)
@@ -657,7 +626,7 @@ def _pair_presentation_reach(h: HopfData, f: KPoint, g: KPoint, r_max: int) -> n
     return ever
 
 
-def presentation_oracle(h: HopfData, f: KPoint, g: KPoint, x, r_max: int) -> frozenset[int]:
+def presentation_oracle(h: HopfData, f: PrimePoint, g: PrimePoint, x, r_max: int) -> frozenset[int]:
     """Intersection over all presentations (up to r_max terms) of the K-value
     set of Delta(x); presentations are enumerated exactly by reachability over
     (partial tensor sum, nonzero-term count capped at 2).

@@ -57,7 +57,7 @@ def _kernel_containment(h: HopfData) -> tuple[bool, dict]:
             bad = {"pair": [f.label, g.label], "reason": "forced-zero set is not an ideal"}
             break
         for m in res.members:
-            if ideal.dim and npmod(m.point.resmap.mat @ ideal.basis.T, p).any():
+            if ideal.dim and npmod(m.resmap @ ideal.basis.T, p).any():
                 bad = {"pair": [f.label, g.label], "member": m.label}
                 break
         if bad:

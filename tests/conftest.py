@@ -21,7 +21,7 @@ from hyperspec.galoisline import (
 from hyperspec.gfarith import PrimeField, minimal_polynomial
 from hyperspec.hopfkernel import HopfData, hopf_quotient, parse_builtin
 from hyperspec.hyperkernel import CheckResult, LawReport, check_hypergroup, check_hyperring
-from hyperspec.linalg import batch_tensor_rank_class, enumerate_vectors, matmul, npmod, preimage, rref
+from hyperspec.linalg import batch_tensor_rank_class, enumerate_vectors, matmul, npmod, preimage, reduce_rows, rref
 
 
 def rref_rowloop(mat, p):
@@ -172,6 +172,16 @@ def triple_sides(h, f, g, k):
     return left, right
 
 
+def triple_ideal_points_by_rowspan(res):
+    """The points killing the triple forced-zero ideal Ker T of a
+    weak_assoc_check result, as WeakAssocResult.triple_ideal_points first
+    decided them, kept as its oracle: phi kills Ker T iff the rows of pi_phi
+    lie in the row space of T, so one echelon form of T decides every point."""
+    p = res.h.algebra.field.p
+    basis, pivots = rref(res.triple_map, p)
+    return tuple(kp for kp in ops.kpoints(res.h) if not reduce_rows(kp.resmap, basis, pivots, p).any())
+
+
 def weak_assoc_by_triples(h):
     """The per-triple loop that specops.weak_assoc_all replaced, kept as its
     oracle: both sides of every triple from hyperop, with no memo."""
@@ -263,9 +273,9 @@ def descent_by_pairs(h, ideal):
     rep = LawReport()
     hq, pi = hopf_quotient(h, ideal)
     p = h.algebra.field.p
-    fixed = [kp for kp in ops.kpoints(h) if not (ideal.dim and npmod(kp.point.resmap.mat @ ideal.basis.T, p).any())]
+    fixed = [kp for kp in ops.kpoints(h) if not (ideal.dim and npmod(kp.resmap @ ideal.basis.T, p).any())]
     fixed_ids = frozenset(kp.index for kp in fixed)
-    tilde = {psi.index: ops.point_by_ideal(h, preimage(pi.mat, psi.point.ideal.basis, p)) for psi in ops.kpoints(hq)}
+    tilde = {psi.index: ops.point_by_ideal(h, preimage(pi, psi.ideal.basis, p)) for psi in ops.kpoints(hq)}
     bad = None
     for f, g in product(fixed, repeat=2):
         if not member_indices(h, f, g) <= fixed_ids:

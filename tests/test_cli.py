@@ -703,6 +703,19 @@ class TestLine:
         assert (code, out) == (2, "")
         assert err.startswith("input error: ") and "more than 500 points" in err
 
+    @pytest.mark.parametrize("degree", ["5", "6"])
+    def test_field_past_f_3_12_rejected_in_a_fresh_process(self, degree):
+        # 80 and 196 points pass the point bound, but N = lcm(1..degree) = 60:
+        # building F_{3^60} never finished, so the run must stop at the check
+        proc = subprocess.run(
+            [sys.executable, "-m", "hyperspec.cli", "line", "--p", "3", "--law", "add", "--max-degree", degree],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("input error: ") and "= 60 > 12" in proc.stderr
+
 
 class TestEntryPoint:
     def test_module_invocation(self):
@@ -826,6 +839,32 @@ class TestVerifyGolden:
         code, out, _ = run_cli(capsys, "verify", "--suite", str(cfg))
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.DIGEST
+
+
+class TestHyperopPairGolden:
+    # `hyperop --pair` JSON, with the forced-zero ideal, pinned by the SHA-256
+    # of its stdout: two pairs of addetale:3:2 (degree-2 points, two members
+    # each) and both orders of one pair of F_3^{S_3}, which is not
+    # cocommutative, named by the index of each point in the spectrum.
+    RUNS = {
+        ("addetale:3:2", "(T^2+1)", "(T^2+1)"): "57cc73e08617e2897da95728503830e5e5060ef1198d3cc65b0ffeff88d3e8dc",
+        ("addetale:3:2", "(T^2+1)", "(T^2+T+2)"): "9e127ed13c3038809115efb2f7e6c170ae91f2150a854e25ebea020cf0510a64",
+        ("fs3", 1, 3): "37c821d8b7be04315c5d203dcd86923bac83f44d4d971e3bb45e969a7d756c3b",
+        ("fs3", 3, 1): "1f0277f862361972015146daef1298e5410d6169f19b0848877ea96c76e38b84",
+    }
+
+    @pytest.mark.parametrize("spec, f, g", list(RUNS))
+    def test_stdout_digest(self, spec, f, g, fs3, tmp_path, capsys):
+        want = self.RUNS[(spec, f, g)]
+        if spec == "fs3":
+            from hyperspec.specops import kpoints
+
+            spec = str(tmp_path / "fs3.json")
+            Path(spec).write_text(json.dumps(fs3.to_json()))
+            f, g = (kpoints(fs3)[i].label for i in (f, g))
+        code, out, _ = run_cli(capsys, "hyperop", spec, "--pair", f, g)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
 class TestLoadAlgebra:

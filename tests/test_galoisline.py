@@ -398,9 +398,13 @@ class TestLineSize:
         assert line_point_count(p, law, max_degree) == len(line_points(p, law, max_degree))
 
     def test_every_configuration_run_elsewhere_is_accepted(self):
-        for p, max_degree in ((3, 5), (5, 3), (7, 2)):
+        for p, max_degree in ((3, 4), (5, 3), (7, 2)):
             for law in LAWS:
                 require_line_size(p, law, max_degree)
+        # 80 points, but crosscheck's field F_{3^60} is never built
+        for law in LAWS:
+            with pytest.raises(ValueError, match=r"N = lcm\(1\.\.5\) = 60 > 12"):
+                require_line_size(3, law, 5)
 
     def test_first_size_past_the_bound_is_rejected(self):
         # 499 and 503 are consecutive primes; the torus leaves out (T)
@@ -410,10 +414,15 @@ class TestLineSize:
             require_line_size(503, ADDITIVE, 1)
         with pytest.raises(ValueError, match="more than 500 points"):
             require_line_size(503, MULTIPLICATIVE, 1)
-        # p = 3: 196 points up to degree 6, 508 up to degree 7
-        require_line_size(3, ADDITIVE, 6)
+        # p = 3: 196 points up to degree 6, within the point bound but past
+        # the field bound; 508 up to degree 7, past the point bound, which
+        # is checked first
+        with pytest.raises(ValueError, match=r"N = lcm\(1\.\.6\) = 60 > 12"):
+            require_line_size(3, ADDITIVE, 6)
         with pytest.raises(ValueError, match="more than 500 points"):
             crosscheck(3, ADDITIVE, 7)
+        # N = 12 at degree 4 is the largest field accepted
+        require_line_size(3, ADDITIVE, 4)
 
     def test_count_stops_past_the_bound(self):
         assert MAX_LINE_POINTS < line_point_count(3, ADDITIVE, 10**9) < 2 * MAX_LINE_POINTS

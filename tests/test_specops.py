@@ -12,12 +12,13 @@ from conftest import (
     descent_by_pairs,
     presentation_value_sets_naive,
     span_rank_classes,
+    triple_ideal_points_by_rowspan,
     triple_sides,
     weak_assoc_by_triples,
 )
 
 from hyperspec import specops as ops
-from hyperspec.algkernel import IdealSubspace, field_algebra
+from hyperspec.algkernel import IdealSubspace, field_algebra, maximal_spectrum
 from hyperspec.gfarith import parse_poly, prime_power
 from hyperspec.hopfkernel import HopfData, descent_ideal, iterated_coproduct, parse_builtin
 from hyperspec.linalg import batch_tensor_rank_class, enumerate_vectors, matmul, npmod, nullspace, reduce_rows
@@ -79,6 +80,21 @@ class TestKPoints:
         for x, y in [("T", "T-1"), ("T^2+1", "T"), ("T-2", "T-1")]:
             vx, vy = elem(ae32, x), elem(ae32, y)
             assert f.k_value(alg.mul_vec(vx, vy)) == f.k_value(vx) * f.k_value(vy)
+
+    def test_k_value_of_a_stack_is_elementwise(self, ae32):
+        elems = enumerate_vectors(3, ae32.dim)
+        for f in ops.kpoints(ae32):
+            assert f.k_value(elems).tolist() == [bool(f.k_value(x)) for x in elems]
+
+    def test_one_object_per_point(self, suite_algebras, fs3):
+        for h in suite_algebras + [fs3]:
+            pts = ops.kpoints(h)
+            assert ops.kpoints(h) is pts
+            spectrum = maximal_spectrum(h.algebra)
+            assert len(pts) == len(spectrum)
+            for i, pt in enumerate(pts):
+                assert pt is spectrum[i]
+                assert ops.point_by_label(h, pt.label) is pt
 
 
 class TestIdentityAndAntipode:
@@ -188,7 +204,7 @@ class TestHyperop:
         p = 3
         for m in res.members:
             if res.forced_zero.dim:
-                assert not (m.point.resmap.mat @ res.forced_zero.basis.T % p).any()
+                assert not (m.resmap @ res.forced_zero.basis.T % p).any()
 
 
 class TestLemmaChecks:
@@ -230,19 +246,19 @@ class TestLemmaChecks:
 
     @pytest.mark.parametrize("name", ["mu54", "ae32", "fs3"])
     def test_triple_ideal_matches_kronecker_definition(self, name, request):
-        """Every triple against the definition the row-space test replaced:
-        Ker(kron(pi_f, pi_g, pi_k) @ iterated coproduct) and the points whose
-        residue map kills it. addetale:3:2 has the degree-2 point (T^2+1);
-        F_3^{S_3} is not cocommutative, so the order of the legs shows."""
+        """Every triple against the definition: Ker(kron(pi_f, pi_g, pi_k) @
+        iterated coproduct) and the points whose residue map kills it.
+        addetale:3:2 has the degree-2 point (T^2+1); F_3^{S_3} is not
+        cocommutative, so the order of the legs shows."""
         h = request.getfixturevalue(name)
         p = h.algebra.field.p
         hmat = iterated_coproduct(h)
         pts = ops.kpoints(h)
         for f, g, k in product(pts, repeat=3):
-            big = np.kron(np.kron(f.point.resmap.mat, g.point.resmap.mat), k.point.resmap.mat)
+            big = np.kron(np.kron(f.resmap, g.resmap), k.resmap)
             ideal = IdealSubspace(h.algebra, nullspace(matmul(big, hmat, p), p))
             want = tuple(
-                kp for kp in pts if not (ideal.dim and npmod(kp.point.resmap.mat @ ideal.basis.T, p).any())
+                kp for kp in pts if not (ideal.dim and npmod(kp.resmap @ ideal.basis.T, p).any())
             )
             res = ops.weak_assoc_check(h, f, g, k)
             assert "triple_ideal" not in vars(res)  # computed on first access only
@@ -319,8 +335,13 @@ class TestWeakAssocFromMemberSets:
         lazy = ("triple_map", "triple_ideal_points", "triple_point_in_intersection", "triple_ideal")
         assert not set(lazy) & set(vars(res))
         assert res.triple_point_in_intersection
-        assert {"triple_map", "triple_ideal_points", "triple_point_in_intersection"} <= set(vars(res))
-        assert "triple_ideal" not in vars(res)
+        assert set(lazy) <= set(vars(res))  # the points are read from the ideal
+
+    def test_triple_ideal_points_match_rowspan_oracle(self, assoc_algebras):
+        for h in assoc_algebras:
+            for f, g, k in product(ops.kpoints(h), repeat=3):
+                res = ops.weak_assoc_check(h, f, g, k)
+                assert res.triple_ideal_points == triple_ideal_points_by_rowspan(res), (h.name, f.label, g.label, k.label)
 
 
 def mutated_caches(h, count, seed):
@@ -671,7 +692,7 @@ class TestOracleGolden:
 
 def pair_matrix(h, f, g):
     """Q_fg = (pi_f ⊗ pi_g) ∘ Delta, straight from the definition."""
-    return matmul(np.kron(f.point.resmap.mat, g.point.resmap.mat), h.delta, h.algebra.field.p)
+    return matmul(np.kron(f.resmap, g.resmap), h.delta, h.algebra.field.p)
 
 
 def whole_algebra_forced_ones(h, f, g, zero_ideal):
@@ -718,12 +739,12 @@ class TestForcedZeroLemma:
             res = ops.hyperop(h, f, g)
             zero = res.forced_zero
             assert zero == IdealSubspace(h.algebra, nullspace(pair_matrix(h, f, g), p))
-            killing = tuple(kp for kp in pts if not matmul(zero.basis, kp.point.resmap.mat.T, p).any())
+            killing = tuple(kp for kp in pts if not matmul(zero.basis, kp.resmap.T, p).any())
             assert res.members == killing, (name, f.label, g.label)
             ones = forced_one_representatives(h, f, g, zero)
             assert ones.shape[0] > 0  # the residue of the unit, 1⊗1, has rank one
             for m in res.members:
-                assert matmul(ones, m.point.resmap.mat.T, p).any(axis=1).all(), (name, f.label, g.label, m.label)
+                assert matmul(ones, m.resmap.T, p).any(axis=1).all(), (name, f.label, g.label, m.label)
             assert res.to_json()["rejections"] == []
 
     def test_representatives_match_whole_algebra_scan(self, request):
@@ -758,7 +779,7 @@ class TestResidueProductBound:
         h = HopfData(alg, np.zeros((9, 3), dtype=np.int64), [1, 0, 0], np.eye(3, dtype=np.int64))
         # no points, so that only the bound can raise: the Hopf axioms and
         # the spectrum would otherwise overflow first
-        h._cache["kpoints"] = []
+        alg._spectrum = []
         return h
 
     def test_residue_stack(self, big):
