@@ -237,6 +237,7 @@ class IdealSubspace:
         self.basis, self.pivots = rref(vecs, algebra.field.p)
         self.basis.setflags(write=False)
         self._absorbing: bool | None = None
+        self._projection: tuple[np.ndarray, list[int]] | None = None
 
     @staticmethod
     def from_generators(algebra: SCAlgebra, gens) -> "IdealSubspace":
@@ -292,13 +293,16 @@ class IdealSubspace:
         coordinates of the RREF basis, as a (len(free), dim) matrix, and
         those coordinates. pi(x) is the residual of x against the basis read
         on the free positions, so Ker pi = I: e_j maps to e_j for a free j,
-        and e_pivots[i] to -basis[i] read on the free positions."""
-        p = self.algebra.field.p
-        free = [c for c in range(self.algebra.dim) if c not in self.pivots]
-        pi = np.zeros((len(free), self.algebra.dim), dtype=np.int64)
-        pi[:, free] = np.eye(len(free), dtype=np.int64)
-        pi[:, self.pivots] = npmod(-self.basis[:, free].T, p)
-        return pi, free
+        and e_pivots[i] to -basis[i] read on the free positions. Built once,
+        read-only: the basis is immutable."""
+        if self._projection is None:
+            free = [c for c in range(self.algebra.dim) if c not in self.pivots]
+            pi = np.zeros((len(free), self.algebra.dim), dtype=np.int64)
+            pi[:, free] = np.eye(len(free), dtype=np.int64)
+            pi[:, self.pivots] = npmod(-self.basis[:, free].T, self.algebra.field.p)
+            pi.setflags(write=False)
+            self._projection = (pi, free)
+        return self._projection
 
     def generator_poly(self) -> FpPoly | None:
         """Monic polynomial generating this ideal, for power-basis algebras.

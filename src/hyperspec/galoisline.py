@@ -25,7 +25,7 @@ import numpy as np
 
 from .algkernel import SCAlgebra, field_algebra, field_roots, monogenic_algebra
 from .gfarith import FpPoly, PrimeField, _first_monic_relation, factor, irreducibles_up_to, minimal_polynomial
-from .hyperkernel import _first_mismatch, _members, _union_left, _union_right
+from .hyperkernel import spectrum_laws
 from .linalg import matmul, npmod
 
 ADDITIVE = "additive"
@@ -352,16 +352,15 @@ def _member_cube(rows: list[list[list[int]]], width: int) -> np.ndarray:
     return cube
 
 
-UNION_BLOCK_BYTES = 1 << 25  # packed member sets per side of one associativity block
-
-
 def crosscheck(p: int, law: str, max_degree: int) -> CrosscheckReport:
     """Run both engines on every pair of points of degree <= max_degree and
     check the hypergroup laws on the fragment. The Galois engine runs in one
     field F_{p^N}, N = lcm(1, ..., max_degree): each member of f*g has degree
     dividing lcm(deg f, deg g), which divides N, so every root the checks
-    need lies there and no associativity triple is skipped. Raises
-    ValueError on more than MAX_LINE_POINTS points."""
+    need lies there and no associativity triple is skipped. The laws are
+    hyperkernel.spectrum_laws on the cubes of s*x and x*s for the points x
+    and the members s of their pairs. Raises ValueError on more than
+    MAX_LINE_POINTS points."""
     require_line_size(p, law, max_degree)
     pts = line_points(p, law, max_degree)
     orbits = orbit_classifier(p, law, lcm(*range(1, max_degree + 1)))
@@ -390,34 +389,13 @@ def crosscheck(p: int, law: str, max_degree: int) -> CrosscheckReport:
         if any(lcm(f.degree, g.degree) % q.degree for q in gal):
             degree_ok = False
 
+    # the antipode of each point and member; one that holds no position
+    # goes to an extra all-false position m, where reversibility fails
+    m = len(local)
+    anti = [pos.get(orbits.index.get(line_antipode(x)), m) for x in local[: len(sources)]]
     e = pos[orbits.point_index(line_identity(p, law))]
-    identity_ok = all(table[e][i] == [i] and table[i][e] == [i] for i in range(n))
-
-    anti_of = {x: line_antipode(x) for x in {*pts, *(x for r in pairs for x in r.galois)}}
-    anti = [pos[orbits.index[anti_of[x]]] for x in pts]
-    antipode_ok = all(e in table[i][anti[i]] and e in table[anti[i]][i] for i in range(n))
-
-    reversibility_ok = all(
-        tuple(sorted((anti_of[x] for x in pairs[i * n + j].galois), key=LinePoint.sort_key))
-        == tuple(local[k] for k in table[anti[j]][anti[i]])
-        for i, j in product(range(n), repeat=2)
-    )
-    commutativity_ok = all(table[i][j] == table[j][i] for i, j in product(range(n), repeat=2))
-
-    # (f*g)*k and f*(g*k) for every triple, as ORs of packed member sets
-    # over the members s of f*g and of g*k, in blocks of first points.
-    _, members = _members(_member_cube(table, len(sources)))
-    left_rows = np.packbits(_member_cube(left_block, len(local)), axis=2)
-    right_rows = np.packbits(_member_cube(right_block, len(local)), axis=2)
-    step = max(1, UNION_BLOCK_BYTES // (n * n * left_rows.shape[-1]))
-    bad = None
-    for lo in range(0, n, step):
-        bad = _first_mismatch(
-            _union_left(left_rows, members[lo : lo + step]), _union_right(right_rows[lo : lo + step], members)
-        )
-        if bad is not None:
-            bad = (lo + bad[0], bad[1], bad[2])
-            break
+    laws = spectrum_laws(_member_cube(left_block, m + 1), _member_cube(right_block, m + 1), e, anti)
+    bad = laws["associativity"]
     checked = n**3 if bad is None else (bad[0] * n + bad[1]) * n + bad[2] + 1
 
     return CrosscheckReport(
@@ -425,10 +403,10 @@ def crosscheck(p: int, law: str, max_degree: int) -> CrosscheckReport:
         law,
         max_degree,
         pairs,
-        identity_ok,
-        antipode_ok,
-        reversibility_ok,
-        commutativity_ok,
+        laws["identity"] is None,
+        laws["inverse"] is None,
+        laws["reversibility"] is None,
+        laws["commutativity"] is None,
         checked,
         0,
         bad is None,

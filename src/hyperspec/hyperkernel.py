@@ -156,43 +156,112 @@ def extend_to_subsets(t: HyperTable, a_set: Iterable[str], b_set: Iterable[str])
     return frozenset(t.carrier[i] for i in np.nonzero(mask)[0])
 
 
+def _first(mask: np.ndarray) -> tuple[int, ...] | None:
+    """The first index of mask, in index order, at which it is true."""
+    hits = np.argwhere(mask)
+    return tuple(int(v) for v in hits[0]) if len(hits) else None
+
+
+def _packed(cube: np.ndarray) -> np.ndarray:
+    """P[w, a, b], word w of the bitset of a*b in a bool cube [a, b, x], in
+    64-bit words: a gather moves whole words, and a test of whole sets such
+    as sides.any(axis=0) is an elementwise pass per word, not a reduction."""
+    rows = np.packbits(cube, axis=2)
+    rows = np.pad(rows, ((0, 0), (0, 0), (0, -rows.shape[2] % 8)))
+    return np.ascontiguousarray(np.moveaxis(rows.view(np.uint64), 2, 0))
+
+
 def _members(cube: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The member sets of a hyperoperation in two forms: the bitset rows
-    P = packbits(cube, axis=2), and M[a, b, r], the r-th member of a*b in
-    index order, or n = cube.shape[2] past its last member, for r below the
-    largest |a*b|."""
+    """The member sets of a hyperoperation in two forms: the packed bitsets
+    P = _packed(cube), and M[a, b, r], the r-th member of a*b in index
+    order, or n = cube.shape[2] past its last member, for r below the
+    largest |a*b| (at least one slot, so an all-empty cube has one)."""
     n = cube.shape[2]
     counts = cube.sum(axis=2)
-    m = int(counts.max())
+    m = max(1, int(counts.max()))
     order = np.argsort(~cube, axis=2, kind="stable")[:, :, :m]
-    return np.packbits(cube, axis=2), np.where(np.arange(m) < counts[:, :, None], order, n)
+    return _packed(cube), np.where(np.arange(m) < counts[:, :, None], order, n)
 
 
-def _union_left(rows: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """Entry [a, b, c] is the OR of the packed rows rows[x, c] over the
-    members x of a*b, one member slot of M per step. The index n past the
-    last member reads an appended all-zero row. Every temporary holds n^3
-    packed rows; none has n^4 entries."""
-    padded = np.concatenate([rows, np.zeros_like(rows[:1])])
-    out = padded[members[..., 0]]
+def _union_left(sets: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Entry [w, a, b, c] is the OR of the packed sets sets[w, x, c] over
+    the members x of a*b, one member slot of M per step. The index n past
+    the last member reads an appended empty set. Every temporary holds n^3
+    packed sets; none has n^4 entries."""
+    padded = np.concatenate([sets, np.zeros_like(sets[:, :1])], axis=1)
+    out = padded.take(members[..., 0], axis=1)
     for r in range(1, members.shape[-1]):
-        out |= padded[members[..., r]]
+        out |= padded.take(members[..., r], axis=1)
     return out
 
 
-def _union_right(rows: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """Entry [a, b, c] is the OR of the packed rows rows[a, y] over the
-    members y of b*c."""
-    return _union_left(rows.swapaxes(0, 1), members).transpose(2, 0, 1, 3)
+def _union_right(sets: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Entry [w, a, b, c] is the OR of the packed sets sets[w, a, y] over
+    the members y of b*c, gathered along the last axis so that the result
+    is laid out as _union_left's is, and compares with it without a
+    strided pass."""
+    padded = np.concatenate([sets, np.zeros_like(sets[:, :, :1])], axis=2)
+    out = padded.take(members[..., 0], axis=2)
+    for r in range(1, members.shape[-1]):
+        out |= padded.take(members[..., r], axis=2)
+    return out
 
 
-def _first_mismatch(left: np.ndarray, right: np.ndarray) -> tuple[int, int, int] | None:
-    """The first (a, b, c) in index order at which two [a, b, c] arrays of
-    packed member sets differ, or None when they are equal."""
-    if np.array_equal(left, right):
-        return None
-    a, b, c = (int(v) for v in np.argwhere((left != right).any(axis=3))[0])
-    return a, b, c
+# The law engine, for spectra (specops), the line (galoisline) and tables.
+# left is bool (s, n, m) with left[x, k] = x*k for the first s positions x
+# and the n points k; right is bool (n, s, m) with right[f, y] = f*y. The
+# table is left[:n], n <= s <= m, with its members in the first s positions.
+
+UNION_BLOCK_BYTES = 1 << 25  # packed member sets per side of one associativity block
+
+
+def assoc_failures(left: np.ndarray, right: np.ndarray) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None]:
+    """(differ, disjoint): the first triple (f, g, k), in index order, at
+    which (f*g)*k and f*(g*k) differ, and the first at which they are
+    disjoint, or None. The sides are ORs of the packed sets left[x, k] over
+    x in f*g and right[f, y] over y in g*k, formed in blocks of first
+    points, UNION_BLOCK_BYTES per side, until both triples are found."""
+    n, s = right.shape[:2]
+    _, members = _members(left[:n, :, :s])
+    left_sets, right_sets = _packed(left), _packed(right)
+    step = max(1, UNION_BLOCK_BYTES // (n * n * left_sets.shape[0] * left_sets.itemsize))
+    differ = disjoint = None
+    for lo in range(0, n, step):
+        lhs = _union_left(left_sets, members[lo : lo + step])
+        rhs = _union_right(right_sets[:, lo : lo + step], members)
+        if differ is None and (bad := _first((lhs != rhs).any(axis=0))):
+            differ = (lo + bad[0], *bad[1:])
+        if disjoint is None and (bad := _first(~(lhs & rhs).any(axis=0))):
+            disjoint = (lo + bad[0], *bad[1:])
+        if differ and disjoint:
+            break
+    return differ, disjoint
+
+
+def spectrum_laws(left: np.ndarray, right: np.ndarray, e: int, anti) -> dict[str, tuple[int, ...] | None]:
+    """The first failing index of each law, or None where it holds, for the
+    identity point e and the antipodes anti[x] of the first s positions x
+    (points to points): nonempty (f, g); identity e*f = f*e = {f} (f,);
+    inverse, e in f*f~ and f~*f (f,); reversibility, x in f*g iff x~ in
+    g~*f~ (f, g, x); commutativity (f, g); associativity and
+    weak_associativity, (f*g)*k equal to f*(g*k) and meeting it (f, g, k).
+    Reversibility reads x < s only: a later x is in no f*g, and were x~ in
+    g~*f~, the check at (g~, f~, x~) would fail."""
+    n, s = right.shape[:2]
+    table = left[:n]
+    anti = np.asarray(anti, dtype=np.int64)[:s]
+    inv, idx = anti[:n], np.arange(n)
+    eye = np.eye(n, table.shape[2], dtype=bool)
+    differ, disjoint = assoc_failures(left, right)
+    return {
+        "nonempty": _first(~table.any(axis=2)),
+        "identity": _first(((table[e] != eye) | (table[:, e] != eye)).any(axis=1)),
+        "inverse": _first(~(table[idx, inv, e] & table[inv, idx, e])),
+        "reversibility": _first(table[:, :, :s] != table[np.ix_(inv, inv, anti)].transpose(1, 0, 2)),
+        "commutativity": _first((table != table.transpose(1, 0, 2)).any(axis=2)),
+        "associativity": differ,
+        "weak_associativity": disjoint,
+    }
 
 
 def _identities(cube: np.ndarray) -> list[int]:
@@ -216,37 +285,19 @@ def check_hypergroup(t: HyperTable, mode: str = "strong") -> LawReport:
         raise ValueError(f"unknown mode {mode!r}")
     rep = LawReport()
     cube = t.cube
-    n = t.size
     names = t.carrier
 
-    packed, members = _members(cube)
-    left, right = _union_left(packed, members), _union_right(packed, members)
-    bad = _first_mismatch(left, right)
-    if bad is None:
-        rep.add("associativity", True)
-    else:
+    bad = assoc_failures(cube, cube)[0]
+    witness = ()
+    if bad is not None:
         a, b, c = bad
-        rep.add(
-            "associativity",
-            False,
-            (
-                names[a],
-                names[b],
-                names[c],
-                sorted(names[i] for i in np.nonzero(np.unpackbits(left[a, b, c], count=n))[0]),
-                sorted(names[i] for i in np.nonzero(np.unpackbits(right[a, b, c], count=n))[0]),
-            ),
-        )
+        sides = cube[cube[a, b]][:, c].any(axis=0), cube[a][cube[b, c]].any(axis=0)
+        witness = (names[a], names[b], names[c], *(sorted(names[i] for i in np.flatnonzero(x)) for x in sides))
+    rep.add("associativity", bad is None, witness)
 
     if mode == "marty":
-        rows_ok = cube.any(axis=1).all()
-        cols_ok = cube.any(axis=0).all()
-        if rows_ok and cols_ok:
-            rep.add("reproducibility", True)
-        else:
-            bad = np.argwhere(~cube.any(axis=1).all(axis=1))
-            a = int(bad[0][0]) if bad.size else int(np.argwhere(~cube.any(axis=0).all(axis=1))[0][0])
-            rep.add("reproducibility", False, (names[a],))
+        bad = _first(~cube.any(axis=1).all(axis=1)) or _first(~cube.any(axis=0).all(axis=1))
+        rep.add("reproducibility", bad is None, () if bad is None else (names[bad[0]],))
         return rep
 
     ids = _identities(cube)
@@ -257,44 +308,25 @@ def check_hypergroup(t: HyperTable, mode: str = "strong") -> LawReport:
         rep.add("identity_unique", False, (sorted(names[i] for i in ids),))
         e = None
 
-    inv: dict[int, int] | None = None
+    inv = None
     if e is None:
         rep.add("inverses_unique", False, ("no unique identity",))
     else:
-        bad = None
-        inv = {}
-        for a in range(n):
-            cands = np.nonzero(cube[a, :, e] & cube[:, a, e])[0]
-            if cands.size != 1:
-                bad = (names[a], sorted(names[int(i)] for i in cands))
-                break
-            inv[a] = int(cands[0])
-        if bad is None:
-            rep.add("inverses_unique", True)
-        else:
-            rep.add("inverses_unique", False, bad)
-            inv = None
+        both = cube[:, :, e] & cube[:, :, e].T  # both[a, b]: e in a*b and in b*a
+        bad = _first(both.sum(axis=1) != 1)
+        inv = both.argmax(axis=1) if bad is None else None
+        witness = () if bad is None else (names[bad[0]], sorted(names[i] for i in np.flatnonzero(both[bad[0]])))
+        rep.add("inverses_unique", bad is None, witness)
 
     if mode == "canonical":
-        if (cube == cube.transpose(1, 0, 2)).all():
-            rep.add("commutativity", True)
-        else:
-            a, b = (int(v) for v in np.argwhere((cube != cube.transpose(1, 0, 2)).any(axis=2))[0])
-            rep.add("commutativity", False, (names[a], names[b]))
+        bad = _first((cube != cube.transpose(1, 0, 2)).any(axis=2))
+        rep.add("commutativity", bad is None, () if bad is None else (names[bad[0]], names[bad[1]]))
         if e is None or inv is None:
             rep.add("reversibility", False, ("needs identity and inverses",))
         else:
-            triples = np.argwhere(cube)
-            aa, bb, cc = triples[:, 0], triples[:, 1], triples[:, 2]
-            inv_arr = np.array([inv[i] for i in range(n)])
-            ok1 = cube[cc, inv_arr[aa], bb]
-            ok2 = cube[cc, inv_arr[bb], aa]
-            good = ok1 & ok2
-            if good.all():
-                rep.add("reversibility", True)
-            else:
-                k = int(np.nonzero(~good)[0][0])
-                rep.add("reversibility", False, (names[int(aa[k])], names[int(bb[k])], names[int(cc[k])]))
+            back = cube[:, inv]  # back[c, a, b]: b in c*a~
+            bad = _first(cube & ~(back.transpose(1, 2, 0) & back.transpose(2, 1, 0)))
+            rep.add("reversibility", bad is None, () if bad is None else tuple(names[i] for i in bad))
     return rep
 
 
@@ -364,36 +396,25 @@ def check_hyperring(r: HyperRingTable) -> LawReport:
         () if add_ok else (addrep.failures() or ["identity differs from declared zero"],),
     )
 
-    mu = r.mul
-    comm = (mu == mu.T).all()
-    assoc_cube_l = mu[mu, :]
-    assoc_cube_r = mu[:, mu]
-    assoc = (assoc_cube_l == assoc_cube_r).all()
-    unital = (mu[one] == np.arange(n)).all() and (mu[:, one] == np.arange(n)).all()
-    if comm and assoc and unital:
-        rep.add("multiplicative_monoid", True)
-    elif not comm:
-        a, b = (int(v) for v in np.argwhere(mu != mu.T)[0])
-        rep.add("multiplicative_monoid", False, ("commutativity", names[a], names[b]))
-    elif not assoc:
-        a, b, c = (int(v) for v in np.argwhere(assoc_cube_l != assoc_cube_r)[0])
-        rep.add("multiplicative_monoid", False, ("associativity", names[a], names[b], names[c]))
-    else:
-        a = int(np.argwhere(mu[one] != np.arange(n))[0][0]) if (mu[one] != np.arange(n)).any() else int(
-            np.argwhere(mu[:, one] != np.arange(n))[0][0]
-        )
-        rep.add("multiplicative_monoid", False, ("identity", names[a]))
+    mu, ar = r.mul, np.arange(n)
+    monoid = (
+        ("commutativity", _first(mu != mu.T)),
+        ("associativity", _first(mu[mu, :] != mu[:, mu])),
+        ("identity", _first(mu[one] != ar) or _first(mu[:, one] != ar)),
+    )
+    law, bad = next(((law, bad) for law, bad in monoid if bad is not None), (None, None))
+    rep.add("multiplicative_monoid", bad is None, () if bad is None else (law, *(names[i] for i in bad)))
 
     # a*(b+c) against a*b + a*c, then (a+b)*c against a*c + b*c: the sums
-    # are unions of the one-hot packed rows of the products over members
+    # are unions of the one-hot packed sets of the products over members
     packed, members = _members(r.add.cube)
-    products = np.packbits(np.eye(n, dtype=bool), axis=1)[mu]
+    products = _packed(np.eye(n, dtype=bool)[mu])
     witness: tuple = ()
-    bad = _first_mismatch(_union_right(products, members), packed[mu[:, :, None], mu[:, None, :]])
+    bad = _first((_union_right(products, members) != packed[:, mu[:, :, None], mu[:, None, :]]).any(axis=0))
     if bad is not None:
         witness = (*(names[i] for i in bad), "left")
     else:
-        bad = _first_mismatch(_union_left(products, members), packed[mu[:, None, :], mu[None, :, :]])
+        bad = _first((_union_left(products, members) != packed[:, mu[:, None, :], mu[None, :, :]]).any(axis=0))
         if bad is not None:
             witness = (*(names[i] for i in bad), "right")
     rep.add("distributivity", bad is None, witness)

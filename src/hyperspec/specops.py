@@ -46,8 +46,8 @@ from .algkernel import (
     maximal_spectrum,
 )
 from .gfarith import is_prime, minimal_polynomial, prime_power
-from .hopfkernel import HopfData, hopf_quotient, is_hopf_ideal
-from .hyperkernel import LawReport, _members, _union_left, _union_right
+from .hopfkernel import HopfData, hopf_quotient
+from .hyperkernel import LawReport, _first, spectrum_laws
 from .linalg import (
     batch_tensor_rank_class,
     einsum_mod,
@@ -237,10 +237,13 @@ def hyperop_cube(h: HopfData) -> np.ndarray:
     return h._cache["cube"]
 
 
-def _first(mask: np.ndarray) -> tuple[int, ...] | None:
-    """The first index of mask, in index order, at which it is true."""
-    hits = np.argwhere(mask)
-    return tuple(int(v) for v in hits[0]) if len(hits) else None
+def _laws(h: HopfData) -> dict[str, tuple[int, ...] | None]:
+    """The first failing index of each spectrum law, decided from the cube
+    by hyperkernel.spectrum_laws once per algebra."""
+    if "laws" not in h._cache:
+        cube = hyperop_cube(h)
+        h._cache["laws"] = spectrum_laws(cube, cube, identity_point(h).index, antipode_permutation(h))
+    return h._cache["laws"]
 
 
 def _labels(pts: list[PrimePoint], mask: np.ndarray) -> list[str]:
@@ -251,7 +254,7 @@ def nonempty_check(h: HopfData) -> LawReport:
     """f*g is nonempty for every ordered pair of spectrum points."""
     rep = LawReport()
     pts = kpoints(h)
-    bad = _first(~hyperop_cube(h).any(axis=2))
+    bad = _laws(h)["nonempty"]
     rep.add("nonempty", bad is None, tuple(pts[i].label for i in bad) if bad else (f"{len(pts) ** 2} pairs",))
     return rep
 
@@ -262,8 +265,7 @@ def identity_law_check(h: HopfData) -> LawReport:
     pts = kpoints(h)
     cube = hyperop_cube(h)
     e = identity_point(h).index
-    eye = np.eye(len(pts), dtype=bool)
-    bad = _first(((cube[e] != eye) | (cube[:, e] != eye)).any(axis=1))
+    bad = _laws(h)["identity"]
     witness = ()
     if bad:
         f = bad[0]
@@ -276,11 +278,8 @@ def inverse_law_check(h: HopfData) -> LawReport:
     """e in (f * f~) ∩ (f~ * f) with f~ the antipode point."""
     rep = LawReport()
     pts = kpoints(h)
-    cube = hyperop_cube(h)
-    e = identity_point(h).index
     perm = antipode_permutation(h)
-    idx = np.arange(len(pts))
-    bad = _first(~(cube[idx, perm, e] & cube[perm, idx, e]))
+    bad = _laws(h)["inverse"]
     rep.add("inverse_law", bad is None, (pts[bad[0]].label, pts[perm[bad[0]]].label) if bad else ())
     return rep
 
@@ -289,22 +288,10 @@ def reversibility_check(h: HopfData) -> LawReport:
     """phi in f*g iff phi~ in g~*f~, exhaustively over the spectrum cubed."""
     rep = LawReport()
     pts = kpoints(h)
-    cube = hyperop_cube(h)
-    perm = antipode_permutation(h)
-    bad = _first(cube != cube[perm][:, perm][:, :, perm].transpose(1, 0, 2))
+    bad = _laws(h)["reversibility"]
     witness = tuple(pts[i].label for i in bad) if bad else (f"{len(pts) ** 3} membership pairs",)
     rep.add("reversibility", bad is None, witness)
     return rep
-
-
-def _assoc_sides(h: HopfData) -> tuple[np.ndarray, np.ndarray]:
-    """(f*g)*k and f*(g*k) as packed member sets [f, g, k] over every triple,
-    from the cube by the unions hyperkernel's associativity check forms;
-    computed once per algebra."""
-    if "assoc_sides" not in h._cache:
-        packed, members = _members(hyperop_cube(h))
-        h._cache["assoc_sides"] = (_union_left(packed, members), _union_right(packed, members))
-    return h._cache["assoc_sides"]
 
 
 @dataclass
@@ -349,43 +336,42 @@ class WeakAssocResult:
 
 
 def weak_assoc_check(h: HopfData, f: PrimePoint, g: PrimePoint, k: PrimePoint) -> WeakAssocResult:
-    """(f*g)*k and f*(g*k) by subset extension, read from the sides
-    weak_assoc_all decides; the triple forced-zero ideal and its points are
-    read lazily from the result."""
+    """(f*g)*k and f*(g*k) by subset extension, read from the cube: the
+    points of x*k over the members x of f*g, and of f*y over the members y
+    of g*k. The triple forced-zero ideal and its points are read lazily
+    from the result."""
     h.ensure_verified()
     pts = kpoints(h)
-    left, right = (np.unpackbits(side[f.index, g.index, k.index], count=len(pts)) for side in _assoc_sides(h))
+    cube = hyperop_cube(h)
+    left = cube[cube[f.index, g.index]][:, k.index].any(axis=0)
+    right = cube[f.index][cube[g.index, k.index]].any(axis=0)
     tup = lambda mask: tuple(kp for kp, member in zip(pts, mask) if member)
     return WeakAssocResult(h, f, g, k, tup(left), tup(right), tup(left & right))
 
 
 def weak_assoc_all(h: HopfData) -> LawReport:
-    """Weak associativity, (f*g)*k ∩ f*(g*k) nonempty for every triple, decided
-    from the packed member sets of both sides of every triple at once. The
-    triple forced-zero ideal is not formed; weak_assoc_check gives it for one
-    triple. fully_associative is report-only and covers the triples up to
-    the first failure."""
+    """Weak associativity, (f*g)*k ∩ f*(g*k) nonempty for every triple, read
+    from the law engine's first disjoint triple. The triple forced-zero
+    ideal is not formed; weak_assoc_check gives it for one triple.
+    fully_associative is report-only and covers the triples up to the first
+    failure: no triple before it has sides that differ."""
     h.ensure_verified()
     rep = LawReport()
     pts = kpoints(h)
-    left, right = _assoc_sides(h)
-    bad = _first(~(left & right).any(axis=3))
-    differ = (left != right).any(axis=3).ravel()
-    stop = differ.size if bad is None else np.ravel_multi_index(bad, left.shape[:3])
+    laws = _laws(h)
+    bad, differ = laws["weak_associativity"], laws["associativity"]
     witness = tuple(pts[i].label for i in bad) if bad else (f"{len(pts) ** 3} triples",)
     rep.add("weak_associativity", bad is None, witness)
-    rep.add("fully_associative", not differ[:stop].any(), (), report_only=True)
+    rep.add("fully_associative", differ is None or (bad is not None and differ >= bad), (), report_only=True)
     return rep
 
 
 def descend_and_compare(h: HopfData, ideal: IdealSubspace) -> LawReport:
     """Descent along a Hopf-ideal quotient B = A/I: the tilde map
     Ker(psi) -> pi^(-1)(Ker psi) embeds Spec B into the locus X_I of points
-    killing I, and tilde(psi1 ⋆ psi2) = tilde(psi1) * tilde(psi2)."""
+    killing I, and tilde(psi1 ⋆ psi2) = tilde(psi1) * tilde(psi2). Raises
+    ValueError, from hopf_quotient, unless I is a Hopf ideal."""
     rep = LawReport()
-    check = is_hopf_ideal(h, ideal)
-    if not check.ok:
-        raise ValueError("descent requires a verified Hopf ideal")
     hq, pi = hopf_quotient(h, ideal)
     p = h.algebra.field.p
     pts_b = kpoints(hq)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import crosscheck_by_triples, span_rank_classes
 
-from hyperspec import galoisline, gfarith
+from hyperspec import galoisline, gfarith, hyperkernel
 from hyperspec.algkernel import monogenic_algebra, tensor_algebra
 from hyperspec.galoisline import (
     ADDITIVE,
@@ -252,14 +252,14 @@ class TestOrbitClassifier:
         finally:
             orbit_classifier.cache_clear()
 
-    @pytest.mark.parametrize("block_bytes", [galoisline.UNION_BLOCK_BYTES, 1], ids=["one-block", "block-per-point"])
+    @pytest.mark.parametrize("block_bytes", [hyperkernel.UNION_BLOCK_BYTES, 1], ids=["one-block", "block-per-point"])
     @pytest.mark.parametrize("law", LAWS)
     def test_failing_associativity_stops_where_the_triple_loop_does(self, monkeypatch, law, block_bytes):
         # corrupt one memoized product at a time: the packed unions report
         # the same verdict and first failing triple as a loop over triples
         # reading the same corrupted products, whether the triples are
         # compared in one block or one block per first point
-        monkeypatch.setattr(galoisline, "UNION_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(hyperkernel, "UNION_BLOCK_BYTES", block_bytes)
         p, max_degree = 3, 2
         pts = line_points(p, law, max_degree)
         try:

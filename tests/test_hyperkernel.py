@@ -195,6 +195,127 @@ class TestPackedKernelsAgainstEinsum:
         assert caught == multi
 
 
+def laws_by_loops(left, right, e, anti):
+    """hyperkernel.spectrum_laws by loops over the definitions, on member
+    sets: the first failing index of each law, in index order."""
+    n, s, m = right.shape
+    table = left[:n]
+    member = lambda a, b: {x for x in range(m) if table[a, b, x]}
+    lside = lambda f, g, k: {z for x in member(f, g) for z in range(m) if left[x, k, z]}
+    rside = lambda f, g, k: {z for y in member(g, k) for z in range(m) if right[f, y, z]}
+    pts = range(n)
+
+    def first(fails, *ranges):
+        return next((idx for idx in product(*ranges) if fails(*idx)), None)
+
+    return {
+        "nonempty": first(lambda f, g: not member(f, g), pts, pts),
+        "identity": first(lambda f: member(e, f) != {f} or member(f, e) != {f}, pts),
+        "inverse": first(lambda f: not (table[f, anti[f], e] and table[anti[f], f, e]), pts),
+        "reversibility": first(lambda f, g, x: table[f, g, x] != table[anti[g], anti[f], anti[x]], pts, pts, range(s)),
+        "commutativity": first(lambda f, g: member(f, g) != member(g, f), pts, pts),
+        "associativity": first(lambda f, g, k: lside(f, g, k) != rside(f, g, k), pts, pts, pts),
+        "weak_associativity": first(lambda f, g, k: not lside(f, g, k) & rside(f, g, k), pts, pts, pts),
+    }
+
+
+def cube_of(sets, m):
+    """The bool cube C[a, b, x] = (x in sets[a][b]), m positions wide."""
+    cube = np.zeros((len(sets), len(sets[0]), m), dtype=bool)
+    for a, row in enumerate(sets):
+        for b, xs in enumerate(row):
+            cube[a, b, list(xs)] = True
+    return cube
+
+
+def z3_with(**changes):
+    """The Cayley table of Z/3 as a cube, with the sets at the "ab" keys of
+    changes replaced."""
+    sets = [[{(a + b) % 3} for b in range(3)] for a in range(3)]
+    for key, xs in changes.items():
+        sets[int(key[1])][int(key[2])] = xs
+    return cube_of(sets, 3)
+
+
+Z3_ANTI = [0, 2, 1]
+
+# (cube, antipode, the law made to fail, its first failing index)
+ENGINE_CASES = [
+    (z3_with(), Z3_ANTI, None, None),
+    (z3_with(_21=set()), Z3_ANTI, "nonempty", (2, 1)),
+    (z3_with(_10={1, 2}), Z3_ANTI, "identity", (1,)),
+    (z3_with(), [0, 1, 2], "inverse", (1,)),
+    (z3_with(_00={0, 1}), Z3_ANTI, "reversibility", (0, 0, 1)),
+    (z3_with(_12={0, 1}), Z3_ANTI, "commutativity", (1, 2)),
+    (z3_with(_11={0, 2}), Z3_ANTI, "associativity", (1, 1, 2)),
+    (z3_with(_11={0}), Z3_ANTI, "weak_associativity", (1, 1, 2)),
+    # both sides of every triple empty: disjoint, yet equal
+    (np.zeros((2, 2, 2), dtype=bool), [0, 1], "weak_associativity", (0, 0, 0)),
+]
+
+
+def rectangular(right_12):
+    """Two points, e = 0 and 1 with 1*1 = {0, 2}: s = 3 positions hold the
+    points and that member, 2*1 = {1, 3} adds a fourth, and position 4 is
+    the all-false position that the antipode of 2 maps to. right_12 is
+    1*2; {1, 3}, equal to 2*1, keeps every triple associative."""
+    table = [[{0}, {1}], [{1}, {0, 2}]]
+    left = cube_of(table + [[{2}, {1, 3}]], 5)
+    right = cube_of([[{0}, {1}, {2}], [{1}, {0, 2}, right_12]], 5)
+    return left, right, [0, 1, 4]
+
+
+class TestLawEngine:
+    """hyperkernel.spectrum_laws on hand-built cubes in which each law
+    fails first at a known index, against loops over the definitions."""
+
+    @pytest.mark.parametrize("block_bytes", [hyperkernel.UNION_BLOCK_BYTES, 1], ids=["one-block", "block-per-point"])
+    @pytest.mark.parametrize("cube, anti, law, index", ENGINE_CASES, ids=[str(c[2]) for c in ENGINE_CASES])
+    def test_first_failure_of_each_law(self, monkeypatch, cube, anti, law, index, block_bytes):
+        monkeypatch.setattr(hyperkernel, "UNION_BLOCK_BYTES", block_bytes)
+        got = hyperkernel.spectrum_laws(cube, cube, 0, anti)
+        assert got == laws_by_loops(cube, cube, 0, anti)
+        if law is None:
+            assert set(got.values()) == {None}
+        else:
+            assert got[law] == index
+
+    def test_rectangular_cubes(self):
+        left, right, anti = rectangular({1, 3})
+        want = dict.fromkeys(laws_by_loops(left, right, 0, anti))
+        want["reversibility"] = (1, 1, 2)  # 2 is in 1*1, its antipode in nothing
+        assert hyperkernel.spectrum_laws(left, right, 0, anti) == laws_by_loops(left, right, 0, anti) == want
+        left, right, anti = rectangular({2})  # (1*1)*1 = {1, 3}, 1*(1*1) = {1, 2}
+        got = hyperkernel.spectrum_laws(left, right, 0, anti)
+        assert got == laws_by_loops(left, right, 0, anti)
+        assert (got["associativity"], got["weak_associativity"]) == ((1, 1, 1), None)
+
+    @pytest.mark.parametrize("block_bytes", [hyperkernel.UNION_BLOCK_BYTES, 1], ids=["one-block", "block-per-point"])
+    def test_random_rectangular_cubes(self, monkeypatch, block_bytes):
+        monkeypatch.setattr(hyperkernel, "UNION_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(16)
+        for _ in range(300):
+            n = int(rng.integers(1, 4))
+            s = n + int(rng.integers(0, 3))
+            m = s + int(rng.integers(0, 3))
+            density = rng.uniform(0.1, 0.6)
+            left = rng.random((s, n, m)) < density
+            left[:n, :, s:] = False  # the table's members lie in the first s positions
+            right = rng.random((n, s, m)) < density
+            if rng.random() < 0.5:
+                right[:, :n] = left[:n]  # f*y for a point y, read from the table
+            anti = np.concatenate([rng.permutation(n), rng.integers(0, m, s - n)])
+            e = int(rng.integers(0, n))
+            assert hyperkernel.spectrum_laws(left, right, e, anti) == laws_by_loops(left, right, e, anti)
+
+    @pytest.mark.parametrize("block_bytes", [hyperkernel.UNION_BLOCK_BYTES, 1], ids=["one-block", "block-per-point"])
+    def test_check_hypergroup_in_blocks(self, monkeypatch, block_bytes):
+        monkeypatch.setattr(hyperkernel, "UNION_BLOCK_BYTES", block_bytes)
+        for r in CORPUS + MUTANTS:
+            for mode in MODES:
+                assert check_hypergroup(r.add, mode).to_json() == hypergroup_report_by_einsum(r.add, mode).to_json()
+
+
 class TestHyperringChecks:
     def test_krasner_is_hyperfield(self):
         rep = check_hyperring(K)

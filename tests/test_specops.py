@@ -17,6 +17,7 @@ from conftest import (
     weak_assoc_by_triples,
 )
 
+from hyperspec import hopfkernel, hyperkernel
 from hyperspec import specops as ops
 from hyperspec.algkernel import IdealSubspace, field_algebra, maximal_spectrum
 from hyperspec.gfarith import parse_poly, prime_power
@@ -299,6 +300,22 @@ class TestWeakAssocFromMemberSets:
         mu38 = assoc_algebras[-2]
         assert any(len(ops.hyperop(mu38, f, g).members) > 1 for f, g in product(ops.kpoints(mu38), repeat=2))
 
+    @pytest.mark.parametrize("block_bytes", [hyperkernel.UNION_BLOCK_BYTES, 1], ids=["one-block", "block-per-point"])
+    def test_report_matches_oracle_in_blocks(self, monkeypatch, assoc_algebras, block_bytes):
+        # the law engine's associativity blocks, one for all triples or one
+        # per first point, on true and on mutated hyperoperation caches
+        monkeypatch.setattr(hyperkernel, "UNION_BLOCK_BYTES", block_bytes)
+        for h in assoc_algebras:
+            h._cache.pop("laws", None)
+            assert ops.weak_assoc_all(h).to_json() == weak_assoc_by_triples(h).to_json(), h.name
+        h = parse_builtin("mu:3:8")
+        failed = set()
+        for _ in mutated_caches(h, 40, seed=16):
+            got = ops.weak_assoc_all(h).to_json()
+            assert got == weak_assoc_by_triples(h).to_json()
+            failed |= {name for name, entry in got.items() if not entry["pass"]}
+        assert failed == {"weak_associativity", "fully_associative"}
+
     def test_sides_match_per_triple_oracle(self, assoc_algebras):
         for h in assoc_algebras:
             assert side_disagreements(h) == [], h.name
@@ -306,8 +323,8 @@ class TestWeakAssocFromMemberSets:
     def test_union_dropping_a_member_is_caught(self, monkeypatch):
         """Mutation check: when the packed member sets that hyperkernel's
         unions read lose the last member of the first f*g with several
-        members, the sides disagree with the oracle."""
-        real = ops._members
+        members, weak_assoc_all disagrees with the oracle."""
+        real = hyperkernel._members
 
         def dropping(cube):
             packed, members = real(cube)
@@ -316,9 +333,9 @@ class TestWeakAssocFromMemberSets:
             members[a, b, int(np.count_nonzero(members[a, b] < cube.shape[0])) - 1] = cube.shape[0]
             return packed, members
 
-        monkeypatch.setattr(ops, "_members", dropping)
+        monkeypatch.setattr(hyperkernel, "_members", dropping)
         h = parse_builtin("mu:3:8")
-        assert side_disagreements(h)
+        assert ops.weak_assoc_all(h).to_json() != weak_assoc_by_triples(h).to_json()
 
     def test_suite_check_makes_no_triple_call(self, monkeypatch):
         h = parse_builtin("mu:5:4")
@@ -361,11 +378,11 @@ def mutated_caches(h, count, seed):
             cache[key] = dataclasses.replace(cache[key], members=tuple(kp for kp in pts if rng.random() < 0.4))
         h._cache["hyperop"] = cache
         h._cache.pop("cube", None)
-        h._cache.pop("assoc_sides", None)
+        h._cache.pop("laws", None)
         yield
     h._cache["hyperop"] = true
     h._cache.pop("cube", None)
-    h._cache.pop("assoc_sides", None)
+    h._cache.pop("laws", None)
 
 
 class TestLawsFromCube:
@@ -420,6 +437,24 @@ class TestDescent:
         bad = IdealSubspace.from_poly(ae32.algebra, parse_poly("T-1", ae32.algebra.field))
         with pytest.raises(ValueError):
             ops.descend_and_compare(ae32, bad)
+
+    def test_one_hopf_ideal_test_per_descent(self, monkeypatch, mu54):
+        # hopf_quotient's test is the only one, and the ideal's projection
+        # is built once for it and for the quotient algebra
+        calls = []
+        real = hopfkernel.is_hopf_ideal
+
+        def counting(h, ideal):
+            calls.append(ideal)
+            return real(h, ideal)
+
+        monkeypatch.setattr(hopfkernel, "is_hopf_ideal", counting)
+        monkeypatch.setattr(ops, "is_hopf_ideal", counting, raising=False)
+        ideal = descent_ideal(mu54)
+        assert ops.descend_and_compare(mu54, ideal).ok
+        assert calls == [ideal]
+        pi, free = ideal.projection()
+        assert ideal.projection()[0] is pi and not pi.flags.writeable
 
 
 class TestClassical:
