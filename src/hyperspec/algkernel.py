@@ -14,8 +14,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .gfarith import FpPoly, PrimeField, find_irreducible, minimal_polynomial, power_basis_tensor
+from .hyperkernel import _first
 from .linalg import (
-    einsum_mod,
     enumerate_vectors,
     in_span,
     matmul,
@@ -33,9 +33,10 @@ class SCAlgebra:
     """Commutative associative unital algebra over F_p, given by an
     n x n x n structure tensor: e_i * e_j = sum_k mul[i,j,k] e_k.
 
-    All three laws are verified on every basis triple at construction.
-    Products are formed as int64 sums of dim products of two residues, so
-    every product raises ValueError unless dim * (p-1)^2 < 2^63.
+    All three laws are verified on every basis triple at construction, and
+    a stored generator must generate. Products are formed as int64 sums of
+    dim products of two residues, so every product raises ValueError unless
+    dim * (p-1)^2 < 2^63.
     """
 
     def __init__(self, field: PrimeField, basis: list[str], mul, unit, generator=None, validate: bool = True):
@@ -47,11 +48,12 @@ class SCAlgebra:
         self.generator = None if generator is None else npmod(np.asarray(generator, dtype=np.int64), field.p)
         if self.mul.shape != (self.dim, self.dim, self.dim) or self.unit.shape != (self.dim,):
             raise ValueError("structure tensor / unit dimensions are inconsistent")
+        self._spectrum: list[PrimePoint] | None = None
+        self._generators: np.ndarray | None = None
         if validate:
             self._validate()
         self.mul.setflags(write=False)
         self.unit.setflags(write=False)
-        self._spectrum: list[PrimePoint] | None = None
 
     def _validate(self) -> None:
         """Commutativity, then associativity as (e_i e_j) e_k = (e_j e_k) e_i,
@@ -67,6 +69,9 @@ class SCAlgebra:
             raise ValueError(f"multiplication is not associative at basis triple ({i},{j},{k})")
         if not (self.left_mul_matrix(self.unit) == np.eye(n, dtype=np.int64)).all():
             raise ValueError("declared unit is not a multiplicative identity")
+        if self.generator is not None and len(algebra_generators(self)) > 1:
+            d = minimal_polynomial(self.generator, self).degree
+            raise ValueError(f"algebra 'generator' does not generate the algebra: its powers span {d} of {n} dimensions")
 
     def mul_matrices(self, u: np.ndarray) -> np.ndarray:
         """The multiplication matrices of a stack of reduced elements, one per
@@ -123,12 +128,6 @@ class SCAlgebra:
         total.setflags(write=False)
         return total
 
-    @property
-    def mulmat(self) -> np.ndarray:
-        """Multiplication as a linear map A (x) A -> A, shape (n, n^2);
-        column i*n+j is e_i * e_j."""
-        return self.mul.reshape(self.dim * self.dim, self.dim).T
-
     def element_from_poly(self, poly: FpPoly) -> np.ndarray:
         if self.generator is None:
             raise ValueError("algebra has no designated generator")
@@ -138,10 +137,12 @@ class SCAlgebra:
             acc = npmod(acc + c * self.unit, self.field.p)
         return acc
 
+    @cached_property
     def is_power_basis(self) -> bool:
-        return self.generator is not None and self.basis == tuple(
-            "1" if k == 0 else ("t" if k == 1 else f"t{k}") for k in range(self.dim)
-        )
+        """Whether e_k = g^k for every k, g the stored generator: e_0 = 1 and
+        e_k g = e_(k+1). The basis names play no part."""
+        pows = [] if self.generator is None else [self.unit, *self.left_mul_matrix(self.generator).T[:-1]]
+        return np.array_equal(pows, np.eye(self.dim, dtype=np.int64))
 
     def to_json(self) -> dict:
         doc = {
@@ -214,15 +215,39 @@ def monogenic_algebra(field: PrimeField, modulus: FpPoly) -> SCAlgebra:
     return SCAlgebra(field, names, mul, unit, generator=gen)
 
 
-def is_algebra_hom(mat: np.ndarray, src: SCAlgebra, dst: SCAlgebra) -> bool:
-    """Whether the (dst dim x src dim) matrix mat, acting as mat @ v, maps the
-    unit to the unit and every basis product to the product of the images."""
+def algebra_generators(alg: SCAlgebra) -> np.ndarray:
+    """Rows that generate alg as an algebra, computed once: the stored generator
+    when its minimal polynomial has degree dim, else every basis vector."""
+    if alg._generators is None:
+        full = alg.generator is not None and minimal_polynomial(alg.generator, alg).degree == alg.dim
+        alg._generators = alg.generator[None].copy() if full else np.eye(alg.dim, dtype=np.int64)
+        alg._generators.setflags(write=False)
+    return alg._generators
+
+
+def hom_witness(mat: np.ndarray, src: SCAlgebra, mul_rows, unit) -> tuple:
+    """() when mat, acting as mat @ v, is a unital algebra map from src to an
+    algebra with unit `unit` and row-wise product mul_rows(u, v) of stacks;
+    else the unit-mismatch witness, or ((K, s, j), lhs, rhs) at the first K,
+    generator row s and basis vector j where mat(s e_j) != mat(s) mat(e_j).
+    Generators suffice: once mat(1) = 1, the y with mat(yx) = mat(y) mat(x)
+    for all x form a subalgebra."""
     p = src.field.p
-    if not (matmul(mat, src.unit, p) == dst.unit).all():
-        return False
-    lhs = einsum_mod("kx,ijx->kij", mat, src.mul, p=p)
-    rhs = einsum_mod("ai,bj,abk->kij", mat, mat, dst.mul, p=p)
-    return bool((lhs == rhs).all())
+    if not (matmul(mat, src.unit, p) == unit).all():
+        return ("unit/counit image mismatch",)
+    gens = algebra_generators(src)
+    g, n = gens.shape[0], src.dim
+    lhs = matmul(src.mul_matrices(gens).reshape(g * n, n), mat.T, p)
+    rhs = mul_rows(np.repeat(matmul(gens, mat.T, p), n, axis=0), np.tile(npmod(mat.T, p), (g, 1)))
+    lhs, rhs = (side.reshape(g, n, -1).transpose(2, 0, 1) for side in (lhs, rhs))
+    bad = _first(lhs != rhs)
+    return () if bad is None else (bad, int(lhs[bad]), int(rhs[bad]))
+
+
+def is_algebra_hom(mat: np.ndarray, src: SCAlgebra, dst: SCAlgebra) -> bool:
+    """Whether the (dst dim x src dim) matrix mat, acting as mat @ v, is a
+    unital algebra map (hom_witness)."""
+    return not hom_witness(mat, src, dst.mul_rows, dst.unit)
 
 
 class IdealSubspace:
@@ -241,11 +266,8 @@ class IdealSubspace:
 
     @staticmethod
     def from_generators(algebra: SCAlgebra, gens) -> "IdealSubspace":
-        rows = []
-        for g in np.atleast_2d(np.asarray(gens, dtype=np.int64)):
-            rows.append(algebra.left_mul_matrix(g).T)
-        stacked = np.vstack(rows) if rows else np.zeros((0, algebra.dim), dtype=np.int64)
-        return IdealSubspace(algebra, stacked)
+        gens = npmod(np.reshape(gens, (-1, algebra.dim)), algebra.field.p)
+        return IdealSubspace(algebra, algebra.mul_matrices(gens).reshape(-1, algebra.dim))
 
     @staticmethod
     def from_poly(algebra: SCAlgebra, poly: FpPoly) -> "IdealSubspace":
@@ -255,18 +277,16 @@ class IdealSubspace:
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    def is_zero(self) -> bool:
-        return self.dim == 0
-
     def is_unit_ideal(self) -> bool:
         return self.contains_vector(self.algebra.unit)
 
     def is_absorbing(self) -> bool:
-        """Whether basis * A lies in the span of the basis, decided once: the
-        basis is immutable."""
+        """Whether I·s lies in I for every row s of algebra_generators, hence
+        I·A in I; decided once: the basis is immutable."""
         if self._absorbing is None:
-            prods = self.algebra.mul_matrices(self.basis).reshape(-1, self.algebra.dim)
-            self._absorbing = not reduce_rows(prods, self.basis, self.pivots, self.algebra.field.p).any()
+            alg = self.algebra
+            prods = matmul(self.basis, alg.mul_matrices(algebra_generators(alg)), alg.field.p).reshape(-1, alg.dim)
+            self._absorbing = not reduce_rows(prods, self.basis, self.pivots, alg.field.p).any()
         return self._absorbing
 
     def contains_vector(self, v) -> bool:
@@ -314,7 +334,7 @@ class IdealSubspace:
         not absorbing may stop at a polynomial that generates something else.
         """
         alg = self.algebra
-        if not alg.is_power_basis():
+        if not alg.is_power_basis:
             return None
         field = alg.field
         # reconstruct the defining modulus from t^(d-1) * t
@@ -344,11 +364,16 @@ def tensor_algebra(a: SCAlgebra, b: SCAlgebra) -> SCAlgebra:
 
 
 def tensor_square_mul(alg: SCAlgebra, u, v) -> np.ndarray:
-    """Product of two elements of A (x) A without materializing its tensor."""
-    n = alg.dim
-    uu = np.reshape(u, (n, n))
-    vv = np.reshape(v, (n, n))
-    return einsum_mod("ij,kl,ikr,jls->rs", uu, vv, alg.mul, alg.mul, p=alg.field.p).reshape(n * n)
+    """The product in A (x) A of two elements in kron order, or row-wise of
+    two stacks of them, one per row, without A (x) A's structure tensor:
+    (e_i⊗e_j)(e_k⊗e_l) = e_i e_k ⊗ e_j e_l, in three pairwise contractions
+    each reduced mod p, so that every int64 sum stays below dim^2 * (p-1)^2."""
+    n, p = alg.dim, alg.field.p
+    require_int64_sum(n * n, 2, p, "tensor square product")
+    uu, vv = (npmod(w, p).reshape(-1, n, n) for w in (u, v))
+    x = uu.transpose(0, 2, 1)[:, None] @ alg.mul.transpose(2, 0, 1) % p  # [b, r, j, k], sum_i u_ij mul_ikr
+    y = x.reshape(len(uu), n * n, n) @ vv % p  # [b, r, j, l], sum_k x_brjk v_kl
+    return (y.reshape(-1, n * n) @ alg.mul.reshape(n * n, n) % p).reshape(np.shape(u))  # sum_jl y_brjl mul_jls
 
 
 def quotient_algebra(alg: SCAlgebra, ideal: IdealSubspace) -> tuple[SCAlgebra, np.ndarray]:
@@ -391,7 +416,7 @@ def _subfield(p: int, m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     basis = nullspace(npmod(frob_d - np.eye(m, dtype=np.int64), p), p)
     elems = matmul(enumerate_vectors(p, basis.shape[0]), basis, p)
     elems = elems[np.lexsort(elems.T[::-1])]
-    mats = einsum_mod("bi,ijk->bjk", elems, fq.mul, p=p)
+    mats = fq.mul_matrices(elems)
     elems.setflags(write=False)
     mats.setflags(write=False)
     return elems, mats

@@ -8,29 +8,23 @@ guarantees and the reversibility check exploits.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, partial
+from math import comb
 
 import numpy as np
 
 from .algkernel import (
     IdealSubspace,
     SCAlgebra,
+    hom_witness,
     json_residues,
     monogenic_algebra,
     quotient_algebra,
     tensor_square_mul,
 )
 from .gfarith import FpPoly, PrimeField
-from .hyperkernel import LawReport
-from .linalg import einsum_mod, matmul, npmod
-
-
-def twist_matrix(n: int) -> np.ndarray:
-    t = np.zeros((n * n, n * n), dtype=np.int64)
-    for a in range(n):
-        for b in range(n):
-            t[a * n + b, b * n + a] = 1
-    return t
+from .hyperkernel import LawReport, _first
+from .linalg import matmul, npmod, reduce_rows
 
 
 class HopfData:
@@ -95,28 +89,21 @@ class HopfData:
 
 
 def verify_hopf(h: HopfData) -> LawReport:
-    """Exact matrix verification of every Hopf axiom used downstream."""
+    """Exact matrix verification of every Hopf axiom used downstream; the
+    three hom axioms are decided on algebra generators (hom_witness)."""
     alg = h.algebra
     p = alg.field.p
     n = alg.dim
     eye = np.eye(n, dtype=np.int64)
     rep = LawReport()
 
-    d3 = h.delta.reshape(n, n, n)  # d3[a,b,i]: coefficient of e_a⊗e_b in Δ(e_i)
-    lhs = npmod(np.einsum("Kx,ijx->Kij", h.delta, alg.mul), p)
-    rhs = einsum_mod("abi,cdj,acr,bds->rsij", d3, d3, alg.mul, alg.mul, p=p).reshape(n * n, n, n)
-    unit_ok = (matmul(h.delta, alg.unit, p) == np.kron(alg.unit, alg.unit) % p).all()
-    _compare(rep, "coproduct_algebra_hom", lhs, rhs, extra_ok=bool(unit_ok))
-
-    lhs = npmod(np.einsum("x,ijx->ij", h.counit[0], alg.mul), p)
-    rhs = npmod(np.outer(h.counit[0], h.counit[0]), p)
-    eps_unit = int(matmul(h.counit, alg.unit, p)[0]) == 1
-    _compare(rep, "counit_algebra_hom", lhs, rhs, extra_ok=eps_unit)
-
-    lhs = npmod(np.einsum("Kx,ijx->Kij", h.antipode, alg.mul), p)
-    rhs = einsum_mod("ai,bj,abK->Kij", h.antipode, h.antipode, alg.mul, p=p)
-    s_unit = (matmul(h.antipode, alg.unit, p) == alg.unit).all()
-    _compare(rep, "antipode_algebra_hom", lhs, rhs, extra_ok=bool(s_unit))
+    for name, mat, mul_rows, unit in (
+        ("coproduct_algebra_hom", h.delta, partial(tensor_square_mul, alg), np.kron(alg.unit, alg.unit) % p),
+        ("counit_algebra_hom", h.counit, lambda u, v: u * v % p, np.ones(1, dtype=np.int64)),
+        ("antipode_algebra_hom", h.antipode, alg.mul_rows, alg.unit),
+    ):
+        witness = hom_witness(mat, alg, mul_rows, unit)
+        rep.add(name, not witness, witness)
 
     _compare(rep, "coassociativity", *_iterated_pair(h))
 
@@ -124,29 +111,28 @@ def verify_hopf(h: HopfData) -> LawReport:
     rhs = matmul(np.kron(eye, h.counit), h.delta, p)
     _compare(rep, "counit_law", lhs, eye, extra_ok=bool((rhs == eye).all()))
 
+    # S on one leg of Delta, on the reshaped (n, n, n) coproduct [a, b, i]
+    s_left = matmul(h.antipode, h.delta.reshape(n, n * n), p).reshape(n * n, n)  # (S⊗id)∘Delta
+    s_right = matmul(h.antipode, h.delta.reshape(n, n, n), p)  # (id⊗S)∘Delta
     target = npmod(np.outer(alg.unit, h.counit[0]), p)
-    lhs = matmul(alg.mulmat, matmul(np.kron(h.antipode, eye), h.delta, p), p)
-    _compare(rep, "antipode_law", lhs, target)
-    rhs = matmul(alg.mulmat, matmul(np.kron(eye, h.antipode), h.delta, p), p)
-    _compare(rep, "antipode_law_right", rhs, target)
+    mulmat = alg.mul.reshape(n * n, n).T  # m: A⊗A -> A, column i*n+j is e_i e_j
+    _compare(rep, "antipode_law", matmul(mulmat, s_left, p), target)
+    _compare(rep, "antipode_law_right", matmul(mulmat, s_right.reshape(n * n, n), p), target)
 
     _compare(rep, "antipode_involution", matmul(h.antipode, h.antipode, p), eye)
 
-    tw = twist_matrix(n)
-    lhs = matmul(h.delta, h.antipode, p)
-    rhs = matmul(tw, matmul(np.kron(h.antipode, h.antipode), h.delta, p), p)
-    _compare(rep, "antipode_anticohomomorphism", lhs, rhs)
+    # (S⊗S)∘Delta with its legs swapped
+    twisted = matmul(h.antipode, s_right.reshape(n, n * n), p).reshape(n, n, n).transpose(1, 0, 2)
+    _compare(rep, "antipode_anticohomomorphism", matmul(h.delta, h.antipode, p), twisted.reshape(n * n, n))
     return rep
 
 
 def _compare(rep: LawReport, name: str, a: np.ndarray, b: np.ndarray, extra_ok: bool = True) -> None:
-    if extra_ok and a.shape == b.shape and (a == b).all():
-        rep.add(name, True)
-    elif not extra_ok:
+    bad = _first(a != b)
+    if not extra_ok:
         rep.add(name, False, ("unit/counit image mismatch",))
     else:
-        idx = tuple(int(v) for v in np.argwhere(a != b)[0])
-        rep.add(name, False, (idx, int(a[idx]), int(b[idx])))
+        rep.add(name, bad is None, () if bad is None else (bad, int(a[bad]), int(b[bad])))
 
 
 def is_hopf_ideal(h: HopfData, ideal: IdealSubspace) -> LawReport:
@@ -163,22 +149,13 @@ def is_hopf_ideal(h: HopfData, ideal: IdealSubspace) -> LawReport:
         raise ValueError("subspace is not an ideal")
     pi, _ = ideal.projection()
     outside = matmul(npmod(np.kron(pi, pi), p), matmul(h.delta, ideal.basis.T, p), p).any(axis=0)
-
-    cop_w: tuple = ()
-    eps_w: tuple = ()
-    s_w: tuple = ()
-    cop_ok = eps_ok = s_ok = True
-    for v, out in zip(ideal.basis, outside):
-        if cop_ok and out:
-            cop_ok, cop_w = False, (v.tolist(),)
-        if eps_ok and int(matmul(h.counit, v, p)[0]) != 0:
-            eps_ok, eps_w = False, (v.tolist(), int(matmul(h.counit, v, p)[0]))
-        if s_ok and not ideal.contains_vector(matmul(h.antipode, v, p)):
-            s_ok, s_w = False, (v.tolist(),)
+    eps = matmul(h.counit, ideal.basis.T, p)[0]
+    unstable = reduce_rows(matmul(ideal.basis, h.antipode.T, p), ideal.basis, ideal.pivots, p).any(axis=1)
     rep = LawReport()
-    rep.add("coproduct_containment", cop_ok, cop_w)
-    rep.add("counit_vanishes", eps_ok, eps_w)
-    rep.add("antipode_stability", s_ok, s_w)
+    for name, bad in (("coproduct_containment", outside), ("counit_vanishes", eps != 0), ("antipode_stability", unstable)):
+        i = _first(bad)
+        extra = (int(eps[i[0]]),) if i and name == "counit_vanishes" else ()
+        rep.add(name, i is None, () if i is None else (ideal.basis[i[0]].tolist(), *extra))
     return rep
 
 
@@ -273,14 +250,11 @@ def additive_etale_hopf(p: int, k: int) -> HopfData:
     delta = np.zeros((n * n, n), dtype=np.int64)
     counit = np.zeros((1, n), dtype=np.int64)
     antipode = np.zeros((n, n), dtype=np.int64)
-    dt = (np.kron(alg.generator, alg.unit) + np.kron(alg.unit, alg.generator)) % p
-    acc = np.kron(alg.unit, alg.unit) % p
     for j in range(n):
-        delta[:, j] = acc
+        for i in range(j + 1):  # Delta(t^j) = (t⊗1 + 1⊗t)^j = sum_i C(j, i) t^i ⊗ t^(j-i)
+            delta[i * n + j - i, j] = comb(j, i) % p
         counit[0, j] = 1 if j == 0 else 0
         antipode[:, j] = alg.power(npmod(-alg.generator, p), j)
-        if j + 1 < n:
-            acc = tensor_square_mul(alg, acc, dt)
     descent = None
     if k >= 2:
         m = p ** (k - 1)

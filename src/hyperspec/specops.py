@@ -40,6 +40,7 @@ import numpy as np
 from .algkernel import (
     IdealSubspace,
     PrimePoint,
+    algebra_generators,
     field_algebra,
     field_roots,
     ideal_is_prime,
@@ -436,7 +437,10 @@ def classical_points(h: HopfData, q: int) -> np.ndarray:
         for j in range(d):
             gen_pows[:, j] = acc
             acc = res.mul_vec(acc, gen)
-        coords = matmul(_matrix_inverse(gen_pows, p), pt.resmap, p)  # x -> polynomial in gen
+        aug, piv = rref(np.hstack([gen_pows, pt.resmap]), p)
+        if piv[:d] != list(range(d)):
+            raise ValueError("matrix is singular")
+        coords = aug[:, d:]  # x -> polynomial in gen
         for rho in field_roots(minimal_polynomial(gen, res), e):
             rho_pows = np.array([fq.power(rho, j) for j in range(d)])
             homs.append(matmul(coords.T, rho_pows, p))
@@ -444,20 +448,13 @@ def classical_points(h: HopfData, q: int) -> np.ndarray:
 
 
 def _field_generator(res) -> np.ndarray:
-    if res.generator is not None and minimal_polynomial(res.generator, res).degree == res.dim:
-        return res.generator
+    gens = algebra_generators(res)
+    if len(gens) == 1:
+        return gens[0]
     for v in enumerate_vectors(res.field.p, res.dim)[1:]:
         if minimal_polynomial(v, res).degree == res.dim:
             return v
     raise RuntimeError("finite field without a primitive element is impossible")
-
-
-def _matrix_inverse(m: np.ndarray, p: int) -> np.ndarray:
-    n = m.shape[0]
-    aug, piv = rref(np.hstack([m, np.eye(n, dtype=np.int64)]), p)
-    if piv[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return aug[:, n:]
 
 
 def classical_convolution(h: HopfData, homs: np.ndarray) -> np.ndarray:

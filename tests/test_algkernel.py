@@ -7,6 +7,7 @@ from hyperspec import specops as ops
 from hyperspec.algkernel import (
     IdealSubspace,
     SCAlgebra,
+    algebra_generators,
     field_algebra,
     ideal_is_prime,
     is_algebra_hom,
@@ -303,6 +304,27 @@ class TestIdealSubspace:
         sub = IdealSubspace(alg, np.eye(9, dtype=np.int64)[1:2])
         assert not sub.is_absorbing()
 
+    @pytest.mark.parametrize("spec", ["mu:5:4", "addetale:3:2"])
+    def test_absorbing_on_generators_equals_all_basis_vectors(self, spec):
+        """I·s in I for the generator s against I·e_j in I for every basis
+        vector, on random subspaces and on every pair ideal."""
+        h = parse_builtin(spec)
+        alg = h.algebra
+        p, n = alg.field.p, alg.dim
+
+        def absorbing_by_basis(ideal):
+            prods = alg.mul_matrices(ideal.basis).reshape(-1, n)
+            return not reduce_rows(prods, ideal.basis, ideal.pivots, p).any()
+
+        rng = np.random.default_rng(3)
+        subspaces = [IdealSubspace(alg, rng.integers(0, p, size=(k, n))) for k in range(n + 1) for _ in range(8)]
+        pairs = [ops.hyperop(h, f, g).forced_zero for f, g in product(ops.kpoints(h), repeat=2)]
+        assert len(algebra_generators(alg)) == 1
+        verdicts = [(ideal.is_absorbing(), absorbing_by_basis(ideal)) for ideal in subspaces + pairs]
+        assert all(got == want for got, want in verdicts)
+        assert {want for _, want in verdicts} == {True, False}
+        assert all(ideal.is_absorbing() for ideal in pairs)
+
     def test_canonical_equality(self):
         alg = monogenic_algebra(F5, P("T^4-1", F5))
         a = IdealSubspace.from_poly(alg, P("T^2-1", F5))
@@ -394,6 +416,31 @@ class TestBatchedKernelsAgainstLoops:
         assert seen == sum(len(ops.kpoints(h)) * (len(ops.kpoints(h)) + 1) for h in suite_algebras + [mu1312])
 
 
+class TestAlgebraGenerators:
+    def test_stored_generator_or_every_basis_vector(self, fs3):
+        alg = monogenic_algebra(F5, P("T^4-1", F5))
+        gens = algebra_generators(alg)
+        assert gens.tolist() == [alg.generator.tolist()] and gens is algebra_generators(alg)
+        assert not gens.flags.writeable
+        assert (algebra_generators(fs3.algebra) == np.eye(6, dtype=np.int64)).all()
+
+    def test_generator_that_does_not_generate_is_rejected(self):
+        alg = monogenic_algebra(F5, P("T^4-1", F5))
+        with pytest.raises(ValueError, match="'generator' does not generate the algebra: its powers span 2 of 4"):
+            SCAlgebra(F5, alg.basis, alg.mul, alg.unit, generator=alg.element_from_poly(P("T^2", F5)))
+
+    def test_power_basis_reads_powers_not_names(self):
+        """e_k = g^k decides it: 2t generates F_5[T]/(T^4-1) but is no
+        power-basis generator, and renamed basis vectors still are."""
+        alg = monogenic_algebra(F5, P("T^4-1", F5))
+        assert alg.is_power_basis
+        two_t = SCAlgebra(F5, alg.basis, alg.mul, alg.unit, generator=2 * alg.generator)
+        assert not two_t.is_power_basis
+        assert IdealSubspace(two_t, np.zeros((0, 4), dtype=np.int64)).generator_poly() is None
+        renamed = SCAlgebra(F5, ["a", "b", "c", "d"], alg.mul, alg.unit, generator=alg.generator)
+        assert renamed.is_power_basis
+
+
 class TestAlgebraHom:
     def test_composed_projection_is_algebra_hom(self):
         alg = monogenic_algebra(F5, P("T^4-1", F5))
@@ -413,6 +460,27 @@ class TestAlgebraHom:
         shear = pi.copy()
         shear[0, 1] = 1  # 1 still goes to 1, but t goes to 1 + t, whose square is not 1
         assert not is_algebra_hom(shear, alg, quo)
+
+    @pytest.mark.parametrize("spec", ["mu:5:4", "addetale:3:2", "mu:3:6"])
+    def test_equals_basis_product_oracle(self, spec):
+        """is_algebra_hom, decided on the generator, against mat(e_i e_j) =
+        mat(e_i) mat(e_j) and mat(1) = 1 over every basis pair, on residue
+        maps and on single-entry mutants of them."""
+        alg = parse_builtin(spec).algebra
+        p = alg.field.p
+        rng = np.random.default_rng(4)
+        verdicts = set()
+        for pt in maximal_spectrum(alg):
+            for k in range(6):
+                mat = pt.resmap.copy()
+                if k:
+                    mat[rng.integers(0, mat.shape[0]), rng.integers(0, mat.shape[1])] += rng.integers(1, p)
+                lhs = np.einsum("kx,ijx->kij", mat, alg.mul) % p
+                rhs = np.einsum("ai,bj,abk->kij", mat, mat, pt.residue.mul) % p
+                want = bool((mat @ alg.unit % p == pt.residue.unit).all() and (lhs == rhs).all())
+                assert is_algebra_hom(mat, alg, pt.residue) == want, (pt.label, k)
+                verdicts.add(want)
+        assert verdicts == {True, False}
 
 
 class TestInt64Bound:

@@ -9,7 +9,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hyperspec.cli import main
@@ -321,6 +321,7 @@ class TestAlgebraJson:
             (lambda d: {**d, "counit": [1, True]}, "algebra JSON 'counit' entries must be integers, got True"),
             (lambda d: {**d, "antipode": [[1, 0], [0, "1"]]}, "algebra JSON 'antipode' entries must be integers, got '1'"),
             (lambda d: {**d, "generator": [0, None]}, "algebra JSON 'generator' entries must be integers, got None"),
+            (lambda d: {**d, "generator": [1, 0]}, "algebra 'generator' does not generate the algebra: its powers span 1 of 2 dimensions"),
             (lambda d: {**d, "name": 5}, "algebra JSON 'name' must be a string, got 5"),
         ],
     )
@@ -342,13 +343,32 @@ class TestAlgebraJson:
         path.write_text(json.dumps(doc))
         assert run_cli(capsys, "hyperop", str(path)) == want
 
+    def test_generator_that_is_no_power_basis_generator(self, tmp_path, capsys):
+        """mu:5:4 with generator 2t, which generates the algebra but is not
+        the basis vector t: ideals print as echelon bases, not as
+        polynomials in t read off the basis names."""
+        from hyperspec.hopfkernel import parse_builtin
+
+        doc = parse_builtin("mu:5:4").to_json()
+        doc["generator"] = [0, 2, 0, 0]
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps(doc))
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(json.dumps({"algebras": [str(path)]}))
+        code, out, _ = run_cli(capsys, "verify", "--suite", str(cfg))
+        checks = json.loads(out)["suite"][0]["checks"]
+        assert code == 0 and checks["descent_compatibility"]["detail"]["ideal"] == "0"
+        pairs = checks["preimage_primality"]["detail"]["pairs"]
+        # every pair ideal is the kernel of a degree-1 point: 3 echelon rows
+        assert len(pairs) == 16 and all(entry["prime"] and len(entry["ideal"]) == 3 for entry in pairs)
+
 
 @st.composite
 def _mutated_algebra(draw):
     """mu:3:2's Hopf data as JSON with one to three random edits: a top-level
-    key set or deleted, an entry of mul, unit, delta, counit or antipode
-    replaced, a row of one added or dropped at some depth, or the whole
-    document replaced."""
+    key set or deleted, an entry of mul, unit, delta, counit, antipode or
+    generator replaced, a row of one added or dropped at some depth, or the
+    whole document replaced."""
     doc = _mu32_doc()
     keys = ["mul", "unit", "delta", "counit", "antipode", "generator", "p", "basis", "name"]
     entries = st.integers(-3, 9) | st.sampled_from([2**64, -(2**70)]) | _json_values()
@@ -366,7 +386,7 @@ def _mutated_algebra(draw):
             else:
                 doc[key] = draw(tops)
         else:
-            node = doc.get(draw(st.sampled_from(keys[:5])))
+            node = doc.get(draw(st.sampled_from(keys[:6])))
             while isinstance(node, list) and node and isinstance(node[0], list) and (target == "entry" or draw(st.booleans())):
                 node = node[draw(st.integers(0, len(node) - 1))]
             if not isinstance(node, list) or not node:
@@ -383,6 +403,8 @@ def _mutated_algebra(draw):
 
 class TestAlgebraFuzz:
     @given(_mutated_algebra(), st.sampled_from(["hyperop", "verify"]))
+    @example({**_mu32_doc(), "generator": [1, 0]}, "hyperop")
+    @example({**_mu32_doc(), "generator": [0, 0]}, "verify")
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_exit_0_or_1_with_report_or_2_with_one_line(self, doc, command):
         with tempfile.TemporaryDirectory() as tmp:
@@ -400,6 +422,8 @@ class TestAlgebraFuzz:
             assert err.getvalue() == ""
             report = json.loads(out.getvalue())
             assert report["table"] if command == "hyperop" else report["ok"] is (code == 0)
+            if command == "hyperop":  # a generator that does not generate would repeat labels
+                assert len(set(report["points"])) == len(report["points"])
         else:
             assert code == 2 and out.getvalue() == ""
             assert err.getvalue().startswith("input error: ") and err.getvalue().count("\n") == 1

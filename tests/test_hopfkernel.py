@@ -5,7 +5,14 @@ import pytest
 
 from conftest import rref_rowloop
 from hyperspec import algkernel, linalg
-from hyperspec.algkernel import IdealSubspace, is_algebra_hom, maximal_spectrum, tensor_square_mul
+from hyperspec.algkernel import (
+    IdealSubspace,
+    SCAlgebra,
+    algebra_generators,
+    is_algebra_hom,
+    maximal_spectrum,
+    tensor_square_mul,
+)
 from hyperspec.gfarith import parse_poly
 from hyperspec.hopfkernel import (
     HopfData,
@@ -31,23 +38,55 @@ def _kronecker_iterated(h):
     return matmul(np.kron(h.delta, eye), h.delta, p), matmul(np.kron(eye, h.delta), h.delta, p)
 
 
+def _hom_sides(h):
+    """For each hom entry of verify_hopf, (lhs, rhs, unit_ok) over every pair
+    of basis vectors, as first written: lhs[K, i, j] = M(e_i e_j)_K and
+    rhs[K, i, j] = (M(e_i) M(e_j))_K, the coproduct's by the n^6
+    contraction. The counit is read as a 1 x n matrix."""
+    alg = h.algebra
+    p = alg.field.p
+    n = alg.dim
+    d3 = h.delta.reshape(n, n, n)
+    rhs = npmod(np.einsum("abi,cdj,acr,bds->rsij", d3, d3, alg.mul, alg.mul, optimize="greedy"), p)
+    return {
+        "coproduct_algebra_hom": (
+            npmod(np.einsum("Kx,ijx->Kij", h.delta, alg.mul), p),
+            rhs.reshape(n * n, n, n),
+            (matmul(h.delta, alg.unit, p) == np.kron(alg.unit, alg.unit) % p).all(),
+        ),
+        "counit_algebra_hom": (
+            npmod(np.einsum("Kx,ijx->Kij", h.counit, alg.mul), p),
+            npmod(np.einsum("Ki,Kj->Kij", h.counit, h.counit), p),
+            int(matmul(h.counit, alg.unit, p)[0]) == 1,
+        ),
+        "antipode_algebra_hom": (
+            npmod(np.einsum("Kx,ijx->Kij", h.antipode, alg.mul), p),
+            npmod(np.einsum("ai,bj,abK->Kij", h.antipode, h.antipode, alg.mul), p),
+            (matmul(h.antipode, alg.unit, p) == alg.unit).all(),
+        ),
+    }
+
+
 def _reference_report(h):
     """The verify_hopf checks whose contraction changed, as first written:
-    unoptimized einsums and Kronecker-matrix iterated coproducts."""
+    the hom entries over every pair of basis vectors (_hom_sides),
+    Kronecker-matrix iterated coproducts and antipode laws, and the twist as
+    a permutation matrix."""
     alg = h.algebra
     p = alg.field.p
     n = alg.dim
     rep = LawReport()
-    d3 = h.delta.reshape(n, n, n)
-    lhs = npmod(np.einsum("Kx,ijx->Kij", h.delta, alg.mul), p)
-    rhs = npmod(np.einsum("abi,cdj,acr,bds->rsij", d3, d3, alg.mul, alg.mul), p).reshape(n * n, n, n)
-    unit_ok = (matmul(h.delta, alg.unit, p) == np.kron(alg.unit, alg.unit) % p).all()
-    _compare(rep, "coproduct_algebra_hom", lhs, rhs, extra_ok=bool(unit_ok))
-    lhs = npmod(np.einsum("Kx,ijx->Kij", h.antipode, alg.mul), p)
-    rhs = npmod(np.einsum("ai,bj,abK->Kij", h.antipode, h.antipode, alg.mul), p)
-    s_unit = (matmul(h.antipode, alg.unit, p) == alg.unit).all()
-    _compare(rep, "antipode_algebra_hom", lhs, rhs, extra_ok=bool(s_unit))
+    for name, (lhs, rhs, unit_ok) in _hom_sides(h).items():
+        _compare(rep, name, lhs, rhs, extra_ok=bool(unit_ok))
     _compare(rep, "coassociativity", *_kronecker_iterated(h))
+    eye = np.eye(n, dtype=np.int64)
+    mulmat = alg.mul.reshape(n * n, n).T
+    target = npmod(np.outer(alg.unit, h.counit[0]), p)
+    _compare(rep, "antipode_law", matmul(mulmat, matmul(np.kron(h.antipode, eye), h.delta, p), p), target)
+    _compare(rep, "antipode_law_right", matmul(mulmat, matmul(np.kron(eye, h.antipode), h.delta, p), p), target)
+    twist = np.eye(n * n, dtype=np.int64)[[b * n + a for a in range(n) for b in range(n)]]
+    rhs = matmul(twist, matmul(np.kron(h.antipode, h.antipode), h.delta, p), p)
+    _compare(rep, "antipode_anticohomomorphism", matmul(h.delta, h.antipode, p), rhs)
     return rep
 
 
@@ -66,10 +105,10 @@ class TestEinsumMod:
         u, v = rng.integers(0, p, size=(2, n, n))
         point = maximal_spectrum(alg)[-1]
         cases = [
-            ("abi,cdj,acr,bds->rsij", d3, d3, alg.mul, alg.mul),  # verify_hopf: coproduct is a hom
-            ("ai,bj,abK->Kij", h.antipode, h.antipode, alg.mul),  # verify_hopf: antipode is a hom
-            ("ij,kl,ikr,jls->rs", u, v, alg.mul, alg.mul),  # tensor_square_mul
-            ("ai,bj,abk->kij", point.resmap, point.resmap, point.residue.mul),  # is_algebra_hom
+            ("abi,cdj,acr,bds->rsij", d3, d3, alg.mul, alg.mul),  # coproduct hom oracle (_reference_report)
+            ("ai,bj,abK->Kij", h.antipode, h.antipode, alg.mul),  # antipode hom oracle
+            ("ij,kl,ikr,jls->rs", u, v, alg.mul, alg.mul),  # tensor_square_mul oracle
+            ("ai,bj,abk->kij", point.resmap, point.resmap, point.residue.mul),  # is_algebra_hom oracle
         ]
         for sub, *ops in cases:
             want = npmod(np.einsum(sub, *ops), p)
@@ -77,6 +116,15 @@ class TestEinsumMod:
         want = npmod(np.einsum("ij,kl,ikr,jls->rs", u, v, alg.mul, alg.mul), p).reshape(-1)
         assert (tensor_square_mul(alg, u.reshape(-1), v.reshape(-1)) == want).all()
         assert is_algebra_hom(point.resmap, alg, point.residue)
+
+    @pytest.mark.parametrize("spec", ORACLE_SPECS)
+    def test_tensor_square_mul_over_stacks(self, spec):
+        """Row b of the stacked product is the einsum product of rows b."""
+        alg = parse_builtin(spec).algebra
+        p, n = alg.field.p, alg.dim
+        u, v = np.random.default_rng(2).integers(0, p, size=(2, 5, n, n))
+        want = [npmod(np.einsum("ij,kl,ikr,jls->rs", a, b, alg.mul, alg.mul), p).reshape(-1) for a, b in zip(u, v)]
+        assert (tensor_square_mul(alg, u.reshape(5, -1), v.reshape(5, -1)) == np.array(want)).all()
 
     @pytest.mark.parametrize(
         "sub, shape, terms",
@@ -124,20 +172,58 @@ class TestVerifyHopf:
         rep = verify_hopf(HopfData(mu32.algebra, delta, mu32.counit, mu32.antipode))
         assert not rep.ok
 
-    @pytest.mark.parametrize("spec", ORACLE_SPECS)
-    def test_corrupted_coproduct_witness_matches_reference(self, spec):
+    @pytest.mark.parametrize("spec", ORACLE_SPECS + ("mu:3:6", "mu:7:6"))
+    def test_hom_mutants_match_reference(self, spec):
+        """Single-entry mutants of Delta, counit and antipode: the hom
+        entries decided on the generator have the n^6 oracle's verdicts, and
+        on a copy of the algebra without its generator, where every basis
+        vector is a generator, its witnesses as well; every other entry the
+        oracle covers has its witnesses on both. A product witness on the
+        generator is the first (K, 0, j) where the oracle's sides, taken
+        along the generator, differ."""
         h = parse_builtin(spec)
-        p = h.algebra.field.p
+        alg = h.algebra
+        p = alg.field.p
+        bare = SCAlgebra(alg.field, alg.basis, alg.mul, alg.unit)
+        assert len(algebra_generators(alg)) == 1 and len(algebra_generators(bare)) == alg.dim
         rng = np.random.default_rng(1)
-        for _ in range(6):
-            delta = h.delta.copy()
-            row, col = rng.integers(0, delta.shape[0]), rng.integers(0, delta.shape[1])
-            delta[row, col] = (delta[row, col] + rng.integers(1, p)) % p
-            bad = HopfData(h.algebra, delta, h.counit, h.antipode)
-            got = verify_hopf(bad)
-            assert not got.ok
-            for name, want in _reference_report(bad).checks.items():
-                assert got.checks[name] == want, (row, col, name)
+        failed = set()
+        for which in range(3):
+            for _ in range(12):
+                maps = [h.delta.copy(), h.counit.copy(), h.antipode.copy()]
+                row, col = rng.integers(0, maps[which].shape[0]), rng.integers(0, maps[which].shape[1])
+                maps[which][row, col] = (maps[which][row, col] + rng.integers(1, p)) % p
+                bad = HopfData(alg, *maps)
+                want = _reference_report(bad).checks
+                got = verify_hopf(bad).checks
+                stripped = verify_hopf(HopfData(bare, *maps)).checks
+                for name, (lhs, rhs, unit_ok) in _hom_sides(bad).items():
+                    if unit_ok and not got[name].passed:
+                        lhs, rhs = (np.einsum("i,Kij->Kj", alg.generator, side) % p for side in (lhs, rhs))
+                        k, j = np.argwhere(lhs != rhs)[0]
+                        assert got[name].witness == ((k, 0, j), lhs[k, j], rhs[k, j]), (which, row, col, name)
+                for name in want:
+                    assert got[name].passed == want[name].passed, (which, row, col, name)
+                    assert stripped[name] == want[name], (which, row, col, name)
+                    if not name.endswith("_algebra_hom"):
+                        assert got[name] == want[name], (which, row, col, name)
+                    if not want[name].passed:
+                        failed.add(name)
+        assert failed == set(want)
+
+    def test_generator_that_does_not_generate_falls_back(self, mu32):
+        """An unvalidated algebra whose stored generator is the unit, and a
+        Delta with Delta(1) = 1⊗1 that is multiplicative on the unit but no
+        hom: every basis vector is then a generator, so the check fails."""
+        alg = mu32.algebra
+        unit_gen = SCAlgebra(alg.field, alg.basis, alg.mul, alg.unit, generator=alg.unit, validate=False)
+        assert (algebra_generators(unit_gen) == np.eye(2, dtype=np.int64)).all()
+        delta = mu32.delta.copy()
+        delta[:, 1] = [1, 0, 0, 1]  # Delta(t) = 1⊗1 + t⊗t, whose square is 2 Delta(t)
+        rep = verify_hopf(HopfData(unit_gen, delta, mu32.counit, mu32.antipode))
+        assert not rep.checks["coproduct_algebra_hom"].passed
+        want = _reference_report(HopfData(alg, delta, mu32.counit, mu32.antipode))
+        assert rep.checks["coproduct_algebra_hom"] == want.checks["coproduct_algebra_hom"]
 
     def test_dimension_mismatch_rejected(self, mu32):
         with pytest.raises(ValueError):
