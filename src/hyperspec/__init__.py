@@ -48,6 +48,7 @@ from .specops import (
     identity_point,
     kpoints,
     nonempty_check,
+    orbit_cube,
     presentation_oracle,
     reversibility_check,
     weak_assoc_check,

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
+from math import gcd
+from typing import Callable
 
 import numpy as np
 
@@ -306,7 +308,7 @@ class IdealSubspace:
         return hash((self.basis.shape, self.basis.tobytes()))
 
     def sort_key(self) -> tuple:
-        return (self.dim, tuple(int(x) for x in self.basis.flatten()))
+        return (self.dim, tuple(self.basis.ravel().tolist()))
 
     def projection(self) -> tuple[np.ndarray, list[int]]:
         """(pi, free): the projection A -> A/I onto the free (non-pivot)
@@ -449,6 +451,71 @@ def field_roots(poly: FpPoly, m: int) -> np.ndarray:
     return roots
 
 
+class OrbitClassifier:
+    """The Galois-orbit engine in one field F_{p^N}: points of a law over
+    F_{p^N}, classified into Frobenius orbits. A value is an int64 array
+    whose last axis holds coordinates in field_algebra(p, N): a root on the
+    line, a hom A -> F_{p^N} (one row per basis vector) for Hopf data.
+    Frobenius acts as value @ frob^T whatever the shape. carry(pt) gives an
+    input point its carried value, law(a, bs) combines a value with a stack
+    of values, and a value outside every known orbit is the new point
+    namer(value), which carries it, or with no namer stays unclassified
+    (None). A dict maps the bytes of every conjugate of a carried value to
+    its point, so each orbit costs one namer call.
+
+    f*g is the orbits of a⋆Frob^j(b), a and b the carried values, for j <
+    gcd(deg f, deg g). Frob(a⋆b) = Frob(a)⋆Frob(b) and [Frob c] = [c], and
+    Frob^(deg f) fixes a and moves Frob^j(b) to Frob^(j + deg f)(b), so
+    these meet the orbit of a'⋆b' for every conjugate a' of a and b' of b."""
+
+    def __init__(self, p: int, n: int, law: Callable, carry: Callable, namer: Callable | None = None):
+        self.p, self.frob = p, field_algebra(p, n)[1]
+        self.law, self.carry, self.namer = law, carry, namer
+        self.points: list = []
+        self.conjugates: list[np.ndarray] = []  # [k][j] = Frob^j of point k's carried value
+        self.index: dict = {}
+        self.by_value: dict[bytes, int] = {}
+        self._keys: list[tuple] = []
+        self._ops: dict[tuple[int, int], tuple[int, ...] | None] = {}
+
+    def register(self, pt, value: np.ndarray) -> int:
+        if pt in self.index:
+            raise RuntimeError(f"{pt} is registered, but not at the conjugates of {value.tolist()}")
+        conj = [value]
+        for _ in range(pt.degree - 1):
+            conj.append(matmul(conj[-1], self.frob.T, self.p))
+        k = len(self.points)
+        self.points.append(pt)
+        self.conjugates.append(np.array(conj))
+        self._keys.append(pt.sort_key())
+        self.index[pt] = k
+        self.by_value.update((c.tobytes(), k) for c in conj)
+        return k
+
+    def point_index(self, pt) -> int:
+        k = self.index.get(pt)
+        return self.register(pt, self.carry(pt)) if k is None else k
+
+    def row(self, i: int, js) -> list[tuple[int, ...] | None]:
+        """f*g for the point f at index i and each point g at an index in js,
+        as point indices in sort_key order, memoized; None where a value
+        stays unclassified. The missing pairs take one law call, the carried
+        value of f against the stacked conjugates of every g, whose values
+        are then classified in turn, so a new orbit is named once."""
+        todo = [j for j in dict.fromkeys(js) if (i, j) not in self._ops]
+        if todo:
+            counts = [gcd(self.points[i].degree, self.points[j].degree) for j in todo]
+            stack = np.concatenate([self.conjugates[j][:c] for j, c in zip(todo, counts)])
+            ks = []
+            for val in self.law(self.conjugates[i][0], stack):
+                k = self.by_value.get(val.tobytes())
+                ks.append(self.register(self.namer(val), val) if k is None and self.namer is not None else k)
+            for j, c, end in zip(todo, counts, np.cumsum(counts)):
+                found = set(ks[end - c : end])
+                self._ops[i, j] = None if None in found else tuple(sorted(found, key=lambda k: self._keys[k]))
+        return [self._ops[i, j] for j in js]
+
+
 def nilradical(alg: SCAlgebra) -> IdealSubspace:
     """Kernel of the F_p-linear map x -> x^(p^m) with p^m >= dim."""
     return IdealSubspace(alg, nullspace(alg.nil_frobenius, alg.field.p))
@@ -474,6 +541,9 @@ class PrimePoint:
         with the residue map."""
         hit = matmul(np.atleast_2d(x), self.resmap.T, self.residue.field.p).any(axis=1)
         return hit if np.ndim(x) == 2 else int(hit[0])
+
+    def sort_key(self) -> tuple:
+        return (self.degree,) + self.ideal.sort_key()
 
     def __repr__(self) -> str:
         return f"PrimePoint({self.label}, deg={self.degree})"
@@ -522,7 +592,7 @@ def maximal_spectrum(alg: SCAlgebra) -> list[PrimePoint]:
         residue, resmap = quotient_algebra(alg, m_ideal)
         label = _point_label(alg, residue, m_ideal)
         points.append(PrimePoint(m_ideal, residue.dim, residue, resmap, label))
-    points.sort(key=lambda pt: (pt.degree,) + pt.ideal.sort_key())
+    points.sort(key=PrimePoint.sort_key)
     for i, pt in enumerate(points):
         pt.index = i
     alg._spectrum = points

@@ -3,7 +3,8 @@ spectrum hyperoperation computed two independent ways.
 
 The Galois-orbit engine adds (or multiplies) roots in one field F_{p^N} that
 holds them all and sorts the results into Galois orbits, one minimal
-polynomial per orbit (OrbitClassifier). The definitional engine works with
+polynomial per orbit (algkernel.OrbitClassifier, the engine that also
+serves the F_q-points of Hopf data). The definitional engine works with
 the image s of the coproduct generator in the residue-field tensor
 product: its minimal polynomial g_P generates the forced-zero ideal,
 and f*g is every irreducible factor of g_P. No factor has to be filtered
@@ -19,11 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from math import gcd, lcm
+from math import lcm
 
 import numpy as np
 
-from .algkernel import SCAlgebra, field_algebra, field_roots, monogenic_algebra
+from .algkernel import OrbitClassifier, SCAlgebra, field_algebra, field_roots, monogenic_algebra
 from .gfarith import FpPoly, PrimeField, _first_monic_relation, factor, irreducibles_up_to, minimal_polynomial
 from .hyperkernel import spectrum_laws
 from .linalg import matmul, npmod
@@ -157,75 +158,19 @@ def _residue_algebra(poly: FpPoly) -> SCAlgebra:
     return monogenic_algebra(poly.field, poly)
 
 
-class OrbitClassifier:
-    """The Galois-orbit engine of one law in one field F_{p^N}.
-
-    It keeps the points seen so far, one carried root of each, and a dict
-    from the coordinate bytes of every conjugate of those roots to its
-    point. An input point gets its root from field_roots, a scan of its
-    subfield. A value whose bytes are not in the dict gets one minimal
-    polynomial; that is a new point, and the value is its carried root. So no
-    member root is ever scanned, and each orbit costs one minimal
-    polynomial. f*g is a Galois-invariant set, so which root a point carries
-    cannot change it."""
-
-    def __init__(self, p: int, law: str, n: int):
-        self.p, self.law, self.n = p, law, n
-        self.field, self.frob = field_algebra(p, n)
-        self.points: list[LinePoint] = []
-        self.roots: list[np.ndarray] = []
-        self.index: dict[LinePoint, int] = {}
-        self.by_root: dict[bytes, int] = {}
-        self._ops: dict[tuple[int, int], tuple[int, ...]] = {}
-
-    def _register(self, pt: LinePoint, root: np.ndarray) -> int:
-        if pt in self.index:
-            raise RuntimeError(f"{pt} is registered, but not at the conjugates of {root.tolist()}")
-        k = len(self.points)
-        self.points.append(pt)
-        self.roots.append(root)
-        self.index[pt] = k
-        for _ in range(pt.degree):
-            self.by_root[root.tobytes()] = k
-            root = matmul(self.frob, root, self.p)
-        return k
-
-    def point_index(self, pt: LinePoint) -> int:
-        k = self.index.get(pt)
-        return self._register(pt, field_roots(pt.poly, self.n)[0]) if k is None else k
-
-    def _classify(self, val: np.ndarray) -> int:
-        k = self.by_root.get(val.tobytes())
-        return self._register(LinePoint(self.law, minimal_polynomial(val, self.field)), val) if k is None else k
-
-    def op(self, i: int, j: int) -> tuple[int, ...]:
-        """f*g for the points f, g at indices i, j, as point indices in
-        LinePoint.sort_key order, memoized. Fix the root alpha of f, run
-        over Frobenius conjugates beta_j = Frob^j(beta) of the root of g,
-        and classify the sums (additive) or products (multiplicative).
-
-        Only gcd(deg f, deg g) conjugates are needed. Frob^(deg f) fixes
-        alpha and sends beta_j to beta_(j + deg f), so the values at j and
-        j + deg f are conjugate and lie in one orbit: the orbits are
-        constant on the cosets of the subgroup generated by deg f in
-        Z/(deg g), which is generated by gcd(deg f, deg g) and has the
-        representatives 0, ..., gcd - 1."""
-        out = self._ops.get((i, j))
-        if out is None:
-            p, alpha, conj = self.p, self.roots[i], self.roots[j]
-            found = set()
-            for _ in range(gcd(self.points[i].degree, self.points[j].degree)):
-                val = npmod(alpha + conj, p) if self.law == ADDITIVE else self.field.mul_vec(alpha, conj)
-                found.add(self._classify(val))
-                conj = matmul(self.frob, conj, p)
-            out = self._ops[i, j] = tuple(sorted(found, key=lambda k: self.points[k].sort_key()))
-        return out
-
-
 @lru_cache(maxsize=None)
 def orbit_classifier(p: int, law: str, n: int) -> OrbitClassifier:
-    """The Galois-orbit engine of a law in F_{p^n}, one per (p, law, n)."""
-    return OrbitClassifier(p, law, n)
+    """The Galois-orbit engine of a law on the line in F_{p^n}, one per
+    (p, law, n): an input point carries a root from field_roots, a scan of
+    its subfield, and a new orbit is named by the minimal polynomial of the
+    value that meets it, so no member root is ever scanned."""
+    field, _ = field_algebra(p, n)
+    if law == ADDITIVE:
+        combine = lambda a, bs: npmod(a + bs, p)
+    else:
+        combine = lambda a, bs: matmul(bs, field.mul_matrices(a[None])[0], p)
+    carry = lambda pt: field_roots(pt.poly, n)[0]
+    return OrbitClassifier(p, n, combine, carry, lambda val: LinePoint(law, minimal_polynomial(val, field)))
 
 
 def galois_hyperop(p: int, law: str, f: LinePoint, g: LinePoint) -> tuple[LinePoint, ...]:
@@ -233,7 +178,7 @@ def galois_hyperop(p: int, law: str, f: LinePoint, g: LinePoint) -> tuple[LinePo
     least field that holds a root of each: the minimal polynomials of the
     sums (additive) or products (multiplicative) of their roots."""
     orbits = orbit_classifier(p, law, lcm(f.degree, g.degree))
-    return tuple(orbits.points[k] for k in orbits.op(orbits.point_index(f), orbits.point_index(g)))
+    return tuple(orbits.points[k] for k in orbits.row(orbits.point_index(f), [orbits.point_index(g)])[0])
 
 
 def forced_zero_generator(p: int, law: str, f: LinePoint, g: LinePoint) -> FpPoly:
@@ -375,10 +320,10 @@ def crosscheck(p: int, law: str, max_degree: int) -> CrosscheckReport:
     def place(ks: tuple[int, ...]) -> list[int]:
         return [pos.setdefault(k, len(pos)) for k in ks]
 
-    table = [[place(orbits.op(a, b)) for b in ids] for a in ids]
+    table = [[place(ks) for ks in orbits.row(a, ids)] for a in ids]
     sources = list(pos)
-    left_block = [[place(orbits.op(s, x)) for x in ids] for s in sources]  # s*x
-    right_block = [[place(orbits.op(x, s)) for s in sources] for x in ids]  # x*s
+    left_block = [[place(ks) for ks in orbits.row(s, ids)] for s in sources]  # s*x
+    right_block = [[place(ks) for ks in orbits.row(x, sources)] for x in ids]  # x*s
     local = [orbits.points[k] for k in pos]
 
     pairs = []

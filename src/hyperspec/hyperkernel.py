@@ -15,7 +15,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .gfarith import find_irreducible, power_basis_tensor, prime_power
-from .linalg import einsum_mod, enumerate_vectors, npmod
+from .linalg import enumerate_vectors, matmul, npmod
 
 
 @dataclass(frozen=True)
@@ -531,7 +531,9 @@ def field_ring(q: int) -> FiniteRing:
     elems = enumerate_vectors(p, e)
     place = p ** np.arange(e, dtype=np.int64)
     add = npmod(elems[:, None, :] + elems[None, :, :], p) @ place
-    mul = einsum_mod("ai,bj,ijk->abk", elems, elems, power_basis_tensor(find_irreducible(p, e)), p=p) @ place
+    # [a, j, k] = elems[a] e_j, then [a, b, k] = elems[a] elems[b], two products of inner length e
+    left = matmul(elems, power_basis_tensor(find_irreducible(p, e)).reshape(e, e * e), p).reshape(-1, e, e)
+    mul = matmul(elems, left, p) @ place
     names = ["+".join(f"{c}t^{k}" if k else f"{c}" for k, c in enumerate(el) if c) or "0" for el in elems.tolist()]
     return FiniteRing(names, add, mul, 0, 1)
 

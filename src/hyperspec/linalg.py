@@ -30,29 +30,6 @@ def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return npmod(a @ b, p)
 
 
-def einsum_mod(subscripts: str, *operands, p: int) -> np.ndarray:
-    """np.einsum of int64 operands mod p, contracted pairwise in numpy's
-    greedy order rather than in one loop over every index at once. A
-    two-operand contraction has one order only, so it skips the path search.
-
-    Nothing is reduced mod p between the pairwise steps, so every entry of
-    every intermediate is bounded by the full sum: the product of the summed
-    index sizes times (p-1)^k for k operands, which must stay below 2^63.
-    The operands are reduced into [0, p) first so that the bound holds.
-    """
-    inputs, output = subscripts.split("->")
-    ops = [npmod(op, p) for op in operands]
-    sizes: dict[str, int] = {}
-    for labels, op in zip(inputs.split(","), ops):
-        sizes.update(zip(labels, op.shape))
-    terms = 1
-    for label, size in sizes.items():
-        if label not in output:
-            terms *= size
-    require_int64_sum(terms, len(ops), p, f"einsum {subscripts!r}")
-    return npmod(np.einsum(subscripts, *ops, optimize="greedy" if len(ops) > 2 else False), p)
-
-
 def rref(mat, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form.
 

@@ -39,6 +39,7 @@ import numpy as np
 
 from .algkernel import (
     IdealSubspace,
+    OrbitClassifier,
     PrimePoint,
     algebra_generators,
     field_algebra,
@@ -51,7 +52,6 @@ from .hopfkernel import HopfData, hopf_quotient
 from .hyperkernel import LawReport, _first, spectrum_laws
 from .linalg import (
     batch_tensor_rank_class,
-    einsum_mod,
     enumerate_vectors,
     matmul,
     npmod,
@@ -97,10 +97,9 @@ class HyperopResult:
 
 def kpoints(h: HopfData) -> list[PrimePoint]:
     """The K-valued points of the verified algebra: maximal_spectrum's list
-    itself, read from the algebra once it is computed."""
+    itself, computed once per algebra."""
     h.ensure_verified()
-    pts = h.algebra._spectrum
-    return maximal_spectrum(h.algebra) if pts is None else pts
+    return maximal_spectrum(h.algebra)
 
 
 def point_by_ideal(h: HopfData, ideal_basis: np.ndarray) -> PrimePoint:
@@ -412,93 +411,96 @@ def descend_and_compare(h: HopfData, ideal: IdealSubspace) -> LawReport:
 # ---------------------------------------------------------------------------
 
 
-def classical_points(h: HopfData, q: int) -> np.ndarray:
-    """All algebra homomorphisms A -> F_q, enumerated via the spectrum:
-    a point of residue degree d contributes one hom per embedding of its
-    residue field, i.e. per root of the residue generator's minimal polynomial.
-    For q = p^e they form one (N, dim, e) array: homs[k, i] holds the
-    coordinates in field_algebra(p, e) of the image of basis vector i."""
-    alg = h.algebra
-    p = alg.field.p
-    power = prime_power(q)
-    if power is None or power[0] != p:
-        raise ValueError(f"{q} is not a power of the base characteristic {p}")
-    e = power[1]
-    fq, _ = field_algebra(p, e)
-    homs = []
-    for pt in maximal_spectrum(alg):
-        d = pt.degree
-        if e % d != 0:
-            continue
-        res = pt.residue
-        gen = _field_generator(res)
-        gen_pows = np.zeros((d, d), dtype=np.int64)
-        acc = res.unit.copy()
-        for j in range(d):
-            gen_pows[:, j] = acc
-            acc = res.mul_vec(acc, gen)
-        aug, piv = rref(np.hstack([gen_pows, pt.resmap]), p)
-        if piv[:d] != list(range(d)):
-            raise ValueError("matrix is singular")
-        coords = aug[:, d:]  # x -> polynomial in gen
-        for rho in field_roots(minimal_polynomial(gen, res), e):
-            rho_pows = np.array([fq.power(rho, j) for j in range(d)])
-            homs.append(matmul(coords.T, rho_pows, p))
-    return np.array(homs, dtype=np.int64).reshape(-1, alg.dim, e)
-
-
-def _field_generator(res) -> np.ndarray:
+def _carried_hom(pt: PrimePoint, e: int) -> np.ndarray:
+    """One hom A -> F_{p^e} with kernel pt's ideal, as the (dim, e) array of
+    the images of the basis vectors in field_algebra(p, e): the residue map,
+    written in powers of a generator of the residue field, with the
+    generator sent to the first root of its minimal polynomial. The other
+    deg - 1 homs with this kernel are its Frobenius conjugates."""
+    res, d = pt.residue, pt.degree
+    p = res.field.p
     gens = algebra_generators(res)
-    if len(gens) == 1:
-        return gens[0]
-    for v in enumerate_vectors(res.field.p, res.dim)[1:]:
-        if minimal_polynomial(v, res).degree == res.dim:
-            return v
-    raise RuntimeError("finite field without a primitive element is impossible")
-
-
-def classical_convolution(h: HopfData, homs: np.ndarray) -> np.ndarray:
-    """The group law on F_q-points, (a*b)(x) = sum a(x_(1)) b(x_(2)), over
-    every ordered pair of the (N, dim, e) array homs at once: entry [a, b] of
-    the result is the convolution of homs[a] and homs[b]."""
-    p = h.algebra.field.p
-    _, n, e = homs.shape
+    candidates = ((v, minimal_polynomial(v, res)) for v in (gens if len(gens) == 1 else enumerate_vectors(p, d)))
+    gen, poly = next((v, m) for v, m in candidates if m.degree == d)
+    gen_pows = np.array([res.power(gen, j) for j in range(d)])
+    coords = rref(np.hstack([gen_pows.T, pt.resmap]), p)[0][:, d:]  # residue(x) in powers of gen
     fq, _ = field_algebra(p, e)
-    return einsum_mod("rsi,arj,bsk,jkl->abil", h.delta.reshape(n, n, n), homs, homs, fq.mul, p=p)
+    rho = field_roots(poly, e)[0]
+    return matmul(coords.T, np.array([fq.power(rho, j) for j in range(d)]), p)
+
+
+def _orbit_fill(h: HopfData, e: int) -> tuple[OrbitClassifier, np.ndarray, tuple[str, str] | None]:
+    """The Galois-orbit engine of convolution in F_{p^e}, with one carried
+    hom per point whose degree divides e, and the cube C[f, g, phi], phi in
+    f*g = {[a⋆b] : a over f, b over g}, over those points, filled one first
+    point at a time. Also the labels of the first pair with a convolution
+    in no registered orbit, where the fill stops, or None."""
+    n, p = h.dim, h.algebra.field.p
+    fq, _ = field_algebra(p, e)
+    d3 = h.delta.reshape(n, n, n).transpose(1, 2, 0)  # [s, x, r]
+
+    def convolution(a: np.ndarray, bs: np.ndarray) -> np.ndarray:
+        """a⋆b = Delta^T(a ⊗ b), (a⋆b)(x) = sum a(x_(1)) b(x_(2)), for each
+        hom b of the stack bs: with D[s, x] = sum_r Delta[(r, s), x] a(e_r),
+        (a⋆b)(e_x) = sum_s D[s, x] b(e_s), one product with D's
+        multiplication matrices [s, x, j, k]."""
+        mats = fq.mul_matrices(matmul(d3, a, p).reshape(n * n, e)).reshape(n, n, e, e)
+        return matmul(bs.reshape(len(bs), n * e), mats.transpose(0, 2, 1, 3).reshape(n * e, n * e), p).reshape(bs.shape)
+
+    orbits = OrbitClassifier(p, e, convolution, lambda pt: _carried_hom(pt, e))
+    pts = kpoints(h)
+    ks = [orbits.point_index(pt) for pt in pts if e % pt.degree == 0]
+    cube = np.zeros((len(pts),) * 3, dtype=bool)
+    for i in ks:
+        f = orbits.points[i]
+        for j, members in zip(ks, orbits.row(i, ks)):
+            if members is None:
+                return orbits, cube, (f.label, orbits.points[j].label)
+            cube[f.index, orbits.points[j].index, [orbits.points[k].index for k in members]] = True
+    return orbits, cube, None
+
+
+def orbit_cube(h: HopfData, e: int) -> np.ndarray:
+    """The paper's orbit description of the hyperoperation over F_{p^e}: the
+    boolean cube C[f, g, phi], true iff phi is the kernel of a⋆b for homs
+    a, b: A -> F_{p^e} with kernels f and g, empty at points whose degree
+    does not divide e. At e the lcm of the residue degrees it equals
+    hyperop_cube, which it shares no decision code with. Raises ValueError
+    if a convolution lies in no registered orbit."""
+    h.ensure_verified()
+    _, cube, escaped = _orbit_fill(h, e)
+    if escaped:
+        raise ValueError(f"a convolution over {escaped[0]} and {escaped[1]} is in no registered orbit")
+    return cube
 
 
 def classical_comparison(h: HopfData, q: int) -> LawReport:
     """i(f*g) in i(f) *_h i(g) for the kernel map i from F_q-points to
-    spectrum points; injectivity of i is a MUST only at q = p (for larger q
-    distinct embeddings of a residue field share their kernel)."""
+    spectrum points: orbit_cube(h, e), q = p^e, contained in hyperop_cube.
+    Injectivity of i is a MUST only at q = p (for larger q distinct
+    embeddings of a residue field share their kernel)."""
     if q < 3:
         raise ValueError("comparison needs |F_q| >= 3")
     h.ensure_verified()
-    rep = LawReport()
     p = h.algebra.field.p
-    homs = classical_points(h, q)
-    rep.add("classical_point_count", True, (len(homs),), report_only=True)
+    power = prime_power(q)
+    if power is None or power[0] != p:
+        raise ValueError(f"{q} is not a power of the base characteristic {p}")
+    rep = LawReport()
+    orbits, cube, escaped = _orbit_fill(h, power[1])
+    homs = sum(pt.degree for pt in orbits.points)
+    rep.add("classical_point_count", True, (homs,), report_only=True)
 
-    kernels = [point_by_ideal(h, nullspace(hom.T, p)) for hom in homs]
-    images = len({kp.index for kp in kernels})
-    rep.add("injective", images == len(kernels), (images, len(kernels)), report_only=(q != p))
+    images = len({point_by_ideal(h, nullspace(conj[0].T, p)).index for conj in orbits.conjugates})
+    rep.add("injective", images == homs, (images, homs), report_only=(q != p))
 
-    index = {hom.tobytes(): k for k, hom in enumerate(homs)}
-    conv = classical_convolution(h, homs)
-    cube = hyperop_cube(h)
-    bad = None
-    closed = True
-    for ia, ib in product(range(len(homs)), repeat=2):
-        ic = index.get(conv[ia, ib].tobytes())
-        if ic is None:
-            closed = False
-            bad = ("convolution escaped the point set", ia, ib)
-            break
-        if not cube[kernels[ia].index, kernels[ib].index, kernels[ic].index]:
-            bad = (kernels[ia].label, kernels[ib].label, kernels[ic].label)
-            break
-    rep.add("convolution_closed", closed, () if closed else (bad,))
-    rep.add("containment", bad is None, bad or (f"{len(homs) ** 2} pairs",))
+    if escaped is None:
+        triple = _first(cube & ~hyperop_cube(h))
+        bad = None if triple is None else tuple(kpoints(h)[i].label for i in triple)
+    else:
+        bad = ("convolution escaped the point set", *escaped)
+    rep.add("convolution_closed", escaped is None, () if escaped is None else (bad,))
+    rep.add("containment", bad is None, bad or (f"{homs ** 2} pairs",))
     return rep
 
 

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from hyperspec import specops as ops
-from hyperspec.algkernel import SCAlgebra, field_algebra, field_roots, nilradical, quotient_algebra
+from hyperspec.algkernel import (
+    SCAlgebra,
+    algebra_generators,
+    field_algebra,
+    field_roots,
+    maximal_spectrum,
+    nilradical,
+    quotient_algebra,
+)
 from hyperspec.galoisline import (
     ADDITIVE,
     CrosscheckReport,
@@ -18,10 +26,20 @@ from hyperspec.galoisline import (
     line_points,
     require_line_size,
 )
-from hyperspec.gfarith import PrimeField, minimal_polynomial
+from hyperspec.gfarith import PrimeField, minimal_polynomial, prime_power
 from hyperspec.hopfkernel import HopfData, hopf_quotient, parse_builtin
 from hyperspec.hyperkernel import CheckResult, LawReport, check_hypergroup, check_hyperring
-from hyperspec.linalg import batch_tensor_rank_class, enumerate_vectors, matmul, npmod, preimage, reduce_rows, rref
+from hyperspec.linalg import (
+    batch_tensor_rank_class,
+    enumerate_vectors,
+    matmul,
+    npmod,
+    nullspace,
+    preimage,
+    reduce_rows,
+    require_int64_sum,
+    rref,
+)
 
 
 def rref_rowloop(mat, p):
@@ -459,6 +477,87 @@ def crosscheck_by_triples(p, law, max_degree):
         p, law, max_degree, pairs, identity_ok, antipode_ok, reversibility_ok, commutativity_ok,
         checked, skipped, associativity_ok, degree_ok,
     )
+
+
+def classical_points(h, q):
+    """All algebra homs A -> F_q, q = p^e, as the (N, dim, e) array of the
+    images of the basis vectors in field_algebra(p, e): one per embedding of
+    each residue field of degree dividing e, that is per root of the
+    residue generator's minimal polynomial. With classical_convolution and
+    classical_comparison_by_homs, the all-pairs path that specops.orbit_cube
+    replaced, kept as its oracle."""
+    alg = h.algebra
+    p = alg.field.p
+    power = prime_power(q)
+    if power is None or power[0] != p:
+        raise ValueError(f"{q} is not a power of the base characteristic {p}")
+    e = power[1]
+    fq, _ = field_algebra(p, e)
+    homs = []
+    for pt in maximal_spectrum(alg):
+        d = pt.degree
+        if e % d != 0:
+            continue
+        res = pt.residue
+        gens = algebra_generators(res)
+        candidates = gens if len(gens) == 1 else enumerate_vectors(p, d)[1:]
+        gen = next(v for v in candidates if minimal_polynomial(v, res).degree == d)
+        gen_pows = np.zeros((d, d), dtype=np.int64)
+        acc = res.unit.copy()
+        for j in range(d):
+            gen_pows[:, j] = acc
+            acc = res.mul_vec(acc, gen)
+        aug, piv = rref(np.hstack([gen_pows, pt.resmap]), p)
+        assert piv[:d] == list(range(d))
+        for rho in field_roots(minimal_polynomial(gen, res), e):
+            rho_pows = np.array([fq.power(rho, j) for j in range(d)])
+            homs.append(matmul(aug[:, d:].T, rho_pows, p))
+    return np.array(homs, dtype=np.int64).reshape(-1, alg.dim, e)
+
+
+def classical_convolution(h, homs):
+    """(a*b)(x) = sum a(x_(1)) b(x_(2)) for every ordered pair of the
+    (N, dim, e) array homs, in one 4-operand einsum: entry [a, b] is the
+    convolution of homs[a] and homs[b]. Every intermediate of the greedy
+    pairwise contraction is bounded by the full sum, checked first."""
+    p = h.algebra.field.p
+    count, n, e = homs.shape
+    fq, _ = field_algebra(p, e)
+    require_int64_sum(n * n * e * e, 4, p, "classical convolution")
+    conv = np.einsum("rsi,arj,bsk,jkl->abil", h.delta.reshape(n, n, n), homs, homs, fq.mul, optimize="greedy")
+    return npmod(conv, p)
+
+
+def classical_comparison_by_homs(h, q):
+    """specops.classical_comparison's report from every pair of homs: one
+    kernel per hom, every convolution matched by its bytes."""
+    if q < 3:
+        raise ValueError("comparison needs |F_q| >= 3")
+    h.ensure_verified()
+    rep = LawReport()
+    p = h.algebra.field.p
+    homs = classical_points(h, q)
+    rep.add("classical_point_count", True, (len(homs),), report_only=True)
+    kernels = [ops.point_by_ideal(h, nullspace(hom.T, p)) for hom in homs]
+    images = len({kp.index for kp in kernels})
+    rep.add("injective", images == len(kernels), (images, len(kernels)), report_only=(q != p))
+    index = {hom.tobytes(): k for k, hom in enumerate(homs)}
+    conv = classical_convolution(h, homs)
+    cube = ops.hyperop_cube(h)
+    bad = None
+    closed = True
+    for ia, ib in product(range(len(homs)), repeat=2):
+        ic = index.get(conv[ia, ib].tobytes())
+        if ic is None:
+            closed = False
+            bad = ("convolution escaped the point set", ia, ib)
+            break
+        if not cube[kernels[ia].index, kernels[ib].index, kernels[ic].index]:
+            bad = (kernels[ia].label, kernels[ib].label, kernels[ic].label)
+            break
+    rep.add("convolution_closed", closed, () if closed else (bad,))
+    rep.add("containment", bad is None, bad or (f"{len(homs) ** 2} pairs",))
+    return rep
 
 
 @pytest.fixture(scope="session")

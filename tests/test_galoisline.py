@@ -174,7 +174,10 @@ class TestGaloisEngineAgainstOrbitModel:
         # on a fresh classifier, one crosscheck scans a root of each input
         # point and takes one minimal polynomial per point found past them:
         # the value that found a point is its carried root, and every
-        # conjugate of a carried root is classified by lookup
+        # conjugate of a carried root is classified by lookup. A first run
+        # builds the cached fields and residue algebras, whose validation
+        # takes minimal polynomials too, so the count holds in any test order
+        crosscheck(3, law, 3)
         polys, scans = [], []
         original = gfarith.minimal_polynomial
 
@@ -220,10 +223,11 @@ class TestOrbitClassifier:
         mod = find_irreducible(p, n)
         as_residue = lambda v: FpPoly.make(PrimeField(p), v.tolist())
         by_point = {}
-        for key, k in orbits.by_root.items():
+        for key, k in orbits.by_value.items():
             by_point.setdefault(k, []).append(np.frombuffer(key, dtype=np.int64))
         assert sorted(by_point) == list(range(len(orbits.points)))
-        for k, (pt, root) in enumerate(zip(orbits.points, orbits.roots)):
+        for k, (pt, conj) in enumerate(zip(orbits.points, orbits.conjugates)):
+            root = conj[0]
             assert residue_value(pt.poly, as_residue(root), mod).is_zero(), pt
             assert any((root == r).all() for r in by_point[k]) and len(by_point[k]) == pt.degree, pt
             for r in by_point[k]:
@@ -246,7 +250,7 @@ class TestOrbitClassifier:
                 orbit_classifier.cache_clear()
                 orbits = orbit_classifier(p, law, 2)
                 ids = [orbits.point_index(x) for x in pts]
-                orbits.by_root[orbits.roots[ids[victim]].tobytes()] = ids[(victim + 1) % len(pts)]
+                orbits.by_value[orbits.conjugates[ids[victim]][0].tobytes()] = ids[(victim + 1) % len(pts)]
                 rep = crosscheck(p, law, max_degree)
                 assert not rep.ok and rep.to_json() != want, pts[victim]
         finally:
@@ -287,8 +291,9 @@ def associativity_by_lookup(orbits, ids):
     """(checked, ok) of associativity over the triples of ids, by a loop that
     stops at the first triple whose two sides differ."""
     for t, (i, j, l) in enumerate(product(ids, repeat=3)):
-        left = {x for s in orbits.op(i, j) for x in orbits.op(s, l)}
-        right = {x for s in orbits.op(j, l) for x in orbits.op(i, s)}
+        op = lambda a, b: orbits.row(a, [b])[0]
+        left = {x for s in op(i, j) for x in op(s, l)}
+        right = {x for s in op(j, l) for x in op(i, s)}
         if left != right:
             return t + 1, False
     return len(ids) ** 3, True

@@ -1,5 +1,3 @@
-from math import isqrt
-
 import numpy as np
 import pytest
 
@@ -27,7 +25,7 @@ from hyperspec.hopfkernel import (
     verify_hopf,
 )
 from hyperspec.hyperkernel import LawReport
-from hyperspec.linalg import einsum_mod, matmul, npmod, nullspace
+from hyperspec.linalg import matmul, npmod, nullspace
 
 
 def _kronecker_iterated(h):
@@ -94,8 +92,14 @@ ORACLE_SPECS = ("mu:3:2", "mu:5:4", "addetale:3:2")
 
 
 class TestEinsumMod:
+    """The einsum contractions mod p that the oracles form, and the library
+    products they check."""
+
     @pytest.mark.parametrize("spec", ORACLE_SPECS)
     def test_equals_unoptimized_einsum(self, spec):
+        # the oracles contract pairwise in numpy's greedy order; every
+        # intermediate is bounded by the full sum, so the result equals the
+        # one-loop contraction
         h = parse_builtin(spec)
         alg = h.algebra
         p = alg.field.p
@@ -103,16 +107,19 @@ class TestEinsumMod:
         d3 = h.delta.reshape(n, n, n)
         rng = np.random.default_rng(0)
         u, v = rng.integers(0, p, size=(2, n, n))
+        homs = rng.integers(0, p, size=(3, n, 2))
+        fq_mul = rng.integers(0, p, size=(2, 2, 2))
         point = maximal_spectrum(alg)[-1]
         cases = [
             ("abi,cdj,acr,bds->rsij", d3, d3, alg.mul, alg.mul),  # coproduct hom oracle (_reference_report)
             ("ai,bj,abK->Kij", h.antipode, h.antipode, alg.mul),  # antipode hom oracle
             ("ij,kl,ikr,jls->rs", u, v, alg.mul, alg.mul),  # tensor_square_mul oracle
             ("ai,bj,abk->kij", point.resmap, point.resmap, point.residue.mul),  # is_algebra_hom oracle
+            ("rsi,arj,bsk,jkl->abil", d3, homs, homs, fq_mul),  # conftest.classical_convolution
         ]
         for sub, *ops in cases:
             want = npmod(np.einsum(sub, *ops), p)
-            assert (einsum_mod(sub, *ops, p=p) == want).all(), sub
+            assert (npmod(np.einsum(sub, *ops, optimize="greedy"), p) == want).all(), sub
         want = npmod(np.einsum("ij,kl,ikr,jls->rs", u, v, alg.mul, alg.mul), p).reshape(-1)
         assert (tensor_square_mul(alg, u.reshape(-1), v.reshape(-1)) == want).all()
         assert is_algebra_hom(point.resmap, alg, point.residue)
@@ -125,23 +132,6 @@ class TestEinsumMod:
         u, v = np.random.default_rng(2).integers(0, p, size=(2, 5, n, n))
         want = [npmod(np.einsum("ij,kl,ikr,jls->rs", a, b, alg.mul, alg.mul), p).reshape(-1) for a, b in zip(u, v)]
         assert (tensor_square_mul(alg, u.reshape(5, -1), v.reshape(5, -1)) == np.array(want)).all()
-
-    @pytest.mark.parametrize(
-        "sub, shape, terms",
-        [("i,i,i,i->", (1,), 1), ("abi,cdj,acr,bds->rsij", (2, 2, 2), 2**4)],
-        ids=["one_term", "coproduct_hom_n2"],
-    )
-    def test_overflow_bound(self, sub, shape, terms):
-        """Exact at the largest p - 1 whose full sum of `terms` products of
-        four factors stays below 2^63; ValueError one step above it."""
-        top = isqrt(isqrt((2**63 - 1) // terms))  # largest m with terms * m^4 < 2^63
-        assert terms * top**4 < 2**63 <= terms * (top + 1) ** 4
-        ops = [np.full(shape, top, dtype=np.int64)] * 4
-        got = einsum_mod(sub, *ops, p=top + 1)
-        assert (got == terms * top**4 % (top + 1)).all()
-        with pytest.raises(ValueError, match="overflow"):
-            einsum_mod(sub, *ops, p=top + 2)
-
 
 
 class TestVerifyHopf:
@@ -379,6 +369,49 @@ class TestIteratedCoproduct:
         bad = HopfData(mu32.algebra, delta, mu32.counit, mu32.antipode)
         with pytest.raises(ValueError, match="coassociativity"):
             iterated_coproduct(bad)
+
+
+def _group_like_mutant(h, a, b):
+    """mu:p:n with Delta(t^j) = t^(aj) ⊗ t^(bj): an algebra map for every a,
+    b, since t^a ⊗ t^b is a unit whose n-th power is 1, and coassociative
+    iff a^2 = a and b^2 = b mod n."""
+    alg, n = h.algebra, h.dim
+    delta = np.zeros((n * n, n), dtype=np.int64)
+    for j in range(n):
+        delta[(a * j % n) * n + b * j % n, j] = 1
+    return HopfData(alg, delta, h.counit, h.antipode)
+
+
+class TestCoassociativity:
+    @pytest.mark.parametrize("spec", ORACLE_SPECS + ("mu:3:6", "mu:7:6"))
+    def test_mutant_verdicts_match_kronecker(self, spec):
+        # single-entry Delta mutants, most of which break the hom entry and
+        # so are compared on every basis vector, and for mu the group-like
+        # mutants, which keep it and are compared on the generator only:
+        # every verdict is the Kronecker comparison's, and a failure on the
+        # generator names (row, generator row)
+        h = parse_builtin(spec)
+        p, n = h.algebra.field.p, h.dim
+        mutants = []
+        for entry in range(0, n**3, 1 if n < 9 else 7):
+            delta = h.delta.copy()
+            delta.flat[entry] = (delta.flat[entry] + 1) % p
+            mutants.append(HopfData(h.algebra, delta, h.counit, h.antipode))
+        if spec.startswith("mu:"):
+            mutants += [_group_like_mutant(h, a, b) for a in range(n) for b in range(n)]
+        seen = set()
+        for bad in mutants:
+            rep = verify_hopf(bad)
+            left, right = _kronecker_iterated(bad)
+            hom, coassoc = rep.checks["coproduct_algebra_hom"], rep.checks["coassociativity"]
+            assert coassoc.passed == (left == right).all()
+            if hom.passed and not coassoc.passed:
+                lhs, rhs = (npmod(side @ algebra_generators(h.algebra).T, p) for side in (left, right))
+                first = tuple(np.argwhere(lhs != rhs)[0])
+                assert coassoc.witness == (first, lhs[first], rhs[first])
+            seen.add((hom.passed, coassoc.passed))
+        assert (False, False) in seen
+        assert ((True, False) in seen) == (spec.startswith("mu:") and n > 2)  # a^2 = a for all a mod 2
 
 
 class TestBuiltins:

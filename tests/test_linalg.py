@@ -204,9 +204,9 @@ def test_nullspace_of_empty_and_full_rank():
 
 
 class TestInt64Bound:
-    """matmul and einsum_mod raise unless a sum of products of residues in
-    [0, p) stays below 2^63; just below that bound they agree with Python
-    ints. The inputs are the ones that overflowed without the bound."""
+    """matmul raises unless a sum of products of residues in [0, p) stays
+    below 2^63; just below that bound it agrees with Python ints. The
+    inputs are the ones that overflowed without the bound."""
 
     P31 = 2**31 - 1  # 2 (p-1)^2 < 2^63 <= 3 (p-1)^2
     PMAX = 3_037_000_493  # (p-1)^2 < 2^63 <= 2 (p-1)^2
@@ -236,24 +236,3 @@ class TestInt64Bound:
         p = self.PMAX
         with pytest.raises(ValueError, match="overflow int64"):
             linalg.matmul(np.array([[p - 1, p - 2]]), np.array([[p - 3], [p - 4]]), p)  # wrapped, not 11
-
-    def test_einsum_mod_bound(self):
-        p = self.P31
-        a = np.full((1, 2), p - 1)
-        assert linalg.einsum_mod("ij,jk->ik", a, a.T, p=p).tolist() == [[2]]
-        with pytest.raises(ValueError, match="overflow int64"):
-            linalg.einsum_mod("ij,jk->ik", np.full((1, 3), p - 1), np.full((3, 1), p - 1), p=p)
-
-    def test_two_operand_einsum_skips_path_search(self, monkeypatch):
-        seen = []
-        einsum = np.einsum
-
-        def spy(*args, **kwargs):
-            seen.append(kwargs.get("optimize"))
-            return einsum(*args, **kwargs)
-
-        monkeypatch.setattr(linalg.np, "einsum", spy)
-        m = np.arange(8).reshape(2, 2, 2)
-        linalg.einsum_mod("ij,jkl->ikl", np.eye(2, dtype=np.int64), m, p=5)
-        linalg.einsum_mod("ij,jk,kl->il", np.eye(2, dtype=np.int64), m[0], m[1], p=5)
-        assert seen == [False, "greedy"]

@@ -3,12 +3,14 @@ import hashlib
 import json
 import random
 from itertools import product
-from math import isqrt
+from math import isqrt, lcm
 
 import numpy as np
 import pytest
 from conftest import (
     LAW_ORACLES,
+    classical_comparison_by_homs,
+    classical_points,
     descent_by_pairs,
     presentation_value_sets_naive,
     span_rank_classes,
@@ -21,7 +23,7 @@ from hyperspec import hopfkernel, hyperkernel
 from hyperspec import specops as ops
 from hyperspec.algkernel import IdealSubspace, field_algebra, maximal_spectrum
 from hyperspec.gfarith import parse_poly, prime_power
-from hyperspec.hopfkernel import HopfData, descent_ideal, iterated_coproduct, parse_builtin
+from hyperspec.hopfkernel import HopfData, descent_ideal, hopf_quotient, iterated_coproduct, parse_builtin
 from hyperspec.linalg import batch_tensor_rank_class, enumerate_vectors, matmul, npmod, nullspace, reduce_rows
 from hyperspec.specops import ForcedValue
 
@@ -490,15 +492,18 @@ class TestClassical:
             ops.classical_comparison(mu54, 9)
 
     def test_prime_power_split(self, ae32):
-        for q in (0, 1, 12, 2**5):
+        for q in (0, 1):
+            with pytest.raises(ValueError, match=r"comparison needs \|F_q\| >= 3"):
+                ops.classical_comparison(ae32, q)
+        for q in (12, 2**5):
             with pytest.raises(ValueError, match=f"{q} is not a power of the base characteristic 3"):
-                ops.classical_points(ae32, q)
-        homs = ops.classical_points(ae32, 3**4)
-        assert homs.shape == (9, 9, 4)
+                ops.classical_comparison(ae32, q)
+        assert ops.classical_comparison(ae32, 3**4).checks["classical_point_count"].witness == (9,)
 
     # The report's JSON at the commit before F_q-points moved onto coordinate
     # vectors (SHA-256 of json.dumps), so any change to a verdict or witness
-    # fails here; equal digests mean equal reports.
+    # fails here; equal digests mean equal reports. The last four were
+    # recorded from the all-pairs path before the orbit engine replaced it.
     GOLDEN = {
         ("mu:5:4", 5): "f1e94c2c87e5f3842b1c1fbfc9ae26f00f90ee686805efa5fe40e6ab8792e469",
         ("mu:5:4", 25): "b8acfaefc440226231c885e92d46df6bc84d7fe935343f1430332b077092548c",
@@ -510,6 +515,10 @@ class TestClassical:
         ("mu:7:6", 49): "79e2e0db9a74d05b1c7abbc1279076680b44fe957bb1d7da7492a11e72f3a15c",
         ("fs3", 3): "464e721a8b6846e44965cc4e0dd6a99b5c4d6fbf665a18378b792edd49eb13c6",
         ("fs3", 9): "79e2e0db9a74d05b1c7abbc1279076680b44fe957bb1d7da7492a11e72f3a15c",
+        ("mu:3:10", 81): "62c87d3b3493d20325bb2245a9dfb6edc81de3ca01af2029929634422856647b",
+        ("addetale:3:3", 27): "f7273260de5d53df647fc735c63007ff549200a6f7b578baf4dafac1142ab470",
+        ("mu:5:8", 25): "80d435e9b22dc6b6726bd7844af7d4cd203160a19faa72d25e2b8c7937bfc2d7",
+        ("mu:13:12", 13): "7c46f52f994c437287b80e50fe1ef12de7b7da37069cd07b9cc9876610001a38",
     }
 
     @pytest.mark.parametrize("spec, q", list(GOLDEN))
@@ -518,19 +527,98 @@ class TestClassical:
         doc = ops.classical_comparison(h, q).to_json()
         assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == self.GOLDEN[(spec, q)]
 
+    @pytest.mark.parametrize("spec, q", list(GOLDEN))
+    def test_report_matches_all_pairs_oracle(self, spec, q, fs3):
+        # one kernel per hom and one convolution per pair of homs, matched
+        # by bytes, against the carried homs of the orbit engine
+        h = fs3 if spec == "fs3" else parse_builtin(spec)
+        assert ops.classical_comparison(h, q).to_json() == classical_comparison_by_homs(h, q).to_json()
+
     def test_convolution_is_the_group_law(self, mu54, ae32):
         # mu:5:4's F_5-points are the characters x -> zeta^k of Z/4, and
-        # addetale:3:2's F_9-points the additive maps t -> a: convolution
-        # multiplies, respectively adds, the values at the generator
-        for h, q, law in [(mu54, 5, "mul"), (ae32, 9, "add")]:
+        # addetale:3:2's F_9-points the additive maps t -> a: the engine's
+        # law multiplies, respectively adds, the values at the generator, on
+        # every pair of homs; the homs, the conjugates of the carried ones,
+        # are every hom of the all-pairs oracle
+        for h, e, law in [(mu54, 1, "mul"), (ae32, 2, "add")]:
             p, gen = h.algebra.field.p, h.algebra.generator
-            homs = ops.classical_points(h, q)
-            conv = ops.classical_convolution(h, homs)
-            fq, _ = field_algebra(*prime_power(q))
+            orbits = ops._orbit_fill(h, e)[0]
+            homs = np.concatenate(orbits.conjugates)
+            assert sorted(a.tobytes() for a in homs) == sorted(a.tobytes() for a in classical_points(h, p**e))
+            fq, _ = field_algebra(p, e)
             at_gen = np.einsum("i,nie->ne", gen, homs) % p
-            for a, b in product(range(len(homs)), repeat=2):
-                want = fq.mul_vec(at_gen[a], at_gen[b]) if law == "mul" else (at_gen[a] + at_gen[b]) % p
-                assert (np.einsum("i,ie->e", gen, conv[a, b]) % p == want).all()
+            for a in range(len(homs)):
+                conv = orbits.law(homs[a], homs)
+                for b in range(len(homs)):
+                    want = fq.mul_vec(at_gen[a], at_gen[b]) if law == "mul" else (at_gen[a] + at_gen[b]) % p
+                    assert (np.einsum("i,ie->e", gen, conv[b]) % p == want).all()
+
+    def test_escaped_convolution_fails_closure(self, monkeypatch):
+        # 2·a has a's kernel but sends 1 to 2, so every convolution with it
+        # lies in no orbit: closure and containment fail at the first pair,
+        # and orbit_cube raises
+        h = parse_builtin("mu:5:4")
+        carried = ops._carried_hom
+        monkeypatch.setattr(ops, "_carried_hom", lambda pt, e: carried(pt, e) * (2 if pt.index == 1 else 1) % 5)
+        rep = ops.classical_comparison(h, 5)
+        label = ops.kpoints(h)[0].label, ops.kpoints(h)[1].label
+        assert rep.checks["injective"].passed
+        assert rep.checks["convolution_closed"].witness == (("convolution escaped the point set", *label),)
+        assert rep.checks["containment"].witness == ("convolution escaped the point set", *label)
+        with pytest.raises(ValueError, match="in no registered orbit"):
+            ops.orbit_cube(h, 1)
+
+    def test_shared_kernel_fails_injectivity(self, monkeypatch):
+        # a point that carries another point's hom: the carried homs have
+        # three kernels for four homs
+        h = parse_builtin("mu:5:4")
+        carried = ops._carried_hom
+        monkeypatch.setattr(ops, "_carried_hom", lambda pt, e: carried(ops.kpoints(h)[0] if pt.index == 1 else pt, e))
+        rep = ops.classical_comparison(h, 5)
+        assert rep.checks["injective"].to_json() == {"pass": False, "witness": [3, 4]}
+        assert not rep.ok
+
+    def test_containment_witness_is_the_first_missing_triple(self):
+        # a member taken out of the hyperop cube: the first triple of the
+        # orbit cube outside it is the witness, as the all-pairs oracle
+        # finds it at q = p
+        h = parse_builtin("mu:7:6")
+        cube = ops.hyperop_cube(h).copy()
+        f, g, phi = 2, 3, int(np.flatnonzero(cube[2, 3])[0])
+        cube[f, g, phi] = False
+        h._cache["cube"] = cube
+        rep = ops.classical_comparison(h, 7)
+        pts = ops.kpoints(h)
+        assert rep.checks["convolution_closed"].passed
+        assert rep.checks["containment"].witness == (pts[f].label, pts[g].label, pts[phi].label)
+        assert rep.to_json() == classical_comparison_by_homs(h, 7).to_json()
+
+
+# The 14 algebras of the CI verify suite
+CI_SUITE = (
+    "mu:3:2", "mu:5:4", "addetale:3:1", "addetale:3:2", "mu:7:6", "mu:3:8", "mu:5:8",
+    "mu:3:10", "mu:3:6", "mu:3:9", "mu:13:12", "mu:11:10", "addetale:5:1", "addetale:3:3",
+)
+
+
+class TestOrbitCube:
+    """The paper's theorem, f*g = {[a⋆b] : a over f, b over g}, from two
+    engines that share no decision code: orbit_cube convolves homs in the
+    Galois-orbit engine and never forms Q_fg."""
+
+    @pytest.mark.parametrize("spec", CI_SUITE + ("fs3",))
+    def test_equals_hyperop_cube(self, spec, fs3):
+        h = fs3 if spec == "fs3" else parse_builtin(spec)
+        for a in [h] if spec == "fs3" else [h, hopf_quotient(h, descent_ideal(h))[0]]:
+            n = lcm(*(pt.degree for pt in ops.kpoints(a)))
+            assert (ops.orbit_cube(a, n) == ops.hyperop_cube(a)).all()
+
+    def test_points_outside_the_field_are_empty(self, ae32):
+        # over F_3 only the three degree-1 points of addetale:3:2 have homs
+        cube = ops.orbit_cube(ae32, 1)
+        ones = [pt.index for pt in ops.kpoints(ae32) if pt.degree == 1]
+        assert cube.any(axis=2).sum() == len(ones) ** 2
+        assert (cube[np.ix_(ones, ones)] == ops.hyperop_cube(ae32)[np.ix_(ones, ones)]).all()
 
 
 class TestPresentationOracle:
