@@ -7,7 +7,11 @@ polynomial per orbit (algkernel.OrbitClassifier, the engine that also
 serves the F_q-points of Hopf data). The definitional engine works with
 the image s of the coproduct generator in the residue-field tensor
 product: its minimal polynomial g_P generates the forced-zero ideal,
-and f*g is every irreducible factor of g_P. No factor has to be filtered
+and f*g is every irreducible factor of g_P. It runs on stacks: the Krylov
+sequences of s for every pair of one degree pair (deg f, deg g) are one
+int64 array, each g_P is the first relation of its own sequence, and the
+distinct g_P of one degree are factored as one stack by trial division
+(gfarith.factor_stack). No factor has to be filtered
 out by the forced-one (rank-one) rule: (pi)/(g_P) is a proper ideal of the
 subalgebra F_p[s] of K_f ⊗ K_g, and a rank-one tensor u⊗v = (u⊗1)(1⊗v) is a
 unit there, so no element of it has a rank-one image. Agreement of the two
@@ -25,9 +29,9 @@ from math import lcm
 import numpy as np
 
 from .algkernel import OrbitClassifier, SCAlgebra, field_algebra, field_roots, monogenic_algebra
-from .gfarith import FpPoly, PrimeField, _first_monic_relation, factor, irreducibles_up_to, minimal_polynomial
+from .gfarith import FpPoly, PrimeField, _first_monic_relation, factor_stack, irreducibles_up_to, minimal_polynomial
 from .hyperkernel import spectrum_laws
-from .linalg import matmul, npmod
+from .linalg import matmul, npmod, require_int64_sum
 
 ADDITIVE = "additive"
 MULTIPLICATIVE = "multiplicative"
@@ -181,37 +185,73 @@ def galois_hyperop(p: int, law: str, f: LinePoint, g: LinePoint) -> tuple[LinePo
     return tuple(orbits.points[k] for k in orbits.row(orbits.point_index(f), [orbits.point_index(g)])[0])
 
 
-def forced_zero_generator(p: int, law: str, f: LinePoint, g: LinePoint) -> FpPoly:
-    """g_P, the minimal polynomial of the coproduct-generator image s in
-    K_f ⊗ K_g: s = t_f⊗1 + 1⊗t_g (additive) or t_f⊗t_g (multiplicative).
+def forced_zero_generators(p: int, law: str, fs: list[LinePoint], gs: list[LinePoint]) -> list[FpPoly]:
+    """g_P of every pair (f, g) in fs x gs, row-major: the minimal polynomial
+    of the coproduct-generator image s in K_f ⊗ K_g, s = t_f⊗1 + 1⊗t_g
+    (additive) or t_f⊗t_g (multiplicative).
 
     An element of K_f ⊗ K_g is the deg f x deg g matrix V of its coordinates
     on the power bases, and with the companion matrices L_f, L_g of
     multiplication by t_f and t_g, multiplication by s is the Kronecker
     operator V -> L_f V + V L_g^T or V -> L_f V L_g^T. The powers of s are the
-    Krylov sequence of 1⊗1 under it, and g_P is their first monic relation."""
-    PrimeField(p).require_odd()
-    kf = _residue_algebra(f.poly)
-    kg = _residue_algebra(g.poly)
-    lf = kf.left_mul_matrix(kf.generator)
-    lg_t = kg.left_mul_matrix(kg.generator).T
-    v = np.outer(kf.unit, kg.unit)
-    powers = [v]
-    for _ in range(v.size):
-        v = npmod(lf @ v + v @ lg_t, p) if law == ADDITIVE else matmul(matmul(lf, v, p), lg_t, p)
-        powers.append(v)
-    return _first_monic_relation(np.array(powers).reshape(len(powers), -1), kf.field)
+    Krylov sequence of 1⊗1 under it, and g_P is their first monic relation.
+    The pairs of one degree pair (a, b) form one int64 stack of Krylov
+    sequences, shape (pairs, ab + 1, ab), each step one broadcast product;
+    each g_P is then read from its own sequence."""
+    field = PrimeField(p).require_odd()
+    out: dict[tuple[int, int], FpPoly] = {}
+    for a, b in product(sorted({f.degree for f in fs}), sorted({g.degree for g in gs})):
+        fi = [i for i, f in enumerate(fs) if f.degree == a]
+        gj = [j for j, g in enumerate(gs) if g.degree == b]
+        kfs = [_residue_algebra(fs[i].poly) for i in fi]
+        kgs = [_residue_algebra(gs[j].poly) for j in gj]
+        lf = np.array([k.left_mul_matrix(k.generator) for k in kfs])[:, None]  # (F, 1, a, a)
+        lg_t = np.array([k.left_mul_matrix(k.generator).T for k in kgs])[None]  # (1, G, b, b)
+        v = npmod(np.array([k.unit for k in kfs])[:, None, :, None] * np.array([k.unit for k in kgs])[None, :, None], p)
+        powers = np.empty((len(fi), len(gj), a * b + 1, a * b), dtype=np.int64)
+        powers[:, :, 0] = v.reshape(len(fi), len(gj), a * b)
+        if law == ADDITIVE:
+            require_int64_sum(a + b, 2, p, "Kronecker step")
+        for k in range(1, a * b + 1):
+            if law == ADDITIVE:
+                v = npmod(lf @ v + v @ lg_t, p)
+            else:
+                v = matmul(matmul(lf, v, p), lg_t, p)
+            powers[:, :, k] = v.reshape(len(fi), len(gj), a * b)
+        for ij, seq in zip(product(fi, gj), powers.reshape(-1, a * b + 1, a * b)):
+            out[ij] = _first_monic_relation(seq, field)
+    return [out[ij] for ij in product(range(len(fs)), range(len(gs)))]
+
+
+def forced_zero_generator(p: int, law: str, f: LinePoint, g: LinePoint) -> FpPoly:
+    """g_P of one pair: the one-pair case of forced_zero_generators."""
+    return forced_zero_generators(p, law, [f], [g])[0]
+
+
+def definitional_hyperops(p: int, law: str, fs: list[LinePoint], gs: list[LinePoint]) -> list[tuple[LinePoint, ...]]:
+    """Membership-condition hyperoperation of every pair in fs x gs,
+    row-major, computed in the residue tensor: the forced-zero ideal is
+    generated by g_P (forced_zero_generators), and f*g is every irreducible
+    factor of g_P (no element of (pi)/(g_P) has a rank-one image; see the
+    module docstring). The distinct g_P of one degree are factored as one
+    stack (gfarith.factor_stack). On the torus s = t_f⊗t_g is a unit, so T
+    never divides g_P."""
+    g_ps = forced_zero_generators(p, law, fs, gs)
+    by_degree: dict[int, list[FpPoly]] = {}
+    for q in dict.fromkeys(g_ps):
+        by_degree.setdefault(q.degree, []).append(q)
+    members = {}
+    for _, polys in sorted(by_degree.items()):
+        for q, fs_q in zip(polys, factor_stack(polys)):
+            members[q] = tuple(sorted((LinePoint(law, pi) for pi, _mult in fs_q), key=LinePoint.sort_key))
+    return [members[q] for q in g_ps]
 
 
 @lru_cache(maxsize=None)
 def definitional_hyperop(p: int, law: str, f: LinePoint, g: LinePoint) -> tuple[LinePoint, ...]:
-    """Membership-condition hyperoperation, computed in the residue tensor:
-    the forced-zero ideal is generated by g_P (forced_zero_generator), and
-    f*g is every irreducible factor of g_P (no element of (pi)/(g_P) has a
-    rank-one image; see the module docstring). On the torus s = t_f⊗t_g is a
-    unit, so T never divides g_P."""
-    g_p = forced_zero_generator(p, law, f, g)
-    return tuple(sorted((LinePoint(law, pi) for pi, _mult in factor(g_p)), key=LinePoint.sort_key))
+    """f*g by the definitional engine: the one-pair case of
+    definitional_hyperops."""
+    return definitional_hyperops(p, law, [f], [g])[0]
 
 
 @dataclass
@@ -328,9 +368,10 @@ def crosscheck(p: int, law: str, max_degree: int) -> CrosscheckReport:
 
     pairs = []
     degree_ok = True
+    definitional = definitional_hyperops(p, law, pts, pts)
     for (i, f), (j, g) in product(enumerate(pts), repeat=2):
         gal = tuple(local[k] for k in table[i][j])
-        pairs.append(PairRecord(f, g, gal, definitional_hyperop(p, law, f, g)))
+        pairs.append(PairRecord(f, g, gal, definitional[i * n + j]))
         if any(lcm(f.degree, g.degree) % q.degree for q in gal):
             degree_ok = False
 

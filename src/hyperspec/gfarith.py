@@ -264,103 +264,164 @@ def monic_polys(field: PrimeField, degree: int) -> Iterator[FpPoly]:
         yield FpPoly(field, tuple(lower) + (1,))
 
 
-# Candidate rows per block of _first_monic_divisor. The division holds one
-# block of this many rows at a time, never the whole table of p^d candidates,
-# and the block cache keeps at most 64 blocks, so a large p^d cannot fill
+# (row, candidate) pairs per block of the stacked trial division. The
+# division holds one block of at most this many pairs at a time, never the
+# whole table of p^d candidates against every row, and the candidate cache
+# keeps at most 64 blocks, so neither a large p^d nor a tall stack can fill
 # memory.
 TRIAL_DIVISION_ROWS = 1 << 12
 
 
+def _monic_lower(idx: np.ndarray, p: int, d: int) -> np.ndarray:
+    """Lower coefficients (c_0, ..., c_{d-1}) of the monic polynomials of
+    degree d at positions idx of monic_polys order: position i has the
+    base-p digits of i, c_0 the most significant."""
+    return idx[:, None] // p ** np.arange(d - 1, -1, -1, dtype=np.int64) % p
+
+
 @lru_cache(maxsize=64)
 def _monic_block(p: int, d: int, start: int, rows: int) -> np.ndarray:
-    """Lower coefficients (c_0, ..., c_{d-1}) of the monic polynomials of
-    degree d at positions start, start + 1, ... (at most `rows` of them) of
-    monic_polys order: position i has the base-p digits of i, c_0 the most
-    significant."""
-    idx = np.arange(start, min(start + rows, p**d), dtype=np.int64)
-    block = idx[:, None] // p ** np.arange(d - 1, -1, -1, dtype=np.int64) % p
+    """_monic_lower of positions start, start + 1, ... (at most `rows` of
+    them) of monic_polys order."""
+    block = _monic_lower(np.arange(start, min(start + rows, p**d), dtype=np.int64), p, d)
     block.setflags(write=False)
     return block
 
 
-def _first_monic_divisor(poly: FpPoly, d: int) -> FpPoly | None:
-    """The first monic polynomial of degree d in monic_polys order that
-    divides poly, or None. Each block of candidates is one numpy long
-    division, a row per candidate, and the search stops at the first block
-    with a divisor. Every intermediate is below (p-1)^2 + p and every
-    candidate position below p^d; both bounds are checked against int64."""
-    p, n = poly.field.p, poly.degree
+def _divide(rows: np.ndarray, lower: np.ndarray, p: int) -> np.ndarray:
+    """Long division of coefficient rows (..., w), zero above each row's
+    degree, by the monic polynomials of degree d with lower coefficients
+    lower (..., d), the two broadcast against each other. Returns (..., w):
+    the remainder in [..., :d] and the quotient in [..., d:]. Step k cancels
+    the degree-k term and leaves it in place as quotient coefficient k - d."""
+    d, w = lower.shape[-1], rows.shape[-1]
+    out = np.array(np.broadcast_to(rows, np.broadcast_shapes(rows.shape[:-1], lower.shape[:-1]) + (w,)))
+    for k in range(w - 1, d - 1, -1):
+        out[..., k - d : k] = (out[..., k - d : k] - out[..., k : k + 1] * lower) % p
+    return out
+
+
+def _first_divisors(rows: np.ndarray, d: int, p: int) -> np.ndarray:
+    """For each coefficient row (zero above its degree), the position in
+    monic_polys order of its first monic divisor of degree d, or -1. The
+    rows still without a divisor are divided by one block of candidates at
+    a time, in blocks of at most TRIAL_DIVISION_ROWS (row, candidate)
+    pairs. Every intermediate is below (p-1)^2 + p and every candidate
+    position below p^d; both bounds are checked against int64."""
     if (p - 1) ** 2 + p >= 2**63 or p**d >= 2**63:
         raise ValueError(f"trial division by degree-{d} polynomials over F_{p} overflows int64")
-    coeffs = np.array(poly.coeffs, dtype=np.int64)
-    for start in range(0, p**d, TRIAL_DIVISION_ROWS):
-        lower = _monic_block(p, d, start, TRIAL_DIVISION_ROWS)
-        rem = np.empty((len(lower), n + 1), dtype=np.int64)
-        rem[:] = coeffs
-        for k in range(n, d - 1, -1):
-            # cancel the degree-k term of every row by its candidate times T^(k-d)
-            rem[:, k - d : k] = (rem[:, k - d : k] - rem[:, k : k + 1] * lower) % p
-        hits = np.flatnonzero(~rem[:, :d].any(axis=1))
-        if hits.size:
-            return FpPoly(poly.field, tuple(int(c) for c in lower[hits[0]]) + (1,))
-    return None
+    first = np.full(len(rows), -1, dtype=np.int64)
+    width = min(p**d, TRIAL_DIVISION_ROWS)
+    for start in range(0, p**d, width):
+        todo = np.flatnonzero(first < 0)
+        if not todo.size:
+            break
+        lower = _monic_block(p, d, start, width)
+        step = max(1, TRIAL_DIVISION_ROWS // len(lower))
+        for i in range(0, todo.size, step):
+            idx = todo[i : i + step]
+            hit = ~_divide(rows[idx, None, :], lower, p)[..., :d].any(axis=2)
+            has = hit.any(axis=1)
+            first[idx[has]] = start + hit[has].argmax(axis=1)
+    return first
+
+
+def factor_stack(polys: list[FpPoly]) -> list[list[tuple[FpPoly, int]]]:
+    """Factor each polynomial into monic irreducibles by trial division, all
+    of them as one stack of monic coefficient rows.
+
+    For d = 1, 2, ...: a row of degree < 2d is its own last factor; every
+    other row looks for its first monic degree-d divisor in monic_polys
+    order (_first_divisors), the rows with one divide it out as a stack,
+    as often as it divides, and look again at d, and the rest go on to
+    d + 1. Each result is a list of (factor, multiplicity) pairs sorted by
+    (degree, coefficients); the product of the factors times the leading
+    coefficient equals the polynomial."""
+    if any(q.is_zero() for q in polys):
+        raise ValueError("cannot factor zero")
+    if not polys:
+        return []
+    field = polys[0].field
+    p = field.p
+    monic = [q.monic() for q in polys]
+    deg = np.array([q.degree for q in monic], dtype=np.int64)
+    rem = np.zeros((len(monic), int(deg.max()) + 1), dtype=np.int64)
+    for r, q in enumerate(monic):
+        rem[r, : q.degree + 1] = q.coeffs
+    out: list[list[tuple[FpPoly, int]]] = [[] for _ in monic]
+    pending = np.arange(len(monic))
+    d = 1
+    while pending.size:
+        search = pending
+        while search.size:
+            last = deg[search] < 2 * d
+            for r in search[last].tolist():
+                if deg[r] >= 1:
+                    out[r].append((FpPoly(field, tuple(rem[r, : deg[r] + 1].tolist())), 1))
+            search = search[~last]
+            pos = _first_divisors(rem[search, : deg[search].max(initial=0) + 1], d, p)
+            search = search[pos >= 0]
+            lower = _monic_lower(pos[pos >= 0], p, d)
+            # each row divides by its divisor, then again while the remainder is 0
+            mult = np.zeros(len(search), dtype=np.int64)
+            todo = np.arange(len(search))
+            div = _divide(rem[search, : deg[search].max(initial=0) + 1], lower, p)
+            while todo.size:
+                rows = search[todo]
+                rem[rows] = 0
+                rem[rows, : div.shape[1] - d] = div[:, d:]
+                deg[rows] -= d
+                mult[todo] += 1
+                div = _divide(rem[rows, : deg[rows].max() + 1], lower[todo], p)
+                again = ~div[:, :d].any(axis=1)
+                todo, div = todo[again], div[again]
+            for r, c, m in zip(search.tolist(), lower.tolist(), mult.tolist()):
+                out[r].append((FpPoly(field, (*c, 1)), m))
+        pending = pending[deg[pending] >= 2 * d]
+        d += 1
+    return [sorted(fs, key=lambda fm: (fm[0].degree, fm[0].coeffs)) for fs in out]
 
 
 def is_irreducible(poly: FpPoly) -> bool:
-    """Trial division by every monic polynomial of degree in [1, deg/2]."""
+    """Whether trial division (factor_stack) finds poly to be one factor."""
     if poly.is_zero() or poly.degree < 1:
         raise ValueError("irreducibility is only defined for nonconstant polynomials")
-    return all(_first_monic_divisor(poly, d) is None for d in range(1, poly.degree // 2 + 1))
+    return factor_stack([poly])[0] == [(poly.monic(), 1)]
 
 
 def factor(poly: FpPoly) -> list[tuple[FpPoly, int]]:
-    """Factor into monic irreducibles by exhaustive trial division.
-
-    Returns (factor, multiplicity) pairs sorted by (degree, coefficients);
-    the product of the factors times the leading coefficient equals poly.
-    """
-    if poly.is_zero():
-        raise ValueError("cannot factor zero")
-    rem = poly.monic()
-    out: list[tuple[FpPoly, int]] = []
-    d = 1
-    while rem.degree >= 1:
-        if d > rem.degree // 2:
-            out.append((rem, 1))
-            break
-        found = _first_monic_divisor(rem, d)
-        if found is None:
-            d += 1
-            continue
-        mult = 0
-        while (rem % found).is_zero():
-            rem = rem // found
-            mult += 1
-        out.append((found, mult))
-    return sorted(out, key=lambda fm: (fm[0].degree, fm[0].coeffs))
+    """Factor into monic irreducibles by exhaustive trial division: the
+    one-polynomial case of factor_stack."""
+    return factor_stack([poly])[0]
 
 
 @lru_cache(maxsize=None)
 def irreducibles_up_to(p: int, max_degree: int) -> tuple[FpPoly, ...]:
+    """The monic irreducibles of degree <= max_degree in (degree,
+    monic_polys) order, one factor_stack per degree."""
     field = PrimeField(p)
     out = []
     for d in range(1, max_degree + 1):
-        out.extend(q for q in monic_polys(field, d) if is_irreducible(q))
+        cands = list(monic_polys(field, d))
+        out.extend(q for q, fs in zip(cands, factor_stack(cands)) if fs == [(q, 1)])
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def find_irreducible(p: int, degree: int) -> FpPoly:
     """Deterministic modulus for F_{p^degree}: first monic irreducible in lex
-    order. In degree >= 2 every candidate with constant term 0 is a multiple
-    of T, so the scan starts at constant term 1; the constant term is the
-    slowest coordinate of the order, so no earlier candidate is skipped."""
+    order. About one monic polynomial in `degree` is irreducible, so the
+    candidates are factored `degree` at a time. In degree >= 2 every candidate
+    with constant term 0 is a multiple of T, so the scan starts at constant
+    term 1; the constant term is the slowest coordinate of the order, so no
+    earlier candidate is skipped."""
     field = PrimeField(p)
-    for c0 in range(0 if degree == 1 else 1, p):
-        for rest in product(range(p), repeat=degree - 1):
-            q = FpPoly(field, (c0, *rest, 1))
-            if is_irreducible(q):
-                return q
+    for start in range(0 if degree == 1 else p ** (degree - 1), p**degree, degree):
+        lower = _monic_lower(np.arange(start, min(start + degree, p**degree), dtype=np.int64), p, degree)
+        cands = [FpPoly(field, (*c, 1)) for c in lower.tolist()]
+        found = next((q for q, fs in zip(cands, factor_stack(cands)) if fs == [(q, 1)]), None)
+        if found is not None:
+            return found
     raise RuntimeError("unreachable: irreducibles exist in every degree")
 
 

@@ -1,3 +1,4 @@
+import random
 import sys
 from functools import lru_cache
 from itertools import product
@@ -17,7 +18,9 @@ from hyperspec.galoisline import (
     LinePoint,
     crosscheck,
     definitional_hyperop,
+    definitional_hyperops,
     forced_zero_generator,
+    forced_zero_generators,
     galois_hyperop,
     line_antipode,
     line_identity,
@@ -367,12 +370,20 @@ class TestDefinitionalEngine:
     @pytest.mark.parametrize("p, max_degree", [(3, 3), (5, 2), (7, 2)])
     def test_kronecker_operator_matches_tensor_algebra(self, p, max_degree, law):
         # g_P itself, not only its factors, equals the minimal polynomial of s
-        # in the validated structure-constant tensor algebra
-        for f, g in product(line_points(p, law, max_degree), repeat=2):
+        # in the validated structure-constant tensor algebra: pair by pair,
+        # and from the stacks of every pair, with the second points in a
+        # seeded order of their own so that no stack row can stand in for
+        # its transpose
+        pts = line_points(p, law, max_degree)
+        seconds = random.Random(p).sample(pts, len(pts))
+        stacked = forced_zero_generators(p, law, pts, seconds)
+        members = definitional_hyperops(p, law, pts, seconds)
+        assert len(stacked) == len(members) == len(pts) ** 2
+        for k, (f, g) in enumerate(product(pts, seconds)):
             g_p = tensor_forced_zero_generator(p, law, f, g)[0]
-            assert forced_zero_generator(p, law, f, g) == g_p, (f, g)
+            assert stacked[k] == forced_zero_generator(p, law, f, g) == g_p, (f, g)
             want = tuple(sorted((LinePoint(law, pi) for pi, _ in factor(g_p)), key=LinePoint.sort_key))
-            assert definitional_hyperop(p, law, f, g) == want, (f, g)
+            assert members[k] == definitional_hyperop(p, law, f, g) == want, (f, g)
 
     def test_forced_zero_degree_bound(self):
         for f, g in product(line_points(3, ADDITIVE, 2), repeat=2):

@@ -16,6 +16,7 @@ from hyperspec.gfarith import (
     FpPoly,
     PrimeField,
     factor,
+    factor_stack,
     find_irreducible,
     irreducibles_up_to,
     is_irreducible,
@@ -178,7 +179,7 @@ def trial_division_factor(poly):
         if d > rem.degree // 2:
             out.append((rem, 1))
             break
-        found = next((q for q in monic_polys(rem.field, d) if (rem % q).is_zero()), None)
+        found = first_monic_divisor(rem, d)
         if found is None:
             d += 1
             continue
@@ -192,6 +193,25 @@ def trial_division_factor(poly):
 def trial_division_is_irreducible(poly):
     degrees = range(1, poly.degree // 2 + 1)
     return not any((poly % q).is_zero() for d in degrees for q in monic_polys(poly.field, d))
+
+
+def first_monic_divisor(poly, d):
+    """The first monic degree-d divisor of poly in monic_polys order, one
+    FpPoly.divmod per candidate, or None."""
+    return next((q for q in monic_polys(poly.field, d) if (poly % q).is_zero()), None)
+
+
+def mixed_stack(p, seed):
+    """A seeded stack for factor_stack: a monic polynomial of each degree
+    up to 10 (p = 3) or 6, non-monic products with repeated factors, and a
+    repeated row."""
+    rng = random.Random(seed)
+    field = PrimeField(p)
+    stack = [FpPoly.make(field, [rng.randrange(p) for _ in range(d)] + [1]) for d in range(1, 11 if p == 3 else 7)]
+    stack += non_monic_products(p, seed, count=12)
+    stack.append(stack[3])
+    rng.shuffle(stack)
+    return stack
 
 
 def non_monic_products(p, seed, count=30):
@@ -234,24 +254,52 @@ class TestBatchedTrialDivision:
         for q in irreducibles_up_to(p, 3):
             assert is_irreducible(q.scale(p - 1))
 
-    @pytest.mark.parametrize("rows", [1, 5])
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_stack_factors_row_by_row(self, p):
+        # one stack mixing degrees, repeated factors, non-monic rows and
+        # duplicates: each row factors as trial division factors it alone
+        stack = mixed_stack(p, seed=p)
+        got = factor_stack(stack)
+        assert len(got) == len(stack)
+        for poly, fs in zip(stack, got):
+            assert fs == trial_division_factor(poly) == factor(poly), str(poly)
+        assert factor_stack([]) == []
+        with pytest.raises(ValueError, match="zero"):
+            factor_stack([P("T"), FpPoly.zero(F3)])
+
+    @pytest.mark.parametrize("rows", [gfarith.TRIAL_DIVISION_ROWS, 1, 5])
     def test_row_cap_changes_nothing(self, monkeypatch, rows):
-        # blocks of `rows` candidates, including a last partial block when
-        # rows does not divide p^d, give the same first divisor
+        # blocks of `rows` (row, candidate) pairs, including a last partial
+        # block when rows does not divide p^d or the stack height, give the
+        # same first divisors, one polynomial at a time or as one stack
         monkeypatch.setattr(gfarith, "TRIAL_DIVISION_ROWS", rows)
         polys = [q for p, k in [(3, 6), (5, 3)] for d in range(1, k + 1) for q in monic_polys(PrimeField(p), d)]
         polys += non_monic_products(7, seed=rows, count=10)
         for poly in polys:
             assert factor(poly) == trial_division_factor(poly), str(poly)
             assert is_irreducible(poly) == trial_division_is_irreducible(poly), str(poly)
+        for p in (3, 5, 7):
+            stack = mixed_stack(p, seed=rows)
+            assert factor_stack(stack) == [trial_division_factor(poly) for poly in stack], p
 
     def test_divisor_is_the_first_in_monic_polys_order(self):
         # (T-1)(T-2)(T^2+1) over F_3: T-2 = T+1 precedes T-1 = T+2, and
-        # T^2+1 precedes (T-1)(T-2) = T^2+2
+        # T^2+1 precedes (T-1)(T-2) = T^2+2, whichever rows share the stack;
+        # on seeded stacks each row gets the divisor a search of its own finds
         poly = P("T-1") * P("T-2") * P("T^2+1")
-        assert gfarith._first_monic_divisor(poly, 1) == P("T-2")
-        assert gfarith._first_monic_divisor(poly, 2) == P("T^2+1")
-        assert gfarith._first_monic_divisor(P("T^2+1"), 1) is None
+        rows = np.array([poly.coeffs, (1, 0, 1, 0, 0), (0, 2, 1, 0, 0)], dtype=np.int64)
+        first = lambda d: [None if k < 0 else list(monic_polys(F3, d))[k] for k in gfarith._first_divisors(rows, d, 3)]
+        assert first(1) == [P("T-2"), None, P("T")]
+        assert first(2)[0] == P("T^2+1")
+        for p in (3, 5):
+            stack = mixed_stack(p, seed=11)
+            rows = np.zeros((len(stack), max(q.degree for q in stack) + 1), dtype=np.int64)
+            for r, q in enumerate(stack):
+                rows[r, : q.degree + 1] = q.monic().coeffs
+            for d in (1, 2, 3):
+                want = [first_monic_divisor(q.monic(), d) for q in stack]
+                got = [None if k < 0 else list(monic_polys(PrimeField(p), d))[k] for k in gfarith._first_divisors(rows, d, p)]
+                assert got == want, (p, d)
 
     def test_int64_bound_raises(self):
         # a p with (p-1)^2 + p >= 2^63 never reaches trial division: PrimeField
@@ -260,7 +308,7 @@ class TestBatchedTrialDivision:
             PrimeField(3037000507)
         big = PrimeField(3037000493)  # the largest prime PrimeField accepts; p^3 >= 2^63
         with pytest.raises(ValueError, match="overflows int64"):
-            gfarith._first_monic_divisor(FpPoly.make(big, [1, 0, 0, 0, 0, 0, 1]), 3)
+            gfarith._first_divisors(np.array([FpPoly.make(big, [1, 0, 0, 0, 0, 0, 1]).coeffs]), 3, big.p)
 
 
 def sympy_factors(poly):
@@ -297,6 +345,15 @@ class TestAgainstSympy:
             want = sympy_factors(poly)
             assert factor(poly) == want, str(poly)
             assert is_irreducible(poly) == (want == [(poly.monic(), 1)])
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_stacks(self, p):
+        # factor_stack on stacks mixing degrees, repeated factors and
+        # non-monic rows, row by row against sympy
+        pytest.importorskip("sympy")
+        for seed in range(3):
+            stack = mixed_stack(p, seed) + non_monic_products(p, seed + 100, count=10)
+            assert factor_stack(stack) == [sympy_factors(poly) for poly in stack], (p, seed)
 
 
 def assert_minimal_by_sympy(v, alg):
