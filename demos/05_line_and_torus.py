@@ -42,8 +42,10 @@ print("  antipode of (T-2), torus over F_5:",
 
 print("\n== full cross-checks ==")
 for p, law, d in [(3, ADDITIVE, 3), (3, MULTIPLICATIVE, 2), (5, ADDITIVE, 2)]:
-    rep = crosscheck(p, law, d)
-    print(f"  p={p} {law:<14} degree<={d}: {len(rep.pairs)} pairs, engines agree: {rep.agree_all}; "
-          f"identity={rep.identity_ok} antipode={rep.antipode_ok} "
-          f"reversibility={rep.reversibility_ok} "
-          f"associativity checked={rep.associativity_checked} skipped={rep.associativity_skipped}")
+    doc = crosscheck(p, law, d)
+    laws = doc["laws"]
+    print(f"  p={p} {law:<14} degree<={d}: {len(doc['pairs'])} pairs, "
+          f"engines agree: {all(pair['agree'] for pair in doc['pairs'])}; "
+          f"identity={laws['identity']} antipode={laws['antipode_inverse']} "
+          f"reversibility={laws['reversibility']} "
+          f"associativity checked={laws['associativity']['checked']} skipped={laws['associativity']['skipped']}")

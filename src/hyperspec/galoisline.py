@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from math import lcm
 
 import numpy as np
@@ -254,98 +254,38 @@ def definitional_hyperop(p: int, law: str, f: LinePoint, g: LinePoint) -> tuple[
     return definitional_hyperops(p, law, [f], [g])[0]
 
 
-@dataclass
-class PairRecord:
-    f: LinePoint
-    g: LinePoint
-    galois: tuple[LinePoint, ...]
-    definitional: tuple[LinePoint, ...]
-
-    @property
-    def agree(self) -> bool:
-        return self.galois == self.definitional
-
-    def to_json(self) -> dict:
-        return {
-            "f": self.f.poly.to_list(),
-            "g": self.g.poly.to_list(),
-            "galois": [q.poly.to_list() for q in self.galois],
-            "definitional": [q.poly.to_list() for q in self.definitional],
-            "agree": self.agree,
-        }
+def _first_seen(ks: np.ndarray) -> np.ndarray:
+    """The distinct entries of ks in order of first appearance."""
+    _, first = np.unique(ks, return_index=True)
+    return ks[np.sort(first)]
 
 
-@dataclass
-class CrosscheckReport:
-    p: int
-    law: str
-    max_degree: int
-    pairs: list[PairRecord]
-    identity_ok: bool
-    antipode_ok: bool
-    reversibility_ok: bool
-    commutativity_ok: bool
-    associativity_checked: int
-    associativity_skipped: int
-    associativity_ok: bool
-    degree_bound_ok: bool
-
-    @property
-    def agree_all(self) -> bool:
-        return all(r.agree for r in self.pairs)
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.agree_all
-            and self.identity_ok
-            and self.antipode_ok
-            and self.reversibility_ok
-            and self.commutativity_ok
-            and self.associativity_ok
-            and self.degree_bound_ok
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "law": self.law,
-            "max_degree": self.max_degree,
-            "pairs": [r.to_json() for r in self.pairs],
-            "laws": {
-                "identity": self.identity_ok,
-                "antipode_inverse": self.antipode_ok,
-                "reversibility": self.reversibility_ok,
-                "commutativity": self.commutativity_ok,
-                "associativity": {
-                    "checked": self.associativity_checked,
-                    "skipped": self.associativity_skipped,
-                    "pass": self.associativity_ok,
-                },
-            },
-            "degree_bound": self.degree_bound_ok,
-            "agree": self.ok,
-        }
+def _flat(rows: list[list[tuple[int, ...]]]) -> tuple[np.ndarray, np.ndarray]:
+    """The members of a block of rows of sets, concatenated in row-major
+    order, and the flat cell a * len(rows[0]) + b of each."""
+    cells = list(chain.from_iterable(rows))
+    ks = np.fromiter(chain.from_iterable(cells), dtype=np.int64)
+    return ks, np.repeat(np.arange(len(cells)), list(map(len, cells)))
 
 
-def _member_cube(rows: list[list[list[int]]], width: int) -> np.ndarray:
-    """The bool cube C[a, b, k] = (k in rows[a][b])."""
-    cube = np.zeros((len(rows), len(rows[0]), width), dtype=bool)
-    for a, row in enumerate(rows):
-        for b, ks in enumerate(row):
-            cube[a, b, ks] = True
-    return cube
+def _member_cube(flat: tuple[np.ndarray, np.ndarray], local: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
+    """The bool cube C[a, b, local[k]] = (k in a*b), from _flat's arrays."""
+    ks, cells = flat
+    cube = np.zeros(shape[0] * shape[1] * shape[2], dtype=bool)
+    cube[cells * shape[2] + local[ks]] = True
+    return cube.reshape(shape)
 
 
-def crosscheck(p: int, law: str, max_degree: int) -> CrosscheckReport:
+def crosscheck(p: int, law: str, max_degree: int) -> dict:
     """Run both engines on every pair of points of degree <= max_degree and
-    check the hypergroup laws on the fragment. The Galois engine runs in one
-    field F_{p^N}, N = lcm(1, ..., max_degree): each member of f*g has degree
+    check the hypergroup laws on the fragment; returns the report document
+    that `hyperspec line` prints. The Galois engine runs in one field
+    F_{p^N}, N = lcm(1, ..., max_degree): each member of f*g has degree
     dividing lcm(deg f, deg g), which divides N, so every root the checks
-    need lies there and no associativity triple is skipped. The laws are
-    hyperkernel.spectrum_laws on the cubes of s*x and x*s for the points x
-    and the members s of their pairs. Raises ValueError on more than
-    MAX_LINE_POINTS points."""
+    need lies there and no associativity triple is skipped ("skipped" is
+    always 0). The laws are hyperkernel.spectrum_laws on the cubes of s*x
+    and x*s for the points x and the members s of their pairs. Raises
+    ValueError on more than MAX_LINE_POINTS points."""
     require_line_size(p, law, max_degree)
     pts = line_points(p, law, max_degree)
     orbits = orbit_classifier(p, law, lcm(*range(1, max_degree + 1)))
@@ -354,47 +294,58 @@ def crosscheck(p: int, law: str, max_degree: int) -> CrosscheckReport:
 
     # Local positions: the points first, then the members of their pairs
     # (the sources s of the associativity blocks), then whatever the blocks
-    # add. Each member list stays in sort_key order.
-    pos = {k: i for i, k in enumerate(ids)}
-
-    def place(ks: tuple[int, ...]) -> list[int]:
-        return [pos.setdefault(k, len(pos)) for k in ks]
-
-    table = [[place(ks) for ks in orbits.row(a, ids)] for a in ids]
-    sources = list(pos)
-    left_block = [[place(ks) for ks in orbits.row(s, ids)] for s in sources]  # s*x
-    right_block = [[place(ks) for ks in orbits.row(x, sources)] for x in ids]  # x*s
-    local = [orbits.points[k] for k in pos]
+    # add, each in order of first appearance. The pair table is the first n
+    # rows of s*x.
+    table = [orbits.row(a, ids) for a in ids]
+    sources = _first_seen(np.concatenate([ids, _flat(table)[0]])).tolist()
+    left_rows = table + [orbits.row(s, ids) for s in sources[n:]]  # s*x
+    right_rows = [orbits.row(x, sources) for x in ids]  # x*s
+    left, right = _flat(left_rows), _flat(right_rows)
+    order = _first_seen(np.concatenate([sources, left[0], right[0]]))
+    m = len(order)
+    local = np.full(len(orbits.points), m, dtype=np.int64)
+    local[order] = np.arange(m)
+    # the antipode of each point and member; one that holds no position
+    # goes to an extra all-false position m, where reversibility fails
+    anti = [m if (k := orbits.index.get(line_antipode(orbits.points[s]))) is None else int(local[k]) for s in sources]
+    s_x = _member_cube(left, local, (len(sources), n, m + 1))
+    x_s = _member_cube(right, local, (n, len(sources), m + 1))
+    laws = spectrum_laws(s_x, x_s, pts.index(line_identity(p, law)), anti)
+    bad = laws["associativity"]
 
     pairs = []
     degree_ok = True
     definitional = definitional_hyperops(p, law, pts, pts)
     for (i, f), (j, g) in product(enumerate(pts), repeat=2):
-        gal = tuple(local[k] for k in table[i][j])
-        pairs.append(PairRecord(f, g, gal, definitional[i * n + j]))
-        if any(lcm(f.degree, g.degree) % q.degree for q in gal):
-            degree_ok = False
+        gal, defn = tuple(orbits.points[k] for k in table[i][j]), definitional[i * n + j]
+        degree_ok = degree_ok and not any(lcm(f.degree, g.degree) % q.degree for q in gal)
+        pairs.append({
+            "f": f.poly.to_list(),
+            "g": g.poly.to_list(),
+            "galois": [q.poly.to_list() for q in gal],
+            "definitional": [q.poly.to_list() for q in defn],
+            "agree": gal == defn,
+        })
 
-    # the antipode of each point and member; one that holds no position
-    # goes to an extra all-false position m, where reversibility fails
-    m = len(local)
-    anti = [pos.get(orbits.index.get(line_antipode(x)), m) for x in local[: len(sources)]]
-    e = pos[orbits.point_index(line_identity(p, law))]
-    laws = spectrum_laws(_member_cube(left_block, m + 1), _member_cube(right_block, m + 1), e, anti)
-    bad = laws["associativity"]
-    checked = n**3 if bad is None else (bad[0] * n + bad[1]) * n + bad[2] + 1
-
-    return CrosscheckReport(
-        p,
-        law,
-        max_degree,
-        pairs,
-        laws["identity"] is None,
-        laws["inverse"] is None,
-        laws["reversibility"] is None,
-        laws["commutativity"] is None,
-        checked,
-        0,
-        bad is None,
-        degree_ok,
-    )
+    verdicts = {
+        "identity": laws["identity"] is None,
+        "antipode_inverse": laws["inverse"] is None,
+        "reversibility": laws["reversibility"] is None,
+        "commutativity": laws["commutativity"] is None,
+    }
+    return {
+        "p": p,
+        "law": law,
+        "max_degree": max_degree,
+        "pairs": pairs,
+        "laws": {
+            **verdicts,
+            "associativity": {
+                "checked": n**3 if bad is None else (bad[0] * n + bad[1]) * n + bad[2] + 1,
+                "skipped": 0,
+                "pass": bad is None,
+            },
+        },
+        "degree_bound": degree_ok,
+        "agree": all(r["agree"] for r in pairs) and all(verdicts.values()) and bad is None and degree_ok,
+    }

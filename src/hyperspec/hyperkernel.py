@@ -522,10 +522,6 @@ def field_ring(q: int) -> FiniteRing:
         raise ValueError(f"{q} is not a prime power")
     p, e = power
 
-    if e == 1:
-        r = zmod_ring(p)
-        return FiniteRing([str(i) for i in range(p)], r.addt, r.mult, 0, 1)
-
     # elements are coordinate vectors on the power basis of F_p[T]/(modulus),
     # lowest coordinate fastest, so vector v has index v @ place
     elems = enumerate_vectors(p, e)
@@ -636,17 +632,12 @@ def sign_hyperfield() -> HyperRingTable:
 
 def hyperring_isomorphic_to_krasner(r: HyperRingTable) -> bool:
     """True iff r is the two-element Krasner hyperfield under zero -> 0,
-    other -> 1 (the only candidate map)."""
+    other -> 1 (the only candidate map): that map is a strict hyperring
+    homomorphism onto K."""
     if len(r.carrier) != 2:
         return False
     other = next(c for c in r.carrier if c != r.zero)
     if other != r.one:
         return False
-    k = krasner_hyperfield()
-    f = {r.zero: "0", r.one: "1"}
-    for a, b in product(r.carrier, repeat=2):
-        if {f[c] for c in r.add.op(a, b)} != set(k.add.op(f[a], f[b])):
-            return False
-        if f[r.mul_of(a, b)] != k.mul_of(f[a], f[b]):
-            return False
-    return True
+    rep = check_hyperring_hom({r.zero: "0", r.one: "1"}, r, krasner_hyperfield())
+    return rep.ok and rep.checks["strict"].passed

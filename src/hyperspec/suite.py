@@ -132,8 +132,11 @@ TRACE_CHECKS = tuple(CHECKS)
 
 
 def _selection(checks) -> set[str]:
-    """The selected check names; an unknown name is an input error."""
-    selected = set(checks or TRACE_CHECKS)
+    """The selected check names, every check for None; an empty or unknown
+    name list is an input error."""
+    if checks is not None and not checks:
+        raise ValueError(f"suite config 'checks' must name at least one check, got {checks!r}")
+    selected = set(TRACE_CHECKS if checks is None else checks)
     unknown = sorted(str(name) for name in selected - set(CHECKS))
     if unknown:
         raise ValueError(f"unknown check(s) {', '.join(unknown)}; valid checks: {', '.join(TRACE_CHECKS)}")

@@ -17,9 +17,7 @@ from hyperspec.algkernel import (
 )
 from hyperspec.galoisline import (
     ADDITIVE,
-    CrosscheckReport,
     LinePoint,
-    PairRecord,
     definitional_hyperop,
     line_antipode,
     line_identity,
@@ -428,32 +426,39 @@ def crosscheck_by_triples(p, law, max_degree):
     oracle: galois_hyperop_scanned on every pair, the laws by per-pair calls,
     and associativity by a loop over triples with frozenset unions memoized
     per (member tuple, point), skipping and counting triples whose unions
-    would need a field beyond F_{p^(max_degree^2)}."""
+    would need a field beyond F_{p^(max_degree^2)}. Returns the same report
+    document."""
     require_line_size(p, law, max_degree)
     pts = line_points(p, law, max_degree)
     e = line_identity(p, law)
     op = lambda f, g: galois_hyperop_scanned(p, law, f, g)
 
+    galois = {(f, g): op(f, g) for f, g in product(pts, repeat=2)}
     pairs = []
-    degree_ok = True
-    for f, g in product(pts, repeat=2):
-        gal = op(f, g)
-        pairs.append(PairRecord(f, g, gal, definitional_hyperop(p, law, f, g)))
-        if any(lcm(f.degree, g.degree) % q.degree for q in gal):
-            degree_ok = False
+    for (f, g), gal in galois.items():
+        definitional = definitional_hyperop(p, law, f, g)
+        pairs.append({
+            "f": f.poly.to_list(),
+            "g": g.poly.to_list(),
+            "galois": [q.poly.to_list() for q in gal],
+            "definitional": [q.poly.to_list() for q in definitional],
+            "agree": gal == definitional,
+        })
+    degree_ok = all(lcm(f.degree, g.degree) % q.degree == 0 for (f, g), gal in galois.items() for q in gal)
 
     identity_ok = all(op(e, f) == (f,) and op(f, e) == (f,) for f in pts)
-    anti = {x: line_antipode(x) for x in {*pts, *(x for r in pairs for x in r.galois)}}
+    anti = {x: line_antipode(x) for x in {*pts, *(x for gal in galois.values() for x in gal)}}
     antipode_ok = all(e in op(f, anti[f]) and e in op(anti[f], f) for f in pts)
     reversibility_ok = all(
-        tuple(sorted((anti[x] for x in r.galois), key=LinePoint.sort_key)) == op(anti[r.g], anti[r.f]) for r in pairs
+        tuple(sorted((anti[x] for x in gal), key=LinePoint.sort_key)) == op(anti[g], anti[f])
+        for (f, g), gal in galois.items()
     )
     commutativity_ok = all(op(f, g) == op(g, f) for f, g in product(pts, repeat=2))
 
     bound = max_degree * max_degree
     n = len(pts)
     tuple_ids = {}
-    pair_ids = [tuple_ids.setdefault(r.galois, len(tuple_ids)) for r in pairs]  # (f, g) at f * n + g
+    pair_ids = [tuple_ids.setdefault(gal, len(tuple_ids)) for gal in galois.values()]  # (f, g) at f * n + g
     members = list(tuple_ids)
     needed = [[max(lcm(s.degree, x.degree) for s in m) for x in pts] for m in members]
     left, right = {}, {}
@@ -473,10 +478,21 @@ def crosscheck_by_triples(p, law, max_degree):
             associativity_ok = False
             break
 
-    return CrosscheckReport(
-        p, law, max_degree, pairs, identity_ok, antipode_ok, reversibility_ok, commutativity_ok,
-        checked, skipped, associativity_ok, degree_ok,
-    )
+    laws = {
+        "identity": identity_ok,
+        "antipode_inverse": antipode_ok,
+        "reversibility": reversibility_ok,
+        "commutativity": commutativity_ok,
+    }
+    return {
+        "p": p,
+        "law": law,
+        "max_degree": max_degree,
+        "pairs": pairs,
+        "laws": {**laws, "associativity": {"checked": checked, "skipped": skipped, "pass": associativity_ok}},
+        "degree_bound": degree_ok,
+        "agree": all(r["agree"] for r in pairs) and all(laws.values()) and associativity_ok and degree_ok,
+    }
 
 
 def classical_points(h, q):

@@ -638,6 +638,21 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == f"input error: suite config 'algebras' must name at least one algebra, got {algebras!r}\n"
 
+    def test_empty_check_list_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(json.dumps({"algebras": ["mu:3:2"], "checks": []}))
+        code, out, err = run_cli(capsys, "verify", "--suite", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == "input error: suite config 'checks' must name at least one check, got []\n"
+
+    @pytest.mark.parametrize("cfg_checks", [{}, {"checks": None}])
+    def test_omitted_or_null_check_list_runs_every_check(self, tmp_path, capsys, cfg_checks):
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(json.dumps({"algebras": ["mu:3:2"], **cfg_checks}))
+        code, out, _ = run_cli(capsys, "verify", "--suite", str(cfg))
+        assert code == 0
+        assert all(entry["status"] != "skipped" for entry in json.loads(out)["suite"][0]["checks"].values())
+
     @pytest.mark.parametrize(
         "field, value",
         [("algebras", "mu:3:2"), ("checks", "nonempty"), ("algebras", ["mu:3:2", 5]), ("checks", [["nonempty"]])],
@@ -847,6 +862,20 @@ class TestLineGolden:
     @pytest.mark.parametrize("p, law, degree", list(RUNS))
     def test_stdout_digest(self, capsys, p, law, degree):
         code, out, _ = run_cli(capsys, "line", "--p", p, "--law", law, "--max-degree", degree)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.RUNS[(p, law, degree)]
+
+
+class TestLinePlainGolden:
+    # `line --plain`, the text summary, pinned by the SHA-256 of its stdout
+    RUNS = {
+        ("3", "add", "3"): "97a78a7d550a5eb289f2c250695f4fe62e3d6a4c0c2acae997631ff4a86e0ce0",
+        ("7", "mul", "2"): "0cd4954ab4da77deef92d7965dcb69627b1050f71433d8441b219799acf6d29b",
+    }
+
+    @pytest.mark.parametrize("p, law, degree", list(RUNS))
+    def test_stdout_digest(self, capsys, p, law, degree):
+        code, out, _ = run_cli(capsys, "line", "--p", p, "--law", law, "--max-degree", degree, "--plain")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.RUNS[(p, law, degree)]
 

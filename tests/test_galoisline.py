@@ -239,14 +239,14 @@ class TestOrbitClassifier:
     @pytest.mark.parametrize("law", LAWS)
     @pytest.mark.parametrize("p, max_degree", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (7, 2)])
     def test_report_matches_scanned_oracle(self, p, max_degree, law):
-        assert crosscheck(p, law, max_degree).to_json() == crosscheck_by_triples(p, law, max_degree).to_json()
+        assert crosscheck(p, law, max_degree) == crosscheck_by_triples(p, law, max_degree)
 
     @pytest.mark.parametrize("law", LAWS)
     def test_repointed_root_is_caught(self, law):
         # the dict entry of one input point's carried root, re-pointed to the
         # next point: the crosscheck fails and leaves the oracle's report
         p, max_degree = 3, 2
-        want = crosscheck_by_triples(p, law, max_degree).to_json()
+        want = crosscheck_by_triples(p, law, max_degree)
         pts = line_points(p, law, max_degree)
         try:
             for victim in range(len(pts)):
@@ -254,8 +254,8 @@ class TestOrbitClassifier:
                 orbits = orbit_classifier(p, law, 2)
                 ids = [orbits.point_index(x) for x in pts]
                 orbits.by_value[orbits.conjugates[ids[victim]][0].tobytes()] = ids[(victim + 1) % len(pts)]
-                rep = crosscheck(p, law, max_degree)
-                assert not rep.ok and rep.to_json() != want, pts[victim]
+                doc = crosscheck(p, law, max_degree)
+                assert not doc["agree"] and doc != want, pts[victim]
         finally:
             orbit_classifier.cache_clear()
 
@@ -280,9 +280,9 @@ class TestOrbitClassifier:
                 crosscheck(p, law, max_degree)
                 ids = [orbits.point_index(x) for x in pts]
                 orbits._ops[key] = (ids[0],) if orbits._ops[key] != (ids[0],) else (ids[1],)
-                rep = crosscheck(p, law, max_degree)
+                assoc = crosscheck(p, law, max_degree)["laws"]["associativity"]
                 want = associativity_by_lookup(orbits, ids)
-                assert (rep.associativity_checked, rep.associativity_ok) == want, key
+                assert (assoc["checked"], assoc["pass"]) == want, key
                 if not want[1]:
                     failures.add(want[0])
             assert len(failures) > 1  # the first failing triple moves with the corrupted product
@@ -447,28 +447,25 @@ class TestLineSize:
 
 class TestCrosscheck:
     def test_p3_additive_d2(self):
-        rep = crosscheck(3, ADDITIVE, 2)
-        assert rep.ok
-        assert rep.agree_all
-        assert len(rep.pairs) == 36
-        assert rep.associativity_skipped == 0
+        doc = crosscheck(3, ADDITIVE, 2)
+        assert doc["agree"]
+        assert all(pair["agree"] for pair in doc["pairs"])
+        assert len(doc["pairs"]) == 36
+        assert doc["laws"]["associativity"]["skipped"] == 0
 
     def test_p3_multiplicative_d2(self):
-        rep = crosscheck(3, MULTIPLICATIVE, 2)
-        assert rep.ok
-        assert len(rep.pairs) == 25
+        doc = crosscheck(3, MULTIPLICATIVE, 2)
+        assert doc["agree"]
+        assert len(doc["pairs"]) == 25
 
     def test_p5_additive_d2(self):
-        rep = crosscheck(5, ADDITIVE, 2)
-        assert rep.ok
+        assert crosscheck(5, ADDITIVE, 2)["agree"]
 
     def test_commutativity_recorded(self):
-        rep = crosscheck(3, ADDITIVE, 2)
-        assert rep.commutativity_ok
+        assert crosscheck(3, ADDITIVE, 2)["laws"]["commutativity"]
 
     def test_json_shape_contains_verbatim_pair(self):
-        rep = crosscheck(3, ADDITIVE, 2)
-        doc = rep.to_json()
+        doc = crosscheck(3, ADDITIVE, 2)
         entry = [r for r in doc["pairs"] if r["f"] == [1, 0, 1] and r["g"] == [1, 0, 1]]
         assert entry and entry[0]["galois"] == [[0, 1], [1, 0, 1]]
         assert entry[0]["definitional"] == [[0, 1], [1, 0, 1]]
@@ -478,10 +475,66 @@ class TestCrosscheck:
         "p, law, max_degree", [(3, ADDITIVE, 3), (3, MULTIPLICATIVE, 3), (7, ADDITIVE, 2), (7, MULTIPLICATIVE, 2)]
     )
     def test_associativity_matches_per_triple_loop(self, p, law, max_degree):
-        rep, want = crosscheck(p, law, max_degree), crosscheck_by_triples(p, law, max_degree)
-        got = (rep.associativity_checked, rep.associativity_skipped, rep.associativity_ok)
-        assert got == (want.associativity_checked, want.associativity_skipped, want.associativity_ok) == (
-            len(line_points(p, law, max_degree)) ** 3, 0, True)
+        got = crosscheck(p, law, max_degree)["laws"]["associativity"]
+        want = crosscheck_by_triples(p, law, max_degree)["laws"]["associativity"]
+        assert got == want == {"checked": len(line_points(p, law, max_degree)) ** 3, "skipped": 0, "pass": True}
+
+    def test_one_disagreeing_pair_clears_agree(self, monkeypatch):
+        # the definitional engine drops one member of one pair: that pair and
+        # the top-level verdict disagree, and nothing else changes
+        p, law, max_degree = 3, ADDITIVE, 3
+        want = crosscheck(p, law, max_degree)
+        assert want["agree"]
+        victim = next(k for k, pair in enumerate(want["pairs"]) if len(pair["definitional"]) > 1)
+        stacked = galoisline.definitional_hyperops
+
+        def dropping(*args):
+            out = stacked(*args)
+            out[victim] = out[victim][1:]
+            return out
+
+        monkeypatch.setattr(galoisline, "definitional_hyperops", dropping)
+        doc = crosscheck(p, law, max_degree)
+        assert [k for k, pair in enumerate(doc["pairs"]) if not pair["agree"]] == [victim]
+        assert doc["agree"] is False
+        assert {**doc, "pairs": want["pairs"], "agree": True} == want
+
+    def test_failed_degree_bound_clears_agree(self, monkeypatch):
+        # the degree bound reads lcm(deg f, deg g), the only two-argument lcm
+        # of a crosscheck at max_degree 3; taken as 1, every member of degree
+        # above 1 breaks the bound, and nothing else changes
+        p, law, max_degree = 3, ADDITIVE, 3
+        want = crosscheck(p, law, max_degree)
+        assert want["degree_bound"] and want["agree"]
+        real = galoisline.lcm
+        monkeypatch.setattr(galoisline, "lcm", lambda *ds: 1 if len(ds) == 2 else real(*ds))
+        doc = crosscheck(p, law, max_degree)
+        assert doc["degree_bound"] is False and doc["agree"] is False
+        assert {**doc, "degree_bound": True, "agree": True} == want
+
+    @pytest.mark.parametrize(
+        "law_name, key",
+        [
+            ("identity", "identity"),
+            ("inverse", "antipode_inverse"),
+            ("reversibility", "reversibility"),
+            ("commutativity", "commutativity"),
+            ("associativity", "associativity"),
+        ],
+    )
+    def test_one_failing_law_clears_agree(self, monkeypatch, law_name, key):
+        # spectrum_laws reports a first failure for one law only: its verdict
+        # and the top-level verdict fail, and nothing else changes
+        p, law, max_degree = 3, MULTIPLICATIVE, 2
+        want = crosscheck(p, law, max_degree)
+        assert want["agree"]
+        laws = galoisline.spectrum_laws
+        monkeypatch.setattr(galoisline, "spectrum_laws", lambda *args: {**laws(*args), law_name: (0, 0, 0)})
+        doc = crosscheck(p, law, max_degree)
+        assert doc["agree"] is False
+        failed = {"checked": 1, "skipped": 0, "pass": False} if key == "associativity" else False
+        assert doc["laws"][key] == failed
+        assert {**doc, "laws": {**doc["laws"], key: want["laws"][key]}, "agree": True} == want
 
     def test_bad_args(self):
         with pytest.raises(ValueError):

@@ -401,6 +401,32 @@ class TestQuotientHyperring:
             assert len(ring.names) == q
             assert len(ring.units()) == q - 1
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 83])
+    def test_prime_field_is_integers_mod_p(self, p):
+        # at q = p the power-basis tables are those of Z/p, names included
+        ring, zmod = field_ring(p), zmod_ring(p)
+        assert ring.names == zmod.names
+        assert (ring.addt == zmod.addt).all() and (ring.mult == zmod.mult).all()
+        assert (ring.zero, ring.one) == (zmod.zero, zmod.one)
+
+    def test_krasner_recognition_matches_table_comparison(self):
+        # hyperring_isomorphic_to_krasner (a strict hom onto K) against a
+        # direct comparison of both tables under zero -> 0, other -> 1
+        def by_tables(r):
+            if len(r.carrier) != 2 or next(c for c in r.carrier if c != r.zero) != r.one:
+                return False
+            f = {r.zero: "0", r.one: "1"}
+            return all(
+                {f[c] for c in r.add.op(a, b)} == set(K.add.op(f[a], f[b])) and f[r.mul_of(a, b)] == K.mul_of(f[a], f[b])
+                for a, b in product(r.carrier, repeat=2)
+            )
+
+        corpus = quotient_corpus()
+        verdicts = [hyperring_isomorphic_to_krasner(r) for r in corpus]
+        assert verdicts == [by_tables(r) for r in corpus]
+        # K itself and F_q modulo its whole unit group for each q >= 3
+        assert sum(verdicts) == 15 and verdicts[0] and not verdicts[1]
+
     def test_trivial_subgroup_reproduces_ring_addition(self):
         ring = field_ring(5)
         q = quotient_hyperring(ring, [ring.one])
