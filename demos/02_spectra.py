@@ -8,7 +8,6 @@ point carries its residue field and the matrix of its quotient map.
 
 from hyperspec.algkernel import (
     IdealSubspace,
-    ideal_is_prime,
     is_algebra_hom,
     maximal_spectrum,
     monogenic_algebra,
@@ -42,11 +41,12 @@ quo, pi = quotient_algebra(mu4, ideal)
 print(f"F_5[T]/(T^4-1) mod (T^2-1): dim {quo.dim}, projection is an algebra hom:",
       is_algebra_hom(pi, mu4, quo))
 
-print("\n== primality of ideals, decided by zero-divisor scan ==")
+print("\n== primality of ideals: the primes are the points of the spectrum ==")
 big = monogenic_algebra(F3, parse_poly("T^9-T", F3))
+primes = {pt.ideal for pt in maximal_spectrum(big)}
 for gen in ("T", "T^2+1", "T^3+T"):
     ideal = IdealSubspace.from_poly(big, parse_poly(gen, F3))
-    print(f"  ({gen}) in F_3[T]/(T^9-T): prime = {ideal_is_prime(big, ideal)}")
+    print(f"  ({gen}) in F_3[T]/(T^9-T): prime = {ideal in primes}")
 
 print("\nnilpotents are found exactly: F_3[T]/(T^3) has nilradical of dimension",
       nilradical(monogenic_algebra(F3, parse_poly("T^3", F3))).dim)

@@ -5,6 +5,10 @@ Points of the spectrum are K-valued points; f*g collects every point whose
 kernel contains the forced-zero ideal, the elements whose coproduct image in
 the residue tensor has rank 0. Such a kernel never holds a rank-one
 (forced-one) element, since rank-one tensors are units of that tensor.
+Membership is read off the primitive idempotents: phi is in f*g iff the
+coproduct image of e_phi, the idempotent outside Ker(phi), is nonzero, so
+the forced-zero ideal is the intersection of the members' kernels and is
+prime iff f*g has one member.
 On split roots of unity this reproduces the group of units; on the additive
 family genuine multi-valued entries appear.
 """
@@ -40,9 +44,9 @@ d = ops.point_by_label(ae, "(T^2+1)")
 for text in ("T^3+T", "T", "T^2"):
     x = ae.algebra.element_from_poly(parse_poly(text, ae.algebra.field))
     print(f"  value of {text:<6} is forced to {ops.forced_value(ae, d, d, x).value}")
-ideal, prime = ops.delta_preimage_ideal(ae, d, d)
-print(f"forced-zero ideal = ({ideal.generator_poly()}), independent primality verdict: {prime}")
-print("  (a non-prime coproduct preimage: the membership engine never assumes primality)")
+res = ops.hyperop(ae, d, d)
+print(f"forced-zero ideal = ({res.forced_zero.generator_poly()}), prime: {len(res.members) == 1}")
+print("  (a non-prime coproduct preimage: the intersection of the kernels of the", len(res.members), "members)")
 
 print("\n== the statement suite, checked exhaustively ==")
 for h in (mu4, ae):

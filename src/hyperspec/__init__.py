@@ -4,7 +4,6 @@ from .algkernel import (
     IdealSubspace,
     PrimePoint,
     SCAlgebra,
-    ideal_is_prime,
     is_algebra_hom,
     maximal_spectrum,
     monogenic_algebra,
@@ -41,7 +40,6 @@ from .specops import (
     HyperopResult,
     antipode_point,
     classical_comparison,
-    delta_preimage_ideal,
     descend_and_compare,
     forced_value,
     hyperop,

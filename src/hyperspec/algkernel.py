@@ -24,7 +24,6 @@ from .linalg import (
     npmod,
     nullspace,
     preimage,
-    rank,
     reduce_rows,
     require_int64_sum,
     rref,
@@ -525,13 +524,15 @@ def nilradical(alg: SCAlgebra) -> IdealSubspace:
 class PrimePoint:
     """A maximal (= prime) ideal with its residue-field data: the K-valued
     point of the spectrum, with resmap the (degree x dim) matrix of the
-    residue map A -> A/ideal. Points compare by identity; the spectrum
-    holds one object per point."""
+    residue map A -> A/ideal, and idempotent the primitive idempotent of A
+    outside the ideal, the unit of the local factor of A at this point.
+    Points compare by identity; the spectrum holds one object per point."""
 
     ideal: IdealSubspace
     degree: int
     residue: SCAlgebra
     resmap: np.ndarray
+    idempotent: np.ndarray
     label: str
     index: int = dc_field(default=-1)
 
@@ -551,7 +552,12 @@ class PrimePoint:
 
 def maximal_spectrum(alg: SCAlgebra) -> list[PrimePoint]:
     """All maximal ideals with residue data, ordered by
-    (residue degree, lexicographic echelon basis)."""
+    (residue degree, lexicographic echelon basis).
+
+    Each point's primitive idempotent lifts the idempotent e of A_red that
+    splits it off: for any preimage x of e, x^(p^m) with p^m >= dim is
+    idempotent, since (x^(p^m))^2 - x^(p^m) = (x^2 - x)^(p^m) and x^2 - x is
+    nilpotent, and it maps to e^(p^m) = e. So it is nil_frobenius @ x."""
     if alg._spectrum is not None:
         return alg._spectrum
     p = alg.field.p
@@ -583,15 +589,19 @@ def maximal_spectrum(alg: SCAlgebra) -> list[PrimePoint]:
     if len(idems) != fixed.shape[0]:
         raise RuntimeError("idempotent splitting did not reach the full fixed space")
 
+    lifts = np.zeros((len(idems), alg.dim), dtype=np.int64)
+    lifts[:, nil.projection()[1]] = idems  # pi_red is the identity on the free coordinates
+    lifts = matmul(lifts, alg.nil_frobenius.T, p)
+    lifts.setflags(write=False)
     points = []
-    for e in idems:
+    for e, lift in zip(idems, lifts):
         complement = npmod(red.unit - e, p)
         mbar_rows = red.left_mul_matrix(complement).T
         mbar = rref(mbar_rows, p)[0]
         m_ideal = IdealSubspace(alg, preimage(pi_red, mbar, p))
         residue, resmap = quotient_algebra(alg, m_ideal)
         label = _point_label(alg, residue, m_ideal)
-        points.append(PrimePoint(m_ideal, residue.dim, residue, resmap, label))
+        points.append(PrimePoint(m_ideal, residue.dim, residue, resmap, lift, label))
     points.sort(key=PrimePoint.sort_key)
     for i, pt in enumerate(points):
         pt.index = i
@@ -605,20 +615,3 @@ def _point_label(alg: SCAlgebra, residue: SCAlgebra, ideal: IdealSubspace) -> st
     rows = ";".join(",".join(str(int(c)) for c in row) for row in ideal.basis)
     return f"(ker:{rows})"
 
-
-def ideal_is_prime(alg: SCAlgebra, ideal: IdealSubspace) -> bool:
-    """Primality from two ranks, with pi the projection onto A/I, d = dim A/I
-    and F the Frobenius matrix of A. pi(F^m x) = pi(x)^(p^m) with p^m >=
-    dim A >= d, so pi·F^m has rank d iff x -> x^(p^m) is onto, hence
-    injective, on A/I, that is iff A/I is reduced. A reduced A/I is a product of fields, one
-    per dimension of its Frobenius-fixed space, which has dimension
-    d - rank(pi·(F - 1)) since pi is onto; I is prime iff that is 1.
-    Raises ValueError on a subspace that is not an ideal."""
-    if not ideal.is_absorbing():
-        raise ValueError("subspace is not an ideal")
-    p = alg.field.p
-    pi, free = ideal.projection()
-    d = len(free)
-    if d == 0 or rank(matmul(pi, alg.nil_frobenius, p), p) != d:
-        return False
-    return d - rank(matmul(pi, npmod(alg.frobenius - np.eye(alg.dim, dtype=np.int64), p), p), p) == 1

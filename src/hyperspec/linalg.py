@@ -68,10 +68,6 @@ def rref(mat, p: int) -> tuple[np.ndarray, list[int]]:
     return np.array(rows[:r], dtype=np.int64).reshape(r, cols), pivots
 
 
-def rank(mat, p: int) -> int:
-    return rref(mat, p)[0].shape[0]
-
-
 def nullspace(mat, p: int) -> np.ndarray:
     """RREF basis (rows) of {x : mat @ x = 0 mod p}, from one elimination.
 

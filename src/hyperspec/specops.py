@@ -18,7 +18,18 @@ unit of the subalgebra Q_fg(A), and if Ker(phi) contains Ker Q_fg then
 Q_fg(Ker phi) is a proper ideal of Q_fg(A), which holds no unit. Hence
 f*g = V(Ker Q_fg), the points whose kernel contains the forced-zero ideal.
 presentation_oracle is the independent brute-force court of appeal for the
-rank rule; nothing downstream assumes the primality claim for the rank-0 ideal.
+rank rule.
+
+The idempotent lemma reads V(Ker Q_fg) off one vector per point. Split A
+into local factors A_psi, whose units e_psi are the primitive idempotents;
+e_phi is the one outside m_phi = Ker(phi). Then phi is in f*g iff
+Q_fg(e_phi) != 0. Proof: Ker Q_fg = ⊕_psi e_psi·Ker Q_fg. If Q_fg(e_phi) = 0,
+e_phi is in Ker Q_fg but not in m_phi. Otherwise e_phi·Ker Q_fg is a proper
+ideal of the local ring A_phi, so it lies in m_phi·A_phi, and every A_psi
+with psi != phi lies in m_phi; so Ker Q_fg ⊆ m_phi. As A/Ker Q_fg embeds in
+the reduced ring K_f ⊗ K_g, Ker Q_fg = ∩_{phi in f*g} m_phi, which is prime
+iff |f*g| = 1. For étale A, e_phi is the indicator of the Galois orbit phi:
+the paper's orbit description read on idempotents.
 
 The oracle is exact integer arithmetic. Its reachability DP convolves sets of
 tensor states over (F_p)^(n^2) through a transform over a prime field F_q
@@ -33,7 +44,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from itertools import product
 
 import numpy as np
 
@@ -44,7 +54,6 @@ from .algkernel import (
     algebra_generators,
     field_algebra,
     field_roots,
-    ideal_is_prime,
     maximal_spectrum,
 )
 from .gfarith import is_prime, minimal_polynomial, prime_power
@@ -72,10 +81,14 @@ class ForcedValue(enum.Enum):
 
 @dataclass
 class HyperopResult:
-    """f*g with the forced-zero ideal Ker((pi_f ⊗ pi_g)∘Delta): the members
-    are exactly the points whose kernel contains that ideal, because no such
-    kernel holds a forced-one element (see the module docstring). The JSON
-    keeps an always-empty "rejections" list for format compatibility."""
+    """f*g with the forced-zero ideal Ker Q_fg, Q_fg = (pi_f ⊗ pi_g)∘Delta:
+    the points whose kernel contains it, as no such kernel holds a
+    forced-one element. By the idempotent lemma they are the phi with
+    Q_fg(e_phi) != 0: if Q_fg(e_phi) = 0, e_phi lies in Ker Q_fg outside
+    Ker(phi), and otherwise e_phi·Ker Q_fg is a proper ideal of the local
+    factor at phi. So the ideal is the intersection of the members'
+    kernels, prime iff there is one member. The JSON keeps an always-empty
+    "rejections" list for format compatibility."""
 
     f: PrimePoint
     g: PrimePoint
@@ -169,8 +182,8 @@ def _right_leg_matrix(h: HopfData, k: PrimePoint) -> np.ndarray:
 def _residue_stack(h: HopfData) -> tuple[np.ndarray, np.ndarray]:
     """Every point's residue map stacked as rows, in point order, and the
     index of each point's first row. Filling the cache checks the int64
-    bound of the stack's product with an ideal basis (_points_killing),
-    whose inner length is the algebra's dimension."""
+    bound of the stack's products with vectors of the algebra
+    (hyperop_cube, _points_killing), whose inner length is its dimension."""
     if "residue_stack" not in h._cache:
         require_int64_sum(h.dim, 2, h.algebra.field.p, "residue maps times an ideal basis")
         pts = kpoints(h)
@@ -190,15 +203,6 @@ def forced_value(h: HopfData, f: PrimePoint, g: PrimePoint, x) -> ForcedValue:
     return (ForcedValue.ZERO, ForcedValue.ONE, ForcedValue.FREE)[cls]
 
 
-def delta_preimage_ideal(h: HopfData, f: PrimePoint, g: PrimePoint) -> tuple[IdealSubspace, bool]:
-    """The ideal {x : Delta(x) in Ker f ⊗ A + A ⊗ Ker g} = Ker((pi_f⊗pi_g)∘Delta),
-    with a REPORT-ONLY primality verdict from ideal_is_prime's kernel analysis.
-    The ideal is the hyperoperation's forced-zero ideal; the verdict, which
-    the hyperoperation never reads, is computed here only."""
-    ideal = hyperop(h, f, g).forced_zero
-    return ideal, ideal_is_prime(h.algebra, ideal)
-
-
 def _points_killing(h: HopfData, ideal: IdealSubspace) -> list[PrimePoint]:
     """The points whose kernel contains the ideal, in point order, from one
     product of every residue map with the ideal's basis; the zero ideal
@@ -208,33 +212,44 @@ def _points_killing(h: HopfData, ideal: IdealSubspace) -> list[PrimePoint]:
     return [kp for kp, out in zip(kpoints(h), outside) if not out]
 
 
-def hyperop(h: HopfData, f: PrimePoint, g: PrimePoint) -> HyperopResult:
-    """f*g = {phi : forced-zero ideal in Ker phi}, computed once per ordered
-    pair with its forced-zero ideal Ker Q_fg."""
-    cache = h._cache.setdefault("hyperop", {})
-    key = (f.index, g.index)
-    if key in cache:
-        return cache[key]
-    h.ensure_verified()
-    zero_ideal = IdealSubspace(h.algebra, nullspace(_pair_quotient_matrix(h, f, g), h.algebra.field.p))
-    result = HyperopResult(f, g, tuple(_points_killing(h, zero_ideal)), zero_ideal)
-    cache[key] = result
-    return result
-
-
 def hyperop_cube(h: HopfData) -> np.ndarray:
     """The hyperoperation as one read-only boolean cube C[f, g, phi], true
-    iff phi lies in f*g, filled once from hyperop over every ordered pair.
-    Every spectrum law reads it. It is not a HyperTable, which rejects the
-    empty f*g that nonempty_check must be able to report."""
+    iff phi lies in f*g, that is iff Q_fg(e_phi) != 0 for the primitive
+    idempotent e_phi (module docstring). With R the residue stack and
+    Delta(e_phi) an n x n matrix, block (f, g) of R·Delta(e_phi)·R^T is
+    Q_fg(e_phi), so one stacked product fills the cube. Every spectrum law
+    reads it. It is not a HyperTable, which rejects the empty f*g that
+    nonempty_check must be able to report."""
     if "cube" not in h._cache:
         pts = kpoints(h)
-        cube = np.zeros((len(pts),) * 3, dtype=bool)
-        for f, g in product(pts, repeat=2):
-            cube[f.index, g.index, [m.index for m in hyperop(h, f, g).members]] = True
+        stack, starts = _residue_stack(h)
+        n, p, k = h.dim, h.algebra.field.p, len(pts)
+        deltas = matmul(h.delta, np.array([kp.idempotent for kp in pts]).T, p)  # [(i, j), phi]
+        left = matmul(stack, deltas.reshape(n, n * k), p).reshape(len(stack), n, k)  # [a, j, phi]
+        hit = matmul(stack, left, p) != 0  # [a, b, phi]
+        cube = np.logical_or.reduceat(np.logical_or.reduceat(hit, starts, axis=0), starts, axis=1)
         cube.setflags(write=False)
         h._cache["cube"] = cube
     return h._cache["cube"]
+
+
+def hyperop(h: HopfData, f: PrimePoint, g: PrimePoint) -> HyperopResult:
+    """f*g, read from the cube, with its forced-zero ideal Ker Q_fg, the
+    intersection of the members' kernels: the member's own ideal when there
+    is one member, else the kernel of the members' stacked residue maps,
+    computed once per member set."""
+    row = hyperop_cube(h)[f.index, g.index]
+    pts = kpoints(h)
+    members = tuple(pts[i] for i in np.flatnonzero(row))
+    if len(members) == 1:
+        return HyperopResult(f, g, members, members[0].ideal)
+    cache = h._cache.setdefault("forced_zero", {})
+    key = row.tobytes()
+    if key not in cache:
+        stack, _ = _residue_stack(h)
+        rows = np.repeat(row, [kp.degree for kp in pts])
+        cache[key] = IdealSubspace(h.algebra, nullspace(stack[rows], h.algebra.field.p))
+    return HyperopResult(f, g, members, cache[key])
 
 
 def _laws(h: HopfData) -> dict[str, tuple[int, ...] | None]:

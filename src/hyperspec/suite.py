@@ -2,10 +2,10 @@
 with a fixed list so every report has the same shape.
 
 A failing check fails the algebra, except preimage_primality, which is
-report-only by design: the engine records the computed verdict per pair and
-nothing downstream assumes it. Every check after hopf_axioms reads the
-verified Hopf structure, so when the axioms fail those checks are reported
-skipped, with the reason, and not run.
+report-only by design: it lists each pair's forced-zero ideal and whether
+it is prime, which by the idempotent lemma (specops) is |f*g| = 1. Every
+check after hopf_axioms reads the verified Hopf structure, so when the
+axioms fail those checks are reported skipped, with the reason, and not run.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 from . import specops as ops
 from .hopfkernel import HopfData, descent_ideal, parse_builtin
 from .hyperkernel import LawReport
-from .linalg import npmod, require_int64_sum
+from .linalg import matmul, require_int64_sum
 
 DEFAULT_SUITE = ("mu:3:2", "mu:5:4", "addetale:3:1", "addetale:3:2")
 
@@ -43,39 +43,35 @@ def load_algebra(spec: str) -> HopfData:
 
 
 def _kernel_containment(h: HopfData) -> tuple[bool, dict]:
-    """The forced-zero ideal of every pair is an absorbing ideal and is
-    contained in the kernel of every member of f*g."""
+    """Q_fg = (pi_f ⊗ pi_g)∘Delta vanishes on the printed forced-zero ideal
+    I of every pair, by the definition: I lies in Ker Q_fg. I is the
+    intersection of the kernels of the members of f*g, and by the idempotent
+    lemma (specops) Ker Q_fg lies in each of them, so I = Ker Q_fg."""
     p = h.algebra.field.p
-    require_int64_sum(h.dim, 2, p, "residue map times an ideal basis")
+    require_int64_sum(h.dim, 2, p, "pair map times an ideal basis")
     bad = None
     pairs = 0
     for f, g in product(ops.kpoints(h), repeat=2):
         pairs += 1
-        res = ops.hyperop(h, f, g)
-        ideal = res.forced_zero
-        if not ideal.is_absorbing():
-            bad = {"pair": [f.label, g.label], "reason": "forced-zero set is not an ideal"}
-            break
-        for m in res.members:
-            if ideal.dim and npmod(m.resmap @ ideal.basis.T, p).any():
-                bad = {"pair": [f.label, g.label], "member": m.label}
-                break
-        if bad:
+        ideal = ops.hyperop(h, f, g).forced_zero
+        if matmul(ops._pair_quotient_matrix(h, f, g), ideal.basis.T, p).any():
+            bad = {"pair": [f.label, g.label], "reason": "Q_fg does not vanish on the forced-zero ideal"}
             break
     return bad is None, bad or {"pairs": pairs}
 
 
 def _preimage_primality(h: HopfData) -> tuple[None, dict]:
+    """Each pair's forced-zero ideal, prime iff f*g has one member."""
     entries = []
     for f, g in product(ops.kpoints(h), repeat=2):
-        ideal, verdict = ops.delta_preimage_ideal(h, f, g)
-        gen = ideal.generator_poly()
+        res = ops.hyperop(h, f, g)
+        gen = res.forced_zero.generator_poly()
         entries.append(
             {
                 "f": f.label,
                 "g": g.label,
-                "ideal": f"({gen})" if gen is not None else ideal.to_json(),
-                "prime": bool(verdict),
+                "ideal": f"({gen})" if gen is not None else res.forced_zero.to_json(),
+                "prime": len(res.members) == 1,
             }
         )
     return None, {"pairs": entries}

@@ -102,9 +102,10 @@ def nullspace_twopass(mat, p):
 
 
 def ideal_is_prime_by_quotient(alg, ideal):
-    """The quotient-algebra primality test that algkernel.ideal_is_prime
-    replaced, kept as its oracle: build A/I, then I is prime iff A/I is
-    nonzero, its nilradical is zero and its Frobenius-fixed space is a line."""
+    """The quotient-algebra primality test, the oracle for spectrum
+    membership and for the verdict |f*g| = 1: build A/I, then I is prime iff
+    A/I is nonzero, its nilradical is zero and its Frobenius-fixed space is
+    a line."""
     if ideal.is_unit_ideal():
         return False
     quo, _ = quotient_algebra(alg, ideal)

@@ -9,7 +9,6 @@ from hyperspec.algkernel import (
     SCAlgebra,
     algebra_generators,
     field_algebra,
-    ideal_is_prime,
     is_algebra_hom,
     maximal_spectrum,
     monogenic_algebra,
@@ -148,7 +147,7 @@ class TestSpectrum:
     def test_every_point_is_prime(self):
         for alg in (t9_minus_t(), monogenic_algebra(F5, P("T^4-1", F5))):
             for pt in maximal_spectrum(alg):
-                assert ideal_is_prime(alg, pt.ideal)
+                assert ideal_is_prime_by_quotient(alg, pt.ideal)
 
     def test_pairwise_comaximal(self):
         alg = t9_minus_t()
@@ -214,7 +213,17 @@ def monic_divisors(poly):
     return divisors
 
 
+def in_spectrum(alg, ideal):
+    """Primality as spectrum membership: the primes of a finite-dimensional
+    algebra are its maximal ideals, which maximal_spectrum lists."""
+    return ideal in {pt.ideal for pt in maximal_spectrum(alg)}
+
+
 class TestIdealIsPrime:
+    """Spectrum membership against two primality oracles that share no code
+    with maximal_spectrum: a zero-divisor scan of A/I and the Frobenius data
+    of the quotient algebra."""
+
     @pytest.mark.parametrize(
         "field, text, count",
         [(F3, "T^9-T", 64), (F3, "T^3", 4), (F3, "T^6+T^4+2T^2+2", 12), (F5, "T^4-1", 16)],
@@ -227,41 +236,50 @@ class TestIdealIsPrime:
         assert len(divisors) == count
         for d in divisors:
             ideal = IdealSubspace.from_poly(alg, d)
-            assert ideal_is_prime(alg, ideal) == zero_divisor_free(alg, ideal), str(d)
+            assert in_spectrum(alg, ideal) == zero_divisor_free(alg, ideal), str(d)
 
     def test_agrees_with_zero_divisor_scan_on_preimage_ideals(self, suite_algebras):
+        # the forced-zero ideal of a pair is prime iff f*g has one member
         for h in suite_algebras:
             for f, g in product(ops.kpoints(h), repeat=2):
-                ideal, prime = ops.delta_preimage_ideal(h, f, g)
-                assert prime == zero_divisor_free(h.algebra, ideal), (h.name, f.label, g.label)
+                res = ops.hyperop(h, f, g)
+                prime = zero_divisor_free(h.algebra, res.forced_zero)
+                assert (len(res.members) == 1) == prime == in_spectrum(h.algebra, res.forced_zero), (
+                    h.name, f.label, g.label,
+                )
 
     def test_t_in_t3_minus_t(self):
         alg = monogenic_algebra(F3, P("T^3-T"))
-        assert ideal_is_prime(alg, IdealSubspace.from_poly(alg, P("T")))
+        ideal = IdealSubspace.from_poly(alg, P("T"))
+        assert in_spectrum(alg, ideal) and ideal_is_prime_by_quotient(alg, ideal)
 
     def test_t3_plus_t_not_prime(self):
         alg = t9_minus_t()
-        assert not ideal_is_prime(alg, IdealSubspace.from_poly(alg, P("T^3+T")))
+        ideal = IdealSubspace.from_poly(alg, P("T^3+T"))
+        assert not in_spectrum(alg, ideal) and not ideal_is_prime_by_quotient(alg, ideal)
 
     def test_zero_ideal_in_field(self):
         alg = monogenic_algebra(F3, P("T^2+1"))
-        assert ideal_is_prime(alg, IdealSubspace(alg, np.zeros((0, 2), dtype=np.int64)))
+        ideal = IdealSubspace(alg, np.zeros((0, 2), dtype=np.int64))
+        assert in_spectrum(alg, ideal) and ideal_is_prime_by_quotient(alg, ideal)
 
     def test_unit_ideal_is_not_prime(self):
         alg = monogenic_algebra(F3, P("T^2+1"))
-        assert not ideal_is_prime(alg, IdealSubspace.from_poly(alg, FpPoly.one(F3)))
+        ideal = IdealSubspace.from_poly(alg, FpPoly.one(F3))
+        assert not in_spectrum(alg, ideal) and not ideal_is_prime_by_quotient(alg, ideal)
 
     def test_rejects_subspace_that_is_not_an_ideal(self):
         alg = t9_minus_t()
+        sub = IdealSubspace(alg, np.eye(9, dtype=np.int64)[1:2])
+        assert not in_spectrum(alg, sub)
         with pytest.raises(ValueError, match="not an ideal"):
-            ideal_is_prime(alg, IdealSubspace(alg, np.eye(9, dtype=np.int64)[1:2]))
+            ideal_is_prime_by_quotient(alg, sub)
 
     @pytest.mark.parametrize("spec", ["mu:3:6", "mu:3:9", "mu:5:8", "addetale:3:3"])
     def test_frobenius_ranks_match_quotient_oracle(self, spec):
         """Ideals from one or two random generators q(t)^k, q monic of degree
         at most 3 and k <= 2, against the quotient-algebra test. In the
-        non-reduced mu:3:6 and mu:3:9 some quotients have nilpotents, so the
-        rank of pi·F^m decides those verdicts."""
+        non-reduced mu:3:6 and mu:3:9 some quotients have nilpotents."""
         alg = parse_builtin(spec).algebra
         field = alg.field
         p = field.p
@@ -273,7 +291,7 @@ class TestIdealIsPrime:
                 q = FpPoly.make(field, [int(c) for c in rng.integers(0, p, size=int(rng.integers(1, 4)))] + [1])
                 gens.append(alg.power(alg.element_from_poly(q), int(rng.integers(1, 3))))
             ideal = IdealSubspace.from_generators(alg, gens)
-            prime = ideal_is_prime(alg, ideal)
+            prime = in_spectrum(alg, ideal)
             assert prime == ideal_is_prime_by_quotient(alg, ideal), [g.tolist() for g in gens]
             if ideal.is_unit_ideal():
                 continue
@@ -293,7 +311,6 @@ class TestIdealSubspace:
         reduce_rows_ = algkernel.reduce_rows
         monkeypatch.setattr(algkernel, "reduce_rows", lambda *args: calls.append(1) or reduce_rows_(*args))
         assert ideal.is_absorbing() and ideal.is_absorbing()
-        assert ideal_is_prime(alg, ideal)
         assert len(calls) == 1
 
     def test_absorbing_check(self):
@@ -409,7 +426,7 @@ class TestBatchedKernelsAgainstLoops:
         seen = 0
         for h in suite_algebras + [mu1312]:
             ideals = [pt.ideal for pt in maximal_spectrum(h.algebra)]
-            ideals += [ops.delta_preimage_ideal(h, f, g)[0] for f, g in product(ops.kpoints(h), repeat=2)]
+            ideals += [ops.hyperop(h, f, g).forced_zero for f, g in product(ops.kpoints(h), repeat=2)]
             for ideal in ideals:
                 assert ideal.generator_poly() == gcd_cascade(ideal)
                 seen += 1

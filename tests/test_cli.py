@@ -805,25 +805,22 @@ class TestRecordOnce:
         assert len({id(h) for h in calls}) == len(calls)
 
     def test_preimage_once_per_pair(self, monkeypatch):
-        from hyperspec import algkernel, linalg, specops, suite
+        """Filling the cube takes no nullspace, a pair with one member takes
+        none (its forced-zero ideal is the member's kernel), and each member
+        set with several members takes exactly one, however many pairs share
+        it. A full suite takes no nullspace of any pair matrix Q_fg."""
+        from hyperspec import linalg, specops, suite
 
-        kernels, verdicts, loaded = [], [], []
-        originals = {"nullspace": linalg.nullspace, "ideal_is_prime": algkernel.ideal_is_prime}
+        kernels, loaded = [], []
+        original = linalg.nullspace
 
         def nullspace(mat, p):
             kernels.append(mat)
-            return originals["nullspace"](mat, p)
-
-        def ideal_is_prime(alg, ideal):
-            verdicts.append(alg)
-            return originals["ideal_is_prime"](alg, ideal)
+            return original(mat, p)
 
         for name, module in list(sys.modules.items()):
-            if name.split(".")[0] != "hyperspec":
-                continue
-            for attr, wrapper in (("nullspace", nullspace), ("ideal_is_prime", ideal_is_prime)):
-                if getattr(module, attr, None) is originals[attr]:
-                    monkeypatch.setattr(module, attr, wrapper)
+            if name.split(".")[0] == "hyperspec" and getattr(module, "nullspace", None) is original:
+                monkeypatch.setattr(module, "nullspace", nullspace)
         load = suite.load_algebra
 
         def load_and_keep(spec):
@@ -832,21 +829,27 @@ class TestRecordOnce:
 
         monkeypatch.setattr(suite, "load_algebra", load_and_keep)
 
-        # the hyperoperation alone needs the forced-zero ideal, not its primality
-        h = load("mu:5:4")
-        for f, g in product(specops.kpoints(h), repeat=2):
-            specops.hyperop(h, f, g)
-        assert verdicts == []
+        h = load("addetale:3:2")
+        pts = specops.kpoints(h)  # the spectrum takes nullspaces of its own
+        kernels.clear()
+        specops.hyperop_cube(h)
+        assert kernels == []
+        seen = set()
+        for f, g in product(pts, repeat=2):
+            before = len(kernels)
+            members = tuple(m.index for m in specops.hyperop(h, f, g).members)
+            new_set = len(members) > 1 and members not in seen
+            assert len(kernels) - before == new_set, (f.label, g.label)
+            if len(members) > 1:
+                seen.add(members)
+        assert len(seen) > 1  # addetale:3:2 has several member sets with two members
 
         result = run_suite(["mu:3:2", "addetale:3:2"])
         assert result["ok"] is True
         for h in loaded:
             pairs = h._cache["pair_quotient"]
             assert len(pairs) == len(specops.kpoints(h)) ** 2
-            for q in pairs.values():
-                assert sum(mat is q for mat in kernels) == 1
-        # one report-only verdict per ordered pair, in the preimage_primality check
-        assert [alg.dim for alg in verdicts] == [h.algebra.dim for h in loaded for _ in h._cache["pair_quotient"]]
+            assert not any(mat is q for q in pairs.values() for mat in kernels)
 
 
 class TestLineGolden:
@@ -897,13 +900,16 @@ class TestVerifyGolden:
 class TestHyperopPairGolden:
     # `hyperop --pair` JSON, with the forced-zero ideal, pinned by the SHA-256
     # of its stdout: two pairs of addetale:3:2 (degree-2 points, two members
-    # each) and both orders of one pair of F_3^{S_3}, which is not
-    # cocommutative, named by the index of each point in the spectrum.
+    # each), both orders of one pair of F_3^{S_3}, which is not
+    # cocommutative, named by the index of each point in the spectrum, and
+    # one pair of the non-reduced mu:3:12 (two members, forced-zero ideal of
+    # dimension 10).
     RUNS = {
         ("addetale:3:2", "(T^2+1)", "(T^2+1)"): "57cc73e08617e2897da95728503830e5e5060ef1198d3cc65b0ffeff88d3e8dc",
         ("addetale:3:2", "(T^2+1)", "(T^2+T+2)"): "9e127ed13c3038809115efb2f7e6c170ae91f2150a854e25ebea020cf0510a64",
         ("fs3", 1, 3): "37c821d8b7be04315c5d203dcd86923bac83f44d4d971e3bb45e969a7d756c3b",
         ("fs3", 3, 1): "1f0277f862361972015146daef1298e5410d6169f19b0848877ea96c76e38b84",
+        ("mu:3:12", "(T^2+1)", "(T^2+1)"): "6c2034e7016e67493b3247fb53e83a0e64d1a8928c77e4c0cd49004a071a8fbe",
     }
 
     @pytest.mark.parametrize("spec, f, g", list(RUNS))

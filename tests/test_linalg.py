@@ -9,6 +9,10 @@ from hyperspec import linalg
 PRIMES = [3, 5, 7]
 
 
+def rank(mat, p):
+    return linalg.rref(mat, p)[0].shape[0]
+
+
 def rand_matrix(draw, p):
     rows = draw(st.integers(1, 5))
     cols = draw(st.integers(1, 5))
@@ -93,7 +97,7 @@ def test_rref_reduces_unreduced_entries():
 def test_nullspace_vectors_are_killed(pm):
     p, m = pm
     ns = linalg.nullspace(m, p)
-    assert ns.shape[0] == m.shape[1] - linalg.rank(m, p)
+    assert ns.shape[0] == m.shape[1] - rank(m, p)
     if ns.shape[0]:
         assert not (m @ ns.T % p).any()
 
@@ -152,7 +156,7 @@ def test_batch_rank_class_matches_gauss(p, a, b, data):
     flat = data.draw(st.lists(st.integers(0, p - 1), min_size=a * b, max_size=a * b))
     m = np.array(flat, dtype=np.int64).reshape(1, a, b)
     cls = int(linalg.batch_tensor_rank_class(m, p)[0])
-    true_rank = linalg.rank(m[0], p)
+    true_rank = rank(m[0], p)
     assert cls == min(true_rank, 2)
 
 
@@ -161,7 +165,7 @@ def test_batch_rank_class_matches_gauss(p, a, b, data):
 def test_span_rank_classes_matches_gauss(p, k, a, b, data):
     flat = data.draw(st.lists(st.integers(0, p - 1), min_size=k * a * b, max_size=k * a * b))
     span = np.array(flat, dtype=np.int64).reshape(k, a * b)
-    if linalg.rank(span, p) < k:
+    if rank(span, p) < k:
         with pytest.raises(RuntimeError, match="dependent"):
             span_rank_classes(span, a, b, p)
         return
@@ -169,7 +173,7 @@ def test_span_rank_classes_matches_gauss(p, k, a, b, data):
     assert (coeffs == linalg.enumerate_vectors(p, k)).all()
     for c, got in zip(coeffs, cls):
         combo = sum((int(ci) * row for ci, row in zip(c, span)), np.zeros(a * b, dtype=np.int64)) % p
-        assert got == min(linalg.rank(combo.reshape(a, b), p), 2)
+        assert got == min(rank(combo.reshape(a, b), p), 2)
 
 
 def _kernel_test_matrices(p, rng, count):

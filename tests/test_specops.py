@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import random
@@ -12,6 +11,7 @@ from conftest import (
     classical_comparison_by_homs,
     classical_points,
     descent_by_pairs,
+    ideal_is_prime_by_quotient,
     presentation_value_sets_naive,
     span_rank_classes,
     triple_ideal_points_by_rowspan,
@@ -21,7 +21,7 @@ from conftest import (
 
 from hyperspec import hopfkernel, hyperkernel
 from hyperspec import specops as ops
-from hyperspec.algkernel import IdealSubspace, field_algebra, maximal_spectrum
+from hyperspec.algkernel import IdealSubspace, field_algebra, maximal_spectrum, nilradical
 from hyperspec.gfarith import parse_poly, prime_power
 from hyperspec.hopfkernel import HopfData, descent_ideal, hopf_quotient, iterated_coproduct, parse_builtin
 from hyperspec.linalg import batch_tensor_rank_class, enumerate_vectors, matmul, npmod, nullspace, reduce_rows
@@ -145,29 +145,31 @@ class TestForcedValue:
 
 
 class TestDeltaPreimage:
+    """The forced-zero ideal {x : Delta(x) in Ker f ⊗ A + A ⊗ Ker g} of a
+    pair and its primality, |f*g| = 1."""
+
     def test_mu4_example(self, mu54):
         f = ops.point_by_label(mu54, "(T-2)")
         g = ops.point_by_label(mu54, "(T-3)")
-        ideal, prime = ops.delta_preimage_ideal(mu54, f, g)
-        assert str(ideal.generator_poly()) == "T-1"
-        assert prime
+        res = ops.hyperop(mu54, f, g)
+        assert str(res.forced_zero.generator_poly()) == "T-1"
+        assert len(res.members) == 1
 
     def test_additive_linear_example(self, ae32):
         b = ops.point_by_label(ae32, "(T-1)")
-        ideal, prime = ops.delta_preimage_ideal(ae32, b, b)
-        assert str(ideal.generator_poly()) == "T-2"
-        assert prime
+        res = ops.hyperop(ae32, b, b)
+        assert str(res.forced_zero.generator_poly()) == "T-2"
+        assert len(res.members) == 1
 
     def test_additive_quadratic_example_not_prime(self, ae32):
         d = ops.point_by_label(ae32, "(T^2+1)")
-        ideal, prime = ops.delta_preimage_ideal(ae32, d, d)
-        assert str(ideal.generator_poly()) == "T^3+T"
-        assert prime is False  # the REPORT-ONLY verdict: a genuine non-prime preimage
+        res = ops.hyperop(ae32, d, d)
+        assert str(res.forced_zero.generator_poly()) == "T^3+T"
+        assert len(res.members) == 2  # a genuine non-prime preimage
 
     def test_preimage_is_absorbing_ideal(self, ae32):
         for f, g in product(ops.kpoints(ae32), repeat=2):
-            ideal, _ = ops.delta_preimage_ideal(ae32, f, g)
-            assert ideal.is_absorbing()
+            assert ops.hyperop(ae32, f, g).forced_zero.is_absorbing()
 
 
 class TestHyperop:
@@ -364,26 +366,24 @@ class TestWeakAssocFromMemberSets:
 
 
 def mutated_caches(h, count, seed):
-    """Yield `count` times, each time with h's hyperop cache holding one to
-    three pairs whose members are replaced by a random subset of the points
-    (in point order, possibly empty), and with the cube read from it
-    dropped. The true cache is restored at the end."""
+    """Yield `count` times, each time with h's hyperoperation cube holding
+    one to three pairs whose members are replaced by a random subset of the
+    points (possibly empty), and with the laws read from it dropped. hyperop
+    reads its members from the cube, so the per-pair oracles see the same
+    mutation. The true cube is restored at the end."""
     pts = ops.kpoints(h)
-    for f, g in product(pts, repeat=2):
-        ops.hyperop(h, f, g)
-    true = h._cache["hyperop"]
+    true = ops.hyperop_cube(h)
     rng = random.Random(seed)
     for _ in range(count):
-        cache = dict(true)
+        cube = true.copy()
         for _ in range(rng.randint(1, 3)):
-            key = rng.choice(sorted(cache))
-            cache[key] = dataclasses.replace(cache[key], members=tuple(kp for kp in pts if rng.random() < 0.4))
-        h._cache["hyperop"] = cache
-        h._cache.pop("cube", None)
+            f, g = rng.randrange(len(pts)), rng.randrange(len(pts))
+            cube[f, g] = [rng.random() < 0.4 for _ in pts]
+        cube.setflags(write=False)
+        h._cache["cube"] = cube
         h._cache.pop("laws", None)
         yield
-    h._cache["hyperop"] = true
-    h._cache.pop("cube", None)
+    h._cache["cube"] = true
     h._cache.pop("laws", None)
 
 
@@ -843,9 +843,12 @@ def forced_one_representatives(h, f, g, zero_ideal):
     return ones
 
 
-# the default verify suite, F_3^{S_3}, and the hyperop algebras of the
-# benchmark's small-queries workload
+# the default verify suite, F_3^{S_3}, the hyperop algebras of the
+# benchmark's small-queries workload, and non-reduced algebras, where the
+# primitive idempotent e_phi differs from its image in A_red
 LEMMA_ALGEBRAS = ["mu:3:2", "mu:5:4", "addetale:3:1", "addetale:3:2", "fs3", "mu:7:6", "mu:3:8", "mu:5:8", "mu:3:10"]
+NON_REDUCED = ["mu:3:6", "mu:3:9", "mu:3:12", "mu:5:10", "mu:7:14", "mu:3:24", "mu:7:28"]
+LEMMA_ALGEBRAS += NON_REDUCED
 
 
 class TestForcedZeroLemma:
@@ -869,6 +872,28 @@ class TestForcedZeroLemma:
             for m in res.members:
                 assert matmul(ones, m.resmap.T, p).any(axis=1).all(), (name, f.label, g.label, m.label)
             assert res.to_json()["rejections"] == []
+
+    @pytest.mark.parametrize("name", NON_REDUCED)
+    def test_primitive_idempotents(self, name):
+        """The stored e_phi are orthogonal idempotents summing to 1, e_phi
+        maps to 1 at phi and to 0 at every other point, and each pair's
+        Ker Q_fg is prime iff f*g has one member."""
+        h = parse_builtin(name)
+        alg = h.algebra
+        p = alg.field.p
+        assert nilradical(alg).dim > 0
+        pts = ops.kpoints(h)
+        idems = np.array([kp.idempotent for kp in pts])
+        assert (npmod(idems.sum(axis=0), p) == alg.unit).all()
+        for phi, psi in product(pts, repeat=2):
+            prod = alg.mul_vec(phi.idempotent, psi.idempotent)
+            assert (prod == (phi.idempotent if phi is psi else 0)).all(), (name, phi.label, psi.label)
+            image = matmul(psi.resmap, phi.idempotent, p)
+            assert (image == (psi.residue.unit if phi is psi else 0)).all(), (name, phi.label, psi.label)
+        for f, g in product(pts, repeat=2):
+            kernel = IdealSubspace(alg, nullspace(pair_matrix(h, f, g), p))
+            prime = ideal_is_prime_by_quotient(alg, kernel)
+            assert (len(ops.hyperop(h, f, g).members) == 1) == prime, (name, f.label, g.label)
 
     def test_representatives_match_whole_algebra_scan(self, request):
         # the representatives scan against a scan of every element of A
