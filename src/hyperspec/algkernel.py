@@ -2,8 +2,9 @@
 
 Ideals are echelonized subspaces, so equality of ideals is equality of stored
 bases. Primes of a finite-dimensional algebra are exactly the maximal ideals;
-the spectrum is enumerated by splitting the reduced quotient along its
-Frobenius fixed space, which is exact in characteristic p.
+the spectrum is enumerated by splitting the algebra's Frobenius fixed space,
+which the primitive idempotents span, so each point comes with its own
+idempotent; this is exact in characteristic p.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .linalg import (
     matmul,
     npmod,
     nullspace,
-    preimage,
     reduce_rows,
     require_int64_sum,
     rref,
@@ -120,7 +120,9 @@ class SCAlgebra:
     @cached_property
     def nil_frobenius(self) -> np.ndarray:
         """Matrix of x -> x^(p^m) for the least m >= 1 with p^m >= dim, whose
-        kernel is the nilradical: a nilpotent x has x^dim = 0."""
+        kernel is the nilradical: a nilpotent x has x^dim = 0. Composed with
+        multiplication by a primitive idempotent e, its kernel is the
+        maximal ideal of the point outside which e lies."""
         p = self.field.p
         total, m = self.frobenius, 1
         while p**m < self.dim:
@@ -525,8 +527,9 @@ class PrimePoint:
     """A maximal (= prime) ideal with its residue-field data: the K-valued
     point of the spectrum, with resmap the (degree x dim) matrix of the
     residue map A -> A/ideal, and idempotent the primitive idempotent of A
-    outside the ideal, the unit of the local factor of A at this point.
-    Points compare by identity; the spectrum holds one object per point."""
+    outside the ideal, the unit of the local factor of A at this point: the
+    ideal is the x with idempotent * x nilpotent. Points compare by
+    identity; the spectrum holds one object per point."""
 
     ideal: IdealSubspace
     degree: int
@@ -554,23 +557,22 @@ def maximal_spectrum(alg: SCAlgebra) -> list[PrimePoint]:
     """All maximal ideals with residue data, ordered by
     (residue degree, lexicographic echelon basis).
 
-    Each point's primitive idempotent lifts the idempotent e of A_red that
-    splits it off: for any preimage x of e, x^(p^m) with p^m >= dim is
-    idempotent, since (x^(p^m))^2 - x^(p^m) = (x^2 - x)^(p^m) and x^2 - x is
-    nilpotent, and it maps to e^(p^m) = e. So it is nil_frobenius @ x."""
+    Ker(x -> x^p - x) is spanned by the primitive idempotents of A: in a
+    local factor, x^p = x makes x = a + n with a in F_p and n nilpotent, and
+    then n^p = n forces n = 0. So splitting that space returns each e_phi
+    itself, and m_phi = {x : e_phi x nilpotent} is the kernel of
+    x -> e_phi x^(p^m) = (e_phi x)^(p^m), that is of L_(e_phi) @ nil_frobenius."""
     if alg._spectrum is not None:
         return alg._spectrum
     p = alg.field.p
-    nil = nilradical(alg)
-    red, pi_red = quotient_algebra(alg, nil)
-    fixed = nullspace(npmod(red.frobenius - np.eye(red.dim, dtype=np.int64), p), p)
+    fixed = nullspace(npmod(alg.frobenius - np.eye(alg.dim, dtype=np.int64), p), p)
 
-    idems = [red.unit.copy()]
+    idems = [alg.unit.copy()]
     for u in fixed:
         refined = []
         for e in idems:
-            ue = red.mul_vec(u, e)
-            m = minimal_polynomial(ue, red, unit=e)
+            ue = alg.mul_vec(u, e)
+            m = minimal_polynomial(ue, alg, unit=e)
             roots = [a for a in range(p) if m.eval(a) == 0]
             if len(roots) != m.degree:
                 raise RuntimeError("Frobenius-fixed element has a non-split minimal polynomial")
@@ -582,26 +584,20 @@ def maximal_spectrum(alg: SCAlgebra) -> list[PrimePoint]:
                 for b in roots:
                     if b == a:
                         continue
-                    f = red.mul_vec(f, npmod(ue - b * e, p))
+                    f = alg.mul_vec(f, npmod(ue - b * e, p))
                     f = npmod(f * alg.field.inv(a - b), p)
                 refined.append(f)
         idems = refined
     if len(idems) != fixed.shape[0]:
         raise RuntimeError("idempotent splitting did not reach the full fixed space")
 
-    lifts = np.zeros((len(idems), alg.dim), dtype=np.int64)
-    lifts[:, nil.projection()[1]] = idems  # pi_red is the identity on the free coordinates
-    lifts = matmul(lifts, alg.nil_frobenius.T, p)
-    lifts.setflags(write=False)
     points = []
-    for e, lift in zip(idems, lifts):
-        complement = npmod(red.unit - e, p)
-        mbar_rows = red.left_mul_matrix(complement).T
-        mbar = rref(mbar_rows, p)[0]
-        m_ideal = IdealSubspace(alg, preimage(pi_red, mbar, p))
+    for e in idems:
+        e.setflags(write=False)
+        m_ideal = IdealSubspace(alg, nullspace(matmul(alg.left_mul_matrix(e), alg.nil_frobenius, p), p))
         residue, resmap = quotient_algebra(alg, m_ideal)
         label = _point_label(alg, residue, m_ideal)
-        points.append(PrimePoint(m_ideal, residue.dim, residue, resmap, lift, label))
+        points.append(PrimePoint(m_ideal, residue.dim, residue, resmap, e, label))
     points.sort(key=PrimePoint.sort_key)
     for i, pt in enumerate(points):
         pt.index = i

@@ -31,6 +31,12 @@ the reduced ring K_f ⊗ K_g, Ker Q_fg = ∩_{phi in f*g} m_phi, which is prime
 iff |f*g| = 1. For étale A, e_phi is the indicator of the Galois orbit phi:
 the paper's orbit description read on idempotents.
 
+The same split gives the points of any ideal I: V(I) = {phi : e_phi not in
+I}. If e_phi is in I, I is not in m_phi. Otherwise e_phi·I is a proper
+ideal of the local ring A_phi and every other A_psi lies in m_phi, so
+I = ⊕_psi e_psi·I lies in m_phi. So the points of the kernel of an algebra
+map T are the phi with T(e_phi) != 0.
+
 The oracle is exact integer arithmetic. Its reachability DP convolves sets of
 tensor states over (F_p)^(n^2) through a transform over a prime field F_q
 with q > 2 * p^(n^2): a step counts at most 2 * p^(n^2) ways to reach a
@@ -63,7 +69,6 @@ from .linalg import (
     batch_tensor_rank_class,
     enumerate_vectors,
     matmul,
-    npmod,
     nullspace,
     preimage,
     require_int64_sum,
@@ -183,9 +188,9 @@ def _residue_stack(h: HopfData) -> tuple[np.ndarray, np.ndarray]:
     """Every point's residue map stacked as rows, in point order, and the
     index of each point's first row. Filling the cache checks the int64
     bound of the stack's products with vectors of the algebra
-    (hyperop_cube, _points_killing), whose inner length is its dimension."""
+    (hyperop_cube), whose inner length is its dimension."""
     if "residue_stack" not in h._cache:
-        require_int64_sum(h.dim, 2, h.algebra.field.p, "residue maps times an ideal basis")
+        require_int64_sum(h.dim, 2, h.algebra.field.p, "residue maps times vectors of the algebra")
         pts = kpoints(h)
         stack = np.vstack([kp.resmap for kp in pts])
         starts = np.cumsum([0] + [kp.degree for kp in pts[:-1]])
@@ -201,15 +206,6 @@ def forced_value(h: HopfData, f: PrimePoint, g: PrimePoint, x) -> ForcedValue:
     t = matmul(q, np.asarray(x, dtype=np.int64), p).reshape(1, f.degree, g.degree)
     cls = int(batch_tensor_rank_class(t, p)[0])
     return (ForcedValue.ZERO, ForcedValue.ONE, ForcedValue.FREE)[cls]
-
-
-def _points_killing(h: HopfData, ideal: IdealSubspace) -> list[PrimePoint]:
-    """The points whose kernel contains the ideal, in point order, from one
-    product of every residue map with the ideal's basis; the zero ideal
-    (no basis rows) is killed by every point."""
-    stack, starts = _residue_stack(h)
-    outside = np.logical_or.reduceat(npmod(stack @ ideal.basis.T, h.algebra.field.p).any(axis=1), starts)
-    return [kp for kp, out in zip(kpoints(h), outside) if not out]
 
 
 def hyperop_cube(h: HopfData) -> np.ndarray:
@@ -311,8 +307,9 @@ def reversibility_check(h: HopfData) -> LawReport:
 
 @dataclass
 class WeakAssocResult:
-    """(f*g)*k, f*(g*k) and their intersection. The triple forced-zero ideal
-    and the points killing it are computed on first access only."""
+    """(f*g)*k, f*(g*k) and their intersection. The triple map, the points
+    killing its kernel and that kernel are computed on first access only;
+    the points are read without the kernel."""
 
     h: HopfData = dc_field(repr=False, compare=False)
     f: PrimePoint
@@ -336,8 +333,12 @@ class WeakAssocResult:
 
     @cached_property
     def triple_ideal_points(self) -> tuple[PrimePoint, ...]:
-        """The points killing the triple forced-zero ideal."""
-        return tuple(_points_killing(self.h, self.triple_ideal))
+        """The points killing the triple forced-zero ideal Ker T, in point
+        order: the phi with T(e_phi) != 0 (module docstring)."""
+        pts = kpoints(self.h)
+        idems = np.array([kp.idempotent for kp in pts]).T
+        hit = matmul(self.triple_map, idems, self.h.algebra.field.p).any(axis=0)
+        return tuple(kp for kp, out in zip(pts, hit) if out)
 
     @cached_property
     def triple_point_in_intersection(self) -> bool:
@@ -384,14 +385,15 @@ def weak_assoc_all(h: HopfData) -> LawReport:
 def descend_and_compare(h: HopfData, ideal: IdealSubspace) -> LawReport:
     """Descent along a Hopf-ideal quotient B = A/I: the tilde map
     Ker(psi) -> pi^(-1)(Ker psi) embeds Spec B into the locus X_I of points
-    killing I, and tilde(psi1 ⋆ psi2) = tilde(psi1) * tilde(psi2). Raises
-    ValueError, from hopf_quotient, unless I is a Hopf ideal."""
+    killing I, the phi with e_phi not in I, and tilde(psi1 ⋆ psi2) =
+    tilde(psi1) * tilde(psi2). Raises ValueError, from hopf_quotient,
+    unless I is a Hopf ideal."""
     rep = LawReport()
     hq, pi = hopf_quotient(h, ideal)
     p = h.algebra.field.p
     pts_b = kpoints(hq)
 
-    fixed = _points_killing(h, ideal)
+    fixed = [kp for kp in kpoints(h) if not ideal.contains_vector(kp.idempotent)]
     fixed_ids = frozenset(kp.index for kp in fixed)
     cube = hyperop_cube(h)
 

@@ -7,7 +7,10 @@ import pytest
 
 from hyperspec import specops as ops
 from hyperspec.algkernel import (
+    IdealSubspace,
+    PrimePoint,
     SCAlgebra,
+    _point_label,
     algebra_generators,
     field_algebra,
     field_roots,
@@ -113,6 +116,70 @@ def ideal_is_prime_by_quotient(alg, ideal):
         return False
     p = alg.field.p
     return nullspace_twopass(npmod(quo.frobenius - np.eye(quo.dim, dtype=np.int64), p), p).shape[0] == 1
+
+
+def maximal_spectrum_by_reduced_quotient(alg):
+    """maximal_spectrum as it was before it split A itself, kept as its
+    oracle: split the reduced quotient A_red along its Frobenius fixed
+    space, take each maximal ideal as the preimage of one of A_red, and lift
+    each idempotent e of A_red to nil_frobenius @ x, x any preimage of e.
+    Returns fresh points and leaves alg's cached spectrum alone."""
+    p = alg.field.p
+    nil = nilradical(alg)
+    red, pi_red = quotient_algebra(alg, nil)
+    fixed = nullspace(npmod(red.frobenius - np.eye(red.dim, dtype=np.int64), p), p)
+
+    idems = [red.unit.copy()]
+    for u in fixed:
+        refined = []
+        for e in idems:
+            ue = red.mul_vec(u, e)
+            m = minimal_polynomial(ue, red, unit=e)
+            roots = [a for a in range(p) if m.eval(a) == 0]
+            assert len(roots) == m.degree, "Frobenius-fixed element has a non-split minimal polynomial"
+            if len(roots) <= 1:
+                refined.append(e)
+                continue
+            for a in roots:
+                f = e.copy()
+                for b in roots:
+                    if b == a:
+                        continue
+                    f = red.mul_vec(f, npmod(ue - b * e, p))
+                    f = npmod(f * alg.field.inv(a - b), p)
+                refined.append(f)
+        idems = refined
+    assert len(idems) == fixed.shape[0], "idempotent splitting did not reach the full fixed space"
+
+    lifts = np.zeros((len(idems), alg.dim), dtype=np.int64)
+    lifts[:, nil.projection()[1]] = idems  # pi_red is the identity on the free coordinates
+    lifts = matmul(lifts, alg.nil_frobenius.T, p)
+    points = []
+    for e, lift in zip(idems, lifts):
+        mbar = rref(red.left_mul_matrix(npmod(red.unit - e, p)).T, p)[0]
+        m_ideal = IdealSubspace(alg, preimage(pi_red, mbar, p))
+        residue, resmap = quotient_algebra(alg, m_ideal)
+        points.append(PrimePoint(m_ideal, residue.dim, residue, resmap, lift, _point_label(alg, residue, m_ideal)))
+    points.sort(key=PrimePoint.sort_key)
+    for i, pt in enumerate(points):
+        pt.index = i
+    return points
+
+
+def spectrum_fields(points):
+    """Every field of each point, in point order, as plain data."""
+    return [
+        (pt.index, pt.label, pt.degree, pt.ideal.to_json(), pt.residue.to_json(), pt.resmap.tolist(), pt.idempotent.tolist())
+        for pt in points
+    ]
+
+
+# the default verify suite, F_3^{S_3}, the hyperop algebras of the
+# benchmark's small-queries workload, and non-reduced algebras, where the
+# primitive idempotent e_phi is not the only preimage of its image in A_red
+LEMMA_ALGEBRAS = ["mu:3:2", "mu:5:4", "addetale:3:1", "addetale:3:2", "fs3", "mu:7:6", "mu:3:8", "mu:5:8", "mu:3:10"]
+NON_REDUCED = ["mu:3:6", "mu:3:9", "mu:3:12", "mu:5:10", "mu:7:14", "mu:3:24", "mu:7:28"]
+LEMMA_ALGEBRAS += NON_REDUCED
 
 
 def assoc_sides_einsum(cube):

@@ -17,10 +17,17 @@ from hyperspec.algkernel import (
     tensor_algebra,
 )
 from hyperspec.gfarith import PrimeField, FpPoly, factor, minimal_polynomial, parse_poly
-from conftest import ideal_is_prime_by_quotient
+from conftest import (
+    LEMMA_ALGEBRAS,
+    NON_REDUCED,
+    ideal_is_prime_by_quotient,
+    maximal_spectrum_by_reduced_quotient,
+    nullspace_twopass,
+    spectrum_fields,
+)
 from hyperspec import algkernel
 from hyperspec.hopfkernel import descent_ideal, parse_builtin
-from hyperspec.linalg import enumerate_vectors, matmul, reduce_rows, rref
+from hyperspec.linalg import enumerate_vectors, matmul, npmod, reduce_rows, rref
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -185,6 +192,48 @@ class TestSpectrum:
         pts = maximal_spectrum(alg)
         assert len(pts) == 2
         assert sorted(pt.label for pt in pts) == ["(T)", "(T-1)"]
+
+
+# test_algkernel's monogenic F_3-algebras, with and without nilpotents, and
+# larger spectra: F_9 (x) F_9, mu:13:12 and addetale:3:3 (dim 27)
+SPECTRUM_ALGEBRAS = ["F3[T]/(T^9-T)", "F3[T]/(T^3)", "F3[T]/(T^3+2T^2)", "F3[T]/(T^6+T^4+2T^2+2)"]
+SPECTRUM_ALGEBRAS += ["F9(x)F9", "mu:13:12", "addetale:3:3"]
+
+
+def spectrum_algebra(name, request):
+    if name == "fs3":
+        return request.getfixturevalue("fs3").algebra
+    if name == "F9(x)F9":
+        f9 = monogenic_algebra(F3, P("T^2+1"))
+        return tensor_algebra(f9, f9)
+    if name.startswith("F3[T]/"):
+        return monogenic_algebra(F3, P(name[len("F3[T]/(") : -1]))
+    return parse_builtin(name).algebra
+
+
+class TestSpectrumAgainstReducedQuotient:
+    """maximal_spectrum splits the Frobenius fixed space of A itself; the
+    reduced-quotient split with lifted idempotents is its oracle."""
+
+    @pytest.mark.parametrize("name", LEMMA_ALGEBRAS + SPECTRUM_ALGEBRAS)
+    def test_every_field_matches_oracle(self, name, request):
+        alg = spectrum_algebra(name, request)
+        assert spectrum_fields(maximal_spectrum(alg)) == spectrum_fields(maximal_spectrum_by_reduced_quotient(alg))
+
+    @pytest.mark.parametrize("name", NON_REDUCED + ["fs3"])
+    def test_fixed_space_is_spanned_by_idempotents(self, name, request):
+        """Ker(Frob - 1) of A is the row space of the stored idempotents,
+        and each stored ideal is the kernel of x -> e x^(p^m)."""
+        alg = spectrum_algebra(name, request)
+        p = alg.field.p
+        pts = maximal_spectrum(alg)
+        fixed = nullspace_twopass(npmod(alg.frobenius - np.eye(alg.dim, dtype=np.int64), p), p)
+        spanned = rref(np.array([pt.idempotent for pt in pts]), p)[0]
+        assert fixed.shape == spanned.shape == (len(pts), alg.dim)
+        assert (fixed == spanned).all()
+        for pt in pts:
+            kernel = nullspace_twopass(matmul(alg.left_mul_matrix(pt.idempotent), alg.nil_frobenius, p), p)
+            assert pt.ideal == IdealSubspace(alg, kernel), (name, pt.label)
 
 
 def zero_divisor_free(alg, ideal):

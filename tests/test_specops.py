@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from conftest import (
     LAW_ORACLES,
+    LEMMA_ALGEBRAS,
+    NON_REDUCED,
     classical_comparison_by_homs,
     classical_points,
     descent_by_pairs,
@@ -356,7 +358,7 @@ class TestWeakAssocFromMemberSets:
         lazy = ("triple_map", "triple_ideal_points", "triple_point_in_intersection", "triple_ideal")
         assert not set(lazy) & set(vars(res))
         assert res.triple_point_in_intersection
-        assert set(lazy) <= set(vars(res))  # the points are read from the ideal
+        assert set(lazy) & set(vars(res)) == set(lazy[:3])  # the points are read from T(e_phi), not the ideal
 
     def test_triple_ideal_points_match_rowspan_oracle(self, assoc_algebras):
         for h in assoc_algebras:
@@ -843,14 +845,6 @@ def forced_one_representatives(h, f, g, zero_ideal):
     return ones
 
 
-# the default verify suite, F_3^{S_3}, the hyperop algebras of the
-# benchmark's small-queries workload, and non-reduced algebras, where the
-# primitive idempotent e_phi differs from its image in A_red
-LEMMA_ALGEBRAS = ["mu:3:2", "mu:5:4", "addetale:3:1", "addetale:3:2", "fs3", "mu:7:6", "mu:3:8", "mu:5:8", "mu:3:10"]
-NON_REDUCED = ["mu:3:6", "mu:3:9", "mu:3:12", "mu:5:10", "mu:7:14", "mu:3:24", "mu:7:28"]
-LEMMA_ALGEBRAS += NON_REDUCED
-
-
 class TestForcedZeroLemma:
     """f*g = V(Ker Q_fg): no point whose kernel contains the forced-zero
     ideal has a forced-one element in its kernel, so hyperop needs no
@@ -911,9 +905,9 @@ class TestForcedZeroLemma:
 
 
 class TestResidueProductBound:
-    """The int64 bound of the products of residue maps with an ideal basis,
-    at p = 2^31 - 1 and dimension 3, where 3 (p-1)^2 >= 2^63. Every algebra
-    product has the same bound, so the algebra is built unvalidated."""
+    """The int64 bound of the products of residue maps with vectors of the
+    algebra, at p = 2^31 - 1 and dimension 3, where 3 (p-1)^2 >= 2^63. Every
+    algebra product has the same bound, so the algebra is built unvalidated."""
 
     @pytest.fixture
     def big(self):
