@@ -266,6 +266,7 @@ class IdealSubspace:
         self.basis.setflags(write=False)
         self._absorbing: bool | None = None
         self._projection: tuple[np.ndarray, list[int]] | None = None
+        self._generator_poly: FpPoly | None = None
 
     @staticmethod
     def from_generators(algebra: SCAlgebra, gens) -> "IdealSubspace":
@@ -335,21 +336,24 @@ class IdealSubspace:
         gcd is a multiple of g, so the cascade stops at the first one of
         degree dim - self.dim. This holds for ideals only: a subspace that is
         not absorbing may stop at a polynomial that generates something else.
+        Computed once: the basis is immutable.
         """
         alg = self.algebra
         if not alg.is_power_basis:
             return None
-        field = alg.field
-        # reconstruct the defining modulus from t^(d-1) * t
-        top = alg.mul_vec(np.eye(alg.dim, dtype=np.int64)[alg.dim - 1], alg.generator)
-        mod_coeffs = [(-int(c)) % field.p for c in top]
-        mod_coeffs += [0] * (alg.dim - len(mod_coeffs)) + [1]
-        g = FpPoly.make(field, mod_coeffs)
-        for row in self.basis:
-            if g.degree == alg.dim - self.dim:
-                break
-            g = g.gcd(FpPoly.make(field, [int(c) for c in row]))
-        return g.monic()
+        if self._generator_poly is None:
+            field = alg.field
+            # reconstruct the defining modulus from t^(d-1) * t
+            top = alg.mul_vec(np.eye(alg.dim, dtype=np.int64)[alg.dim - 1], alg.generator)
+            mod_coeffs = [(-int(c)) % field.p for c in top]
+            mod_coeffs += [0] * (alg.dim - len(mod_coeffs)) + [1]
+            g = FpPoly.make(field, mod_coeffs)
+            for row in self.basis:
+                if g.degree == alg.dim - self.dim:
+                    break
+                g = g.gcd(FpPoly.make(field, [int(c) for c in row]))
+            self._generator_poly = g.monic()
+        return self._generator_poly
 
     def to_json(self) -> list:
         return self.basis.tolist()
@@ -561,7 +565,15 @@ def maximal_spectrum(alg: SCAlgebra) -> list[PrimePoint]:
     local factor, x^p = x makes x = a + n with a in F_p and n nilpotent, and
     then n^p = n forces n = 0. So splitting that space returns each e_phi
     itself, and m_phi = {x : e_phi x nilpotent} is the kernel of
-    x -> e_phi x^(p^m) = (e_phi x)^(p^m), that is of L_(e_phi) @ nil_frobenius."""
+    x -> e_phi x^(p^m) = (e_phi x)^(p^m), that is of L_(e_phi) @ nil_frobenius.
+
+    Two shortcuts keep the split exact and take at most r - 1 minimal
+    polynomials for r points. The fixed part eF of an idempotent e is
+    F_p^k, k the number of primitive idempotents under e, so u·e is either
+    c·e, whose minimal polynomial x - c splits nothing, or has at least two
+    roots and splits e; c = (u·e)_j / e_j at e's first nonzero coordinate j.
+    And r orthogonal nonzero idempotents in F = F_p^r are the primitive
+    ones, so the split stops once it has dim F of them."""
     if alg._spectrum is not None:
         return alg._spectrum
     p = alg.field.p
@@ -569,16 +581,20 @@ def maximal_spectrum(alg: SCAlgebra) -> list[PrimePoint]:
 
     idems = [alg.unit.copy()]
     for u in fixed:
+        if len(idems) == fixed.shape[0]:
+            break
         refined = []
         for e in idems:
             ue = alg.mul_vec(u, e)
+            j = np.flatnonzero(e)[0]
+            c = int(ue[j]) * alg.field.inv(int(e[j])) % p
+            if not npmod(ue - c * e, p).any():
+                refined.append(e)
+                continue
             m = minimal_polynomial(ue, alg, unit=e)
             roots = [a for a in range(p) if m.eval(a) == 0]
             if len(roots) != m.degree:
                 raise RuntimeError("Frobenius-fixed element has a non-split minimal polynomial")
-            if len(roots) <= 1:
-                refined.append(e)
-                continue
             for a in roots:
                 f = e.copy()
                 for b in roots:

@@ -161,15 +161,12 @@ def antipode_permutation(h: HopfData) -> list[int]:
 
 
 def _pair_quotient_matrix(h: HopfData, f: PrimePoint, g: PrimePoint) -> np.ndarray:
-    """Q_fg = (pi_f ⊗ pi_g) ∘ Delta as a (deg f * deg g) x dim matrix,
-    computed once per ordered pair."""
-    cache = h._cache.setdefault("pair_quotient", {})
-    key = (f.index, g.index)
-    if key not in cache:
-        q = matmul(np.kron(f.resmap, g.resmap), h.delta, h.algebra.field.p)
-        q.setflags(write=False)
-        cache[key] = q
-    return cache[key]
+    """Q_fg = (pi_f ⊗ pi_g) ∘ Delta as a (deg f * deg g) x dim matrix: block
+    (f, g) of the pair maps, row a * deg g + b for residue rows a of f and
+    b of g."""
+    _, starts = _residue_stack(h)
+    a, b = starts[f.index], starts[g.index]
+    return _pair_maps(h)[a : a + f.degree, b : b + g.degree].reshape(-1, h.dim)
 
 
 def _right_leg_matrix(h: HopfData, k: PrimePoint) -> np.ndarray:
@@ -187,8 +184,8 @@ def _right_leg_matrix(h: HopfData, k: PrimePoint) -> np.ndarray:
 def _residue_stack(h: HopfData) -> tuple[np.ndarray, np.ndarray]:
     """Every point's residue map stacked as rows, in point order, and the
     index of each point's first row. Filling the cache checks the int64
-    bound of the stack's products with vectors of the algebra
-    (hyperop_cube), whose inner length is its dimension."""
+    bound of the stack's products with vectors of the algebra (the pair
+    maps and what reads them), whose inner length is its dimension."""
     if "residue_stack" not in h._cache:
         require_int64_sum(h.dim, 2, h.algebra.field.p, "residue maps times vectors of the algebra")
         pts = kpoints(h)
@@ -196,6 +193,21 @@ def _residue_stack(h: HopfData) -> tuple[np.ndarray, np.ndarray]:
         starts = np.cumsum([0] + [kp.degree for kp in pts[:-1]])
         h._cache["residue_stack"] = (stack, starts)
     return h._cache["residue_stack"]
+
+
+def _pair_maps(h: HopfData) -> np.ndarray:
+    """Every pair map at once, as a read-only [a, b, x] array: with R the
+    residue stack, entry [a, b, x] is that of R·Delta(e_x)·R^T, so block
+    (f, g), rows of f by rows of g, is Q_fg. Two products with R, formed
+    once per algebra; hyperop_cube and kernel containment read it."""
+    if "pair_maps" not in h._cache:
+        stack, _ = _residue_stack(h)
+        n, p = h.dim, h.algebra.field.p
+        left = matmul(stack, h.delta.reshape(n, n * n), p).reshape(len(stack), n, n)  # [a, j, x]
+        maps = matmul(stack, left, p)  # [a, b, x]
+        maps.setflags(write=False)
+        h._cache["pair_maps"] = maps
+    return h._cache["pair_maps"]
 
 
 def forced_value(h: HopfData, f: PrimePoint, g: PrimePoint, x) -> ForcedValue:
@@ -211,18 +223,14 @@ def forced_value(h: HopfData, f: PrimePoint, g: PrimePoint, x) -> ForcedValue:
 def hyperop_cube(h: HopfData) -> np.ndarray:
     """The hyperoperation as one read-only boolean cube C[f, g, phi], true
     iff phi lies in f*g, that is iff Q_fg(e_phi) != 0 for the primitive
-    idempotent e_phi (module docstring). With R the residue stack and
-    Delta(e_phi) an n x n matrix, block (f, g) of R·Delta(e_phi)·R^T is
-    Q_fg(e_phi), so one stacked product fills the cube. Every spectrum law
-    reads it. It is not a HyperTable, which rejects the empty f*g that
-    nonempty_check must be able to report."""
+    idempotent e_phi (module docstring). Block (f, g) of the pair maps is
+    Q_fg, so one product of them with the stacked idempotents fills the
+    cube. Every spectrum law reads it. It is not a HyperTable, which
+    rejects the empty f*g that nonempty_check must be able to report."""
     if "cube" not in h._cache:
-        pts = kpoints(h)
-        stack, starts = _residue_stack(h)
-        n, p, k = h.dim, h.algebra.field.p, len(pts)
-        deltas = matmul(h.delta, np.array([kp.idempotent for kp in pts]).T, p)  # [(i, j), phi]
-        left = matmul(stack, deltas.reshape(n, n * k), p).reshape(len(stack), n, k)  # [a, j, phi]
-        hit = matmul(stack, left, p) != 0  # [a, b, phi]
+        _, starts = _residue_stack(h)
+        idems = np.array([kp.idempotent for kp in kpoints(h)])
+        hit = matmul(_pair_maps(h), idems.T, h.algebra.field.p) != 0  # [a, b, phi]
         cube = np.logical_or.reduceat(np.logical_or.reduceat(hit, starts, axis=0), starts, axis=1)
         cube.setflags(write=False)
         h._cache["cube"] = cube

@@ -16,9 +16,11 @@ import time
 from itertools import product
 from pathlib import Path
 
+import numpy as np
+
 from . import specops as ops
 from .hopfkernel import HopfData, descent_ideal, parse_builtin
-from .hyperkernel import LawReport
+from .hyperkernel import LawReport, _first
 from .linalg import matmul, require_int64_sum
 
 DEFAULT_SUITE = ("mu:3:2", "mu:5:4", "addetale:3:1", "addetale:3:2")
@@ -46,18 +48,32 @@ def _kernel_containment(h: HopfData) -> tuple[bool, dict]:
     """Q_fg = (pi_f ⊗ pi_g)∘Delta vanishes on the printed forced-zero ideal
     I of every pair, by the definition: I lies in Ker Q_fg. I is the
     intersection of the kernels of the members of f*g, and by the idempotent
-    lemma (specops) Ker Q_fg lies in each of them, so I = Ker Q_fg."""
+    lemma (specops) Ker Q_fg lies in each of them, so I = Ker Q_fg.
+
+    Pairs with the same member set share one forced-zero ideal object, so
+    each ideal is decided once, for all its pairs, by one product of their
+    rows of the pair maps with its basis. The witness is the first failing
+    pair in product order."""
     p = h.algebra.field.p
     require_int64_sum(h.dim, 2, p, "pair map times an ideal basis")
-    bad = None
-    pairs = 0
-    for f, g in product(ops.kpoints(h), repeat=2):
-        pairs += 1
+    pts = ops.kpoints(h)
+    k = len(pts)
+    groups: dict[int, tuple] = {}  # id of the ideal -> (ideal, bool [f, g] of its pairs)
+    for f, g in product(pts, repeat=2):
         ideal = ops.hyperop(h, f, g).forced_zero
-        if matmul(ops._pair_quotient_matrix(h, f, g), ideal.basis.T, p).any():
-            bad = {"pair": [f.label, g.label], "reason": "Q_fg does not vanish on the forced-zero ideal"}
-            break
-    return bad is None, bad or {"pairs": pairs}
+        groups.setdefault(id(ideal), (ideal, np.zeros((k, k), dtype=bool)))[1][f.index, g.index] = True
+    owner = np.repeat(np.arange(k), [kp.degree for kp in pts])  # the point of each residue row
+    fails = np.zeros((k, k), dtype=bool)
+    for ideal, pairs in groups.values():
+        rows = pairs[np.ix_(owner, owner)]  # [a, b]: the residue rows of the ideal's pairs
+        hit = matmul(ops._pair_maps(h)[rows], ideal.basis.T, p).any(axis=1)
+        a, b = np.nonzero(rows)
+        fails[owner[a[hit]], owner[b[hit]]] = True
+    bad = _first(fails)
+    if bad is None:
+        return True, {"pairs": k * k}
+    f, g = (pts[i] for i in bad)
+    return False, {"pair": [f.label, g.label], "reason": "Q_fg does not vanish on the forced-zero ideal"}
 
 
 def _preimage_primality(h: HopfData) -> tuple[None, dict]:

@@ -195,9 +195,10 @@ class TestSpectrum:
 
 
 # test_algkernel's monogenic F_3-algebras, with and without nilpotents, and
-# larger spectra: F_9 (x) F_9, mu:13:12 and addetale:3:3 (dim 27)
+# larger spectra: F_9 (x) F_9, mu:13:12, addetale:3:3 (dim 27) and
+# mu:37:36 (36 points, split by one minimal polynomial)
 SPECTRUM_ALGEBRAS = ["F3[T]/(T^9-T)", "F3[T]/(T^3)", "F3[T]/(T^3+2T^2)", "F3[T]/(T^6+T^4+2T^2+2)"]
-SPECTRUM_ALGEBRAS += ["F9(x)F9", "mu:13:12", "addetale:3:3"]
+SPECTRUM_ALGEBRAS += ["F9(x)F9", "mu:13:12", "addetale:3:3", "mu:37:36"]
 
 
 def spectrum_algebra(name, request):
@@ -234,6 +235,44 @@ class TestSpectrumAgainstReducedQuotient:
         for pt in pts:
             kernel = nullspace_twopass(matmul(alg.left_mul_matrix(pt.idempotent), alg.nil_frobenius, p), p)
             assert pt.ideal == IdealSubspace(alg, kernel), (name, pt.label)
+
+
+class TestSplitCost:
+    """The split takes a minimal polynomial (the calls that pass unit=) only
+    where it splits an idempotent: each has degree at least 2, so each adds
+    at least one idempotent, and there are at most r - 1 of them for r
+    points."""
+
+    @staticmethod
+    def split_calls(monkeypatch, name, request):
+        alg = spectrum_algebra(name, request)
+        fresh = SCAlgebra(alg.field, alg.basis, alg.mul, alg.unit, alg.generator, validate=False)
+        degrees = []
+        original = algkernel.minimal_polynomial
+
+        def counted(elem, algebra, unit=None):
+            m = original(elem, algebra, unit=unit)
+            if unit is not None:
+                degrees.append(m.degree)
+            return m
+
+        monkeypatch.setattr(algkernel, "minimal_polynomial", counted)
+        pts = maximal_spectrum(fresh)
+        count = len(degrees)
+        assert min(degrees, default=2) >= 2, (name, degrees)
+        assert spectrum_fields(pts) == spectrum_fields(maximal_spectrum(alg))
+        return count, len(pts)
+
+    # mu:5:8 and addetale:3:3 meet idempotents u·e = c·e whose first nonzero
+    # coordinate is not 1, where c must be read as a quotient
+    @pytest.mark.parametrize("name", ["mu:13:12", "addetale:11:1", "mu:7:48", "mu:3:24", "fs3", "mu:5:8", "addetale:3:3"])
+    def test_at_most_one_fewer_than_the_points(self, monkeypatch, name, request):
+        calls, points = self.split_calls(monkeypatch, name, request)
+        assert calls <= points - 1, (name, calls, points)
+
+    def test_one_call_on_mu_37_36(self, monkeypatch, request):
+        """Its 36 points split off one generic fixed vector at once."""
+        assert self.split_calls(monkeypatch, "mu:37:36", request) == (1, 36)
 
 
 def zero_divisor_free(alg, ideal):
@@ -480,6 +519,23 @@ class TestBatchedKernelsAgainstLoops:
                 assert ideal.generator_poly() == gcd_cascade(ideal)
                 seen += 1
         assert seen == sum(len(ops.kpoints(h)) * (len(ops.kpoints(h)) + 1) for h in suite_algebras + [mu1312])
+
+    def test_generator_poly_is_computed_once(self, monkeypatch, mu1312):
+        """A second call returns the same object and runs no gcd."""
+        ideal = IdealSubspace(mu1312.algebra, maximal_spectrum(mu1312.algebra)[3].ideal.basis)
+        gcds = []
+        original = FpPoly.gcd
+
+        def counted(a, b):
+            gcds.append(b)
+            return original(a, b)
+
+        monkeypatch.setattr(FpPoly, "gcd", counted)
+        first = ideal.generator_poly()
+        assert gcds and first == gcd_cascade(ideal)
+        gcds.clear()
+        assert ideal.generator_poly() is first
+        assert gcds == []
 
 
 class TestAlgebraGenerators:

@@ -8,6 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -808,7 +809,8 @@ class TestRecordOnce:
         """Filling the cube takes no nullspace, a pair with one member takes
         none (its forced-zero ideal is the member's kernel), and each member
         set with several members takes exactly one, however many pairs share
-        it. A full suite takes no nullspace of any pair matrix Q_fg."""
+        it. A full suite builds no per-pair matrix Q_fg (it reads the pair
+        maps formed once per algebra) and takes no nullspace of them."""
         from hyperspec import linalg, specops, suite
 
         kernels, loaded = [], []
@@ -844,12 +846,23 @@ class TestRecordOnce:
                 seen.add(members)
         assert len(seen) > 1  # addetale:3:2 has several member sets with two members
 
+        pair_matrices = []
+        pair_quotient = specops._pair_quotient_matrix
+
+        def pair_quotient_and_keep(h, f, g):
+            pair_matrices.append(pair_quotient(h, f, g))
+            return pair_matrices[-1]
+
+        monkeypatch.setattr(specops, "_pair_quotient_matrix", pair_quotient_and_keep)
+        kernels.clear()
         result = run_suite(["mu:3:2", "addetale:3:2"])
         assert result["ok"] is True
+        assert pair_matrices == []
+        assert kernels
         for h in loaded:
-            pairs = h._cache["pair_quotient"]
-            assert len(pairs) == len(specops.kpoints(h)) ** 2
-            assert not any(mat is q for q in pairs.values() for mat in kernels)
+            assert "pair_quotient" not in h._cache
+            maps = h._cache["pair_maps"]
+            assert not any(np.shares_memory(mat, maps) for mat in kernels)
 
 
 class TestLineGolden:

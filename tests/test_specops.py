@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -902,6 +903,75 @@ class TestForcedZeroLemma:
                 assert not reps[:, zero.pivots].any()
                 assert {tuple(r) for r in reduce_rows(full, zero.basis, zero.pivots, p)} == {tuple(r) for r in reps}
                 assert ops.forced_value(h, f, g, reps[-1]) is ForcedValue.ONE
+
+
+class TestPairMaps:
+    """Block (f, g) of the pair maps is Q_fg, checked against the definition
+    (pi_f ⊗ pi_g) ∘ Delta on every pair."""
+
+    @pytest.mark.parametrize("name", LEMMA_ALGEBRAS + NON_REDUCED)
+    def test_blocks_are_the_pair_matrices(self, name, request):
+        h = request.getfixturevalue("fs3") if name == "fs3" else parse_builtin(name)
+        assert not ops._pair_maps(h).flags.writeable
+        for f, g in product(ops.kpoints(h), repeat=2):
+            assert (ops._pair_quotient_matrix(h, f, g) == pair_matrix(h, f, g)).all(), (name, f.label, g.label)
+
+
+class TestKernelContainmentFails:
+    """kernel_containment decides each forced-zero ideal once for all its
+    pairs, and still names the first failing pair in product order. The
+    ideals are corrupted through a wrapper of hyperop, so no cache changes."""
+
+    REASON = "Q_fg does not vanish on the forced-zero ideal"
+
+    @staticmethod
+    def corrupt(monkeypatch, h, ideals):
+        """hyperop with the forced-zero ideal of each pair (f.index, g.index)
+        in `ideals` replaced."""
+        original = ops.hyperop
+
+        def hyperop(hh, f, g):
+            res = original(hh, f, g)
+            key = (f.index, g.index)
+            return dataclasses.replace(res, forced_zero=ideals[key]) if hh is h and key in ideals else res
+
+        monkeypatch.setattr(ops, "hyperop", hyperop)
+
+    def test_unit_ideal_on_one_pair(self, monkeypatch, ae32):
+        from hyperspec.suite import _kernel_containment
+
+        pts = ops.kpoints(ae32)
+        assert _kernel_containment(ae32) == (True, {"pairs": len(pts) ** 2})
+        unit = IdealSubspace(ae32.algebra, np.eye(ae32.dim, dtype=np.int64))
+        for f, g in list(product(pts, repeat=2))[1:]:
+            self.corrupt(monkeypatch, ae32, {(f.index, g.index): unit})
+            ok, detail = _kernel_containment(ae32)
+            assert not ok
+            assert detail == {"pair": [f.label, g.label], "reason": self.REASON}
+            monkeypatch.undo()
+
+    def test_earlier_pair_in_product_order_is_reported(self, monkeypatch, mu54):
+        """The later pair takes the ideal of the first pair, so its group is
+        decided first; the earlier pair takes the unit ideal, a group of its
+        own decided after it. The witness is still the earlier pair."""
+        from hyperspec.suite import _kernel_containment
+
+        pts = ops.kpoints(mu54)
+        pairs = list(product(pts, repeat=2))
+        first = ops.hyperop(mu54, *pairs[0])
+        later = next(pr for pr in reversed(pairs) if ops.hyperop(mu54, *pr).members != first.members)
+        earlier = pairs[1]
+        assert pairs.index(earlier) < pairs.index(later)
+        unit = IdealSubspace(mu54.algebra, np.eye(mu54.dim, dtype=np.int64))
+        key = lambda pair: (pair[0].index, pair[1].index)
+        self.corrupt(monkeypatch, mu54, {key(earlier): unit, key(later): first.forced_zero})
+        ok, detail = _kernel_containment(mu54)
+        assert not ok
+        assert detail == {"pair": [earlier[0].label, earlier[1].label], "reason": self.REASON}
+        # the later pair alone fails too, so the order decided the witness
+        monkeypatch.undo()
+        self.corrupt(monkeypatch, mu54, {key(later): first.forced_zero})
+        assert _kernel_containment(mu54) == (False, {"pair": [later[0].label, later[1].label], "reason": self.REASON})
 
 
 class TestResidueProductBound:
