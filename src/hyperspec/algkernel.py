@@ -88,6 +88,10 @@ class SCAlgebra:
         stays below dim * (p-1)^2."""
         return npmod(np.einsum("bj,bjk->bk", v, self.mul_matrices(u)), self.field.p)
 
+    def mul_by(self, u: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """u times each row of the stack vs, for one reduced element u."""
+        return matmul(vs, self.mul_matrices(u[None])[0], self.field.p)
+
     def mul_vec(self, u, v) -> np.ndarray:
         p = self.field.p
         return self.mul_rows(npmod(u, p)[None], npmod(v, p)[None])[0]
@@ -228,21 +232,22 @@ def algebra_generators(alg: SCAlgebra) -> np.ndarray:
     return alg._generators
 
 
-def hom_witness(mat: np.ndarray, src: SCAlgebra, mul_rows, unit) -> tuple:
+def hom_witness(mat: np.ndarray, src: SCAlgebra, mul_by, unit) -> tuple:
     """() when mat, acting as mat @ v, is a unital algebra map from src to an
-    algebra with unit `unit` and row-wise product mul_rows(u, v) of stacks;
-    else the unit-mismatch witness, or ((K, s, j), lhs, rhs) at the first K,
-    generator row s and basis vector j where mat(s e_j) != mat(s) mat(e_j).
-    Generators suffice: once mat(1) = 1, the y with mat(yx) = mat(y) mat(x)
-    for all x form a subalgebra."""
+    algebra with unit `unit`; mul_by(u, vs) is that algebra's product of one
+    reduced element u with each row of a reduced stack vs, in a stack of
+    vs's shape. Else the unit-mismatch witness, or ((K, s, j), lhs, rhs) at
+    the first K, generator row s and basis vector j where mat(s e_j) !=
+    mat(s) mat(e_j). Generators suffice: once mat(1) = 1, the y with
+    mat(yx) = mat(y) mat(x) for all x form a subalgebra."""
     p = src.field.p
     if not (matmul(mat, src.unit, p) == unit).all():
         return ("unit/counit image mismatch",)
     gens = algebra_generators(src)
-    g, n = gens.shape[0], src.dim
-    lhs = matmul(src.mul_matrices(gens).reshape(g * n, n), mat.T, p)
-    rhs = mul_rows(np.repeat(matmul(gens, mat.T, p), n, axis=0), np.tile(npmod(mat.T, p), (g, 1)))
-    lhs, rhs = (side.reshape(g, n, -1).transpose(2, 0, 1) for side in (lhs, rhs))
+    images = npmod(mat.T, p)  # row j is mat(e_j)
+    lhs = matmul(src.mul_matrices(gens), images, p)  # [s, j, K]
+    rhs = np.array([mul_by(u, images) for u in matmul(gens, images, p)])
+    lhs, rhs = (side.transpose(2, 0, 1) for side in (lhs, rhs))
     bad = _first(lhs != rhs)
     return () if bad is None else (bad, int(lhs[bad]), int(rhs[bad]))
 
@@ -250,7 +255,7 @@ def hom_witness(mat: np.ndarray, src: SCAlgebra, mul_rows, unit) -> tuple:
 def is_algebra_hom(mat: np.ndarray, src: SCAlgebra, dst: SCAlgebra) -> bool:
     """Whether the (dst dim x src dim) matrix mat, acting as mat @ v, is a
     unital algebra map (hom_witness)."""
-    return not hom_witness(mat, src, dst.mul_rows, dst.unit)
+    return not hom_witness(mat, src, dst.mul_by, dst.unit)
 
 
 class IdealSubspace:
@@ -368,19 +373,6 @@ def tensor_algebra(a: SCAlgebra, b: SCAlgebra) -> SCAlgebra:
     unit = np.kron(a.unit, b.unit) % a.field.p
     names = [f"{x}|{y}" for x in a.basis for y in b.basis]
     return SCAlgebra(a.field, names, mul, unit)
-
-
-def tensor_square_mul(alg: SCAlgebra, u, v) -> np.ndarray:
-    """The product in A (x) A of two elements in kron order, or row-wise of
-    two stacks of them, one per row, without A (x) A's structure tensor:
-    (e_i⊗e_j)(e_k⊗e_l) = e_i e_k ⊗ e_j e_l, in three pairwise contractions
-    each reduced mod p, so that every int64 sum stays below dim^2 * (p-1)^2."""
-    n, p = alg.dim, alg.field.p
-    require_int64_sum(n * n, 2, p, "tensor square product")
-    uu, vv = (npmod(w, p).reshape(-1, n, n) for w in (u, v))
-    x = uu.transpose(0, 2, 1)[:, None] @ alg.mul.transpose(2, 0, 1) % p  # [b, r, j, k], sum_i u_ij mul_ikr
-    y = x.reshape(len(uu), n * n, n) @ vv % p  # [b, r, j, l], sum_k x_brjk v_kl
-    return (y.reshape(-1, n * n) @ alg.mul.reshape(n * n, n) % p).reshape(np.shape(u))  # sum_jl y_brjl mul_jls
 
 
 def quotient_algebra(alg: SCAlgebra, ideal: IdealSubspace) -> tuple[SCAlgebra, np.ndarray]:

@@ -31,7 +31,7 @@ import numpy as np
 from .algkernel import OrbitClassifier, SCAlgebra, field_algebra, field_roots, monogenic_algebra
 from .gfarith import FpPoly, PrimeField, _first_monic_relation, factor_stack, irreducibles_up_to, minimal_polynomial
 from .hyperkernel import spectrum_laws
-from .linalg import matmul, npmod, require_int64_sum
+from .linalg import npmod, require_int64_sum, two_sided
 
 ADDITIVE = "additive"
 MULTIPLICATIVE = "multiplicative"
@@ -172,7 +172,7 @@ def orbit_classifier(p: int, law: str, n: int) -> OrbitClassifier:
     if law == ADDITIVE:
         combine = lambda a, bs: npmod(a + bs, p)
     else:
-        combine = lambda a, bs: matmul(bs, field.mul_matrices(a[None])[0], p)
+        combine = field.mul_by
     carry = lambda pt: field_roots(pt.poly, n)[0]
     return OrbitClassifier(p, n, combine, carry, lambda val: LinePoint(law, minimal_polynomial(val, field)))
 
@@ -193,11 +193,11 @@ def forced_zero_generators(p: int, law: str, fs: list[LinePoint], gs: list[LineP
     An element of K_f ⊗ K_g is the deg f x deg g matrix V of its coordinates
     on the power bases, and with the companion matrices L_f, L_g of
     multiplication by t_f and t_g, multiplication by s is the Kronecker
-    operator V -> L_f V + V L_g^T or V -> L_f V L_g^T. The powers of s are the
-    Krylov sequence of 1⊗1 under it, and g_P is their first monic relation.
-    The pairs of one degree pair (a, b) form one int64 stack of Krylov
-    sequences, shape (pairs, ab + 1, ab), each step one broadcast product;
-    each g_P is then read from its own sequence."""
+    operator V -> L_f V + V L_g^T or V -> L_f V L_g^T (linalg.two_sided).
+    The powers of s are the Krylov sequence of 1⊗1 under it, and g_P is
+    their first monic relation. The pairs of one degree pair (a, b) form one
+    int64 stack of Krylov sequences, shape (pairs, ab + 1, ab), each step
+    one broadcast product; each g_P is then read from its own sequence."""
     field = PrimeField(p).require_odd()
     out: dict[tuple[int, int], FpPoly] = {}
     for a, b in product(sorted({f.degree for f in fs}), sorted({g.degree for g in gs})):
@@ -206,7 +206,7 @@ def forced_zero_generators(p: int, law: str, fs: list[LinePoint], gs: list[LineP
         kfs = [_residue_algebra(fs[i].poly) for i in fi]
         kgs = [_residue_algebra(gs[j].poly) for j in gj]
         lf = np.array([k.left_mul_matrix(k.generator) for k in kfs])[:, None]  # (F, 1, a, a)
-        lg_t = np.array([k.left_mul_matrix(k.generator).T for k in kgs])[None]  # (1, G, b, b)
+        lg = np.array([k.left_mul_matrix(k.generator) for k in kgs])[None]  # (1, G, b, b)
         v = npmod(np.array([k.unit for k in kfs])[:, None, :, None] * np.array([k.unit for k in kgs])[None, :, None], p)
         powers = np.empty((len(fi), len(gj), a * b + 1, a * b), dtype=np.int64)
         powers[:, :, 0] = v.reshape(len(fi), len(gj), a * b)
@@ -214,9 +214,9 @@ def forced_zero_generators(p: int, law: str, fs: list[LinePoint], gs: list[LineP
             require_int64_sum(a + b, 2, p, "Kronecker step")
         for k in range(1, a * b + 1):
             if law == ADDITIVE:
-                v = npmod(lf @ v + v @ lg_t, p)
+                v = npmod(lf @ v + v @ lg.swapaxes(-1, -2), p)
             else:
-                v = matmul(matmul(lf, v, p), lg_t, p)
+                v = two_sided(lf, v, lg, p)
             powers[:, :, k] = v.reshape(len(fi), len(gj), a * b)
         for ij, seq in zip(product(fi, gj), powers.reshape(-1, a * b + 1, a * b)):
             out[ij] = _first_monic_relation(seq, field)

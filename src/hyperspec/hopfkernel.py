@@ -8,7 +8,7 @@ guarantees and the reversibility check exploits.
 
 from __future__ import annotations
 
-from functools import cached_property, partial
+from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -21,11 +21,10 @@ from .algkernel import (
     json_residues,
     monogenic_algebra,
     quotient_algebra,
-    tensor_square_mul,
 )
 from .gfarith import FpPoly, PrimeField
 from .hyperkernel import LawReport, _first
-from .linalg import matmul, npmod, reduce_rows
+from .linalg import matmul, npmod, reduce_rows, rref, two_sided
 
 
 class HopfData:
@@ -89,48 +88,58 @@ class HopfData:
         return f"HopfData({self.name or self.algebra.basis})"
 
 
+def _square_mul_by(alg: SCAlgebra, u: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """u times each row of vs in A⊗A, elements in kron order. One rref splits
+    u as an n x n matrix U = U[:, pivots] R = sum_k x_k⊗y_k, so each product
+    is sum_k L_{x_k} V L_{y_k}^T (two_sided): 1 or 2 terms for Delta of a
+    builtin's generator."""
+    n, p = alg.dim, alg.field.p
+    w = u.reshape(n, n)
+    r, pivots = rref(w, p)
+    legs = alg.mul_matrices(np.vstack([w[:, pivots].T, r])).transpose(0, 2, 1)[:, None]  # L_{x_k}, then L_{y_k}
+    return npmod(two_sided(legs[: len(r)], vs.reshape(-1, n, n), legs[len(r) :], p).sum(axis=0), p).reshape(vs.shape)
+
+
 def verify_hopf(h: HopfData) -> LawReport:
     """Exact matrix verification of every Hopf axiom used downstream; the
-    three hom axioms are decided on algebra generators (hom_witness)."""
+    three hom axioms are decided on algebra generators (hom_witness), and
+    every map on the legs of Delta is one two_sided product."""
     alg = h.algebra
     p = alg.field.p
     n = alg.dim
     eye = np.eye(n, dtype=np.int64)
     rep = LawReport()
 
-    for name, mat, mul_rows, unit in (
-        ("coproduct_algebra_hom", h.delta, partial(tensor_square_mul, alg), np.kron(alg.unit, alg.unit) % p),
-        ("counit_algebra_hom", h.counit, lambda u, v: u * v % p, np.ones(1, dtype=np.int64)),
-        ("antipode_algebra_hom", h.antipode, alg.mul_rows, alg.unit),
+    for name, mat, mul_by, unit in (
+        ("coproduct_algebra_hom", h.delta, lambda u, vs: _square_mul_by(alg, u, vs), np.kron(alg.unit, alg.unit) % p),
+        ("counit_algebra_hom", h.counit, lambda u, vs: u * vs % p, np.ones(1, dtype=np.int64)),
+        ("antipode_algebra_hom", h.antipode, alg.mul_by, alg.unit),
     ):
-        witness = hom_witness(mat, alg, mul_rows, unit)
+        witness = hom_witness(mat, alg, mul_by, unit)
         rep.add(name, not witness, witness)
 
-    # (Delta⊗id)∘Delta and (id⊗Delta)∘Delta, row (a*n + b)*n + c, on each row s
-    # of gens: Delta·D and D·Delta^T for D = Delta(s) as an n x n matrix. Once
-    # Delta is a unital algebra map so are both sides, and algebra maps that
-    # agree on generators agree everywhere; else every basis vector.
+    # (Delta⊗id)∘Delta and (id⊗Delta)∘Delta, row (a*n + b)*n + c, on Delta(s)
+    # for each row s of gens. Once Delta is a unital algebra map so are both
+    # sides, and algebra maps that agree on generators agree everywhere;
+    # else every basis vector.
     gens = algebra_generators(alg) if rep.checks["coproduct_algebra_hom"].passed else eye
     d = matmul(gens, h.delta.T, p).reshape(-1, n, n)
-    left, right = (side.reshape(len(gens), n**3).T for side in (matmul(h.delta, d, p), matmul(d, h.delta.T, p)))
+    left, right = (two_sided(a, d, b, p).reshape(len(gens), n**3).T for a, b in ((h.delta, eye), (eye, h.delta)))
     _compare(rep, "coassociativity", left, right)
 
-    lhs = matmul(np.kron(h.counit, eye), h.delta, p)
-    rhs = matmul(np.kron(eye, h.counit), h.delta, p)
+    cube = h.delta.T.reshape(n, n, n)  # [x, a, b]: Delta(e_x) as an n x n matrix
+    lhs, rhs = (two_sided(a, cube, b, p).reshape(n, n).T for a, b in ((h.counit, eye), (eye, h.counit)))
     _compare(rep, "counit_law", lhs, eye, extra_ok=bool((rhs == eye).all()))
 
-    # S on one leg of Delta, on the reshaped (n, n, n) coproduct [a, b, i]
-    s_left = matmul(h.antipode, h.delta.reshape(n, n * n), p).reshape(n * n, n)  # (S⊗id)∘Delta
-    s_right = matmul(h.antipode, h.delta.reshape(n, n, n), p)  # (id⊗S)∘Delta
     target = npmod(np.outer(alg.unit, h.counit[0]), p)
     mulmat = alg.mul.reshape(n * n, n).T  # m: A⊗A -> A, column i*n+j is e_i e_j
-    _compare(rep, "antipode_law", matmul(mulmat, s_left, p), target)
-    _compare(rep, "antipode_law_right", matmul(mulmat, s_right.reshape(n * n, n), p), target)
+    for name, a, b in (("antipode_law", h.antipode, eye), ("antipode_law_right", eye, h.antipode)):
+        _compare(rep, name, matmul(mulmat, two_sided(a, cube, b, p).reshape(n, n * n).T, p), target)
 
     _compare(rep, "antipode_involution", matmul(h.antipode, h.antipode, p), eye)
 
-    # (S⊗S)∘Delta with its legs swapped
-    twisted = matmul(h.antipode, s_right.reshape(n, n * n), p).reshape(n, n, n).transpose(1, 0, 2)
+    # (S⊗S)∘Delta with its legs swapped, row b*n + a
+    twisted = two_sided(h.antipode, cube, h.antipode, p).transpose(2, 1, 0)
     _compare(rep, "antipode_anticohomomorphism", matmul(h.delta, h.antipode, p), twisted.reshape(n * n, n))
     return rep
 
@@ -156,7 +165,8 @@ def is_hopf_ideal(h: HopfData, ideal: IdealSubspace) -> LawReport:
     if not ideal.is_absorbing():
         raise ValueError("subspace is not an ideal")
     pi, _ = ideal.projection()
-    outside = matmul(npmod(np.kron(pi, pi), p), matmul(h.delta, ideal.basis.T, p), p).any(axis=0)
+    images = matmul(ideal.basis, h.delta.T, p).reshape(-1, h.dim, h.dim)  # Delta(v) as n x n matrices
+    outside = two_sided(pi, images, pi, p).any(axis=(1, 2))
     eps = matmul(h.counit, ideal.basis.T, p)[0]
     unstable = reduce_rows(matmul(ideal.basis, h.antipode.T, p), ideal.basis, ideal.pivots, p).any(axis=1)
     rep = LawReport()
@@ -180,7 +190,7 @@ def hopf_quotient(h: HopfData, ideal: IdealSubspace) -> tuple[HopfData, np.ndarr
     p = alg.field.p
     quo, pi = quotient_algebra(alg, ideal)
     free = ideal.projection()[1]
-    image = matmul(np.kron(pi, pi), h.delta, p)
+    image = two_sided(pi, h.delta.T.reshape(-1, h.dim, h.dim), pi, p).reshape(h.dim, -1).T
     delta_q = image[:, free]
     counit_q = h.counit[:, free]
     antipode_q = matmul(pi, h.antipode[:, free], p)
@@ -197,9 +207,8 @@ def iterated_coproduct(h: HopfData) -> np.ndarray:
     (a*n + b)*n + c; ValueError unless verify_hopf found Delta coassociative."""
     if not h.hopf_report.checks["coassociativity"].passed:
         raise ValueError("coassociativity violation: iterated coproduct is ill-defined")
-    n = h.dim
-    # [(a, b), (c, i)] = sum_x Delta[(a, b), x] Delta[(x, c), i]
-    return matmul(h.delta, h.delta.reshape(n, n * n), h.algebra.field.p).reshape(n**3, n)
+    n, eye = h.dim, np.eye(h.dim, dtype=np.int64)
+    return two_sided(h.delta, h.delta.T.reshape(n, n, n), eye, h.algebra.field.p).reshape(n, n**3).T
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,13 @@ def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return npmod(a @ b, p)
 
 
+def two_sided(left: np.ndarray, t: np.ndarray, right: np.ndarray, p: int) -> np.ndarray:
+    """left · t · right^T mod p over the last two axes, broadcast over the
+    leading ones, by two bounded matmuls. For w in K⊗L as its (dim K x dim L)
+    coefficient matrix W, (M⊗N)(w) is M W N^T and (x⊗y)·w is L_x W L_y^T."""
+    return matmul(matmul(left, t, p), np.swapaxes(right, -1, -2), p)
+
+
 def rref(mat, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form.
 

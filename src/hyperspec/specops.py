@@ -73,6 +73,7 @@ from .linalg import (
     preimage,
     require_int64_sum,
     rref,
+    two_sided,
 )
 
 ORACLE_STATE_BOUND = 200_000
@@ -169,18 +170,6 @@ def _pair_quotient_matrix(h: HopfData, f: PrimePoint, g: PrimePoint) -> np.ndarr
     return _pair_maps(h)[a : a + f.degree, b : b + g.degree].reshape(-1, h.dim)
 
 
-def _right_leg_matrix(h: HopfData, k: PrimePoint) -> np.ndarray:
-    """(id ⊗ pi_k) ∘ Delta as a dim x (deg k * dim) matrix: entry [a, w*dim + x]
-    is the coefficient of e_a ⊗ (pi_k)_w in Delta(e_x). Computed once per point."""
-    cache = h._cache.setdefault("right_leg", {})
-    if k.index not in cache:
-        n = h.dim
-        leg = matmul(k.resmap, h.delta.reshape(n, n, n), h.algebra.field.p).reshape(n, k.degree * n)
-        leg.setflags(write=False)
-        cache[k.index] = leg
-    return cache[k.index]
-
-
 def _residue_stack(h: HopfData) -> tuple[np.ndarray, np.ndarray]:
     """Every point's residue map stacked as rows, in point order, and the
     index of each point's first row. Filling the cache checks the int64
@@ -197,14 +186,14 @@ def _residue_stack(h: HopfData) -> tuple[np.ndarray, np.ndarray]:
 
 def _pair_maps(h: HopfData) -> np.ndarray:
     """Every pair map at once, as a read-only [a, b, x] array: with R the
-    residue stack, entry [a, b, x] is that of R·Delta(e_x)·R^T, so block
-    (f, g), rows of f by rows of g, is Q_fg. Two products with R, formed
-    once per algebra; hyperop_cube and kernel containment read it."""
+    residue stack, entry [a, b, x] is that of R·Delta(e_x)·R^T (two_sided),
+    so block (f, g), rows of f by rows of g, is Q_fg. Formed once per
+    algebra; hyperop_cube and kernel containment read it."""
     if "pair_maps" not in h._cache:
         stack, _ = _residue_stack(h)
-        n, p = h.dim, h.algebra.field.p
-        left = matmul(stack, h.delta.reshape(n, n * n), p).reshape(len(stack), n, n)  # [a, j, x]
-        maps = matmul(stack, left, p)  # [a, b, x]
+        n = h.dim
+        maps = two_sided(stack, h.delta.T.reshape(n, n, n), stack, h.algebra.field.p)  # [x, a, b]
+        maps = np.ascontiguousarray(maps.transpose(1, 2, 0))
         maps.setflags(write=False)
         h._cache["pair_maps"] = maps
     return h._cache["pair_maps"]
@@ -334,10 +323,11 @@ class WeakAssocResult:
     @cached_property
     def triple_map(self) -> np.ndarray:
         """(pi_f ⊗ pi_g ⊗ pi_k) ∘ (Delta⊗id) ∘ Delta, a (deg f * deg g * deg k)
-        x dim matrix, as T = (Q_fg ⊗ pi_k) ∘ Delta."""
-        h = self.h
-        t = matmul(_pair_quotient_matrix(h, self.f, self.g), _right_leg_matrix(h, self.k), h.algebra.field.p)
-        return t.reshape(-1, h.dim)
+        x dim matrix, as T = (Q_fg ⊗ pi_k) ∘ Delta (two_sided), row
+        a * deg k + w for row a of Q_fg and row w of pi_k."""
+        h, n, p = self.h, self.h.dim, self.h.algebra.field.p
+        t = two_sided(_pair_quotient_matrix(h, self.f, self.g), h.delta.T.reshape(n, n, n), self.k.resmap, p)
+        return t.transpose(1, 2, 0).reshape(-1, n)  # [x, a, w] -> [(a, w), x]
 
     @cached_property
     def triple_ideal_points(self) -> tuple[PrimePoint, ...]:

@@ -631,6 +631,7 @@ class TestInt64Bound:
         want = self.exact_mul(u, v, modulus, p)
         assert alg.mul_vec(u, v).tolist() == want
         assert alg.mul_rows(np.array([u, v]), np.array([v, u])).tolist() == [want, want]
+        assert alg.mul_by(np.array(u), np.array([v, v])).tolist() == [want, want]
         assert alg.element_from_poly(FpPoly.make(PrimeField(p), [p - 1, p - 2])).tolist() == [p - 1, p - 2]
 
     def test_dim_3_at_p_2_31_minus_1_raises(self):
@@ -646,6 +647,8 @@ class TestInt64Bound:
             alg.mul_vec(u, v)
         with pytest.raises(ValueError, match="overflow int64"):
             alg.mul_rows(np.array([u]), np.array([v]))
+        with pytest.raises(ValueError, match="overflow int64"):
+            alg.mul_by(np.array(u), np.array([v]))
 
     def test_largest_accepted_prime(self):
         p = 3_037_000_493

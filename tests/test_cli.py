@@ -583,6 +583,22 @@ class TestVerify:
         rep = json.loads(out)["suite"][0]
         assert rep["checks"]["hopf_axioms"]["status"] == "fail"
 
+    def test_coproduct_killing_the_generator_fails_with_witness(self, tmp_path, capsys):
+        """addetale:3:2 with Delta(t) = 0: Delta(t) splits into no terms, and
+        the coproduct hom entry still fails with a witness."""
+        from hyperspec.hopfkernel import parse_builtin, verify_hopf
+
+        doc = parse_builtin("addetale:3:2").to_json()
+        doc["delta"][1] = [0] * 81
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(doc))
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(json.dumps({"algebras": [str(path)], "checks": ["hopf_axioms"]}))
+        code, out, err = run_cli(capsys, "verify", "--suite", str(cfg))
+        assert (code, err) == (1, "")
+        assert "coproduct_algebra_hom" in json.loads(out)["suite"][0]["checks"]["hopf_axioms"]["detail"]["failures"]
+        assert verify_hopf(load_algebra(str(path))).checks["coproduct_algebra_hom"].witness
+
     def test_failing_axioms_skip_later_checks(self, tmp_path, capsys):
         cfg = _broken_antipode_suite(tmp_path, ["hopf_axioms", "preimage_primality"])
         code, out, err = run_cli(capsys, "verify", "--suite", str(cfg))

@@ -9,12 +9,12 @@ from hyperspec.algkernel import (
     algebra_generators,
     is_algebra_hom,
     maximal_spectrum,
-    tensor_square_mul,
 )
 from hyperspec.gfarith import parse_poly
 from hyperspec.hopfkernel import (
     HopfData,
     _compare,
+    _square_mul_by,
     additive_etale_hopf,
     descent_ideal,
     hopf_quotient,
@@ -25,7 +25,7 @@ from hyperspec.hopfkernel import (
     verify_hopf,
 )
 from hyperspec.hyperkernel import LawReport
-from hyperspec.linalg import matmul, npmod, nullspace
+from hyperspec.linalg import matmul, npmod, nullspace, rref
 
 
 def _kronecker_iterated(h):
@@ -91,6 +91,61 @@ def _reference_report(h):
 ORACLE_SPECS = ("mu:3:2", "mu:5:4", "addetale:3:2")
 
 
+def _assert_mutants_match_reference(h):
+    """Single-entry mutants of Delta, counit and antipode: the hom entries
+    decided on the generator have the n^6 oracle's verdicts, and on a copy
+    of the algebra without its generator, where every basis vector is a
+    generator, its witnesses as well; every other entry the oracle covers
+    has its witnesses on both. A product witness on the generator is the
+    first (K, 0, j) where the oracle's sides, taken along the generator,
+    differ."""
+    alg = h.algebra
+    p = alg.field.p
+    bare = SCAlgebra(alg.field, alg.basis, alg.mul, alg.unit)
+    assert len(algebra_generators(alg)) == 1 and len(algebra_generators(bare)) == alg.dim
+    rng = np.random.default_rng(1)
+    failed = set()
+    for which in range(3):
+        for _ in range(12):
+            maps = [h.delta.copy(), h.counit.copy(), h.antipode.copy()]
+            row, col = rng.integers(0, maps[which].shape[0]), rng.integers(0, maps[which].shape[1])
+            maps[which][row, col] = (maps[which][row, col] + rng.integers(1, p)) % p
+            bad = HopfData(alg, *maps)
+            want = _reference_report(bad).checks
+            got = verify_hopf(bad).checks
+            stripped = verify_hopf(HopfData(bare, *maps)).checks
+            for name, (lhs, rhs, unit_ok) in _hom_sides(bad).items():
+                if unit_ok and not got[name].passed:
+                    lhs, rhs = (np.einsum("i,Kij->Kj", alg.generator, side) % p for side in (lhs, rhs))
+                    k, j = np.argwhere(lhs != rhs)[0]
+                    assert got[name].witness == ((k, 0, j), lhs[k, j], rhs[k, j]), (which, row, col, name)
+            for name in want:
+                assert got[name].passed == want[name].passed, (which, row, col, name)
+                assert stripped[name] == want[name], (which, row, col, name)
+                if not name.endswith("_algebra_hom"):
+                    assert got[name] == want[name], (which, row, col, name)
+                if not want[name].passed:
+                    failed.add(name)
+    assert failed == set(want)
+
+
+def _conjugate(h):
+    """h carried along v -> P v for one fixed invertible P = L U, L and U
+    unit triangular with nonzero entries off the diagonal: mul, unit,
+    generator, Delta, counit and antipode are all transported."""
+    alg = h.algebra
+    p, n = alg.field.p, alg.dim
+    rng = np.random.default_rng(3)
+    eye = np.eye(n, dtype=np.int64)
+    lower, upper = (side(rng.integers(1, p, size=(n, n)), k) + eye for side, k in ((np.tril, -1), (np.triu, 1)))
+    P = matmul(lower, upper, p)
+    inv = rref(np.hstack([P, eye]), p)[0][:, n:]
+    mul = npmod(np.einsum("ai,bj,abk,lk->ijl", inv, inv, alg.mul, P), p)
+    conj = SCAlgebra(alg.field, alg.basis, mul, matmul(P, alg.unit, p), generator=matmul(P, alg.generator, p))
+    delta = matmul(np.kron(P, P), matmul(h.delta, inv, p), p)
+    return HopfData(conj, delta, matmul(h.counit, inv, p), matmul(P, matmul(h.antipode, inv, p), p))
+
+
 class TestEinsumMod:
     """The einsum contractions mod p that the oracles form, and the library
     products they check."""
@@ -113,7 +168,7 @@ class TestEinsumMod:
         cases = [
             ("abi,cdj,acr,bds->rsij", d3, d3, alg.mul, alg.mul),  # coproduct hom oracle (_reference_report)
             ("ai,bj,abK->Kij", h.antipode, h.antipode, alg.mul),  # antipode hom oracle
-            ("ij,kl,ikr,jls->rs", u, v, alg.mul, alg.mul),  # tensor_square_mul oracle
+            ("ij,kl,ikr,jls->rs", u, v, alg.mul, alg.mul),  # _square_mul_by oracle
             ("ai,bj,abk->kij", point.resmap, point.resmap, point.residue.mul),  # is_algebra_hom oracle
             ("rsi,arj,bsk,jkl->abil", d3, homs, homs, fq_mul),  # conftest.classical_convolution
         ]
@@ -121,17 +176,25 @@ class TestEinsumMod:
             want = npmod(np.einsum(sub, *ops), p)
             assert (npmod(np.einsum(sub, *ops, optimize="greedy"), p) == want).all(), sub
         want = npmod(np.einsum("ij,kl,ikr,jls->rs", u, v, alg.mul, alg.mul), p).reshape(-1)
-        assert (tensor_square_mul(alg, u.reshape(-1), v.reshape(-1)) == want).all()
+        assert (_square_mul_by(alg, u.reshape(-1), v.reshape(1, -1)) == want).all()
         assert is_algebra_hom(point.resmap, alg, point.residue)
 
     @pytest.mark.parametrize("spec", ORACLE_SPECS)
-    def test_tensor_square_mul_over_stacks(self, spec):
-        """Row b of the stacked product is the einsum product of rows b."""
+    @pytest.mark.parametrize("rank", [0, 1, 2, "full"])
+    def test_square_mul_by_over_stacks(self, spec, rank):
+        """Row b of u times a stack is the einsum product of u with row b,
+        for u of rank 0, 1, 2 and n as an n x n matrix: the number of
+        rank-one terms the product splits u into."""
         alg = parse_builtin(spec).algebra
         p, n = alg.field.p, alg.dim
-        u, v = np.random.default_rng(2).integers(0, p, size=(2, 5, n, n))
-        want = [npmod(np.einsum("ij,kl,ikr,jls->rs", a, b, alg.mul, alg.mul), p).reshape(-1) for a, b in zip(u, v)]
-        assert (tensor_square_mul(alg, u.reshape(5, -1), v.reshape(5, -1)) == np.array(want)).all()
+        k = n if rank == "full" else rank
+        rng = np.random.default_rng(2)
+        u = np.zeros((n, n), dtype=np.int64)
+        while len(rref(u, p)[1]) != k:
+            u = matmul(rng.integers(0, p, size=(n, k)), rng.integers(0, p, size=(k, n)), p)
+        v = rng.integers(0, p, size=(5, n, n))
+        want = [npmod(np.einsum("ij,kl,ikr,jls->rs", u, b, alg.mul, alg.mul), p).reshape(-1) for b in v]
+        assert (_square_mul_by(alg, u.reshape(-1), v.reshape(5, -1)) == np.array(want)).all()
 
 
 class TestVerifyHopf:
@@ -164,42 +227,22 @@ class TestVerifyHopf:
 
     @pytest.mark.parametrize("spec", ORACLE_SPECS + ("mu:3:6", "mu:7:6"))
     def test_hom_mutants_match_reference(self, spec):
-        """Single-entry mutants of Delta, counit and antipode: the hom
-        entries decided on the generator have the n^6 oracle's verdicts, and
-        on a copy of the algebra without its generator, where every basis
-        vector is a generator, its witnesses as well; every other entry the
-        oracle covers has its witnesses on both. A product witness on the
-        generator is the first (K, 0, j) where the oracle's sides, taken
-        along the generator, differ."""
+        _assert_mutants_match_reference(parse_builtin(spec))
+
+    @pytest.mark.parametrize("spec", ("mu:7:6", "addetale:3:2"))
+    def test_dense_coproduct_matches_reference(self, spec):
+        """The Hopf data carried along a dense change of basis: Delta of the
+        generator keeps its rank (1 group-like, 2 primitive) with most
+        entries nonzero, the axioms still pass, and mutants match the
+        reference report."""
         h = parse_builtin(spec)
-        alg = h.algebra
-        p = alg.field.p
-        bare = SCAlgebra(alg.field, alg.basis, alg.mul, alg.unit)
-        assert len(algebra_generators(alg)) == 1 and len(algebra_generators(bare)) == alg.dim
-        rng = np.random.default_rng(1)
-        failed = set()
-        for which in range(3):
-            for _ in range(12):
-                maps = [h.delta.copy(), h.counit.copy(), h.antipode.copy()]
-                row, col = rng.integers(0, maps[which].shape[0]), rng.integers(0, maps[which].shape[1])
-                maps[which][row, col] = (maps[which][row, col] + rng.integers(1, p)) % p
-                bad = HopfData(alg, *maps)
-                want = _reference_report(bad).checks
-                got = verify_hopf(bad).checks
-                stripped = verify_hopf(HopfData(bare, *maps)).checks
-                for name, (lhs, rhs, unit_ok) in _hom_sides(bad).items():
-                    if unit_ok and not got[name].passed:
-                        lhs, rhs = (np.einsum("i,Kij->Kj", alg.generator, side) % p for side in (lhs, rhs))
-                        k, j = np.argwhere(lhs != rhs)[0]
-                        assert got[name].witness == ((k, 0, j), lhs[k, j], rhs[k, j]), (which, row, col, name)
-                for name in want:
-                    assert got[name].passed == want[name].passed, (which, row, col, name)
-                    assert stripped[name] == want[name], (which, row, col, name)
-                    if not name.endswith("_algebra_hom"):
-                        assert got[name] == want[name], (which, row, col, name)
-                    if not want[name].passed:
-                        failed.add(name)
-        assert failed == set(want)
+        conj = _conjugate(h)
+        n, p = h.dim, h.algebra.field.p
+        d, dc = (matmul(x.delta, x.algebra.generator, p).reshape(n, n) for x in (h, conj))
+        assert len(rref(dc, p)[1]) == len(rref(d, p)[1]) == (1 if spec.startswith("mu") else 2)
+        assert np.count_nonzero(dc) > n * n // 2 > np.count_nonzero(d)
+        assert verify_hopf(conj).ok, verify_hopf(conj).failures()
+        _assert_mutants_match_reference(conj)
 
     def test_generator_that_does_not_generate_falls_back(self, mu32):
         """An unvalidated algebra whose stored generator is the unit, and a

@@ -207,6 +207,21 @@ def test_nullspace_of_empty_and_full_rank():
     assert linalg.nullspace(np.eye(3, dtype=np.int64), 5).shape == (0, 3)
 
 
+@pytest.mark.parametrize("p", [3, 7, 101])
+def test_two_sided_matches_einsum_on_line_shapes(p):
+    """two_sided(left, t, right) is left · t · right^T mod p, broadcast over
+    the leading axes, on the shapes of the line's Krylov step: (F, 1, a, a)
+    x (F, G, a, b) x (1, G, b, b); the operands are reduced first."""
+    rng = np.random.default_rng(p)
+    f, g, a, b = 3, 4, 2, 3
+    left = rng.integers(-p, 2 * p, size=(f, 1, a, a))
+    t = rng.integers(0, p, size=(f, g, a, b))
+    right = rng.integers(0, p, size=(1, g, b, b))
+    want = np.einsum("...ia,...ab,...jb->...ij", left % p, t, right) % p
+    got = linalg.two_sided(left, t, right, p)
+    assert got.shape == (f, g, a, b) and (got == want).all()
+
+
 class TestInt64Bound:
     """matmul raises unless a sum of products of residues in [0, p) stays
     below 2^63; just below that bound it agrees with Python ints. The
