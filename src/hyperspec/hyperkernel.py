@@ -183,27 +183,18 @@ def _members(cube: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _packed(cube), np.where(np.arange(m) < counts[:, :, None], order, n)
 
 
-def _union_left(sets: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """Entry [w, a, b, c] is the OR of the packed sets sets[w, x, c] over
-    the members x of a*b, one member slot of M per step. The index n past
+def _union(sets: np.ndarray, members: np.ndarray, axis: int) -> np.ndarray:
+    """The OR of packed sets over the members of a*b, one member slot of M
+    per step, gathered along axis 1 or 2 of sets [w, ., .]: at axis 1, entry
+    [w, a, b, c] is the OR of sets[w, x, c] over the members x of a*b; at
+    axis 2, of sets[w, a, y] over the members y of b*c, laid out as at
+    axis 1, so the two compare without a strided pass. The index n past
     the last member reads an appended empty set. Every temporary holds n^3
     packed sets; none has n^4 entries."""
-    padded = np.concatenate([sets, np.zeros_like(sets[:, :1])], axis=1)
-    out = padded.take(members[..., 0], axis=1)
+    padded = np.concatenate([sets, np.zeros_like(sets.take([0], axis=axis))], axis=axis)
+    out = padded.take(members[..., 0], axis=axis)
     for r in range(1, members.shape[-1]):
-        out |= padded.take(members[..., r], axis=1)
-    return out
-
-
-def _union_right(sets: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """Entry [w, a, b, c] is the OR of the packed sets sets[w, a, y] over
-    the members y of b*c, gathered along the last axis so that the result
-    is laid out as _union_left's is, and compares with it without a
-    strided pass."""
-    padded = np.concatenate([sets, np.zeros_like(sets[:, :, :1])], axis=2)
-    out = padded.take(members[..., 0], axis=2)
-    for r in range(1, members.shape[-1]):
-        out |= padded.take(members[..., r], axis=2)
+        out |= padded.take(members[..., r], axis=axis)
     return out
 
 
@@ -227,8 +218,8 @@ def assoc_failures(left: np.ndarray, right: np.ndarray) -> tuple[tuple[int, ...]
     step = max(1, UNION_BLOCK_BYTES // (n * n * left_sets.shape[0] * left_sets.itemsize))
     differ = disjoint = None
     for lo in range(0, n, step):
-        lhs = _union_left(left_sets, members[lo : lo + step])
-        rhs = _union_right(right_sets[:, lo : lo + step], members)
+        lhs = _union(left_sets, members[lo : lo + step], 1)
+        rhs = _union(right_sets[:, lo : lo + step], members, 2)
         if differ is None and (bad := _first((lhs != rhs).any(axis=0))):
             differ = (lo + bad[0], *bad[1:])
         if disjoint is None and (bad := _first(~(lhs & rhs).any(axis=0))):
@@ -410,11 +401,11 @@ def check_hyperring(r: HyperRingTable) -> LawReport:
     packed, members = _members(r.add.cube)
     products = _packed(np.eye(n, dtype=bool)[mu])
     witness: tuple = ()
-    bad = _first((_union_right(products, members) != packed[:, mu[:, :, None], mu[:, None, :]]).any(axis=0))
+    bad = _first((_union(products, members, 2) != packed[:, mu[:, :, None], mu[:, None, :]]).any(axis=0))
     if bad is not None:
         witness = (*(names[i] for i in bad), "left")
     else:
-        bad = _first((_union_left(products, members) != packed[:, mu[:, None, :], mu[None, :, :]]).any(axis=0))
+        bad = _first((_union(products, members, 1) != packed[:, mu[:, None, :], mu[None, :, :]]).any(axis=0))
         if bad is not None:
             witness = (*(names[i] for i in bad), "right")
     rep.add("distributivity", bad is None, witness)

@@ -109,15 +109,6 @@ def in_span(basis: np.ndarray, pivots: list[int], vec, p: int) -> bool:
     return not reduce_rows(vec, basis, pivots, p).any()
 
 
-def preimage(mat, sub_basis: np.ndarray, p: int) -> np.ndarray:
-    """RREF basis of {x : mat @ x in rowspan(sub_basis)}."""
-    a = np.atleast_2d(np.asarray(mat, dtype=np.int64))
-    checks = nullspace(sub_basis, p) if sub_basis.shape[0] else np.eye(a.shape[0], dtype=np.int64)
-    if checks.shape[0] == 0:
-        return rref(np.eye(a.shape[1], dtype=np.int64), p)[0]
-    return nullspace(matmul(checks, a, p), p)
-
-
 def enumerate_vectors(p: int, n: int) -> np.ndarray:
     """All p**n vectors of F_p^n, one per row, lowest coordinate fastest."""
     count = p**n

@@ -35,7 +35,8 @@ The same split gives the points of any ideal I: V(I) = {phi : e_phi not in
 I}. If e_phi is in I, I is not in m_phi. Otherwise e_phi·I is a proper
 ideal of the local ring A_phi and every other A_psi lies in m_phi, so
 I = ⊕_psi e_psi·I lies in m_phi. So the points of the kernel of an algebra
-map T are the phi with T(e_phi) != 0.
+map T are the phi with T(e_phi) != 0, one for a map into a field: so are
+the identity, antipode, descent and classical point maps read.
 
 The oracle is exact integer arithmetic. Its reachability DP convolves sets of
 tensor states over (F_p)^(n^2) through a transform over a prime field F_q
@@ -70,7 +71,6 @@ from .linalg import (
     enumerate_vectors,
     matmul,
     nullspace,
-    preimage,
     require_int64_sum,
     rref,
     two_sided,
@@ -121,14 +121,6 @@ def kpoints(h: HopfData) -> list[PrimePoint]:
     return maximal_spectrum(h.algebra)
 
 
-def point_by_ideal(h: HopfData, ideal_basis: np.ndarray) -> PrimePoint:
-    target = rref(ideal_basis, h.algebra.field.p)[0]
-    for kp in kpoints(h):
-        if kp.ideal.basis.shape == target.shape and (kp.ideal.basis == target).all():
-            return kp
-    raise ValueError("no spectrum point has the given kernel")
-
-
 def point_by_label(h: HopfData, label: str) -> PrimePoint:
     want = label.strip()
     if not want.startswith("("):
@@ -141,24 +133,47 @@ def point_by_label(h: HopfData, label: str) -> PrimePoint:
 
 
 def identity_point(h: HopfData) -> PrimePoint:
-    """The point with kernel Ker(counit), the augmentation ideal."""
-    if "identity" not in h._cache:
-        aug = nullspace(h.counit, h.algebra.field.p)
-        h._cache["identity"] = point_by_ideal(h, aug)
-    return h._cache["identity"]
+    """The point with kernel Ker(counit), the augmentation ideal: the one phi
+    with counit(e_phi) != 0."""
+    return kpoints(h)[_field_points(h, h.counit, [0])[0]]
 
 
 def antipode_point(h: HopfData, f: PrimePoint) -> PrimePoint:
-    """The point with kernel S(Ker f); an involution since S^2 = id."""
-    p = h.algebra.field.p
-    image = matmul(f.ideal.basis, h.antipode.T, p)
-    return point_by_ideal(h, image)
+    """The point with kernel S(Ker f), read from antipode_permutation."""
+    return kpoints(h)[antipode_permutation(h)[f.index]]
 
 
 def antipode_permutation(h: HopfData) -> list[int]:
+    """The index of each point's antipode point, an involution since S^2 =
+    id: S(Ker f) = Ker(pi_f∘S), so with R the residue stack, one product
+    R·S gives every point's map into its residue field."""
     if "antipode_perm" not in h._cache:
-        h._cache["antipode_perm"] = [antipode_point(h, f).index for f in kpoints(h)]
+        stack, starts = _residue_stack(h)
+        h._cache["antipode_perm"] = _field_points(h, matmul(stack, h.antipode, h.algebra.field.p), starts).tolist()
     return h._cache["antipode_perm"]
+
+
+def _kernel_points(h: HopfData, maps: np.ndarray, starts) -> np.ndarray:
+    """The points of the kernel of each algebra map T, read off the stacked
+    primitive idempotents in one product: the phi with T(e_phi) != 0
+    (module docstring). The maps are stacked along the first axis of maps
+    ([row, ..., x]), map i from row starts[i] up to the next start; the
+    result is the bool [map, ..., phi]."""
+    idems = np.array([kp.idempotent for kp in kpoints(h)])
+    hit = matmul(maps, idems.T, h.algebra.field.p) != 0
+    return np.logical_or.reduceat(hit, starts, axis=0)
+
+
+def _field_points(h: HopfData, maps: np.ndarray, starts) -> np.ndarray:
+    """The point of each algebra map into a field, as _kernel_points stacks
+    them: the index of the one point of its kernel, a maximal ideal.
+    Raises RuntimeError unless every kernel has exactly one point."""
+    hit = _kernel_points(h, maps, starts)
+    counts = hit.sum(axis=1)
+    if (counts != 1).any():
+        i = int(np.flatnonzero(counts != 1)[0])
+        raise RuntimeError(f"map {i} has {counts[i]} points in its kernel, not the one of a map into a field")
+    return hit.argmax(axis=1)
 
 
 def _pair_quotient_matrix(h: HopfData, f: PrimePoint, g: PrimePoint) -> np.ndarray:
@@ -214,13 +229,12 @@ def hyperop_cube(h: HopfData) -> np.ndarray:
     iff phi lies in f*g, that is iff Q_fg(e_phi) != 0 for the primitive
     idempotent e_phi (module docstring). Block (f, g) of the pair maps is
     Q_fg, so one product of them with the stacked idempotents fills the
-    cube. Every spectrum law reads it. It is not a HyperTable, which
-    rejects the empty f*g that nonempty_check must be able to report."""
+    cube (_kernel_points). Every spectrum law reads it. It is not a
+    HyperTable, which rejects the empty f*g that nonempty_check must be
+    able to report."""
     if "cube" not in h._cache:
         _, starts = _residue_stack(h)
-        idems = np.array([kp.idempotent for kp in kpoints(h)])
-        hit = matmul(_pair_maps(h), idems.T, h.algebra.field.p) != 0  # [a, b, phi]
-        cube = np.logical_or.reduceat(np.logical_or.reduceat(hit, starts, axis=0), starts, axis=1)
+        cube = np.logical_or.reduceat(_kernel_points(h, _pair_maps(h), starts), starts, axis=1)
         cube.setflags(write=False)
         h._cache["cube"] = cube
     return h._cache["cube"]
@@ -333,10 +347,8 @@ class WeakAssocResult:
     def triple_ideal_points(self) -> tuple[PrimePoint, ...]:
         """The points killing the triple forced-zero ideal Ker T, in point
         order: the phi with T(e_phi) != 0 (module docstring)."""
-        pts = kpoints(self.h)
-        idems = np.array([kp.idempotent for kp in pts]).T
-        hit = matmul(self.triple_map, idems, self.h.algebra.field.p).any(axis=0)
-        return tuple(kp for kp, out in zip(pts, hit) if out)
+        hit = _kernel_points(self.h, self.triple_map, [0])[0]
+        return tuple(kp for kp, out in zip(kpoints(self.h), hit) if out)
 
     @cached_property
     def triple_point_in_intersection(self) -> bool:
@@ -381,36 +393,33 @@ def weak_assoc_all(h: HopfData) -> LawReport:
 
 
 def descend_and_compare(h: HopfData, ideal: IdealSubspace) -> LawReport:
-    """Descent along a Hopf-ideal quotient B = A/I: the tilde map
-    Ker(psi) -> pi^(-1)(Ker psi) embeds Spec B into the locus X_I of points
-    killing I, the phi with e_phi not in I, and tilde(psi1 ⋆ psi2) =
-    tilde(psi1) * tilde(psi2). Raises ValueError, from hopf_quotient,
+    """Descent along a Hopf-ideal quotient pi: A -> B = A/I: the tilde map
+    Ker(psi) -> pi^(-1)(Ker psi) = Ker(pi_psi∘pi) embeds Spec B into the
+    locus X_I of points killing I, the phi with pi(e_phi) != 0, and
+    tilde(psi1 ⋆ psi2) = tilde(psi1) * tilde(psi2). Both are read off the
+    idempotents of A (_kernel_points): X_I from pi, and tilde from R_B·pi
+    for the residue stack R_B of B. Raises ValueError, from hopf_quotient,
     unless I is a Hopf ideal."""
     rep = LawReport()
     hq, pi = hopf_quotient(h, ideal)
     p = h.algebra.field.p
-    pts_b = kpoints(hq)
+    pts, pts_b = kpoints(h), kpoints(hq)
 
-    fixed = [kp for kp in kpoints(h) if not ideal.contains_vector(kp.idempotent)]
-    fixed_ids = frozenset(kp.index for kp in fixed)
+    idx = np.flatnonzero(_kernel_points(h, pi, [0])[0])
+    fixed_ids = frozenset(idx.tolist())
     cube = hyperop_cube(h)
 
-    tilde: dict[int, PrimePoint] = {}
-    for psi in pts_b:
-        pre = preimage(pi, psi.ideal.basis, p)
-        tilde[psi.index] = point_by_ideal(h, pre)
-
-    images = [tilde[psi.index].index for psi in pts_b]
+    stack_b, starts_b = _residue_stack(hq)
+    images = _field_points(h, matmul(stack_b, pi, p), starts_b).tolist()
     rep.add("tilde_injective", len(set(images)) == len(images), tuple(sorted(images)))
     rep.add("tilde_into_fixed_locus", set(images) <= fixed_ids, tuple(sorted(set(images) - fixed_ids)))
     rep.add("tilde_bijective_onto_fixed_locus", set(images) == fixed_ids, (len(images), len(fixed_ids)))
 
-    idx = [kp.index for kp in fixed]
     bad = _first(np.delete(cube[np.ix_(idx, idx)], idx, axis=2).any(axis=2))
-    rep.add("fixed_locus_closed", bad is None, (fixed[bad[0]].label, fixed[bad[1]].label) if bad else ())
+    rep.add("fixed_locus_closed", bad is None, (pts[idx[bad[0]]].label, pts[idx[bad[1]]].label) if bad else ())
 
     # lifted[f, g] is tilde(f ⋆ g) as a mask over the points of A
-    lifted = hyperop_cube(hq) @ (np.array(images)[:, None] == np.arange(len(kpoints(h))))
+    lifted = hyperop_cube(hq) @ (np.array(images)[:, None] == np.arange(len(pts)))
     up = cube[np.ix_(images, images)]
     bad = _first((lifted != up).any(axis=2))
     witness = (f"{len(pts_b) ** 2} pairs",)
@@ -506,7 +515,8 @@ def classical_comparison(h: HopfData, q: int) -> LawReport:
     homs = sum(pt.degree for pt in orbits.points)
     rep.add("classical_point_count", True, (homs,), report_only=True)
 
-    images = len({point_by_ideal(h, nullspace(conj[0].T, p)).index for conj in orbits.conjugates})
+    carried = np.vstack([conj[0].T for conj in orbits.conjugates])  # one hom per point, e rows each
+    images = len(set(_field_points(h, carried, np.arange(0, len(carried), power[1])).tolist()))
     rep.add("injective", images == homs, (images, homs), report_only=(q != p))
 
     if escaped is None:

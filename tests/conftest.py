@@ -36,7 +36,6 @@ from hyperspec.linalg import (
     matmul,
     npmod,
     nullspace,
-    preimage,
     reduce_rows,
     require_int64_sum,
     rref,
@@ -102,6 +101,75 @@ def nullspace_twopass(mat, p):
         for i, pc in enumerate(pivots):
             basis[k, pc] = (-int(r[i, c])) % p
     return rref(basis, p)[0]
+
+
+def preimage(mat, sub_basis, p):
+    """RREF basis of {x : mat @ x in rowspan(sub_basis)}: the kernel of the
+    checks of the subspace composed with mat."""
+    a = np.atleast_2d(np.asarray(mat, dtype=np.int64))
+    checks = nullspace(sub_basis, p) if sub_basis.shape[0] else np.eye(a.shape[0], dtype=np.int64)
+    if checks.shape[0] == 0:
+        return rref(np.eye(a.shape[1], dtype=np.int64), p)[0]
+    return nullspace(matmul(checks, a, p), p)
+
+
+def point_by_ideal(h, ideal_basis):
+    """The spectrum point whose kernel is the span of ideal_basis, found by
+    comparing echelon bases with every point's: the ideal-based lookup that
+    specops' idempotent reading replaced (specops._field_points), kept as
+    its oracle. Raises ValueError if no point has that kernel."""
+    target = rref(ideal_basis, h.algebra.field.p)[0]
+    for kp in ops.kpoints(h):
+        if kp.ideal.basis.shape == target.shape and (kp.ideal.basis == target).all():
+            return kp
+    raise ValueError("no spectrum point has the given kernel")
+
+
+def identity_point_by_ideal(h):
+    """The point whose kernel is Ker(counit), by the ideal-based lookup."""
+    return point_by_ideal(h, nullspace(h.counit, h.algebra.field.p))
+
+
+def antipode_permutation_by_ideal(h):
+    """The index of the point with kernel S(Ker f) for each point f, by the
+    ideal-based lookup over the images of f's kernel basis under S."""
+    p = h.algebra.field.p
+    return [point_by_ideal(h, matmul(f.ideal.basis, h.antipode.T, p)).index for f in ops.kpoints(h)]
+
+
+def tilde_by_preimage(h, hq, pi):
+    """descend_and_compare's tilde map, psi -> pi^(-1)(Ker psi), as the
+    index of that point of A for each point psi of the quotient hq."""
+    p = h.algebra.field.p
+    return [point_by_ideal(h, preimage(pi, psi.ideal.basis, p)).index for psi in ops.kpoints(hq)]
+
+
+def carried_homs(h, e):
+    """The orbit engine's carried homs A -> F_{p^e}, one per point whose
+    degree divides e, each as its (e, dim) matrix."""
+    return [conj[0].T for conj in ops._orbit_fill(h, e)[0].conjugates]
+
+
+def point_maps(h):
+    """The point maps specops reads off the idempotents: the identity point,
+    the antipode permutation, and the point of each carried hom at q = p,
+    the kernel map of classical_comparison."""
+    homs = carried_homs(h, 1)
+    return {
+        "identity": ops.identity_point(h).index,
+        "antipode": list(ops.antipode_permutation(h)),
+        "classical": ops._field_points(h, np.vstack(homs), np.arange(len(homs))).tolist(),
+    }
+
+
+def point_maps_by_ideal(h):
+    """point_maps by the ideal-based lookup, from kernel and image bases."""
+    p = h.algebra.field.p
+    return {
+        "identity": identity_point_by_ideal(h).index,
+        "antipode": antipode_permutation_by_ideal(h),
+        "classical": [point_by_ideal(h, nullspace(hom, p)).index for hom in carried_homs(h, 1)],
+    }
 
 
 def ideal_is_prime_by_quotient(alg, ideal):
@@ -306,7 +374,7 @@ def nonempty_by_pairs(h):
 
 def identity_law_by_points(h):
     rep = LawReport()
-    e = ops.identity_point(h)
+    e = identity_point_by_ideal(h)
     bad = None
     for f in ops.kpoints(h):
         left = ops.hyperop(h, e, f)
@@ -320,10 +388,12 @@ def identity_law_by_points(h):
 
 def inverse_law_by_points(h):
     rep = LawReport()
-    e = ops.identity_point(h)
+    e = identity_point_by_ideal(h)
+    pts = ops.kpoints(h)
+    perm = antipode_permutation_by_ideal(h)
     bad = None
-    for f in ops.kpoints(h):
-        ft = ops.antipode_point(h, f)
+    for f in pts:
+        ft = pts[perm[f.index]]
         if e.index not in member_indices(h, f, ft) or e.index not in member_indices(h, ft, f):
             bad = (f.label, ft.label)
             break
@@ -334,7 +404,7 @@ def inverse_law_by_points(h):
 def reversibility_by_triples(h):
     rep = LawReport()
     pts = ops.kpoints(h)
-    perm = ops.antipode_permutation(h)
+    perm = antipode_permutation_by_ideal(h)
     bad = None
     checked = 0
     for f, g in product(pts, repeat=2):
@@ -352,14 +422,21 @@ def reversibility_by_triples(h):
 
 
 def descent_by_pairs(h, ideal):
-    """descend_and_compare's fixed_locus_closed and descent_equality entries
-    from the per-pair loops over hyperop that its cube reads replaced."""
+    """descend_and_compare's report with its tilde map from the ideal-based
+    lookup, its fixed locus from the residue maps, and its
+    fixed_locus_closed and descent_equality entries from the per-pair loops
+    over hyperop that its cube reads replaced."""
     rep = LawReport()
     hq, pi = hopf_quotient(h, ideal)
     p = h.algebra.field.p
     fixed = [kp for kp in ops.kpoints(h) if not (ideal.dim and npmod(kp.resmap @ ideal.basis.T, p).any())]
     fixed_ids = frozenset(kp.index for kp in fixed)
-    tilde = {psi.index: ops.point_by_ideal(h, preimage(pi, psi.ideal.basis, p)) for psi in ops.kpoints(hq)}
+    pts = ops.kpoints(h)
+    images = tilde_by_preimage(h, hq, pi)
+    tilde = [pts[i] for i in images]
+    rep.add("tilde_injective", len(set(images)) == len(images), tuple(sorted(images)))
+    rep.add("tilde_into_fixed_locus", set(images) <= fixed_ids, tuple(sorted(set(images) - fixed_ids)))
+    rep.add("tilde_bijective_onto_fixed_locus", set(images) == fixed_ids, (len(images), len(fixed_ids)))
     bad = None
     for f, g in product(fixed, repeat=2):
         if not member_indices(h, f, g) <= fixed_ids:
@@ -622,7 +699,7 @@ def classical_comparison_by_homs(h, q):
     p = h.algebra.field.p
     homs = classical_points(h, q)
     rep.add("classical_point_count", True, (len(homs),), report_only=True)
-    kernels = [ops.point_by_ideal(h, nullspace(hom.T, p)) for hom in homs]
+    kernels = [point_by_ideal(h, nullspace(hom.T, p)) for hom in homs]
     images = len({kp.index for kp in kernels})
     rep.add("injective", images == len(kernels), (images, len(kernels)), report_only=(q != p))
     index = {hom.tobytes(): k for k, hom in enumerate(homs)}

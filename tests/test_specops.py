@@ -15,8 +15,11 @@ from conftest import (
     classical_points,
     descent_by_pairs,
     ideal_is_prime_by_quotient,
+    point_maps,
+    point_maps_by_ideal,
     presentation_value_sets_naive,
     span_rank_classes,
+    tilde_by_preimage,
     triple_ideal_points_by_rowspan,
     triple_sides,
     weak_assoc_by_triples,
@@ -419,7 +422,7 @@ class TestLawsFromCube:
         failed = set()
         for _ in mutated_caches(h, 60, seed=1):
             got = ops.descend_and_compare(h, ideal).to_json()
-            assert {name: got[name] for name in names} == descent_by_pairs(h, ideal).to_json(), spec
+            assert got == descent_by_pairs(h, ideal).to_json(), spec
             failed |= {name for name in names if not got[name]["pass"]}
         assert failed == set(names)
 
@@ -915,6 +918,39 @@ class TestPairMaps:
         assert not ops._pair_maps(h).flags.writeable
         for f, g in product(ops.kpoints(h), repeat=2):
             assert (ops._pair_quotient_matrix(h, f, g) == pair_matrix(h, f, g)).all(), (name, f.label, g.label)
+
+
+class TestPointMaps:
+    """The point of every algebra map into a field that specops reads off
+    the idempotents, the one phi with T(e_phi) != 0, equals the ideal-based
+    lookup: the echelon basis of the kernel or preimage compared with every
+    point's."""
+
+    @pytest.mark.parametrize("name", LEMMA_ALGEBRAS)
+    def test_equal_the_ideal_based_lookup(self, name, request):
+        h = request.getfixturevalue("fs3") if name == "fs3" else parse_builtin(name)
+        p = h.algebra.field.p
+        for a in (h, hopf_quotient(h, descent_ideal(h))[0]):
+            assert point_maps(a) == point_maps_by_ideal(a), (name, a.name)
+            ideal = descent_ideal(a)
+            aq, pi = hopf_quotient(a, ideal)
+            tilde = tilde_by_preimage(a, aq, pi)
+            stack, starts = ops._residue_stack(aq)
+            assert ops._field_points(a, matmul(stack, pi, p), starts).tolist() == tilde, (name, a.name)
+            assert ops.descend_and_compare(a, ideal).to_json() == descent_by_pairs(a, ideal).to_json(), (name, a.name)
+
+    def test_map_into_a_non_field_raises(self, mu54):
+        # the identity map has kernel 0, contained in all 4 points, and the
+        # residue maps of two points, read as one map, have the intersection
+        # of their kernels, contained in both: neither returns a point
+        assert ops._kernel_points(mu54, np.eye(4, dtype=np.int64), [0]).tolist() == [[True] * 4]
+        with pytest.raises(RuntimeError, match="4 points in its kernel"):
+            ops._field_points(mu54, np.eye(4, dtype=np.int64), [0])
+        pts = ops.kpoints(mu54)
+        two = np.vstack([pts[0].resmap, pts[1].resmap])
+        with pytest.raises(RuntimeError, match="2 points in its kernel"):
+            ops._field_points(mu54, two, [0])
+        assert ops._field_points(mu54, two, [0, 1]).tolist() == [0, 1]
 
 
 class TestKernelContainmentFails:
