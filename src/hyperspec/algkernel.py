@@ -40,7 +40,7 @@ class SCAlgebra:
     dim * (p-1)^2 < 2^63.
     """
 
-    def __init__(self, field: PrimeField, basis: list[str], mul, unit, generator=None, validate: bool = True):
+    def __init__(self, field: PrimeField, basis: list[str], mul, unit, generator=None):
         self.field = field
         self.basis = tuple(str(b) for b in basis)
         self.dim = len(self.basis)
@@ -51,8 +51,7 @@ class SCAlgebra:
             raise ValueError("structure tensor / unit dimensions are inconsistent")
         self._spectrum: list[PrimePoint] | None = None
         self._generators: np.ndarray | None = None
-        if validate:
-            self._validate()
+        self._validate()
         self.mul.setflags(write=False)
         self.unit.setflags(write=False)
 
@@ -109,6 +108,17 @@ class SCAlgebra:
                 base = self.mul_rows(base, base)
         return out if np.ndim(v) == 2 else out[0]
 
+    def powers(self, v, start, k: int) -> np.ndarray:
+        """The k rows start * v^j for j < k: the Krylov sequence of start
+        under x -> v*x, each row the previous one times the one reduced
+        multiplication matrix of v, a sum that mul_matrices has bounded."""
+        p = self.field.p
+        lmat = self.mul_matrices(npmod(v, p)[None])[0]
+        out = np.zeros((k, self.dim), dtype=np.int64)
+        for j in range(k):
+            out[j] = out[j - 1] @ lmat % p if j else npmod(start, p)
+        return out
+
     def left_mul_matrix(self, v) -> np.ndarray:
         """Matrix of x -> v*x."""
         return self.mul_matrices(npmod(v, self.field.p)[None])[0].T
@@ -136,20 +146,24 @@ class SCAlgebra:
         return total
 
     def element_from_poly(self, poly: FpPoly) -> np.ndarray:
+        """poly(g) for the stored generator g: the coefficient row times the
+        powers 1, g, ..., g^deg, one bounded product of deg + 1 terms."""
         if self.generator is None:
             raise ValueError("algebra has no designated generator")
-        acc = np.zeros(self.dim, dtype=np.int64)
-        for c in reversed(poly.coeffs):
-            acc = self.mul_vec(acc, self.generator)
-            acc = npmod(acc + c * self.unit, self.field.p)
-        return acc
+        pows = self.powers(self.generator, self.unit, len(poly.coeffs))
+        return matmul(np.array(poly.coeffs, dtype=np.int64), pows, self.field.p)
 
     @cached_property
-    def is_power_basis(self) -> bool:
-        """Whether e_k = g^k for every k, g the stored generator: e_0 = 1 and
-        e_k g = e_(k+1). The basis names play no part."""
-        pows = [] if self.generator is None else [self.unit, *self.left_mul_matrix(self.generator).T[:-1]]
-        return np.array_equal(pows, np.eye(self.dim, dtype=np.int64))
+    def modulus(self) -> FpPoly | None:
+        """The monic m with A = F_p[T]/(m) and e_k = g^k, g the stored
+        generator, read off its powers 1, g, ..., g^dim; None off that power
+        basis. The basis names play no part."""
+        if self.generator is None:
+            return None
+        pows = self.powers(self.generator, self.unit, self.dim + 1)
+        if not np.array_equal(pows[:-1], np.eye(self.dim, dtype=np.int64)):
+            return None
+        return FpPoly.make(self.field, [-int(c) for c in pows[-1]] + [1])
 
     def to_json(self) -> dict:
         doc = {
@@ -301,9 +315,6 @@ class IdealSubspace:
     def contains_vector(self, v) -> bool:
         return in_span(self.basis, self.pivots, v, self.algebra.field.p)
 
-    def contains(self, other: "IdealSubspace") -> bool:
-        return in_span(self.basis, self.pivots, other.basis, self.algebra.field.p)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, IdealSubspace)
@@ -344,19 +355,14 @@ class IdealSubspace:
         Computed once: the basis is immutable.
         """
         alg = self.algebra
-        if not alg.is_power_basis:
+        if alg.modulus is None:
             return None
         if self._generator_poly is None:
-            field = alg.field
-            # reconstruct the defining modulus from t^(d-1) * t
-            top = alg.mul_vec(np.eye(alg.dim, dtype=np.int64)[alg.dim - 1], alg.generator)
-            mod_coeffs = [(-int(c)) % field.p for c in top]
-            mod_coeffs += [0] * (alg.dim - len(mod_coeffs)) + [1]
-            g = FpPoly.make(field, mod_coeffs)
+            g = alg.modulus
             for row in self.basis:
                 if g.degree == alg.dim - self.dim:
                     break
-                g = g.gcd(FpPoly.make(field, [int(c) for c in row]))
+                g = g.gcd(FpPoly.make(alg.field, [int(c) for c in row]))
             self._generator_poly = g.monic()
         return self._generator_poly
 
@@ -565,7 +571,9 @@ def maximal_spectrum(alg: SCAlgebra) -> list[PrimePoint]:
     c·e, whose minimal polynomial x - c splits nothing, or has at least two
     roots and splits e; c = (u·e)_j / e_j at e's first nonzero coordinate j.
     And r orthogonal nonzero idempotents in F = F_p^r are the primitive
-    ones, so the split stops once it has dim F of them."""
+    ones, so the split stops once it has dim F of them. Each visited fixed
+    vector u forms one multiplication matrix L_u: it gives u·e for every
+    current e and each Lagrange factor (ue - b·e)·f = u·f - b·f, f in eA."""
     if alg._spectrum is not None:
         return alg._spectrum
     p = alg.field.p
@@ -575,9 +583,9 @@ def maximal_spectrum(alg: SCAlgebra) -> list[PrimePoint]:
     for u in fixed:
         if len(idems) == fixed.shape[0]:
             break
+        lu = alg.mul_matrices(u[None])[0]  # x @ lu = u * x
         refined = []
-        for e in idems:
-            ue = alg.mul_vec(u, e)
+        for e, ue in zip(idems, matmul(np.array(idems), lu, p)):
             j = np.flatnonzero(e)[0]
             c = int(ue[j]) * alg.field.inv(int(e[j])) % p
             if not npmod(ue - c * e, p).any():
@@ -588,12 +596,10 @@ def maximal_spectrum(alg: SCAlgebra) -> list[PrimePoint]:
             if len(roots) != m.degree:
                 raise RuntimeError("Frobenius-fixed element has a non-split minimal polynomial")
             for a in roots:
-                f = e.copy()
+                f = e
                 for b in roots:
-                    if b == a:
-                        continue
-                    f = alg.mul_vec(f, npmod(ue - b * e, p))
-                    f = npmod(f * alg.field.inv(a - b), p)
+                    if b != a:  # (ue - b e) f = u f - b f, as f lies in eA
+                        f = npmod((matmul(f, lu, p) - b * f) * alg.field.inv(a - b), p)
                 refined.append(f)
         idems = refined
     if len(idems) != fixed.shape[0]:

@@ -460,15 +460,10 @@ def minimal_polynomial(elem, algebra, unit=None) -> FpPoly:
     """Minimal polynomial of an element of a finite-dimensional commutative
     F_p-algebra, by exact kernel computation on its powers.
 
-    `algebra` provides dim, field, unit, and left_mul_matrix; `elem` is a
-    coordinate vector in the algebra basis. An idempotent `unit` in place of
-    algebra.unit gives the minimal polynomial within the subalgebra unit*A.
-    Each power is the previous one times the reduced matrix of x -> elem*x,
-    a sum of dim products that left_mul_matrix has bounded below 2^63.
+    `algebra` provides dim, field, unit, and powers(v, start, k), the rows
+    start * v^j for j < k (SCAlgebra.powers); `elem` is a coordinate vector
+    in the algebra basis. An idempotent `unit` in place of algebra.unit
+    gives the minimal polynomial within the subalgebra unit*A.
     """
-    p = algebra.field.p
-    lmat = algebra.left_mul_matrix(elem)
-    powers = [np.asarray(algebra.unit if unit is None else unit, dtype=np.int64) % p]
-    for _ in range(algebra.dim):
-        powers.append(lmat @ powers[-1] % p)
-    return _first_monic_relation(np.array(powers, dtype=np.int64), algebra.field)
+    start = algebra.unit if unit is None else unit
+    return _first_monic_relation(algebra.powers(elem, start, algebra.dim + 1), algebra.field)

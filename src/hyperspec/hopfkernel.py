@@ -220,22 +220,19 @@ def mu_hopf(p: int, n: int) -> HopfData:
     """Roots of unity: F_p[T]/(T^n - 1) with group-like T.
 
     n | p-1 gives the split case; other n are allowed and simply produce
-    higher-degree spectrum points.
+    higher-degree spectrum points. On the power basis e_j = t^j,
+    Delta(e_j) = e_j⊗e_j, eps(e_j) = 1 and S(e_j) = t^(-j) = e_(-j mod n).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     field = PrimeField(p).require_odd()
     modulus = FpPoly.make(field, [-1] + [0] * (n - 1) + [1]) if n > 1 else FpPoly.make(field, [-1, 1])
     alg = monogenic_algebra(field, modulus)
-    d = alg.dim
-    delta = np.zeros((d * d, d), dtype=np.int64)
-    counit = np.zeros((1, d), dtype=np.int64)
-    antipode = np.zeros((d, d), dtype=np.int64)
-    for j in range(d):
-        tj = alg.power(alg.generator, j)
-        delta[:, j] = np.kron(tj, tj) % p
-        counit[0, j] = 1
-        antipode[:, j] = alg.power(alg.generator, j * (n - 1) % n if n > 1 else 0)
+    j = np.arange(n)
+    delta = np.zeros((n * n, n), dtype=np.int64)
+    delta[j * n + j, j] = 1
+    counit = np.ones((1, n), dtype=np.int64)
+    antipode = np.eye(n, dtype=np.int64)[-j % n]  # an involution's permutation matrix
     descent = None
     if n > 1:
         spf = min(q for q in range(2, n + 1) if n % q == 0)
@@ -245,7 +242,8 @@ def mu_hopf(p: int, n: int) -> HopfData:
 
 
 def additive_etale_hopf(p: int, k: int) -> HopfData:
-    """The etale additive family: F_p[T]/(T^(p^k) - T) with primitive T."""
+    """The etale additive family: F_p[T]/(T^(p^k) - T) with primitive T. On
+    the power basis e_j = t^j, S(e_j) = (-t)^j = (-1)^j e_j."""
     if k < 1:
         raise ValueError("k must be >= 1")
     field = PrimeField(p).require_odd()
@@ -253,13 +251,11 @@ def additive_etale_hopf(p: int, k: int) -> HopfData:
     modulus = FpPoly.make(field, [0, -1] + [0] * (n - 2) + [1])
     alg = monogenic_algebra(field, modulus)
     delta = np.zeros((n * n, n), dtype=np.int64)
-    counit = np.zeros((1, n), dtype=np.int64)
-    antipode = np.zeros((n, n), dtype=np.int64)
     for j in range(n):
         for i in range(j + 1):  # Delta(t^j) = (t⊗1 + 1⊗t)^j = sum_i C(j, i) t^i ⊗ t^(j-i)
             delta[i * n + j - i, j] = comb(j, i) % p
-        counit[0, j] = 1 if j == 0 else 0
-        antipode[:, j] = alg.power(npmod(-alg.generator, p), j)
+    counit = np.eye(1, n, dtype=np.int64)
+    antipode = np.diag(npmod((-1) ** np.arange(n), p))
     descent = None
     if k >= 2:
         m = p ** (k - 1)

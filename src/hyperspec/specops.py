@@ -446,11 +446,11 @@ def _carried_hom(pt: PrimePoint, e: int) -> np.ndarray:
     gens = algebra_generators(res)
     candidates = ((v, minimal_polynomial(v, res)) for v in (gens if len(gens) == 1 else enumerate_vectors(p, d)))
     gen, poly = next((v, m) for v, m in candidates if m.degree == d)
-    gen_pows = np.array([res.power(gen, j) for j in range(d)])
+    gen_pows = res.powers(gen, res.unit, d)
     coords = rref(np.hstack([gen_pows.T, pt.resmap]), p)[0][:, d:]  # residue(x) in powers of gen
     fq, _ = field_algebra(p, e)
     rho = field_roots(poly, e)[0]
-    return matmul(coords.T, np.array([fq.power(rho, j) for j in range(d)]), p)
+    return matmul(coords.T, fq.powers(rho, fq.unit, d), p)
 
 
 def _orbit_fill(h: HopfData, e: int) -> tuple[OrbitClassifier, np.ndarray, tuple[str, str] | None]:

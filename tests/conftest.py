@@ -1,6 +1,7 @@
 from functools import lru_cache
 from itertools import permutations, product
 from math import gcd, lcm
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,6 +41,13 @@ from hyperspec.linalg import (
     require_int64_sum,
     rref,
 )
+
+
+def unvalidated_algebra(field, basis, mul, unit, generator=None):
+    """An SCAlgebra built with SCAlgebra._validate patched out: for the
+    tests that need an algebra its checks would reject or overflow on."""
+    with mock.patch.object(SCAlgebra, "_validate", lambda self: None):
+        return SCAlgebra(field, basis, mul, unit, generator)
 
 
 def rref_rowloop(mat, p):

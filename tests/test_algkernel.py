@@ -1,3 +1,4 @@
+import sys
 from itertools import product
 
 import numpy as np
@@ -24,10 +25,11 @@ from conftest import (
     maximal_spectrum_by_reduced_quotient,
     nullspace_twopass,
     spectrum_fields,
+    unvalidated_algebra,
 )
 from hyperspec import algkernel
 from hyperspec.hopfkernel import descent_ideal, parse_builtin
-from hyperspec.linalg import enumerate_vectors, matmul, npmod, reduce_rows, rref
+from hyperspec.linalg import enumerate_vectors, matmul, npmod, nullspace, reduce_rows, rref
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -246,7 +248,7 @@ class TestSplitCost:
     @staticmethod
     def split_calls(monkeypatch, name, request):
         alg = spectrum_algebra(name, request)
-        fresh = SCAlgebra(alg.field, alg.basis, alg.mul, alg.unit, alg.generator, validate=False)
+        fresh = unvalidated_algebra(alg.field, alg.basis, alg.mul, alg.unit, alg.generator)
         degrees = []
         original = algkernel.minimal_polynomial
 
@@ -551,16 +553,126 @@ class TestAlgebraGenerators:
         with pytest.raises(ValueError, match="'generator' does not generate the algebra: its powers span 2 of 4"):
             SCAlgebra(F5, alg.basis, alg.mul, alg.unit, generator=alg.element_from_poly(P("T^2", F5)))
 
-    def test_power_basis_reads_powers_not_names(self):
+    def test_modulus_reads_powers_not_names(self):
         """e_k = g^k decides it: 2t generates F_5[T]/(T^4-1) but is no
         power-basis generator, and renamed basis vectors still are."""
         alg = monogenic_algebra(F5, P("T^4-1", F5))
-        assert alg.is_power_basis
+        assert alg.modulus == P("T^4-1", F5)
         two_t = SCAlgebra(F5, alg.basis, alg.mul, alg.unit, generator=2 * alg.generator)
-        assert not two_t.is_power_basis
+        assert two_t.modulus is None
         assert IdealSubspace(two_t, np.zeros((0, 4), dtype=np.int64)).generator_poly() is None
         renamed = SCAlgebra(F5, ["a", "b", "c", "d"], alg.mul, alg.unit, generator=alg.generator)
-        assert renamed.is_power_basis
+        assert renamed.modulus == P("T^4-1", F5)
+
+
+class TestPowers:
+    """SCAlgebra.powers(v, start, k), the rows start * v^j for j < k from
+    one multiplication matrix, against one square-and-multiply power per
+    exponent."""
+
+    @pytest.mark.parametrize("name", ["F3[T]/(T^9-T)", "F3[T]/(T^3+2T^2)", "F9(x)F9", "mu:5:8", "fs3"])
+    def test_equals_repeated_power(self, name, request):
+        alg = spectrum_algebra(name, request)
+        p, n = alg.field.p, alg.dim
+        rng = np.random.default_rng(11)
+        idem = next(pt.idempotent for pt in maximal_spectrum(alg) if not (pt.idempotent == alg.unit).all())
+        elems = [rng.integers(0, p, size=n), idem] + ([] if alg.generator is None else [alg.generator])
+        for v in elems:
+            for start in (alg.unit, idem, rng.integers(0, p, size=n)):
+                for k in (0, 1, 2, n + 1):
+                    want = np.array([alg.mul_vec(start, alg.power(v, j)) for j in range(k)]).reshape(k, n)
+                    got = alg.powers(v, start, k)
+                    assert got.shape == (k, n) and (got == want).all(), (name, v.tolist(), start.tolist(), k)
+
+
+def modulus_by_reconstruction(alg):
+    """SCAlgebra.modulus as it was read before it came off the powers of the
+    generator, kept as its oracle: None unless e_0 = 1 and e_k g = e_(k+1),
+    read from the matrix of x -> g*x, else the modulus from t^(d-1) * t."""
+    if alg.generator is None:
+        return None
+    n = alg.dim
+    if not np.array_equal([alg.unit, *alg.left_mul_matrix(alg.generator).T[:-1]], np.eye(n, dtype=np.int64)):
+        return None
+    top = alg.mul_vec(np.eye(n, dtype=np.int64)[n - 1], alg.generator)
+    return FpPoly.make(alg.field, [(-int(c)) % alg.field.p for c in top] + [1])
+
+
+class TestModulus:
+    @pytest.mark.parametrize("name", SPECTRUM_ALGEBRAS[:4] + ["mu:3:1", "mu:5:4", "addetale:3:2", "mu:13:12", "mu:7:48"])
+    def test_equals_reconstruction_on_power_bases(self, name, request):
+        alg = spectrum_algebra(name, request)
+        assert alg.modulus is not None and alg.modulus.degree == alg.dim
+        assert alg.modulus == modulus_by_reconstruction(alg), name
+
+    @pytest.mark.parametrize("spec", ["mu:5:4", "addetale:3:2", "mu:7:48", "mu:3:24"])
+    def test_equals_reconstruction_on_quotients_and_residues(self, spec):
+        """Quotients keep the projected generator; some are still power
+        bases and some are not, and the two reads agree on each."""
+        h = parse_builtin(spec)
+        algebras = [quotient_algebra(h.algebra, descent_ideal(h))[0]] + [pt.residue for pt in maximal_spectrum(h.algebra)]
+        for alg in algebras:
+            assert alg.modulus == modulus_by_reconstruction(alg), (spec, alg.basis)
+        assert any(alg.modulus is not None for alg in algebras)
+
+    def test_none_off_the_power_basis(self):
+        f9 = monogenic_algebra(F3, P("T^2+1"))
+        assert tensor_algebra(f9, f9).modulus is None
+        alg = monogenic_algebra(F5, P("T^4-1", F5))
+        lower = np.array([[1, 0, 0, 0], [2, 1, 0, 0], [3, 4, 1, 0], [1, 2, 3, 1]], dtype=np.int64)
+        inv = rref(np.hstack([lower, np.eye(4, dtype=np.int64)]), 5)[0][:, 4:]
+        mul = npmod(np.einsum("ai,bj,abk,lk->ijl", inv, inv, alg.mul, lower), 5)
+        conj = SCAlgebra(F5, alg.basis, mul, matmul(lower, alg.unit, 5), generator=matmul(lower, alg.generator, 5))
+        assert len(algebra_generators(conj)) == 1
+        assert conj.modulus is None and modulus_by_reconstruction(conj) is None
+        for gen in (alg.unit, alg.element_from_poly(P("T^2", F5))):  # a generator that does not generate
+            stuck = unvalidated_algebra(F5, alg.basis, alg.mul, alg.unit, generator=gen)
+            assert stuck.modulus is None and modulus_by_reconstruction(stuck) is None
+
+
+class TestSplitMatrices:
+    """The split forms one multiplication matrix per visited fixed vector u:
+    L_u gives u·e for every current idempotent e at once and every Lagrange
+    factor of a split, so no row-wise product is formed. The number visited
+    is read independently: written on the primitive idempotents, the first
+    j fixed vectors split F into as many idempotents as they have distinct
+    coordinate columns, and the split stops at the first j with all r."""
+
+    @pytest.mark.parametrize("name", ["mu:13:12", "addetale:3:3", "mu:7:48", "mu:5:8", "fs3", "F3[T]/(T^9-T)", "mu:37:36"])
+    def test_one_matrix_per_visited_fixed_vector(self, monkeypatch, name, request):
+        alg = spectrum_algebra(name, request)
+        p, n = alg.field.p, alg.dim
+        fixed = nullspace(npmod(alg.frobenius - np.eye(n, dtype=np.int64), p), p)
+        idems = [pt.idempotent for pt in maximal_spectrum(alg)]
+
+        def scalar(u, e):  # the a with u·e = a·e
+            j = np.flatnonzero(e)[0]
+            return int(alg.mul_vec(u, e)[j]) * alg.field.inv(int(e[j])) % p
+
+        coords = [[scalar(u, e) for e in idems] for u in fixed]
+        splits = [len(set(zip(*coords[:j]))) if j else 1 for j in range(len(fixed) + 1)]
+        visited = splits.index(len(idems))
+
+        fresh = unvalidated_algebra(alg.field, alg.basis, alg.mul, alg.unit, alg.generator)
+        _ = fresh.frobenius, fresh.nil_frobenius  # formed before the split is counted
+        own, rowwise = [], []
+        mul_matrices, mul_rows = SCAlgebra.mul_matrices, SCAlgebra.mul_rows
+
+        def counted(self, u):
+            if sys._getframe(1).f_code is algkernel.maximal_spectrum.__code__:
+                own.append(np.array(u))
+            return mul_matrices(self, u)
+
+        def rows_counted(self, u, v):
+            rowwise.append(len(u))
+            return mul_rows(self, u, v)
+
+        monkeypatch.setattr(SCAlgebra, "mul_matrices", counted)
+        monkeypatch.setattr(SCAlgebra, "mul_rows", rows_counted)
+        pts = maximal_spectrum(fresh)
+        assert [u.tolist() for u in own] == [[row] for row in fixed[:visited].tolist()], name
+        assert rowwise == []
+        assert [pt.idempotent.tolist() for pt in pts] == [e.tolist() for e in idems]
 
 
 class TestAlgebraHom:
@@ -641,7 +753,7 @@ class TestInt64Bound:
             monogenic_algebra(PrimeField(p), modulus)  # validation multiplies through the same bound
         from hyperspec.gfarith import power_basis_tensor
 
-        alg = SCAlgebra(PrimeField(p), ["1", "t", "t2"], power_basis_tensor(modulus), [1, 0, 0], validate=False)
+        alg = unvalidated_algebra(PrimeField(p), ["1", "t", "t2"], power_basis_tensor(modulus), [1, 0, 0])
         u, v = [p - 1, p - 2, p - 3], [p - 4, p - 5, p - 6]  # wrapped to [833, 1082, 1709], not [859, 1120, 1783]
         with pytest.raises(ValueError, match="overflow int64"):
             alg.mul_vec(u, v)

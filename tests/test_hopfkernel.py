@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import rref_rowloop
+from conftest import rref_rowloop, unvalidated_algebra
 from hyperspec import algkernel, linalg
 from hyperspec.algkernel import (
     IdealSubspace,
@@ -249,7 +249,7 @@ class TestVerifyHopf:
         Delta with Delta(1) = 1⊗1 that is multiplicative on the unit but no
         hom: every basis vector is then a generator, so the check fails."""
         alg = mu32.algebra
-        unit_gen = SCAlgebra(alg.field, alg.basis, alg.mul, alg.unit, generator=alg.unit, validate=False)
+        unit_gen = unvalidated_algebra(alg.field, alg.basis, alg.mul, alg.unit, generator=alg.unit)
         assert (algebra_generators(unit_gen) == np.eye(2, dtype=np.int64)).all()
         delta = mu32.delta.copy()
         delta[:, 1] = [1, 0, 0, 1]  # Delta(t) = 1⊗1 + t⊗t, whose square is 2 Delta(t)
@@ -490,3 +490,67 @@ class TestBuiltins:
         assert (again.delta == ae31.delta).all()
         assert (again.antipode == ae31.antipode).all()
         assert (again.counit == ae31.counit).all()
+
+
+def _builtin_maps_by_powers(h):
+    """Delta, counit and antipode of a builtin by one power of its generator
+    t per exponent, as the builtins were built before they were written on
+    the power basis, kept as their oracle: Delta(t^j) = Delta(t)^j, each
+    step a product in A⊗A of coefficient matrices through the structure
+    constants, eps(t^j) = eps(t)^j and S(t^j) = S(t)^j by square-and-multiply,
+    with Delta(t) = t⊗t, eps(t) = 1 and S(t) = t^(n-1) for mu:p:n, and
+    Delta(t) = t⊗1 + 1⊗t, eps(t) = 0 and S(t) = -t for addetale:p:k."""
+    alg = h.algebra
+    p, n = alg.field.p, alg.dim
+    t, one = alg.generator, alg.unit
+    if h.name.startswith("mu:"):
+        delta_t, eps_t, s_t = np.outer(t, t), 1, alg.power(t, n - 1)
+    else:
+        delta_t, eps_t, s_t = np.outer(t, one) + np.outer(one, t), 0, npmod(-t, p)
+    delta = np.zeros((n * n, n), dtype=np.int64)
+    antipode = np.zeros((n, n), dtype=np.int64)
+    acc = np.outer(one, one)
+    for j in range(n):
+        delta[:, j] = acc.ravel()
+        antipode[:, j] = alg.power(s_t, j)
+        acc = np.einsum("ab,cd,ack,bdl->kl", acc, delta_t, alg.mul, alg.mul, optimize="greedy") % p
+    counit = np.array([[eps_t**j for j in range(n)]], dtype=np.int64)
+    return delta, counit, antipode
+
+
+class TestBuiltinsOnThePowerBasis:
+    """The builtins write Delta and S on the power basis e_j = t^j."""
+
+    # mu: n = 1, n = 2, n = p - 1 and non-split n; addetale: k = 1 and 2
+    SPECS = ["mu:3:1", "mu:7:1", "mu:3:2", "mu:5:2", "mu:5:4", "mu:7:6", "mu:13:12", "mu:3:4", "mu:5:3", "mu:7:5"]
+    SPECS += ["addetale:3:1", "addetale:5:1", "addetale:7:1", "addetale:3:2"]
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_maps_equal_per_exponent_powers(self, spec):
+        h = parse_builtin(spec)
+        delta, counit, antipode = _builtin_maps_by_powers(h)
+        assert (h.delta == delta).all() and (h.counit == counit).all() and (h.antipode == antipode).all()
+        assert h.hopf_report.ok
+
+    @pytest.mark.parametrize("spec", ["mu:3:1", "mu:3:2", "mu:13:12", "mu:5:3", "addetale:3:1", "addetale:5:2"])
+    def test_no_multiplication_matrix_outside_validation(self, monkeypatch, spec):
+        """Building a builtin forms multiplication matrices only to validate
+        its algebra; Delta, eps and S take none."""
+        depth, inside, outside = [0], [0], [0]
+        validate, mul_matrices = SCAlgebra._validate, SCAlgebra.mul_matrices
+
+        def counted_validate(self):
+            depth[0] += 1
+            try:
+                validate(self)
+            finally:
+                depth[0] -= 1
+
+        def counted(self, u):
+            (inside if depth[0] else outside)[0] += 1
+            return mul_matrices(self, u)
+
+        monkeypatch.setattr(SCAlgebra, "_validate", counted_validate)
+        monkeypatch.setattr(SCAlgebra, "mul_matrices", counted)
+        parse_builtin(spec)
+        assert outside[0] == 0 and inside[0] > 0, (spec, inside[0], outside[0])

@@ -22,6 +22,7 @@ from conftest import (
     tilde_by_preimage,
     triple_ideal_points_by_rowspan,
     triple_sides,
+    unvalidated_algebra,
     weak_assoc_by_triples,
 )
 
@@ -1017,13 +1018,11 @@ class TestResidueProductBound:
 
     @pytest.fixture
     def big(self):
-        from hyperspec.algkernel import SCAlgebra
         from hyperspec.gfarith import FpPoly, PrimeField, power_basis_tensor
-        from hyperspec.hopfkernel import HopfData
 
         field = PrimeField(2**31 - 1)
         tensor = power_basis_tensor(FpPoly.make(field, [5, 7, 11, 1]))
-        alg = SCAlgebra(field, ["1", "t", "t2"], tensor, [1, 0, 0], validate=False)
+        alg = unvalidated_algebra(field, ["1", "t", "t2"], tensor, [1, 0, 0])
         h = HopfData(alg, np.zeros((9, 3), dtype=np.int64), [1, 0, 0], np.eye(3, dtype=np.int64))
         # no points, so that only the bound can raise: the Hopf axioms and
         # the spectrum would otherwise overflow first
