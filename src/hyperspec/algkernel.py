@@ -146,12 +146,14 @@ class SCAlgebra:
         return total
 
     def element_from_poly(self, poly: FpPoly) -> np.ndarray:
-        """poly(g) for the stored generator g: the coefficient row times the
-        powers 1, g, ..., g^deg, one bounded product of deg + 1 terms."""
+        """poly(g) for the stored generator g: poly is first reduced modulo
+        the minimal polynomial of g, so at most dim powers 1, g, g^2, ... are
+        summed, a product bounded like every other, whatever deg poly is."""
         if self.generator is None:
             raise ValueError("algebra has no designated generator")
-        pows = self.powers(self.generator, self.unit, len(poly.coeffs))
-        return matmul(np.array(poly.coeffs, dtype=np.int64), pows, self.field.p)
+        rem = poly % minimal_polynomial(self.generator, self)
+        pows = self.powers(self.generator, self.unit, len(rem.coeffs))
+        return matmul(np.array(rem.coeffs, dtype=np.int64), pows, self.field.p)
 
     @cached_property
     def modulus(self) -> FpPoly | None:
@@ -573,7 +575,8 @@ def maximal_spectrum(alg: SCAlgebra) -> list[PrimePoint]:
     And r orthogonal nonzero idempotents in F = F_p^r are the primitive
     ones, so the split stops once it has dim F of them. Each visited fixed
     vector u forms one multiplication matrix L_u: it gives u·e for every
-    current e and each Lagrange factor (ue - b·e)·f = u·f - b·f, f in eA."""
+    current e and each Lagrange factor (ue - b·e)·f = u·f - b·f, f in eA,
+    reduced before its scale 1/(a - b) so that no entry reaches p^2."""
     if alg._spectrum is not None:
         return alg._spectrum
     p = alg.field.p
@@ -599,7 +602,7 @@ def maximal_spectrum(alg: SCAlgebra) -> list[PrimePoint]:
                 f = e
                 for b in roots:
                     if b != a:  # (ue - b e) f = u f - b f, as f lies in eA
-                        f = npmod((matmul(f, lu, p) - b * f) * alg.field.inv(a - b), p)
+                        f = npmod(matmul(f, lu, p) - b * f, p) * alg.field.inv(a - b) % p
                 refined.append(f)
         idems = refined
     if len(idems) != fixed.shape[0]:

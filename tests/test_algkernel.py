@@ -762,6 +762,37 @@ class TestInt64Bound:
         with pytest.raises(ValueError, match="overflow int64"):
             alg.mul_by(np.array(u), np.array([v]))
 
+    def test_element_from_poly_past_dim_at_p_2_31_minus_1(self):
+        """poly(g) for a degree-8 poly on a dim-2 algebra, where 9 terms of
+        (p-1)^2 would pass 2^63: poly is reduced modulo the minimal
+        polynomial of g first. Horner in Python ints is the oracle, for the
+        power-basis generator and another one."""
+        p = 2**31 - 1
+        field = PrimeField(p)
+        modulus = [5, 7, 1]
+        alg = monogenic_algebra(field, FpPoly.make(field, modulus))
+        poly = FpPoly.make(field, [p - 1 - k for k in range(9)])
+        for gen in ([0, 1], [p - 3, p - 2]):
+            want = [0, 0]
+            for c in reversed(poly.coeffs):
+                want = self.exact_mul(want, gen, modulus, p)
+                want[0] = (want[0] + c) % p
+            alg_g = SCAlgebra(field, alg.basis, alg.mul, alg.unit, generator=gen)
+            assert alg_g.element_from_poly(poly).tolist() == want, gen
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_split_above_2_21_is_exact(self, n):
+        """The primitive idempotents of F_p[T]/(T^n - 1), p = 3355453 = 1 mod
+        12, are (1/n) sum_j z^-j T^j over the n-th roots z. A Lagrange factor
+        (u·f - b·f)/(a - b) scaled before it is reduced reaches (p-1)^3 > 2^63
+        and wraps in int64 here; p just above 2^21 rarely gets that far."""
+        p = 3_355_453
+        field = PrimeField(p)
+        alg = monogenic_algebra(field, FpPoly.make(field, [-1] + [0] * (n - 1) + [1]))
+        w = next(w for w in (pow(a, (p - 1) // n, p) for a in range(2, p)) if len({pow(w, k, p) for k in range(n)}) == n)
+        want = sorted([pow(n, -1, p) * pow(w, -k * j, p) % p for j in range(n)] for k in range(n))
+        assert sorted(pt.idempotent.tolist() for pt in maximal_spectrum(alg)) == want
+
     def test_largest_accepted_prime(self):
         p = 3_037_000_493
         field = PrimeField(p)
