@@ -1,14 +1,17 @@
 """Command-line front end.
 
 Exit codes: 0 all MUST-PASS checks green, 1 a MUST-PASS failure, 2 input
-error. Output is JSON-first (deterministic: byte-identical for identical
-inputs); --plain switches to a text rendering.
+error, 141 (128 + SIGPIPE, as a shell reports a process that SIGPIPE ends)
+when the reader closes stdout before the output is written. Output is
+JSON-first (deterministic: byte-identical for identical inputs), streamed
+to stdout as it is encoded; --plain switches to a text rendering.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -29,11 +32,19 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 
 
+def _dump(doc: dict, stream) -> None:
+    """doc as indented JSON and a newline, written to stream as it is
+    encoded: json.dump shares iterencode with json.dumps, so the bytes are
+    the same, and no string of the whole document is formed."""
+    json.dump(doc, stream, indent=2)
+    stream.write("\n")
+
+
 def _emit(doc: dict, plain: str | None, as_plain: bool) -> None:
     if as_plain and plain is not None:
         print(plain)
     else:
-        print(json.dumps(doc, indent=2))
+        _dump(doc, sys.stdout)
 
 
 def cmd_laws(args) -> int:
@@ -142,10 +153,10 @@ def cmd_verify(args) -> int:
     except Exception as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    text = json.dumps(result, indent=2)
     if out_path:
         try:
-            Path(out_path).write_text(text + "\n")
+            with open(out_path, "w") as fh:
+                _dump(result, fh)
         except OSError as exc:
             print(f"input error: cannot write output: {exc}", file=sys.stderr)
             return EXIT_INPUT
@@ -158,7 +169,7 @@ def cmd_verify(args) -> int:
             for name, entry in rep["checks"].items():
                 print(f"  {name:<24} {entry['status']}")
     else:
-        print(text)
+        _dump(result, sys.stdout)
     return EXIT_OK if result["ok"] else EXIT_FAIL
 
 
@@ -220,7 +231,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull, so
+        # that the flush at exit does not raise again; 141 = 128 + SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ import numpy as np
 
 from .algkernel import OrbitClassifier, SCAlgebra, field_algebra, field_roots, monogenic_algebra
 from .gfarith import FpPoly, PrimeField, _first_monic_relation, factor_stack, irreducibles_up_to, minimal_polynomial
-from .hyperkernel import spectrum_laws
+from .hyperkernel import _packed_members, spectrum_laws
 from .linalg import npmod, require_int64_sum, two_sided
 
 ADDITIVE = "additive"
@@ -268,12 +268,31 @@ def _flat(rows: list[list[tuple[int, ...]]]) -> tuple[np.ndarray, np.ndarray]:
     return ks, np.repeat(np.arange(len(cells)), list(map(len, cells)))
 
 
-def _member_cube(flat: tuple[np.ndarray, np.ndarray], local: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
-    """The bool cube C[a, b, local[k]] = (k in a*b), from _flat's arrays."""
-    ks, cells = flat
-    cube = np.zeros(shape[0] * shape[1] * shape[2], dtype=bool)
-    cube[cells * shape[2] + local[ks]] = True
-    return cube.reshape(shape)
+def _member_sets(
+    orbits: OrbitClassifier, ids: list[int], table: list[list[tuple[int, ...]]]
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The law engine's input for the pair table of the points ids: the
+    packed sets of s*x and of x*s for the points x and the sources s, which
+    are the points and the members of their pairs, set from the member
+    indices, and the antipode position of each source. Positions are local:
+    the points first, then the other sources, then whatever s*x and x*s
+    add, each in order of first appearance, so the table is the first n
+    rows of s*x. The member lists are freed when this returns, before the
+    engine runs."""
+    n = len(ids)
+    sources = _first_seen(np.concatenate([ids, _flat(table)[0]])).tolist()
+    left = _flat(table + [orbits.row(s, ids) for s in sources[n:]])  # s*x
+    right = _flat([orbits.row(x, sources) for x in ids])  # x*s
+    order = _first_seen(np.concatenate([sources, left[0], right[0]]))
+    m = len(order)
+    local = np.full(len(orbits.points), m, dtype=np.int64)
+    local[order] = np.arange(m)
+    # an antipode that holds no position goes to an extra all-false
+    # position m, where reversibility fails
+    anti = [m if (k := orbits.index.get(line_antipode(orbits.points[s]))) is None else int(local[k]) for s in sources]
+    s_x = _packed_members(left[1], local[left[0]], (len(sources), n, m + 1))
+    x_s = _packed_members(right[1], local[right[0]], (n, len(sources), m + 1))
+    return s_x, x_s, anti
 
 
 def crosscheck(p: int, law: str, max_degree: int) -> dict:
@@ -283,33 +302,16 @@ def crosscheck(p: int, law: str, max_degree: int) -> dict:
     F_{p^N}, N = lcm(1, ..., max_degree): each member of f*g has degree
     dividing lcm(deg f, deg g), which divides N, so every root the checks
     need lies there and no associativity triple is skipped ("skipped" is
-    always 0). The laws are hyperkernel.spectrum_laws on the cubes of s*x
-    and x*s for the points x and the members s of their pairs. Raises
-    ValueError on more than MAX_LINE_POINTS points."""
+    always 0). The laws are hyperkernel.spectrum_laws on the packed sets of
+    _member_sets. Raises ValueError on more than MAX_LINE_POINTS points."""
     require_line_size(p, law, max_degree)
     pts = line_points(p, law, max_degree)
     orbits = orbit_classifier(p, law, lcm(*range(1, max_degree + 1)))
     ids = [orbits.point_index(x) for x in pts]
     n = len(pts)
 
-    # Local positions: the points first, then the members of their pairs
-    # (the sources s of the associativity blocks), then whatever the blocks
-    # add, each in order of first appearance. The pair table is the first n
-    # rows of s*x.
     table = [orbits.row(a, ids) for a in ids]
-    sources = _first_seen(np.concatenate([ids, _flat(table)[0]])).tolist()
-    left_rows = table + [orbits.row(s, ids) for s in sources[n:]]  # s*x
-    right_rows = [orbits.row(x, sources) for x in ids]  # x*s
-    left, right = _flat(left_rows), _flat(right_rows)
-    order = _first_seen(np.concatenate([sources, left[0], right[0]]))
-    m = len(order)
-    local = np.full(len(orbits.points), m, dtype=np.int64)
-    local[order] = np.arange(m)
-    # the antipode of each point and member; one that holds no position
-    # goes to an extra all-false position m, where reversibility fails
-    anti = [m if (k := orbits.index.get(line_antipode(orbits.points[s]))) is None else int(local[k]) for s in sources]
-    s_x = _member_cube(left, local, (len(sources), n, m + 1))
-    x_s = _member_cube(right, local, (n, len(sources), m + 1))
+    s_x, x_s, anti = _member_sets(orbits, ids, table)
     laws = spectrum_laws(s_x, x_s, pts.index(line_identity(p, law)), anti)
     bad = laws["associativity"]
 

@@ -164,23 +164,44 @@ def _first(mask: np.ndarray) -> tuple[int, ...] | None:
 
 def _packed(cube: np.ndarray) -> np.ndarray:
     """P[w, a, b], word w of the bitset of a*b in a bool cube [a, b, x], in
-    64-bit words: a gather moves whole words, and a test of whole sets such
-    as sides.any(axis=0) is an elementwise pass per word, not a reduction."""
-    rows = np.packbits(cube, axis=2)
+    64-bit words, member x at bit x % 64 of word x // 64: a gather moves
+    whole words, and a test of whole sets such as sides.any(axis=0) is an
+    elementwise pass per word, not a reduction."""
+    rows = np.packbits(cube, axis=2, bitorder="little")
     rows = np.pad(rows, ((0, 0), (0, 0), (0, -rows.shape[2] % 8)))
-    return np.ascontiguousarray(np.moveaxis(rows.view(np.uint64), 2, 0))
+    return np.ascontiguousarray(np.moveaxis(rows.view("<u8"), 2, 0))
 
 
-def _members(cube: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The member sets of a hyperoperation in two forms: the packed bitsets
-    P = _packed(cube), and M[a, b, r], the r-th member of a*b in index
+def _packed_members(cells: np.ndarray, xs: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
+    """_packed of the bool cube of the given shape [a, b, x] whose true
+    entries are the members xs[k] of the flat cells a * shape[1] + b =
+    cells[k], set bit by bit, so that the cube itself is never formed."""
+    rows, cols, width = shape
+    sets = np.zeros((-(-width // 64), rows * cols), dtype="<u8")
+    np.bitwise_or.at(sets, (xs >> 6, cells), np.uint64(1) << (xs & 63).astype(np.uint64))
+    return sets.reshape(-1, rows, cols)
+
+
+def _unpacked(sets: np.ndarray) -> np.ndarray:
+    """The bool cube [a, b, x] of packed sets P[w, a, b], 64 positions x per
+    word (more than the cube _packed was given, the extra ones false)."""
+    words = np.ascontiguousarray(np.moveaxis(sets, 0, 2), dtype="<u8")
+    return np.unpackbits(words.view(np.uint8), axis=2, bitorder="little").view(bool)
+
+
+def _members(cube: np.ndarray) -> np.ndarray:
+    """M[a, b, r], the r-th member of a*b in a bool cube [a, b, x], in index
     order, or n = cube.shape[2] past its last member, for r below the
-    largest |a*b| (at least one slot, so an all-empty cube has one)."""
-    n = cube.shape[2]
-    counts = cube.sum(axis=2)
-    m = max(1, int(counts.max()))
-    order = np.argsort(~cube, axis=2, kind="stable")[:, :, :m]
-    return _packed(cube), np.where(np.arange(m) < counts[:, :, None], order, n)
+    largest |a*b| (at least one slot, so an all-empty cube has one). One
+    np.nonzero lists the members cell by cell, each cell in index order, and
+    the rank r of a member is its distance from its cell's first member, so
+    no sort of the cube is formed."""
+    a, b, x = np.nonzero(cube)
+    cells = a * cube.shape[1] + b
+    rank = np.arange(len(cells)) - np.searchsorted(cells, cells)
+    members = np.full((cube.shape[0] * cube.shape[1], int(rank.max(initial=0)) + 1), cube.shape[2], dtype=np.int64)
+    members[cells, rank] = x
+    return members.reshape(*cube.shape[:2], -1)
 
 
 def _union(sets: np.ndarray, members: np.ndarray, axis: int) -> np.ndarray:
@@ -188,20 +209,25 @@ def _union(sets: np.ndarray, members: np.ndarray, axis: int) -> np.ndarray:
     per step, gathered along axis 1 or 2 of sets [w, ., .]: at axis 1, entry
     [w, a, b, c] is the OR of sets[w, x, c] over the members x of a*b; at
     axis 2, of sets[w, a, y] over the members y of b*c, laid out as at
-    axis 1, so the two compare without a strided pass. The index n past
-    the last member reads an appended empty set. Every temporary holds n^3
-    packed sets; none has n^4 entries."""
-    padded = np.concatenate([sets, np.zeros_like(sets.take([0], axis=axis))], axis=axis)
-    out = padded.take(members[..., 0], axis=axis)
+    axis 1, so the two compare without a strided pass. The index n =
+    sets.shape[axis] past the last member adds nothing: it reads the member
+    in slot 0 again, and the entries of an empty a*b, whose slot 0 is n,
+    are cleared at the end, so sets is never copied. Every temporary holds
+    n^3 packed sets; none has n^4 entries."""
+    n = sets.shape[axis]
+    members = np.where(members < n, members, members[..., :1])
+    out = sets.take(members[..., 0], axis=axis, mode="clip")
     for r in range(1, members.shape[-1]):
-        out |= padded.take(members[..., r], axis=axis)
+        out |= sets.take(members[..., r], axis=axis, mode="clip")
+    out[(slice(None),) * axis + (members[..., 0] == n,)] = 0
     return out
 
 
 # The law engine, for spectra (specops), the line (galoisline) and tables.
-# left is bool (s, n, m) with left[x, k] = x*k for the first s positions x
-# and the n points k; right is bool (n, s, m) with right[f, y] = f*y. The
-# table is left[:n], n <= s <= m, with its members in the first s positions.
+# Its input is two sides of packed sets (_packed): left [w, x, k] holds x*k
+# for the first s positions x and the n points k, and right [w, f, y] holds
+# f*y. The table is the first n rows of left, n <= s, with its members in
+# the first s positions.
 
 UNION_BLOCK_BYTES = 1 << 25  # packed member sets per side of one associativity block
 
@@ -212,14 +238,13 @@ def assoc_failures(left: np.ndarray, right: np.ndarray) -> tuple[tuple[int, ...]
     disjoint, or None. The sides are ORs of the packed sets left[x, k] over
     x in f*g and right[f, y] over y in g*k, formed in blocks of first
     points, UNION_BLOCK_BYTES per side, until both triples are found."""
-    n, s = right.shape[:2]
-    _, members = _members(left[:n, :, :s])
-    left_sets, right_sets = _packed(left), _packed(right)
-    step = max(1, UNION_BLOCK_BYTES // (n * n * left_sets.shape[0] * left_sets.itemsize))
+    n, s = right.shape[1:]
+    members = _members(_unpacked(left[:, :n])[:, :, :s])
+    step = max(1, UNION_BLOCK_BYTES // (n * n * left.shape[0] * left.itemsize))
     differ = disjoint = None
     for lo in range(0, n, step):
-        lhs = _union(left_sets, members[lo : lo + step], 1)
-        rhs = _union(right_sets[:, lo : lo + step], members, 2)
+        lhs = _union(left, members[lo : lo + step], 1)
+        rhs = _union(right[:, lo : lo + step], members, 2)
         if differ is None and (bad := _first((lhs != rhs).any(axis=0))):
             differ = (lo + bad[0], *bad[1:])
         if disjoint is None and (bad := _first(~(lhs & rhs).any(axis=0))):
@@ -227,6 +252,18 @@ def assoc_failures(left: np.ndarray, right: np.ndarray) -> tuple[tuple[int, ...]
         if differ and disjoint:
             break
     return differ, disjoint
+
+
+def _first_irreversible(table: np.ndarray, anti: np.ndarray) -> tuple[int, ...] | None:
+    """The first (f, g, x), x < s = len(anti), at which x in f*g and x~ in
+    g~*f~ differ, compared one point f at a time, so that no n x n x s
+    array is formed."""
+    inv = anti[: len(table)]
+    for f, row in enumerate(table[:, :, : len(anti)]):
+        bad = _first(row != table[inv, inv[f]][:, anti])
+        if bad is not None:
+            return (f, *bad)
+    return None
 
 
 def spectrum_laws(left: np.ndarray, right: np.ndarray, e: int, anti) -> dict[str, tuple[int, ...] | None]:
@@ -237,19 +274,22 @@ def spectrum_laws(left: np.ndarray, right: np.ndarray, e: int, anti) -> dict[str
     g~*f~ (f, g, x); commutativity (f, g); associativity and
     weak_associativity, (f*g)*k equal to f*(g*k) and meeting it (f, g, k).
     Reversibility reads x < s only: a later x is in no f*g, and were x~ in
-    g~*f~, the check at (g~, f~, x~) would fail."""
-    n, s = right.shape[:2]
-    table = left[:n]
+    g~*f~, the check at (g~, f~, x~) would fail. Laws on whole sets read
+    the packed table; the bool table is unpacked after the associativity
+    blocks are done, so the two never coexist."""
+    n, s = right.shape[1:]
+    differ, disjoint = assoc_failures(left, right)
+    sets = left[:, :n]
+    table = _unpacked(sets)
     anti = np.asarray(anti, dtype=np.int64)[:s]
     inv, idx = anti[:n], np.arange(n)
     eye = np.eye(n, table.shape[2], dtype=bool)
-    differ, disjoint = assoc_failures(left, right)
     return {
-        "nonempty": _first(~table.any(axis=2)),
+        "nonempty": _first(~sets.any(axis=0)),
         "identity": _first(((table[e] != eye) | (table[:, e] != eye)).any(axis=1)),
         "inverse": _first(~(table[idx, inv, e] & table[inv, idx, e])),
-        "reversibility": _first(table[:, :, :s] != table[np.ix_(inv, inv, anti)].transpose(1, 0, 2)),
-        "commutativity": _first((table != table.transpose(1, 0, 2)).any(axis=2)),
+        "reversibility": _first_irreversible(table, anti),
+        "commutativity": _first((sets != sets.transpose(0, 2, 1)).any(axis=0)),
         "associativity": differ,
         "weak_associativity": disjoint,
     }
@@ -278,7 +318,8 @@ def check_hypergroup(t: HyperTable, mode: str = "strong") -> LawReport:
     cube = t.cube
     names = t.carrier
 
-    bad = assoc_failures(cube, cube)[0]
+    sets = _packed(cube)
+    bad = assoc_failures(sets, sets)[0]
     witness = ()
     if bad is not None:
         a, b, c = bad
@@ -398,7 +439,7 @@ def check_hyperring(r: HyperRingTable) -> LawReport:
 
     # a*(b+c) against a*b + a*c, then (a+b)*c against a*c + b*c: the sums
     # are unions of the one-hot packed sets of the products over members
-    packed, members = _members(r.add.cube)
+    packed, members = _packed(r.add.cube), _members(r.add.cube)
     products = _packed(np.eye(n, dtype=bool)[mu])
     witness: tuple = ()
     bad = _first((_union(products, members, 2) != packed[:, mu[:, :, None], mu[:, None, :]]).any(axis=0))

@@ -65,7 +65,7 @@ from .algkernel import (
 )
 from .gfarith import is_prime, minimal_polynomial, prime_power
 from .hopfkernel import HopfData, hopf_quotient
-from .hyperkernel import LawReport, _first, spectrum_laws
+from .hyperkernel import LawReport, _first, _packed, spectrum_laws
 from .linalg import (
     batch_tensor_rank_class,
     enumerate_vectors,
@@ -263,8 +263,8 @@ def _laws(h: HopfData) -> dict[str, tuple[int, ...] | None]:
     """The first failing index of each spectrum law, decided from the cube
     by hyperkernel.spectrum_laws once per algebra."""
     if "laws" not in h._cache:
-        cube = hyperop_cube(h)
-        h._cache["laws"] = spectrum_laws(cube, cube, identity_point(h).index, antipode_permutation(h))
+        sets = _packed(hyperop_cube(h))
+        h._cache["laws"] = spectrum_laws(sets, sets, identity_point(h).index, antipode_permutation(h))
     return h._cache["laws"]
 
 

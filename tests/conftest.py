@@ -268,6 +268,28 @@ def assoc_sides_einsum(cube):
     return left, right
 
 
+def members_by_argsort(cube):
+    """M[a, b, r], the r-th member of a*b in a bool cube [a, b, x], or
+    cube.shape[2] past its last member, with max(1, largest |a*b|) slots,
+    by a stable argsort of each negated cell: the construction that
+    hyperkernel._members' one np.nonzero replaced, kept as its oracle."""
+    n = cube.shape[2]
+    counts = cube.sum(axis=2)
+    m = max(1, int(counts.max()))
+    order = np.argsort(~cube, axis=2, kind="stable")[:, :, :m]
+    return np.where(np.arange(m) < counts[:, :, None], order, n)
+
+
+def member_cube(cells, xs, shape):
+    """The bool cube of the given shape [a, b, x] that is true at the
+    members xs[k] of the flat cells a * shape[1] + b = cells[k], by one
+    scatter: the cubes that hyperkernel._packed_members packs without
+    forming, kept as its oracle through hyperkernel._packed."""
+    cube = np.zeros(shape[0] * shape[1] * shape[2], dtype=bool)
+    cube[cells * shape[2] + xs] = True
+    return cube.reshape(shape)
+
+
 def distributivity_cubes_einsum(r):
     """(a*(b+c), a*b + a*c, (a+b)*c, a*c + b*c) as dense n^4 boolean cubes
     [a, b, c, d], the left sides by einsum with the one-hot cube of the

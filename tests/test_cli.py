@@ -638,6 +638,26 @@ class TestVerify:
         assert err.startswith("input error: cannot write output:") and "Traceback" not in err
         assert runs == []  # rejected before any algebra is loaded
 
+    def test_output_file_equals_stdout_in_a_fresh_process(self, tmp_path):
+        # both streams carry the same bytes, each ending in exactly one newline
+        cfg = tmp_path / "suite.json"
+        outp = tmp_path / "report.json"
+        cfg.write_text(json.dumps({"algebras": ["mu:3:2", "addetale:3:1"], "output": str(outp)}))
+        proc = subprocess.run([sys.executable, "-m", "hyperspec.cli", "verify", "--suite", str(cfg)], capture_output=True)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == outp.read_bytes()
+        assert proc.stdout.endswith(b"}\n") and json.loads(proc.stdout)["ok"] is True
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    def test_failed_write_of_the_report_exits_2(self, tmp_path, capsys):
+        # /dev/full opens, so the run goes ahead, and the write of the
+        # streamed report fails
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(json.dumps({"algebras": ["mu:3:2"], "output": "/dev/full"}))
+        code, out, err = run_cli(capsys, "verify", "--suite", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: cannot write output:") and "Traceback" not in err
+
     def test_existing_output_is_replaced(self, tmp_path, capsys):
         cfg = tmp_path / "suite.json"
         outp = tmp_path / "report.json"
@@ -782,6 +802,19 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["ok"] is True
+
+    def test_closed_stdout_exits_141_without_a_traceback(self):
+        # the report is far larger than a pipe's buffer, so the writer meets
+        # the closed pipe mid-document
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hyperspec.cli", "line", "--p", "7", "--law", "add", "--max-degree", "2"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.communicate(timeout=60)[1]
+        assert (proc.returncode, first, err) == (141, b"{\n", b"")
 
     @pytest.mark.parametrize(
         "argv",

@@ -6,7 +6,7 @@ from math import gcd, lcm
 
 import numpy as np
 import pytest
-from conftest import crosscheck_by_triples, span_rank_classes
+from conftest import crosscheck_by_triples, member_cube, span_rank_classes
 
 from hyperspec import galoisline, gfarith, hyperkernel
 from hyperspec.algkernel import monogenic_algebra, tensor_algebra
@@ -240,6 +240,23 @@ class TestOrbitClassifier:
     @pytest.mark.parametrize("p, max_degree", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (7, 2)])
     def test_report_matches_scanned_oracle(self, p, max_degree, law):
         assert crosscheck(p, law, max_degree) == crosscheck_by_triples(p, law, max_degree)
+
+    @pytest.mark.parametrize("law", LAWS)
+    @pytest.mark.parametrize("p, max_degree", [(3, 1), (3, 2), (3, 3), (7, 1), (7, 2)])
+    def test_packed_sets_match_the_member_cubes(self, monkeypatch, p, max_degree, law):
+        # the s*x and x*s sets that crosscheck sets from member indices
+        # equal _packed of the bool cubes scattered from the same indices
+        real, sides = galoisline._packed_members, []
+
+        def recording(cells, xs, shape):
+            sides.append((cells, xs, shape, real(cells, xs, shape)))
+            return sides[-1][-1]
+
+        monkeypatch.setattr(galoisline, "_packed_members", recording)
+        crosscheck(p, law, max_degree)
+        assert len(sides) == 2
+        for cells, xs, shape, got in sides:
+            assert np.array_equal(got, hyperkernel._packed(member_cube(cells, xs, shape))), shape
 
     @pytest.mark.parametrize("law", LAWS)
     def test_repointed_root_is_caught(self, law):

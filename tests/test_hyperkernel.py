@@ -4,7 +4,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from conftest import hypergroup_report_by_einsum, hyperring_report_by_einsum
+from conftest import hypergroup_report_by_einsum, hyperring_report_by_einsum, member_cube, members_by_argsort
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -181,18 +181,22 @@ class TestPackedKernelsAgainstEinsum:
         # a _members that loses the last member of the first a*b with two or
         # more members: the unions then disagree with the einsum cubes
         def dropping(cube):
-            packed, members = real(cube)
+            members = real(cube).copy()
             a, b = (int(v) for v in np.argwhere(cube.sum(axis=2) >= 2)[0])
-            last = int(np.count_nonzero(members[a, b] < cube.shape[0])) - 1
-            members = members.copy()
-            members[a, b, last] = cube.shape[0]
-            return packed, members
+            last = int(np.count_nonzero(members[a, b] < cube.shape[2])) - 1
+            members[a, b, last] = cube.shape[2]
+            return members
 
         real = hyperkernel._members
         multi = [r for r in CORPUS if not r.add.is_single_valued()]
         monkeypatch.setattr(hyperkernel, "_members", dropping)
         caught = [r for r in multi if check_hyperring(r).to_json() != hyperring_report_by_einsum(r).to_json()]
         assert caught == multi
+
+
+def laws_of(left, right, e, anti):
+    """hyperkernel.spectrum_laws on the packed sets of bool cubes."""
+    return hyperkernel.spectrum_laws(hyperkernel._packed(left), hyperkernel._packed(right), e, anti)
 
 
 def laws_by_loops(left, right, e, anti):
@@ -265,6 +269,47 @@ def rectangular(right_12):
     return left, right, [0, 1, 4]
 
 
+class TestMemberSets:
+    """The law engine's two forms of member sets, against their oracles:
+    _members against a stable argsort of each cell (members_by_argsort),
+    and _packed_members against _packed of the cube set by a scatter
+    (member_cube)."""
+
+    @staticmethod
+    def random_cubes(seed, count):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            shape = tuple(int(v) for v in rng.integers(1, 8, 3))
+            yield rng.random(shape) < rng.uniform(0, 0.7)  # at low density, many cells are empty
+
+    def test_members_match_argsort(self):
+        empty = np.zeros((3, 4, 5), dtype=bool)
+        full_cell = empty.copy()
+        full_cell[1, 2] = True
+        for cube in [*self.random_cubes(28, 300), empty, full_cell, np.ones((2, 2, 70), dtype=bool)]:
+            for view in (cube, cube[:, :, : max(1, cube.shape[2] - 2)]):  # the engine reads a slice of its table
+                got = hyperkernel._members(view)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, members_by_argsort(view)), view.shape
+        assert np.array_equal(hyperkernel._members(empty), np.full((3, 4, 1), 5))
+        assert np.array_equal(hyperkernel._members(full_cell)[1, 2], np.arange(5))
+
+    def test_packed_members_match_packed_cube(self):
+        rng = np.random.default_rng(29)
+        for cube in [*self.random_cubes(29, 300), np.ones((2, 3, 128), dtype=bool), np.ones((2, 3, 129), dtype=bool)]:
+            rows, cols, width = cube.shape
+            a, b, x = np.nonzero(cube)
+            cells, xs = a * cols + b, x
+            perm = rng.permutation(len(cells))  # members in any order, some listed twice
+            cells, xs = np.concatenate([cells[perm], cells[: len(cells) // 3]]), np.concatenate([xs[perm], xs[: len(xs) // 3]])
+            got = hyperkernel._packed_members(cells, xs, cube.shape)
+            assert np.array_equal(member_cube(cells, xs, cube.shape), cube)
+            assert got.shape == (-(-width // 64), rows, cols)
+            assert np.array_equal(got, hyperkernel._packed(cube)), cube.shape
+            unpacked = hyperkernel._unpacked(got)
+            assert np.array_equal(unpacked[:, :, :width], cube) and not unpacked[:, :, width:].any()
+
+
 class TestLawEngine:
     """hyperkernel.spectrum_laws on hand-built cubes in which each law
     fails first at a known index, against loops over the definitions."""
@@ -273,7 +318,7 @@ class TestLawEngine:
     @pytest.mark.parametrize("cube, anti, law, index", ENGINE_CASES, ids=[str(c[2]) for c in ENGINE_CASES])
     def test_first_failure_of_each_law(self, monkeypatch, cube, anti, law, index, block_bytes):
         monkeypatch.setattr(hyperkernel, "UNION_BLOCK_BYTES", block_bytes)
-        got = hyperkernel.spectrum_laws(cube, cube, 0, anti)
+        got = laws_of(cube, cube, 0, anti)
         assert got == laws_by_loops(cube, cube, 0, anti)
         if law is None:
             assert set(got.values()) == {None}
@@ -284,9 +329,9 @@ class TestLawEngine:
         left, right, anti = rectangular({1, 3})
         want = dict.fromkeys(laws_by_loops(left, right, 0, anti))
         want["reversibility"] = (1, 1, 2)  # 2 is in 1*1, its antipode in nothing
-        assert hyperkernel.spectrum_laws(left, right, 0, anti) == laws_by_loops(left, right, 0, anti) == want
+        assert laws_of(left, right, 0, anti) == laws_by_loops(left, right, 0, anti) == want
         left, right, anti = rectangular({2})  # (1*1)*1 = {1, 3}, 1*(1*1) = {1, 2}
-        got = hyperkernel.spectrum_laws(left, right, 0, anti)
+        got = laws_of(left, right, 0, anti)
         assert got == laws_by_loops(left, right, 0, anti)
         assert (got["associativity"], got["weak_associativity"]) == ((1, 1, 1), None)
 
@@ -306,7 +351,7 @@ class TestLawEngine:
                 right[:, :n] = left[:n]  # f*y for a point y, read from the table
             anti = np.concatenate([rng.permutation(n), rng.integers(0, m, s - n)])
             e = int(rng.integers(0, n))
-            assert hyperkernel.spectrum_laws(left, right, e, anti) == laws_by_loops(left, right, e, anti)
+            assert laws_of(left, right, e, anti) == laws_by_loops(left, right, e, anti)
 
     @pytest.mark.parametrize("block_bytes", [hyperkernel.UNION_BLOCK_BYTES, 1], ids=["one-block", "block-per-point"])
     def test_check_hypergroup_in_blocks(self, monkeypatch, block_bytes):

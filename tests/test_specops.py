@@ -332,17 +332,16 @@ class TestWeakAssocFromMemberSets:
             assert side_disagreements(h) == [], h.name
 
     def test_union_dropping_a_member_is_caught(self, monkeypatch):
-        """Mutation check: when the packed member sets that hyperkernel's
+        """Mutation check: when the member lists that hyperkernel's
         unions read lose the last member of the first f*g with several
         members, weak_assoc_all disagrees with the oracle."""
         real = hyperkernel._members
 
         def dropping(cube):
-            packed, members = real(cube)
+            members = real(cube).copy()
             a, b = (int(v) for v in np.argwhere(cube.sum(axis=2) >= 2)[0])
-            members = members.copy()
-            members[a, b, int(np.count_nonzero(members[a, b] < cube.shape[0])) - 1] = cube.shape[0]
-            return packed, members
+            members[a, b, int(np.count_nonzero(members[a, b] < cube.shape[2])) - 1] = cube.shape[2]
+            return members
 
         monkeypatch.setattr(hyperkernel, "_members", dropping)
         h = parse_builtin("mu:3:8")
