@@ -223,11 +223,6 @@ def forced_zero_generators(p: int, law: str, fs: list[LinePoint], gs: list[LineP
     return [out[ij] for ij in product(range(len(fs)), range(len(gs)))]
 
 
-def forced_zero_generator(p: int, law: str, f: LinePoint, g: LinePoint) -> FpPoly:
-    """g_P of one pair: the one-pair case of forced_zero_generators."""
-    return forced_zero_generators(p, law, [f], [g])[0]
-
-
 def definitional_hyperops(p: int, law: str, fs: list[LinePoint], gs: list[LinePoint]) -> list[tuple[LinePoint, ...]]:
     """Membership-condition hyperoperation of every pair in fs x gs,
     row-major, computed in the residue tensor: the forced-zero ideal is
@@ -313,6 +308,7 @@ def crosscheck(p: int, law: str, max_degree: int) -> dict:
     table = [orbits.row(a, ids) for a in ids]
     s_x, x_s, anti = _member_sets(orbits, ids, table)
     laws = spectrum_laws(s_x, x_s, pts.index(line_identity(p, law)), anti)
+    del s_x, x_s  # freed before the definitional engine runs
     bad = laws["associativity"]
 
     pairs = []

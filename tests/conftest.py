@@ -50,6 +50,42 @@ def unvalidated_algebra(field, basis, mul, unit, generator=None):
         return SCAlgebra(field, basis, mul, unit, generator)
 
 
+def associator_by_basis_triples(mul, p):
+    """[i, j, k]: whether (e_i e_j) e_k != e_i (e_j e_k), over every basis
+    triple by the n^5 contraction SCAlgebra._validate made before it
+    checked associativity on algebra generators; kept as its oracle."""
+    mul = npmod(mul, p)
+    left = np.einsum("ijl,lkm->ijkm", mul, mul)
+    right = np.einsum("jkl,ilm->ijkm", mul, mul)
+    return npmod(left - right, p).any(axis=3)
+
+
+def validation_error_by_basis_triples(field, mul, unit, generator=None):
+    """The ValueError message SCAlgebra's construction checks give when
+    each is made on every basis vector and triple, in _validate's order
+    (commutativity, the unit, associativity, the generator), or None. The
+    associativity message names the first failing triple in index order;
+    the generator's span is the rank of its powers 1, g, ..., g^(n-1)."""
+    p = field.p
+    mul, unit = npmod(mul, p), npmod(unit, p)
+    n = len(unit)
+    if (mul != mul.transpose(1, 0, 2)).any():
+        return "multiplication is not commutative"
+    if (npmod(np.einsum("i,ijk->jk", unit, mul), p) != np.eye(n, dtype=np.int64)).any():
+        return "declared unit is not a multiplicative identity"
+    bad = np.argwhere(associator_by_basis_triples(mul, p))
+    if len(bad):
+        return "multiplication is not associative at basis triple ({},{},{})".format(*bad[0])
+    if generator is not None:
+        pows = [unit]
+        for _ in range(n - 1):
+            pows.append(npmod(np.einsum("i,j,ijk->k", pows[-1], npmod(generator, p), mul), p))
+        d = len(rref(np.array(pows), p)[1])
+        if d < n:
+            return f"algebra 'generator' does not generate the algebra: its powers span {d} of {n} dimensions"
+    return None
+
+
 def rref_rowloop(mat, p):
     """The numpy row-loop RREF that linalg.rref replaced, kept as its oracle:
     two numpy calls per (pivot, nonzero row) pair, in int64."""
@@ -209,7 +245,7 @@ def maximal_spectrum_by_reduced_quotient(alg):
     for u in fixed:
         refined = []
         for e in idems:
-            ue = red.mul_vec(u, e)
+            ue = red.mul_by(u, e[None])[0]
             m = minimal_polynomial(ue, red, unit=e)
             roots = [a for a in range(p) if m.eval(a) == 0]
             assert len(roots) == m.degree, "Frobenius-fixed element has a non-split minimal polynomial"
@@ -221,7 +257,7 @@ def maximal_spectrum_by_reduced_quotient(alg):
                 for b in roots:
                     if b == a:
                         continue
-                    f = red.mul_vec(f, npmod(ue - b * e, p))
+                    f = red.mul_by(npmod(ue - b * e, p), f[None])[0]
                     f = npmod(f * alg.field.inv(a - b), p)
                 refined.append(f)
         idems = refined
@@ -590,7 +626,7 @@ def galois_hyperop_scanned(p, law, f, g):
     conj = field_roots(g.poly, m)[0]
     out = set()
     for _ in range(gcd(f.degree, g.degree)):
-        val = npmod(alpha + conj, p) if law == ADDITIVE else fq.mul_vec(alpha, conj)
+        val = npmod(alpha + conj, p) if law == ADDITIVE else fq.mul_by(alpha, conj[None])[0]
         out.add(LinePoint(law, minimal_polynomial(val, fq)))
         conj = matmul(frob, conj, p)
     return tuple(sorted(out, key=LinePoint.sort_key))
@@ -697,7 +733,7 @@ def classical_points(h, q):
         acc = res.unit.copy()
         for j in range(d):
             gen_pows[:, j] = acc
-            acc = res.mul_vec(acc, gen)
+            acc = res.mul_by(gen, acc[None])[0]
         aug, piv = rref(np.hstack([gen_pows, pt.resmap]), p)
         assert piv[:d] == list(range(d))
         for rho in field_roots(minimal_polynomial(gen, res), e):

@@ -21,11 +21,13 @@ from hyperspec.gfarith import PrimeField, FpPoly, factor, minimal_polynomial, pa
 from conftest import (
     LEMMA_ALGEBRAS,
     NON_REDUCED,
+    associator_by_basis_triples,
     ideal_is_prime_by_quotient,
     maximal_spectrum_by_reduced_quotient,
     nullspace_twopass,
     spectrum_fields,
     unvalidated_algebra,
+    validation_error_by_basis_triples,
 )
 from hyperspec import algkernel
 from hyperspec.hopfkernel import descent_ideal, parse_builtin
@@ -64,6 +66,87 @@ class TestSCAlgebra:
         doc = alg.to_json()
         again = SCAlgebra.from_json(doc)
         assert again.to_json() == doc
+
+
+def _symmetric_pair_mutants(alg):
+    """(i, j, k) and alg's structure constants with the symmetric pair
+    mul[i, j, k] = mul[j, i, k] raised by 1, for every i <= j and k: each
+    stays commutative."""
+    n, p = alg.dim, alg.field.p
+    for i, j, k in product(range(n), repeat=3):
+        if i <= j:
+            mul = alg.mul.copy()
+            mul[i, j, k] = mul[j, i, k] = (mul[i, j, k] + 1) % p
+            yield (i, j, k), mul
+
+
+class TestAssociativityOnGenerators:
+    """SCAlgebra._validate decides associativity on algebra_generators, by
+    the middle nucleus; the check on every basis triple is its oracle."""
+
+    @pytest.mark.parametrize(
+        "spec, which",
+        [
+            ("mu:3:4", "stored"),
+            ("addetale:3:2", "stored"),
+            ("mu:5:8", "stored"),
+            ("mu:3:4", "none"),
+            ("addetale:3:2", "none"),
+            ("mu:3:4", "t+t2"),
+        ],
+    )
+    def test_symmetric_pair_mutants_match_basis_triples(self, spec, which):
+        """Every mutant gets the oracle's verdict and message; a failing
+        associativity check may name another triple than the oracle's first,
+        but one at which the oracle fails too. Without a generator every
+        basis vector is one; t + t2 generates F_3[T]/(T^4 - 1) with two
+        basis vectors other than the unit in its support, so the triple is
+        found among them."""
+        alg = parse_builtin(spec).algebra
+        p = alg.field.p
+        gen = {"stored": alg.generator, "none": None, "t+t2": np.array([0, 1, 1, 0])}[which]
+        assert len(algebra_generators(SCAlgebra(alg.field, alg.basis, alg.mul, alg.unit, generator=gen))) == (
+            alg.dim if gen is None else 1
+        )
+        kinds = set()
+        for pair, mul in _symmetric_pair_mutants(alg):
+            want = validation_error_by_basis_triples(alg.field, mul, alg.unit, gen)
+            try:
+                SCAlgebra(alg.field, alg.basis, mul, alg.unit, generator=gen)
+                got = None
+            except ValueError as exc:
+                got = str(exc)
+            kinds.add(None if want is None else want.split()[0])
+            if want is not None and want.startswith("multiplication is not associative"):
+                prefix = "multiplication is not associative at basis triple ("
+                assert got is not None and got.startswith(prefix) and got.endswith(")"), (pair, got)
+                i, k, j = (int(v) for v in got[len(prefix) : -1].split(","))
+                assert associator_by_basis_triples(mul, p)[i, k, j], (pair, got)
+            else:
+                assert got == want, pair
+        assert {"multiplication", "declared"} <= kinds, kinds
+
+    def test_zero_unit_with_a_generator_names_the_unit(self):
+        """The unit is checked before the generators, whose minimal
+        polynomial a zero unit would stop with a RuntimeError."""
+        alg = monogenic_algebra(F5, P("T^4-1", F5))
+        with pytest.raises(ValueError, match="declared unit is not a multiplicative identity"):
+            SCAlgebra(F5, alg.basis, alg.mul, np.zeros(4, dtype=np.int64), generator=alg.generator)
+
+    def test_monogenic_validation_takes_at_most_dim_rows(self, monkeypatch):
+        """On mu:7:48 no mul_matrices call of _validate takes more than 48
+        rows; a check on every basis triple takes 48^2 = 2,304 in one."""
+        alg = parse_builtin("mu:7:48").algebra
+        rows = []
+        mul_matrices = SCAlgebra.mul_matrices
+
+        def counted(self, u):
+            rows.append(len(u))
+            return mul_matrices(self, u)
+
+        monkeypatch.setattr(SCAlgebra, "mul_matrices", counted)
+        SCAlgebra(alg.field, alg.basis, alg.mul, alg.unit, generator=alg.generator)
+        assert rows and max(rows) <= 48, rows
 
 
 class TestTensorAlgebra:
@@ -461,7 +544,7 @@ def quotient_loop(alg, ideal):
     mul = np.zeros((len(free),) * 3, dtype=np.int64)
     for i, a in enumerate(free):
         for j, b in enumerate(free):
-            mul[i, j] = matmul(pi, alg.mul_vec(eye[a], eye[b]), p)
+            mul[i, j] = matmul(pi, alg.mul_by(eye[a], eye[b][None])[0], p)
     return pi, mul
 
 
@@ -472,7 +555,7 @@ def frobenius_loop(alg):
     for i, e in enumerate(np.eye(alg.dim, dtype=np.int64)):
         x = e
         for _ in range(alg.field.p - 1):
-            x = alg.mul_vec(x, e)
+            x = alg.mul_by(x, e[None])[0]
         frob[:, i] = x
     return frob
 
@@ -481,7 +564,7 @@ def gcd_cascade(ideal):
     """generator_poly without its early stop: the gcd of the modulus with
     every basis row."""
     alg = ideal.algebra
-    top = alg.mul_vec(np.eye(alg.dim, dtype=np.int64)[alg.dim - 1], alg.generator)
+    top = alg.mul_by(alg.generator, np.eye(alg.dim, dtype=np.int64)[alg.dim - 1 :])[0]
     g = FpPoly.make(alg.field, [(-int(c)) % alg.field.p for c in top] + [1])
     for row in ideal.basis:
         g = g.gcd(FpPoly.make(alg.field, [int(c) for c in row]))
@@ -580,7 +663,7 @@ class TestPowers:
         for v in elems:
             for start in (alg.unit, idem, rng.integers(0, p, size=n)):
                 for k in (0, 1, 2, n + 1):
-                    want = np.array([alg.mul_vec(start, alg.power(v, j)) for j in range(k)]).reshape(k, n)
+                    want = np.array([alg.mul_by(start, alg.power(v, j)[None])[0] for j in range(k)]).reshape(k, n)
                     got = alg.powers(v, start, k)
                     assert got.shape == (k, n) and (got == want).all(), (name, v.tolist(), start.tolist(), k)
 
@@ -594,7 +677,7 @@ def modulus_by_reconstruction(alg):
     n = alg.dim
     if not np.array_equal([alg.unit, *alg.left_mul_matrix(alg.generator).T[:-1]], np.eye(n, dtype=np.int64)):
         return None
-    top = alg.mul_vec(np.eye(n, dtype=np.int64)[n - 1], alg.generator)
+    top = alg.mul_by(alg.generator, np.eye(n, dtype=np.int64)[n - 1 :])[0]
     return FpPoly.make(alg.field, [(-int(c)) % alg.field.p for c in top] + [1])
 
 
@@ -647,7 +730,7 @@ class TestSplitMatrices:
 
         def scalar(u, e):  # the a with u·e = a·e
             j = np.flatnonzero(e)[0]
-            return int(alg.mul_vec(u, e)[j]) * alg.field.inv(int(e[j])) % p
+            return int(alg.mul_by(u, e[None])[0, j]) * alg.field.inv(int(e[j])) % p
 
         coords = [[scalar(u, e) for e in idems] for u in fixed]
         splits = [len(set(zip(*coords[:j]))) if j else 1 for j in range(len(fixed) + 1)]
@@ -741,7 +824,6 @@ class TestInt64Bound:
         alg = monogenic_algebra(PrimeField(p), FpPoly.make(PrimeField(p), modulus))
         u, v = [p - 1, p - 2], [p - 3, p - 4]
         want = self.exact_mul(u, v, modulus, p)
-        assert alg.mul_vec(u, v).tolist() == want
         assert alg.mul_rows(np.array([u, v]), np.array([v, u])).tolist() == [want, want]
         assert alg.mul_by(np.array(u), np.array([v, v])).tolist() == [want, want]
         assert alg.element_from_poly(FpPoly.make(PrimeField(p), [p - 1, p - 2])).tolist() == [p - 1, p - 2]
@@ -755,8 +837,6 @@ class TestInt64Bound:
 
         alg = unvalidated_algebra(PrimeField(p), ["1", "t", "t2"], power_basis_tensor(modulus), [1, 0, 0])
         u, v = [p - 1, p - 2, p - 3], [p - 4, p - 5, p - 6]  # wrapped to [833, 1082, 1709], not [859, 1120, 1783]
-        with pytest.raises(ValueError, match="overflow int64"):
-            alg.mul_vec(u, v)
         with pytest.raises(ValueError, match="overflow int64"):
             alg.mul_rows(np.array([u]), np.array([v]))
         with pytest.raises(ValueError, match="overflow int64"):
@@ -797,6 +877,6 @@ class TestInt64Bound:
         p = 3_037_000_493
         field = PrimeField(p)
         line = monogenic_algebra(field, FpPoly.make(field, [p - 2, 1]))  # dim 1: (p-1)^2 < 2^63
-        assert line.mul_vec([p - 1], [p - 3]).tolist() == [3]
+        assert line.mul_by(np.array([p - 1]), np.array([[p - 3]])).tolist() == [[3]]
         with pytest.raises(ValueError, match="overflow int64"):
             monogenic_algebra(field, FpPoly.make(field, [1, 0, 1]))  # dim 2: 2 (p-1)^2 >= 2^63

@@ -334,6 +334,21 @@ class TestAlgebraJson:
         cfg.write_text(json.dumps({"algebras": [str(path)]}))
         assert run_cli(capsys, "verify", "--suite", str(cfg)) == (2, "", f"input error: {message}\n")
 
+    def test_non_associative_constants_exit_2(self, tmp_path, capsys):
+        """mu:3:3 with t·t2 = 1 + t, still commutative with the same unit:
+        (t·t)·t2 = t2·t2 = t but t·(t·t2) = t + t2."""
+        from hyperspec.hopfkernel import parse_builtin
+
+        doc = parse_builtin("mu:3:3").to_json()
+        doc["mul"][1][2] = doc["mul"][2][1] = [1, 1, 0]
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps(doc))
+        message = "input error: multiplication is not associative at basis triple (1,1,2)\n"
+        assert run_cli(capsys, "hyperop", str(path)) == (2, "", message)
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(json.dumps({"algebras": [str(path)]}))
+        assert run_cli(capsys, "verify", "--suite", str(cfg)) == (2, "", message)
+
     def test_entries_are_residues_of_any_integer(self, tmp_path, capsys):
         # entries are reduced mod p as Python ints, so no entry overflows int64
         doc = _mu32_doc()

@@ -1,5 +1,6 @@
 import random
 import sys
+import weakref
 from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
@@ -19,7 +20,6 @@ from hyperspec.galoisline import (
     crosscheck,
     definitional_hyperop,
     definitional_hyperops,
-    forced_zero_generator,
     forced_zero_generators,
     galois_hyperop,
     line_antipode,
@@ -259,6 +259,26 @@ class TestOrbitClassifier:
             assert np.array_equal(got, hyperkernel._packed(member_cube(cells, xs, shape))), shape
 
     @pytest.mark.parametrize("law", LAWS)
+    def test_packed_sets_are_freed_before_the_definitional_engine(self, monkeypatch, law):
+        # the s*x and x*s sets are dead once spectrum_laws returns, so they
+        # add nothing to the definitional engine's memory
+        member_sets, engine, refs, alive = galoisline._member_sets, galoisline.definitional_hyperops, [], []
+
+        def recording(*args):
+            sets = member_sets(*args)
+            refs.extend(weakref.ref(side) for side in sets[:2])
+            return sets
+
+        def checking(*args):
+            alive.append([ref() is not None for ref in refs])
+            return engine(*args)
+
+        monkeypatch.setattr(galoisline, "_member_sets", recording)
+        monkeypatch.setattr(galoisline, "definitional_hyperops", checking)
+        assert crosscheck(3, law, 2)["agree"]
+        assert alive == [[False, False]]
+
+    @pytest.mark.parametrize("law", LAWS)
     def test_repointed_root_is_caught(self, law):
         # the dict entry of one input point's carried root, re-pointed to the
         # next point: the crosscheck fails and leaves the oracle's report
@@ -329,7 +349,7 @@ def tensor_forced_zero_generator(p, law, f, g):
     ten = tensor_algebra(kf, kg)
     tf = np.kron(kf.generator, kg.unit) % p
     tg = np.kron(kf.unit, kg.generator) % p
-    s = (tf + tg) % p if law == ADDITIVE else ten.mul_vec(tf, tg)
+    s = (tf + tg) % p if law == ADDITIVE else ten.mul_by(tf, tg[None])[0]
     return minimal_polynomial(s, ten), ten, s
 
 
@@ -344,7 +364,7 @@ def rank_filtered_definitional(p, law, f, g):
     acc = ten.unit.copy()
     for k in range(dgp):
         s_pows[k] = acc
-        acc = ten.mul_vec(acc, s)
+        acc = ten.mul_by(s, acc[None])[0]
     kept = []
     for pi, _mult in factor(g_p):
         if law == MULTIPLICATIVE and pi.coeffs[0] == 0:
@@ -398,7 +418,7 @@ class TestDefinitionalEngine:
         assert len(stacked) == len(members) == len(pts) ** 2
         for k, (f, g) in enumerate(product(pts, seconds)):
             g_p = tensor_forced_zero_generator(p, law, f, g)[0]
-            assert stacked[k] == forced_zero_generator(p, law, f, g) == g_p, (f, g)
+            assert stacked[k] == forced_zero_generators(p, law, [f], [g])[0] == g_p, (f, g)
             want = tuple(sorted((LinePoint(law, pi) for pi, _ in factor(g_p)), key=LinePoint.sort_key))
             assert members[k] == definitional_hyperop(p, law, f, g) == want, (f, g)
 
@@ -568,6 +588,34 @@ class TestCrosscheck:
             definitional_hyperop(2, law, f2_line, f2_line)
 
 
+def engine_mismatches(spec):
+    """The pairs (f, g) of points of the builtin spec (addetale:p:k, or
+    mu:p:n with n = p^k - 1) where hyperop_cube, galois_hyperop and
+    definitional_hyperops do not give the same members, points matched by
+    label, and the number of points. These builtins are the points of the
+    line or torus of degree dividing k, and no two engines share decision
+    code: idempotents and residue maps, roots in F_{p^N}, and Krylov
+    relations with factorization."""
+    from hyperspec import specops as ops
+    from hyperspec.hopfkernel import parse_builtin
+
+    h = parse_builtin(spec)
+    p = h.algebra.field.p
+    law = ADDITIVE if spec.startswith("addetale:") else MULTIPLICATIVE
+    spectrum = ops.kpoints(h)
+    by_label = {x.label: x for x in line_points(p, law, max(pt.degree for pt in spectrum))}
+    pts = [by_label[pt.label] for pt in spectrum]
+    cube = ops.hyperop_cube(h)
+    definitional = definitional_hyperops(p, law, pts, pts)
+    bad = []
+    for (i, f), (j, g) in product(enumerate(pts), repeat=2):
+        idempotent = {spectrum[k].label for k in np.flatnonzero(cube[i, j])}
+        galois = {q.label for q in galois_hyperop(p, law, f, g)}
+        if not idempotent == galois == {q.label for q in definitional[i * len(pts) + j]}:
+            bad.append((f.label, g.label))
+    return bad, len(pts)
+
+
 class TestAgreementWithFiniteTruncations:
     def test_additive_identity_matches_spectrum_identity(self):
         from hyperspec import specops as ops
@@ -582,6 +630,10 @@ class TestAgreementWithFiniteTruncations:
 
         h = parse_builtin("mu:5:4")
         assert ops.identity_point(h).label == line_identity(5, MULTIPLICATIVE).label
+
+    @pytest.mark.parametrize("spec, points", [("addetale:3:3", 11), ("addetale:5:2", 15), ("mu:3:26", 10), ("mu:5:24", 14)])
+    def test_three_engines_agree_on_every_pair(self, spec, points):
+        assert engine_mismatches(spec) == ([], points)
 
     def test_truncation_shares_hyperop_values(self):
         # the 9-dimensional additive algebra is the degree<=2 fragment of the line

@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -65,44 +67,85 @@ def _hom_sides(h):
     }
 
 
-def _reference_report(h):
-    """The verify_hopf checks whose contraction changed, as first written:
-    the hom entries over every pair of basis vectors (_hom_sides),
-    Kronecker-matrix iterated coproducts and antipode laws, and the twist as
-    a permutation matrix."""
+def _reference_sides(h):
+    """For every verify_hopf entry, (lhs, rhs, ok) as first written: the hom
+    entries over every pair of basis vectors (_hom_sides), and every other
+    entry with column x its two sides at e_x, through Kronecker matrices
+    and the twist as a permutation matrix. ok is the unit check of a hom
+    entry, and for the counit law whether its right side is the identity."""
     alg = h.algebra
     p = alg.field.p
     n = alg.dim
-    rep = LawReport()
-    for name, (lhs, rhs, unit_ok) in _hom_sides(h).items():
-        _compare(rep, name, lhs, rhs, extra_ok=bool(unit_ok))
-    _compare(rep, "coassociativity", *_kronecker_iterated(h))
     eye = np.eye(n, dtype=np.int64)
+    sides = _hom_sides(h)
+    sides["coassociativity"] = (*_kronecker_iterated(h), True)
+    right = matmul(np.kron(eye, h.counit), h.delta, p)
+    sides["counit_law"] = (matmul(np.kron(h.counit, eye), h.delta, p), eye, (right == eye).all())
     mulmat = alg.mul.reshape(n * n, n).T
     target = npmod(np.outer(alg.unit, h.counit[0]), p)
-    _compare(rep, "antipode_law", matmul(mulmat, matmul(np.kron(h.antipode, eye), h.delta, p), p), target)
-    _compare(rep, "antipode_law_right", matmul(mulmat, matmul(np.kron(eye, h.antipode), h.delta, p), p), target)
+    sides["antipode_law"] = (matmul(mulmat, matmul(np.kron(h.antipode, eye), h.delta, p), p), target, True)
+    sides["antipode_law_right"] = (matmul(mulmat, matmul(np.kron(eye, h.antipode), h.delta, p), p), target, True)
+    sides["antipode_involution"] = (matmul(h.antipode, h.antipode, p), eye, True)
     twist = np.eye(n * n, dtype=np.int64)[[b * n + a for a in range(n) for b in range(n)]]
     rhs = matmul(twist, matmul(np.kron(h.antipode, h.antipode), h.delta, p), p)
-    _compare(rep, "antipode_anticohomomorphism", matmul(h.delta, h.antipode, p), rhs)
+    sides["antipode_anticohomomorphism"] = (matmul(h.delta, h.antipode, p), rhs, True)
+    return sides
+
+
+def _reference_report(h):
+    """Every verify_hopf entry, on every basis vector (_reference_sides)."""
+    rep = LawReport()
+    for name, (lhs, rhs, ok) in _reference_sides(h).items():
+        _compare(rep, name, lhs, rhs, extra_ok=bool(ok))
     return rep
 
 
+HOM_ENTRIES = ("coproduct_algebra_hom", "counit_algebra_hom", "antipode_algebra_hom")
 ORACLE_SPECS = ("mu:3:2", "mu:5:4", "addetale:3:2")
 
 
-def _assert_mutants_match_reference(h):
-    """Single-entry mutants of Delta, counit and antipode: the hom entries
-    decided on the generator have the n^6 oracle's verdicts, and on a copy
+def _assert_matches_reference(bad, label):
+    """bad has the reference report's verdict on every entry, and on a copy
     of the algebra without its generator, where every basis vector is a
-    generator, its witnesses as well; every other entry the oracle covers
-    has its witnesses on both. A product witness on the generator is the
-    first (K, 0, j) where the oracle's sides, taken along the generator,
-    differ."""
-    alg = h.algebra
+    generator, its witness as well. On the generator, a failing hom entry
+    names the first (K, 0, j) where the reference's sides, taken along the
+    generator, differ; so does every other failing entry, at (row, 0), once
+    the three hom entries pass, and it equals the reference's when one of
+    them fails. Returns the failing entries and those of them decided on
+    the generator."""
+    alg = bad.algebra
     p = alg.field.p
     bare = SCAlgebra(alg.field, alg.basis, alg.mul, alg.unit)
-    assert len(algebra_generators(alg)) == 1 and len(algebra_generators(bare)) == alg.dim
+    gens = algebra_generators(alg)
+    assert len(gens) == 1 and len(algebra_generators(bare)) == alg.dim
+    want = _reference_report(bad).checks
+    got = verify_hopf(bad).checks
+    stripped = verify_hopf(HopfData(bare, bad.delta, bad.counit, bad.antipode)).checks
+    along = LawReport()  # the reference's non-hom sides read along the generator
+    for name, (lhs, rhs, ok) in _reference_sides(bad).items():
+        if name in HOM_ENTRIES:
+            if ok and not got[name].passed:
+                lhs, rhs = (np.einsum("i,Kij->Kj", alg.generator, side) % p for side in (lhs, rhs))
+                k, j = np.argwhere(lhs != rhs)[0]
+                assert got[name].witness == ((k, 0, j), lhs[k, j], rhs[k, j]), (label, name)
+        else:
+            _compare(along, name, matmul(lhs, gens.T, p), matmul(rhs, gens.T, p), extra_ok=bool(ok))
+    homs_pass = all(got[name].passed for name in HOM_ENTRIES)
+    assert set(got) == set(stripped) == set(want)
+    for name in want:
+        assert got[name].passed == want[name].passed, (label, name)
+        assert stripped[name] == want[name], (label, name)
+        if name not in HOM_ENTRIES:
+            assert got[name] == (along.checks if homs_pass else want)[name], (label, name)
+    failed = {name for name in want if not want[name].passed}
+    return failed, (failed - set(HOM_ENTRIES) if homs_pass else set())
+
+
+def _assert_mutants_match_reference(h):
+    """Single-entry mutants of Delta, counit and antipode match the
+    reference report (_assert_matches_reference), and together fail every
+    entry."""
+    p = h.algebra.field.p
     rng = np.random.default_rng(1)
     failed = set()
     for which in range(3):
@@ -110,23 +153,36 @@ def _assert_mutants_match_reference(h):
             maps = [h.delta.copy(), h.counit.copy(), h.antipode.copy()]
             row, col = rng.integers(0, maps[which].shape[0]), rng.integers(0, maps[which].shape[1])
             maps[which][row, col] = (maps[which][row, col] + rng.integers(1, p)) % p
-            bad = HopfData(alg, *maps)
-            want = _reference_report(bad).checks
-            got = verify_hopf(bad).checks
-            stripped = verify_hopf(HopfData(bare, *maps)).checks
-            for name, (lhs, rhs, unit_ok) in _hom_sides(bad).items():
-                if unit_ok and not got[name].passed:
-                    lhs, rhs = (np.einsum("i,Kij->Kj", alg.generator, side) % p for side in (lhs, rhs))
-                    k, j = np.argwhere(lhs != rhs)[0]
-                    assert got[name].witness == ((k, 0, j), lhs[k, j], rhs[k, j]), (which, row, col, name)
-            for name in want:
-                assert got[name].passed == want[name].passed, (which, row, col, name)
-                assert stripped[name] == want[name], (which, row, col, name)
-                if not name.endswith("_algebra_hom"):
-                    assert got[name] == want[name], (which, row, col, name)
-                if not want[name].passed:
-                    failed.add(name)
-    assert failed == set(want)
+            failed |= _assert_matches_reference(HopfData(h.algebra, *maps), (which, row, col))[0]
+    assert failed == set(_reference_report(h).checks)
+
+
+def _algebra_map_mutants(h):
+    """Hopf data on h's algebra whose Delta, counit and antipode are algebra
+    maps, one changed at a time, each written on the power basis e_j = t^j:
+    for mu:p:n, Delta(t) = t^a⊗t^b, S(t) = t^c and eps(t) = z with z^n = 1,
+    for a, b, c mod n; for addetale, Delta(t) = a t⊗1 + b 1⊗t, S(t) = c t
+    and eps(t) = z, for a, b, c, z in F_p."""
+    alg, n = h.algebra, h.dim
+    p = alg.field.p
+    out = []
+    if h.name.startswith("mu:"):
+        out += [_group_like_mutant(h, a, b) for a in range(n) for b in range(n)]
+        antipodes = [np.eye(n, dtype=np.int64)[:, c * np.arange(n) % n] for c in range(n)]
+        roots = [z for z in range(p) if pow(z, n, p) == 1]
+    else:
+        for a in range(p):
+            for b in range(p):
+                delta = np.zeros((n * n, n), dtype=np.int64)
+                for k in range(n):
+                    for i in range(k + 1):  # (a t⊗1 + b 1⊗t)^k
+                        delta[i * n + k - i, k] = comb(k, i) * pow(a, i, p) * pow(b, k - i, p) % p
+                out.append(HopfData(alg, delta, h.counit, h.antipode))
+        antipodes = [np.diag([pow(c, k, p) for k in range(n)]) for c in range(p)]
+        roots = range(p)
+    out += [HopfData(alg, h.delta, h.counit, anti) for anti in antipodes]
+    out += [HopfData(alg, h.delta, [[pow(z, k, p) for k in range(n)]], h.antipode) for z in roots]
+    return out
 
 
 def _conjugate(h):
@@ -228,6 +284,19 @@ class TestVerifyHopf:
     @pytest.mark.parametrize("spec", ORACLE_SPECS + ("mu:3:6", "mu:7:6"))
     def test_hom_mutants_match_reference(self, spec):
         _assert_mutants_match_reference(parse_builtin(spec))
+
+    @pytest.mark.parametrize("spec", ("mu:7:6", "mu:5:4", "addetale:3:2"))
+    def test_algebra_map_mutants_are_decided_on_the_generator(self, spec):
+        """Mutants whose three maps stay algebra maps pass every hom entry,
+        so every other entry is decided on the generator alone: each has
+        the reference's verdict, and its witness read along the generator.
+        Together they fail every non-hom entry there."""
+        h = parse_builtin(spec)
+        on_generator = set()
+        for index, bad in enumerate(_algebra_map_mutants(h)):
+            assert all(verify_hopf(bad).checks[name].passed for name in HOM_ENTRIES), index
+            on_generator |= _assert_matches_reference(bad, index)[1]
+        assert on_generator == set(_reference_report(h).checks) - set(HOM_ENTRIES)
 
     @pytest.mark.parametrize("spec", ("mu:7:6", "addetale:3:2"))
     def test_dense_coproduct_matches_reference(self, spec):
@@ -448,7 +517,7 @@ class TestCoassociativity:
             left, right = _kronecker_iterated(bad)
             hom, coassoc = rep.checks["coproduct_algebra_hom"], rep.checks["coassociativity"]
             assert coassoc.passed == (left == right).all()
-            if hom.passed and not coassoc.passed:
+            if all(rep.checks[name].passed for name in HOM_ENTRIES) and not coassoc.passed:
                 lhs, rhs = (npmod(side @ algebra_generators(h.algebra).T, p) for side in (left, right))
                 first = tuple(np.argwhere(lhs != rhs)[0])
                 assert coassoc.witness == (first, lhs[first], rhs[first])
