@@ -482,7 +482,6 @@ class OrbitClassifier:
         self.index: dict = {}
         self.by_value: dict[bytes, int] = {}
         self._keys: list[tuple] = []
-        self._ops: dict[tuple[int, int], tuple[int, ...] | None] = {}
 
     def register(self, pt, value: np.ndarray) -> int:
         if pt in self.index:
@@ -504,22 +503,20 @@ class OrbitClassifier:
 
     def row(self, i: int, js) -> list[tuple[int, ...] | None]:
         """f*g for the point f at index i and each point g at an index in js,
-        as point indices in sort_key order, memoized; None where a value
-        stays unclassified. The missing pairs take one law call, the carried
+        as point indices in sort_key order; None where a value stays
+        unclassified. No product is kept: one law call takes the carried
         value of f against the stacked conjugates of every g, whose values
         are then classified in turn, so a new orbit is named once."""
-        todo = [j for j in dict.fromkeys(js) if (i, j) not in self._ops]
-        if todo:
-            counts = [gcd(self.points[i].degree, self.points[j].degree) for j in todo]
-            stack = np.concatenate([self.conjugates[j][:c] for j, c in zip(todo, counts)])
-            ks = []
-            for val in self.law(self.conjugates[i][0], stack):
-                k = self.by_value.get(val.tobytes())
-                ks.append(self.register(self.namer(val), val) if k is None and self.namer is not None else k)
-            for j, c, end in zip(todo, counts, np.cumsum(counts)):
-                found = set(ks[end - c : end])
-                self._ops[i, j] = None if None in found else tuple(sorted(found, key=lambda k: self._keys[k]))
-        return [self._ops[i, j] for j in js]
+        if not js:
+            return []
+        counts = [gcd(self.points[i].degree, self.points[j].degree) for j in js]
+        stack = np.concatenate([self.conjugates[j][:c] for j, c in zip(js, counts)])
+        ks = []
+        for val in self.law(self.conjugates[i][0], stack):
+            k = self.by_value.get(val.tobytes())
+            ks.append(self.register(self.namer(val), val) if k is None and self.namer is not None else k)
+        sets = [set(ks[end - c : end]) for c, end in zip(counts, np.cumsum(counts))]
+        return [None if None in found else tuple(sorted(found, key=self._keys.__getitem__)) for found in sets]
 
 
 def nilradical(alg: SCAlgebra) -> IdealSubspace:

@@ -272,12 +272,13 @@ def _member_sets(
     indices, and the antipode position of each source. Positions are local:
     the points first, then the other sources, then whatever s*x and x*s
     add, each in order of first appearance, so the table is the first n
-    rows of s*x. The member lists are freed when this returns, before the
-    engine runs."""
+    rows of s*x and the first n columns of x*s: the engine is asked only
+    for the pairs with a source outside the points, each once. The member
+    lists are freed when this returns, before the law engine runs."""
     n = len(ids)
     sources = _first_seen(np.concatenate([ids, _flat(table)[0]])).tolist()
     left = _flat(table + [orbits.row(s, ids) for s in sources[n:]])  # s*x
-    right = _flat([orbits.row(x, sources) for x in ids])  # x*s
+    right = _flat([row + orbits.row(x, sources[n:]) for x, row in zip(ids, table)])  # x*s
     order = _first_seen(np.concatenate([sources, left[0], right[0]]))
     m = len(order)
     local = np.full(len(orbits.points), m, dtype=np.int64)
@@ -297,8 +298,10 @@ def crosscheck(p: int, law: str, max_degree: int) -> dict:
     F_{p^N}, N = lcm(1, ..., max_degree): each member of f*g has degree
     dividing lcm(deg f, deg g), which divides N, so every root the checks
     need lies there and no associativity triple is skipped ("skipped" is
-    always 0). The laws are hyperkernel.spectrum_laws on the packed sets of
-    _member_sets. Raises ValueError on more than MAX_LINE_POINTS points."""
+    always 0). The engine is asked for each ordered pair once, and the
+    table of the points' pairs, which _member_sets reads and the report
+    prints, is the one copy of their products. The laws are spectrum_laws
+    on _member_sets. Raises ValueError on more than MAX_LINE_POINTS points."""
     require_line_size(p, law, max_degree)
     pts = line_points(p, law, max_degree)
     orbits = orbit_classifier(p, law, lcm(*range(1, max_degree + 1)))

@@ -61,6 +61,17 @@ class TestSCAlgebra:
         with pytest.raises(ValueError, match="unit"):
             SCAlgebra(F3, list(alg.basis), alg.mul, [0, 1])
 
+    @pytest.mark.parametrize("mul_shape, unit", [((2, 2, 2), [1, 0, 0]), ((2, 2, 3), [1, 0]), ((3, 3, 3), [1, 0])])
+    def test_rejects_mismatched_shapes(self, mul_shape, unit):
+        with pytest.raises(ValueError, match="^structure tensor / unit dimensions are inconsistent$"):
+            SCAlgebra(F3, ["1", "t"], np.zeros(mul_shape, dtype=np.int64), unit)
+
+    def test_element_from_poly_needs_a_generator(self):
+        alg = SCAlgebra(F3, ["1"], [[[1]]], [1])
+        assert alg.generator is None
+        with pytest.raises(ValueError, match="^algebra has no designated generator$"):
+            alg.element_from_poly(P("T+1"))
+
     def test_json_roundtrip(self):
         alg = monogenic_algebra(F5, P("T^4-1", F5))
         doc = alg.to_json()

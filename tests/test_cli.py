@@ -549,6 +549,10 @@ class TestHyperop:
         assert code == 2
         assert "input error" in err
 
+    @pytest.mark.parametrize("spec, message", [("mu:3:0", "n must be >= 1"), ("addetale:3:0", "k must be >= 1")])
+    def test_empty_builtin_exits_2(self, capsys, spec, message):
+        assert run_cli(capsys, "hyperop", spec) == (2, "", f"input error: {message}\n")
+
     def test_bad_algebra_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "hyperop", "mu:4:4")
         assert code == 2
@@ -958,6 +962,63 @@ class TestLinePlainGolden:
         code, out, _ = run_cli(capsys, "line", "--p", p, "--law", law, "--max-degree", degree, "--plain")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.RUNS[(p, law, degree)]
+
+
+class TestPlainText:
+    # the --plain renderings of verify, hyperop and laws, as exact text
+    VERIFY_CHECKS = """\
+  hopf_axioms              pass
+  identity_law             pass
+  inverse_law              pass
+  reversibility            pass
+  weak_associativity       pass
+  nonempty                 pass
+  classical_comparison     pass
+  descent_compatibility    pass
+  kernel_containment       pass
+  preimage_primality       report-only
+"""
+
+    def test_default_verify(self, capsys):
+        want = "".join(f"{spec}: PASS\n{self.VERIFY_CHECKS}" for spec in ("mu:3:2", "mu:5:4", "addetale:3:1", "addetale:3:2"))
+        assert run_cli(capsys, "verify", "--plain") == (0, want, "")
+
+    def test_failing_axioms_and_skipped_checks(self, tmp_path, capsys):
+        # mu:5:4 with the identity as antipode: every check after the Hopf
+        # axioms is skipped
+        cfg = _broken_antipode_suite(tmp_path, None)
+        want = "mu:5:4: FAIL\n  hopf_axioms              fail\n" + "".join(
+            f"  {name:<24} skipped\n" for name in TRACE_CHECKS[1:]
+        )
+        assert run_cli(capsys, "verify", "--suite", str(cfg), "--plain") == (1, want, "")
+
+    def test_hyperop_table(self, capsys):
+        want = """\
+hyperoperation table for mu:5:4 (rows * columns)
+(T-4)   | (T-1)  (T-2)  (T-3)  (T-4)
+(T-3)   | (T-2)  (T-4)  (T-1)  (T-3)
+(T-2)   | (T-3)  (T-1)  (T-4)  (T-2)
+(T-1)   | (T-4)  (T-3)  (T-2)  (T-1)
+"""
+        assert run_cli(capsys, "hyperop", "mu:5:4", "--plain") == (0, want, "")
+
+    def test_laws_of_k(self, capsys):
+        want = """\
+builtin:K: PASS
+  additive_canonical_hypergroup      ok
+  multiplicative_monoid              ok
+  distributivity                     ok
+  zero_absorbs                       ok
+  zero_not_one                       ok
+  hyperfield                         ok
+"""
+        assert run_cli(capsys, "laws", "builtin:K", "--plain") == (0, want, "")
+
+    def test_bare_pair_labels_equal_the_parenthesized_form(self, capsys):
+        bare = run_cli(capsys, "hyperop", "mu:5:4", "--pair", "T-1", "T-2")
+        assert bare == run_cli(capsys, "hyperop", "mu:5:4", "--pair", "(T-1)", "(T-2)")
+        assert bare[0] == 0 and json.loads(bare[1])["result"] == ["(T-2)"]
+        assert run_cli(capsys, "hyperop", "mu:5:4", "--pair", "T-1", "T-2", "--plain") == (0, "(T-1) * (T-2) = ['(T-2)']\n", "")
 
 
 class TestVerifyGolden:

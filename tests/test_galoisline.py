@@ -10,7 +10,7 @@ import pytest
 from conftest import crosscheck_by_triples, member_cube, span_rank_classes
 
 from hyperspec import galoisline, gfarith, hyperkernel
-from hyperspec.algkernel import monogenic_algebra, tensor_algebra
+from hyperspec.algkernel import OrbitClassifier, monogenic_algebra, tensor_algebra
 from hyperspec.galoisline import (
     ADDITIVE,
     LAWS,
@@ -296,27 +296,58 @@ class TestOrbitClassifier:
         finally:
             orbit_classifier.cache_clear()
 
+    @pytest.mark.parametrize("law", LAWS)
+    @pytest.mark.parametrize("p, max_degree", [(3, 3), (7, 2)])
+    def test_no_pair_is_asked_twice(self, monkeypatch, p, max_degree, law):
+        # the table of the points' pairs is reused for the first n columns
+        # of x*s, so the engine computes every ordered pair once
+        asked, row = [], OrbitClassifier.row
+
+        def recording(self, i, js):
+            asked.extend((i, j) for j in js)
+            return row(self, i, js)
+
+        monkeypatch.setattr(OrbitClassifier, "row", recording)
+        crosscheck(p, law, max_degree)
+        orbits = orbit_classifier(p, law, lcm(*range(1, max_degree + 1)))
+        ids = [orbits.point_index(x) for x in line_points(p, law, max_degree)]
+        assert len(asked) == len(set(asked))
+        assert set(product(ids, repeat=2)) <= set(asked)
+
     @pytest.mark.parametrize("block_bytes", [hyperkernel.UNION_BLOCK_BYTES, 1], ids=["one-block", "block-per-point"])
     @pytest.mark.parametrize("law", LAWS)
     def test_failing_associativity_stops_where_the_triple_loop_does(self, monkeypatch, law, block_bytes):
-        # corrupt one memoized product at a time: the packed unions report
-        # the same verdict and first failing triple as a loop over triples
-        # reading the same corrupted products, whether the triples are
-        # compared in one block or one block per first point
+        # corrupt one computed product at a time, through a wrapper of row:
+        # the packed unions report the same verdict and first failing triple
+        # as a loop over triples reading the same corrupted products, whether
+        # the triples are compared in one block or one block per first point
         monkeypatch.setattr(hyperkernel, "UNION_BLOCK_BYTES", block_bytes)
         p, max_degree = 3, 2
         pts = line_points(p, law, max_degree)
+        row, computed = OrbitClassifier.row, set()
+
+        def corrupting(key, ids):
+            def wrapped(self, i, js):
+                out = row(self, i, js)
+                computed.update((i, j) for j in js)
+                for t, j in enumerate(js):
+                    if (i, j) == key:
+                        out[t] = (ids[0],) if out[t] != (ids[0],) else (ids[1],)
+                return out
+
+            return wrapped
+
         try:
             orbit_classifier.cache_clear()
+            monkeypatch.setattr(OrbitClassifier, "row", corrupting(None, []))
             crosscheck(p, law, max_degree)
-            keys = sorted(orbit_classifier(p, law, 2)._ops)
+            keys = sorted(computed)
             failures = set()
             for key in keys[::5]:
                 orbit_classifier.cache_clear()
                 orbits = orbit_classifier(p, law, 2)
-                crosscheck(p, law, max_degree)
                 ids = [orbits.point_index(x) for x in pts]
-                orbits._ops[key] = (ids[0],) if orbits._ops[key] != (ids[0],) else (ids[1],)
+                monkeypatch.setattr(OrbitClassifier, "row", corrupting(key, ids))
                 assoc = crosscheck(p, law, max_degree)["laws"]["associativity"]
                 want = associativity_by_lookup(orbits, ids)
                 assert (assoc["checked"], assoc["pass"]) == want, key

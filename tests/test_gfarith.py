@@ -88,6 +88,22 @@ class TestPolyArithmetic:
         assert q * g + r == f
         assert r.degree < g.degree
 
+    def test_division_by_zero_rejected(self):
+        with pytest.raises(ZeroDivisionError, match="^polynomial division by zero$"):
+            P("T+1").divmod(FpPoly.zero(F3))
+
+    def test_empty_string_rejected(self):
+        for text in ("", "  "):
+            with pytest.raises(ValueError, match="^empty polynomial string$"):
+                parse_poly(text, F3)
+
+    def test_power_basis_needs_a_monic_modulus(self):
+        from hyperspec.gfarith import power_basis_tensor
+
+        for modulus in (P("2T^2+1"), FpPoly.one(F3)):
+            with pytest.raises(ValueError, match="^modulus must be monic of degree >= 1$"):
+                power_basis_tensor(modulus)
+
     def test_monic_representative_is_canonical(self):
         f = P("2T^2+2")
         assert f.monic() == P("T^2+1")

@@ -386,6 +386,45 @@ class TestHyperringChecks:
         assert not rep.checks["zero_not_one"].passed
 
 
+    def test_declared_zero_that_is_not_the_additive_identity(self):
+        # K's tables with "1" declared zero (and one): the addition is a
+        # canonical hypergroup, but its identity is "0"
+        mul = {(a, b): K.mul_of(a, b) for a, b in product(K.carrier, repeat=2)}
+        rep = check_hyperring(HyperRingTable(K.add, mul, "1", "1"))
+        assert rep.to_json() == {
+            "additive_canonical_hypergroup": {"pass": False, "witness": [["identity differs from declared zero"]]},
+            "multiplicative_monoid": {"pass": True, "witness": []},
+            "distributivity": {"pass": True, "witness": []},
+            "zero_absorbs": {"pass": False, "witness": ["1"]},
+            "zero_not_one": {"pass": False, "witness": ["1"]},
+            "hyperfield": {"pass": False, "witness": [], "report_only": True},
+        }
+
+
+Z2_ADD, Z2_MUL = [[0, 1], [1, 0]], [[0, 0], [0, 1]]
+
+
+class TestFiniteRingValidation:
+    # hand-built two-element tables, each breaking one ring axiom
+    @pytest.mark.parametrize(
+        "add, mul, zero, one, message",
+        [
+            (Z2_ADD, [[0, 1], [0, 1]], 0, 1, "ring tables must be commutative"),
+            ([[1, 0], [0, 0]], Z2_MUL, 0, 1, "addition is not associative"),  # NOR
+            (Z2_ADD, [[1, 0], [0, 0]], 0, 1, "multiplication is not associative"),
+            (Z2_ADD, Z2_MUL, 1, 1, "zero/one are not identities"),
+            ([[0, 1], [1, 1]], Z2_MUL, 0, 1, "additive inverses missing"),  # OR: 1 has no negative
+            (Z2_ADD, [[0, 1], [1, 1]], 0, 0, "distributivity fails"),  # OR over XOR
+        ],
+    )
+    def test_each_error(self, add, mul, zero, one, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            hyperkernel.FiniteRing(["a", "b"], np.array(add), np.array(mul), zero, one)
+
+    def test_z2_tables_pass(self):
+        assert hyperkernel.FiniteRing(["0", "1"], np.array(Z2_ADD), np.array(Z2_MUL), 0, 1).units() == [1]
+
+
 class TestQuotientHyperring:
     def test_f3_mod_units_is_krasner(self):
         ring = field_ring(3)
@@ -483,6 +522,19 @@ class TestQuotientHyperring:
         with pytest.raises(ValueError):
             quotient_hyperring(ring, [1, 2])  # not closed: 2*2=4 missing
 
+    @pytest.mark.parametrize(
+        "subgroup, message",
+        [([], "subgroup elements must be units"), ([0, 1], "subgroup elements must be units"), ([6], "subgroup must contain 1")],
+    )
+    def test_input_errors(self, subgroup, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            quotient_hyperring(field_ring(7), subgroup)
+
+    def test_non_cyclic_unit_group_rejected(self):
+        # the units of Z/8 are {1, 3, 5, 7}, each of order at most 2
+        with pytest.raises(ValueError, match="^unit group is not cyclic$"):
+            cyclic_unit_subgroups(zmod_ring(8))
+
     def test_zmod_quotient_also_works(self):
         ring = zmod_ring(9)
         q = quotient_hyperring(ring, [1, 8])
@@ -517,6 +569,26 @@ class TestHyperringHom:
         rep = check_hyperring_hom(f, K, K)
         assert not rep.ok
         assert not rep.checks["one_preserved"].passed
+
+
+    def test_map_that_breaks_the_product(self):
+        # S -> K with -1 -> 0: (-1)(-1) = 1 goes to 1, but 0 * 0 = 0
+        rep = check_hyperring_hom({"-1": "0", "0": "0", "1": "1"}, S, K)
+        assert rep.checks["zero_preserved"].passed and rep.checks["one_preserved"].passed
+        assert rep.checks["mul_monoid_hom"].witness == ("-1", "-1", "1", "0")
+        assert rep.checks["hyperadd_hom"].witness == ("-1", "1", ["0", "1"], ["1"])
+        assert not rep.ok
+
+    def test_map_that_breaks_hyperaddition(self):
+        # K -> S with 1 -> 1: 1 + 1 = {0, 1} in K, and {0, 1} is not in {1}
+        rep = check_hyperring_hom({"0": "0", "1": "1"}, K, S)
+        assert rep.checks["mul_monoid_hom"].passed
+        assert rep.checks["hyperadd_hom"].witness == ("1", "1", ["0", "1"], ["1"])
+        assert not rep.ok and not rep.checks["strict"].passed
+
+    def test_partial_map_rejected(self):
+        with pytest.raises(ValueError, match="^map is not total: missing 1$"):
+            check_hyperring_hom({"0": "0"}, K, K)
 
 
 class TestSerialization:

@@ -667,6 +667,19 @@ class TestPresentationOracle:
         with pytest.raises(ValueError):
             ops.presentation_oracle(mu32, f, f, mu32.algebra.generator, 1)
 
+    def test_r_max_too_small_to_present(self, ae31):
+        # Delta(T^2) on addetale:3:1 at ((T), (T)) has no presentation with
+        # two terms
+        f = ops.point_by_label(ae31, "T")
+        with pytest.raises(ValueError, match=r"^r_max=2 is too small to present the coproduct image \(tensor needs more terms\)$"):
+            ops.presentation_oracle(ae31, f, f, [0, 0, 1], 2)
+        assert ops.presentation_oracle(ae31, f, f, [0, 0, 1], 10)
+
+    def test_algebra_over_the_state_bound_rejected(self, mu54):
+        f = ops.kpoints(mu54)[0]
+        with pytest.raises(ValueError, match=r"^presentation oracle only runs on tiny algebras \(dim <= 3 over F_3\)$"):
+            ops.presentation_oracle(mu54, f, f, mu54.algebra.generator, 5)
+
     def test_exhaustive_dim2_at_rank_bound(self, mu32):
         # every (x, f, g) on the 2-dimensional algebra, r_max = dim^2 + 1
         pts = ops.kpoints(mu32)
