@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .gfarith import FpPoly, PrimeField, find_irreducible, minimal_polynomial, power_basis_tensor
+from .gfarith import FpPoly, PrimeField, _first_monic_relation, find_irreducible, minimal_polynomial, power_basis_tensor
 from .hyperkernel import _first
 from .linalg import (
     enumerate_vectors,
@@ -86,28 +86,9 @@ class SCAlgebra:
         require_int64_sum(self.dim, 2, p, "algebra product")
         return npmod(u @ self.mul.reshape(self.dim, -1), p).reshape(len(u), self.dim, self.dim)
 
-    def mul_rows(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Row-wise products u[b] * v[b] of two stacks of reduced elements,
-        by two plain products each reduced mod p, so that every int64 sum
-        stays below dim * (p-1)^2."""
-        return npmod(np.einsum("bj,bjk->bk", v, self.mul_matrices(u)), self.field.p)
-
     def mul_by(self, u: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """u times each row of the stack vs, for one reduced element u."""
         return matmul(vs, self.mul_matrices(u[None])[0], self.field.p)
-
-    def power(self, v, e: int) -> np.ndarray:
-        """v^e by square-and-multiply, for one element or row-wise for a
-        stack of elements, one per row."""
-        base = npmod(np.atleast_2d(v), self.field.p)
-        out = np.tile(self.unit, (len(base), 1))
-        while e:
-            if e & 1:
-                out = self.mul_rows(out, base)
-            e >>= 1
-            if e:
-                base = self.mul_rows(base, base)
-        return out if np.ndim(v) == 2 else out[0]
 
     def powers(self, v, start, k: int) -> np.ndarray:
         """The k rows start * v^j for j < k: the Krylov sequence of start
@@ -126,9 +107,24 @@ class SCAlgebra:
 
     @cached_property
     def frobenius(self) -> np.ndarray:
-        """Matrix of the F_p-linear map x -> x^p; column i is e_i^p, from one
-        row-wise power of every basis vector at once."""
-        frob = self.power(np.eye(self.dim, dtype=np.int64), self.field.p).T
+        """Matrix of the algebra map x -> x^p, read at the rows s of
+        algebra_generators: s^p = r(s), r = T^p mod the minimal polynomial m
+        of s, so the words s^j (j < deg m) go to (s^p)^j, and one echelon
+        form of [words | images] gives column i, e_i^p. The words span A: one
+        s whose powers do, or every e_i, a word or (m linear) a multiple of 1;
+        a smaller generating set would need the words of its closure."""
+        p, n = self.field.p, self.dim
+        rows = []  # [word | its image]
+        for s in algebra_generators(self):
+            pows = self.powers(s, self.unit, n + 1)
+            m = _first_monic_relation(pows, self.field)
+            r = FpPoly.x(self.field).pow_mod(p, m).coeffs  # s^p = r(s)
+            sp = matmul(np.array(r, dtype=np.int64), pows[: len(r)], p)
+            rows.append(np.hstack([pows[: m.degree], self.powers(sp, self.unit, m.degree)]))
+        red, pivots = rref(np.concatenate(rows), p)
+        if pivots != list(range(n)):
+            raise RuntimeError("the words of algebra_generators do not span the algebra")
+        frob = np.ascontiguousarray(red[:, n:].T)
         frob.setflags(write=False)
         return frob
 
@@ -435,17 +431,21 @@ def field_roots(poly: FpPoly, m: int) -> np.ndarray:
     """The d = deg(poly) roots of an irreducible poly in field_algebra(p, m),
     one per row in lexicographic order of their coordinates. They lie in the
     subfield F_{p^d}, so poly is evaluated by batched Horner on its p^d
-    elements only. ValueError unless d divides m and the roots are the d
-    Frobenius conjugates of one element, as they are for an irreducible poly."""
+    elements only, when d > 1. ValueError unless d divides m and the roots
+    are the d Frobenius conjugates of one element, as they are for an
+    irreducible poly."""
     p, d = poly.field.p, poly.degree
     if d < 1 or m % d:
         raise ValueError(f"{poly} has no roots in F_{p ** m}: its degree must divide {m}")
     fq, frob = field_algebra(p, m)
-    elems, mats = _subfield(p, m, d)
-    acc = np.zeros_like(elems)
-    for c in reversed(poly.coeffs):
-        acc = npmod(np.einsum("bj,bjk->bk", acc, mats) + c * fq.unit, p)
-    roots = elems[~acc.any(axis=1)]
+    if d == 1:  # c_0 + c_1 T has the one root -c_0 / c_1, read off with no scan of F_p
+        roots = (-poly.coeffs[0] * poly.field.inv(poly.coeffs[1]) % p * fq.unit)[None]
+    else:
+        elems, mats = _subfield(p, m, d)
+        acc = np.zeros_like(elems)
+        for c in reversed(poly.coeffs):
+            acc = npmod(np.einsum("bj,bjk->bk", acc, mats) + c * fq.unit, p)
+        roots = elems[~acc.any(axis=1)]
     if len(roots) != d:
         raise ValueError(f"{poly} has {len(roots)} roots in F_{p ** d}, not {d}: it is not irreducible")
     conj = roots[0]

@@ -50,6 +50,20 @@ def unvalidated_algebra(field, basis, mul, unit, generator=None):
         return SCAlgebra(field, basis, mul, unit, generator)
 
 
+def power(alg, v, e):
+    """v^e by square-and-multiply, one SCAlgebra.mul_by per step: the
+    oracle for SCAlgebra.powers and the Frobenius, whose exponents run
+    through Krylov sequences and FpPoly.pow_mod instead."""
+    base, out = npmod(v, alg.field.p), alg.unit.copy()
+    while e:
+        if e & 1:
+            out = alg.mul_by(base, out[None])[0]
+        e >>= 1
+        if e:
+            base = alg.mul_by(base, base[None])[0]
+    return out
+
+
 def associator_by_basis_triples(mul, p):
     """[i, j, k]: whether (e_i e_j) e_k != e_i (e_j e_k), over every basis
     triple by the n^5 contraction SCAlgebra._validate made before it
@@ -715,10 +729,10 @@ def classical_points(h, q):
     replaced, kept as its oracle."""
     alg = h.algebra
     p = alg.field.p
-    power = prime_power(q)
-    if power is None or power[0] != p:
+    pe = prime_power(q)
+    if pe is None or pe[0] != p:
         raise ValueError(f"{q} is not a power of the base characteristic {p}")
-    e = power[1]
+    e = pe[1]
     fq, _ = field_algebra(p, e)
     homs = []
     for pt in maximal_spectrum(alg):
@@ -737,7 +751,7 @@ def classical_points(h, q):
         aug, piv = rref(np.hstack([gen_pows, pt.resmap]), p)
         assert piv[:d] == list(range(d))
         for rho in field_roots(minimal_polynomial(gen, res), e):
-            rho_pows = np.array([fq.power(rho, j) for j in range(d)])
+            rho_pows = np.array([power(fq, rho, j) for j in range(d)])
             homs.append(matmul(aug[:, d:].T, rho_pows, p))
     return np.array(homs, dtype=np.int64).reshape(-1, alg.dim, e)
 

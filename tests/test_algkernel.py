@@ -25,6 +25,7 @@ from conftest import (
     ideal_is_prime_by_quotient,
     maximal_spectrum_by_reduced_quotient,
     nullspace_twopass,
+    power,
     spectrum_fields,
     unvalidated_algebra,
     validation_error_by_basis_triples,
@@ -473,7 +474,7 @@ class TestIdealIsPrime:
             gens = []
             for _ in range(int(rng.integers(1, 3))):
                 q = FpPoly.make(field, [int(c) for c in rng.integers(0, p, size=int(rng.integers(1, 4)))] + [1])
-                gens.append(alg.power(alg.element_from_poly(q), int(rng.integers(1, 3))))
+                gens.append(power(alg, alg.element_from_poly(q), int(rng.integers(1, 3))))
             ideal = IdealSubspace.from_generators(alg, gens)
             prime = in_spectrum(alg, ideal)
             assert prime == ideal_is_prime_by_quotient(alg, ideal), [g.tolist() for g in gens]
@@ -561,7 +562,7 @@ def quotient_loop(alg, ideal):
 
 def frobenius_loop(alg):
     """The Frobenius matrix by p - 1 successive products per basis vector,
-    the oracle of the row-wise square-and-multiply."""
+    the oracle of the generator rule."""
     frob = np.zeros((alg.dim, alg.dim), dtype=np.int64)
     for i, e in enumerate(np.eye(alg.dim, dtype=np.int64)):
         x = e
@@ -600,11 +601,41 @@ class TestBatchedKernelsAgainstLoops:
             assert pi.shape == (alg.dim - ideal.dim, alg.dim)
             assert not matmul(pi, ideal.basis.T, alg.field.p).any()
 
-    def test_frobenius_matrix(self, ideals):
+    def test_frobenius_matrix(self, ideals, fs3):
+        """Also where algebra_generators is every basis vector: F_3^{S_3}, a
+        tensor square and mu:7:6 without its generator; on the non-reduced
+        mu:3:6 and mu:3:9; and on F_p[T]/(T^2 + 1) with p = 2^31 - 1 = 3 mod
+        4, where T^2 + 1 is irreducible and Frob(t) = t^p = -t, against t^p by
+        square-and-multiply in Python ints: frobenius_loop would take p - 1
+        products there."""
         algebras = [alg for alg, _ in ideals] + [quotient_algebra(alg, ideal)[0] for alg, ideal in ideals]
         algebras += [field_algebra(p, m)[0] for p, m in ((2, 3), (3, 4), (7, 2), (13, 1))]
+        mu54, mu76 = parse_builtin("mu:5:4").algebra, parse_builtin("mu:7:6").algebra
+        algebras += [fs3.algebra, tensor_algebra(mu54, mu54), SCAlgebra(mu76.field, mu76.basis, mu76.mul, mu76.unit)]
+        algebras += [parse_builtin(spec).algebra for spec in ("mu:3:6", "mu:3:9")]
+        assert [len(algebra_generators(alg)) for alg in algebras[-5:]] == [6, 16, 6, 1, 1]
         for alg in algebras:
             assert (alg.frobenius == frobenius_loop(alg)).all()
+        p = 2**31 - 1
+        field = PrimeField(p)
+        alg = monogenic_algebra(field, FpPoly.make(field, [1, 0, 1]))
+
+        def times(u, v):  # (a + bt)(c + dt), with t^2 = -1
+            return [(u[0] * v[0] - u[1] * v[1]) % p, (u[0] * v[1] + u[1] * v[0]) % p]
+
+        acc, base, e = [1, 0], [0, 1], p
+        while e:
+            acc, base, e = (times(acc, base) if e & 1 else acc), times(base, base), e >> 1
+        assert alg.frobenius.tolist() == [[1, acc[0]], [0, acc[1]]] == [[1, 0], [0, p - 1]]
+
+    def test_frobenius_needs_words_that_span(self, monkeypatch):
+        """Generators whose words span less than the algebra raise, here t^2
+        in F_5[T]/(T^4 - 1), whose powers span 1 and t^2 only."""
+        alg = parse_builtin("mu:5:4").algebra
+        fresh = SCAlgebra(alg.field, alg.basis, alg.mul, alg.unit, alg.generator)
+        monkeypatch.setattr(algkernel, "algebra_generators", lambda a: np.array([[0, 0, 1, 0]]))
+        with pytest.raises(RuntimeError, match="do not span the algebra"):
+            fresh.frobenius
 
     def test_generator_poly_equals_full_cascade(self, suite_algebras, mu1312):
         seen = 0
@@ -674,7 +705,7 @@ class TestPowers:
         for v in elems:
             for start in (alg.unit, idem, rng.integers(0, p, size=n)):
                 for k in (0, 1, 2, n + 1):
-                    want = np.array([alg.mul_by(start, alg.power(v, j)[None])[0] for j in range(k)]).reshape(k, n)
+                    want = np.array([alg.mul_by(start, power(alg, v, j)[None])[0] for j in range(k)]).reshape(k, n)
                     got = alg.powers(v, start, k)
                     assert got.shape == (k, n) and (got == want).all(), (name, v.tolist(), start.tolist(), k)
 
@@ -727,10 +758,10 @@ class TestModulus:
 class TestSplitMatrices:
     """The split forms one multiplication matrix per visited fixed vector u:
     L_u gives u·e for every current idempotent e at once and every Lagrange
-    factor of a split, so no row-wise product is formed. The number visited
-    is read independently: written on the primitive idempotents, the first
-    j fixed vectors split F into as many idempotents as they have distinct
-    coordinate columns, and the split stops at the first j with all r."""
+    factor of a split. The number visited is read independently: written on
+    the primitive idempotents, the first j fixed vectors split F into as
+    many idempotents as they have distinct coordinate columns, and the
+    split stops at the first j with all r."""
 
     @pytest.mark.parametrize("name", ["mu:13:12", "addetale:3:3", "mu:7:48", "mu:5:8", "fs3", "F3[T]/(T^9-T)", "mu:37:36"])
     def test_one_matrix_per_visited_fixed_vector(self, monkeypatch, name, request):
@@ -749,23 +780,17 @@ class TestSplitMatrices:
 
         fresh = unvalidated_algebra(alg.field, alg.basis, alg.mul, alg.unit, alg.generator)
         _ = fresh.frobenius, fresh.nil_frobenius  # formed before the split is counted
-        own, rowwise = [], []
-        mul_matrices, mul_rows = SCAlgebra.mul_matrices, SCAlgebra.mul_rows
+        own = []
+        mul_matrices = SCAlgebra.mul_matrices
 
         def counted(self, u):
             if sys._getframe(1).f_code is algkernel.maximal_spectrum.__code__:
                 own.append(np.array(u))
             return mul_matrices(self, u)
 
-        def rows_counted(self, u, v):
-            rowwise.append(len(u))
-            return mul_rows(self, u, v)
-
         monkeypatch.setattr(SCAlgebra, "mul_matrices", counted)
-        monkeypatch.setattr(SCAlgebra, "mul_rows", rows_counted)
         pts = maximal_spectrum(fresh)
         assert [u.tolist() for u in own] == [[row] for row in fixed[:visited].tolist()], name
-        assert rowwise == []
         assert [pt.idempotent.tolist() for pt in pts] == [e.tolist() for e in idems]
 
 
@@ -835,7 +860,6 @@ class TestInt64Bound:
         alg = monogenic_algebra(PrimeField(p), FpPoly.make(PrimeField(p), modulus))
         u, v = [p - 1, p - 2], [p - 3, p - 4]
         want = self.exact_mul(u, v, modulus, p)
-        assert alg.mul_rows(np.array([u, v]), np.array([v, u])).tolist() == [want, want]
         assert alg.mul_by(np.array(u), np.array([v, v])).tolist() == [want, want]
         assert alg.element_from_poly(FpPoly.make(PrimeField(p), [p - 1, p - 2])).tolist() == [p - 1, p - 2]
 
@@ -848,8 +872,6 @@ class TestInt64Bound:
 
         alg = unvalidated_algebra(PrimeField(p), ["1", "t", "t2"], power_basis_tensor(modulus), [1, 0, 0])
         u, v = [p - 1, p - 2, p - 3], [p - 4, p - 5, p - 6]  # wrapped to [833, 1082, 1709], not [859, 1120, 1783]
-        with pytest.raises(ValueError, match="overflow int64"):
-            alg.mul_rows(np.array([u]), np.array([v]))
         with pytest.raises(ValueError, match="overflow int64"):
             alg.mul_by(np.array(u), np.array([v]))
 

@@ -568,6 +568,18 @@ class TestHyperop:
 
 
 class TestVerify:
+    def test_largest_prime_at_dimension_1(self, tmp_path, capsys):
+        """mu:2147483647:1 is F_p itself. Its one point has degree 1, so the
+        classical comparison at q = p reads the root of T - 1 off instead of
+        scanning all of F_p, which needed a 16 GiB array."""
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(json.dumps({"algebras": ["mu:2147483647:1"]}))
+        code, out, err = run_cli(capsys, "verify", "--suite", str(cfg))
+        assert (code, err) == (0, "")
+        statuses = {name: entry["status"] for name, entry in json.loads(out)["suite"][0]["checks"].items()}
+        assert statuses.pop("preimage_primality") == "report-only"
+        assert set(statuses.values()) == {"pass"} and len(statuses) == 9
+
     def test_default_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify")
         assert code == 0

@@ -5,7 +5,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import charpoly, solve
+from conftest import charpoly, power, solve
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -118,6 +118,23 @@ class TestPolyArithmetic:
 
     def test_serialization_lowest_first(self):
         assert P("T^2+1").to_list() == [1, 0, 1]
+
+
+class TestPowMod:
+    """FpPoly.pow_mod, which gives the Frobenius its image of each algebra
+    generator, against one product and one reduction per exponent."""
+
+    @pytest.mark.parametrize("p", [3, 13, 2**31 - 1])
+    def test_equals_repeated_product(self, p):
+        field = PrimeField(p)
+        rng = np.random.default_rng(p)
+        for _ in range(4):
+            modulus = FpPoly.make(field, [int(c) for c in rng.integers(0, p, size=int(rng.integers(1, 6)))] + [1])
+            base = FpPoly.make(field, [int(c) for c in rng.integers(0, p, size=int(rng.integers(0, 8)))])
+            acc = FpPoly.one(field)
+            for e in range(300):
+                assert base.pow_mod(e, modulus) == acc, (str(base), str(modulus), e)
+                acc = acc * base % modulus
 
 
 class TestIrreducibility:
@@ -456,7 +473,7 @@ class TestMinimalPolynomial:
 
     def test_divides_charpoly_of_multiplication(self):
         alg = monogenic_algebra(F5, P("T^4-1", F5))
-        for v in [alg.generator, alg.power(alg.generator, 2), (alg.generator + alg.unit) % 5]:
+        for v in [alg.generator, power(alg, alg.generator, 2), (alg.generator + alg.unit) % 5]:
             m = minimal_polynomial(v, alg)
             cp = FpPoly.make(F5, charpoly(alg.left_mul_matrix(v), 5))
             assert (cp % m).is_zero()
@@ -508,7 +525,7 @@ class TestFirstMonicRelation:
         # idempotent for every x; maximal_spectrum passes such a unit
         alg = monogenic_algebra(F3, P("T^9-T"))
         draw_vec = st.lists(st.integers(0, 2), min_size=9, max_size=9).filter(any)
-        unit = alg.power(np.array(data.draw(draw_vec)), 8)
+        unit = power(alg, np.array(data.draw(draw_vec)), 8)
         assert (alg.mul_by(unit, unit[None])[0] == unit).all()
         elem = alg.mul_by(unit, np.array([data.draw(draw_vec)]))[0]
         powers = power_rows(alg, elem, unit)
@@ -536,7 +553,7 @@ class TestFq:
         for p, k in [(3, 1), (3, 2), (3, 3), (3, 4), (5, 2), (7, 2)]:
             fq, frob = field_algebra(p, k)
             elems = field_elements(p, k)
-            pows = np.array([fq.power(x, p) for x in elems])
+            pows = np.array([power(fq, x, p) for x in elems])
             assert (matmul(elems, frob.T, p) == pows).all()
             place = p ** np.arange(k - 1, -1, -1)  # row index of a coordinate vector
             sums = (elems[:, None, :] + elems[None, :, :]) % p @ place
@@ -587,19 +604,19 @@ class TestPolyRootsInFq:
         product with x and long division by the modulus, all elements at once."""
         p, k = mod.field.p, mod.degree
         xs = np.array(list(product(range(p), repeat=k)), dtype=np.int64)
-        power = np.zeros_like(xs)
-        power[:, 0] = 1
+        xpow = np.zeros_like(xs)
+        xpow[:, 0] = 1
         value = np.zeros_like(xs)
         for c in poly.coeffs:
-            value = (value + c * power) % p
+            value = (value + c * xpow) % p
             prod = np.zeros((xs.shape[0], 2 * k - 1), dtype=np.int64)
             for i in range(k):
-                prod[:, i : i + k] += power[:, i : i + 1] * xs
+                prod[:, i : i + k] += xpow[:, i : i + 1] * xs
             for top in range(2 * k - 2, k - 1, -1):
                 lead = prod[:, top] % p
                 for i, m in enumerate(mod.coeffs):
                     prod[:, top - k + i] -= lead * m
-            power = prod[:, :k] % p
+            xpow = prod[:, :k] % p
         return xs[~value.any(axis=1)].tolist()
 
     @staticmethod
@@ -621,13 +638,15 @@ class TestPolyRootsInFq:
         poly = P(text)
         assert self.roots(poly, k) == self.batch_scan(poly, find_irreducible(3, k))
 
-    # every irreducible of degree dividing m, so both d < m and d = m
-    @pytest.mark.parametrize("p, m", [(3, 1), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 1), (7, 2)])
+    # every irreducible of degree dividing m, so both d < m and d = m; a
+    # linear one also scaled, as its root is read off, not scanned
+    @pytest.mark.parametrize("p, m", [(3, 1), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 1), (7, 2), (13, 1), (13, 2)])
     def test_every_irreducible_matches_schoolbook_scan(self, p, m):
         mod = find_irreducible(p, m)
         for q in irreducibles_up_to(p, m):
             if m % q.degree == 0:
-                assert field_roots(q, m).tolist() == self.batch_scan(q, mod), q
+                for poly in [q.scale(c) for c in range(1, p)] if q.degree == 1 else [q]:
+                    assert field_roots(poly, m).tolist() == self.batch_scan(poly, mod), poly
 
     # F_{3^9} meets F_9 in F_3, so only the linear factors and cubics split
     @pytest.mark.parametrize("text, count", [("T^9-T", 3), ("T^3+2T+1", 3), ("T^3-T^2", 2), ("T^6+T^4+2T^2+2", 2)])

@@ -3,7 +3,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from conftest import rref_rowloop, unvalidated_algebra
+from conftest import power, rref_rowloop, unvalidated_algebra
 from hyperspec import algkernel, linalg
 from hyperspec.algkernel import (
     IdealSubspace,
@@ -573,7 +573,7 @@ def _builtin_maps_by_powers(h):
     p, n = alg.field.p, alg.dim
     t, one = alg.generator, alg.unit
     if h.name.startswith("mu:"):
-        delta_t, eps_t, s_t = np.outer(t, t), 1, alg.power(t, n - 1)
+        delta_t, eps_t, s_t = np.outer(t, t), 1, power(alg, t, n - 1)
     else:
         delta_t, eps_t, s_t = np.outer(t, one) + np.outer(one, t), 0, npmod(-t, p)
     delta = np.zeros((n * n, n), dtype=np.int64)
@@ -581,7 +581,7 @@ def _builtin_maps_by_powers(h):
     acc = np.outer(one, one)
     for j in range(n):
         delta[:, j] = acc.ravel()
-        antipode[:, j] = alg.power(s_t, j)
+        antipode[:, j] = power(alg, s_t, j)
         acc = np.einsum("ab,cd,ack,bdl->kl", acc, delta_t, alg.mul, alg.mul, optimize="greedy") % p
     counit = np.array([[eps_t**j for j in range(n)]], dtype=np.int64)
     return delta, counit, antipode
