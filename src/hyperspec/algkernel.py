@@ -35,8 +35,8 @@ class SCAlgebra:
     n x n x n structure tensor: e_i * e_j = sum_k mul[i,j,k] e_k.
 
     Commutativity and the unit are verified on the basis at construction,
-    associativity on algebra_generators (n^4 work for one generator), and
-    a stored generator must generate. Products are formed as int64 sums of
+    associativity on algebra_generators (n^4 work per generator), and a
+    stored generator must generate. Products are formed as int64 sums of
     dim products of two residues, so every product raises ValueError unless
     dim * (p-1)^2 < 2^63.
     """
@@ -51,31 +51,28 @@ class SCAlgebra:
         if self.mul.shape != (self.dim, self.dim, self.dim) or self.unit.shape != (self.dim,):
             raise ValueError("structure tensor / unit dimensions are inconsistent")
         self._spectrum: list[PrimePoint] | None = None
-        self._generators: np.ndarray | None = None
         self._validate()
         self.mul.setflags(write=False)
         self.unit.setflags(write=False)
 
     def _validate(self) -> None:
-        """Commutativity, the unit, then associativity on algebra_generators
-        (whose minimal polynomial needs a nonzero unit): the middle nucleus
-        {s : (xs)z = x(sz) for all x, z} is a subalgebra that holds 1, by the
-        Teichmüller identity, and s lies in it iff (e_i s) e_j is symmetric
-        in (i, j). A failing s fails at some e_k of its support."""
+        """Commutativity, the unit, associativity on algebra_generators, then
+        the stored generator. The middle nucleus {s : (xs)z = x(sz) for all
+        x, z} is a subalgebra that holds 1, by the Teichmüller identity, so it
+        holds the closure's words once it holds the generators; s lies in it
+        iff (e_i s) e_j is symmetric in (i, j), else fails at some e_k in its support."""
         if not (self.mul == self.mul.transpose(1, 0, 2)).all():
             raise ValueError("multiplication is not commutative")
         n, p, mul = self.dim, self.field.p, self.mul
         if not (self.left_mul_matrix(self.unit) == np.eye(n, dtype=np.int64)).all():
             raise ValueError("declared unit is not a multiplicative identity")
-        gens = algebra_generators(self)
-        for s in gens:
+        for s in algebra_generators(self):
             x = self.mul_matrices(self.mul_matrices(s[None])[0])  # [i, j]: (e_i s) e_j
             if (bad := _first((x != x.transpose(1, 0, 2)).any(axis=2))) is not None:
                 i, j = bad  # row k below: (e_i e_k) e_j != e_i (e_k e_j)
                 k = _first((s != 0) & (matmul(mul[i], mul[:, j], p) != matmul(mul[:, j], mul[i], p)).any(axis=1))[0]
                 raise ValueError(f"multiplication is not associative at basis triple ({i},{k},{j})")
-        if self.generator is not None and len(gens) > 1:
-            d = minimal_polynomial(self.generator, self).degree
+        if self.generator is not None and (d := self.closure[3]) < n:
             raise ValueError(f"algebra 'generator' does not generate the algebra: its powers span {d} of {n} dimensions")
 
     def mul_matrices(self, u: np.ndarray) -> np.ndarray:
@@ -106,25 +103,63 @@ class SCAlgebra:
         return self.mul_matrices(npmod(v, self.field.p)[None])[0].T
 
     @cached_property
-    def frobenius(self) -> np.ndarray:
-        """Matrix of the algebra map x -> x^p, read at the rows s of
-        algebra_generators: s^p = r(s), r = T^p mod the minimal polynomial m
-        of s, so the words s^j (j < deg m) go to (s^p)^j, and one echelon
-        form of [words | images] gives column i, e_i^p. The words span A: one
-        s whose powers do, or every e_i, a word or (m linear) a multiple of 1;
-        a smaller generating set would need the words of its closure."""
+    def closure(self) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int] | None], int]:
+        """(gens, words, steps, reach). The candidates are the stored
+        generator, if any, then e_0, ..., e_(n-1); one outside the span of
+        the words joins gens. The words start at the unit; when s joins, each
+        earlier word runs its chain word·s, (word·s)·s, ..., a product kept
+        while outside the span of the earlier words: word k > 0 is
+        words[parent]·gens[t], (parent, t) = steps[k]. For associative A
+        their span is the subalgebra of the generators so far. reach is the
+        span's dimension after the first candidate: on g stored, its powers'."""
         p, n = self.field.p, self.dim
-        rows = []  # [word | its image]
-        for s in algebra_generators(self):
+        basis, pivots = np.zeros((n, n), dtype=np.int64), []  # an RREF basis of the words' span
+        words, steps, gens, reach = [], [], [], 0
+
+        def fresh(v, step) -> bool:  # whether v lies outside the span; if so, it joins the words
+            r = reduce_rows(v, basis[: len(pivots)], pivots, p)[0]
+            if r.any():
+                c = int(np.flatnonzero(r)[0])
+                basis[len(pivots)] = r = r * self.field.inv(int(r[c])) % p
+                basis[: len(pivots)] = npmod(basis[: len(pivots)] - np.outer(basis[: len(pivots), c], r), p)
+                pivots.append(c)
+                words.append(v)
+                steps.append(step)
+            return bool(r.any())
+
+        fresh(self.unit, None)
+        for c in ([] if self.generator is None else [self.generator]) + list(np.eye(n, dtype=np.int64)):
+            if len(words) < n and not in_span(basis[: len(pivots)], pivots, c, p):
+                gens.append(c)
+                lc = self.mul_matrices(c[None])[0]
+                for k in range(len(words)):
+                    parent = k
+                    while fresh(words[parent] @ lc % p, (parent, len(gens) - 1)):
+                        parent = len(words) - 1
+            reach = reach or len(words)
+        gens = np.array(gens, dtype=np.int64).reshape(-1, n)
+        gens.setflags(write=False)
+        return gens, np.array(words), steps, reach
+
+    @cached_property
+    def frobenius(self) -> np.ndarray:
+        """Matrix of x -> x^p along the closure's words: word k =
+        words[parent]·s goes to Frob(words[parent])·r(s), s^p = r(s) for r =
+        T^p mod the minimal polynomial of s, and one echelon form of
+        [words | images] gives column i, e_i^p."""
+        p, n = self.field.p, self.dim
+        gens, words, steps, _ = self.closure
+
+        def frob_of(s):
             pows = self.powers(s, self.unit, n + 1)
-            m = _first_monic_relation(pows, self.field)
-            r = FpPoly.x(self.field).pow_mod(p, m).coeffs  # s^p = r(s)
-            sp = matmul(np.array(r, dtype=np.int64), pows[: len(r)], p)
-            rows.append(np.hstack([pows[: m.degree], self.powers(sp, self.unit, m.degree)]))
-        red, pivots = rref(np.concatenate(rows), p)
-        if pivots != list(range(n)):
-            raise RuntimeError("the words of algebra_generators do not span the algebra")
-        frob = np.ascontiguousarray(red[:, n:].T)
+            r = FpPoly.x(self.field).pow_mod(p, _first_monic_relation(pows, self.field)).coeffs
+            return matmul(np.array(r, dtype=np.int64), pows[: len(r)], p)
+
+        mats = self.mul_matrices(np.array([frob_of(s) for s in gens], dtype=np.int64).reshape(-1, n))
+        images = [self.unit]
+        for parent, t in steps[1:]:
+            images.append(images[parent] @ mats[t] % p)
+        frob = np.ascontiguousarray(rref(np.hstack([words, images]), p)[0][:, n:].T)
         frob.setflags(write=False)
         return frob
 
@@ -236,13 +271,9 @@ def monogenic_algebra(field: PrimeField, modulus: FpPoly) -> SCAlgebra:
 
 
 def algebra_generators(alg: SCAlgebra) -> np.ndarray:
-    """Rows that generate alg as an algebra, computed once: the stored generator
-    when its minimal polynomial has degree dim, else every basis vector."""
-    if alg._generators is None:
-        full = alg.generator is not None and minimal_polynomial(alg.generator, alg).degree == alg.dim
-        alg._generators = alg.generator[None].copy() if full else np.eye(alg.dim, dtype=np.int64)
-        alg._generators.setflags(write=False)
-    return alg._generators
+    """The greedy generating set of SCAlgebra.closure: the stored generator,
+    if any, then each basis vector outside the earlier rows' subalgebra."""
+    return alg.closure[0]
 
 
 def hom_witness(mat: np.ndarray, src: SCAlgebra, mul_by, unit) -> tuple:
@@ -259,7 +290,7 @@ def hom_witness(mat: np.ndarray, src: SCAlgebra, mul_by, unit) -> tuple:
     gens = algebra_generators(src)
     images = npmod(mat.T, p)  # row j is mat(e_j)
     lhs = matmul(src.mul_matrices(gens), images, p)  # [s, j, K]
-    rhs = np.array([mul_by(u, images) for u in matmul(gens, images, p)])
+    rhs = np.array([mul_by(u, images) for u in matmul(gens, images, p)]).reshape(lhs.shape)
     lhs, rhs = (side.transpose(2, 0, 1) for side in (lhs, rhs))
     bad = _first(lhs != rhs)
     return () if bad is None else (bad, int(lhs[bad]), int(rhs[bad]))

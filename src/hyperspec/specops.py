@@ -58,7 +58,6 @@ from .algkernel import (
     IdealSubspace,
     OrbitClassifier,
     PrimePoint,
-    algebra_generators,
     field_algebra,
     field_roots,
     maximal_spectrum,
@@ -437,14 +436,14 @@ def descend_and_compare(h: HopfData, ideal: IdealSubspace) -> LawReport:
 
 def _carried_hom(pt: PrimePoint, e: int) -> np.ndarray:
     """One hom A -> F_{p^e} with kernel pt's ideal, as the (dim, e) array of
-    the images of the basis vectors in field_algebra(p, e): the residue map,
-    written in powers of a generator of the residue field, with the
-    generator sent to the first root of its minimal polynomial. The other
-    deg - 1 homs with this kernel are its Frobenius conjugates."""
+    the images of the basis vectors in field_algebra(p, e): the residue map
+    in powers of a residue-field generator (stored, the unit at degree 1, or
+    the first of degree d) sent to the first root of its minimal polynomial.
+    The other d - 1 homs with this kernel are its Frobenius conjugates."""
     res, d = pt.residue, pt.degree
     p = res.field.p
-    gens = algebra_generators(res)
-    candidates = ((v, minimal_polynomial(v, res)) for v in (gens if len(gens) == 1 else enumerate_vectors(p, d)))
+    stored = res.generator if res.generator is not None else res.unit if d == 1 else None
+    candidates = ((v, minimal_polynomial(v, res)) for v in (enumerate_vectors(p, d) if stored is None else [stored]))
     gen, poly = next((v, m) for v, m in candidates if m.degree == d)
     gen_pows = res.powers(gen, res.unit, d)
     coords = rref(np.hstack([gen_pows.T, pt.resmap]), p)[0][:, d:]  # residue(x) in powers of gen

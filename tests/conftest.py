@@ -12,12 +12,12 @@ from hyperspec.algkernel import (
     PrimePoint,
     SCAlgebra,
     _point_label,
-    algebra_generators,
     field_algebra,
     field_roots,
     maximal_spectrum,
     nilradical,
     quotient_algebra,
+    tensor_algebra,
 )
 from hyperspec.galoisline import (
     ADDITIVE,
@@ -740,8 +740,7 @@ def classical_points(h, q):
         if e % d != 0:
             continue
         res = pt.residue
-        gens = algebra_generators(res)
-        candidates = gens if len(gens) == 1 else enumerate_vectors(p, d)[1:]
+        candidates = enumerate_vectors(p, d)[1:] if res.generator is None else [res.generator]
         gen = next(v for v in candidates if minimal_polynomial(v, res).degree == d)
         gen_pows = np.zeros((d, d), dtype=np.int64)
         acc = res.unit.copy()
@@ -824,6 +823,40 @@ def ae32():
 @pytest.fixture(scope="session")
 def mu1312():
     return parse_builtin("mu:13:12")
+
+
+def greedy_generators_by_span(alg):
+    """algebra_generators by its definition, with no closure words: the
+    stored generator, if any, then each basis vector outside the subalgebra
+    the earlier rows generate, that subalgebra grown as a span of 1 and the
+    rows so far, multiplied pairwise until the span stops growing."""
+    p, n = alg.field.p, alg.dim
+    gens, span = [], rref(alg.unit, p)[0]
+    candidates = ([] if alg.generator is None else [alg.generator]) + list(np.eye(n, dtype=np.int64))
+    for c in candidates:
+        if len(rref(np.vstack([span, c]), p)[1]) == len(span):
+            continue
+        gens.append(c)
+        grown = rref(np.vstack([span, c]), p)[0]
+        while len(grown) > len(span):
+            span = grown
+            prods = npmod(np.einsum("ai,bj,ijk->abk", span, span, alg.mul), p).reshape(-1, n)
+            grown = rref(np.vstack([span, prods]), p)[0]
+    return np.array(gens, dtype=np.int64).reshape(-1, n)
+
+
+def product_hopf(g, h):
+    """G x H as Hopf data on A⊗B (tensor_algebra's kron order): Delta =
+    (id⊗τ⊗id)∘(Delta_A⊗Delta_B), eps = eps_A⊗eps_B and S = S_A⊗S_B."""
+    n, m = g.dim, h.dim
+    delta = np.einsum("rsi,uvj->rusvij", g.delta.reshape(n, n, n), h.delta.reshape(m, m, m))
+    return HopfData(
+        tensor_algebra(g.algebra, h.algebra),
+        delta.reshape((n * m) ** 2, n * m),
+        np.kron(g.counit, h.counit),
+        np.kron(g.antipode, h.antipode),
+        name=f"({g.name})x({h.name})",
+    )
 
 
 @pytest.fixture(scope="session")

@@ -22,16 +22,18 @@ from conftest import (
     LEMMA_ALGEBRAS,
     NON_REDUCED,
     associator_by_basis_triples,
+    greedy_generators_by_span,
     ideal_is_prime_by_quotient,
     maximal_spectrum_by_reduced_quotient,
     nullspace_twopass,
     power,
+    product_hopf,
     spectrum_fields,
     unvalidated_algebra,
     validation_error_by_basis_triples,
 )
 from hyperspec import algkernel
-from hyperspec.hopfkernel import descent_ideal, parse_builtin
+from hyperspec.hopfkernel import HopfData, descent_ideal, parse_builtin, verify_hopf
 from hyperspec.linalg import enumerate_vectors, matmul, npmod, nullspace, reduce_rows, rref
 
 F3 = PrimeField(3)
@@ -110,16 +112,15 @@ class TestAssociativityOnGenerators:
     def test_symmetric_pair_mutants_match_basis_triples(self, spec, which):
         """Every mutant gets the oracle's verdict and message; a failing
         associativity check may name another triple than the oracle's first,
-        but one at which the oracle fails too. Without a generator every
-        basis vector is one; t + t2 generates F_3[T]/(T^4 - 1) with two
-        basis vectors other than the unit in its support, so the triple is
-        found among them."""
+        but one at which the oracle fails too. Without a generator the greedy
+        set is the one basis vector t = e_1; t + t2 generates F_3[T]/(T^4 - 1)
+        with two basis vectors other than the unit in its support, so the
+        triple is found among them."""
         alg = parse_builtin(spec).algebra
         p = alg.field.p
         gen = {"stored": alg.generator, "none": None, "t+t2": np.array([0, 1, 1, 0])}[which]
-        assert len(algebra_generators(SCAlgebra(alg.field, alg.basis, alg.mul, alg.unit, generator=gen))) == (
-            alg.dim if gen is None else 1
-        )
+        gens = algebra_generators(SCAlgebra(alg.field, alg.basis, alg.mul, alg.unit, generator=gen))
+        assert gens.tolist() == (np.eye(alg.dim, dtype=np.int64)[1:2].tolist() if gen is None else [gen.tolist()])
         kinds = set()
         for pair, mul in _symmetric_pair_mutants(alg):
             want = validation_error_by_basis_triples(alg.field, mul, alg.unit, gen)
@@ -602,10 +603,11 @@ class TestBatchedKernelsAgainstLoops:
             assert not matmul(pi, ideal.basis.T, alg.field.p).any()
 
     def test_frobenius_matrix(self, ideals, fs3):
-        """Also where algebra_generators is every basis vector: F_3^{S_3}, a
-        tensor square and mu:7:6 without its generator; on the non-reduced
-        mu:3:6 and mu:3:9; and on F_p[T]/(T^2 + 1) with p = 2^31 - 1 = 3 mod
-        4, where T^2 + 1 is irreducible and Frob(t) = t^p = -t, against t^p by
+        """Also on algebras with no stored generator, whose words come from
+        greedy sets of 5, 2 and 1 basis vectors: F_3^{S_3}, a tensor square
+        and mu:7:6 without its generator; on the non-reduced mu:3:6 and
+        mu:3:9; and on F_p[T]/(T^2 + 1) with p = 2^31 - 1 = 3 mod 4, where
+        T^2 + 1 is irreducible and Frob(t) = t^p = -t, against t^p by
         square-and-multiply in Python ints: frobenius_loop would take p - 1
         products there."""
         algebras = [alg for alg, _ in ideals] + [quotient_algebra(alg, ideal)[0] for alg, ideal in ideals]
@@ -613,7 +615,7 @@ class TestBatchedKernelsAgainstLoops:
         mu54, mu76 = parse_builtin("mu:5:4").algebra, parse_builtin("mu:7:6").algebra
         algebras += [fs3.algebra, tensor_algebra(mu54, mu54), SCAlgebra(mu76.field, mu76.basis, mu76.mul, mu76.unit)]
         algebras += [parse_builtin(spec).algebra for spec in ("mu:3:6", "mu:3:9")]
-        assert [len(algebra_generators(alg)) for alg in algebras[-5:]] == [6, 16, 6, 1, 1]
+        assert [len(algebra_generators(alg)) for alg in algebras[-5:]] == [5, 2, 1, 1, 1]
         for alg in algebras:
             assert (alg.frobenius == frobenius_loop(alg)).all()
         p = 2**31 - 1
@@ -627,15 +629,6 @@ class TestBatchedKernelsAgainstLoops:
         while e:
             acc, base, e = (times(acc, base) if e & 1 else acc), times(base, base), e >> 1
         assert alg.frobenius.tolist() == [[1, acc[0]], [0, acc[1]]] == [[1, 0], [0, p - 1]]
-
-    def test_frobenius_needs_words_that_span(self, monkeypatch):
-        """Generators whose words span less than the algebra raise, here t^2
-        in F_5[T]/(T^4 - 1), whose powers span 1 and t^2 only."""
-        alg = parse_builtin("mu:5:4").algebra
-        fresh = SCAlgebra(alg.field, alg.basis, alg.mul, alg.unit, alg.generator)
-        monkeypatch.setattr(algkernel, "algebra_generators", lambda a: np.array([[0, 0, 1, 0]]))
-        with pytest.raises(RuntimeError, match="do not span the algebra"):
-            fresh.frobenius
 
     def test_generator_poly_equals_full_cascade(self, suite_algebras, mu1312):
         seen = 0
@@ -666,12 +659,62 @@ class TestBatchedKernelsAgainstLoops:
 
 
 class TestAlgebraGenerators:
-    def test_stored_generator_or_every_basis_vector(self, fs3):
+    def test_stored_generator_or_greedy_basis_vectors(self, fs3):
+        """The stored generator when it generates, computed once; without
+        one, each basis vector outside the subalgebra of the earlier ones:
+        d0, ..., d4 for F_3^{S_3}, whose d5 = 1 - d0 - ... - d4, and 1⊗t,
+        t⊗1 for (mu:5:3)⊗(mu:5:3), rows e_1 and e_3."""
         alg = monogenic_algebra(F5, P("T^4-1", F5))
         gens = algebra_generators(alg)
         assert gens.tolist() == [alg.generator.tolist()] and gens is algebra_generators(alg)
         assert not gens.flags.writeable
-        assert (algebra_generators(fs3.algebra) == np.eye(6, dtype=np.int64)).all()
+        mu53 = parse_builtin("mu:5:3").algebra
+        square = tensor_algebra(mu53, mu53)
+        assert algebra_generators(fs3.algebra).tolist() == np.eye(6, dtype=np.int64)[:5].tolist()
+        assert algebra_generators(square).tolist() == np.eye(9, dtype=np.int64)[[1, 3]].tolist()
+        for h in (fs3, parse_builtin("mu:3:6")):
+            assert (algebra_generators(h.algebra) == greedy_generators_by_span(h.algebra)).all()
+
+    def test_closure_words_are_generator_products(self, fs3):
+        """Word k > 0 is words[parent] times gens[t] for (parent, t) =
+        steps[k], and the words are a basis, starting at the unit."""
+        mu53 = parse_builtin("mu:5:3").algebra
+        for alg in (fs3.algebra, tensor_algebra(mu53, mu53), mu53, parse_builtin("mu:3:1").algebra):
+            gens, words, steps, _ = alg.closure
+            assert (words[0] == alg.unit).all() and steps[0] is None and len(steps) == alg.dim
+            assert len(rref(words, alg.field.p)[1]) == alg.dim
+            for k, (parent, t) in enumerate(steps[1:], start=1):
+                assert (alg.mul_by(gens[t], words[parent][None])[0] == words[k]).all()
+
+    def test_scalar_generator_is_rejected(self):
+        """A scalar generator lies in span{1}, so it joins no set; its own
+        check still rejects it, with the span of its powers read off the
+        closure."""
+        alg = parse_builtin("mu:3:2").algebra
+        with pytest.raises(ValueError, match="'generator' does not generate the algebra: its powers span 1 of 2"):
+            SCAlgebra(alg.field, alg.basis, alg.mul, alg.unit, generator=alg.unit)
+
+    def test_greedy_validation_takes_at_most_gens_times_dim_rows(self, monkeypatch):
+        """Without a stored generator, _validate and verify_hopf pass at
+        most |S|·n rows to any mul_matrices call: 48 on mu:7:48 and 2 · 64
+        on (mu:3:8)⊗(mu:3:8); a check on every basis vector as a generator
+        took n^2 rows in one."""
+        mu38 = parse_builtin("mu:3:8")
+        cases = ((parse_builtin("mu:7:48"), 1), (product_hopf(mu38, mu38), 2))
+        rows = []
+        mul_matrices = SCAlgebra.mul_matrices
+
+        def counted(self, u):
+            rows.append(len(u))
+            return mul_matrices(self, u)
+
+        monkeypatch.setattr(SCAlgebra, "mul_matrices", counted)
+        for h, size in cases:
+            rows.clear()
+            alg = SCAlgebra(h.algebra.field, h.algebra.basis, h.algebra.mul, h.algebra.unit)
+            assert len(algebra_generators(alg)) == size
+            assert verify_hopf(HopfData(alg, h.delta, h.counit, h.antipode)).ok
+            assert rows and max(rows) <= size * alg.dim, (h, max(rows))
 
     def test_generator_that_does_not_generate_is_rejected(self):
         alg = monogenic_algebra(F5, P("T^4-1", F5))

@@ -3,8 +3,9 @@ from math import comb
 import numpy as np
 import pytest
 
-from conftest import power, rref_rowloop, unvalidated_algebra
+from conftest import greedy_generators_by_span, power, rref_rowloop, unvalidated_algebra
 from hyperspec import algkernel, linalg
+from hyperspec import specops as ops
 from hyperspec.algkernel import (
     IdealSubspace,
     SCAlgebra,
@@ -104,39 +105,48 @@ HOM_ENTRIES = ("coproduct_algebra_hom", "counit_algebra_hom", "antipode_algebra_
 ORACLE_SPECS = ("mu:3:2", "mu:5:4", "addetale:3:2")
 
 
+def _report_along(sides, gens, p):
+    """The report verify_hopf gives when it decides on the rows of gens,
+    read off the reference's sides (_reference_sides): a failing hom entry
+    names the first (K, s, j) where its sides, taken along row s of gens,
+    differ; every other entry compares its sides' columns along gens once
+    the three hom entries pass, else along every basis vector."""
+    rep = LawReport()
+    for name in HOM_ENTRIES:
+        lhs, rhs, ok = sides[name]
+        lhs, rhs = (np.einsum("si,Kij->Ksj", gens, side) % p for side in (lhs, rhs))
+        bad = None if not ok else next((tuple(int(v) for v in k) for k in np.argwhere(lhs != rhs)), None)
+        witness = ("unit/counit image mismatch",) if not ok else () if bad is None else (bad, lhs[bad], rhs[bad])
+        rep.add(name, bool(ok) and bad is None, witness)
+    at = gens.T if rep.ok else np.eye(gens.shape[1], dtype=np.int64)
+    for name, (lhs, rhs, ok) in sides.items():
+        if name not in HOM_ENTRIES:
+            _compare(rep, name, matmul(lhs, at, p), matmul(rhs, at, p), extra_ok=bool(ok))
+    return rep
+
+
 def _assert_matches_reference(bad, label):
-    """bad has the reference report's verdict on every entry, and on a copy
-    of the algebra without its generator, where every basis vector is a
-    generator, its witness as well. On the generator, a failing hom entry
-    names the first (K, 0, j) where the reference's sides, taken along the
-    generator, differ; so does every other failing entry, at (row, 0), once
-    the three hom entries pass, and it equals the reference's when one of
-    them fails. Returns the failing entries and those of them decided on
-    the generator."""
+    """bad has the reference report's verdict on every entry, and so does a
+    copy of its algebra without the stored generator; on both, every
+    witness is the one the reference's sides give along the greedy set
+    (_report_along): the generator itself, and on the copy the basis
+    vectors greedy_generators_by_span picks. Returns the failing entries
+    and those of them decided on the generator."""
     alg = bad.algebra
     p = alg.field.p
     bare = SCAlgebra(alg.field, alg.basis, alg.mul, alg.unit)
-    gens = algebra_generators(alg)
-    assert len(gens) == 1 and len(algebra_generators(bare)) == alg.dim
+    assert algebra_generators(alg).tolist() == [alg.generator.tolist()]
+    assert (algebra_generators(bare) == greedy_generators_by_span(bare)).all()
     want = _reference_report(bad).checks
-    got = verify_hopf(bad).checks
-    stripped = verify_hopf(HopfData(bare, bad.delta, bad.counit, bad.antipode)).checks
-    along = LawReport()  # the reference's non-hom sides read along the generator
-    for name, (lhs, rhs, ok) in _reference_sides(bad).items():
-        if name in HOM_ENTRIES:
-            if ok and not got[name].passed:
-                lhs, rhs = (np.einsum("i,Kij->Kj", alg.generator, side) % p for side in (lhs, rhs))
-                k, j = np.argwhere(lhs != rhs)[0]
-                assert got[name].witness == ((k, 0, j), lhs[k, j], rhs[k, j]), (label, name)
-        else:
-            _compare(along, name, matmul(lhs, gens.T, p), matmul(rhs, gens.T, p), extra_ok=bool(ok))
-    homs_pass = all(got[name].passed for name in HOM_ENTRIES)
-    assert set(got) == set(stripped) == set(want)
-    for name in want:
-        assert got[name].passed == want[name].passed, (label, name)
-        assert stripped[name] == want[name], (label, name)
-        if name not in HOM_ENTRIES:
-            assert got[name] == (along.checks if homs_pass else want)[name], (label, name)
+    sides = _reference_sides(bad)
+    for algebra in (alg, bare):
+        got = verify_hopf(HopfData(algebra, bad.delta, bad.counit, bad.antipode)).checks
+        along = _report_along(sides, algebra_generators(algebra), p).checks
+        assert set(got) == set(want) == set(along)
+        for name in want:
+            assert got[name].passed == want[name].passed, (label, name)
+            assert got[name] == along[name], (label, name)
+    homs_pass = all(want[name].passed for name in HOM_ENTRIES)
     failed = {name for name in want if not want[name].passed}
     return failed, (failed - set(HOM_ENTRIES) if homs_pass else set())
 
@@ -185,21 +195,31 @@ def _algebra_map_mutants(h):
     return out
 
 
-def _conjugate(h):
-    """h carried along v -> P v for one fixed invertible P = L U, L and U
-    unit triangular with nonzero entries off the diagonal: mul, unit,
-    generator, Delta, counit and antipode are all transported."""
+def _carry(h, P):
+    """h carried along v -> P v for an invertible P: mul, unit, the
+    generator if there is one, Delta, counit and antipode."""
     alg = h.algebra
     p, n = alg.field.p, alg.dim
+    inv = rref(np.hstack([P, np.eye(n, dtype=np.int64)]), p)[0][:, n:]
+    mul = npmod(np.einsum("ai,bj,abk,lk->ijl", inv, inv, alg.mul, P), p)
+    gen = None if alg.generator is None else matmul(P, alg.generator, p)
+    conj = SCAlgebra(alg.field, alg.basis, mul, matmul(P, alg.unit, p), generator=gen)
+    delta = matmul(np.kron(P, P), matmul(h.delta, inv, p), p)
+    return HopfData(conj, delta, matmul(h.counit, inv, p), matmul(P, matmul(h.antipode, inv, p), p))
+
+
+def _dense_basis_change(n, p):
+    """One fixed invertible P = L U, L and U unit triangular with nonzero
+    entries off the diagonal."""
     rng = np.random.default_rng(3)
     eye = np.eye(n, dtype=np.int64)
     lower, upper = (side(rng.integers(1, p, size=(n, n)), k) + eye for side, k in ((np.tril, -1), (np.triu, 1)))
-    P = matmul(lower, upper, p)
-    inv = rref(np.hstack([P, eye]), p)[0][:, n:]
-    mul = npmod(np.einsum("ai,bj,abk,lk->ijl", inv, inv, alg.mul, P), p)
-    conj = SCAlgebra(alg.field, alg.basis, mul, matmul(P, alg.unit, p), generator=matmul(P, alg.generator, p))
-    delta = matmul(np.kron(P, P), matmul(h.delta, inv, p), p)
-    return HopfData(conj, delta, matmul(h.counit, inv, p), matmul(P, matmul(h.antipode, inv, p), p))
+    return matmul(lower, upper, p)
+
+
+def _conjugate(h):
+    """h carried along the dense P of _dense_basis_change."""
+    return _carry(h, _dense_basis_change(h.dim, h.algebra.field.p))
 
 
 class TestEinsumMod:
@@ -313,23 +333,59 @@ class TestVerifyHopf:
         assert verify_hopf(conj).ok, verify_hopf(conj).failures()
         _assert_mutants_match_reference(conj)
 
-    def test_generator_that_does_not_generate_falls_back(self, mu32):
+    def test_generator_that_does_not_generate_is_passed_over(self, mu32):
         """An unvalidated algebra whose stored generator is the unit, and a
         Delta with Delta(1) = 1⊗1 that is multiplicative on the unit but no
-        hom: every basis vector is then a generator, so the check fails."""
+        hom: the unit lies in span{1}, so the greedy set is the basis
+        vector t, on which the check fails as the reference's sides do."""
         alg = mu32.algebra
         unit_gen = unvalidated_algebra(alg.field, alg.basis, alg.mul, alg.unit, generator=alg.unit)
-        assert (algebra_generators(unit_gen) == np.eye(2, dtype=np.int64)).all()
+        assert algebra_generators(unit_gen).tolist() == [[0, 1]]
         delta = mu32.delta.copy()
         delta[:, 1] = [1, 0, 0, 1]  # Delta(t) = 1⊗1 + t⊗t, whose square is 2 Delta(t)
         rep = verify_hopf(HopfData(unit_gen, delta, mu32.counit, mu32.antipode))
         assert not rep.checks["coproduct_algebra_hom"].passed
-        want = _reference_report(HopfData(alg, delta, mu32.counit, mu32.antipode))
+        hd = HopfData(alg, delta, mu32.counit, mu32.antipode)
+        want = _report_along(_reference_sides(hd), algebra_generators(unit_gen), 3)
+        assert not _reference_report(hd).checks["coproduct_algebra_hom"].passed
         assert rep.checks["coproduct_algebra_hom"] == want.checks["coproduct_algebra_hom"]
 
     def test_dimension_mismatch_rejected(self, mu32):
         with pytest.raises(ValueError):
             HopfData(mu32.algebra, mu32.delta[:, :1], mu32.counit, mu32.antipode)
+
+
+class TestBasisChange:
+    """A first step toward basis-change invariance: generator-less copies of
+    three builtins, carried along the dense P of _conjugate and along a
+    basis permutation, keep the Frobenius up to P, the verify_hopf
+    verdicts, and the cube up to the point permutation matched through P,
+    point m to the point whose ideal is P·m. Their greedy sets have 1 to
+    3 rows."""
+
+    @pytest.mark.parametrize("spec", ("mu:3:4", "addetale:3:2", "mu:5:8"))
+    @pytest.mark.parametrize("change", ("dense", "permutation"))
+    def test_generator_less_copy_is_invariant(self, spec, change):
+        built = parse_builtin(spec)
+        alg = built.algebra
+        p, n = alg.field.p, alg.dim
+        h = HopfData(SCAlgebra(alg.field, alg.basis, alg.mul, alg.unit), built.delta, built.counit, built.antipode)
+        if change == "dense":
+            P = _dense_basis_change(n, p)
+        else:
+            P = np.eye(n, dtype=np.int64)[np.random.default_rng(5).permutation(n)]
+        moved = _carry(h, P)
+        assert (algebra_generators(moved.algebra) == greedy_generators_by_span(moved.algebra)).all()
+        inv = rref(np.hstack([P, np.eye(n, dtype=np.int64)]), p)[0][:, n:]
+        assert (moved.algebra.frobenius == matmul(P, matmul(h.algebra.frobenius, inv, p), p)).all()
+        verdicts = [{name: entry.passed for name, entry in verify_hopf(x).checks.items()} for x in (h, moved)]
+        assert verdicts[0] == verdicts[1] and all(verdicts[0].values())
+        pts, moved_pts = ops.kpoints(h), ops.kpoints(moved)
+        index = {pt.ideal: pt.index for pt in moved_pts}
+        sigma = [index[IdealSubspace(moved.algebra, matmul(pt.ideal.basis, P.T, p))] for pt in pts]
+        assert sorted(sigma) == list(range(len(pts)))
+        assert [pt.degree for pt in pts] == [moved_pts[i].degree for i in sigma]
+        assert (ops.hyperop_cube(moved)[np.ix_(sigma, sigma, sigma)] == ops.hyperop_cube(h)).all()
 
 
 class TestHopfIdeals:
