@@ -38,12 +38,13 @@ I = ⊕_psi e_psi·I lies in m_phi. So the points of the kernel of an algebra
 map T are the phi with T(e_phi) != 0, one for a map into a field: so are
 the identity, antipode, descent and classical point maps read.
 
-The oracle is exact integer arithmetic. Its reachability DP convolves sets of
-tensor states over (F_p)^(n^2) through a transform over a prime field F_q
-with q > 2 * p^(n^2): a step counts at most 2 * p^(n^2) ways to reach a
-state, so count < q and a state is reached iff its count is nonzero mod q.
-The zero tensor is itself a term, so the reached sets only grow with the
-number of terms, and the DP stops at the first step that changes nothing.
+The oracle is exact integer arithmetic. Its reachability DP doubles the
+number of terms, R_2a = R_a + R_a with class 2 (R_a[1] + R_a[1]) ∪ (A_a +
+R_a[2]) for A_a the union of R_a's classes, then adds one term at a time.
+A class sums at most two sumsets over (F_p)^(n^2), of at most p^(n^2) pairs
+each, through a transform over a prime field F_q with q > 2 * p^(n^2), so a
+state is reached iff its count is nonzero mod q. The zero tensor is a term,
+so R_a ⊆ R_(a+1) ⊆ R_2a: the DP stops at the first step that changes nothing.
 """
 
 from __future__ import annotations
@@ -562,77 +563,99 @@ def _transform_field(p: int, nstates: int) -> tuple[int, int]:
 
 
 def _group_transform(rows: np.ndarray, w: np.ndarray, q: int, k: int) -> np.ndarray:
-    """The transform over the group (F_p)^k of each row, exactly in F_q: the
-    p-point transform w (entries in [0, q)) is applied along each of the k
-    axes of the state index in turn, one stacked product per axis. Entries
-    are reduced mod q only before an axis that could take them past 2^63
-    (_unreduced_axes), and once at the end. The entries of rows must lie
-    in [0, q)."""
+    """The transform over the group (F_p)^k of each row, exactly in F_q, in k
+    self-sorting (Stockham) passes: a pass applies the p-point transform w
+    (entries in [0, q), w[0] = w[:, 0] = 1) to the leading digit of the state
+    index, read as p contiguous slices, and writes it as the trailing digit,
+    so after k passes the digits are back in order. Entries are reduced mod q
+    only before a pass that could take them past 2^63 (_unreduced_axes), and
+    once at the end. The entries of rows must lie in [0, q); rows is
+    overwritten and may hold the result."""
     batch, p = rows.shape[0], w.shape[0]
     run = _unreduced_axes(p, q)
+    spare = np.empty_like(rows)
+    acc, tmp = np.empty((2, batch, rows.shape[1] // p), dtype=np.int64)
+
+    def mod_q(x, free):  # x %= q as x - (x // q) * q, which numpy computes faster than np.remainder
+        np.subtract(x, np.multiply(np.floor_divide(x, q, out=free), q, out=free), out=x)
+
     for axis in range(k):
         if axis and axis % run == 0:
-            np.remainder(rows, q, out=rows)
-        rows = w @ rows.reshape(batch * p**axis, p, -1)
-    np.remainder(rows, q, out=rows)
-    return rows.reshape(batch, -1)
+            mod_q(rows, spare)
+        src, dst = rows.reshape(batch, p, -1), spare.reshape(batch, -1, p)
+        for d in range(p):
+            np.copyto(acc, src[:, 0])
+            for i in range(1, p):
+                acc += src[:, i] if d == 0 else np.multiply(src[:, i], w[d, i], out=tmp)
+            dst[:, :, d] = acc
+        rows, spare = spare, rows
+    mod_q(rows, spare)
+    return rows
 
 
 def _pair_presentation_reach(h: HopfData, f: PrimePoint, g: PrimePoint, r_max: int) -> np.ndarray:
     """For every tensor state s and count class c in {0, 1, 2+}: is there a
-    presentation with at most r_max terms summing to s whose number of terms
-    surviving (f, g) falls in class c? The DP does not depend on x, so one run
-    answers all oracle queries for the pair.
-
-    Each step convolves the reached sets with the term sets T0 (u⊗v with
-    f(u) = 0 or g(v) = 0) and T1 (the surviving u⊗v) over (F_p)^(n^2),
-    through an exact transform over F_q with q > 2 * p^(n^2) (see
-    _transform_field). A clamped boolean convolution counts at most p^(n^2)
-    pairs per state, and class 1 and class 2 each sum two of them, so every
-    count is below q: a state is reached iff its count is nonzero mod q. The
-    inverse transform's factor p^-(n^2) is a unit and is left out.
-
-    The zero tensor is a T0 term (k_value(0) = 0), so every reached set
-    contains the one of the step before: the sets only grow, and once a step
-    changes nothing no later step does. The DP stops there, and the state it
-    holds is the union over all r_max steps."""
+    presentation with at most r_max >= 1 terms summing to s, c of them
+    surviving (f, g)? Cached per pair, as _presentation_reach ignores x."""
     key = (f.index, g.index, r_max)
     cache = h._cache.setdefault("presentation_reach", {})
-    if key in cache:
-        return cache[key]
-    alg = h.algebra
-    p = alg.field.p
-    n = alg.dim
-    k = n * n
-    nstates = p**k
-    q, omega = _transform_field(p, nstates)
+    if key not in cache:
+        p, n = h.algebra.field.p, h.algebra.dim
+        elems = enumerate_vectors(p, n)
+        terms = np.einsum("ai,bj->abij", elems, elems).reshape(-1, n * n) % p @ (p ** np.arange(n * n, dtype=np.int64))
+        surviving = np.outer(f.k_value(elems), g.k_value(elems)).reshape(-1)
+        cache[key] = _presentation_reach(p, n * n, terms[~surviving], terms[surviving], r_max).T
+    return cache[key]
+
+
+def _presentation_reach(p: int, k: int, t0: np.ndarray, t1: np.ndarray, r_max: int) -> np.ndarray:
+    """R_(r_max)[c, s]: is the state s of (F_p)^k a sum of at most r_max >= 1
+    terms, c in {0, 1, 2+} of them from T1 (state indices t1) and the rest
+    from T0 (t0, which must hold the zero tensor)?
+
+    R_1 holds T0 in class 0 and T1 in class 1. The DP doubles, R_2a = R_a +
+    R_a, while 2a <= r_max: class 0 is R_a[0] + R_a[0], class 1 is R_a[0] +
+    R_a[1], and class 2 is (R_a[1] + R_a[1]) ∪ (A_a + R_a[2]) with A_a the
+    union of R_a's classes; then one-term steps R_a + T run up to r_max. A
+    sumset goes through an exact transform over F_q, q > 2 * p^k
+    (_transform_field): a clamped boolean convolution counts at most p^k
+    pairs per state and a class sums at most two, so a state is reached iff
+    its count is nonzero mod q (the inverse's factor p^-k is a unit, left
+    out). As 0 is in T0, R_a ⊆ R_(a+1) ⊆ R_2a: once a step changes nothing,
+    no later step does, and the DP stops there."""
+    q, omega = _transform_field(p, p**k)
     w_fwd = np.array([[pow(omega, i * j, q) for j in range(p)] for i in range(p)], dtype=np.int64)
     w_inv = np.array([[pow(omega, -i * j, q) for j in range(p)] for i in range(p)], dtype=np.int64)
 
-    elems = enumerate_vectors(p, n)
-    fv, gv = f.k_value(elems), g.k_value(elems)
-    terms = np.einsum("ai,bj->abij", elems, elems).reshape(-1, k) % p @ (p ** np.arange(k, dtype=np.int64))
-    surviving = np.outer(fv, gv).reshape(-1)
-    t = np.zeros((3, nstates), dtype=np.int64)
-    t[0, terms[~surviving]] = 1
-    t[1, terms[surviving]] = 1
-    t[2] = t[0] | t[1]
-    t0_hat, t1_hat, t01_hat = _group_transform(t, w_fwd, q, k)
+    def forward(sets):
+        return _group_transform(sets.astype(np.int64), w_fwd, q, k)
 
-    reached = np.zeros((3, nstates), dtype=bool)
-    reached[0, 0] = True
-    for _ in range(r_max):
-        r0_hat, r1_hat, r2_hat = _group_transform(reached.astype(np.int64), w_fwd, q, k)
-        counts_hat = np.stack(
-            [r0_hat * t0_hat, r1_hat * t0_hat + r0_hat * t1_hat, r2_hat * t01_hat + r1_hat * t1_hat]
-        )
-        step = _group_transform(counts_hat % q, w_inv, q, k) != 0
+    def inverse(counts):
+        np.remainder(counts, q, out=counts)
+        return _group_transform(counts, w_inv, q, k) != 0
+
+    def doubled(r):  # R + R, from the transforms of R's classes and of their union
+        return np.stack([r[0] * r[0], r[0] * r[1], r[1] * r[1] + r[3] * r[2]])
+
+    def extended(r):  # R + T, from the transforms of R's classes
+        return np.stack([r[0] * t[0], r[1] * t[0] + r[0] * t[1], r[2] * t[2] + r[1] * t[1]])
+
+    reached = np.zeros((3, p**k), dtype=bool)
+    reached[0, t0] = True
+    reached[1, t1] = True
+    t = forward(np.vstack([reached[:2], reached.any(axis=0)]))  # T0, T1, T0 ∪ T1
+    size = 1
+    while size < r_max:  # a step's transforms are temporaries, freed once spent
+        if 2 * size > r_max:
+            step, size = inverse(extended(forward(reached))), size + 1
+        elif size == 1:  # R_1's transforms are t, and its class 2 is empty
+            step, size = inverse(doubled((t[0], t[1], 0, t[2]))), 2
+        else:
+            step, size = inverse(doubled(forward(np.vstack([reached, reached.any(axis=0)])))), 2 * size
         if np.array_equal(step, reached):
             break
         reached = step
-    ever = reached.T
-    cache[key] = ever
-    return ever
+    return reached
 
 
 def presentation_oracle(h: HopfData, f: PrimePoint, g: PrimePoint, x, r_max: int) -> frozenset[int]:
@@ -650,7 +673,7 @@ def presentation_oracle(h: HopfData, f: PrimePoint, g: PrimePoint, x, r_max: int
     p = alg.field.p
     n = alg.dim
     if p ** (n * n) > ORACLE_STATE_BOUND:
-        raise ValueError("presentation oracle only runs on tiny algebras (dim <= 3 over F_3)")
+        raise ValueError(f"presentation oracle needs p^(dim^2) <= {ORACLE_STATE_BOUND}, not {p}^{n * n} = {p ** (n * n)}")
     weights = p ** np.arange(n * n, dtype=np.int64)
     target_idx = int(matmul(h.delta, np.asarray(x, dtype=np.int64), p) @ weights)
     ever = _pair_presentation_reach(h, f, g, r_max)

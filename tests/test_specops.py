@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import tracemalloc
 from itertools import product
 from math import isqrt, lcm
 
@@ -677,7 +678,7 @@ class TestPresentationOracle:
 
     def test_algebra_over_the_state_bound_rejected(self, mu54):
         f = ops.kpoints(mu54)[0]
-        with pytest.raises(ValueError, match=r"^presentation oracle only runs on tiny algebras \(dim <= 3 over F_3\)$"):
+        with pytest.raises(ValueError, match=r"^presentation oracle needs p\^\(dim\^2\) <= 200000, not 5\^16 = 152587890625$"):
             ops.presentation_oracle(mu54, f, f, mu54.algebra.generator, 5)
 
     def test_exhaustive_dim2_at_rank_bound(self, mu32):
@@ -778,6 +779,57 @@ class TestExactOracle:
         for f, g in product(ops.kpoints(ae31), repeat=2):
             got = ops._pair_presentation_reach(ae31, f, g, 10)
             assert (got == transform_reach_every_step(ae31, f, g, 10)).all(), (f.label, g.label)
+
+    def test_doubling_branches_match_boolean_sumsets(self):
+        # on addetale:3:1 the fixed point comes at 4 terms, so R_2 -> R_4
+        # still changes the sets: r_max 1 takes no step, 2 and 4 only
+        # double, 3 and 5 double and then take one-term steps
+        h = parse_builtin("addetale:3:1")
+        f, g = ops.point_by_label(h, "T"), ops.point_by_label(h, "T-1")
+        tables = sumset_reach_by_step(h, f, g, 5)
+        for r_max in range(1, 6):
+            assert (ops._pair_presentation_reach(h, f, g, r_max) == tables[r_max - 1]).all(), r_max
+
+    def test_class_two_union_on_one_surviving_term(self):
+        # T0 = {0} and T1 = {1} in F_5: j terms reach j mod 5 in class
+        # min(j, 2), so class 2 needs R_a[1] + R_a[2] and R_a[2] + R_a[2]
+        # (j = 3, 4 at r_max 4), which no admissible builtin tells apart
+        want = np.zeros((3, 5), dtype=bool)
+        want[0, 0] = True
+        for r_max in range(1, 9):
+            want[min(r_max, 2), r_max % 5] = True  # j = r_max joins
+            assert (ops._presentation_reach(5, 1, np.array([0]), np.array([1]), r_max) == want).all(), r_max
+
+    def test_doubling_transforms_at_most_20_rows_per_pair(self, monkeypatch):
+        # T0, T1 and their union (3 rows), the inverse giving R_2 (3), then
+        # R_4 and the unchanged R_8 (4 forward and 3 inverse rows each);
+        # one-term steps from R_0 took 33 rows per pair
+        h = parse_builtin("addetale:3:1")
+        rows = []
+        transform = ops._group_transform
+
+        def counted(x, *args):
+            rows.append(x.shape[0])
+            return transform(x, *args)
+
+        monkeypatch.setattr(ops, "_group_transform", counted)
+        for f, g in product(ops.kpoints(h), repeat=2):
+            ops._pair_presentation_reach(h, f, g, 10)
+        assert sum(rows) <= 180
+
+    def test_one_pair_peak_memory(self):
+        # at most 18 int64 rows of 3^9 states above the start, which bounds
+        # the oracle's share of a fresh process's peak RSS
+        h = parse_builtin("addetale:3:1")
+        f = ops.kpoints(h)[0]
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            ops._pair_presentation_reach(h, f, f, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 18 * 8 * 3**9
 
     @pytest.mark.parametrize("p, n", [(3, 2), (3, 3), (5, 2), (7, 2), (11, 2)])
     def test_transform_field(self, p, n):
