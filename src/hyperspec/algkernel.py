@@ -66,13 +66,14 @@ class SCAlgebra:
         n, p, mul = self.dim, self.field.p, self.mul
         if not (self.left_mul_matrix(self.unit) == np.eye(n, dtype=np.int64)).all():
             raise ValueError("declared unit is not a multiplicative identity")
-        for s in algebra_generators(self):
-            x = self.mul_matrices(self.mul_matrices(s[None])[0])  # [i, j]: (e_i s) e_j
+        gens, mats = self.closure[:2]
+        for s, ls in zip(gens, mats):
+            x = self.mul_matrices(ls)  # [i, j]: (e_i s) e_j
             if (bad := _first((x != x.transpose(1, 0, 2)).any(axis=2))) is not None:
                 i, j = bad  # row k below: (e_i e_k) e_j != e_i (e_k e_j)
                 k = _first((s != 0) & (matmul(mul[i], mul[:, j], p) != matmul(mul[:, j], mul[i], p)).any(axis=1))[0]
                 raise ValueError(f"multiplication is not associative at basis triple ({i},{k},{j})")
-        if self.generator is not None and (d := self.closure[3]) < n:
+        if self.generator is not None and (d := self.closure[4]) < n:
             raise ValueError(f"algebra 'generator' does not generate the algebra: its powers span {d} of {n} dimensions")
 
     def mul_matrices(self, u: np.ndarray) -> np.ndarray:
@@ -103,18 +104,19 @@ class SCAlgebra:
         return self.mul_matrices(npmod(v, self.field.p)[None])[0].T
 
     @cached_property
-    def closure(self) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int] | None], int]:
-        """(gens, words, steps, reach). The candidates are the stored
+    def closure(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[int, int] | None], int]:
+        """(gens, mats, words, steps, reach). The candidates are the stored
         generator, if any, then e_0, ..., e_(n-1); one outside the span of
-        the words joins gens. The words start at the unit; when s joins, each
-        earlier word runs its chain word·s, (word·s)·s, ..., a product kept
-        while outside the span of the earlier words: word k > 0 is
-        words[parent]·gens[t], (parent, t) = steps[k]. For associative A
-        their span is the subalgebra of the generators so far. reach is the
-        span's dimension after the first candidate: on g stored, its powers'."""
+        the words joins gens, and its multiplication matrix joins mats. The
+        words start at the unit; when s joins, each earlier word runs its
+        chain word·s, (word·s)·s, ..., a product kept while outside the span
+        of the earlier words: word k > 0 is words[parent]·gens[t], (parent,
+        t) = steps[k]. For associative A their span is the subalgebra of the
+        generators so far. reach is the span's dimension after the first
+        candidate: on g stored, its powers'."""
         p, n = self.field.p, self.dim
         basis, pivots = np.zeros((n, n), dtype=np.int64), []  # an RREF basis of the words' span
-        words, steps, gens, reach = [], [], [], 0
+        words, steps, gens, mats, reach = [], [], [], [], 0
 
         def fresh(v, step) -> bool:  # whether v lies outside the span; if so, it joins the words
             r = reduce_rows(v, basis[: len(pivots)], pivots, p)[0]
@@ -131,15 +133,16 @@ class SCAlgebra:
         for c in ([] if self.generator is None else [self.generator]) + list(np.eye(n, dtype=np.int64)):
             if len(words) < n and not in_span(basis[: len(pivots)], pivots, c, p):
                 gens.append(c)
-                lc = self.mul_matrices(c[None])[0]
+                mats.append(self.mul_matrices(c[None])[0])
                 for k in range(len(words)):
                     parent = k
-                    while fresh(words[parent] @ lc % p, (parent, len(gens) - 1)):
+                    while fresh(words[parent] @ mats[-1] % p, (parent, len(gens) - 1)):
                         parent = len(words) - 1
             reach = reach or len(words)
-        gens = np.array(gens, dtype=np.int64).reshape(-1, n)
+        gens, mats = np.array(gens, dtype=np.int64).reshape(-1, n), np.array(mats, dtype=np.int64).reshape(-1, n, n)
         gens.setflags(write=False)
-        return gens, np.array(words), steps, reach
+        mats.setflags(write=False)
+        return gens, mats, np.array(words), steps, reach
 
     @cached_property
     def frobenius(self) -> np.ndarray:
@@ -148,7 +151,7 @@ class SCAlgebra:
         T^p mod the minimal polynomial of s, and one echelon form of
         [words | images] gives column i, e_i^p."""
         p, n = self.field.p, self.dim
-        gens, words, steps, _ = self.closure
+        gens, _, words, steps, _ = self.closure
 
         def frob_of(s):
             pows = self.powers(s, self.unit, n + 1)
@@ -179,13 +182,13 @@ class SCAlgebra:
 
     def element_from_poly(self, poly: FpPoly) -> np.ndarray:
         """poly(g) for the stored generator g: poly is first reduced modulo
-        the minimal polynomial of g, so at most dim powers 1, g, g^2, ... are
-        summed, a product bounded like every other, whatever deg poly is."""
+        the minimal polynomial of g, read off the powers 1, g, ..., g^dim,
+        so at most dim of them are summed, whatever deg poly is."""
         if self.generator is None:
             raise ValueError("algebra has no designated generator")
-        rem = poly % minimal_polynomial(self.generator, self)
-        pows = self.powers(self.generator, self.unit, len(rem.coeffs))
-        return matmul(np.array(rem.coeffs, dtype=np.int64), pows, self.field.p)
+        pows = self.powers(self.generator, self.unit, self.dim + 1)
+        rem = poly % _first_monic_relation(pows, self.field)
+        return matmul(np.array(rem.coeffs, dtype=np.int64), pows[: len(rem.coeffs)], self.field.p)
 
     @cached_property
     def modulus(self) -> FpPoly | None:
@@ -283,13 +286,14 @@ def hom_witness(mat: np.ndarray, src: SCAlgebra, mul_by, unit) -> tuple:
     vs's shape. Else the unit-mismatch witness, or ((K, s, j), lhs, rhs) at
     the first K, generator row s and basis vector j where mat(s e_j) !=
     mat(s) mat(e_j). Generators suffice: once mat(1) = 1, the y with
-    mat(yx) = mat(y) mat(x) for all x form a subalgebra."""
+    mat(yx) = mat(y) mat(x) for all x form a subalgebra. mat(s e_j) reads
+    the closure's multiplication matrix of s."""
     p = src.field.p
     if not (matmul(mat, src.unit, p) == unit).all():
         return ("unit/counit image mismatch",)
-    gens = algebra_generators(src)
+    gens, mats = src.closure[:2]
     images = npmod(mat.T, p)  # row j is mat(e_j)
-    lhs = matmul(src.mul_matrices(gens), images, p)  # [s, j, K]
+    lhs = matmul(mats, images, p)  # [s, j, K]
     rhs = np.array([mul_by(u, images) for u in matmul(gens, images, p)]).reshape(lhs.shape)
     lhs, rhs = (side.transpose(2, 0, 1) for side in (lhs, rhs))
     bad = _first(lhs != rhs)
@@ -334,11 +338,11 @@ class IdealSubspace:
         return self.contains_vector(self.algebra.unit)
 
     def is_absorbing(self) -> bool:
-        """Whether I·s lies in I for every row s of algebra_generators, hence
-        I·A in I; decided once: the basis is immutable."""
+        """Whether I·s lies in I for every row s of algebra_generators (by the
+        closure's L_s), hence I·A in I; decided once: the basis is immutable."""
         if self._absorbing is None:
             alg = self.algebra
-            prods = matmul(self.basis, alg.mul_matrices(algebra_generators(alg)), alg.field.p).reshape(-1, alg.dim)
+            prods = matmul(self.basis, alg.closure[1], alg.field.p).reshape(-1, alg.dim)
             self._absorbing = not reduce_rows(prods, self.basis, self.pivots, alg.field.p).any()
         return self._absorbing
 
@@ -603,17 +607,21 @@ def maximal_spectrum(alg: SCAlgebra) -> list[PrimePoint]:
     roots and splits e; c = (u·e)_j / e_j at e's first nonzero coordinate j.
     And r orthogonal nonzero idempotents in F = F_p^r are the primitive
     ones, so the split stops once it has dim F of them. Each visited fixed
-    vector u forms one multiplication matrix L_u: it gives u·e for every
-    current e and each Lagrange factor (ue - b·e)·f = u·f - b·f, f in eA,
-    reduced before its scale 1/(a - b) so that no entry reaches p^2."""
+    vector u forms one multiplication matrix L_u, which gives u·e for every
+    current e. A split of e reads everything off the r + 1 Krylov rows
+    e·(ue)^j (k <= r roots, so they are dependent): the minimal polynomial
+    m of ue in eA, and for each root a the primitive idempotent
+    q_a(ue)·e / q_a(a), q_a = m / (T - a), one product of q_a's coefficient
+    row with the rows."""
     if alg._spectrum is not None:
         return alg._spectrum
     p = alg.field.p
     fixed = nullspace(npmod(alg.frobenius - np.eye(alg.dim, dtype=np.int64), p), p)
+    r = fixed.shape[0]
 
     idems = [alg.unit.copy()]
     for u in fixed:
-        if len(idems) == fixed.shape[0]:
+        if len(idems) == r:
             break
         lu = alg.mul_matrices(u[None])[0]  # x @ lu = u * x
         refined = []
@@ -623,18 +631,16 @@ def maximal_spectrum(alg: SCAlgebra) -> list[PrimePoint]:
             if not npmod(ue - c * e, p).any():
                 refined.append(e)
                 continue
-            m = minimal_polynomial(ue, alg, unit=e)
+            pows = alg.powers(ue, e, r + 1)
+            m = _first_monic_relation(pows, alg.field)
             roots = [a for a in range(p) if m.eval(a) == 0]
             if len(roots) != m.degree:
                 raise RuntimeError("Frobenius-fixed element has a non-split minimal polynomial")
             for a in roots:
-                f = e
-                for b in roots:
-                    if b != a:  # (ue - b e) f = u f - b f, as f lies in eA
-                        f = npmod(matmul(f, lu, p) - b * f, p) * alg.field.inv(a - b) % p
-                refined.append(f)
+                q = m // FpPoly.make(alg.field, (-a, 1))
+                refined.append(matmul(np.array(q.coeffs), pows[: m.degree], p) * alg.field.inv(q.eval(a)) % p)
         idems = refined
-    if len(idems) != fixed.shape[0]:
+    if len(idems) != r:
         raise RuntimeError("idempotent splitting did not reach the full fixed space")
 
     points = []

@@ -28,7 +28,7 @@ from math import lcm
 
 import numpy as np
 
-from .algkernel import OrbitClassifier, SCAlgebra, field_algebra, field_roots, monogenic_algebra
+from .algkernel import OrbitClassifier, field_algebra, field_roots
 from .gfarith import FpPoly, PrimeField, _first_monic_relation, factor_stack, irreducibles_up_to, minimal_polynomial
 from .hyperkernel import _packed_members, spectrum_laws
 from .linalg import npmod, require_int64_sum, two_sided
@@ -157,12 +157,6 @@ def line_antipode(pt: LinePoint) -> LinePoint:
 
 
 @lru_cache(maxsize=None)
-def _residue_algebra(poly: FpPoly) -> SCAlgebra:
-    """F_p[T]/(poly) on its power basis, built once per polynomial."""
-    return monogenic_algebra(poly.field, poly)
-
-
-@lru_cache(maxsize=None)
 def orbit_classifier(p: int, law: str, n: int) -> OrbitClassifier:
     """The Galois-orbit engine of a law on the line in F_{p^n}, one per
     (p, law, n): an input point carries a root from field_roots, a scan of
@@ -185,6 +179,14 @@ def galois_hyperop(p: int, law: str, f: LinePoint, g: LinePoint) -> tuple[LinePo
     return tuple(orbits.points[k] for k in orbits.row(orbits.point_index(f), [orbits.point_index(g)])[0])
 
 
+def _companion(poly: FpPoly) -> np.ndarray:
+    """Multiplication by t on the power basis of F_p[T]/(poly), poly monic:
+    ones below the diagonal, and last column -c_0, ..., -c_(d-1)."""
+    c = np.eye(poly.degree, k=-1, dtype=np.int64)
+    c[:, -1] = [-x % poly.field.p for x in poly.coeffs[:-1]]
+    return c
+
+
 def forced_zero_generators(p: int, law: str, fs: list[LinePoint], gs: list[LinePoint]) -> list[FpPoly]:
     """g_P of every pair (f, g) in fs x gs, row-major: the minimal polynomial
     of the coproduct-generator image s in K_f ⊗ K_g, s = t_f⊗1 + 1⊗t_g
@@ -192,22 +194,22 @@ def forced_zero_generators(p: int, law: str, fs: list[LinePoint], gs: list[LineP
 
     An element of K_f ⊗ K_g is the deg f x deg g matrix V of its coordinates
     on the power bases, and with the companion matrices L_f, L_g of
-    multiplication by t_f and t_g, multiplication by s is the Kronecker
-    operator V -> L_f V + V L_g^T or V -> L_f V L_g^T (linalg.two_sided).
-    The powers of s are the Krylov sequence of 1⊗1 under it, and g_P is
-    their first monic relation. The pairs of one degree pair (a, b) form one
-    int64 stack of Krylov sequences, shape (pairs, ab + 1, ab), each step
-    one broadcast product; each g_P is then read from its own sequence."""
+    multiplication by t_f and t_g ([[a]] for T - a), multiplication by s is
+    the Kronecker operator V -> L_f V + V L_g^T or V -> L_f V L_g^T
+    (linalg.two_sided). The powers of s are the Krylov sequence of 1⊗1 =
+    e_0⊗e_0 under it, and g_P is their first monic relation. The pairs of
+    one degree pair (a, b) form one int64 stack of Krylov sequences, shape
+    (pairs, ab + 1, ab), each step one broadcast product; each g_P is then
+    read from its own sequence."""
     field = PrimeField(p).require_odd()
     out: dict[tuple[int, int], FpPoly] = {}
     for a, b in product(sorted({f.degree for f in fs}), sorted({g.degree for g in gs})):
         fi = [i for i, f in enumerate(fs) if f.degree == a]
         gj = [j for j, g in enumerate(gs) if g.degree == b]
-        kfs = [_residue_algebra(fs[i].poly) for i in fi]
-        kgs = [_residue_algebra(gs[j].poly) for j in gj]
-        lf = np.array([k.left_mul_matrix(k.generator) for k in kfs])[:, None]  # (F, 1, a, a)
-        lg = np.array([k.left_mul_matrix(k.generator) for k in kgs])[None]  # (1, G, b, b)
-        v = npmod(np.array([k.unit for k in kfs])[:, None, :, None] * np.array([k.unit for k in kgs])[None, :, None], p)
+        lf = np.array([_companion(fs[i].poly) for i in fi])[:, None]  # (F, 1, a, a)
+        lg = np.array([_companion(gs[j].poly) for j in gj])[None]  # (1, G, b, b)
+        v = np.zeros((len(fi), len(gj), a, b), dtype=np.int64)
+        v[:, :, 0, 0] = 1
         powers = np.empty((len(fi), len(gj), a * b + 1, a * b), dtype=np.int64)
         powers[:, :, 0] = v.reshape(len(fi), len(gj), a * b)
         if law == ADDITIVE:

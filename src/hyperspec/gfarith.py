@@ -456,14 +456,13 @@ def _first_monic_relation(powers: np.ndarray, field: PrimeField) -> FpPoly:
     return FpPoly.make(field, [(-int(c)) % p for c in red[:d, d]] + [1])
 
 
-def minimal_polynomial(elem, algebra, unit=None) -> FpPoly:
+def minimal_polynomial(elem, algebra) -> FpPoly:
     """Minimal polynomial of an element of a finite-dimensional commutative
-    F_p-algebra, by exact kernel computation on its powers.
+    F_p-algebra, the first monic relation among its powers 1, ..., elem^dim.
 
     `algebra` provides dim, field, unit, and powers(v, start, k), the rows
     start * v^j for j < k (SCAlgebra.powers); `elem` is a coordinate vector
-    in the algebra basis. An idempotent `unit` in place of algebra.unit
-    gives the minimal polynomial within the subalgebra unit*A.
+    in the algebra basis. A caller that needs the rows too, or the minimal
+    polynomial in a subalgebra e·A, reads _first_monic_relation off them.
     """
-    start = algebra.unit if unit is None else unit
-    return _first_monic_relation(algebra.powers(elem, start, algebra.dim + 1), algebra.field)
+    return _first_monic_relation(algebra.powers(elem, algebra.unit, algebra.dim + 1), algebra.field)

@@ -115,25 +115,3 @@ def enumerate_vectors(p: int, n: int) -> np.ndarray:
     idx = np.arange(count, dtype=np.int64)
     return (idx[:, None] // p ** np.arange(n, dtype=np.int64)) % p
 
-
-def batch_tensor_rank_class(t: np.ndarray, p: int) -> np.ndarray:
-    """Classify each (a x b) matrix in a batch: 0 zero, 1 rank one, 2 rank >= 2.
-
-    t has shape (N, a, b). Only the 0 / 1 / >=2 trichotomy is decided (all the
-    callers need), via the 2x2 minor criterion.
-    """
-    t = npmod(t, p)
-    n, a, b = t.shape
-    out = np.zeros(n, dtype=np.int64)
-    nonzero = t.reshape(n, -1).any(axis=1)
-    out[nonzero] = 1
-    if a >= 2 and b >= 2:
-        ge2 = np.zeros(n, dtype=bool)
-        for r1 in range(a):
-            for r2 in range(r1 + 1, a):
-                for c1 in range(b):
-                    for c2 in range(c1 + 1, b):
-                        det = npmod(t[:, r1, c1] * t[:, r2, c2] - t[:, r1, c2] * t[:, r2, c1], p)
-                        ge2 |= det != 0
-        out[ge2 & nonzero] = 2
-    return out

@@ -63,11 +63,10 @@ from .algkernel import (
     field_roots,
     maximal_spectrum,
 )
-from .gfarith import is_prime, minimal_polynomial, prime_power
+from .gfarith import _first_monic_relation, is_prime, prime_power
 from .hopfkernel import HopfData, hopf_quotient
 from .hyperkernel import LawReport, _first, _packed, spectrum_laws
 from .linalg import (
-    batch_tensor_rank_class,
     enumerate_vectors,
     matmul,
     nullspace,
@@ -215,13 +214,13 @@ def _pair_maps(h: HopfData) -> np.ndarray:
 
 
 def forced_value(h: HopfData, f: PrimePoint, g: PrimePoint, x) -> ForcedValue:
-    """Rank trichotomy of the image of Delta(x) in (A/Ker f) ⊗ (A/Ker g)."""
+    """Rank trichotomy of the image of Delta(x) in (A/Ker f) ⊗ (A/Ker g):
+    its number of RREF pivots, read as 0, 1 or at least 2."""
     h.ensure_verified()
     p = h.algebra.field.p
     q = _pair_quotient_matrix(h, f, g)
-    t = matmul(q, np.asarray(x, dtype=np.int64), p).reshape(1, f.degree, g.degree)
-    cls = int(batch_tensor_rank_class(t, p)[0])
-    return (ForcedValue.ZERO, ForcedValue.ONE, ForcedValue.FREE)[cls]
+    t = matmul(q, np.asarray(x, dtype=np.int64), p).reshape(f.degree, g.degree)
+    return (ForcedValue.ZERO, ForcedValue.ONE, ForcedValue.FREE)[min(len(rref(t, p)[1]), 2)]
 
 
 def hyperop_cube(h: HopfData) -> np.ndarray:
@@ -444,10 +443,9 @@ def _carried_hom(pt: PrimePoint, e: int) -> np.ndarray:
     res, d = pt.residue, pt.degree
     p = res.field.p
     stored = res.generator if res.generator is not None else res.unit if d == 1 else None
-    candidates = ((v, minimal_polynomial(v, res)) for v in (enumerate_vectors(p, d) if stored is None else [stored]))
-    gen, poly = next((v, m) for v, m in candidates if m.degree == d)
-    gen_pows = res.powers(gen, res.unit, d)
-    coords = rref(np.hstack([gen_pows.T, pt.resmap]), p)[0][:, d:]  # residue(x) in powers of gen
+    krylov = (res.powers(v, res.unit, d + 1) for v in (enumerate_vectors(p, d) if stored is None else [stored]))
+    pows, poly = next((k, m) for k in krylov if (m := _first_monic_relation(k, res.field)).degree == d)
+    coords = rref(np.hstack([pows[:d].T, pt.resmap]), p)[0][:, d:]  # residue(x) in powers of gen
     fq, _ = field_algebra(p, e)
     rho = field_roots(poly, e)[0]
     return matmul(coords.T, fq.powers(rho, fq.unit, d), p)

