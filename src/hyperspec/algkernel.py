@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .gfarith import FpPoly, PrimeField, _first_monic_relation, find_irreducible, minimal_polynomial, power_basis_tensor
+from .gfarith import FpPoly, PrimeField, _first_monic_relation, find_irreducible, power_basis_tensor
 from .hyperkernel import _first
 from .linalg import (
     enumerate_vectors,
@@ -90,10 +90,13 @@ class SCAlgebra:
 
     def powers(self, v, start, k: int) -> np.ndarray:
         """The k rows start * v^j for j < k: the Krylov sequence of start
-        under x -> v*x, each row the previous one times the one reduced
-        multiplication matrix of v, a sum that mul_matrices has bounded."""
+        under the one reduced multiplication matrix of v."""
+        return self.krylov(self.mul_matrices(npmod(v, self.field.p)[None])[0], start, k)
+
+    def krylov(self, lmat: np.ndarray, start, k: int) -> np.ndarray:
+        """The k rows start @ lmat^j for j < k, lmat a multiplication matrix
+        (x @ lmat = v*x) from mul_matrices, which has bounded the sum."""
         p = self.field.p
-        lmat = self.mul_matrices(npmod(v, p)[None])[0]
         out = np.zeros((k, self.dim), dtype=np.int64)
         for j in range(k):
             out[j] = out[j - 1] @ lmat % p if j else npmod(start, p)
@@ -145,20 +148,42 @@ class SCAlgebra:
         return gens, mats, np.array(words), steps, reach
 
     @cached_property
+    def gen_powers(self) -> np.ndarray:
+        """[t, j] = gens[t]^j for j <= dim: the Krylov sequence of the unit
+        under each of the closure's mats[t], formed once per algebra."""
+        pows = np.array([self.krylov(ls, self.unit, self.dim + 1) for ls in self.closure[1]], dtype=np.int64)
+        pows = pows.reshape(-1, self.dim + 1, self.dim)
+        pows.setflags(write=False)
+        return pows
+
+    @cached_property
+    def generator_powers(self) -> np.ndarray:
+        """The rows 1, g, ..., g^dim of the stored generator g: gen_powers[0]
+        when g is the closure's first generator, as it is unless g is a
+        scalar, as in dimension 1, which joins no generating set."""
+        if self.generator is None:
+            raise ValueError("algebra has no designated generator")
+        gens = self.closure[0]
+        if len(gens) and (gens[0] == self.generator).all():
+            return self.gen_powers[0]
+        pows = self.powers(self.generator, self.unit, self.dim + 1)
+        pows.setflags(write=False)
+        return pows
+
+    @cached_property
     def frobenius(self) -> np.ndarray:
         """Matrix of x -> x^p along the closure's words: word k =
         words[parent]·s goes to Frob(words[parent])·r(s), s^p = r(s) for r =
-        T^p mod the minimal polynomial of s, and one echelon form of
-        [words | images] gives column i, e_i^p."""
+        T^p mod the minimal polynomial of s, read off gen_powers, and one
+        echelon form of [words | images] gives column i, e_i^p."""
         p, n = self.field.p, self.dim
-        gens, _, words, steps, _ = self.closure
+        _, _, words, steps, _ = self.closure
 
-        def frob_of(s):
-            pows = self.powers(s, self.unit, n + 1)
+        def frob_of(pows):
             r = FpPoly.x(self.field).pow_mod(p, _first_monic_relation(pows, self.field)).coeffs
             return matmul(np.array(r, dtype=np.int64), pows[: len(r)], p)
 
-        mats = self.mul_matrices(np.array([frob_of(s) for s in gens], dtype=np.int64).reshape(-1, n))
+        mats = self.mul_matrices(np.array([frob_of(pows) for pows in self.gen_powers], dtype=np.int64).reshape(-1, n))
         images = [self.unit]
         for parent, t in steps[1:]:
             images.append(images[parent] @ mats[t] % p)
@@ -182,25 +207,11 @@ class SCAlgebra:
 
     def element_from_poly(self, poly: FpPoly) -> np.ndarray:
         """poly(g) for the stored generator g: poly is first reduced modulo
-        the minimal polynomial of g, read off the powers 1, g, ..., g^dim,
-        so at most dim of them are summed, whatever deg poly is."""
-        if self.generator is None:
-            raise ValueError("algebra has no designated generator")
-        pows = self.powers(self.generator, self.unit, self.dim + 1)
+        the minimal polynomial of g, read off generator_powers, so at most
+        dim of them are summed, whatever deg poly is."""
+        pows = self.generator_powers
         rem = poly % _first_monic_relation(pows, self.field)
         return matmul(np.array(rem.coeffs, dtype=np.int64), pows[: len(rem.coeffs)], self.field.p)
-
-    @cached_property
-    def modulus(self) -> FpPoly | None:
-        """The monic m with A = F_p[T]/(m) and e_k = g^k, g the stored
-        generator, read off its powers 1, g, ..., g^dim; None off that power
-        basis. The basis names play no part."""
-        if self.generator is None:
-            return None
-        pows = self.powers(self.generator, self.unit, self.dim + 1)
-        if not np.array_equal(pows[:-1], np.eye(self.dim, dtype=np.int64)):
-            return None
-        return FpPoly.make(self.field, [-int(c) for c in pows[-1]] + [1])
 
     def to_json(self) -> dict:
         doc = {
@@ -319,7 +330,6 @@ class IdealSubspace:
         self.basis.setflags(write=False)
         self._absorbing: bool | None = None
         self._projection: tuple[np.ndarray, list[int]] | None = None
-        self._generator_poly: FpPoly | None = None
 
     @staticmethod
     def from_generators(algebra: SCAlgebra, gens) -> "IdealSubspace":
@@ -378,27 +388,28 @@ class IdealSubspace:
             self._projection = (pi, free)
         return self._projection
 
-    def generator_poly(self) -> FpPoly | None:
-        """Monic polynomial generating this ideal, for power-basis algebras.
+    @cached_property
+    def polynomial(self) -> FpPoly:
+        """The monic h with I = (h(g)), g the algebra's stored generator:
+        A/I = F_p[T]/(h) by T -> g, so h is the minimal polynomial of g
+        modulo I, the first monic relation among the projections pi(g^j),
+        j <= dim A/I, of generator_powers; 1 for the unit ideal, A/I = 0.
+        Needs A = F_p[g] and an ideal."""
+        alg, pi = self.algebra, self.projection()[0]
+        return _first_monic_relation(matmul(alg.generator_powers[: len(pi) + 1], pi.T, alg.field.p), alg.field)
 
-        The generator g of an ideal (g) of F_p[T]/(m), g | m, is the gcd of m
-        and the basis rows, and (g) has dimension dim - deg g. Every partial
-        gcd is a multiple of g, so the cascade stops at the first one of
-        degree dim - self.dim. This holds for ideals only: a subspace that is
-        not absorbing may stop at a polynomial that generates something else.
-        Computed once: the basis is immutable.
-        """
-        alg = self.algebra
-        if alg.modulus is None:
-            return None
-        if self._generator_poly is None:
-            g = alg.modulus
-            for row in self.basis:
-                if g.degree == alg.dim - self.dim:
-                    break
-                g = g.gcd(FpPoly.make(alg.field, [int(c) for c in row]))
-            self._generator_poly = g.monic()
+    def generator_poly(self) -> FpPoly | None:
+        """The polynomial of this ideal when the algebra's basis is the
+        power basis of its stored generator, e_k = g^k, else None; decided
+        once per ideal, as the basis is immutable."""
         return self._generator_poly
+
+    @cached_property
+    def _generator_poly(self) -> FpPoly | None:
+        alg = self.algebra
+        if alg.generator is None or not np.array_equal(alg.generator_powers[:-1], np.eye(alg.dim, dtype=np.int64)):
+            return None
+        return self.polynomial
 
     def to_json(self) -> list:
         return self.basis.tolist()
@@ -648,18 +659,13 @@ def maximal_spectrum(alg: SCAlgebra) -> list[PrimePoint]:
         e.setflags(write=False)
         m_ideal = IdealSubspace(alg, nullspace(matmul(alg.left_mul_matrix(e), alg.nil_frobenius, p), p))
         residue, resmap = quotient_algebra(alg, m_ideal)
-        label = _point_label(alg, residue, m_ideal)
+        if alg.generator is not None:
+            label = f"({m_ideal.polynomial})"
+        else:
+            label = "(ker:" + ";".join(",".join(map(str, row)) for row in m_ideal.basis.tolist()) + ")"
         points.append(PrimePoint(m_ideal, residue.dim, residue, resmap, e, label))
     points.sort(key=PrimePoint.sort_key)
     for i, pt in enumerate(points):
         pt.index = i
     alg._spectrum = points
     return points
-
-
-def _point_label(alg: SCAlgebra, residue: SCAlgebra, ideal: IdealSubspace) -> str:
-    if residue.generator is not None:
-        return f"({minimal_polynomial(residue.generator, residue)})"
-    rows = ";".join(",".join(str(int(c)) for c in row) for row in ideal.basis)
-    return f"(ker:{rows})"
-

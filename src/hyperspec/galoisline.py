@@ -244,7 +244,6 @@ def definitional_hyperops(p: int, law: str, fs: list[LinePoint], gs: list[LinePo
     return [members[q] for q in g_ps]
 
 
-@lru_cache(maxsize=None)
 def definitional_hyperop(p: int, law: str, f: LinePoint, g: LinePoint) -> tuple[LinePoint, ...]:
     """f*g by the definitional engine: the one-pair case of
     definitional_hyperops."""

@@ -266,9 +266,8 @@ def monic_polys(field: PrimeField, degree: int) -> Iterator[FpPoly]:
 
 # (row, candidate) pairs per block of the stacked trial division. The
 # division holds one block of at most this many pairs at a time, never the
-# whole table of p^d candidates against every row, and the candidate cache
-# keeps at most 64 blocks, so neither a large p^d nor a tall stack can fill
-# memory.
+# whole table of p^d candidates against every row, so neither a large p^d
+# nor a tall stack can fill memory.
 TRIAL_DIVISION_ROWS = 1 << 12
 
 
@@ -277,15 +276,6 @@ def _monic_lower(idx: np.ndarray, p: int, d: int) -> np.ndarray:
     degree d at positions idx of monic_polys order: position i has the
     base-p digits of i, c_0 the most significant."""
     return idx[:, None] // p ** np.arange(d - 1, -1, -1, dtype=np.int64) % p
-
-
-@lru_cache(maxsize=64)
-def _monic_block(p: int, d: int, start: int, rows: int) -> np.ndarray:
-    """_monic_lower of positions start, start + 1, ... (at most `rows` of
-    them) of monic_polys order."""
-    block = _monic_lower(np.arange(start, min(start + rows, p**d), dtype=np.int64), p, d)
-    block.setflags(write=False)
-    return block
 
 
 def _divide(rows: np.ndarray, lower: np.ndarray, p: int) -> np.ndarray:
@@ -316,7 +306,7 @@ def _first_divisors(rows: np.ndarray, d: int, p: int) -> np.ndarray:
         todo = np.flatnonzero(first < 0)
         if not todo.size:
             break
-        lower = _monic_block(p, d, start, width)
+        lower = _monic_lower(np.arange(start, min(start + width, p**d), dtype=np.int64), p, d)
         step = max(1, TRIAL_DIVISION_ROWS // len(lower))
         for i in range(0, todo.size, step):
             idx = todo[i : i + step]
@@ -447,12 +437,13 @@ def _first_monic_relation(powers: np.ndarray, field: PrimeField) -> FpPoly:
     form of the matrix with columns powers[0], powers[1], ...: the first
     non-pivot column is d, and its reduced column holds the coordinates of
     powers[d] on the pivot columns 0, ..., d-1. Given the coordinate rows of
-    1, x, x^2, ..., this is the minimal polynomial of x."""
+    1, x, x^2, ..., this is the minimal polynomial of x; 1 when powers[0] is
+    zero, as 1 is in the zero ring."""
     p = field.p
     red, pivots = rref(np.asarray(powers, dtype=np.int64).T, p)
     d = next((i for i, c in enumerate(pivots) if c != i), len(pivots))
-    if d == 0 or d == len(powers):
-        raise RuntimeError("powers[0] must be nonzero and the powers linearly dependent")
+    if d == len(powers):
+        raise RuntimeError("the powers must be linearly dependent")
     return FpPoly.make(field, [(-int(c)) % p for c in red[:d, d]] + [1])
 
 

@@ -444,7 +444,10 @@ def _carried_hom(pt: PrimePoint, e: int) -> np.ndarray:
     p = res.field.p
     stored = res.generator if res.generator is not None else res.unit if d == 1 else None
     krylov = (res.powers(v, res.unit, d + 1) for v in (enumerate_vectors(p, d) if stored is None else [stored]))
-    pows, poly = next((k, m) for k in krylov if (m := _first_monic_relation(k, res.field)).degree == d)
+    found = next(((k, m) for k in krylov if (m := _first_monic_relation(k, res.field)).degree == d), None)
+    if found is None:
+        raise ValueError(f"the residue field has no element of full degree {d} to carry the hom")
+    pows, poly = found
     coords = rref(np.hstack([pows[:d].T, pt.resmap]), p)[0][:, d:]  # residue(x) in powers of gen
     fq, _ = field_algebra(p, e)
     rho = field_roots(poly, e)[0]

@@ -11,7 +11,6 @@ from hyperspec.algkernel import (
     IdealSubspace,
     PrimePoint,
     SCAlgebra,
-    _point_label,
     field_algebra,
     field_roots,
     maximal_spectrum,
@@ -28,7 +27,7 @@ from hyperspec.galoisline import (
     line_points,
     require_line_size,
 )
-from hyperspec.gfarith import PrimeField, _first_monic_relation, minimal_polynomial, prime_power
+from hyperspec.gfarith import FpPoly, PrimeField, _first_monic_relation, minimal_polynomial, prime_power
 from hyperspec.hopfkernel import HopfData, hopf_quotient, parse_builtin
 from hyperspec.hyperkernel import CheckResult, LawReport, check_hypergroup, check_hyperring
 from hyperspec.linalg import (
@@ -308,11 +307,33 @@ def maximal_spectrum_by_reduced_quotient(alg):
         mbar = rref(red.left_mul_matrix(npmod(red.unit - e, p)).T, p)[0]
         m_ideal = IdealSubspace(alg, preimage(pi_red, mbar, p))
         residue, resmap = quotient_algebra(alg, m_ideal)
-        points.append(PrimePoint(m_ideal, residue.dim, residue, resmap, lift, _point_label(alg, residue, m_ideal)))
+        points.append(PrimePoint(m_ideal, residue.dim, residue, resmap, lift, label_by_residue(residue, m_ideal)))
     points.sort(key=PrimePoint.sort_key)
     for i, pt in enumerate(points):
         pt.index = i
     return points
+
+
+def label_by_residue(residue, ideal):
+    """A point's label as it was read before IdealSubspace.polynomial, kept
+    as its oracle: the minimal polynomial of the residue field's own
+    generator, in that separately built algebra, else the ideal's
+    coordinates."""
+    if residue.generator is not None:
+        return f"({minimal_polynomial(residue.generator, residue)})"
+    return "(ker:" + ";".join(",".join(str(int(c)) for c in row) for row in ideal.basis) + ")"
+
+
+def gcd_cascade(ideal):
+    """generator_poly as it was read before IdealSubspace.polynomial, with
+    no early stop, kept as its oracle on power bases: the gcd of the modulus,
+    read from g * e_(n-1), with every basis row taken as a polynomial."""
+    alg = ideal.algebra
+    top = alg.mul_by(alg.generator, np.eye(alg.dim, dtype=np.int64)[alg.dim - 1 :])[0]
+    g = FpPoly.make(alg.field, [(-int(c)) % alg.field.p for c in top] + [1])
+    for row in ideal.basis:
+        g = g.gcd(FpPoly.make(alg.field, [int(c) for c in row]))
+    return g.monic()
 
 
 def spectrum_fields(points):

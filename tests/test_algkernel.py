@@ -22,8 +22,10 @@ from conftest import (
     LEMMA_ALGEBRAS,
     NON_REDUCED,
     associator_by_basis_triples,
+    gcd_cascade,
     greedy_generators_by_span,
     ideal_is_prime_by_quotient,
+    label_by_residue,
     maximal_spectrum_by_reduced_quotient,
     nullspace_twopass,
     power,
@@ -573,17 +575,6 @@ def frobenius_loop(alg):
     return frob
 
 
-def gcd_cascade(ideal):
-    """generator_poly without its early stop: the gcd of the modulus with
-    every basis row."""
-    alg = ideal.algebra
-    top = alg.mul_by(alg.generator, np.eye(alg.dim, dtype=np.int64)[alg.dim - 1 :])[0]
-    g = FpPoly.make(alg.field, [(-int(c)) % alg.field.p for c in top] + [1])
-    for row in ideal.basis:
-        g = g.gcd(FpPoly.make(alg.field, [int(c) for c in row]))
-    return g.monic()
-
-
 class TestBatchedKernelsAgainstLoops:
     """quotient_algebra's single contraction, the batched Frobenius matrix and
     the early-stopping generator_poly against the loops they replaced."""
@@ -641,21 +632,105 @@ class TestBatchedKernelsAgainstLoops:
         assert seen == sum(len(ops.kpoints(h)) * (len(ops.kpoints(h)) + 1) for h in suite_algebras + [mu1312])
 
     def test_generator_poly_is_computed_once(self, monkeypatch, mu1312):
-        """A second call returns the same object and runs no gcd."""
+        """The first call reads one monic relation, among the dim A/I + 1
+        projected powers of g; a second call returns the same object and
+        reads none."""
         ideal = IdealSubspace(mu1312.algebra, maximal_spectrum(mu1312.algebra)[3].ideal.basis)
-        gcds = []
-        original = FpPoly.gcd
+        relations = []
+        original = algkernel._first_monic_relation
 
-        def counted(a, b):
-            gcds.append(b)
-            return original(a, b)
+        def counted(pows, field):
+            relations.append(len(pows))
+            return original(pows, field)
 
-        monkeypatch.setattr(FpPoly, "gcd", counted)
+        monkeypatch.setattr(algkernel, "_first_monic_relation", counted)
         first = ideal.generator_poly()
-        assert gcds and first == gcd_cascade(ideal)
-        gcds.clear()
-        assert ideal.generator_poly() is first
-        assert gcds == []
+        assert relations == [mu1312.dim - ideal.dim + 1] and first == gcd_cascade(ideal)
+        relations.clear()
+        assert ideal.generator_poly() is first and ideal.polynomial is first
+        assert relations == []
+
+
+def zero_ideal(alg):
+    return IdealSubspace(alg, np.zeros((0, alg.dim), dtype=np.int64))
+
+
+# builtins whose descent quotients carry the projected generator
+DESCENT_BUILTINS = ["mu:3:2", "mu:5:4", "addetale:3:1", "addetale:3:2", "mu:7:6", "mu:3:8", "mu:5:8", "mu:3:10"]
+DESCENT_BUILTINS += ["mu:3:6", "mu:3:9", "mu:3:24", "mu:7:28", "mu:13:12", "addetale:3:3"]
+
+
+class TestIdealPolynomial:
+    """IdealSubspace.polynomial, the one rule: the minimal polynomial of the
+    stored generator modulo the ideal, read off the projected powers of g.
+    The independent references are the minimal polynomial of the residue
+    field's own generator and the gcd cascade."""
+
+    @pytest.mark.parametrize("spec", DESCENT_BUILTINS)
+    def test_point_labels_equal_residue_minimal_polynomial(self, spec):
+        """On the builtin, on its descent quotient and on each residue field.
+        The quotients keep e_k = g^k under other basis names; most residue
+        fields are off the power basis (their unit or g is no basis vector),
+        and there generator_poly is None while the rule still reads the
+        label."""
+        h = parse_builtin(spec)
+        residues = []
+        for alg in (h.algebra, quotient_algebra(h.algebra, descent_ideal(h))[0]):
+            for pt in maximal_spectrum(alg):
+                assert pt.label == f"({minimal_polynomial(pt.residue.generator, pt.residue)})", (spec, pt)
+                assert pt.label == label_by_residue(pt.residue, pt.ideal) == f"({pt.ideal.polynomial})"
+                residues.append((pt.label, pt.residue))
+        for label, res in residues:
+            assert [pt.label for pt in maximal_spectrum(res)] == [label] == [f"({zero_ideal(res).polynomial})"]
+
+    def test_residues_cover_both_sides_of_the_power_basis(self):
+        """The residue fields of the builtins above: 50 of 70 are off the
+        power basis, 20 on it."""
+        residues = [pt.residue for spec in DESCENT_BUILTINS for pt in maximal_spectrum(parse_builtin(spec).algebra)]
+        off = [res for res in residues if zero_ideal(res).generator_poly() is None]
+        assert (len(off), len(residues)) == (50, 70)
+
+    @pytest.mark.parametrize("spec", ["mu:3:1", "mu:5:4", "addetale:3:2", "mu:3:24", "mu:13:12"])
+    def test_unit_ideal_gives_one(self, spec):
+        h = parse_builtin(spec)
+        for alg in (h.algebra, quotient_algebra(h.algebra, descent_ideal(h))[0]):
+            unit = IdealSubspace(alg, np.eye(alg.dim, dtype=np.int64))
+            assert unit.is_unit_ideal() and unit.polynomial == unit.generator_poly() == FpPoly.one(alg.field)
+
+    def test_every_divisor_ideal_reads_its_divisor(self):
+        """(d(g)) of F_3[T]/(T^9 - T) for every monic divisor d."""
+        alg = t9_minus_t()
+        for d in monic_divisors(P("T^9-T")):
+            ideal = IdealSubspace.from_poly(alg, d)
+            assert ideal.polynomial == ideal.generator_poly() == gcd_cascade(ideal) == d.monic()
+
+    def test_stored_generator_powers_are_formed_once(self, monkeypatch):
+        """A whole suite run on mu:7:48, from construction on, forms L_g in
+        one mul_matrices call (the closure's) and runs one Krylov sequence
+        under it (gen_powers): the Frobenius, the point labels,
+        element_from_poly and generator_poly all read those rows, where the
+        Frobenius, modulus and element_from_poly each formed them again."""
+        from hyperspec.suite import run_algebra_suite
+
+        ref = parse_builtin("mu:7:48").algebra
+        g, lg = ref.generator, ref.mul_matrices(ref.generator[None])[0]
+        by_g, krylovs = [], []
+        mul_matrices, krylov = SCAlgebra.mul_matrices, SCAlgebra.krylov
+
+        def counted_mul(self, u):
+            by_g.extend([self] if np.array_equal(u, g[None]) else [])
+            return mul_matrices(self, u)
+
+        def counted_krylov(self, lmat, start, k):
+            krylovs.extend([self] if np.array_equal(lmat, lg) else [])
+            return krylov(self, lmat, start, k)
+
+        monkeypatch.setattr(SCAlgebra, "mul_matrices", counted_mul)
+        monkeypatch.setattr(SCAlgebra, "krylov", counted_krylov)
+        h = parse_builtin("mu:7:48")
+        assert run_algebra_suite(h)["ok"]
+        assert h.algebra.element_from_poly(P("T^2", h.algebra.field)).tolist() == np.eye(48, dtype=np.int64)[2].tolist()
+        assert [a is h.algebra for a in by_g] == [True] and [a is h.algebra for a in krylovs] == [True]
 
 
 class TestAlgebraGenerators:
@@ -723,16 +798,16 @@ class TestAlgebraGenerators:
         with pytest.raises(ValueError, match="'generator' does not generate the algebra: its powers span 2 of 4"):
             SCAlgebra(F5, alg.basis, alg.mul, alg.unit, generator=alg.element_from_poly(P("T^2", F5)))
 
-    def test_modulus_reads_powers_not_names(self):
+    def test_power_basis_reads_powers_not_names(self):
         """e_k = g^k decides it: 2t generates F_5[T]/(T^4-1) but is no
-        power-basis generator, and renamed basis vectors still are."""
+        power-basis generator, and renamed basis vectors still are; the
+        rule reads the minimal polynomial of 2t, also T^4 - 1."""
         alg = monogenic_algebra(F5, P("T^4-1", F5))
-        assert alg.modulus == P("T^4-1", F5)
+        assert zero_ideal(alg).generator_poly() == P("T^4-1", F5)
         two_t = SCAlgebra(F5, alg.basis, alg.mul, alg.unit, generator=2 * alg.generator)
-        assert two_t.modulus is None
-        assert IdealSubspace(two_t, np.zeros((0, 4), dtype=np.int64)).generator_poly() is None
+        assert zero_ideal(two_t).generator_poly() is None and zero_ideal(two_t).polynomial == P("T^4-1", F5)
         renamed = SCAlgebra(F5, ["a", "b", "c", "d"], alg.mul, alg.unit, generator=alg.generator)
-        assert renamed.modulus == P("T^4-1", F5)
+        assert zero_ideal(renamed).generator_poly() == P("T^4-1", F5)
 
 
 class TestPowers:
@@ -756,9 +831,10 @@ class TestPowers:
 
 
 def modulus_by_reconstruction(alg):
-    """SCAlgebra.modulus as it was read before it came off the powers of the
-    generator, kept as its oracle: None unless e_0 = 1 and e_k g = e_(k+1),
-    read from the matrix of x -> g*x, else the modulus from t^(d-1) * t."""
+    """The modulus of a power basis as it was read before it came off the
+    powers of the generator, kept as its oracle: None unless e_0 = 1 and
+    e_k g = e_(k+1), read from the matrix of x -> g*x, else the modulus
+    from t^(d-1) * t."""
     if alg.generator is None:
         return None
     n = alg.dim
@@ -768,12 +844,17 @@ def modulus_by_reconstruction(alg):
     return FpPoly.make(alg.field, [(-int(c)) % alg.field.p for c in top] + [1])
 
 
-class TestModulus:
+class TestPowerBasis:
+    """generator_poly is the rule's polynomial exactly on the stored
+    generator's power basis, e_k = g^k, and None elsewhere: on the zero
+    ideal, the modulus against its reconstruction from L_g."""
+
     @pytest.mark.parametrize("name", SPECTRUM_ALGEBRAS[:4] + ["mu:3:1", "mu:5:4", "addetale:3:2", "mu:13:12", "mu:7:48"])
     def test_equals_reconstruction_on_power_bases(self, name, request):
         alg = spectrum_algebra(name, request)
-        assert alg.modulus is not None and alg.modulus.degree == alg.dim
-        assert alg.modulus == modulus_by_reconstruction(alg), name
+        modulus = zero_ideal(alg).generator_poly()
+        assert modulus is not None and modulus.degree == alg.dim
+        assert modulus == modulus_by_reconstruction(alg), name
 
     @pytest.mark.parametrize("spec", ["mu:5:4", "addetale:3:2", "mu:7:48", "mu:3:24"])
     def test_equals_reconstruction_on_quotients_and_residues(self, spec):
@@ -782,22 +863,26 @@ class TestModulus:
         h = parse_builtin(spec)
         algebras = [quotient_algebra(h.algebra, descent_ideal(h))[0]] + [pt.residue for pt in maximal_spectrum(h.algebra)]
         for alg in algebras:
-            assert alg.modulus == modulus_by_reconstruction(alg), (spec, alg.basis)
-        assert any(alg.modulus is not None for alg in algebras)
+            assert zero_ideal(alg).generator_poly() == modulus_by_reconstruction(alg), (spec, alg.basis)
+        assert any(zero_ideal(alg).generator_poly() is not None for alg in algebras)
+        assert any(zero_ideal(alg).generator_poly() is None for alg in algebras)
 
     def test_none_off_the_power_basis(self):
         f9 = monogenic_algebra(F3, P("T^2+1"))
-        assert tensor_algebra(f9, f9).modulus is None
+        assert zero_ideal(tensor_algebra(f9, f9)).generator_poly() is None
         alg = monogenic_algebra(F5, P("T^4-1", F5))
         lower = np.array([[1, 0, 0, 0], [2, 1, 0, 0], [3, 4, 1, 0], [1, 2, 3, 1]], dtype=np.int64)
         inv = rref(np.hstack([lower, np.eye(4, dtype=np.int64)]), 5)[0][:, 4:]
         mul = npmod(np.einsum("ai,bj,abk,lk->ijl", inv, inv, alg.mul, lower), 5)
         conj = SCAlgebra(F5, alg.basis, mul, matmul(lower, alg.unit, 5), generator=matmul(lower, alg.generator, 5))
         assert len(algebra_generators(conj)) == 1
-        assert conj.modulus is None and modulus_by_reconstruction(conj) is None
+        assert zero_ideal(conj).generator_poly() is None and modulus_by_reconstruction(conj) is None
+        for d in monic_divisors(P("T^4-1", F5)):  # the rule reads every ideal of the conjugated copy
+            ideal = IdealSubspace.from_poly(conj, d)
+            assert ideal.polynomial == d.monic() and ideal.generator_poly() is None
         for gen in (alg.unit, alg.element_from_poly(P("T^2", F5))):  # a generator that does not generate
             stuck = unvalidated_algebra(F5, alg.basis, alg.mul, alg.unit, generator=gen)
-            assert stuck.modulus is None and modulus_by_reconstruction(stuck) is None
+            assert zero_ideal(stuck).generator_poly() is None and modulus_by_reconstruction(stuck) is None
 
 
 class TestSplitMatrices:
@@ -884,6 +969,27 @@ class TestGeneratorMatrices:
         rows = self.rows_from(monkeypatch, SCAlgebra._validate.__code__)
         built = SCAlgebra(alg.field, alg.basis, alg.mul, alg.unit, alg.generator)
         assert rows == [alg.dim] * len(algebra_generators(built)), (name, rows)
+
+    @pytest.mark.parametrize("name", ["mu:7:48", "fs3", "F9(x)F9"])
+    def test_frobenius_forms_only_the_images_matrices(self, monkeypatch, name, request):
+        """Without a stored generator, once the closure is formed the
+        Frobenius makes one mul_matrices call, from its own frame: the
+        matrices of the generators' images Frob(s). Each Krylov sequence
+        runs under the closure's L_s, where powers(s, ...) formed L_s again."""
+        alg = spectrum_algebra(name, request)
+        bare = SCAlgebra(alg.field, alg.basis, alg.mul, alg.unit)
+        _ = bare.closure
+        frames = []
+        mul_matrices = SCAlgebra.mul_matrices
+
+        def counted(self, u):
+            frames.append((sys._getframe(1).f_code, len(u)))
+            return mul_matrices(self, u)
+
+        monkeypatch.setattr(SCAlgebra, "mul_matrices", counted)
+        frob = bare.frobenius
+        assert frames == [(SCAlgebra.frobenius.func.__code__, len(algebra_generators(bare)))], (name, frames)
+        assert (frob == frobenius_loop(alg)).all()
 
     @pytest.mark.parametrize("name", ["mu:37:36", "fs3"])
     def test_absorption_and_hom_checks_form_none(self, monkeypatch, name, request):

@@ -604,11 +604,12 @@ class TestClassical:
     def test_carried_hom_needs_a_generator_of_full_degree(self):
         # F_3^4 posing as a residue of degree 4: each of its elements has a
         # minimal polynomial of degree at most 3, so the candidate scan finds
-        # no generator and raises rather than return a hom
+        # no generator and raises an error naming the degree rather than
+        # return a hom
         mul = np.zeros((4, 4, 4), dtype=np.int64)
         mul[range(4), range(4), range(4)] = 1
         res = SCAlgebra(PrimeField(3), list("abcd"), mul, np.ones(4, dtype=np.int64))
-        with pytest.raises(StopIteration):
+        with pytest.raises(ValueError, match="^the residue field has no element of full degree 4 to carry the hom$"):
             ops._carried_hom(SimpleNamespace(residue=res, degree=4, resmap=np.eye(4, dtype=np.int64)), 4)
 
     def test_containment_witness_is_the_first_missing_triple(self):
