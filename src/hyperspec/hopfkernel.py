@@ -219,6 +219,9 @@ def iterated_coproduct(h: HopfData) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+MAX_BUILTIN_DIM = 512  # past it, the n^3 int64 structure tensor alone passes 1 GiB
+
+
 def mu_hopf(p: int, n: int) -> HopfData:
     """Roots of unity: F_p[T]/(T^n - 1) with group-like T.
 
@@ -277,10 +280,16 @@ def parse_builtin(spec: str) -> HopfData:
     except ValueError:
         raise ValueError(f"cannot parse algebra spec {spec!r}: p and n must be integers")
     if kind == "mu":
-        return mu_hopf(p, n)
-    if kind == "addetale":
-        return additive_etale_hopf(p, n)
-    raise ValueError(f"unknown builtin kind {kind!r} (expected mu or addetale)")
+        too_big, dim = n > MAX_BUILTIN_DIM, f"{n}"
+    elif kind == "addetale":
+        # p^k > MAX_BUILTIN_DIM once k reaches its bit length, so a huge k
+        # never forms p^k
+        too_big, dim = p >= 2 and p ** min(n, MAX_BUILTIN_DIM.bit_length()) > MAX_BUILTIN_DIM, f"{p}^{n}"
+    else:
+        raise ValueError(f"unknown builtin kind {kind!r} (expected mu or addetale)")
+    if too_big:
+        raise ValueError(f"algebra spec {spec!r} has dimension {dim}, above the builtin bound {MAX_BUILTIN_DIM}")
+    return mu_hopf(p, n) if kind == "mu" else additive_etale_hopf(p, n)
 
 
 def descent_ideal(h: HopfData) -> IdealSubspace:

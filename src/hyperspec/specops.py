@@ -597,15 +597,28 @@ def _group_transform(rows: np.ndarray, w: np.ndarray, q: int, k: int) -> np.ndar
 def _pair_presentation_reach(h: HopfData, f: PrimePoint, g: PrimePoint, r_max: int) -> np.ndarray:
     """For every tensor state s and count class c in {0, 1, 2+}: is there a
     presentation with at most r_max >= 1 terms summing to s, c of them
-    surviving (f, g)? Cached per pair, as _presentation_reach ignores x."""
+    surviving (f, g)? Cached per pair, as _presentation_reach ignores x.
+
+    Swapping the tensor factors transposes the n x n digit array of a
+    state, a linear automorphism of (F_p)^(n^2) that maps the T0 and T1 of
+    (g, f) onto those of (f, g) and commutes with sumsets; so when (g, f)
+    is cached, the table of (f, g) is that one with its states transposed,
+    and no second DP runs."""
     key = (f.index, g.index, r_max)
     cache = h._cache.setdefault("presentation_reach", {})
     if key not in cache:
         p, n = h.algebra.field.p, h.algebra.dim
-        elems = enumerate_vectors(p, n)
-        terms = np.einsum("ai,bj->abij", elems, elems).reshape(-1, n * n) % p @ (p ** np.arange(n * n, dtype=np.int64))
-        surviving = np.outer(f.k_value(elems), g.k_value(elems)).reshape(-1)
-        cache[key] = _presentation_reach(p, n * n, terms[~surviving], terms[surviving], r_max).T
+        swapped = cache.get((g.index, f.index, r_max))
+        if swapped is not None:
+            # axis i*n + j of the (p,)*(n^2) view holds digit (n-1-i)*n + (n-1-j),
+            # so transposing the axes as an n x n array transposes the digits
+            axes = np.arange(n * n).reshape(n, n).T.reshape(-1)
+            cache[key] = swapped.reshape((p,) * (n * n) + (3,)).transpose(*axes, n * n).reshape(-1, 3)
+        else:
+            elems = enumerate_vectors(p, n)
+            terms = np.einsum("ai,bj->abij", elems, elems).reshape(-1, n * n) % p @ (p ** np.arange(n * n, dtype=np.int64))
+            surviving = np.outer(f.k_value(elems), g.k_value(elems)).reshape(-1)
+            cache[key] = _presentation_reach(p, n * n, terms[~surviving], terms[surviving], r_max).T
     return cache[key]
 
 

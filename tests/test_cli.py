@@ -1,9 +1,11 @@
+import gc
 import hashlib
 import io
 import json
 import subprocess
 import sys
 import tempfile
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
 from pathlib import Path
@@ -557,6 +559,31 @@ class TestHyperop:
         code, _, err = run_cli(capsys, "hyperop", "mu:4:4")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "spec, dim",
+        [("mu:3:100000", "100000"), ("mu:3:513", "513"), ("addetale:3:9", "3^9"), ("addetale:3:6", "3^6"),
+         ("addetale:3:1000000000000", "3^1000000000000")],
+    )
+    def test_builtin_past_the_dimension_bound_exits_2_before_any_array(self, capsys, monkeypatch, spec, dim):
+        # addetale:3:9 ran past 20 s in power_basis_tensor, growing past 3 GB,
+        # and mu:3:100000 exited 2 only because numpy could not allocate
+        # 149 GiB at once
+        from hyperspec import hopfkernel
+
+        def forbidden(*args):
+            raise AssertionError("an algebra was built")
+
+        monkeypatch.setattr(hopfkernel, "mu_hopf", forbidden)
+        monkeypatch.setattr(hopfkernel, "additive_etale_hopf", forbidden)
+        message = f"algebra spec {spec!r} has dimension {dim}, above the builtin bound 512"
+        assert run_cli(capsys, "hyperop", spec) == (2, "", f"input error: {message}\n")
+
+    def test_dimension_100_is_within_the_bound(self):
+        from hyperspec.hopfkernel import MAX_BUILTIN_DIM, parse_builtin
+
+        assert MAX_BUILTIN_DIM**3 * 8 == 2**30  # the n^3 int64 structure tensor at 1 GiB
+        assert parse_builtin("mu:101:100").dim == 100
+
     def test_algebra_from_json_file(self, tmp_path, capsys):
         from hyperspec.hopfkernel import parse_builtin
 
@@ -863,6 +890,43 @@ class TestEntryPoint:
         ]
         assert runs[0] == runs[1]
         assert runs[0]  # nonempty JSON
+
+
+class TestCollectorFreeze:
+    """The command line freezes its import-time heap once, so that no
+    collection walks numpy's and hyperspec's module objects again; the
+    library leaves the collector alone, and garbage made later is
+    collected as before."""
+
+    def test_cli_import_freezes_with_the_collector_on(self):
+        assert gc.isenabled()
+        assert gc.get_freeze_count() > 0
+
+    def test_only_the_cli_import_freezes_in_a_fresh_process(self):
+        code = (
+            "import gc, hyperspec, hyperspec.specops, hyperspec.galoisline; lib = gc.get_freeze_count();"
+            " import hyperspec.cli; print(lib, gc.get_freeze_count(), gc.isenabled())"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        lib, cli, enabled = proc.stdout.split()
+        assert (proc.returncode, lib, enabled) == (0, "0", "True")
+        assert int(cli) > 0
+
+    def test_a_run_freezes_nothing(self, capsys):
+        frozen = gc.get_freeze_count()
+        assert run_cli(capsys, "verify")[0] == 0
+        assert gc.get_freeze_count() == frozen
+
+    def test_a_cycle_made_after_the_import_is_collected(self):
+        class Node:
+            pass
+
+        node = Node()
+        node.self = node
+        ref = weakref.ref(node)
+        del node
+        gc.collect()
+        assert ref() is None
 
 
 class TestRecordOnce:
