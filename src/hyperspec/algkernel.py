@@ -45,9 +45,9 @@ class SCAlgebra:
         self.field = field
         self.basis = tuple(str(b) for b in basis)
         self.dim = len(self.basis)
-        self.mul = npmod(np.asarray(mul, dtype=np.int64), field.p)
-        self.unit = npmod(np.asarray(unit, dtype=np.int64), field.p)
-        self.generator = None if generator is None else npmod(np.asarray(generator, dtype=np.int64), field.p)
+        self.mul = npmod(mul, field.p)
+        self.unit = npmod(unit, field.p)
+        self.generator = None if generator is None else npmod(generator, field.p)
         if self.mul.shape != (self.dim, self.dim, self.dim) or self.unit.shape != (self.dim,):
             raise ValueError("structure tensor / unit dimensions are inconsistent")
         self._spectrum: list[PrimePoint] | None = None
@@ -88,23 +88,23 @@ class SCAlgebra:
         """u times each row of the stack vs, for one reduced element u."""
         return matmul(vs, self.mul_matrices(u[None])[0], self.field.p)
 
-    def powers(self, v, start, k: int) -> np.ndarray:
-        """The k rows start * v^j for j < k: the Krylov sequence of start
-        under the one reduced multiplication matrix of v."""
-        return self.krylov(self.mul_matrices(npmod(v, self.field.p)[None])[0], start, k)
+    def powers(self, v: np.ndarray, start: np.ndarray, k: int) -> np.ndarray:
+        """The k rows start * v^j for j < k, for reduced v and start: the
+        Krylov sequence of start under the multiplication matrix of v."""
+        return self.krylov(self.mul_matrices(v[None])[0], start, k)
 
     def krylov(self, lmat: np.ndarray, start, k: int) -> np.ndarray:
-        """The k rows start @ lmat^j for j < k, lmat a multiplication matrix
-        (x @ lmat = v*x) from mul_matrices, which has bounded the sum."""
+        """The k rows start @ lmat^j for j < k: start reduced, lmat the matrix
+        of x -> v*x (x @ lmat) from mul_matrices, which has bounded the sum."""
         p = self.field.p
         out = np.zeros((k, self.dim), dtype=np.int64)
         for j in range(k):
-            out[j] = out[j - 1] @ lmat % p if j else npmod(start, p)
+            out[j] = out[j - 1] @ lmat % p if j else start
         return out
 
-    def left_mul_matrix(self, v) -> np.ndarray:
-        """Matrix of x -> v*x."""
-        return self.mul_matrices(npmod(v, self.field.p)[None])[0].T
+    def left_mul_matrix(self, v: np.ndarray) -> np.ndarray:
+        """Matrix of x -> v*x, for one reduced element v."""
+        return self.mul_matrices(v[None])[0].T
 
     @cached_property
     def closure(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[int, int] | None], int]:
@@ -291,19 +291,19 @@ def algebra_generators(alg: SCAlgebra) -> np.ndarray:
 
 
 def hom_witness(mat: np.ndarray, src: SCAlgebra, mul_by, unit) -> tuple:
-    """() when mat, acting as mat @ v, is a unital algebra map from src to an
-    algebra with unit `unit`; mul_by(u, vs) is that algebra's product of one
-    reduced element u with each row of a reduced stack vs, in a stack of
-    vs's shape. Else the unit-mismatch witness, or ((K, s, j), lhs, rhs) at
-    the first K, generator row s and basis vector j where mat(s e_j) !=
-    mat(s) mat(e_j). Generators suffice: once mat(1) = 1, the y with
-    mat(yx) = mat(y) mat(x) for all x form a subalgebra. mat(s e_j) reads
-    the closure's multiplication matrix of s."""
+    """() when the reduced mat, acting as mat @ v, is a unital algebra map
+    from src to an algebra with unit `unit`; mul_by(u, vs) is that algebra's
+    product of one reduced element u with each row of a reduced stack vs, in
+    a stack of vs's shape. Else the unit-mismatch witness, or ((K, s, j),
+    lhs, rhs) at the first K, generator row s and basis vector j where
+    mat(s e_j) != mat(s) mat(e_j). Generators suffice: once mat(1) = 1, the
+    y with mat(yx) = mat(y) mat(x) for all x form a subalgebra. mat(s e_j)
+    reads the closure's multiplication matrix of s."""
     p = src.field.p
     if not (matmul(mat, src.unit, p) == unit).all():
         return ("unit/counit image mismatch",)
     gens, mats = src.closure[:2]
-    images = npmod(mat.T, p)  # row j is mat(e_j)
+    images = mat.T  # row j is mat(e_j)
     lhs = matmul(mats, images, p)  # [s, j, K]
     rhs = np.array([mul_by(u, images) for u in matmul(gens, images, p)]).reshape(lhs.shape)
     lhs, rhs = (side.transpose(2, 0, 1) for side in (lhs, rhs))
@@ -314,7 +314,7 @@ def hom_witness(mat: np.ndarray, src: SCAlgebra, mul_by, unit) -> tuple:
 def is_algebra_hom(mat: np.ndarray, src: SCAlgebra, dst: SCAlgebra) -> bool:
     """Whether the (dst dim x src dim) matrix mat, acting as mat @ v, is a
     unital algebra map (hom_witness)."""
-    return not hom_witness(mat, src, dst.mul_by, dst.unit)
+    return not hom_witness(npmod(mat, src.field.p), src, dst.mul_by, dst.unit)
 
 
 class IdealSubspace:
@@ -323,9 +323,7 @@ class IdealSubspace:
 
     def __init__(self, algebra: SCAlgebra, vectors):
         self.algebra = algebra
-        vecs = np.atleast_2d(np.asarray(vectors, dtype=np.int64))
-        if vecs.size == 0:
-            vecs = np.zeros((0, algebra.dim), dtype=np.int64)
+        vecs = npmod(np.reshape(vectors, (-1, algebra.dim)), algebra.field.p)
         self.basis, self.pivots = rref(vecs, algebra.field.p)
         self.basis.setflags(write=False)
         self._absorbing: bool | None = None
@@ -591,7 +589,7 @@ class PrimePoint:
         """The K-value at x, 0 iff x lies in the kernel, else 1; for a stack
         of elements, one per row, the values as a bool array from one product
         with the residue map."""
-        hit = matmul(np.atleast_2d(x), self.resmap.T, self.residue.field.p).any(axis=1)
+        hit = matmul(npmod(np.atleast_2d(x), self.residue.field.p), self.resmap.T, self.residue.field.p).any(axis=1)
         return hit if np.ndim(x) == 2 else int(hit[0])
 
     def sort_key(self) -> tuple:

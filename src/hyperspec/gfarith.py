@@ -15,7 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .linalg import rref
+from .linalg import npmod, rref
 
 
 def is_prime(n: int) -> bool:
@@ -456,4 +456,4 @@ def minimal_polynomial(elem, algebra) -> FpPoly:
     in the algebra basis. A caller that needs the rows too, or the minimal
     polynomial in a subalgebra e·A, reads _first_monic_relation off them.
     """
-    return _first_monic_relation(algebra.powers(elem, algebra.unit, algebra.dim + 1), algebra.field)
+    return _first_monic_relation(algebra.powers(npmod(elem, algebra.field.p), algebra.unit, algebra.dim + 1), algebra.field)

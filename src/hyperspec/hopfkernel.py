@@ -36,9 +36,9 @@ class HopfData:
         p = algebra.field.require_odd().p
         n = algebra.dim
         self.algebra = algebra
-        self.delta = npmod(np.asarray(delta, dtype=np.int64), p)
-        self.counit = npmod(np.asarray(counit, dtype=np.int64).reshape(1, n), p)
-        self.antipode = npmod(np.asarray(antipode, dtype=np.int64), p)
+        self.delta = npmod(delta, p)
+        self.counit = npmod(np.reshape(counit, (1, n)), p)
+        self.antipode = npmod(antipode, p)
         self.name = name
         self.descent_ideal_poly = descent_ideal_poly
         if self.delta.shape != (n * n, n) or self.antipode.shape != (n, n):
@@ -133,7 +133,7 @@ def verify_hopf(h: HopfData) -> LawReport:
     lhs, rhs = (two_sided(a, d, b, p).reshape(-1, n).T for a, b in ((h.counit, eye), (eye, h.counit)))
     _compare(rep, "counit_law", lhs, at, extra_ok=bool((rhs == at).all()))
 
-    target = matmul(np.outer(alg.unit, h.counit[0]), at, p)
+    target = np.outer(alg.unit, matmul(h.counit, at, p)[0]) % p
     mulmat = alg.mul.reshape(n * n, n).T  # m: A⊗A -> A, column i*n+j is e_i e_j
     for name, a, b in (("antipode_law", h.antipode, eye), ("antipode_law_right", eye, h.antipode)):
         _compare(rep, name, matmul(mulmat, two_sided(a, d, b, p).reshape(-1, n * n).T, p), target)

@@ -2,7 +2,10 @@
 
 Everything here works on numpy int64 arrays with entries in [0, p) and a prime
 modulus p. No floats anywhere; RREF matrices are canonical, so two subspaces
-are equal iff their stored bases are identical arrays.
+are equal iff their stored bases are identical arrays. Values are reduced
+where they enter (SCAlgebra, HopfData, json_residues, exported functions
+taking a caller's array); past that every array is a residue, and kernels
+reduce only what they compute, as the tests' guard asserts on every call.
 """
 
 from __future__ import annotations
@@ -22,11 +25,9 @@ def require_int64_sum(terms: int, factors: int, p: int, what: str) -> None:
 
 
 def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p. The operands are reduced into [0, p) first, and the
-    product raises ValueError unless inner * (p-1)^2 < 2^63 for the length
-    `inner` of the contracted axis."""
-    a, b = npmod(a, p), npmod(b, p)
-    require_int64_sum(a.shape[-1], 2, p, "matrix product")
+    """a @ b mod p for residues a and b; raises ValueError unless inner *
+    (p-1)^2 < 2^63 for the length `inner` of the contracted axis."""
+    require_int64_sum(np.shape(a)[-1], 2, p, "matrix product")
     return npmod(a @ b, p)
 
 
@@ -38,7 +39,7 @@ def two_sided(left: np.ndarray, t: np.ndarray, right: np.ndarray, p: int) -> np.
 
 
 def rref(mat, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form.
+    """Reduced row echelon form of a matrix of residues.
 
     Returns (R, pivots) where R has no zero rows and R[i, pivots[i]] = 1 with
     zeros elsewhere in each pivot column; R has shape (rank, cols).
@@ -49,7 +50,7 @@ def rref(mat, p: int) -> tuple[np.ndarray, list[int]]:
     are touched, and only from that column on, since every row is zero to
     the left of it once the earlier pivot columns are cleared.
     """
-    a = npmod(np.atleast_2d(np.asarray(mat, dtype=np.int64)), p)
+    a = np.atleast_2d(np.asarray(mat, dtype=np.int64))
     cols = a.shape[1]
     rows = a.tolist()
     pivots: list[int] = []
@@ -97,10 +98,8 @@ def nullspace(mat, p: int) -> np.ndarray:
 
 def reduce_rows(vecs, basis: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
     """Residual of each row of vecs after reduction against an RREF basis."""
-    v = npmod(np.atleast_2d(np.asarray(vecs, dtype=np.int64)), p)
-    if basis.shape[0] == 0:
-        return v
-    return npmod(v - v[:, pivots] @ basis, p)
+    v = np.atleast_2d(np.asarray(vecs, dtype=np.int64))
+    return v if basis.shape[0] == 0 else npmod(v - v[:, pivots] @ basis, p)
 
 
 def in_span(basis: np.ndarray, pivots: list[int], vec, p: int) -> bool:

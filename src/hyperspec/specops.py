@@ -69,6 +69,7 @@ from .hyperkernel import LawReport, _first, _packed, spectrum_laws
 from .linalg import (
     enumerate_vectors,
     matmul,
+    npmod,
     nullspace,
     require_int64_sum,
     rref,
@@ -219,7 +220,7 @@ def forced_value(h: HopfData, f: PrimePoint, g: PrimePoint, x) -> ForcedValue:
     h.ensure_verified()
     p = h.algebra.field.p
     q = _pair_quotient_matrix(h, f, g)
-    t = matmul(q, np.asarray(x, dtype=np.int64), p).reshape(f.degree, g.degree)
+    t = matmul(q, npmod(x, p), p).reshape(f.degree, g.degree)
     return (ForcedValue.ZERO, ForcedValue.ONE, ForcedValue.FREE)[min(len(rref(t, p)[1]), 2)]
 
 
@@ -437,17 +438,19 @@ def descend_and_compare(h: HopfData, ideal: IdealSubspace) -> LawReport:
 def _carried_hom(pt: PrimePoint, e: int) -> np.ndarray:
     """One hom A -> F_{p^e} with kernel pt's ideal, as the (dim, e) array of
     the images of the basis vectors in field_algebra(p, e): the residue map
-    in powers of a residue-field generator (stored, the unit at degree 1, or
-    the first of degree d) sent to the first root of its minimal polynomial.
-    The other d - 1 homs with this kernel are its Frobenius conjugates."""
-    res, d = pt.residue, pt.degree
-    p = res.field.p
-    stored = res.generator if res.generator is not None else res.unit if d == 1 else None
-    krylov = (res.powers(v, res.unit, d + 1) for v in (enumerate_vectors(p, d) if stored is None else [stored]))
-    found = next(((k, m) for k in krylov if (m := _first_monic_relation(k, res.field)).degree == d), None)
-    if found is None:
-        raise ValueError(f"the residue field has no element of full degree {d} to carry the hom")
-    pows, poly = found
+    in powers of a residue-field generator sent to the first root of its
+    minimal polynomial. That is pi(g) for A's stored g, its rows pi(g^j) and
+    polynomial read off A and the label, else the unit at degree 1, else
+    the first of degree d. The other d - 1 homs are its Frobenius conjugates."""
+    res, d, p = pt.residue, pt.degree, pt.residue.field.p
+    if res.generator is not None:
+        pows, poly = matmul(pt.ideal.algebra.generator_powers[: d + 1], pt.resmap.T, p), pt.ideal.polynomial
+    else:
+        krylov = (res.powers(v, res.unit, d + 1) for v in ([res.unit] if d == 1 else enumerate_vectors(p, d)))
+        found = next(((k, m) for k in krylov if (m := _first_monic_relation(k, res.field)).degree == d), None)
+        if found is None:
+            raise ValueError(f"the residue field has no element of full degree {d} to carry the hom")
+        pows, poly = found
     coords = rref(np.hstack([pows[:d].T, pt.resmap]), p)[0][:, d:]  # residue(x) in powers of gen
     fq, _ = field_algebra(p, e)
     rho = field_roots(poly, e)[0]
@@ -689,7 +692,7 @@ def presentation_oracle(h: HopfData, f: PrimePoint, g: PrimePoint, x, r_max: int
     if p ** (n * n) > ORACLE_STATE_BOUND:
         raise ValueError(f"presentation oracle needs p^(dim^2) <= {ORACLE_STATE_BOUND}, not {p}^{n * n} = {p ** (n * n)}")
     weights = p ** np.arange(n * n, dtype=np.int64)
-    target_idx = int(matmul(h.delta, np.asarray(x, dtype=np.int64), p) @ weights)
+    target_idx = int(matmul(h.delta, npmod(x, p), p) @ weights)
     ever = _pair_presentation_reach(h, f, g, r_max)
     achieved = {c for c in range(3) if ever[target_idx, c]}
     if not achieved:

@@ -1,3 +1,6 @@
+import operator
+import random
+import sys
 from functools import lru_cache
 from itertools import permutations, product
 from math import gcd, lcm
@@ -6,7 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from hyperspec import specops as ops
+from hyperspec import linalg, specops as ops
 from hyperspec.algkernel import (
     IdealSubspace,
     PrimePoint,
@@ -928,3 +931,80 @@ def fs3():
     counit = [1 if g == (0, 1, 2) else 0 for g in group]
     alg = SCAlgebra(PrimeField(3), [f"d{i}" for i in range(n)], mul, np.ones(n, dtype=np.int64))
     return HopfData(alg, delta, counit, antipode, name="F3^S3")
+
+
+# The linalg kernels the residue guard wraps, each with the number of its
+# leading arguments that are operands; p is the last argument.
+GUARDED_KERNELS = {"matmul": 2, "two_sided": 3, "rref": 1, "reduce_rows": 2}
+
+
+def require_residues(name, p, operands):
+    """Fail unless every entry of every operand lies in [0, p). A few
+    entries are read as Python ints, faster than a numpy reduction there;
+    more take one maximum over the entries viewed as unsigned, where a
+    negative entry is 2^63 or more."""
+    for x in operands:
+        x = np.asarray(x, dtype=np.int64)
+        if x.size <= 64:
+            vals = x.ravel().tolist()
+            bad = bool(vals) and (min(vals) < 0 or max(vals) >= p)
+        else:
+            bad = x.view(np.uint64).max() >= p
+        if bad:
+            raise AssertionError(f"{name} was handed an operand outside [0, {p}): entries {x.min()} .. {x.max()}")
+
+
+def check_product_row(a, b, p, out, rnd):
+    """Fail unless one row of out = matmul(a, b, p), drawn by the
+    random.Random rnd, equals the same row of a @ b mod p in Python ints. A
+    1-D operand is read as a row (a) or a column (b), and leading axes
+    broadcast, as numpy's @ does."""
+    a, b = np.asarray(a), np.asarray(b)
+    a2, b2 = (a[None] if a.ndim == 1 else a), (b[:, None] if b.ndim == 1 else b)
+    lead = () if a2.ndim == b2.ndim == 2 else np.broadcast_shapes(a2.shape[:-2], b2.shape[:-2])
+    full = out.reshape(lead + (a2.shape[-2], b2.shape[-1]))
+    if full.size == 0:
+        return
+    idx = tuple(int(rnd.random() * s) for s in full.shape[:-1])
+    if lead:
+        a2, b2 = np.broadcast_to(a2, lead + a2.shape[-2:]), np.broadcast_to(b2, lead + b2.shape[-2:])
+    row, cols = a2[idx].tolist(), b2[idx[:-1]].T.tolist()
+    want = [sum(map(operator.mul, row, col)) % p for col in cols]
+    assert full[idx].tolist() == want, f"matmul mod {p} row {idx}: {full[idx].tolist()}, Python ints give {want}"
+
+
+@pytest.fixture(scope="session", autouse=True)
+def residue_guard():
+    """The library's reduction rule, asserted on every kernel call of the
+    session: each operand of matmul, two_sided, rref, reduce_rows and
+    SCAlgebra.krylov lies in [0, p), and one row of each matmul product,
+    drawn by a seeded generator, equals its value in Python ints. Every
+    hyperspec module's binding of a kernel is replaced, as the modules
+    import the kernels by name."""
+    rnd = random.Random(0)
+    krylov = SCAlgebra.krylov
+
+    def guard(name, fn, k):
+        def guarded(*args):
+            require_residues(name, args[-1], args[:k])
+            out = fn(*args)
+            if name == "matmul":
+                check_product_row(*args, out, rnd)
+            return out
+
+        return guarded
+
+    def guarded_krylov(self, lmat, start, k):
+        require_residues("krylov", self.field.p, (lmat, start))
+        return krylov(self, lmat, start, k)
+
+    modules = [m for name, m in sys.modules.items() if name == "hyperspec" or name.startswith("hyperspec.")]
+    with pytest.MonkeyPatch.context() as mp:
+        for name, k in GUARDED_KERNELS.items():
+            fn = getattr(linalg, name)
+            guarded = guard(name, fn, k)
+            for module in modules:
+                if getattr(module, name, None) is fn:
+                    mp.setattr(module, name, guarded)
+        mp.setattr(SCAlgebra, "krylov", guarded_krylov)
+        yield

@@ -501,6 +501,13 @@ class TestIdealSubspace:
         assert ideal.is_absorbing() and ideal.is_absorbing()
         assert len(calls) == 1
 
+    def test_reduces_unreduced_entries(self):
+        """The constructor is where a caller's vectors enter, so it reduces
+        them; the echelon form behind it takes residues."""
+        alg = monogenic_algebra(PrimeField(5), FpPoly.make(PrimeField(5), [0, 0, 0, 1]))
+        ideal = IdealSubspace(alg, np.array([[-1, 7, 10], [2**40, 3, -6]]))  # [4, 2, 0], [1, 3, 4] mod 5
+        assert (ideal.basis.tolist(), ideal.pivots) == ([[1, 3, 0], [0, 0, 1]], [0, 2])
+
     def test_absorbing_check(self):
         alg = t9_minus_t()
         ideal = IdealSubspace.from_poly(alg, P("T^2+1"))

@@ -1008,6 +1008,28 @@ class TestRecordOnce:
             maps = h._cache["pair_maps"]
             assert not any(np.shares_memory(mat, maps) for mat in kernels)
 
+    def test_a_mid_suite_reduces_at_most_1300_times(self, monkeypatch, capsys, tmp_path):
+        """Values are reduced where they enter and the kernels reduce only
+        what they compute: verify --suite over mu:13:12 and addetale:11:1
+        makes at most 1,300 npmod calls, where kernels that reduced their
+        operands as well made 2,949."""
+        from hyperspec import linalg
+
+        calls = [0]
+        original = linalg.npmod
+
+        def counted(a, p):
+            calls[0] += 1
+            return original(a, p)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "hyperspec" and getattr(module, "npmod", None) is original:
+                monkeypatch.setattr(module, "npmod", counted)
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(json.dumps({"algebras": ["mu:13:12", "addetale:11:1"]}))
+        assert run_cli(capsys, "verify", "--suite", str(cfg))[0] == 0
+        assert 0 < calls[0] <= 1300, calls[0]
+
 
 class TestLineGolden:
     # The `line` runs of the benchmark workload of the same name, with the

@@ -1,3 +1,4 @@
+from itertools import product
 from math import comb
 
 import numpy as np
@@ -204,7 +205,7 @@ def _carry(h, P):
     mul = npmod(np.einsum("ai,bj,abk,lk->ijl", inv, inv, alg.mul, P), p)
     gen = None if alg.generator is None else matmul(P, alg.generator, p)
     conj = SCAlgebra(alg.field, alg.basis, mul, matmul(P, alg.unit, p), generator=gen)
-    delta = matmul(np.kron(P, P), matmul(h.delta, inv, p), p)
+    delta = matmul(np.kron(P, P) % p, matmul(h.delta, inv, p), p)
     return HopfData(conj, delta, matmul(h.counit, inv, p), matmul(P, matmul(h.antipode, inv, p), p))
 
 
@@ -386,6 +387,40 @@ class TestBasisChange:
         assert sorted(sigma) == list(range(len(pts)))
         assert [pt.degree for pt in pts] == [moved_pts[i].degree for i in sigma]
         assert (ops.hyperop_cube(moved)[np.ix_(sigma, sigma, sigma)] == ops.hyperop_cube(h)).all()
+
+    def test_counit_law_at_word_size_p(self):
+        """mu:p:2 at p = 100000007 carried along P = [[1, c], [c, 1 + c^2]],
+        c = p // 2 + 3, every structure map formed in Python ints, is a Hopf
+        algebra. Its unit is (1, c), so the counit law's target, 1·eps(s),
+        is formed from the residue eps(s): the outer product of the unit and
+        the counit has entries near (p-1)^2, and its product with the
+        generators would wrap int64."""
+        h = parse_builtin("mu:100000007:2")
+        alg = h.algebra
+        p, n = alg.field.p, alg.dim
+        c = p // 2 + 3
+        P, inv = [[1, c], [c, 1 + c * c]], [[1 + c * c, -c], [-c, 1]]  # det P = 1
+
+        def exact(a, b):  # a @ b mod p in Python ints
+            return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+
+        m = alg.mul.tolist()
+        mul = [
+            [[sum(inv[a][i] * inv[b][j] * m[a][b][k] * P[l][k] for a, b, k in product(range(n), repeat=3)) % p
+              for l in range(n)] for j in range(n)]
+            for i in range(n)
+        ]
+        unit, gen = (np.ravel(exact(P, [[x] for x in v.tolist()])) for v in (alg.unit, alg.generator))
+        kron = [[P[i][k] * P[j][l] for k in range(n) for l in range(n)] for i in range(n) for j in range(n)]
+        moved = HopfData(
+            SCAlgebra(alg.field, alg.basis, mul, unit, generator=gen),
+            exact(kron, exact(h.delta.tolist(), inv)),
+            exact(h.counit.tolist(), inv),
+            exact(P, exact(h.antipode.tolist(), inv)),
+        )
+        assert moved.algebra.unit.tolist() == [1, c]
+        rep = verify_hopf(moved)
+        assert rep.ok and rep.failures() == [], rep.to_json()
 
 
 class TestHopfIdeals:

@@ -1,10 +1,21 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import batch_tensor_rank_class, charpoly, nullspace_twopass, preimage, rref_rowloop, solve, span_rank_classes
-from hyperspec import linalg
+from conftest import (
+    batch_tensor_rank_class,
+    charpoly,
+    check_product_row,
+    nullspace_twopass,
+    preimage,
+    rref_rowloop,
+    solve,
+    span_rank_classes,
+)
+from hyperspec import algkernel, hopfkernel, linalg, specops
 
 PRIMES = [3, 5, 7]
 
@@ -85,12 +96,6 @@ def test_rref_shapes_at_rank_zero():
     for m in (np.zeros((0, 4), dtype=np.int64), np.zeros((3, 4), dtype=np.int64), np.zeros((2, 0), dtype=np.int64)):
         r, piv = linalg.rref(m, 5)
         assert (r.shape, r.dtype, piv) == ((0, m.shape[1]), np.int64, [])
-
-
-def test_rref_reduces_unreduced_entries():
-    m = np.array([[-1, 7, 10], [2**40, 3, -6]])  # [4, 2, 0], [1, 3, 4] mod 5
-    r, piv = linalg.rref(m, 5)
-    assert (r.tolist(), piv) == ([[1, 3, 0], [0, 0, 1]], [0, 2])
 
 
 @given(matrices())
@@ -211,13 +216,13 @@ def test_nullspace_of_empty_and_full_rank():
 def test_two_sided_matches_einsum_on_line_shapes(p):
     """two_sided(left, t, right) is left · t · right^T mod p, broadcast over
     the leading axes, on the shapes of the line's Krylov step: (F, 1, a, a)
-    x (F, G, a, b) x (1, G, b, b); the operands are reduced first."""
+    x (F, G, a, b) x (1, G, b, b)."""
     rng = np.random.default_rng(p)
     f, g, a, b = 3, 4, 2, 3
-    left = rng.integers(-p, 2 * p, size=(f, 1, a, a))
+    left = rng.integers(0, p, size=(f, 1, a, a))
     t = rng.integers(0, p, size=(f, g, a, b))
     right = rng.integers(0, p, size=(1, g, b, b))
-    want = np.einsum("...ia,...ab,...jb->...ij", left % p, t, right) % p
+    want = np.einsum("...ia,...ab,...jb->...ij", left, t, right) % p
     got = linalg.two_sided(left, t, right, p)
     assert got.shape == (f, g, a, b) and (got == want).all()
 
@@ -242,11 +247,14 @@ class TestInt64Bound:
         a, b = [[p - 1]], [[p - 2]]
         assert linalg.matmul(np.array(a), np.array(b), p).tolist() == self.exact(a, b, p) == [[2]]
 
-    def test_matmul_reduces_operands_first(self):
+    def test_matmul_reduces_its_product(self):
+        """matmul takes residues and reduces what it forms: here the int64
+        sums pass p^2, and every entry comes back in [0, p)."""
         p = self.P31
-        a, b = [[-1, 2 * p - 2]], [[p - 3], [-4]]
-        want = self.exact([[x % p for x in row] for row in a], [[x % p for x in row] for row in b], p)
-        assert linalg.matmul(np.array(a), np.array(b), p).tolist() == want
+        a, b = np.array([[p - 1, p - 2], [1, p - 1]]), np.array([[p - 3, 1], [p - 4, p - 1]])
+        got = linalg.matmul(a, b, p)
+        assert (a @ b).max() >= p and 0 <= got.min() and got.max() < p
+        assert got.tolist() == self.exact(a.tolist(), b.tolist(), p)
 
     def test_matmul_raises_at_first_inner_length_past_bound(self):
         p = self.P31
@@ -255,3 +263,29 @@ class TestInt64Bound:
         p = self.PMAX
         with pytest.raises(ValueError, match="overflow int64"):
             linalg.matmul(np.array([[p - 1, p - 2]]), np.array([[p - 3], [p - 4]]), p)  # wrapped, not 11
+
+
+class TestResidueGuard:
+    """The session guard of tests/conftest.py is on, and its row check
+    reads every shape matmul is given."""
+
+    def test_every_binding_rejects_an_unreduced_operand(self):
+        for module in (linalg, algkernel, hopfkernel, specops):
+            with pytest.raises(AssertionError, match=r"outside \[0, 5\)"):
+                module.matmul(np.array([[5]]), np.array([[1]]), 5)
+        with pytest.raises(AssertionError, match=r"rref was handed an operand outside \[0, 5\)"):
+            algkernel.rref(np.array([[-1]]), 5)
+
+    @pytest.mark.parametrize(
+        "a_shape, b_shape", [((3,), (3, 2)), ((2, 3), (3,)), ((3,), (3,)), ((4, 1, 2, 3), (1, 5, 3, 2)), ((2, 0), (0, 3))]
+    )
+    def test_row_check_reads_each_shape(self, a_shape, b_shape):
+        p = 1_000_003
+        rng, rnd = np.random.default_rng(0), random.Random(0)
+        a, b = rng.integers(0, p, size=a_shape), rng.integers(0, p, size=b_shape)
+        out = linalg.matmul(a, b, p)
+        for _ in range(5):
+            check_product_row(a, b, p, out, rnd)
+        if out.size:
+            with pytest.raises(AssertionError, match="Python ints give"):
+                check_product_row(a, b, p, (out + 1) % p, rnd)

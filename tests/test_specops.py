@@ -2,10 +2,11 @@ import dataclasses
 import hashlib
 import json
 import random
+import sys
 import tracemalloc
 from itertools import product
 from math import isqrt, lcm
-from types import SimpleNamespace
+from types import CodeType, SimpleNamespace
 
 import numpy as np
 import pytest
@@ -600,6 +601,30 @@ class TestClassical:
         rep = ops.classical_comparison(h, 5)
         assert rep.checks["injective"].to_json() == {"pass": False, "witness": [3, 4]}
         assert not rep.ok
+
+    def test_carried_homs_form_no_residue_powers(self, monkeypatch):
+        """mu:7:48 has a stored generator g, so each carried point reads its
+        rows pi(g^j) off the algebra's generator_powers and its polynomial
+        off its label: from _carried_hom's frame, classical_comparison(h, 7)
+        takes powers only in F_7, once per carried point, and never on a
+        residue algebra, whose L_g the rows would form again. Its frame
+        includes the generator expressions in its body."""
+        h = parse_builtin("mu:7:48")
+        own = ops._carried_hom.__code__
+        frames = {own, *(c for c in own.co_consts if isinstance(c, CodeType))}
+        on = []
+        powers = SCAlgebra.powers
+
+        def counted(self, v, start, k):
+            if sys._getframe(1).f_code in frames:
+                on.append(self)
+            return powers(self, v, start, k)
+
+        monkeypatch.setattr(SCAlgebra, "powers", counted)
+        rep = ops.classical_comparison(h, 7)
+        fq = field_algebra(7, 1)[0]
+        assert rep.ok and rep.checks["classical_point_count"].witness == (6,)
+        assert len(on) == 6 and all(alg is fq for alg in on)
 
     def test_carried_hom_needs_a_generator_of_full_degree(self):
         # F_3^4 posing as a residue of degree 4: each of its elements has a
