@@ -425,8 +425,8 @@ def tensor_algebra(a: SCAlgebra, b: SCAlgebra) -> SCAlgebra:
 
 
 def quotient_algebra(alg: SCAlgebra, ideal: IdealSubspace) -> tuple[SCAlgebra, np.ndarray]:
-    """A/I with the surjection pi, the (dim A/I x dim A) matrix of
-    IdealSubspace.projection; the quotient basis is the free coordinates."""
+    """A/I on the free coordinates, with pi = IdealSubspace.projection; for
+    Hopf quotients only: a point's residue field is its resmap, no algebra."""
     p = alg.field.p
     if ideal.is_unit_ideal():
         raise ValueError("unit ideal: quotient would be the zero ring")
@@ -572,14 +572,13 @@ def nilradical(alg: SCAlgebra) -> IdealSubspace:
 class PrimePoint:
     """A maximal (= prime) ideal with its residue-field data: the K-valued
     point of the spectrum, with resmap the (degree x dim) matrix of the
-    residue map A -> A/ideal, and idempotent the primitive idempotent of A
-    outside the ideal, the unit of the local factor of A at this point: the
-    ideal is the x with idempotent * x nilpotent. Points compare by
-    identity; the spectrum holds one object per point."""
+    residue map, the ideal's projection: no residue algebra is built. And
+    idempotent is the primitive idempotent of A outside the ideal, the unit
+    of A's local factor here: the ideal is the x with idempotent * x
+    nilpotent. Points compare by identity; one object per point."""
 
     ideal: IdealSubspace
     degree: int
-    residue: SCAlgebra
     resmap: np.ndarray
     idempotent: np.ndarray
     label: str
@@ -589,7 +588,7 @@ class PrimePoint:
         """The K-value at x, 0 iff x lies in the kernel, else 1; for a stack
         of elements, one per row, the values as a bool array from one product
         with the residue map."""
-        hit = matmul(npmod(np.atleast_2d(x), self.residue.field.p), self.resmap.T, self.residue.field.p).any(axis=1)
+        hit = matmul(npmod(np.atleast_2d(x), self.ideal.algebra.field.p), self.resmap.T, self.ideal.algebra.field.p).any(axis=1)
         return hit if np.ndim(x) == 2 else int(hit[0])
 
     def sort_key(self) -> tuple:
@@ -601,7 +600,7 @@ class PrimePoint:
 
 def maximal_spectrum(alg: SCAlgebra) -> list[PrimePoint]:
     """All maximal ideals with residue data, ordered by
-    (residue degree, lexicographic echelon basis).
+    (residue degree, lexicographic echelon basis), resmap the projection.
 
     Ker(x -> x^p - x) is spanned by the primitive idempotents of A: in a
     local factor, x^p = x makes x = a + n with a in F_p and n nilpotent, and
@@ -656,12 +655,13 @@ def maximal_spectrum(alg: SCAlgebra) -> list[PrimePoint]:
     for e in idems:
         e.setflags(write=False)
         m_ideal = IdealSubspace(alg, nullspace(matmul(alg.left_mul_matrix(e), alg.nil_frobenius, p), p))
-        residue, resmap = quotient_algebra(alg, m_ideal)
+        if m_ideal.is_unit_ideal() or not m_ideal.is_absorbing():
+            raise RuntimeError("the kernel at a primitive idempotent is not a proper ideal")
         if alg.generator is not None:
             label = f"({m_ideal.polynomial})"
         else:
             label = "(ker:" + ";".join(",".join(map(str, row)) for row in m_ideal.basis.tolist()) + ")"
-        points.append(PrimePoint(m_ideal, residue.dim, residue, resmap, e, label))
+        points.append(PrimePoint(m_ideal, alg.dim - m_ideal.dim, m_ideal.projection()[0], e, label))
     points.sort(key=PrimePoint.sort_key)
     for i, pt in enumerate(points):
         pt.index = i

@@ -437,20 +437,22 @@ def descend_and_compare(h: HopfData, ideal: IdealSubspace) -> LawReport:
 
 def _carried_hom(pt: PrimePoint, e: int) -> np.ndarray:
     """One hom A -> F_{p^e} with kernel pt's ideal, as the (dim, e) array of
-    the images of the basis vectors in field_algebra(p, e): the residue map
-    in powers of a residue-field generator sent to the first root of its
-    minimal polynomial. That is pi(g) for A's stored g, its rows pi(g^j) and
-    polynomial read off A and the label, else the unit at degree 1, else
-    the first of degree d. The other d - 1 homs are its Frobenius conjugates."""
-    res, d, p = pt.residue, pt.degree, pt.residue.field.p
-    if res.generator is not None:
-        pows, poly = matmul(pt.ideal.algebra.generator_powers[: d + 1], pt.resmap.T, p), pt.ideal.polynomial
+    basis images in field_algebra(p, e): pi in powers of pi(x), sent to the
+    first root of its minimal polynomial, x the first candidate of degree d:
+    A's stored g, else the unit at d = 1, else each v of F_p^d lifted onto
+    the ideal's free coordinates, where pi = id. Frobenius gives the rest."""
+    alg, d, p = pt.ideal.algebra, pt.degree, pt.ideal.algebra.field.p
+    if alg.generator is not None:
+        candidates = [alg.generator_powers[: d + 1]]
     else:
-        krylov = (res.powers(v, res.unit, d + 1) for v in ([res.unit] if d == 1 else enumerate_vectors(p, d)))
-        found = next(((k, m) for k in krylov if (m := _first_monic_relation(k, res.field)).degree == d), None)
-        if found is None:
-            raise ValueError(f"the residue field has no element of full degree {d} to carry the hom")
-        pows, poly = found
+        lift = np.eye(alg.dim, dtype=np.int64)[pt.ideal.projection()[1]]
+        xs = [alg.unit] if d == 1 else (v @ lift for v in enumerate_vectors(p, d))
+        candidates = (alg.powers(x, alg.unit, d + 1) for x in xs)
+    rows = (matmul(k, pt.resmap.T, p) for k in candidates)
+    found = next(((k, m) for k in rows if (m := _first_monic_relation(k, alg.field)).degree == d), None)
+    if found is None:
+        raise ValueError(f"the residue field has no element of full degree {d} to carry the hom")
+    pows, poly = found
     coords = rref(np.hstack([pows[:d].T, pt.resmap]), p)[0][:, d:]  # residue(x) in powers of gen
     fq, _ = field_algebra(p, e)
     rho = field_roots(poly, e)[0]

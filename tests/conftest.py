@@ -310,11 +310,40 @@ def maximal_spectrum_by_reduced_quotient(alg):
         mbar = rref(red.left_mul_matrix(npmod(red.unit - e, p)).T, p)[0]
         m_ideal = IdealSubspace(alg, preimage(pi_red, mbar, p))
         residue, resmap = quotient_algebra(alg, m_ideal)
-        points.append(PrimePoint(m_ideal, residue.dim, residue, resmap, lift, label_by_residue(residue, m_ideal)))
+        points.append(PrimePoint(m_ideal, residue.dim, resmap, lift, label_by_residue(residue, m_ideal)))
     points.sort(key=PrimePoint.sort_key)
     for i, pt in enumerate(points):
         pt.index = i
     return points
+
+
+def residue_field(pt):
+    """A point's residue field A/m as its own algebra, built by
+    quotient_algebra: the library reads it only through pt.resmap, a
+    projection of A, so a test that needs the field's structure tensor,
+    unit or generator builds it here."""
+    return quotient_algebra(pt.ideal.algebra, pt.ideal)[0]
+
+
+def count_algebra_constructions(monkeypatch):
+    """A one-entry list that counts every SCAlgebra constructed from here
+    on, for the rest of the test."""
+    built = [0]
+    init = SCAlgebra.__init__
+
+    def counted(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SCAlgebra, "__init__", counted)
+    return built
+
+
+def generator_less(h):
+    """h with the same structure maps on an algebra that stores no
+    generator."""
+    alg = h.algebra
+    return HopfData(SCAlgebra(alg.field, alg.basis, alg.mul, alg.unit), h.delta, h.counit, h.antipode)
 
 
 def label_by_residue(residue, ideal):
@@ -342,7 +371,7 @@ def gcd_cascade(ideal):
 def spectrum_fields(points):
     """Every field of each point, in point order, as plain data."""
     return [
-        (pt.index, pt.label, pt.degree, pt.ideal.to_json(), pt.residue.to_json(), pt.resmap.tolist(), pt.idempotent.tolist())
+        (pt.index, pt.label, pt.degree, pt.ideal.to_json(), pt.resmap.tolist(), pt.idempotent.tolist())
         for pt in points
     ]
 
@@ -786,7 +815,7 @@ def classical_points(h, q):
         d = pt.degree
         if e % d != 0:
             continue
-        res = pt.residue
+        res = residue_field(pt)
         candidates = enumerate_vectors(p, d)[1:] if res.generator is None else [res.generator]
         gen = next(v for v in candidates if minimal_polynomial(v, res).degree == d)
         gen_pows = np.zeros((d, d), dtype=np.int64)

@@ -22,6 +22,7 @@ from conftest import (
     LEMMA_ALGEBRAS,
     NON_REDUCED,
     associator_by_basis_triples,
+    count_algebra_constructions,
     gcd_cascade,
     greedy_generators_by_span,
     ideal_is_prime_by_quotient,
@@ -30,6 +31,7 @@ from conftest import (
     nullspace_twopass,
     power,
     product_hopf,
+    residue_field,
     spectrum_fields,
     unvalidated_algebra,
     validation_error_by_basis_triples,
@@ -277,7 +279,7 @@ class TestSpectrum:
     def test_residue_maps_are_algebra_homs(self):
         alg = t9_minus_t()
         for pt in maximal_spectrum(alg):
-            assert is_algebra_hom(pt.resmap, alg, pt.residue)
+            assert is_algebra_hom(pt.resmap, alg, residue_field(pt))
 
     def test_local_nonreduced_algebra(self):
         alg = monogenic_algebra(F3, P("T^3"))  # local, residue F_3
@@ -335,6 +337,28 @@ class TestSpectrumAgainstReducedQuotient:
         for pt in pts:
             kernel = nullspace_twopass(matmul(alg.left_mul_matrix(pt.idempotent), alg.nil_frobenius, p), p)
             assert pt.ideal == IdealSubspace(alg, kernel), (name, pt.label)
+
+
+class TestResidueByProjection:
+    """A point's residue field is its resmap, a projection of A:
+    maximal_spectrum builds no algebra, and keeps the two checks that
+    quotient_algebra made on each kernel, a proper and absorbing ideal."""
+
+    @pytest.mark.parametrize("name", SPECTRUM_ALGEBRAS + ["fs3"])
+    def test_builds_no_algebra(self, monkeypatch, name, request):
+        alg = spectrum_algebra(name, request)
+        fresh = SCAlgebra(alg.field, alg.basis, alg.mul, alg.unit, alg.generator)
+        built = count_algebra_constructions(monkeypatch)
+        pts = maximal_spectrum(fresh)
+        assert built == [0] and pts, (name, built)
+        assert all(pt.resmap is pt.ideal.projection()[0] and pt.degree == len(pt.resmap) for pt in pts)
+
+    @pytest.mark.parametrize("check, verdict", [("is_unit_ideal", True), ("is_absorbing", False)])
+    def test_a_kernel_that_is_no_proper_ideal_raises(self, monkeypatch, check, verdict):
+        alg = t9_minus_t()
+        monkeypatch.setattr(IdealSubspace, check, lambda self: verdict)
+        with pytest.raises(RuntimeError, match="^the kernel at a primitive idempotent is not a proper ideal$"):
+            maximal_spectrum(alg)
 
 
 class TestSplitCost:
@@ -684,16 +708,17 @@ class TestIdealPolynomial:
         residues = []
         for alg in (h.algebra, quotient_algebra(h.algebra, descent_ideal(h))[0]):
             for pt in maximal_spectrum(alg):
-                assert pt.label == f"({minimal_polynomial(pt.residue.generator, pt.residue)})", (spec, pt)
-                assert pt.label == label_by_residue(pt.residue, pt.ideal) == f"({pt.ideal.polynomial})"
-                residues.append((pt.label, pt.residue))
+                res = residue_field(pt)
+                assert pt.label == f"({minimal_polynomial(res.generator, res)})", (spec, pt)
+                assert pt.label == label_by_residue(res, pt.ideal) == f"({pt.ideal.polynomial})"
+                residues.append((pt.label, res))
         for label, res in residues:
             assert [pt.label for pt in maximal_spectrum(res)] == [label] == [f"({zero_ideal(res).polynomial})"]
 
     def test_residues_cover_both_sides_of_the_power_basis(self):
         """The residue fields of the builtins above: 50 of 70 are off the
         power basis, 20 on it."""
-        residues = [pt.residue for spec in DESCENT_BUILTINS for pt in maximal_spectrum(parse_builtin(spec).algebra)]
+        residues = [residue_field(pt) for spec in DESCENT_BUILTINS for pt in maximal_spectrum(parse_builtin(spec).algebra)]
         off = [res for res in residues if zero_ideal(res).generator_poly() is None]
         assert (len(off), len(residues)) == (50, 70)
 
@@ -868,7 +893,7 @@ class TestPowerBasis:
         """Quotients keep the projected generator; some are still power
         bases and some are not, and the two reads agree on each."""
         h = parse_builtin(spec)
-        algebras = [quotient_algebra(h.algebra, descent_ideal(h))[0]] + [pt.residue for pt in maximal_spectrum(h.algebra)]
+        algebras = [quotient_algebra(h.algebra, descent_ideal(h))[0]] + [residue_field(pt) for pt in maximal_spectrum(h.algebra)]
         for alg in algebras:
             assert zero_ideal(alg).generator_poly() == modulus_by_reconstruction(alg), (spec, alg.basis)
         assert any(zero_ideal(alg).generator_poly() is not None for alg in algebras)
@@ -1002,10 +1027,11 @@ class TestGeneratorMatrices:
     def test_absorption_and_hom_checks_form_none(self, monkeypatch, name, request):
         alg = spectrum_algebra(name, request)
         pts = maximal_spectrum(alg)
+        residues = [residue_field(pt) for pt in pts]
         rows = self.rows_from(monkeypatch, IdealSubspace.is_absorbing.__code__, algkernel.hom_witness.__code__)
-        for pt in pts:
+        for pt, residue in zip(pts, residues):
             assert IdealSubspace(alg, pt.ideal.basis).is_absorbing()
-            assert is_algebra_hom(pt.resmap, alg, pt.residue)
+            assert is_algebra_hom(pt.resmap, alg, residue)
         assert rows == [], (name, rows)
 
 
@@ -1039,14 +1065,15 @@ class TestAlgebraHom:
         rng = np.random.default_rng(4)
         verdicts = set()
         for pt in maximal_spectrum(alg):
+            residue = residue_field(pt)
             for k in range(6):
                 mat = pt.resmap.copy()
                 if k:
                     mat[rng.integers(0, mat.shape[0]), rng.integers(0, mat.shape[1])] += rng.integers(1, p)
                 lhs = np.einsum("kx,ijx->kij", mat, alg.mul) % p
-                rhs = np.einsum("ai,bj,abk->kij", mat, mat, pt.residue.mul) % p
-                want = bool((mat @ alg.unit % p == pt.residue.unit).all() and (lhs == rhs).all())
-                assert is_algebra_hom(mat, alg, pt.residue) == want, (pt.label, k)
+                rhs = np.einsum("ai,bj,abk->kij", mat, mat, residue.mul) % p
+                want = bool((mat @ alg.unit % p == residue.unit).all() and (lhs == rhs).all())
+                assert is_algebra_hom(mat, alg, residue) == want, (pt.label, k)
                 verdicts.add(want)
         assert verdicts == {True, False}
 

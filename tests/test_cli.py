@@ -15,6 +15,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import count_algebra_constructions
+
 from hyperspec.cli import main
 from hyperspec.suite import DEFAULT_SUITE, TRACE_CHECKS, load_algebra, run_suite
 
@@ -1029,6 +1031,16 @@ class TestRecordOnce:
         cfg.write_text(json.dumps({"algebras": ["mu:13:12", "addetale:11:1"]}))
         assert run_cli(capsys, "verify", "--suite", str(cfg))[0] == 0
         assert 0 < calls[0] <= 1300, calls[0]
+
+    def test_a_mid_suite_builds_at_most_6_algebras(self, monkeypatch, capsys, tmp_path):
+        """No spectrum point builds its residue field as an algebra: verify
+        --suite over mu:13:12 and addetale:11:1 constructs at most 6
+        SCAlgebras, where a quotient algebra per point made 46."""
+        built = count_algebra_constructions(monkeypatch)
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(json.dumps({"algebras": ["mu:13:12", "addetale:11:1"]}))
+        assert run_cli(capsys, "verify", "--suite", str(cfg))[0] == 0
+        assert 0 < built[0] <= 6, built[0]
 
 
 class TestLineGolden:

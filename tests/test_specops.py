@@ -18,10 +18,12 @@ from conftest import (
     classical_comparison_by_homs,
     classical_points,
     descent_by_pairs,
+    generator_less,
     ideal_is_prime_by_quotient,
     point_maps,
     point_maps_by_ideal,
     presentation_value_sets_naive,
+    residue_field,
     span_rank_classes,
     tilde_by_preimage,
     triple_ideal_points_by_rowspan,
@@ -483,6 +485,21 @@ class TestDescent:
         assert ideal.projection()[0] is pi and not pi.flags.writeable
 
 
+# Generator-less copies with points of degree 2 and 3: each carried hom
+# scans its candidate lifts in A to a relation of degree d > 1
+GENERATOR_LESS = ("bare-mu:3:4", "bare-mu:5:8", "bare-addetale:3:3")
+
+
+def hopf_by_spec(spec, fs3):
+    """F_3^{S_3} for "fs3", the generator-less copy of a builtin for
+    "bare-" and its spec, else the builtin."""
+    if spec == "fs3":
+        return fs3
+    if spec.startswith("bare-"):
+        return generator_less(parse_builtin(spec[len("bare-") :]))
+    return parse_builtin(spec)
+
+
 class TestClassical:
     def test_mu4_over_f5(self, mu54):
         rep = ops.classical_comparison(mu54, 5)
@@ -551,11 +568,12 @@ class TestClassical:
         doc = ops.classical_comparison(h, q).to_json()
         assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == self.GOLDEN[(spec, q)]
 
-    @pytest.mark.parametrize("spec, q", list(GOLDEN))
+    @pytest.mark.parametrize("spec, q", list(GOLDEN) + list(zip(GENERATOR_LESS, (9, 25, 27))))
     def test_report_matches_all_pairs_oracle(self, spec, q, fs3):
         # one kernel per hom and one convolution per pair of homs, matched
-        # by bytes, against the carried homs of the orbit engine
-        h = fs3 if spec == "fs3" else parse_builtin(spec)
+        # by bytes, against the carried homs of the orbit engine; at q =
+        # p^e, e the lcm of the degrees, on the GENERATOR_LESS copies
+        h = hopf_by_spec(spec, fs3)
         assert ops.classical_comparison(h, q).to_json() == classical_comparison_by_homs(h, q).to_json()
 
     def test_convolution_is_the_group_law(self, mu54, ae32):
@@ -604,11 +622,10 @@ class TestClassical:
 
     def test_carried_homs_form_no_residue_powers(self, monkeypatch):
         """mu:7:48 has a stored generator g, so each carried point reads its
-        rows pi(g^j) off the algebra's generator_powers and its polynomial
-        off its label: from _carried_hom's frame, classical_comparison(h, 7)
-        takes powers only in F_7, once per carried point, and never on a
-        residue algebra, whose L_g the rows would form again. Its frame
-        includes the generator expressions in its body."""
+        rows pi(g^j) off the algebra's generator_powers: from _carried_hom's
+        frame, classical_comparison(h, 7) takes powers only in F_7, once per
+        carried point, and never in A, whose L_g the rows would form again.
+        Its frame includes the generator expressions in its body."""
         h = parse_builtin("mu:7:48")
         own = ops._carried_hom.__code__
         frames = {own, *(c for c in own.co_consts if isinstance(c, CodeType))}
@@ -627,15 +644,17 @@ class TestClassical:
         assert len(on) == 6 and all(alg is fq for alg in on)
 
     def test_carried_hom_needs_a_generator_of_full_degree(self):
-        # F_3^4 posing as a residue of degree 4: each of its elements has a
-        # minimal polynomial of degree at most 3, so the candidate scan finds
-        # no generator and raises an error naming the degree rather than
+        # F_3^4 posing as a point of degree 4, its zero ideal with the
+        # identity as residue map: each of its elements has a minimal
+        # polynomial of degree at most 3, so the candidate scan finds no
+        # generator and raises an error naming the degree rather than
         # return a hom
         mul = np.zeros((4, 4, 4), dtype=np.int64)
         mul[range(4), range(4), range(4)] = 1
-        res = SCAlgebra(PrimeField(3), list("abcd"), mul, np.ones(4, dtype=np.int64))
+        alg = SCAlgebra(PrimeField(3), list("abcd"), mul, np.ones(4, dtype=np.int64))
+        zero = IdealSubspace(alg, np.zeros((0, 4), dtype=np.int64))
         with pytest.raises(ValueError, match="^the residue field has no element of full degree 4 to carry the hom$"):
-            ops._carried_hom(SimpleNamespace(residue=res, degree=4, resmap=np.eye(4, dtype=np.int64)), 4)
+            ops._carried_hom(SimpleNamespace(ideal=zero, degree=4, resmap=np.eye(4, dtype=np.int64)), 4)
 
     def test_containment_witness_is_the_first_missing_triple(self):
         # a member taken out of the hyperop cube: the first triple of the
@@ -665,10 +684,10 @@ class TestOrbitCube:
     engines that share no decision code: orbit_cube convolves homs in the
     Galois-orbit engine and never forms Q_fg."""
 
-    @pytest.mark.parametrize("spec", CI_SUITE + ("fs3",))
+    @pytest.mark.parametrize("spec", CI_SUITE + ("fs3",) + GENERATOR_LESS)
     def test_equals_hyperop_cube(self, spec, fs3):
-        h = fs3 if spec == "fs3" else parse_builtin(spec)
-        for a in [h] if spec == "fs3" else [h, hopf_quotient(h, descent_ideal(h))[0]]:
+        h = hopf_by_spec(spec, fs3)
+        for a in [h] if h.algebra.generator is None else [h, hopf_quotient(h, descent_ideal(h))[0]]:
             n = lcm(*(pt.degree for pt in ops.kpoints(a)))
             assert (ops.orbit_cube(a, n) == ops.hyperop_cube(a)).all()
 
@@ -1006,7 +1025,7 @@ class TestForcedZeroLemma:
             prod = alg.mul_by(phi.idempotent, psi.idempotent[None])[0]
             assert (prod == (phi.idempotent if phi is psi else 0)).all(), (name, phi.label, psi.label)
             image = matmul(psi.resmap, phi.idempotent, p)
-            assert (image == (psi.residue.unit if phi is psi else 0)).all(), (name, phi.label, psi.label)
+            assert (image == (residue_field(psi).unit if phi is psi else 0)).all(), (name, phi.label, psi.label)
         for f, g in product(pts, repeat=2):
             kernel = IdealSubspace(alg, nullspace(pair_matrix(h, f, g), p))
             prime = ideal_is_prime_by_quotient(alg, kernel)
