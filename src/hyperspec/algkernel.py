@@ -95,7 +95,8 @@ class SCAlgebra:
 
     def krylov(self, lmat: np.ndarray, start, k: int) -> np.ndarray:
         """The k rows start @ lmat^j for j < k: start reduced, lmat the matrix
-        of x -> v*x (x @ lmat) from mul_matrices, which has bounded the sum."""
+        of x -> v*x (x @ lmat), mul_matrices(v) or mul[j] at v = e_j, whose
+        sums _validate has bounded."""
         p = self.field.p
         out = np.zeros((k, self.dim), dtype=np.int64)
         for j in range(k):

@@ -405,6 +405,8 @@ def find_irreducible(p: int, degree: int) -> FpPoly:
     with constant term 0 is a multiple of T, so the scan starts at constant
     term 1; the constant term is the slowest coordinate of the order, so no
     earlier candidate is skipped."""
+    if degree < 1:
+        raise ValueError(f"F_{p}^{degree} is no field: the degree must be at least 1")
     field = PrimeField(p)
     for start in range(0 if degree == 1 else p ** (degree - 1), p**degree, degree):
         lower = _monic_lower(np.arange(start, min(start + degree, p**degree), dtype=np.int64), p, degree)

@@ -436,19 +436,14 @@ def descend_and_compare(h: HopfData, ideal: IdealSubspace) -> LawReport:
 
 
 def _carried_hom(pt: PrimePoint, e: int) -> np.ndarray:
-    """One hom A -> F_{p^e} with kernel pt's ideal, as the (dim, e) array of
+    """One hom A -> F_{p^e} with kernel pt's ideal I, as the (dim, e) array of
     basis images in field_algebra(p, e): pi in powers of pi(x), sent to the
-    first root of its minimal polynomial, x the first candidate of degree d:
-    A's stored g, else the unit at d = 1, else each v of F_p^d lifted onto
-    the ideal's free coordinates, where pi = id. Frobenius gives the rest."""
+    first root of its minimal polynomial, x = e_j for the first j free in I
+    with pi(x) of degree d, its powers the Krylov rows of 1 under mul[j].
+    One exists: pi = id there, so the pi(e_j) span K = A/I, which the proper
+    subfields of F_{p^d} do not span (README). Frobenius gives the rest."""
     alg, d, p = pt.ideal.algebra, pt.degree, pt.ideal.algebra.field.p
-    if alg.generator is not None:
-        candidates = [alg.generator_powers[: d + 1]]
-    else:
-        lift = np.eye(alg.dim, dtype=np.int64)[pt.ideal.projection()[1]]
-        xs = [alg.unit] if d == 1 else (v @ lift for v in enumerate_vectors(p, d))
-        candidates = (alg.powers(x, alg.unit, d + 1) for x in xs)
-    rows = (matmul(k, pt.resmap.T, p) for k in candidates)
+    rows = (matmul(alg.krylov(alg.mul[j], alg.unit, d + 1), pt.resmap.T, p) for j in pt.ideal.projection()[1])
     found = next(((k, m) for k in rows if (m := _first_monic_relation(k, alg.field)).degree == d), None)
     if found is None:
         raise ValueError(f"the residue field has no element of full degree {d} to carry the hom")
@@ -496,7 +491,9 @@ def orbit_cube(h: HopfData, e: int) -> np.ndarray:
     a, b: A -> F_{p^e} with kernels f and g, empty at points whose degree
     does not divide e. At e the lcm of the residue degrees it equals
     hyperop_cube, which it shares no decision code with. Raises ValueError
-    if a convolution lies in no registered orbit."""
+    unless e >= 1, or if a convolution lies in no registered orbit."""
+    if e < 1:
+        raise ValueError(f"the orbit cube needs a field degree e >= 1, not {e}")
     h.ensure_verified()
     _, cube, escaped = _orbit_fill(h, e)
     if escaped:

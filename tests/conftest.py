@@ -325,6 +325,16 @@ def residue_field(pt):
     return quotient_algebra(pt.ideal.algebra, pt.ideal)[0]
 
 
+def free_vector_degrees(pt):
+    """The degree of the minimal polynomial of each free basis vector's
+    image in pt's residue field, in the order of the free coordinates: the
+    basis of residue_field(pt), each read with minimal_polynomial there.
+    The oracle of the lemma that _carried_hom rests on, that one of them
+    has degree pt.degree."""
+    res = residue_field(pt)
+    return [minimal_polynomial(v, res).degree for v in np.eye(res.dim, dtype=np.int64)]
+
+
 def count_algebra_constructions(monkeypatch):
     """A one-entry list that counts every SCAlgebra constructed from here
     on, for the rest of the test."""

@@ -593,6 +593,14 @@ class TestFq:
         for e, coeffs in expected.items():
             assert find_irreducible(2, e).coeffs == coeffs
 
+    @pytest.mark.parametrize("d", (0, -2))
+    def test_degree_below_one_is_rejected(self, d):
+        # no field has degree d < 1: a ValueError naming d, from
+        # find_irreducible and from field_algebra, which builds on it
+        for build in (find_irreducible, field_algebra):
+            with pytest.raises(ValueError, match=rf"^F_5\^{d} is no field: the degree must be at least 1$"):
+                build(5, d)
+
 
 class TestPolyRootsInFq:
     """field_roots, against a schoolbook evaluation over the whole field."""

@@ -1,10 +1,18 @@
 from itertools import product
-from math import comb
+from math import comb, lcm
 
 import numpy as np
 import pytest
 
-from conftest import generator_less, greedy_generators_by_span, power, residue_field, rref_rowloop, unvalidated_algebra
+from conftest import (
+    free_vector_degrees,
+    generator_less,
+    greedy_generators_by_span,
+    power,
+    residue_field,
+    rref_rowloop,
+    unvalidated_algebra,
+)
 from hyperspec import algkernel, linalg
 from hyperspec import specops as ops
 from hyperspec.algkernel import (
@@ -363,7 +371,9 @@ class TestBasisChange:
     basis permutation, keep the Frobenius up to P, the verify_hopf
     verdicts, and the cube up to the point permutation matched through P,
     point m to the point whose ideal is P·m. Their greedy sets have 1 to
-    3 rows."""
+    3 rows. The moved free coordinates are no powers of t, yet one of them
+    generates each residue field, and the orbit cube, which carries its
+    homs from them, still equals the hyperop cube."""
 
     @pytest.mark.parametrize("spec", ("mu:3:4", "addetale:3:2", "mu:5:8"))
     @pytest.mark.parametrize("change", ("dense", "permutation"))
@@ -386,6 +396,9 @@ class TestBasisChange:
         assert sorted(sigma) == list(range(len(pts)))
         assert [pt.degree for pt in pts] == [moved_pts[i].degree for i in sigma]
         assert (ops.hyperop_cube(moved)[np.ix_(sigma, sigma, sigma)] == ops.hyperop_cube(h)).all()
+        assert all(pt.degree in free_vector_degrees(pt) for pt in moved_pts)
+        e = lcm(*(pt.degree for pt in moved_pts))
+        assert (ops.orbit_cube(moved, e) == ops.hyperop_cube(moved)).all()
 
     def test_counit_law_at_word_size_p(self):
         """mu:p:2 at p = 100000007 carried along P = [[1, c], [c, 1 + c^2]],

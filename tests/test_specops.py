@@ -18,6 +18,7 @@ from conftest import (
     classical_comparison_by_homs,
     classical_points,
     descent_by_pairs,
+    free_vector_degrees,
     generator_less,
     ideal_is_prime_by_quotient,
     point_maps,
@@ -37,7 +38,7 @@ from hyperspec import specops as ops
 from hyperspec.algkernel import IdealSubspace, SCAlgebra, field_algebra, maximal_spectrum, nilradical
 from hyperspec.gfarith import PrimeField, parse_poly, prime_power
 from hyperspec.hopfkernel import HopfData, descent_ideal, hopf_quotient, iterated_coproduct, parse_builtin
-from hyperspec.linalg import enumerate_vectors, matmul, npmod, nullspace, reduce_rows
+from hyperspec.linalg import enumerate_vectors, matmul, npmod, nullspace, reduce_rows, rref
 from hyperspec.specops import ForcedValue
 
 
@@ -486,7 +487,7 @@ class TestDescent:
 
 
 # Generator-less copies with points of degree 2 and 3: each carried hom
-# scans its candidate lifts in A to a relation of degree d > 1
+# starts from a free basis vector of its ideal whose image has degree d > 1
 GENERATOR_LESS = ("bare-mu:3:4", "bare-mu:5:8", "bare-addetale:3:3")
 
 
@@ -621,10 +622,10 @@ class TestClassical:
         assert not rep.ok
 
     def test_carried_homs_form_no_residue_powers(self, monkeypatch):
-        """mu:7:48 has a stored generator g, so each carried point reads its
-        rows pi(g^j) off the algebra's generator_powers: from _carried_hom's
-        frame, classical_comparison(h, 7) takes powers only in F_7, once per
-        carried point, and never in A, whose L_g the rows would form again.
+        """mu:7:48 stores a generator g, but no carried hom reads it: each
+        point's rows are the Krylov sequence of 1 under a slice mul[j] of A's
+        structure tensor, so from _carried_hom's frame classical_comparison(h,
+        7) takes powers only in F_7, once per carried point, and never in A.
         Its frame includes the generator expressions in its body."""
         h = parse_builtin("mu:7:48")
         own = ops._carried_hom.__code__
@@ -646,15 +647,42 @@ class TestClassical:
     def test_carried_hom_needs_a_generator_of_full_degree(self):
         # F_3^4 posing as a point of degree 4, its zero ideal with the
         # identity as residue map: each of its elements has a minimal
-        # polynomial of degree at most 3, so the candidate scan finds no
-        # generator and raises an error naming the degree rather than
-        # return a hom
+        # polynomial of degree at most 3, so none of its four free basis
+        # vectors generates, and the carried hom raises an error naming the
+        # degree rather than return a hom
         mul = np.zeros((4, 4, 4), dtype=np.int64)
         mul[range(4), range(4), range(4)] = 1
         alg = SCAlgebra(PrimeField(3), list("abcd"), mul, np.ones(4, dtype=np.int64))
         zero = IdealSubspace(alg, np.zeros((0, 4), dtype=np.int64))
         with pytest.raises(ValueError, match="^the residue field has no element of full degree 4 to carry the hom$"):
             ops._carried_hom(SimpleNamespace(ideal=zero, degree=4, resmap=np.eye(4, dtype=np.int64)), 4)
+
+    def test_carried_homs_form_no_multiplication_matrix_in_a(self, monkeypatch):
+        """The generator-less addetale:3:4 at e = 4: each of its 24 points,
+        of degrees 1, 2 and 4, carries its hom from its first free basis
+        vector e_j, whose image generates the residue field, read as the
+        slice mul[j]. So inside _carried_hom no multiplication matrix of A
+        is formed, and each point takes one relation."""
+        h = generator_less(parse_builtin("addetale:3:4"))
+        alg, pts = h.algebra, ops.kpoints(h)
+        formed, relations = [], []
+        mul_matrices, relation = SCAlgebra.mul_matrices, ops._first_monic_relation
+
+        def counted_mul_matrices(self, u):
+            if self is alg:
+                formed.append(u)
+            return mul_matrices(self, u)
+
+        def counted_relation(powers, field):
+            relations.append(len(powers))
+            return relation(powers, field)
+
+        monkeypatch.setattr(SCAlgebra, "mul_matrices", counted_mul_matrices)
+        monkeypatch.setattr(ops, "_first_monic_relation", counted_relation)
+        homs = [ops._carried_hom(pt, 4) for pt in pts]
+        assert sorted({pt.degree for pt in pts}) == [1, 2, 4]
+        assert formed == [] and relations == [pt.degree + 1 for pt in pts]
+        assert ops._field_points(h, np.vstack([a.T for a in homs]), np.arange(0, 4 * len(pts), 4)).tolist() == list(range(len(pts)))
 
     def test_containment_witness_is_the_first_missing_triple(self):
         # a member taken out of the hyperop cube: the first triple of the
@@ -672,6 +700,40 @@ class TestClassical:
         assert rep.to_json() == classical_comparison_by_homs(h, 7).to_json()
 
 
+class TestCarriedHomLemma:
+    """_carried_hom starts from the first free basis vector e_j of a point's
+    ideal I whose image generates K = A/I. One exists because the proper
+    subfields of K do not span it, while the images of the free basis
+    vectors do. Both halves are checked here with no code of _carried_hom:
+    the subfields as Frobenius-fixed spaces, the generators by the minimal
+    polynomials of the basis of the separately built residue field."""
+
+    @pytest.mark.parametrize("p", (3, 5, 7))
+    def test_maximal_subfields_do_not_span(self, p):
+        # the sum of Ker(Frob^(d/q) - 1) over the primes q | d, each of
+        # dimension d/q, has rank below d: no spanning set of F_{p^d} lies in
+        # its proper subfields
+        for d in range(1, 7):
+            _, frob = field_algebra(p, d)
+            eye = np.eye(d, dtype=np.int64)
+            fixed = []
+            for q in (q for q in (2, 3, 5) if d % q == 0):
+                power = eye
+                for _ in range(d // q):
+                    power = matmul(frob, power, p)
+                kernel = nullspace(npmod(power - eye, p), p)
+                assert kernel.shape[0] == d // q, (p, d, q)
+                fixed.append(kernel)
+            span = np.vstack([np.zeros((0, d), dtype=np.int64), *fixed])
+            assert len(rref(span, p)[1]) < d, (p, d)
+
+    @pytest.mark.parametrize("spec", LEMMA_ALGEBRAS + ["bare-" + s for s in LEMMA_ALGEBRAS if s != "fs3"])
+    def test_some_free_basis_vector_generates(self, spec, fs3):
+        h = hopf_by_spec(spec, fs3)
+        for pt in ops.kpoints(h):
+            assert pt.degree in free_vector_degrees(pt), (spec, pt.label)
+
+
 # The 14 algebras of the CI verify suite
 CI_SUITE = (
     "mu:3:2", "mu:5:4", "addetale:3:1", "addetale:3:2", "mu:7:6", "mu:3:8", "mu:5:8",
@@ -684,12 +746,17 @@ class TestOrbitCube:
     engines that share no decision code: orbit_cube convolves homs in the
     Galois-orbit engine and never forms Q_fg."""
 
-    @pytest.mark.parametrize("spec", CI_SUITE + ("fs3",) + GENERATOR_LESS)
+    @pytest.mark.parametrize("spec", CI_SUITE + ("fs3",) + GENERATOR_LESS + ("bare-addetale:3:4",))
     def test_equals_hyperop_cube(self, spec, fs3):
         h = hopf_by_spec(spec, fs3)
         for a in [h] if h.algebra.generator is None else [h, hopf_quotient(h, descent_ideal(h))[0]]:
             n = lcm(*(pt.degree for pt in ops.kpoints(a)))
             assert (ops.orbit_cube(a, n) == ops.hyperop_cube(a)).all()
+
+    @pytest.mark.parametrize("e", (0, -1))
+    def test_degree_below_one_is_rejected(self, ae32, e):
+        with pytest.raises(ValueError, match=rf"^the orbit cube needs a field degree e >= 1, not {e}$"):
+            ops.orbit_cube(ae32, e)
 
     def test_points_outside_the_field_are_empty(self, ae32):
         # over F_3 only the three degree-1 points of addetale:3:2 have homs
