@@ -7,16 +7,16 @@ polynomial per orbit (algkernel.OrbitClassifier, the engine that also
 serves the F_q-points of Hopf data). The definitional engine works with
 the image s of the coproduct generator in the residue-field tensor
 product: its minimal polynomial g_P generates the forced-zero ideal,
-and f*g is every irreducible factor of g_P. It runs on stacks: the Krylov
-sequences of s for every pair of one degree pair (deg f, deg g) are one
-int64 array, each g_P is the first relation of its own sequence, and the
-distinct g_P of one degree are factored as one stack by trial division
-(gfarith.factor_stack). No factor has to be filtered
-out by the forced-one (rank-one) rule: (pi)/(g_P) is a proper ideal of the
-subalgebra F_p[s] of K_f ⊗ K_g, and a rank-one tensor u⊗v = (u⊗1)(1⊗v) is a
-unit there, so no element of it has a rank-one image. Agreement of the two
-engines on every pair is the checkable content of the orbit description of
-these spectra.
+and f*g is every irreducible factor of g_P. It runs on stacks: g_P(f, g) =
+g_P(g, f), so the Krylov sequences of s for every unordered pair of one
+degree pair (deg f <= deg g) are one int64 array, each g_P is the first
+relation of its own sequence, and the distinct g_P of one degree are
+factored as one stack by trial division (gfarith.factor_stack). No factor
+has to be filtered out by the forced-one (rank-one) rule: (pi)/(g_P) is a
+proper ideal of the subalgebra F_p[s] of K_f ⊗ K_g, and a rank-one tensor
+u⊗v = (u⊗1)(1⊗v) is a unit there, so no element of it has a rank-one
+image. Agreement of the two engines on every pair is the checkable content
+of the orbit description of these spectra.
 """
 
 from __future__ import annotations
@@ -197,21 +197,31 @@ def forced_zero_generators(p: int, law: str, fs: list[LinePoint], gs: list[LineP
     multiplication by t_f and t_g ([[a]] for T - a), multiplication by s is
     the Kronecker operator V -> L_f V + V L_g^T or V -> L_f V L_g^T
     (linalg.two_sided). The powers of s are the Krylov sequence of 1⊗1 =
-    e_0⊗e_0 under it, and g_P is their first monic relation. The pairs of
-    one degree pair (a, b) form one int64 stack of Krylov sequences, shape
-    (pairs, ab + 1, ab), each step one broadcast product; each g_P is then
-    read from its own sequence."""
+    e_0⊗e_0 under it, and g_P is their first monic relation.
+
+    Both coproducts are cocommutative, so the swap K_f ⊗ K_g -> K_g ⊗ K_f
+    is an algebra isomorphism that maps s(f, g) to s(g, f): g_P(f, g) =
+    g_P(g, f), and each unordered pair {f, g} is computed once, in the order
+    that puts the lower degree first. The pairs of one degree pair (a, b),
+    a <= b, form one int64 stack of Krylov sequences, shape
+    (pairs, ab + 1, ab), each step one broadcast product over companions
+    built once per point; each g_P is then read from its own sequence."""
     field = PrimeField(p).require_odd()
+    # by degree, so that a pair in slot order puts the lower degree first
+    points = sorted(dict.fromkeys(chain(fs, gs)), key=lambda x: x.degree)
+    slot = {x: k for k, x in enumerate(points)}
+    companions = [_companion(x.poly) for x in points]
+    stacks: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for i, j in dict.fromkeys(tuple(sorted((slot[f], slot[g]))) for f, g in product(fs, gs)):
+        stacks.setdefault((points[i].degree, points[j].degree), []).append((i, j))
     out: dict[tuple[int, int], FpPoly] = {}
-    for a, b in product(sorted({f.degree for f in fs}), sorted({g.degree for g in gs})):
-        fi = [i for i, f in enumerate(fs) if f.degree == a]
-        gj = [j for j, g in enumerate(gs) if g.degree == b]
-        lf = np.array([_companion(fs[i].poly) for i in fi])[:, None]  # (F, 1, a, a)
-        lg = np.array([_companion(gs[j].poly) for j in gj])[None]  # (1, G, b, b)
-        v = np.zeros((len(fi), len(gj), a, b), dtype=np.int64)
-        v[:, :, 0, 0] = 1
-        powers = np.empty((len(fi), len(gj), a * b + 1, a * b), dtype=np.int64)
-        powers[:, :, 0] = v.reshape(len(fi), len(gj), a * b)
+    for (a, b), pairs in stacks.items():
+        lf = np.array([companions[i] for i, _ in pairs])  # (pairs, a, a)
+        lg = np.array([companions[j] for _, j in pairs])  # (pairs, b, b)
+        v = np.zeros((len(pairs), a, b), dtype=np.int64)
+        v[:, 0, 0] = 1
+        powers = np.empty((len(pairs), a * b + 1, a * b), dtype=np.int64)
+        powers[:, 0] = v.reshape(len(pairs), a * b)
         if law == ADDITIVE:
             require_int64_sum(a + b, 2, p, "Kronecker step")
         for k in range(1, a * b + 1):
@@ -219,10 +229,10 @@ def forced_zero_generators(p: int, law: str, fs: list[LinePoint], gs: list[LineP
                 v = npmod(lf @ v + v @ lg.swapaxes(-1, -2), p)
             else:
                 v = two_sided(lf, v, lg, p)
-            powers[:, :, k] = v.reshape(len(fi), len(gj), a * b)
-        for ij, seq in zip(product(fi, gj), powers.reshape(-1, a * b + 1, a * b)):
-            out[ij] = _first_monic_relation(seq, field)
-    return [out[ij] for ij in product(range(len(fs)), range(len(gs)))]
+            powers[:, k] = v.reshape(len(pairs), a * b)
+        for (i, j), seq in zip(pairs, powers):
+            out[i, j] = out[j, i] = _first_monic_relation(seq, field)
+    return [out[slot[f], slot[g]] for f, g in product(fs, gs)]
 
 
 def definitional_hyperops(p: int, law: str, fs: list[LinePoint], gs: list[LinePoint]) -> list[tuple[LinePoint, ...]]:
@@ -318,14 +328,17 @@ def crosscheck(p: int, law: str, max_degree: int) -> dict:
     pairs = []
     degree_ok = True
     definitional = definitional_hyperops(p, law, pts, pts)
+    # one coefficient list per point, shared by every pair that prints it
+    coeffs = {k: orbits.points[k].poly.to_list() for k in set(ids).union(*chain.from_iterable(table))}
     for (i, f), (j, g) in product(enumerate(pts), repeat=2):
         gal, defn = tuple(orbits.points[k] for k in table[i][j]), definitional[i * n + j]
         degree_ok = degree_ok and not any(lcm(f.degree, g.degree) % q.degree for q in gal)
+        gal_lists = [coeffs[k] for k in table[i][j]]
         pairs.append({
-            "f": f.poly.to_list(),
-            "g": g.poly.to_list(),
-            "galois": [q.poly.to_list() for q in gal],
-            "definitional": [q.poly.to_list() for q in defn],
+            "f": coeffs[ids[i]],
+            "g": coeffs[ids[j]],
+            "galois": gal_lists,
+            "definitional": gal_lists if gal == defn else [q.poly.to_list() for q in defn],
             "agree": gal == defn,
         })
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import count_algebra_constructions
 
+from hyperspec import cli
 from hyperspec.cli import main
 from hyperspec.suite import DEFAULT_SUITE, TRACE_CHECKS, load_algebra, run_suite
 
@@ -892,6 +893,78 @@ class TestEntryPoint:
         ]
         assert runs[0] == runs[1]
         assert runs[0]  # nonempty JSON
+
+
+_TRICKY = '"\\[]{},: \n\t\x00\x1f\x7fé€\U0001f600\ud800\udfff'
+
+
+def _writer_docs():
+    """JSON documents with every kind of value the encoder takes: strings
+    with quotes, backslashes, control characters, brackets and separators,
+    non-ASCII characters and lone surrogates; bools, big ints, floats with
+    nan, inf and -0.0, None; lists, tuples and dicts, empty ones too, with
+    int, float, bool and None keys beside str ones."""
+    text = st.text(st.sampled_from(_TRICKY) | st.characters(), max_size=6)
+    numbers = st.integers(-(2**70), 2**70) | st.floats() | st.sampled_from([-0.0, float("nan"), float("-inf")])
+    scalars = st.none() | st.booleans() | numbers | text
+    keys = text | st.sampled_from(["1", 1, "1.5", 1.5, "true", True, "null", None, float("nan")]) | st.integers()
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=5)
+        | st.lists(inner, max_size=3).map(tuple)
+        | st.dictionaries(keys, inner, max_size=5),
+        max_leaves=25,
+    )
+
+
+def _holding_itself(doc):
+    """doc with itself appended to its last list: a cycle."""
+    (doc if isinstance(doc, list) else doc["a"]).append(doc)
+    return doc
+
+
+class TestWriter:
+    """cli._dump writes what json.dumps(doc, indent=2) does, and a newline,
+    from the C encoder's compact text: with RUN and SLICE as small as 1,
+    run and slice boundaries fall at every place of a document."""
+
+    @given(_writer_docs(), st.sampled_from([(cli.RUN, cli.SLICE), (1, 1), (2, 2), (3, 3), (1, 3), (3, 1)]))
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @example({"a": [], "b": {}, "c": [[], {}, ""], "d": "[]{}"}, (1, 1))
+    @example({1: "1", "1": 1, None: [1, 2, 3], True: {"x": 1, 2: 2}}, (1, 1))
+    @example(["\\", '\\"', '"', "\\\\", "[", "{"], (1, 1))
+    def test_same_bytes_as_the_indenting_encoder(self, doc, sizes):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "RUN", sizes[0])
+            mp.setattr(cli, "SLICE", sizes[1])
+            out = io.StringIO()
+            cli._dump(doc, out)
+        assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("sizes", [(cli.RUN, cli.SLICE), (1, 1), (2, 3)])
+    @pytest.mark.parametrize(
+        "make, error",
+        [
+            (lambda: {"a": [1, 2, 3, object()]}, TypeError),
+            (lambda: [1, {"x": {1, 2}}], TypeError),
+            (lambda: {"a": {(1, 2): 3}}, TypeError),
+            (lambda: {(1, 2): 3}, TypeError),
+            (lambda: [b"bytes"], TypeError),
+            (lambda: _holding_itself([1, 2, 3]), ValueError),
+            (lambda: _holding_itself({"a": [0] * 5}), ValueError),
+        ],
+    )
+    def test_errors_as_the_indenting_encoder(self, monkeypatch, sizes, make, error):
+        with pytest.raises(error):
+            json.dumps(make(), indent=2)
+        monkeypatch.setattr(cli, "RUN", sizes[0])
+        monkeypatch.setattr(cli, "SLICE", sizes[1])
+        with pytest.raises(error):
+            cli._dump(make(), io.StringIO())
+
+    def test_no_json_dump_in_the_library(self):
+        src = Path(cli.__file__).parent
+        assert not [path.name for path in src.glob("*.py") if "json.dump(" in path.read_text()]
 
 
 class TestCollectorFreeze:

@@ -440,8 +440,10 @@ class TestDefinitionalEngine:
         # g_P itself, not only its factors, equals the minimal polynomial of s
         # in the validated structure-constant tensor algebra: pair by pair,
         # and from the stacks of every pair, with the second points in a
-        # seeded order of their own so that no stack row can stand in for
-        # its transpose
+        # seeded order of their own. One stack row serves both (f, g) and
+        # (g, f), since the swap of the factors maps s(f, g) to s(g, f), so
+        # every ordered pair checks against the tensor algebra the row that
+        # stands in for it
         pts = line_points(p, law, max_degree)
         seconds = random.Random(p).sample(pts, len(pts))
         stacked = forced_zero_generators(p, law, pts, seconds)
@@ -452,6 +454,29 @@ class TestDefinitionalEngine:
             assert stacked[k] == forced_zero_generators(p, law, [f], [g])[0] == g_p, (f, g)
             want = tuple(sorted((LinePoint(law, pi) for pi, _ in factor(g_p)), key=LinePoint.sort_key))
             assert members[k] == definitional_hyperop(p, law, f, g) == want, (f, g)
+
+    @pytest.mark.parametrize("law", [ADDITIVE, MULTIPLICATIVE])
+    @pytest.mark.parametrize("p, max_degree", [(3, 3), (7, 2)])
+    def test_one_relation_per_unordered_pair(self, monkeypatch, p, max_degree, law):
+        # n points make n(n + 1)/2 unordered pairs, each one Krylov row and
+        # one relation, from n companion matrices, one per point
+        calls = {"relations": 0, "companions": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(galoisline, "_first_monic_relation", counted("relations", galoisline._first_monic_relation))
+        monkeypatch.setattr(galoisline, "_companion", counted("companions", galoisline._companion))
+        pts = line_points(p, law, max_degree)
+        n = len(pts)
+        g_ps = forced_zero_generators(p, law, pts, pts)
+        assert calls == {"relations": n * (n + 1) // 2, "companions": n}
+        assert len(g_ps) == n * n
+        assert all(g_ps[i * n + j] == g_ps[j * n + i] for i, j in product(range(n), repeat=2))
 
     def test_forced_zero_degree_bound(self):
         for f, g in product(line_points(3, ADDITIVE, 2), repeat=2):
